@@ -6,7 +6,7 @@ import numpy as np
 
 from scipy.linalg import lapack
 
-__all__ = ["ExceptionalFrequencyError", "GuardedLU", "identity_plus"]
+__all__ = ["ExceptionalFrequencyError", "GuardedLU"]
 
 RCOND_FLOOR = 1e-12
 
@@ -55,10 +55,3 @@ class GuardedLU:
             raise ValueError(f"zgetrs failed with info={info}")
         return x
 
-
-def identity_plus(A: np.ndarray) -> np.ndarray:
-    """I + A without an explicit eye allocation."""
-    out = A.copy()
-    idx = np.arange(len(out))
-    out[idx, idx] += 1.0
-    return out

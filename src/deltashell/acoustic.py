@@ -275,10 +275,8 @@ def acoustic_farfield(
     data = acoustic_to_schrodinger(m, omega, grid)
     system = DeltaSystem(data.V, data.delta, omega, rule=rule)
     incidence = np.atleast_2d(np.asarray(incidence, dtype=float))
-    values = np.empty((len(incidence), len(obs_grid.normals)), dtype=complex)
-    for i, d in enumerate(incidence):
-        sol = system.solve(plane_wave(d))
-        values[i] = farfield_source(sol, obs_grid.normals, rule=rule)
+    sols = system.solve_many([plane_wave(d) for d in incidence])
+    values = farfield_source(sols, obs_grid.normals, rule=rule)
     return FarFieldPattern(
         k=float(omega),
         values=values,

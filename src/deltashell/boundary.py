@@ -357,8 +357,8 @@ class DeltaSolution:
     delta: DeltaSpec
     support: np.ndarray          # grid cells in the dense solve
     source_density: np.ndarray   # (V psi) on support cells
+    psi_support: np.ndarray      # psi on support cells (dense-solve values)
     _grid_values: np.ndarray | None = field(default=None, repr=False)
-    _system: "DeltaSystem | None" = field(default=None, repr=False)
 
     @property
     def mesh(self) -> SurfaceMesh:
@@ -376,16 +376,9 @@ class DeltaSolution:
                                            self.k, cells=self.support)
             if len(self.density.eta):
                 vals -= layer_potential(grid.cell_center, self.mesh, self.density.eta, self.k)
-            if self._system is not None and len(self.support):
-                vals[self.support] = self._system_support_values
+            vals[self.support] = self.psi_support  # dense-solve values are authoritative
             self._grid_values = vals
         return VolumeField(grid=self.potential.grid, values=self._grid_values)
-
-    @property
-    def _system_support_values(self) -> np.ndarray:
-        V = self.potential.values[self.support]
-        safe = np.where(V == 0.0, 1.0, V)
-        return np.where(V == 0.0, 0.0, self.source_density / safe)
 
 
 class DeltaSystem:
@@ -423,72 +416,65 @@ class DeltaSystem:
 
         if self.surface_active:
             self.S = assemble_single_layer(self.mesh, k, rule=rule, max_panels=max_panels)
-            if ns:
-                self.SLvol = _layer_matrix(self.centers, self.mesh, k, rule=rule)
-                self.Tr = _cell_matrix(self.mesh.panel_centroid, V.grid, k, self.support)
-            else:
-                self.SLvol = np.zeros((0, np_), dtype=complex)
-                self.Tr = np.zeros((np_, 0), dtype=complex)
-
-            A = np.empty((ns + np_, ns + np_), dtype=complex)
-            A[:ns, :ns] = self.G * self.Vs[None, :]
-            A[np.arange(ns), np.arange(ns)] += 1.0
-            A[:ns, ns:] = self.SLvol
-            A[ns:, :ns] = alpha[:, None] * (self.Tr * self.Vs[None, :])
-            A[ns:, ns:] = alpha[:, None] * self.S
-            A[ns + np.arange(np_), ns + np.arange(np_)] += 1.0
+            SLvol = _layer_matrix(self.centers, self.mesh, k, rule=rule)
         else:
             # alpha == 0: the panel rows decouple (eta = 0); solve cells only
             self.S = None
-            self.SLvol = np.zeros((ns, np_), dtype=complex)
-            self.Tr = _cell_matrix(self.mesh.panel_centroid, V.grid, k, self.support) if ns else np.zeros((np_, 0), dtype=complex)
-            A = self.G * self.Vs[None, :]
-            A[np.arange(ns), np.arange(ns)] += 1.0
+        # Tr after the layer blocks, whose chunked temporaries set the peak memory
+        self.Tr = (_cell_matrix(self.mesh.panel_centroid, V.grid, k, self.support) if ns
+                   else np.zeros((np_, 0), dtype=complex))
+        A = self.G * self.Vs[None, :]
+        if self.surface_active:
+            A = np.block([[A, SLvol],
+                          [alpha[:, None] * (self.Tr * self.Vs[None, :]), alpha[:, None] * self.S]])
+        A[np.diag_indices_from(A)] += 1.0
 
         self._A = A
         self._lu = GuardedLU(A, context="delta-shell system") if len(A) else None
 
     def solve(self, inc: IncidentField) -> DeltaSolution:
+        return self.solve_many([inc])[0]
+
+    def solve_many(self, incidents) -> list[DeltaSolution]:
+        """Solutions for several incident fields from one back-substitution.
+
+        The incident fields form the columns of one right-hand-side matrix;
+        residuals, source densities and panel traces are computed for all
+        columns at once.
+        """
+        incidents = list(incidents)
         ns, np_ = len(self.support), self.mesh.n_panels
-        alpha = self.delta.alpha
-        psi0_cells = np.asarray(eval_incident(inc, self.k, self.centers), dtype=complex) if ns else np.zeros(0, dtype=complex)
-        psi0_panels = np.asarray(eval_incident(inc, self.k, self.mesh.panel_centroid), dtype=complex)
+        points = np.concatenate([self.centers, self.mesh.panel_centroid])
+        psi0 = np.stack([np.asarray(eval_incident(inc, self.k, points), dtype=complex)
+                         for inc in incidents], axis=1)                # (ns + np, n_rhs)
 
         if self.surface_active:
-            rhs = np.concatenate([psi0_cells, alpha * psi0_panels])
-            x = self._lu.solve(rhs)
-            residual = float(np.linalg.norm(self._A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
-            psi_s, eta = x[:ns], x[ns:]
+            rhs = psi0.copy()
+            rhs[ns:] *= self.delta.alpha[:, None]
         else:
-            if ns:
-                x = self._lu.solve(psi0_cells)
-                residual = float(np.linalg.norm(self._A @ x - psi0_cells) / max(np.linalg.norm(psi0_cells), 1e-300))
-                psi_s = x
-            else:
-                psi_s = np.zeros(0, dtype=complex)
-                residual = 0.0
-            eta = np.zeros(np_, dtype=complex)
+            rhs = psi0[:ns]
+        x = self._lu.solve(rhs) if len(rhs) else rhs
+        residual = (np.linalg.norm(self._A @ x - rhs, axis=0)
+                    / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
+        psi_s = x[:ns]
+        eta = x[ns:] if self.surface_active else np.zeros((np_, len(incidents)), dtype=complex)
 
-        source = self.Vs * psi_s
-        trace = psi0_panels.copy()
-        if ns:
-            trace -= self.Tr @ source
+        source = self.Vs[:, None] * psi_s
+        trace = psi0[ns:] - self.Tr @ source
         if self.surface_active:
-            trace -= self.S @ eta
+            trace = trace - self.S @ eta
 
-        sol = DeltaSolution(
-            density=BoundaryDensity(mesh=self.mesh, eta=eta),
-            incident=inc,
-            k=self.k,
-            residual=residual,
-            trace=trace,
-            potential=self.potential,
-            delta=self.delta,
-            support=self.support,
-            source_density=source,
-            _system=self,
-        )
-        return sol
+        # one contiguous row per solution
+        psi_s, source, eta, trace = (np.ascontiguousarray(a.T) for a in (psi_s, source, eta, trace))
+        return [
+            DeltaSolution(
+                density=BoundaryDensity(mesh=self.mesh, eta=eta[j]), incident=inc, k=self.k,
+                residual=float(residual[j]), trace=trace[j], potential=self.potential,
+                delta=self.delta, support=self.support, source_density=source[j],
+                psi_support=psi_s[j],
+            )
+            for j, inc in enumerate(incidents)
+        ]
 
 
 def _cell_matrix(points: np.ndarray, grid, k: float, cells: np.ndarray) -> np.ndarray:
@@ -550,6 +536,7 @@ def solve_delta_system_composition(
             density=BoundaryDensity(mesh=mesh, eta=eta), incident=inc, k=k,
             residual=residual, trace=trace, potential=V, delta=delta,
             support=np.zeros(0, dtype=int), source_density=np.zeros(0, dtype=complex),
+            psi_support=np.zeros(0, dtype=complex),
         )
 
     grid = V.grid
@@ -583,7 +570,7 @@ def solve_delta_system_composition(
     return DeltaSolution(
         density=BoundaryDensity(mesh=mesh, eta=eta), incident=inc, k=k,
         residual=residual, trace=trace, potential=V, delta=delta,
-        support=support, source_density=source,
+        support=support, source_density=source, psi_support=psi_total,
     )
 
 

@@ -99,6 +99,9 @@ def validate_config(cfg: dict, command: str) -> None:
     if command not in _TOP_KEYS:
         raise ConfigError(f"unknown command '{command}'")
     _check_keys(cfg, _TOP_KEYS[command], "")
+    k = cfg.get("k")
+    if "k" in _TOP_KEYS[command] and not (isinstance(k, (int, float)) and 0 < k < np.inf):
+        raise ConfigError(f"config key 'k' must be a positive number, got {k!r}")
 
 
 def config_digest(cfg: dict) -> str:
@@ -162,22 +165,35 @@ def _build_potential(cfg: dict, grid):
     return PotentialSample(grid=grid, values=vals * c_val)
 
 
+def _panel_csv(spec: dict, mesh, name: str) -> np.ndarray:
+    """One value per panel from the CSV file ``spec['csv']``."""
+    vals = np.loadtxt(spec["csv"], delimiter=",", ndmin=1).ravel()
+    if vals.size != mesh.n_panels:
+        raise ConfigError(f"'{name}.csv' holds {vals.size} values; the mesh has {mesh.n_panels} panels")
+    return vals
+
+
 def _alpha_array(cfg: dict, mesh):
     spec = cfg.get("alpha", 0.0)
     if isinstance(spec, (int, float)):
         return np.full(mesh.n_panels, float(spec))
     if isinstance(spec, dict) and "csv" in spec:
-        vals = np.loadtxt(spec["csv"], delimiter=",")
-        return np.asarray(vals, dtype=float).reshape(mesh.n_panels)
+        return _panel_csv(spec, mesh, "alpha")
     raise ConfigError("alpha must be a number or {'csv': path}")
 
 
-def _direction_set(spec, default_nt=16, default_np=32):
+def _direction_set(spec, name: str, default_nt=16, default_np=32):
     if spec is None:
         spec = {}
     if "directions" in spec:
-        dirs = np.asarray(spec["directions"], dtype=float)
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        dirs = np.array(spec["directions"], dtype=float, ndmin=2)
+        if dirs.ndim != 2 or dirs.shape[1] != 3:
+            raise ConfigError(f"'{name}.directions' must be a list of 3-vectors")
+        norms = np.linalg.norm(dirs, axis=1)
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+        if len(bad):
+            raise ConfigError(f"'{name}.directions[{bad[0]}]' must be a finite nonzero vector")
+        dirs /= norms[:, None]
         weights = np.full(len(dirs), 4.0 * np.pi / len(dirs))
         return dirs, weights, None
     nt = int(spec.get("n_theta", default_nt))
@@ -252,22 +268,19 @@ def cmd_farfield(cfg: dict, out: Path, quiet: bool) -> int:
     k = float(cfg["k"])
     delta = DeltaSpec(mesh=mesh, alpha=_alpha_array(cfg, mesh))
     V = _build_potential(cfg, grid)
-    inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE))
-    obs_dirs, obs_w, _ = _direction_set(cfg.get("observations"))
+    inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
+    obs_dirs, obs_w, _ = _direction_set(cfg.get("observations"), "observations")
 
-    system = DeltaSystem(V, delta, k)
-    values = np.empty((len(inc_dirs), len(obs_dirs)), dtype=complex)
+    sols = DeltaSystem(V, delta, k).solve_many([plane_wave(d) for d in inc_dirs])
+    values = farfield_source(sols, obs_dirs)
     extra = {}
-    for i, d in enumerate(inc_dirs):
-        sol = system.solve(plane_wave(d))
-        values[i] = farfield_source(sol, obs_dirs)
-        if i == 0 and "kirchhoff" in cfg:
-            kc = cfg["kirchhoff"]
-            row = farfield_kirchhoff(sol, float(kc["radius"]), obs_dirs,
-                                     int(kc.get("n_theta", 24)), int(kc.get("n_phi", 48)))
-            num = float(np.linalg.norm(row - values[0]))
-            den = float(np.linalg.norm(values[0])) or 1.0
-            extra["kirchhoff_vs_source_rel_l2"] = num / den
+    if "kirchhoff" in cfg:
+        kc = cfg["kirchhoff"]
+        row = farfield_kirchhoff(sols[0], float(kc["radius"]), obs_dirs,
+                                 int(kc.get("n_theta", 24)), int(kc.get("n_phi", 48)))
+        num = float(np.linalg.norm(row - values[0]))
+        den = float(np.linalg.norm(values[0])) or 1.0
+        extra["kirchhoff_vs_source_rel_l2"] = num / den
 
     ff = FarFieldPattern(k=k, values=values, observations=obs_dirs,
                          obs_weights=obs_w, incidence=inc_dirs)
@@ -287,7 +300,7 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
     med_cfg = cfg.get("medium", {})
     shell = med_cfg.get("shell_density", 0.0)
     if isinstance(shell, dict):
-        shell = np.loadtxt(shell["csv"], delimiter=",").reshape(mesh.n_panels)
+        shell = _panel_csv(shell, mesh, "medium.shell_density")
     medium = ac.MediumSpec(
         gamma=mesh,
         shell_density=np.asarray(shell, dtype=float) if not np.isscalar(shell) else float(shell),
@@ -295,8 +308,8 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
         v_bumps=_build_bumps(med_cfg.get("v_bumps")),
         cutoff=_build_cutoff(med_cfg.get("cutoff")),
     )
-    inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE))
-    obs_dirs, obs_w, obs_grid = _direction_set(cfg.get("observations"))
+    inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
+    obs_dirs, obs_w, obs_grid = _direction_set(cfg.get("observations"), "observations")
     if obs_grid is None:
         raise ConfigError("acoustic observations must be a (n_theta, n_phi) grid")
 
@@ -318,8 +331,8 @@ def cmd_oracle(cfg: dict, out: Path, quiet: bool) -> int:
         shells=tuple((float(r), float(v)) for r, v in spec.get("shells", [])),
     )
     psol = mie.solve_partial_waves(medium, k, spec.get("L"))
-    inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE))
-    obs_dirs, obs_w, _ = _direction_set(cfg.get("observations"))
+    inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
+    obs_dirs, obs_w, _ = _direction_set(cfg.get("observations"), "observations")
     values = np.stack([mie.mie_farfield_values(psol, d, obs_dirs) for d in inc_dirs])
     ff = FarFieldPattern(k=k, values=values, observations=obs_dirs,
                          obs_weights=obs_w, incidence=inc_dirs)
@@ -367,9 +380,7 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     reports.append(hn.sommerfeld_check(sol, k))
 
     g = direction_grid(6, 12)
-    values = np.empty((len(g.normals), len(g.normals)), dtype=complex)
-    for i, d in enumerate(g.normals):
-        values[i] = farfield_source(sys1.solve(plane_wave(d)), g.normals)
+    values = farfield_source(sys1.solve_many([plane_wave(d) for d in g.normals]), g.normals)
     ff = FarFieldPattern(k=k, values=values, observations=g.normals,
                          obs_weights=g.weights, incidence=g.normals)
     reports.append(hn.reciprocity_check(ff, rel_tol=0.01))

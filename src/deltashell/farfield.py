@@ -42,13 +42,13 @@ __all__ = [
     "direction_grid",
     "farfield_source",
     "farfield_kirchhoff",
-    "farfield_table",
     "scattering_amplitude",
     "save_farfield_csv",
     "load_farfield_csv",
 ]
 
 AMPLITUDE_SCALE = (2.0 * np.pi) ** 1.5
+_CHUNK = 2**22  # phase-matrix entries per observation chunk
 
 CONVENTIONS = {
     "kernel": "exp(+ik r)/(4 pi r)",
@@ -115,21 +115,39 @@ class FarFieldPattern:
 # Routes
 # ---------------------------------------------------------------------------
 
-def farfield_source(sol: DeltaSolution, obs: np.ndarray, rule: str = "gauss3") -> np.ndarray:
-    """Far field of one solution at unit directions obs, from the sources."""
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    k = sol.k
-    out = np.zeros(len(obs), dtype=complex)
-    if len(sol.support):
-        centers = sol.potential.grid.cell_center[sol.support]
-        src = sol.source_density * sol.potential.grid.cell_volume
-        out += np.exp(-1j * k * (obs @ centers.T)) @ src
-    eta = sol.density.eta
+def farfield_source(sol, obs: np.ndarray, rule: str = "gauss3") -> np.ndarray:
+    """Far field at unit directions obs, from the sources.
+
+    ``sol`` is one ``DeltaSolution`` (result (n_obs,)) or a list of solutions
+    of one system (result (n_sol, n_obs)).  Cell centers and panel quadrature
+    points share one phase matrix, built in observation chunks and applied to
+    all solutions in one product.
+    """
+    single = isinstance(sol, DeltaSolution)
+    sols = [sol] if single else list(sol)
+    first = sols[0]
+    if any(s.k != first.k or s.delta is not first.delta or s.potential is not first.potential
+           for s in sols):
+        raise ValueError("batched solutions must come from one system")
+    # source points and (n_points, n_sol) weights: cell sources, then panel densities
+    pts, coef = [np.zeros((0, 3))], [np.zeros((0, len(sols)), dtype=complex)]
+    if len(first.support):
+        pts.append(first.potential.grid.cell_center[first.support])
+        coef.append(np.stack([s.source_density for s in sols], axis=1) * first.potential.grid.cell_volume)
+    eta = np.stack([s.density.eta for s in sols], axis=1) * first.mesh.panel_area[:, None]
     if np.any(eta):
-        qpts, w = sol.mesh.quadrature_points(rule)
-        phase = np.exp(-1j * k * np.einsum("oi,qgi->oqg", obs, qpts))
-        out += np.einsum("oqg,g,q->o", phase, w, eta * sol.mesh.panel_area)
-    return -out / (4.0 * np.pi)
+        qpts, w = first.mesh.quadrature_points(rule)
+        pts.append(qpts.reshape(-1, 3))
+        coef.append((eta[:, None, :] * w[None, :, None]).reshape(-1, len(sols)))
+    pts, coef = np.concatenate(pts), np.concatenate(coef)
+
+    obs = np.atleast_2d(np.asarray(obs, dtype=float))
+    out = np.empty((len(obs), len(sols)), dtype=complex)
+    rows = max(1, _CHUNK // max(len(pts), 1))
+    for start in range(0, len(obs), rows):
+        out[start:start + rows] = np.exp(-1j * first.k * (obs[start:start + rows] @ pts.T)) @ coef
+    out = -out.T / (4.0 * np.pi)
+    return out[0] if single else out
 
 
 def _scatterer_radius(sol: DeltaSolution) -> float:
@@ -181,18 +199,6 @@ def farfield_kirchhoff(
     radial = obs @ ny.T                                       # x_hat . y_hat
     integrand = psi_sc[None, :] * (-1j * k * radial) * phases - phases * dn_psi[None, :]
     return (integrand @ w) / (4.0 * np.pi)
-
-
-def farfield_table(system, incidences: np.ndarray, obs: np.ndarray, rule: str = "gauss3") -> np.ndarray:
-    """Plane-wave far-field table (n_inc, n_obs) reusing one factorization."""
-    from .kernels import plane_wave
-
-    incidences = np.atleast_2d(np.asarray(incidences, dtype=float))
-    rows = np.empty((len(incidences), np.atleast_2d(obs).shape[0]), dtype=complex)
-    for i, d in enumerate(incidences):
-        sol = system.solve(plane_wave(d))
-        rows[i] = farfield_source(sol, obs, rule=rule)
-    return rows
 
 
 def scattering_amplitude(ff: FarFieldPattern) -> FarFieldPattern:

@@ -113,8 +113,9 @@ def spherical_yn_all(lmax: int, z: complex) -> np.ndarray:
     out[0] = -np.cos(z) / z
     if lmax >= 1:
         out[1] = -np.cos(z) / z**2 - np.sin(z) / z
-    for n in range(1, lmax):
-        out[n + 1] = (2 * n + 1) / z * out[n] - out[n - 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for n in range(1, lmax):
+            out[n + 1] = (2 * n + 1) / z * out[n] - out[n - 1]
     if not np.all(np.isfinite(out)):
         raise SpecialFunctionRangeError(f"y_l overflow at l<={lmax}, z={z}")
     return out

@@ -21,7 +21,7 @@ from deltashell.geometry import SurfaceMesh, make_sphere_mesh
 from deltashell.kernels import Herglotz, eval_incident, plane_wave
 from deltashell.volume import solve_lippmann_schwinger
 
-from conftest import bump_potential
+from conftest import bump_potential, mixed_incidents
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -74,6 +74,32 @@ class TestSingleLayer:
     def test_panel_cap(self, sphere_meshes):
         with pytest.raises(ValueError, match="cap"):
             assemble_single_layer(sphere_meshes[2], 1.0, max_panels=100)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+class TestSolveMany:
+    def test_matches_isolated_solves(self, small_system):
+        incidents = mixed_incidents()
+        batch = small_system.solve_many(incidents)
+        assert len(batch) == len(incidents)
+        for inc, sol in zip(incidents, batch):
+            one = small_system.solve(inc)
+            assert sol.incident is inc
+            assert _rel(sol.density.eta, one.density.eta) <= 1e-12
+            assert _rel(sol.trace, one.trace) <= 1e-12
+            assert _rel(sol.source_density, one.source_density) <= 1e-12
+            assert sol.residual <= 1e-10
+
+    def test_stored_support_field(self, small_system):
+        sol = small_system.solve_many(mixed_incidents())[-1]
+        assert_allclose(small_system.Vs * sol.psi_support, sol.source_density, rtol=1e-15)
+        if sol.potential is not None:
+            assert np.array_equal(sol.volume_field.values[sol.support], sol.psi_support)
+        if small_system.delta.is_zero:
+            assert not np.any(sol.density.eta)
 
 
 class TestJumpRelation:

@@ -50,6 +50,29 @@ class TestConfigValidation:
     def test_missing_config(self, tmp_path):
         assert main(["--out", str(tmp_path), "forward"]) == 2
 
+    def test_missing_wavenumber(self, tmp_path, capsys):
+        cfg = {key: val for key, val in FORWARD_TRIVIAL.items() if key != "k"}
+        path = write_config(tmp_path, "nok.json", cfg)
+        assert main(["--config", path, "--out", str(tmp_path), "forward"]) == 2
+        assert "'k'" in capsys.readouterr().err
+
+    def test_zero_direction(self, tmp_path, capsys):
+        cfg = dict(TestFarfieldCommand.CFG)
+        cfg["incidences"] = {"directions": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]}
+        path = write_config(tmp_path, "zero.json", cfg)
+        assert main(["--config", path, "--out", str(tmp_path), "farfield"]) == 2
+        assert "incidences.directions[1]" in capsys.readouterr().err
+
+    def test_alpha_csv_wrong_length(self, tmp_path, capsys):
+        csv = tmp_path / "alpha.csv"
+        csv.write_text("\n".join(["1.0"] * 79) + "\n")  # the mesh has 80 panels
+        cfg = dict(FORWARD_TRIVIAL)
+        cfg["alpha"] = {"csv": str(csv)}
+        path = write_config(tmp_path, "alpha.json", cfg)
+        assert main(["--config", path, "--out", str(tmp_path), "forward"]) == 2
+        err = capsys.readouterr().err
+        assert "alpha.csv" in err and "79" in err
+
 
 class TestForward:
     def test_trivial_run_writes_incident_field(self, tmp_path):

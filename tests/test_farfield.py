@@ -19,7 +19,7 @@ from deltashell.harness import lattice_directions
 from deltashell.kernels import Herglotz, make_sigma_k, plane_wave
 from deltashell.mie import RadialMedium, mie_farfield_values, solve_partial_waves
 
-from conftest import bump_potential
+from conftest import bump_potential, mixed_incidents
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -54,6 +54,20 @@ class TestRoutes:
         src = farfield_source(combined_solution, obs)
         kir = farfield_kirchhoff(combined_solution, 2.0, obs)
         assert np.linalg.norm(kir - src) / np.linalg.norm(src) < 1e-3
+
+    def test_batched_rows_match_single_solutions(self, small_system):
+        sols = small_system.solve_many(mixed_incidents())
+        obs = direction_grid(6, 12).normals
+        table = farfield_source(sols, obs)
+        assert table.shape == (len(sols), len(obs))
+        for row, sol in zip(table, sols):
+            single = farfield_source(sol, obs)
+            assert single.shape == (len(obs),)
+            assert np.max(np.abs(row - single)) <= 1e-13 * np.max(np.abs(single))
+
+    def test_batch_rejects_solutions_of_different_systems(self, sphere_solution, combined_solution):
+        with pytest.raises(ValueError, match="one system"):
+            farfield_source([sphere_solution, combined_solution], lattice_directions())
 
     def test_radius_independence(self, combined_solution):
         obs = direction_grid(6, 12).normals

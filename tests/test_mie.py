@@ -1,5 +1,7 @@
 """Partial-wave oracle: special functions, matching limits, far field."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -58,6 +60,12 @@ class TestSpecialFunctions:
             spherical_yn_all(150, 0.05)
         with pytest.raises(SpecialFunctionRangeError):
             spherical_jn_all(500, 1.0)
+
+    def test_overflow_raises_without_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SpecialFunctionRangeError, match="overflow"):
+                spherical_yn_all(150, 0.05)
 
     def test_legendre_recurrence(self):
         x = np.linspace(-1, 1, 11)

@@ -116,8 +116,10 @@ class TestSolve:
 
     def test_boundary_support_warning(self):
         grid = make_volume_grid((-1.0, 1.0), 4)
-        with pytest.warns(UserWarning, match="boundary"):
+        with pytest.warns(UserWarning, match="boundary") as record:
             PotentialSample(grid=grid, values=np.ones(grid.n_cells))
+        # attributed to the line that built the sample, not the dataclass __init__
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestVolumePotential:
