@@ -7,19 +7,23 @@ from scipy import integrate
 
 from deltashell._dense import ExceptionalFrequencyError, GuardedLU
 from deltashell.boundary import (
+    _NEAR_BUCKETS,
     DeltaSpec,
     DeltaSystem,
     assemble_single_layer,
     check_jump_relation,
+    eval_scattered_field,
+    eval_scattered_gradient,
     eval_total_field,
     layer_potential,
+    layer_potential_gradient,
     solve_delta_system,
     solve_delta_system_composition,
     static_self_integrals,
 )
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh
-from deltashell.kernels import Herglotz, eval_incident, plane_wave
-from deltashell.volume import solve_lippmann_schwinger
+from deltashell.kernels import Herglotz, eval_incident, helmholtz_kernel, plane_wave
+from deltashell.volume import assemble_volume_operator, solve_lippmann_schwinger
 
 from conftest import bump_potential, mixed_incidents
 
@@ -78,6 +82,94 @@ class TestSingleLayer:
 
 def _rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+FD_STEP = 1e-6
+
+
+def _bucket_probes(mesh, q=0):
+    """Points on panel q's normal through its centroid: one per near bucket and
+    one beyond them; the first three buckets are probed on both sides."""
+    c, n, d = mesh.panel_centroid[q], mesh.panel_normal[q], mesh.panel_diameter[q]
+    edges = [0.0] + [t for t, _ in _NEAR_BUCKETS] + [4.0]
+    pts = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        f = 0.5 * (lo + hi)
+        pts += [c + s * f * d * n for s in ((1.0, -1.0) if f < 1.0 else (1.0,))]
+    return np.array(pts)
+
+
+def _assert_step_keeps_buckets(pts, mesh, h=FD_STEP):
+    # central differences see one quadrature only if x +- h stays in the buckets of x
+    ratio = np.linalg.norm(pts[:, None, :] - mesh.panel_centroid[None], axis=-1) / mesh.panel_diameter
+    gap = min(np.min(np.abs(ratio - t)) for t, _ in _NEAR_BUCKETS)
+    assert gap > 2 * h / np.min(mesh.panel_diameter)
+
+
+def _central_gradient(f, pts, h=FD_STEP):
+    grad = np.empty((len(pts), 3), dtype=complex)
+    for ax in range(3):
+        e = np.zeros(3)
+        e[ax] = h
+        grad[:, ax] = (f(pts + e) - f(pts - e)) / (2 * h)
+    return grad
+
+
+class TestGradients:
+    def test_layer_gradient_matches_central_differences(self, sphere_meshes, rng):
+        mesh = sphere_meshes[2]
+        k = 1.7
+        eta = rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels)
+        pts = np.concatenate([_bucket_probes(mesh, q) for q in (0, 101)])
+        _assert_step_keeps_buckets(pts, mesh)
+        grad = layer_potential_gradient(pts, mesh, eta, k)
+        fd = _central_gradient(lambda x: layer_potential(x, mesh, eta, k), pts)
+        for g, f in zip(grad, fd):
+            assert np.linalg.norm(g - f) <= 1e-7 * np.linalg.norm(g)
+
+    def test_scattered_gradient_matches_central_differences(self, small_system):
+        sol = small_system.solve(plane_wave(EZ))
+        pts = _bucket_probes(sol.mesh)
+        if len(sol.support):
+            # a point inside a cell's self radius, where the cell adds no gradient
+            grid = sol.potential.grid
+            centers = grid.cell_center[sol.support]
+            c = centers[np.argmin(np.linalg.norm(centers, axis=1))]
+            pts = np.concatenate([pts, [c + 0.1 * np.min(grid.spacing) / np.sqrt(3.0)]])
+            r = np.linalg.norm(pts[:, None, :] - centers[None], axis=-1)
+            assert np.min(np.abs(r - 0.5 * np.min(grid.spacing))) > 2 * FD_STEP
+        _assert_step_keeps_buckets(pts, sol.mesh)
+        grad = eval_scattered_gradient(sol, pts)
+        fd = _central_gradient(lambda x: eval_scattered_field(sol, x), pts)
+        for g, f in zip(grad, fd):
+            assert np.linalg.norm(g - f) <= 1e-7 * max(np.linalg.norm(g), 1e-300)
+
+
+class TestKernelEntries:
+    def test_assembled_entries_are_kernel_values(self, sphere_meshes, small_grid):
+        k = 1.7
+        V = bump_potential(small_grid, 0.6)
+        mesh = sphere_meshes[1]
+        system = DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)), k)
+        vol = small_grid.cell_volume
+        centers = small_grid.cell_center[V.support()]
+
+        G = assemble_volume_operator(small_grid, k, cells=V.support())
+        ii, jj = np.nonzero(~np.eye(len(centers), dtype=bool))
+        assert_allclose(G[ii, jj], vol * helmholtz_kernel(centers[ii], centers[jj], k), rtol=1e-14)
+
+        c = mesh.panel_centroid
+        qq, jj = np.nonzero(np.linalg.norm(c[:, None] - centers[None], axis=-1)
+                            >= 0.5 * np.min(small_grid.spacing))
+        assert_allclose(system.Tr[qq, jj], vol * helmholtz_kernel(c[qq], centers[jj], k), rtol=1e-14)
+
+        # panel pairs beyond the last near bucket carry the plain 3-point rule
+        qpts, w = mesh.quadrature_points()
+        ratio = np.linalg.norm(c[:, None] - c[None], axis=-1) / mesh.panel_diameter[None, :]
+        qq, pp = np.nonzero(ratio >= _NEAR_BUCKETS[-1][0])
+        assert len(qq) > 0
+        expected = helmholtz_kernel(c[qq][:, None, :], qpts[pp], k) @ w * mesh.panel_area[pp]
+        assert_allclose(system.S[qq, pp], expected, rtol=1e-13)
 
 
 class TestSolveMany:
