@@ -265,7 +265,6 @@ def acoustic_farfield(
     incidence: np.ndarray,
     obs_grid,
     grid: VolumeGrid,
-    rule: str = "gauss3",
 ) -> FarFieldPattern:
     """End-to-end pipeline: medium -> (V, alpha) -> delta solve -> far field.
 
@@ -273,10 +272,10 @@ def acoustic_farfield(
     the transformed-problem far field with k = omega.
     """
     data = acoustic_to_schrodinger(m, omega, grid)
-    system = DeltaSystem(data.V, data.delta, omega, rule=rule)
+    system = DeltaSystem(data.V, data.delta, omega)
     incidence = np.atleast_2d(np.asarray(incidence, dtype=float))
     sols = system.solve_many([plane_wave(d) for d in incidence])
-    values = farfield_source(sols, obs_grid.normals, rule=rule)
+    values = farfield_source(sols, obs_grid.normals)
     return FarFieldPattern(
         k=float(omega),
         values=values,

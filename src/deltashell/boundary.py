@@ -11,9 +11,10 @@ in the unknowns (psi on grid cells, eta on panels), where eta is the
 surface density alpha * trace(psi) (equal to the jump of the normal
 derivative of psi across Gamma).  All blocks use the outgoing kernel.
 
-Quadrature:
+Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
+``geometry.triangle_rule``; every kernel value comes from ``kernels``):
 
-* off-panel entries use the symmetric 3-point Gauss rule per flat triangle;
+* off-panel entries use the 3-point rule per flat triangle;
 * panel pairs (or evaluation points) closer than a few panel diameters are
   re-integrated on a uniformly subdivided triangle (fixed depth per
   distance bucket, fully batched);
@@ -32,12 +33,12 @@ import numpy as np
 
 from ._dense import ExceptionalFrequencyError, GuardedLU  # noqa: F401 (re-export)
 from .geometry import SurfaceMesh, triangle_rule
-from .kernels import IncidentField, eval_incident
+from .kernels import IncidentField, eval_incident, radial_gradient_factor, radial_kernel
 from .volume import (
     PotentialSample,
     VolumeField,
     assemble_volume_operator,
-    ball_self_term,
+    cell_block,
     volume_potential,
 )
 
@@ -158,25 +159,8 @@ def _subdivide(corners: np.ndarray, depth: int) -> np.ndarray:
     return tris
 
 
-def _tri_quad(corners: np.ndarray, rule: str):
-    """Quadrature points (m, g, 3) and areas (m,) of a corner array."""
-    bary, w = triangle_rule(rule)
-    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-    pts = (
-        bary[None, :, 0, None] * a[:, None, :]
-        + bary[None, :, 1, None] * b[:, None, :]
-        + bary[None, :, 2, None] * c[:, None, :]
-    )
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    return pts, areas, w
-
-
-def _kernel(r: np.ndarray, k: float) -> np.ndarray:
-    return np.exp(1j * k * r) / (4.0 * np.pi * r)
-
-
 def _pair_integrals(points: np.ndarray, corners: np.ndarray, k: float, depth: int,
-                    rule: str, grad: bool) -> np.ndarray:
+                    grad: bool) -> np.ndarray:
     """Refined integral of the kernel (or its x-gradient) per (point, panel) pair.
 
     points (m, 3) pairs one-to-one with corners (m, 3, 3).
@@ -188,22 +172,40 @@ def _pair_integrals(points: np.ndarray, corners: np.ndarray, k: float, depth: in
     for start in range(0, m, chunk):
         stop = min(start + chunk, m)
         p = stop - start
-        sub = _subdivide(corners[start:stop], depth)          # (nsub*p, 3, 3), p fastest
-        pts, areas, w = _tri_quad(sub, rule)
-        pts = pts.reshape(n_sub, p, -1, 3).transpose(1, 0, 2, 3)   # (p, nsub, g, 3)
-        areas = areas.reshape(n_sub, p).T                          # (p, nsub)
+        a, b, c = _subdivide(corners[start:stop], depth).transpose(1, 0, 2)  # (nsub*p, 3), p fastest
+        pts, w = triangle_rule(a, b, c)
+        pts = pts.reshape(n_sub, p, -1, 3).transpose(1, 0, 2, 3)  # (p, nsub, g, 3)
+        areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).reshape(n_sub, p).T  # (p, nsub)
         d = points[start:stop, None, None, :] - pts
         r = np.sqrt(np.einsum("...i,...i->...", d, d))
         if grad:
-            g = np.exp(1j * k * r) * (1j * k * r - 1.0) / (4.0 * np.pi * r**3)
+            g = radial_gradient_factor(r, k)
             out[start:stop] = np.einsum("psg,psgi,g,ps->pi", g, d, w, areas + 0j)
         else:
-            kv = _kernel(r, k)
-            out[start:stop] = np.einsum("psg,g,ps->p", kv, w, areas + 0j)
+            out[start:stop] = np.einsum("psg,g,ps->p", radial_kernel(r, k), w, areas + 0j)
     return out
 
 
-def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float, rule: str = "gauss3") -> np.ndarray:
+def _near_pairs(x: np.ndarray, mesh: SurfaceMesh) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Near (target, panel) pairs, classified by centroid distance over panel diameter.
+
+    One (i, q, depth) triple per non-empty class: depth 0 holds the centroid
+    hits, the others the near buckets.  Pairs beyond every bucket keep the
+    base rule.
+    """
+    dist = np.linalg.norm(x[:, None, :] - mesh.panel_centroid[None, :, :], axis=-1)
+    ratio = dist / mesh.panel_diameter[None, :]
+    assigned = dist < _SELF_TOL
+    pairs = [(*np.nonzero(assigned), 0)] if np.any(assigned) else []
+    for threshold, depth in _NEAR_BUCKETS:
+        hit = (ratio < threshold) & ~assigned
+        if np.any(hit):
+            pairs.append((*np.nonzero(hit), depth))
+            assigned |= hit
+    return pairs
+
+
+def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float) -> np.ndarray:
     """Matrix M[i, q] ~ int_{panel q} e^{ik|x_i - y|}/(4 pi |x_i - y|) dsigma(y).
 
     Base rule everywhere, near buckets re-integrated on subdivided panels,
@@ -211,72 +213,67 @@ def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float, rule: str = "
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, m = len(points), mesh.n_panels
-    qpts, w = mesh.quadrature_points(rule)                    # (m, g, 3), (g,)
+    qpts, w = mesh.quadrature_points()                        # (m, g, 3), (g,)
     areas = mesh.panel_area
     out = np.empty((n, m), dtype=complex)
 
-    near_i: list[np.ndarray] = []
-    near_q: list[np.ndarray] = []
-    near_depth: list[np.ndarray] = []
-    self_i: list[np.ndarray] = []
-    self_q: list[np.ndarray] = []
-
+    near: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     rows_per_chunk = max(1, _CHUNK // max(m * len(w), 1))
     for start in range(0, n, rows_per_chunk):
         stop = min(start + rows_per_chunk, n)
         x = points[start:stop]
         d = x[:, None, None, :] - qpts[None, :, :, :]
         r = np.sqrt(np.einsum("...i,...i->...", d, d))
+        # a target on a quadrature point (r = 0) lies within a third of the panel
+        # diameter of the centroid, inside the 0.45 bucket: its base value is
+        # overwritten below, the clamp only keeps the discarded value finite
         r = np.maximum(r, 1e-290)
-        out[start:stop] = np.einsum("img,g->im", _kernel(r, k), w) * areas[None, :]
+        out[start:stop] = np.einsum("img,g->im", radial_kernel(r, k), w) * areas[None, :]
+        for ii, qq, depth in _near_pairs(x, mesh):
+            near.setdefault(depth, []).append((ii + start, qq))
 
-        dist = np.linalg.norm(x[:, None, :] - mesh.panel_centroid[None, :, :], axis=-1)
-        ratio = dist / mesh.panel_diameter[None, :]
-        on_centroid = dist < _SELF_TOL
-        if np.any(on_centroid):
-            ii, qq = np.nonzero(on_centroid)
-            self_i.append(ii + start)
-            self_q.append(qq)
-        assigned = on_centroid.copy()
-        for threshold, depth in _NEAR_BUCKETS:
-            hit = (ratio < threshold) & ~assigned
-            if np.any(hit):
-                ii, qq = np.nonzero(hit)
-                near_i.append(ii + start)
-                near_q.append(qq)
-                near_depth.append(np.full(len(ii), depth))
-                assigned |= hit
-
-    if near_i:
-        ii = np.concatenate(near_i)
-        qq = np.concatenate(near_q)
-        dd = np.concatenate(near_depth)
-        v0, v1, v2 = mesh.corners()
-        corners = np.stack([v0, v1, v2], axis=1)
-        for depth in np.unique(dd):
-            sel = dd == depth
-            out[ii[sel], qq[sel]] = _pair_integrals(
-                points[ii[sel]], corners[qq[sel]], k, int(depth), rule, grad=False
-            )
-
-    if self_i:
-        ii = np.concatenate(self_i)
-        qq = np.concatenate(self_q)
+    v0, v1, v2 = mesh.corners()
+    corners = np.stack([v0, v1, v2], axis=1)
+    for depth, pairs in near.items():
+        ii = np.concatenate([i for i, _ in pairs])
+        qq = np.concatenate([q for _, q in pairs])
+        if depth:
+            out[ii, qq] = _pair_integrals(points[ii], corners[qq], k, depth, grad=False)
+            continue
         static = static_self_integrals(mesh)
         # bounded remainder (e^{ikr} - 1)/(4 pi r) by the base rule
         d = points[ii][:, None, :] - qpts[qq]                 # (p, g, 3)
         r = np.sqrt(np.einsum("...i,...i->...", d, d))
-        rem = (np.exp(1j * k * r) - 1.0) / (4.0 * np.pi * r)
+        rem = radial_kernel(r, k) - radial_kernel(r, 0.0)
         out[ii, qq] = static[qq] + np.einsum("pg,g->p", rem, w) * areas[qq]
     return out
 
 
-def _layer_gradient_rows(points: np.ndarray, mesh: SurfaceMesh, k: float, eta: np.ndarray,
-                         rule: str = "gauss3") -> np.ndarray:
-    """grad_x of the single layer with density eta, at off-surface points."""
+def assemble_single_layer(mesh: SurfaceMesh, k: float, max_panels: int = MAX_PANELS) -> np.ndarray:
+    """Collocation single-layer matrix S[q, p] = int_{panel p} G_k(c_q, y) dsigma."""
+    if mesh.n_panels > max_panels:
+        raise ValueError(f"mesh has {mesh.n_panels} panels, cap is {max_panels}")
+    return _layer_matrix(mesh.panel_centroid, mesh, k)
+
+
+def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
+    """Single-layer field sum_q eta_q int_{panel q} G_k(x, y) dsigma(y)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    eta = np.asarray(eta, dtype=complex)
+    out = np.empty(len(points), dtype=complex)
+    chunk = max(16, _CHUNK // max(mesh.n_panels * 4, 1))
+    for start in range(0, len(points), chunk):
+        stop = min(start + chunk, len(points))
+        out[start:stop] = _layer_matrix(points[start:stop], mesh, k) @ eta
+    return out
+
+
+def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
+    """Analytic gradient of the single-layer field (off-surface points)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    eta = np.asarray(eta, dtype=complex)
     n, m = len(points), mesh.n_panels
-    qpts, w = mesh.quadrature_points(rule)
+    qpts, w = mesh.quadrature_points()
     areas = mesh.panel_area
     out = np.zeros((n, 3), dtype=complex)
 
@@ -290,54 +287,19 @@ def _layer_gradient_rows(points: np.ndarray, mesh: SurfaceMesh, k: float, eta: n
         x = points[start:stop]
         d = x[:, None, None, :] - qpts[None, :, :, :]
         r = np.sqrt(np.einsum("...i,...i->...", d, d))
-        if np.any(r < _SELF_TOL):
+        pairs = _near_pairs(x, mesh)
+        if np.any(r < _SELF_TOL) or any(depth == 0 for _, _, depth in pairs):
             raise ValueError("layer gradient requested on the surface")
-        g = np.exp(1j * k * r) * (1j * k * r - 1.0) / (4.0 * np.pi * r**3)
+        g = radial_gradient_factor(r, k)
         base = np.einsum("imgk,img,g->imk", d, g, w)
         out[start:stop] = np.einsum("imk,m->ik", base, coef)
 
-        dist = np.linalg.norm(x[:, None, :] - mesh.panel_centroid[None, :, :], axis=-1)
-        ratio = dist / mesh.panel_diameter[None, :]
-        assigned = np.zeros_like(ratio, dtype=bool)
-        for threshold, depth in _NEAR_BUCKETS:
-            hit = (ratio < threshold) & ~assigned
-            if np.any(hit):
-                ii, qq = np.nonzero(hit)
-                refined = _pair_integrals(
-                    x[ii], corners[qq], k, int(depth), rule, grad=True
-                )
-                # swap the base-rule pair contribution for the refined one
-                coarse = np.einsum("pgk,pg,g->pk", d[ii, qq], g[ii, qq], w) * areas[qq, None]
-                np.add.at(out, ii + start, (refined - coarse) * eta[qq, None])
-                assigned |= hit
+        for ii, qq, depth in pairs:
+            refined = _pair_integrals(x[ii], corners[qq], k, depth, grad=True)
+            # swap the base-rule pair contribution for the refined one
+            coarse = np.einsum("pgk,pg,g->pk", d[ii, qq], g[ii, qq], w) * areas[qq, None]
+            np.add.at(out, ii + start, (refined - coarse) * eta[qq, None])
     return out
-
-
-def assemble_single_layer(mesh: SurfaceMesh, k: float, rule: str = "gauss3",
-                          max_panels: int = MAX_PANELS) -> np.ndarray:
-    """Collocation single-layer matrix S[q, p] = int_{panel p} G_k(c_q, y) dsigma."""
-    if mesh.n_panels > max_panels:
-        raise ValueError(f"mesh has {mesh.n_panels} panels, cap is {max_panels}")
-    return _layer_matrix(mesh.panel_centroid, mesh, k, rule=rule)
-
-
-def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float,
-                    rule: str = "gauss3") -> np.ndarray:
-    """Single-layer field sum_q eta_q int_{panel q} G_k(x, y) dsigma(y)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    eta = np.asarray(eta, dtype=complex)
-    out = np.empty(len(points), dtype=complex)
-    chunk = max(16, _CHUNK // max(mesh.n_panels * 4, 1))
-    for start in range(0, len(points), chunk):
-        stop = min(start + chunk, len(points))
-        out[start:stop] = _layer_matrix(points[start:stop], mesh, k, rule=rule) @ eta
-    return out
-
-
-def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: float,
-                             rule: str = "gauss3") -> np.ndarray:
-    """Analytic gradient of the single-layer field (off-surface points)."""
-    return _layer_gradient_rows(points, mesh, k, np.asarray(eta, dtype=complex), rule=rule)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +351,6 @@ class DeltaSystem:
         V: PotentialSample | None,
         delta: DeltaSpec,
         k: float,
-        rule: str = "gauss3",
         max_panels: int = MAX_PANELS,
     ):
         if k <= 0:
@@ -398,7 +359,6 @@ class DeltaSystem:
         self.delta = delta
         self.potential = V
         self.mesh = delta.mesh
-        self.rule = rule
 
         alpha = delta.alpha
         self.surface_active = not delta.is_zero
@@ -415,13 +375,13 @@ class DeltaSystem:
             self.centers = np.zeros((0, 3))
 
         if self.surface_active:
-            self.S = assemble_single_layer(self.mesh, k, rule=rule, max_panels=max_panels)
-            SLvol = _layer_matrix(self.centers, self.mesh, k, rule=rule)
+            self.S = assemble_single_layer(self.mesh, k, max_panels=max_panels)
+            SLvol = _layer_matrix(self.centers, self.mesh, k)
         else:
             # alpha == 0: the panel rows decouple (eta = 0); solve cells only
             self.S = None
         # Tr after the layer blocks, whose chunked temporaries set the peak memory
-        self.Tr = (_cell_matrix(self.mesh.panel_centroid, V.grid, k, self.support) if ns
+        self.Tr = (cell_block(self.mesh.panel_centroid, self.centers, V.grid, k) if ns
                    else np.zeros((np_, 0), dtype=complex))
         A = self.G * self.Vs[None, :]
         if self.surface_active:
@@ -477,32 +437,14 @@ class DeltaSystem:
         ]
 
 
-def _cell_matrix(points: np.ndarray, grid, k: float, cells: np.ndarray) -> np.ndarray:
-    """Kernel-times-volume block from grid cells to arbitrary points.
-
-    Matches the assembled volume operator: midpoint entries with the
-    equal-volume-ball value when a point falls in a cell's self region.
-    """
-    centers = grid.cell_center[cells]
-    points = np.atleast_2d(points)
-    d = points[:, None, :] - centers[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-    near = r < 0.5 * float(np.min(grid.spacing))
-    r_safe = np.where(near, 1.0, r)
-    out = np.exp(1j * k * r_safe) * (grid.cell_volume / (4.0 * np.pi)) / r_safe
-    out[near] = ball_self_term(k, grid.cell_volume)
-    return out
-
-
 def solve_delta_system(
     V: PotentialSample | None,
     delta: DeltaSpec,
     inc: IncidentField,
     k: float,
-    rule: str = "gauss3",
 ) -> DeltaSolution:
     """One-shot assembly + solve; build a DeltaSystem directly to reuse the LU."""
-    return DeltaSystem(V, delta, k, rule=rule).solve(inc)
+    return DeltaSystem(V, delta, k).solve(inc)
 
 
 def solve_delta_system_composition(
@@ -510,7 +452,6 @@ def solve_delta_system_composition(
     delta: DeltaSpec,
     inc: IncidentField,
     k: float,
-    rule: str = "gauss3",
 ) -> DeltaSolution:
     """Operator-composition route (cross-validation path, small sizes only).
 
@@ -524,7 +465,7 @@ def solve_delta_system_composition(
     np_ = mesh.n_panels
     if V is None or len(V.support()) == 0:
         # free background: SL^V = SL^0
-        S = assemble_single_layer(mesh, k, rule=rule)
+        S = assemble_single_layer(mesh, k)
         psi0_panels = np.asarray(eval_incident(inc, k, mesh.panel_centroid), dtype=complex)
         A = alpha[:, None] * S
         A[np.arange(np_), np.arange(np_)] += 1.0
@@ -546,9 +487,9 @@ def solve_delta_system_composition(
 
     base = solve_lippmann_schwinger(V, inc, k)
     psi_v = base.field.values[support]
-    S = assemble_single_layer(mesh, k, rule=rule)
-    SLvol = _layer_matrix(centers, mesh, k, rule=rule)
-    Tr = _cell_matrix(mesh.panel_centroid, grid, k, support)
+    S = assemble_single_layer(mesh, k)
+    SLvol = _layer_matrix(centers, mesh, k)
+    Tr = cell_block(mesh.panel_centroid, centers, grid, k)
     G = assemble_volume_operator(grid, k, cells=support)
 
     lhs = G * Vs[None, :]
@@ -616,14 +557,8 @@ def eval_scattered_gradient(sol: DeltaSolution, x) -> np.ndarray:
     out = np.zeros((len(pts), 3), dtype=complex)
     if len(sol.support):
         grid = sol.potential.grid
-        centers = grid.cell_center[sol.support]
-        d = pts[:, None, :] - centers[None, :, :]
-        r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-        inside = r < 0.5 * float(np.min(grid.spacing))
-        r_safe = np.where(inside, 1.0, r)
-        g = np.exp(1j * sol.k * r_safe) * (1j * sol.k * r_safe - 1.0) / (4.0 * np.pi * r_safe**3) * grid.cell_volume
-        g[inside] = 0.0  # a cell's own gradient contribution vanishes at its center
-        out -= np.einsum("ijk,ij,j->ik", d, g, sol.source_density)
+        d, factor = cell_block(pts, grid.cell_center[sol.support], grid, sol.k, grad=True)
+        out -= np.einsum("ijk,ij,j->ik", d, factor, sol.source_density)
     if np.any(sol.density.eta):
         out -= layer_potential_gradient(pts, sol.mesh, sol.density.eta, sol.k)
     return out
@@ -635,7 +570,6 @@ def check_jump_relation(
     xi: np.ndarray,
     delta_factor: float = 0.1,
     fd_factor: float = 0.5,
-    rule: str = "gauss3",
 ) -> float:
     """Relative error in the normal-derivative jump [d_n SL xi] = -xi.
 
@@ -654,7 +588,7 @@ def check_jump_relation(
 
     offsets = [delta + h, delta - h, -(delta - h), -(delta + h)]
     vals = [
-        layer_potential(c + off[:, None] * nrm, mesh, xi, k, rule=rule)
+        layer_potential(c + off[:, None] * nrm, mesh, xi, k)
         for off in offsets
     ]
     dn_out = (vals[0] - vals[1]) / (2.0 * h)

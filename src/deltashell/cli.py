@@ -10,9 +10,11 @@ oracle     partial-wave reference far field on the same CSV schema
 verify     standard harness bundle; exit code 3 if any report fails
 compare    L^2 / max relative distance between two far-field CSVs
 
-Exit codes: 0 ok, 1 compute failure, 2 config error, 3 verification failure.
-Outputs embed the config digest and the convention block; identical configs
-produce byte-identical files (fixed quadrature orders and reduction orders).
+Exit codes: 0 ok, 1 compute failure, 2 config error, 3 verification failure;
+a config error names the offending field.  Outputs embed the config digest
+and the convention block; the same config run with the same BLAS thread
+count produces byte-identical files (BLAS reductions may change with the
+thread count).
 """
 
 from __future__ import annotations
@@ -104,6 +106,15 @@ def validate_config(cfg: dict, command: str) -> None:
         raise ConfigError(f"config key 'k' must be a positive number, got {k!r}")
 
 
+def _count(spec: dict, key: str, name: str, default=None, minimum: int = 1) -> int:
+    """Integer ``spec[key]`` of at least ``minimum``; ConfigError naming the field otherwise."""
+    val = spec.get(key, default)
+    integral = isinstance(val, (int, float)) and not isinstance(val, bool) and float(val).is_integer()
+    if not (integral and val >= minimum):
+        raise ConfigError(f"config key '{name}' must be an integer >= {minimum}, got {val!r}")
+    return int(val)
+
+
 def config_digest(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -118,7 +129,8 @@ def _build_mesh(cfg: dict):
         raise ConfigError("missing 'mesh' section")
     kind = spec.get("kind")
     if kind == "sphere":
-        return make_sphere_mesh(float(spec.get("radius", 1.0)), int(spec.get("subdivisions", 2)))
+        return make_sphere_mesh(float(spec.get("radius", 1.0)),
+                                _count(spec, "subdivisions", "mesh.subdivisions", 2, minimum=0))
     if kind == "off":
         return load_mesh(spec["path"])
     raise ConfigError(f"mesh.kind must be 'sphere' or 'off', got {kind!r}")
@@ -131,18 +143,21 @@ def _build_grid(cfg: dict):
     bbox = spec.get("bbox")
     if isinstance(bbox, (int, float)):
         bbox = (-abs(bbox), abs(bbox))
-    return make_volume_grid(tuple(bbox), int(spec["n"]))
+    return make_volume_grid(tuple(bbox), _count(spec, "n", "grid.n"))
 
 
-def _build_bumps(entries):
-    return tuple(
-        ac.GaussianBump(
+def _build_bumps(entries, name: str):
+    bumps = []
+    for i, b in enumerate(entries or []):
+        width = b.get("width")
+        if isinstance(width, bool) or not isinstance(width, (int, float)) or not 0 < width < np.inf:
+            raise ConfigError(f"config key '{name}[{i}].width' must be a positive number, got {width!r}")
+        bumps.append(ac.GaussianBump(
             amplitude=float(b["amplitude"]),
             center=tuple(float(c) for c in b["center"]),
-            width=float(b["width"]),
-        )
-        for b in (entries or [])
-    )
+            width=float(width),
+        ))
+    return tuple(bumps)
 
 
 def _build_cutoff(spec):
@@ -152,7 +167,7 @@ def _build_cutoff(spec):
 
 
 def _build_potential(cfg: dict, grid):
-    bumps = _build_bumps(cfg.get("potential_bumps"))
+    bumps = _build_bumps(cfg.get("potential_bumps"), "potential_bumps")
     if not bumps or grid is None:
         return None
     cutoff = _build_cutoff(cfg.get("cutoff"))
@@ -196,9 +211,8 @@ def _direction_set(spec, name: str, default_nt=16, default_np=32):
         dirs /= norms[:, None]
         weights = np.full(len(dirs), 4.0 * np.pi / len(dirs))
         return dirs, weights, None
-    nt = int(spec.get("n_theta", default_nt))
-    np_ = int(spec.get("n_phi", default_np))
-    g = direction_grid(nt, np_)
+    g = direction_grid(_count(spec, "n_theta", f"{name}.n_theta", default_nt),
+                       _count(spec, "n_phi", f"{name}.n_phi", default_np))
     return g.normals, g.weights, g
 
 
@@ -271,13 +285,17 @@ def cmd_farfield(cfg: dict, out: Path, quiet: bool) -> int:
     inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
     obs_dirs, obs_w, _ = _direction_set(cfg.get("observations"), "observations")
 
+    kc = cfg.get("kirchhoff")
+    if kc is not None:
+        flux_nodes = {"n_theta": _count(kc, "n_theta", "kirchhoff.n_theta", 24),
+                      "n_phi": _count(kc, "n_phi", "kirchhoff.n_phi", 48)}
+
     sols = DeltaSystem(V, delta, k).solve_many([plane_wave(d) for d in inc_dirs])
     values = farfield_source(sols, obs_dirs)
     extra = {}
-    if "kirchhoff" in cfg:
-        kc = cfg["kirchhoff"]
-        row = farfield_kirchhoff(sols[0], float(kc["radius"]), obs_dirs,
-                                 int(kc.get("n_theta", 24)), int(kc.get("n_phi", 48)))
+    if kc is not None:
+        row = farfield_kirchhoff(sols[0], float(kc["radius"]), obs_dirs, **flux_nodes,
+                                 gradient="analytic")
         num = float(np.linalg.norm(row - values[0]))
         den = float(np.linalg.norm(values[0])) or 1.0
         extra["kirchhoff_vs_source_rel_l2"] = num / den
@@ -304,8 +322,8 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
     medium = ac.MediumSpec(
         gamma=mesh,
         shell_density=np.asarray(shell, dtype=float) if not np.isscalar(shell) else float(shell),
-        rho_bumps=_build_bumps(med_cfg.get("rho_bumps")),
-        v_bumps=_build_bumps(med_cfg.get("v_bumps")),
+        rho_bumps=_build_bumps(med_cfg.get("rho_bumps"), "medium.rho_bumps"),
+        v_bumps=_build_bumps(med_cfg.get("v_bumps"), "medium.v_bumps"),
         cutoff=_build_cutoff(med_cfg.get("cutoff")),
     )
     inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
@@ -425,25 +443,11 @@ def cmd_compare(path_a: str, path_b: str, out: Path, quiet: bool,
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _set_threads(n: int | None) -> None:
-    if not n:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(n))
-    except ImportError:
-        import os
-
-        os.environ.setdefault("OMP_NUM_THREADS", str(n))
-
-
 def run_command(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="deltashell",
                                      description="delta-shell scattering engine")
     parser.add_argument("--config", type=str, help="JSON config path")
     parser.add_argument("--out", type=str, default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("forward", "farfield", "acoustic", "oracle", "verify"):
@@ -454,7 +458,6 @@ def run_command(argv=None) -> int:
     pc.add_argument("--tol", type=float, default=None)
 
     args = parser.parse_args(argv)
-    _set_threads(args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -115,7 +115,7 @@ class FarFieldPattern:
 # Routes
 # ---------------------------------------------------------------------------
 
-def farfield_source(sol, obs: np.ndarray, rule: str = "gauss3") -> np.ndarray:
+def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     """Far field at unit directions obs, from the sources.
 
     ``sol`` is one ``DeltaSolution`` (result (n_obs,)) or a list of solutions
@@ -136,7 +136,7 @@ def farfield_source(sol, obs: np.ndarray, rule: str = "gauss3") -> np.ndarray:
         coef.append(np.stack([s.source_density for s in sols], axis=1) * first.potential.grid.cell_volume)
     eta = np.stack([s.density.eta for s in sols], axis=1) * first.mesh.panel_area[:, None]
     if np.any(eta):
-        qpts, w = first.mesh.quadrature_points(rule)
+        qpts, w = first.mesh.quadrature_points()
         pts.append(qpts.reshape(-1, 3))
         coef.append((eta[:, None, :] * w[None, :, None]).reshape(-1, len(sols)))
     pts, coef = np.concatenate(pts), np.concatenate(coef)

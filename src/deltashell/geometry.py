@@ -3,7 +3,7 @@
 Provides the three grids everything else is built on:
 
 * ``SurfaceMesh``   -- closed triangulated surface (flat panels) with
-  per-panel centroids, areas, outward normals and quadrature rules.
+  per-panel centroids, areas, outward normals and the panel quadrature rule.
 * ``SphereGrid``    -- tensor Gauss-Legendre x uniform-phi quadrature on a
   sphere of radius R, used for flux/Wronskian integrals.
 * ``VolumeGrid``    -- uniform Cartesian cell grid over an axis-aligned box,
@@ -39,36 +39,29 @@ class MeshFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Panel quadrature rules (barycentric points, weights summing to 1)
+# Panel quadrature rule: the degree-2 symmetric 3-point Gauss rule
+# (barycentric points, weights summing to 1)
 # ---------------------------------------------------------------------------
 
-_RULES = {
-    # degree-1 midpoint rule
-    "centroid": (
-        np.array([[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]]),
-        np.array([1.0]),
-    ),
-    # degree-2 symmetric 3-point Gauss rule
-    "gauss3": (
-        np.array(
-            [
-                [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-                [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-                [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
-            ]
-        ),
-        np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]),
-    ),
-}
+_GAUSS3_BARY = np.array(
+    [
+        [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
+        [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
+        [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
+    ]
+)
+_GAUSS3_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 
 
-def triangle_rule(name: str = "gauss3") -> tuple[np.ndarray, np.ndarray]:
-    """Return (barycentric points (q, 3), weights (q,)) for a panel rule."""
-    try:
-        pts, w = _RULES[name]
-    except KeyError:
-        raise ValueError(f"unknown triangle rule {name!r}; choose from {sorted(_RULES)}")
-    return pts, w
+def triangle_rule(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Panel-rule points (m, 3, 3) and weights (3,) of the triangles with corners v0, v1, v2."""
+    bary = _GAUSS3_BARY
+    pts = (
+        bary[None, :, 0, None] * v0[:, None, :]
+        + bary[None, :, 1, None] * v1[:, None, :]
+        + bary[None, :, 2, None] * v2[:, None, :]
+    )
+    return pts, _GAUSS3_WEIGHTS
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -148,19 +141,12 @@ class SurfaceMesh:
         t = self.triangles
         return self.vertices[t[:, 0]], self.vertices[t[:, 1]], self.vertices[t[:, 2]]
 
-    def quadrature_points(self, rule: str = "gauss3") -> tuple[np.ndarray, np.ndarray]:
-        """Physical quadrature points (nt, q, 3) and weights (q,).
+    def quadrature_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Physical quadrature points (nt, 3, 3) and weights (3,) of the panel rule.
 
         Weights sum to 1; multiply by panel_area for surface integration.
         """
-        bary, w = triangle_rule(rule)
-        v0, v1, v2 = self.corners()
-        pts = (
-            bary[None, :, 0, None] * v0[:, None, :]
-            + bary[None, :, 1, None] * v1[:, None, :]
-            + bary[None, :, 2, None] * v2[:, None, :]
-        )
-        return pts, w
+        return triangle_rule(*self.corners())
 
     def edge_multiplicity(self) -> dict[tuple[int, int], list[int]]:
         """Map undirected edge -> list of +1/-1 orientations encountered."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,7 +157,6 @@ def green_pairing_check(
     n_phi: int = 48,
     rel_tol: float = 1e-2,
     zero_tol: float = 1e-10,
-    rule: str = "gauss3",
 ) -> ExperimentReport:
     """Volume+surface pairing against the boundary Wronskian on |y| = R.
 
@@ -186,8 +185,8 @@ def green_pairing_check(
                 f"(radius {max(r_mesh, r_supp):.3g}): overlapping-support misconfiguration"
             )
 
-    sys1 = DeltaSystem(d1.V, d1.delta, k, rule=rule)
-    sys2 = DeltaSystem(d2.V, d2.delta, k, rule=rule)
+    sys1 = DeltaSystem(d1.V, d1.delta, k)
+    sys2 = DeltaSystem(d2.V, d2.delta, k)
     sol1 = sys1.solve(Exponential(rho1))
     sol2 = sys2.solve(Exponential(rho2))
 
@@ -241,7 +240,6 @@ def fourier_identity_check(
     w: float,
     k: float,
     split_tol: float = 1e-10,
-    rule: str = "gauss3",
 ) -> ExperimentReport:
     """Exact finite-w decomposition of the pairing behind the uniqueness proof.
 
@@ -262,8 +260,8 @@ def fourier_identity_check(
     t0 = time.time()
     xi = np.asarray(xi, dtype=float)
     rho1, rho2 = sigma_pair_for_xi(xi, k, w)
-    sol1 = DeltaSystem(d1.V, d1.delta, k, rule=rule).solve(Exponential(rho1))
-    sol2 = DeltaSystem(d2.V, d2.delta, k, rule=rule).solve(Exponential(rho2))
+    sol1 = DeltaSystem(d1.V, d1.delta, k).solve(Exponential(rho1))
+    sol2 = DeltaSystem(d2.V, d2.delta, k).solve(Exponential(rho2))
 
     terms = _pairing_terms(d1, d2, sol1, sol2)
     P = _pairing_value(terms)
@@ -358,7 +356,6 @@ def uniqueness_experiment(
     incidence: np.ndarray,
     levels: tuple[int, int] = (0, 1),
     separation: float = 10.0,
-    rule: str = "gauss3",
 ) -> ExperimentReport:
     """Desk-scale contrapositive of two-frequency uniqueness.
 
@@ -379,7 +376,7 @@ def uniqueness_experiment(
     tables = {}
     for tag, medium in (("A", mA_f), ("B", mB_f), ("A_coarse", mA_c)):
         for om in (omega, omega_tilde):
-            tables[tag, om] = acoustic_farfield(medium, om, incidence, obs_grid, grid, rule=rule)
+            tables[tag, om] = acoustic_farfield(medium, om, incidence, obs_grid, grid)
 
     metrics = {}
     noise = {}

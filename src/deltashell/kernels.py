@@ -22,6 +22,8 @@ import numpy as np
 from .geometry import SphereGrid, make_sphere_grid
 
 __all__ = [
+    "radial_kernel",
+    "radial_gradient_factor",
     "helmholtz_kernel",
     "helmholtz_kernel_gradient",
     "ComplexDirection",
@@ -44,6 +46,16 @@ class OverflowGuardError(ValueError):
     """Exponential incident field requested outside its safe range."""
 
 
+def radial_kernel(r, k: float):
+    """Outgoing kernel exp(ik r)/(4 pi r) as a function of the distance r."""
+    return np.exp(1j * k * r) / (4.0 * np.pi * r)
+
+
+def radial_gradient_factor(r, k: float):
+    """Factor e^{ikr}(ikr - 1)/(4 pi r^3): grad_x G_k(x, y) = (x - y) times it."""
+    return np.exp(1j * k * r) * (1j * k * r - 1.0) / (4.0 * np.pi * r**3)
+
+
 def helmholtz_kernel(x, y, k: float):
     """Outgoing kernel exp(ik r)/(4 pi r), r = |x - y|; broadcasts over points.
 
@@ -54,7 +66,7 @@ def helmholtz_kernel(x, y, k: float):
     r = np.linalg.norm(x - y, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("helmholtz_kernel: coincident points")
-    return np.exp(1j * k * r) / (4.0 * np.pi * r)
+    return radial_kernel(r, k)
 
 
 def helmholtz_kernel_gradient(x, y, k: float):
@@ -65,8 +77,7 @@ def helmholtz_kernel_gradient(x, y, k: float):
     r = np.linalg.norm(d, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("helmholtz_kernel_gradient: coincident points")
-    scale = np.exp(1j * k * r) * (1j * k * r - 1.0) / (4.0 * np.pi * r**3)
-    return d * scale[..., None]
+    return d * radial_gradient_factor(r, k)[..., None]
 
 
 # ---------------------------------------------------------------------------

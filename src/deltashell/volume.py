@@ -30,12 +30,13 @@ import numpy as np
 
 from ._dense import GuardedLU
 from .geometry import VolumeGrid
-from .kernels import IncidentField, eval_incident
+from .kernels import IncidentField, eval_incident, radial_gradient_factor, radial_kernel
 
 __all__ = [
     "PotentialSample",
     "VolumeField",
     "ball_self_term",
+    "cell_block",
     "assemble_volume_operator",
     "solve_lippmann_schwinger",
     "volume_potential",
@@ -95,19 +96,26 @@ def ball_self_term(k: float, volume: float) -> complex:
     return (np.exp(1j * k * a) * (1.0 - 1j * k * a) - 1.0) / k**2
 
 
-def _kernel_times_volume(points: np.ndarray, centers: np.ndarray, k: float, volume: float) -> np.ndarray:
-    """Midpoint-rule kernel block, chunked over rows; no self handling."""
-    n, m = len(points), len(centers)
-    out = np.empty((n, m), dtype=complex)
-    rows_per_chunk = max(1, _CHUNK // max(m, 1))
-    for start in range(0, n, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n)
-        d = points[start:stop, None, :] - centers[None, :, :]
-        r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block = np.exp(1j * k * r) * (volume / (4.0 * np.pi)) / r
-        out[start:stop] = block
-    return out
+def cell_block(points: np.ndarray, centers: np.ndarray, grid: VolumeGrid, k: float,
+               grad: bool = False):
+    """Kernel-times-volume block from the cells at ``centers`` to ``points``.
+
+    Midpoint entries vol * G_k(x_i, c_j), replaced by the equal-volume-ball
+    value where x_i lies within half the spacing of c_j (the cell's self
+    region).  With ``grad`` returns ``(d, factor)``, d = x_i - c_j: the
+    x-gradient of an entry is d * factor, and zero in the self region.
+    """
+    d = points[:, None, :] - centers[None, :, :]
+    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+    near = r < 0.5 * float(np.min(grid.spacing))
+    r = np.where(near, 1.0, r)
+    if grad:
+        factor = radial_gradient_factor(r, k) * grid.cell_volume
+        factor[near] = 0.0
+        return d, factor
+    block = radial_kernel(r, k) * grid.cell_volume
+    block[near] = ball_self_term(k, grid.cell_volume)
+    return block
 
 
 def assemble_volume_operator(
@@ -124,39 +132,35 @@ def assemble_volume_operator(
     if grid.n_cells > max_cells:
         raise ValueError(f"grid has {grid.n_cells} cells, cap is {max_cells}")
     centers = grid.cell_center if cells is None else grid.cell_center[cells]
-    G = _kernel_times_volume(centers, centers, k, grid.cell_volume)
-    idx = np.arange(len(centers))
-    G[idx, idx] = ball_self_term(k, grid.cell_volume)
+    n = len(centers)
+    G = np.empty((n, n), dtype=complex)
+    rows_per_chunk = max(1, _CHUNK // max(n, 1))
+    for start in range(0, n, rows_per_chunk):
+        G[start:start + rows_per_chunk] = cell_block(centers[start:start + rows_per_chunk],
+                                                     centers, grid, k)
     return G
 
 
 def volume_potential(points, grid: VolumeGrid, density: np.ndarray, k: float, cells: np.ndarray | None = None) -> np.ndarray:
     """Field of the cellwise-constant source ``density``: sum_j density_j G(x, c_j).
 
-    Uses the same quadrature as the assembled operator: midpoint entries and
-    the equal-volume-ball value whenever x falls inside a cell's self region
-    (distance to the center below half the spacing).  Evaluation at a cell
-    center therefore reproduces the assembled matrix row exactly.
+    Uses the same quadrature as the assembled operator (``cell_block``):
+    midpoint entries and the equal-volume-ball value whenever x falls inside
+    a cell's self region (distance to the center below half the spacing).
+    Evaluation at a cell center therefore reproduces the assembled matrix
+    row exactly.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     centers = grid.cell_center if cells is None else grid.cell_center[cells]
     density = np.asarray(density, dtype=complex)
     if density.shape != (len(centers),):
         raise ValueError("density length does not match the selected cells")
-    self_radius = 0.5 * float(np.min(grid.spacing))
-    self_value = ball_self_term(k, grid.cell_volume)
 
     out = np.zeros(len(points), dtype=complex)
     rows_per_chunk = max(1, _CHUNK // max(len(centers), 1))
     for start in range(0, len(points), rows_per_chunk):
         stop = min(start + rows_per_chunk, len(points))
-        d = points[start:stop, None, :] - centers[None, :, :]
-        r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-        near = r < self_radius
-        r_safe = np.where(near, 1.0, r)
-        block = np.exp(1j * k * r_safe) * (grid.cell_volume / (4.0 * np.pi)) / r_safe
-        block[near] = self_value
-        out[start:stop] = block @ density
+        out[start:stop] = cell_block(points[start:stop], centers, grid, k) @ density
     return out
 
 

@@ -1,5 +1,7 @@
 """Single-layer operator, coupled delta solve, jump relations."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -75,6 +77,18 @@ class TestSingleLayer:
         assert asyms[0] > asyms[1] > asyms[2]
         assert asyms[-1] < 2e-3
 
+    def test_potential_on_a_quadrature_point_is_finite(self, sphere_meshes):
+        # r = 0 in the base rule; the pair is near-field and re-integrated
+        mesh = sphere_meshes[1]
+        qpts, _ = mesh.quadrature_points()
+        eta = np.ones(mesh.n_panels)
+        x = qpts[3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on = layer_potential(x, mesh, eta, 1.0)
+        off = layer_potential(x + 1e-3 * mesh.panel_normal[3], mesh, eta, 1.0)
+        assert np.all(np.abs(on - off) < 1e-2 * np.abs(on))
+
     def test_panel_cap(self, sphere_meshes):
         with pytest.raises(ValueError, match="cap"):
             assemble_single_layer(sphere_meshes[2], 1.0, max_panels=100)
@@ -126,6 +140,13 @@ class TestGradients:
         fd = _central_gradient(lambda x: layer_potential(x, mesh, eta, k), pts)
         for g, f in zip(grad, fd):
             assert np.linalg.norm(g - f) <= 1e-7 * np.linalg.norm(g)
+
+    def test_layer_gradient_rejects_points_on_the_surface(self, sphere_meshes):
+        mesh = sphere_meshes[1]
+        qpts, _ = mesh.quadrature_points()
+        for x in (mesh.panel_centroid[3], qpts[3, 1]):
+            with pytest.raises(ValueError, match="on the surface"):
+                layer_potential_gradient(x[None], mesh, np.ones(mesh.n_panels), 1.0)
 
     def test_scattered_gradient_matches_central_differences(self, small_system):
         sol = small_system.solve(plane_wave(EZ))

@@ -1,10 +1,15 @@
 """Command-line front door: configs, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deltashell
 from deltashell.cli import main
 from deltashell.farfield import load_farfield_csv
 
@@ -74,6 +79,26 @@ class TestConfigValidation:
         assert "alpha.csv" in err and "79" in err
 
 
+    BAD_FIELDS = {
+        "grid.n": ("forward", {"grid": {"bbox": [-1.5, 1.5], "n": 0}}),
+        "mesh.subdivisions": ("forward", {"mesh": {"kind": "sphere", "radius": 1.0,
+                                                   "subdivisions": -1}}),
+        "potential_bumps[0].width": ("forward", {"potential_bumps": [
+            {"amplitude": 0.3, "center": [0.0, 0.0, 0.0], "width": 0}]}),
+        "kirchhoff.n_theta": ("farfield", {"kirchhoff": {"radius": 2.0, "n_theta": 0}}),
+        "observations.n_theta": ("farfield", {"observations": {"n_theta": 0, "n_phi": 12}}),
+    }
+
+    @pytest.mark.parametrize("field", list(BAD_FIELDS))
+    def test_bad_size_or_width_names_field(self, tmp_path, capsys, field):
+        command, section = self.BAD_FIELDS[field]
+        cfg = dict(FORWARD_TRIVIAL if command == "forward" else TestFarfieldCommand.CFG)
+        cfg.update(section)
+        path = write_config(tmp_path, "bad.json", cfg)
+        assert main(["--config", path, "--out", str(tmp_path), command]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+
 class TestForward:
     def test_trivial_run_writes_incident_field(self, tmp_path):
         path = write_config(tmp_path, "cfg.json", FORWARD_TRIVIAL)
@@ -111,6 +136,19 @@ class TestFarfieldCommand:
         ff = load_farfield_csv(out1 / "ff.csv")
         assert ff.values.shape == (1, 72)
         assert ff.meta["kirchhoff_vs_source_rel_l2"] < 1e-3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_byte_identical_at_fixed_blas_threads(self, tmp_path, threads):
+        # the determinism claim: same config and same BLAS thread count give the same bytes
+        path = write_config(tmp_path, "ff.json", self.CFG)
+        src = str(Path(deltashell.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            subprocess.run([sys.executable, "-m", "deltashell.cli", "--config", path,
+                            "--out", str(out), "--quiet", "farfield"], env=env, check=True)
+        assert (outs[0] / "ff.csv").read_bytes() == (outs[1] / "ff.csv").read_bytes()
 
     def test_compare_identical_files(self, tmp_path):
         path = write_config(tmp_path, "ff.json", self.CFG)
