@@ -232,8 +232,7 @@ def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float) -> np.ndarray
         for ii, qq, depth in _near_pairs(x, mesh):
             near.setdefault(depth, []).append((ii + start, qq))
 
-    v0, v1, v2 = mesh.corners()
-    corners = np.stack([v0, v1, v2], axis=1)
+    corners = np.stack(mesh.corners(), axis=1)
     for depth, pairs in near.items():
         ii = np.concatenate([i for i, _ in pairs])
         qq = np.concatenate([q for _, q in pairs])
@@ -277,10 +276,9 @@ def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: floa
     areas = mesh.panel_area
     out = np.zeros((n, 3), dtype=complex)
 
-    coef = (eta * areas).astype(complex)
+    coef = eta * areas
     rows_per_chunk = max(1, _CHUNK // max(m * len(w), 1))
-    v0, v1, v2 = mesh.corners()
-    corners = np.stack([v0, v1, v2], axis=1)
+    corners = np.stack(mesh.corners(), axis=1)
 
     for start in range(0, n, rows_per_chunk):
         stop = min(start + rows_per_chunk, n)
