@@ -106,7 +106,7 @@ def validate_config(cfg: dict, command: str) -> None:
         raise ConfigError(f"config key 'k' must be a positive number, got {k!r}")
 
 
-def _count(spec: dict, key: str, name: str, default=None, minimum: int = 1) -> int:
+def _count(spec: dict, key: str, name: str, default=None, *, minimum: int) -> int:
     """Integer ``spec[key]`` of at least ``minimum``; ConfigError naming the field otherwise."""
     val = spec.get(key, default)
     integral = isinstance(val, (int, float)) and not isinstance(val, bool) and float(val).is_integer()
@@ -143,7 +143,7 @@ def _build_grid(cfg: dict):
     bbox = spec.get("bbox")
     if isinstance(bbox, (int, float)):
         bbox = (-abs(bbox), abs(bbox))
-    return make_volume_grid(tuple(bbox), _count(spec, "n", "grid.n"))
+    return make_volume_grid(tuple(bbox), _count(spec, "n", "grid.n", minimum=2))
 
 
 def _build_bumps(entries, name: str):
@@ -211,8 +211,8 @@ def _direction_set(spec, name: str, default_nt=16, default_np=32):
         dirs /= norms[:, None]
         weights = np.full(len(dirs), 4.0 * np.pi / len(dirs))
         return dirs, weights, None
-    g = direction_grid(_count(spec, "n_theta", f"{name}.n_theta", default_nt),
-                       _count(spec, "n_phi", f"{name}.n_phi", default_np))
+    g = direction_grid(_count(spec, "n_theta", f"{name}.n_theta", default_nt, minimum=2),
+                       _count(spec, "n_phi", f"{name}.n_phi", default_np, minimum=4))
     return g.normals, g.weights, g
 
 
@@ -287,8 +287,8 @@ def cmd_farfield(cfg: dict, out: Path, quiet: bool) -> int:
 
     kc = cfg.get("kirchhoff")
     if kc is not None:
-        flux_nodes = {"n_theta": _count(kc, "n_theta", "kirchhoff.n_theta", 24),
-                      "n_phi": _count(kc, "n_phi", "kirchhoff.n_phi", 48)}
+        flux_nodes = {"n_theta": _count(kc, "n_theta", "kirchhoff.n_theta", 24, minimum=2),
+                      "n_phi": _count(kc, "n_phi", "kirchhoff.n_phi", 48, minimum=4)}
 
     sols = DeltaSystem(V, delta, k).solve_many([plane_wave(d) for d in inc_dirs])
     values = farfield_source(sols, obs_dirs)
