@@ -48,8 +48,8 @@ print(f"two-frequency potential identity gap: {identity_gap:.2e}")
 
 obs = make_sphere_grid(1.0, 6, 12)
 incidence = np.array([[0.0, 0.0, 1.0]])
-for w in (w1, w2):
-    ff = acoustic_farfield(medium, w, incidence, obs, grid)
+# one call samples the medium once and solves at both frequencies
+for w, ff in zip((w1, w2), acoustic_farfield(medium, (w1, w2), incidence, obs, grid)):
     amp = np.sqrt(obs.weights @ np.abs(ff.values[0]) ** 2)
     print(f"omega = {w:g}: far-field L2 amplitude {amp:.4f}, "
           f"forward value {ff.values[0, np.argmax(obs.normals @ [0, 0, 1])]:.4f}")

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (
-    DeltaSpec,
-    DeltaSystem,
-    assemble_single_layer,
-    layer_potential,
-    layer_potential_gradient,
-)
+from .boundary import DeltaSpec, DeltaSystem, layer_potential, layer_potential_gradient
 from .farfield import FarFieldPattern, farfield_source
 from .geometry import SurfaceMesh, VolumeGrid
 from .kernels import plane_wave
@@ -59,6 +53,9 @@ __all__ = [
     "acoustic_farfield",
     "media_equal",
 ]
+
+
+_NEAR_GAMMA_WARNING = "density derivatives requested"
 
 
 class MediumValidityError(ValueError):
@@ -160,7 +157,7 @@ def _sum_bumps(bumps, x: np.ndarray):
 
 
 def eval_density(m: MediumSpec, x, derivatives: bool = True):
-    """(rho, grad rho, piecewise lap rho) at off-surface points.
+    """(rho, grad rho, piecewise lap rho) at points x; rho alone also on Gamma.
 
     The layer contribution to the Laplacian vanishes (harmonic off Gamma);
     its value and gradient come from panel quadrature of the static kernel.
@@ -184,7 +181,7 @@ def eval_density(m: MediumSpec, x, derivatives: bool = True):
         axis=1,
     )
     if np.any(dist < 0.25):
-        warnings.warn("density derivatives requested within a quarter panel diameter "
+        warnings.warn(_NEAR_GAMMA_WARNING + " within a quarter panel diameter "
                       "of Gamma; near-field accuracy is reduced", stacklevel=2)
     sl_grad = layer_potential_gradient(x, m.gamma, xi.astype(complex), 0.0).real
     f_grad = b_grad + sl_grad
@@ -201,25 +198,18 @@ def eval_sound_speed(m: MediumSpec, x) -> np.ndarray:
 
 
 def surface_density_trace(m: MediumSpec) -> np.ndarray:
-    """rho restricted to Gamma (panel centroids), via the static layer trace."""
-    S0 = assemble_single_layer(m.gamma, 0.0)
-    sl = (S0 @ m.shell_density.astype(complex)).real
-    x = m.gamma.panel_centroid
-    b_val, _, _ = _sum_bumps(m.rho_bumps, x)
-    c_val, _, _ = m.cutoff.fields(x)
-    if np.any(np.abs(c_val - 1.0) > 1e-14):
-        raise MediumValidityError("cutoff is not identically 1 on Gamma")
-    return 1.0 + b_val + sl
+    """rho restricted to Gamma (panel centroids)."""
+    rho, _, _ = eval_density(m, m.gamma.panel_centroid, derivatives=False)
+    return rho
 
 
-def acoustic_to_schrodinger(m: MediumSpec, omega: float, grid: VolumeGrid) -> SchrodingerData:
-    """Sample (V, alpha) of the transformed problem at frequency omega.
+def _schrodinger_data(m: MediumSpec, omegas, grid: VolumeGrid) -> list[SchrodingerData]:
+    """(V, alpha) at each of ``omegas`` from one sampling of the medium.
 
-    V is evaluated from the density derivatives (never by differencing
-    sqrt(rho) numerically); alpha_q = xi_q / (2 rho|_Gamma(q)) and carries no
-    omega dependence.
+    Only the omega^2 (1 - 1/v^2) term varies; all entries share one DeltaSpec.
     """
-    if omega <= 0:
+    omegas = [float(omega) for omega in omegas]
+    if not all(omega > 0 for omega in omegas):
         raise ValueError("omega must be positive")
     R = m.r_support
     if np.any(grid.lo > -R) or np.any(grid.hi < R):
@@ -227,7 +217,8 @@ def acoustic_to_schrodinger(m: MediumSpec, omega: float, grid: VolumeGrid) -> Sc
 
     x = grid.cell_center
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # near-Gamma cells take one-sided values
+        # near-Gamma cells take one-sided values
+        warnings.filterwarnings("ignore", message=_NEAR_GAMMA_WARNING)
         rho, grad, lap = eval_density(m, x)
     if np.any(rho <= 0):
         raise MediumValidityError(f"density reaches {rho.min():.3g} <= 0 on the grid")
@@ -237,18 +228,28 @@ def acoustic_to_schrodinger(m: MediumSpec, omega: float, grid: VolumeGrid) -> Sc
 
     grad2 = np.einsum("ij,ij->i", grad, grad)
     V_phi = -0.5 * lap / rho + 0.75 * grad2 / rho**2
-    V = V_phi + omega**2 * (1.0 - 1.0 / v**2)
+    contrast = 1.0 - 1.0 / v**2
 
     rho_gamma = surface_density_trace(m)
     if np.any(rho_gamma <= 0):
         raise MediumValidityError("density trace on Gamma is not positive")
-    alpha = 0.5 * m.shell_density / rho_gamma
+    delta = DeltaSpec(mesh=m.gamma, alpha=0.5 * m.shell_density / rho_gamma)
 
-    return SchrodingerData(
-        V=PotentialSample(grid=grid, values=V),
-        delta=DeltaSpec(mesh=m.gamma, alpha=alpha),
-        omega=float(omega),
-    )
+    return [
+        SchrodingerData(V=PotentialSample(grid=grid, values=V_phi + omega**2 * contrast),
+                        delta=delta, omega=omega)
+        for omega in omegas
+    ]
+
+
+def acoustic_to_schrodinger(m: MediumSpec, omega: float, grid: VolumeGrid) -> SchrodingerData:
+    """Sample (V, alpha) of the transformed problem at frequency omega.
+
+    V is evaluated from the density derivatives (never by differencing
+    sqrt(rho) numerically); alpha_q = xi_q / (2 rho|_Gamma(q)) and carries no
+    omega dependence.
+    """
+    return _schrodinger_data(m, [omega], grid)[0]
 
 
 def schrodinger_to_acoustic_field(psi, rho):
@@ -259,31 +260,28 @@ def schrodinger_to_acoustic_field(psi, rho):
     return np.sqrt(rho) * np.asarray(psi, dtype=complex)
 
 
-def acoustic_farfield(
-    m: MediumSpec,
-    omega: float,
-    incidence: np.ndarray,
-    obs_grid,
-    grid: VolumeGrid,
-) -> FarFieldPattern:
+def acoustic_farfield(m: MediumSpec, omegas, incidence: np.ndarray, obs_grid,
+                      grid: VolumeGrid) -> list[FarFieldPattern]:
     """End-to-end pipeline: medium -> (V, alpha) -> delta solve -> far field.
 
+    One pattern per frequency in ``omegas``; the medium is sampled once.
     Since rho = v = 1 outside the cutoff ball, the acoustic far field equals
     the transformed-problem far field with k = omega.
     """
-    data = acoustic_to_schrodinger(m, omega, grid)
-    system = DeltaSystem(data.V, data.delta, omega)
     incidence = np.atleast_2d(np.asarray(incidence, dtype=float))
-    sols = system.solve_many([plane_wave(d) for d in incidence])
-    values = farfield_source(sols, obs_grid.normals)
-    return FarFieldPattern(
-        k=float(omega),
-        values=values,
-        observations=obs_grid.normals,
-        obs_weights=obs_grid.weights,
-        incidence=incidence,
-        meta={"pipeline": "acoustic", "omega": float(omega)},
-    )
+    incidents = [plane_wave(d) for d in incidence]
+    patterns = []
+    for data in _schrodinger_data(m, omegas, grid):
+        sols = DeltaSystem(data.V, data.delta, data.omega).solve_many(incidents)
+        patterns.append(FarFieldPattern(
+            k=data.omega,
+            values=farfield_source(sols, obs_grid.normals),
+            observations=obs_grid.normals,
+            obs_weights=obs_grid.weights,
+            incidence=incidence,
+            meta={"pipeline": "acoustic", "omega": data.omega},
+        ))
+    return patterns
 
 
 def media_equal(a: MediumSpec, b: MediumSpec) -> bool:

@@ -50,7 +50,6 @@ __all__ = [
     "assemble_single_layer",
     "layer_potential",
     "layer_potential_gradient",
-    "solve_delta_system",
     "eval_total_field",
     "eval_scattered_field",
     "eval_scattered_gradient",
@@ -433,16 +432,6 @@ class DeltaSystem:
             )
             for j, inc in enumerate(incidents)
         ]
-
-
-def solve_delta_system(
-    V: PotentialSample | None,
-    delta: DeltaSpec,
-    inc: IncidentField,
-    k: float,
-) -> DeltaSolution:
-    """One-shot assembly + solve; build a DeltaSystem directly to reuse the LU."""
-    return DeltaSystem(V, delta, k).solve(inc)
 
 
 def solve_delta_system_composition(

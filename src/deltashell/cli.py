@@ -101,9 +101,8 @@ def validate_config(cfg: dict, command: str) -> None:
     if command not in _TOP_KEYS:
         raise ConfigError(f"unknown command '{command}'")
     _check_keys(cfg, _TOP_KEYS[command], "")
-    k = cfg.get("k")
-    if "k" in _TOP_KEYS[command] and not (isinstance(k, (int, float)) and 0 < k < np.inf):
-        raise ConfigError(f"config key 'k' must be a positive number, got {k!r}")
+    if "k" in _TOP_KEYS[command]:
+        _positive(cfg.get("k"), "k")
 
 
 def _count(spec: dict, key: str, name: str, default=None, *, minimum: int) -> int:
@@ -113,6 +112,13 @@ def _count(spec: dict, key: str, name: str, default=None, *, minimum: int) -> in
     if not (integral and val >= minimum):
         raise ConfigError(f"config key '{name}' must be an integer >= {minimum}, got {val!r}")
     return int(val)
+
+
+def _positive(val, name: str) -> float:
+    """Finite positive number ``val``; ConfigError naming the field otherwise."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < np.inf:
+        raise ConfigError(f"config key '{name}' must be a positive number, got {val!r}")
+    return float(val)
 
 
 def config_digest(cfg: dict) -> str:
@@ -129,7 +135,7 @@ def _build_mesh(cfg: dict):
         raise ConfigError("missing 'mesh' section")
     kind = spec.get("kind")
     if kind == "sphere":
-        return make_sphere_mesh(float(spec.get("radius", 1.0)),
+        return make_sphere_mesh(_positive(spec.get("radius", 1.0), "mesh.radius"),
                                 _count(spec, "subdivisions", "mesh.subdivisions", 2, minimum=0))
     if kind == "off":
         return load_mesh(spec["path"])
@@ -149,28 +155,28 @@ def _build_grid(cfg: dict):
 def _build_bumps(entries, name: str):
     bumps = []
     for i, b in enumerate(entries or []):
-        width = b.get("width")
-        if isinstance(width, bool) or not isinstance(width, (int, float)) or not 0 < width < np.inf:
-            raise ConfigError(f"config key '{name}[{i}].width' must be a positive number, got {width!r}")
         bumps.append(ac.GaussianBump(
             amplitude=float(b["amplitude"]),
             center=tuple(float(c) for c in b["center"]),
-            width=float(width),
+            width=_positive(b.get("width"), f"{name}[{i}].width"),
         ))
     return tuple(bumps)
 
 
-def _build_cutoff(spec):
+def _build_cutoff(spec, name: str):
     if spec is None:
         return ac.RadialCutoff(2.0, 3.0)
-    return ac.RadialCutoff(float(spec["r_inner"]), float(spec["r_outer"]))
+    r_inner, r_outer = (_positive(spec.get(key), f"{name}.{key}") for key in ("r_inner", "r_outer"))
+    if r_inner >= r_outer:
+        raise ConfigError(f"config key '{name}' needs r_inner < r_outer, got {r_inner:g} >= {r_outer:g}")
+    return ac.RadialCutoff(r_inner, r_outer)
 
 
 def _build_potential(cfg: dict, grid):
     bumps = _build_bumps(cfg.get("potential_bumps"), "potential_bumps")
+    cutoff = _build_cutoff(cfg.get("cutoff"), "cutoff")
     if not bumps or grid is None:
         return None
-    cutoff = _build_cutoff(cfg.get("cutoff"))
     x = grid.cell_center
     vals = np.zeros(len(x))
     for b in bumps:
@@ -311,6 +317,10 @@ def cmd_farfield(cfg: dict, out: Path, quiet: bool) -> int:
 
 
 def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
+    frequencies = cfg.get("frequencies", [1.0])
+    if not (isinstance(frequencies, list) and frequencies):
+        raise ConfigError(f"config key 'frequencies' must be a non-empty list, got {frequencies!r}")
+    omegas = [_positive(w, f"frequencies[{i}]") for i, w in enumerate(frequencies)]
     mesh = _build_mesh(cfg)
     grid = _build_grid(cfg)
     if grid is None:
@@ -324,7 +334,7 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
         shell_density=np.asarray(shell, dtype=float) if not np.isscalar(shell) else float(shell),
         rho_bumps=_build_bumps(med_cfg.get("rho_bumps"), "medium.rho_bumps"),
         v_bumps=_build_bumps(med_cfg.get("v_bumps"), "medium.v_bumps"),
-        cutoff=_build_cutoff(med_cfg.get("cutoff")),
+        cutoff=_build_cutoff(med_cfg.get("cutoff"), "medium.cutoff"),
     )
     inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
     obs_dirs, obs_w, obs_grid = _direction_set(cfg.get("observations"), "observations")
@@ -332,8 +342,8 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
         raise ConfigError("acoustic observations must be a (n_theta, n_phi) grid")
 
     prefix = (cfg.get("output") or {}).get("prefix", "acoustic")
-    for omega in cfg.get("frequencies", [1.0]):
-        ff = ac.acoustic_farfield(medium, float(omega), inc_dirs, obs_grid, grid)
+    patterns = ac.acoustic_farfield(medium, omegas, inc_dirs, obs_grid, grid)
+    for omega, ff in zip(frequencies, patterns):
         save_farfield_csv(ff, out / f"{prefix}_w{omega:g}.csv", _metadata(cfg, {"omega": omega}))
         if not quiet:
             print(f"acoustic: wrote {prefix}_w{omega:g}.csv")
@@ -363,8 +373,8 @@ def cmd_oracle(cfg: dict, out: Path, quiet: bool) -> int:
 
 def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     spec = cfg.get("verify", {})
-    subdivision = int(spec.get("subdivision", 2))
-    grid_n = int(spec.get("grid_n", 10))
+    subdivision = _count(spec, "subdivision", "verify.subdivision", 2, minimum=0)
+    grid_n = _count(spec, "grid_n", "verify.grid_n", 10, minimum=2)
     k = float(spec.get("k", 1.0))
     w = float(spec.get("w", 0.5))
     xi = np.asarray(spec.get("xi", [1.0, 0.0, 0.0]), dtype=float)
@@ -381,10 +391,8 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
         c, _, _ = cut.fields(x)
         return PotentialSample(grid=grid, values=v * c)
 
-    from .acoustic import SchrodingerData
-
-    d1 = SchrodingerData(V=bump_potential(0.35), delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)), omega=k)
-    d2 = SchrodingerData(V=bump_potential(-0.25), delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)), omega=k)
+    d1 = ac.SchrodingerData(V=bump_potential(0.35), delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)), omega=k)
+    d2 = ac.SchrodingerData(V=bump_potential(-0.25), delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)), omega=k)
     rho1, rho2 = sigma_pair_for_xi(xi, k, w)
 
     reports = [

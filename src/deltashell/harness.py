@@ -373,17 +373,18 @@ def uniqueness_experiment(
     mA_c = make_medium_a(coarse)
     identical = media_equal(mA_f, mB_f)
 
-    tables = {}
-    for tag, medium in (("A", mA_f), ("B", mB_f), ("A_coarse", mA_c)):
-        for om in (omega, omega_tilde):
-            tables[tag, om] = acoustic_farfield(medium, om, incidence, obs_grid, grid)
+    omegas = (omega, omega_tilde)
+    tables = {
+        tag: dict(zip(omegas, acoustic_farfield(medium, omegas, incidence, obs_grid, grid)))
+        for tag, medium in (("A", mA_f), ("B", mB_f), ("A_coarse", mA_c))
+    }
 
     metrics = {}
     noise = {}
     distances = {}
-    for om in (omega, omega_tilde):
-        noise[om] = tables["A", om].rel_l2_distance(tables["A_coarse", om])
-        distances[om] = tables["A", om].rel_l2_distance(tables["B", om])
+    for om in omegas:
+        noise[om] = tables["A"][om].rel_l2_distance(tables["A_coarse"][om])
+        distances[om] = tables["A"][om].rel_l2_distance(tables["B"][om])
         metrics[f"noise_floor_w{om:g}"] = noise[om]
         metrics[f"distance_w{om:g}"] = distances[om]
     metrics["noise_floor"] = max(noise.values())

@@ -43,7 +43,6 @@ from deltashell.boundary import (
     DeltaSpec,
     DeltaSystem,
     check_jump_relation,
-    solve_delta_system,
 )
 from deltashell.farfield import direction_grid, farfield_kirchhoff, farfield_source
 from deltashell.geometry import make_sphere_grid, make_sphere_mesh, make_volume_grid

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from deltashell import acoustic
 from deltashell.acoustic import (
     GaussianBump,
     MediumSpec,
@@ -17,8 +18,9 @@ from deltashell.acoustic import (
     eval_sound_speed,
     media_equal,
     schrodinger_to_acoustic_field,
+    surface_density_trace,
 )
-from deltashell.boundary import DeltaSystem
+from deltashell.boundary import DeltaSystem, assemble_single_layer
 from deltashell.farfield import direction_grid, farfield_source
 from deltashell.geometry import make_volume_grid
 from deltashell.kernels import plane_wave
@@ -159,6 +161,37 @@ class TestTransform:
         d1 = acoustic_to_schrodinger(m, 1.0, grid)
         d2 = acoustic_to_schrodinger(m, 2.0, grid)
         assert np.array_equal(d1.delta.alpha, d2.delta.alpha)
+
+    def test_surface_trace_matches_static_layer_matrix(self, sphere_meshes, rng):
+        # reference: the trace as 1 + bumps + S0 xi with the assembled static layer matrix
+        mesh = sphere_meshes[2]
+        bump = GaussianBump(amplitude=0.3, center=(0.2, 0.0, 0.1), width=0.5)
+        m = MediumSpec(gamma=mesh, shell_density=rng.uniform(0.5, 1.5, mesh.n_panels),
+                       rho_bumps=(bump,), cutoff=RadialCutoff(1.4, 2.0))
+        S0 = assemble_single_layer(mesh, 0.0)
+        bumps, _, _ = bump.fields(mesh.panel_centroid)
+        expected = 1.0 + bumps + (S0 @ m.shell_density.astype(complex)).real
+        got = surface_density_trace(m)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_only_near_gamma_warning_is_silenced(self, sphere_meshes, monkeypatch):
+        real = acoustic.eval_density
+
+        def noisy(m, x, derivatives=True):
+            if derivatives:  # the grid sampling, not the trace on Gamma
+                warnings.warn("density derivatives requested within a quarter panel diameter "
+                              "of Gamma; near-field accuracy is reduced")
+                warnings.warn("overflow in a density term", RuntimeWarning)
+            return real(m, x, derivatives)
+
+        monkeypatch.setattr(acoustic, "eval_density", noisy)
+        m = shell_medium(sphere_meshes[1], xi=0.9, cutoff=(1.4, 2.0))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            acoustic_to_schrodinger(m, 1.0, make_volume_grid((-2.6, 2.6), 6))
+        messages = [str(w.message) for w in record]
+        assert "overflow in a density term" in messages
+        assert not any("density derivatives requested" in msg for msg in messages)
 
     def test_grid_must_cover_support(self, sphere_meshes):
         m = shell_medium(sphere_meshes[1], xi=1.0)
@@ -326,7 +359,7 @@ class TestPipeline:
         grid = make_volume_grid((-2.6, 2.6), 16)
         omega = 1.5
         obs_grid = direction_grid(8, 16)
-        ff = acoustic_farfield(m, omega, EZ[None, :], obs_grid, grid)
+        [ff] = acoustic_farfield(m, [omega], EZ[None, :], obs_grid, grid)
 
         # shell-ize V_phi(r) on [0, 2.4]: alpha = xi / (2 rho(1)), rho(1) = 1 + xi
         radii = np.linspace(1.0, 2.4, 60)
@@ -344,6 +377,56 @@ class TestPipeline:
         num = np.sqrt(obs_grid.weights @ np.abs(ff.values[0] - ref) ** 2)
         den = np.sqrt(obs_grid.weights @ np.abs(ref) ** 2)
         assert num / den < 0.08
+
+    def test_multi_frequency_call_matches_per_frequency_solves(self, sphere_meshes, monkeypatch):
+        deltas = []
+
+        class RecordingSystem(DeltaSystem):
+            def __init__(self, V, delta, k):
+                deltas.append(delta)
+                super().__init__(V, delta, k)
+
+        monkeypatch.setattr(acoustic, "DeltaSystem", RecordingSystem)
+        m = shell_medium(
+            sphere_meshes[1], xi=0.9, cutoff=(1.4, 2.0),
+            v_bumps=(GaussianBump(amplitude=0.3, center=(0.1, 0.0, 0.0), width=0.6),),
+        )
+        grid = make_volume_grid((-2.6, 2.6), 8)
+        obs_grid = direction_grid(4, 8)
+        incidence = np.array([EZ, [1.0, 0.0, 0.0]])
+        omegas = (1.0, 2.0)
+        patterns = acoustic_farfield(m, omegas, incidence, obs_grid, grid)
+
+        assert len(deltas) == 2 and deltas[0] is deltas[1]
+        for omega, ff in zip(omegas, patterns):
+            data = acoustic_to_schrodinger(m, omega, grid)
+            system = DeltaSystem(data.V, data.delta, omega)
+            ref = np.stack([farfield_source(system.solve(plane_wave(d)), obs_grid.normals)
+                            for d in incidence])
+            assert ff.k == omega
+            assert np.max(np.abs(ff.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_medium_sampled_once_for_two_frequencies(self, sphere_meshes, monkeypatch):
+        density_points, trace_calls = [], []
+        real_density, real_trace = acoustic.eval_density, acoustic.surface_density_trace
+
+        def counted_density(m, x, derivatives=True):
+            density_points.append(len(x))
+            return real_density(m, x, derivatives)
+
+        def counted_trace(m):
+            trace_calls.append(m)
+            return real_trace(m)
+
+        monkeypatch.setattr(acoustic, "eval_density", counted_density)
+        monkeypatch.setattr(acoustic, "surface_density_trace", counted_trace)
+        mesh = sphere_meshes[1]
+        m = shell_medium(mesh, xi=0.9, cutoff=(1.4, 2.0))
+        grid = make_volume_grid((-2.6, 2.6), 6)
+        acoustic_farfield(m, (1.0, 2.0), EZ[None, :], direction_grid(3, 6), grid)
+        # one sampling of the grid cells, one of Gamma (inside surface_density_trace)
+        assert sorted(density_points) == sorted([grid.n_cells, mesh.n_panels])
+        assert len(trace_calls) == 1
 
     def test_media_equality(self, sphere_meshes):
         a = shell_medium(sphere_meshes[1], xi=1.0)

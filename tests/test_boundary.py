@@ -19,7 +19,6 @@ from deltashell.boundary import (
     eval_total_field,
     layer_potential,
     layer_potential_gradient,
-    solve_delta_system,
     solve_delta_system_composition,
     static_self_integrals,
 )
@@ -239,7 +238,7 @@ class TestDeltaSolve:
         V = bump_potential(small_grid, 0.7)
         mesh = sphere_meshes[1]
         delta = DeltaSpec(mesh=mesh, alpha=np.zeros(mesh.n_panels))
-        sol_d = solve_delta_system(V, delta, plane_wave(EZ), k)
+        sol_d = DeltaSystem(V, delta, k).solve(plane_wave(EZ))
         sol_v = solve_lippmann_schwinger(V, plane_wave(EZ), k)
         assert np.all(sol_d.density.eta == 0)
         assert np.max(np.abs(sol_d.volume_field.values - sol_v.field.values)) < 1e-8
@@ -260,14 +259,14 @@ class TestDeltaSolve:
         V = bump_potential(small_grid, 0.5)
         mesh = sphere_meshes[1]
         delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0))
-        sol = solve_delta_system(V, delta, plane_wave(EZ), 1.2)
+        sol = DeltaSystem(V, delta, 1.2).solve(plane_wave(EZ))
         assert sol.residual < 1e-8
 
     def test_eta_is_alpha_times_trace(self, sphere_meshes, small_grid):
         V = bump_potential(small_grid, 0.5)
         mesh = sphere_meshes[1]
         alpha = np.full(mesh.n_panels, 1.3)
-        sol = solve_delta_system(V, DeltaSpec(mesh=mesh, alpha=alpha), plane_wave(EZ), 1.2)
+        sol = DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=alpha), 1.2).solve(plane_wave(EZ))
         assert np.max(np.abs(sol.density.eta - alpha * sol.trace)) < 1e-10
 
     def test_trace_consistent_with_two_sided_average(self, sphere_meshes):
@@ -276,7 +275,7 @@ class TestDeltaSolve:
         k = 1.5
         mesh = sphere_meshes[3]
         alpha = np.full(mesh.n_panels, 2.0)
-        sol = solve_delta_system(None, DeltaSpec(mesh=mesh, alpha=alpha), plane_wave(EZ), k)
+        sol = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=alpha), k).solve(plane_wave(EZ))
 
         def sides(scale):
             dlt = scale * mesh.panel_diameter[:, None] * mesh.panel_normal
@@ -295,8 +294,8 @@ class TestDeltaSolve:
         # two-sided difference shrinks linearly with the offset
         k = 1.5
         mesh = sphere_meshes[3]
-        sol = solve_delta_system(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0)),
-                                 plane_wave(EZ), k)
+        sol = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0)),
+                          k).solve(plane_wave(EZ))
 
         def side_gap(scale):
             dlt = scale * mesh.panel_diameter[:, None] * mesh.panel_normal
@@ -314,7 +313,7 @@ class TestDeltaSolve:
         V = bump_potential(small_grid, 0.6)
         mesh = sphere_meshes[1]
         delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.2))
-        a = solve_delta_system(V, delta, plane_wave(EZ), k)
+        a = DeltaSystem(V, delta, k).solve(plane_wave(EZ))
         b = solve_delta_system_composition(V, delta, plane_wave(EZ), k)
         scale = np.max(np.abs(a.density.eta))
         assert np.max(np.abs(a.density.eta - b.density.eta)) < 1e-10 * scale
@@ -323,14 +322,14 @@ class TestDeltaSolve:
     def test_composition_route_surface_only(self, sphere_meshes):
         mesh = sphere_meshes[1]
         delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0))
-        a = solve_delta_system(None, delta, plane_wave(EZ), 2.0)
+        a = DeltaSystem(None, delta, 2.0).solve(plane_wave(EZ))
         b = solve_delta_system_composition(None, delta, plane_wave(EZ), 2.0)
         assert np.max(np.abs(a.density.eta - b.density.eta)) < 1e-12
 
     def test_near_surface_evaluation_warns(self, sphere_meshes):
         mesh = sphere_meshes[1]
-        sol = solve_delta_system(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)),
-                                 plane_wave(EZ), 1.0)
+        sol = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)),
+                          1.0).solve(plane_wave(EZ))
         probe = mesh.panel_centroid[0] + 0.05 * mesh.panel_diameter[0] * mesh.panel_normal[0]
         with pytest.warns(UserWarning, match="near-field"):
             eval_total_field(sol, probe)

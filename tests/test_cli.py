@@ -30,6 +30,17 @@ FORWARD_TRIVIAL = {
 }
 
 
+ACOUSTIC = {
+    "frequencies": [1.0, 2.0],
+    "mesh": {"kind": "sphere", "subdivisions": 1},
+    "medium": {"shell_density": 1.0, "cutoff": {"r_inner": 1.4, "r_outer": 2.0}},
+    "grid": {"bbox": [-2.2, 2.2], "n": 8},
+    "incidences": {"directions": [[0.0, 0.0, 1.0]]},
+    "observations": {"n_theta": 4, "n_phi": 8},
+    "output": {"prefix": "ac"},
+}
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = dict(FORWARD_TRIVIAL)
@@ -78,7 +89,6 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "alpha.csv" in err and "79" in err
 
-
     BAD_FIELDS = {
         "grid.n": ("forward", {"grid": {"bbox": [-1.5, 1.5], "n": 0}}),
         "mesh.subdivisions": ("forward", {"mesh": {"kind": "sphere", "radius": 1.0,
@@ -87,12 +97,20 @@ class TestConfigValidation:
             {"amplitude": 0.3, "center": [0.0, 0.0, 0.0], "width": 0}]}),
         "kirchhoff.n_theta": ("farfield", {"kirchhoff": {"radius": 2.0, "n_theta": 0}}),
         "observations.n_theta": ("farfield", {"observations": {"n_theta": 0, "n_phi": 12}}),
+        "mesh.radius": ("forward", {"mesh": {"kind": "sphere", "radius": 0, "subdivisions": 1}}),
+        "cutoff": ("forward", {"cutoff": {"r_inner": 1.4, "r_outer": 1.4}}),
+        "medium.cutoff": ("acoustic", {"medium": {"shell_density": 1.0,
+                                                  "cutoff": {"r_inner": 2.0, "r_outer": 1.4}}}),
+        "frequencies[0]": ("acoustic", {"frequencies": [-1.0]}),
+        "verify.subdivision": ("verify", {"verify": {"subdivision": -1}}),
+        "verify.grid_n": ("verify", {"verify": {"grid_n": 0}}),
     }
 
     @pytest.mark.parametrize("field", list(BAD_FIELDS))
     def test_bad_size_or_width_names_field(self, tmp_path, capsys, field):
         command, section = self.BAD_FIELDS[field]
-        cfg = dict(FORWARD_TRIVIAL if command == "forward" else TestFarfieldCommand.CFG)
+        cfg = dict({"forward": FORWARD_TRIVIAL, "farfield": TestFarfieldCommand.CFG,
+                    "acoustic": ACOUSTIC, "verify": {}}[command])
         cfg.update(section)
         path = write_config(tmp_path, "bad.json", cfg)
         assert main(["--config", path, "--out", str(tmp_path), command]) == 2
@@ -213,16 +231,7 @@ class TestOracleComparison:
 
 class TestAcousticCommand:
     def test_two_frequency_run(self, tmp_path):
-        cfg = {
-            "frequencies": [1.0, 2.0],
-            "mesh": {"kind": "sphere", "subdivisions": 1},
-            "medium": {"shell_density": 1.0, "cutoff": {"r_inner": 1.4, "r_outer": 2.0}},
-            "grid": {"bbox": [-2.2, 2.2], "n": 8},
-            "incidences": {"directions": [[0.0, 0.0, 1.0]]},
-            "observations": {"n_theta": 4, "n_phi": 8},
-            "output": {"prefix": "ac"},
-        }
-        path = write_config(tmp_path, "ac.json", cfg)
+        path = write_config(tmp_path, "ac.json", ACOUSTIC)
         assert main(["--config", path, "--out", str(tmp_path), "--quiet", "acoustic"]) == 0
         for w in (1, 2):
             ff = load_farfield_csv(tmp_path / f"ac_w{w}.csv")

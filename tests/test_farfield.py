@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deltashell.boundary import DeltaSpec, DeltaSystem, solve_delta_system
+from deltashell.boundary import DeltaSpec, DeltaSystem
 from deltashell.farfield import (
     AMPLITUDE_SCALE,
     FarFieldPattern,
@@ -28,7 +28,7 @@ EZ = np.array([0.0, 0.0, 1.0])
 def sphere_solution(sphere_meshes):
     mesh = sphere_meshes[2]
     delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0))
-    return solve_delta_system(None, delta, plane_wave(EZ), 2.0)
+    return DeltaSystem(None, delta, 2.0).solve(plane_wave(EZ))
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def combined_solution(sphere_meshes, small_grid):
     mesh = sphere_meshes[2]
     V = bump_potential(small_grid, 0.6)
     delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0))
-    return solve_delta_system(V, delta, plane_wave(EZ), 2.0)
+    return DeltaSystem(V, delta, 2.0).solve(plane_wave(EZ))
 
 
 class TestRoutes:
@@ -44,7 +44,7 @@ class TestRoutes:
         mesh = sphere_meshes[1]
         delta = DeltaSpec(mesh=mesh, alpha=np.zeros(mesh.n_panels))
         V = bump_potential(small_grid, 0.0)
-        sol = solve_delta_system(V, delta, plane_wave(EZ), 2.0)
+        sol = DeltaSystem(V, delta, 2.0).solve(plane_wave(EZ))
         obs = lattice_directions()
         assert np.max(np.abs(farfield_source(sol, obs))) == 0.0
         assert np.max(np.abs(farfield_kirchhoff(sol, 2.5, obs))) < 1e-10
@@ -99,7 +99,7 @@ class TestRoutes:
         k, eps = 2.0, 1e-5
         mesh = sphere_meshes[2]
         delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, eps))
-        sol = solve_delta_system(None, delta, plane_wave(EZ), k)
+        sol = DeltaSystem(None, delta, k).solve(plane_wave(EZ))
         obs = lattice_directions()
         ff = farfield_source(sol, obs) / eps
         qpts, w = mesh.quadrature_points()
