@@ -32,7 +32,6 @@ from .boundary import (
     eval_total_field,
     layer_potential,
     layer_potential_gradient,
-    solve_delta_system_composition,
 )
 from .farfield import (
     AMPLITUDE_SCALE,

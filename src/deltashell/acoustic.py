@@ -122,7 +122,7 @@ class MediumSpec:
         if xi.shape != (self.gamma.n_panels,):
             raise ValueError("shell_density must provide one value per panel")
         object.__setattr__(self, "shell_density", xi)
-        r_gamma = float(np.max(np.linalg.norm(self.gamma.vertices, axis=1)))
+        r_gamma = self.gamma.bounding_radius
         if self.cutoff.r_inner <= r_gamma:
             raise ValueError(
                 f"cutoff must equal 1 on a ball containing Gamma "

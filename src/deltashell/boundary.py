@@ -15,13 +15,14 @@ Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
 ``geometry.triangle_rule``; every kernel value comes from ``kernels``):
 
 * off-panel entries use the 3-point rule per flat triangle;
-* panel pairs (or evaluation points) closer than a few panel diameters are
-  re-integrated on a uniformly subdivided triangle (fixed depth per
-  distance bucket, fully batched);
-* the collocation self-entry splits the kernel as
-  1/(4 pi r) + (e^{ikr} - 1)/(4 pi r): the first term is integrated in
-  closed form over the flat triangle from its centroid, the second
-  (bounded) term by the base rule.
+* a (target, panel) pair closer than 2.8 panel diameters (centroid
+  distance) splits the kernel as (1/r - k^2 r/2)/(4 pi) plus a bounded
+  remainder: the first part and its gradient are integrated in closed form
+  over the flat triangle from any target, on the panel, coplanar or off
+  the plane (Wilton-Rao-Glisson 1984, Graglia 1993), the remainder
+  (``kernels.radial_remainder``) by the 3-point rule on the panel's four
+  midpoint subtriangles.  The collocation self-entry is the near pair
+  whose target is the centroid.
 """
 
 from __future__ import annotations
@@ -33,7 +34,14 @@ import numpy as np
 
 from ._dense import ExceptionalFrequencyError, GuardedLU  # noqa: F401 (re-export)
 from .geometry import SurfaceMesh, triangle_rule
-from .kernels import IncidentField, eval_incident, radial_gradient_factor, radial_kernel
+from .kernels import (
+    IncidentField,
+    eval_incident,
+    radial_gradient_factor,
+    radial_kernel,
+    radial_remainder,
+    radial_remainder_gradient_factor,
+)
 from .volume import (
     PotentialSample,
     VolumeField,
@@ -61,9 +69,10 @@ __all__ = [
 MAX_PANELS = 8192
 _CHUNK = 2**22
 
-# near-field buckets: centroid distance below ratio * panel diameter
-# triggers uniform subdivision to the given depth (4**depth subtriangles)
-_NEAR_BUCKETS = ((0.2, 6), (0.45, 5), (0.9, 4), (1.6, 3), (2.8, 2))
+# a (target, panel) pair is near when the centroid distance is below this
+# many panel diameters
+_NEAR_RATIO = 2.8
+# a target within this many panel diameters of a closed panel is on the surface
 _SELF_TOL = 1e-12
 
 
@@ -117,98 +126,125 @@ class BoundaryDensity:
 # Flat-triangle quadrature helpers
 # ---------------------------------------------------------------------------
 
+def _flat_triangle_moments(x: np.ndarray, corners: np.ndarray, grad: bool) -> np.ndarray:
+    """Closed-form int_T r^-1 and int_T r dsigma / (4 pi), r = |x - y|, over flat triangles.
+
+    x (p, 3) pairs one-to-one with corners (p, 3, 3); the target may lie on
+    T, in its plane or off it.  Returns (p, 2), or the x-gradients (p, 2, 3).
+    With h the height of x over T, Omega the solid angle of T seen from x
+    (Van Oosterom-Strackee) and, for edge i, its outward in-plane normal
+    m_i, the signed distance t_i of the foot point from its line and the
+    edge integrals f_i = int dl / r, E_i = int r dl (Wilton-Rao-Glisson
+    1984; Graglia 1993 for the gradients):
+
+        int r^-1 = sum_i t_i f_i - |h| Omega,   grad = -sum_i f_i m_i - sign(h) Omega n,
+        int r = (h^2 int r^-1 + sum_i t_i E_i)/3, grad = -sum_i E_i m_i + h (int r^-1) n.
+
+    The gradients raise ValueError for a target on the closed panel
+    (height and distance outside it within _SELF_TOL diameters).
+    """
+    a = corners - x[:, None, :]                              # v_i - x
+    R = np.linalg.norm(a, axis=2)
+    e = np.roll(corners, -1, axis=1) - corners               # edge i: v_i -> v_{i+1}
+    length = np.linalg.norm(e, axis=2)
+    u = e / length[..., None]
+    n = np.cross(e[:, 0], e[:, 1])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    m = np.cross(u, n[:, None, :])
+    t = np.einsum("pij,pij->pi", a, m)                       # > 0 inside
+    h = -np.einsum("pj,pj->p", a[:, 0], n)
+    r0sq = t**2 + h[:, None] ** 2                            # squared distance to the edge line
+    l_lo = np.einsum("pij,pij->pi", a, u)                    # edge coordinates of v_i, v_{i+1}
+    l_hi = l_lo + length
+    R_lo, R_hi = R, np.roll(R, -1, axis=1)
+
+    # f = log((R_hi + l_hi)/(R_lo + l_lo)) = log((R_lo - l_lo)/(R_hi - l_hi)); take the
+    # form whose numerator end has l > 0, and write R + l = r0^2/(R - l) for l < 0
+    flip = l_hi + l_lo < 0
+    num = np.where(flip, R_lo - l_lo, R_hi + l_hi)
+    l_d = np.where(flip, -l_hi, l_lo)
+    R_d = np.where(flip, R_hi, R_lo)
+    den = R_d + l_d
+    neg = l_d < 0
+    den[neg] = r0sq[neg] / (R_d[neg] - l_d[neg])
+    # den = 0 only for x on the closed edge, where t = r0 = 0 and t f, r0^2 f -> 0
+    f = np.log(num / np.where(den > 0, den, num))
+    E = 0.5 * (r0sq * f + l_hi * R_hi - l_lo * R_lo)
+
+    triple = np.einsum("pj,pj->p", a[:, 0], np.cross(a[:, 1], a[:, 2]))
+    dots = np.einsum("pij,pij->pi", a, np.roll(a, -1, axis=1))        # a_i . a_{i+1}
+    omega = 2.0 * np.arctan2(triple, np.prod(R, axis=1) + np.einsum("pi,pi->p", dots, np.roll(R, 1, axis=1)))
+    # omega = -sign(h) * solid angle
+    inv = np.einsum("pi,pi->p", t, f) + h * omega
+    if not grad:
+        lin = (h**2 * inv + np.einsum("pi,pi->p", t, E)) / 3.0
+        return np.stack([inv, lin], axis=1) / (4.0 * np.pi)
+    diameter = length.max(axis=1)
+    on_panel = (np.abs(h) <= _SELF_TOL * diameter) & np.all(t >= -_SELF_TOL * diameter[:, None], axis=1)
+    if np.any(on_panel):
+        raise ValueError("layer gradient requested on the surface")
+    grad_inv = omega[:, None] * n - np.einsum("pi,pij->pj", f, m)
+    grad_lin = (h * inv)[:, None] * n - np.einsum("pi,pij->pj", E, m)
+    return np.stack([grad_inv, grad_lin], axis=1) / (4.0 * np.pi)
+
+
 def static_self_integrals(mesh: SurfaceMesh) -> np.ndarray:
-    """Closed-form int_panel dsigma(y) / (4 pi |c - y|) from each centroid c.
+    """Closed-form int_panel dsigma(y) / (4 pi |c - y|) from each centroid c."""
+    return _flat_triangle_moments(mesh.panel_centroid, np.stack(mesh.corners(), axis=1), grad=False)[:, 0]
 
-    The panel is split into three subtriangles at the centroid; for a
-    subtriangle with apex c and opposite edge AB the radial integral reduces
-    to d * (asinh(t_B/d) - asinh(t_A/d)) with d the apex-edge distance and
-    t the signed coordinates of A, B along the edge from the foot point.
+
+# the 3-point rule on the panel's four midpoint subtriangles, barycentric: a corner
+# one is the panel halved towards its vertex, the middle one the panel halved
+# and point-reflected through the centroid
+_GAUSS3, _ = triangle_rule(*np.eye(3)[:, None])
+_SUB_BARY = np.concatenate([(np.eye(3)[:, None] + _GAUSS3) / 2, (1 - _GAUSS3) / 2]).reshape(-1, 3)
+_SUB_W = np.full(len(_SUB_BARY), 1.0 / len(_SUB_BARY))
+
+
+def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: np.ndarray,
+                         k: float, grad: bool) -> np.ndarray:
+    """Integral of the kernel (or its x-gradient) over panel qq[j] from target x[ii[j]].
+
+    The singular terms (1/r - k^2 r/2)/(4 pi) in closed form, the remainder
+    ``kernels.radial_remainder`` by the 12-point midpoint subrule.
     """
-    v0, v1, v2 = mesh.corners()
-    c = mesh.panel_centroid
-    total = np.zeros(mesh.n_panels)
-    for a, b in ((v0, v1), (v1, v2), (v2, v0)):
-        u = b - a
-        length = np.linalg.norm(u, axis=1)
-        u = u / length[:, None]
-        t_a = np.einsum("ij,ij->i", a - c, u)
-        t_b = t_a + length
-        foot = a + (np.einsum("ij,ij->i", c - a, u))[:, None] * u
-        d = np.linalg.norm(c - foot, axis=1)
-        total += d * (np.arcsinh(t_b / d) - np.arcsinh(t_a / d))
-    return total / (4.0 * np.pi)
-
-
-def _subdivide(corners: np.ndarray, depth: int) -> np.ndarray:
-    """Uniformly subdivide triangles (m, 3, 3) -> (m * 4**depth, 3, 3)."""
-    tris = corners
-    for _ in range(depth):
-        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-        ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-        tris = np.concatenate(
-            [
-                np.stack([a, ab, ca], axis=1),
-                np.stack([b, bc, ab], axis=1),
-                np.stack([c, ca, bc], axis=1),
-                np.stack([ab, bc, ca], axis=1),
-            ],
-            axis=0,
-        )
-    return tris
-
-
-def _pair_integrals(points: np.ndarray, corners: np.ndarray, k: float, depth: int,
-                    grad: bool) -> np.ndarray:
-    """Refined integral of the kernel (or its x-gradient) per (point, panel) pair.
-
-    points (m, 3) pairs one-to-one with corners (m, 3, 3).
-    """
-    m = len(points)
-    out = np.zeros((m, 3) if grad else m, dtype=complex)
-    n_sub = 4**depth
-    chunk = max(1, _CHUNK // (n_sub * 3))
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        p = stop - start
-        a, b, c = _subdivide(corners[start:stop], depth).transpose(1, 0, 2)  # (nsub*p, 3), p fastest
-        pts, w = triangle_rule(a, b, c)
-        pts = pts.reshape(n_sub, p, -1, 3).transpose(1, 0, 2, 3)  # (p, nsub, g, 3)
-        areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).reshape(n_sub, p).T  # (p, nsub)
-        d = points[start:stop, None, None, :] - pts
-        r = np.sqrt(np.einsum("...i,...i->...", d, d))
+    corners = np.stack(mesh.corners(), axis=1)
+    out = np.empty((len(ii), 3) if grad else len(ii), dtype=complex)
+    chunk = max(1, _CHUNK // (len(_SUB_W) * 3))
+    for start in range(0, len(ii), chunk):
+        sl = slice(start, start + chunk)
+        xs, cs, areas = x[ii[sl]], corners[qq[sl]], mesh.panel_area[qq[sl]]
+        d = xs[:, None, :] - np.einsum("sj,pjk->psk", _SUB_BARY, cs)
+        r = np.sqrt(np.einsum("psk,psk->ps", d, d))
         if grad:
-            g = radial_gradient_factor(r, k)
-            out[start:stop] = np.einsum("psg,psgi,g,ps->pi", g, d, w, areas + 0j)
+            rem = np.einsum("psk,ps,s,p->pk", d, radial_remainder_gradient_factor(r, k), _SUB_W, areas)
         else:
-            out[start:stop] = np.einsum("psg,g,ps->p", radial_kernel(r, k), w, areas + 0j)
+            rem = radial_remainder(r, k) @ _SUB_W * areas
+        moments = _flat_triangle_moments(xs, cs, grad)
+        out[sl] = moments[:, 0] - 0.5 * k**2 * moments[:, 1] + rem
     return out
 
 
-def _near_pairs(x: np.ndarray, mesh: SurfaceMesh) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Near (target, panel) pairs, classified by centroid distance over panel diameter.
+def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x_i - y_j|^2 for x (n, 3) and y (..., 3), shape (n, ...); one coordinate at a time,
+    which avoids the (n, ..., 3) difference array."""
+    out = np.zeros((len(x),) + y.shape[:-1])
+    for i in range(3):
+        diff = np.subtract.outer(x[:, i], y[..., i])
+        out += diff * diff
+    return out
 
-    One (i, q, depth) triple per non-empty class: depth 0 holds the centroid
-    hits, the others the near buckets.  Pairs beyond every bucket keep the
-    base rule.
-    """
-    dist = np.linalg.norm(x[:, None, :] - mesh.panel_centroid[None, :, :], axis=-1)
-    ratio = dist / mesh.panel_diameter[None, :]
-    assigned = dist < _SELF_TOL
-    pairs = [(*np.nonzero(assigned), 0)] if np.any(assigned) else []
-    for threshold, depth in _NEAR_BUCKETS:
-        hit = (ratio < threshold) & ~assigned
-        if np.any(hit):
-            pairs.append((*np.nonzero(hit), depth))
-            assigned |= hit
-    return pairs
+
+def _near_pairs(x: np.ndarray, mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
+    """(target, panel) index pairs closer than _NEAR_RATIO panel diameters (centroid distance)."""
+    return np.nonzero(_squared_distances(x, mesh.panel_centroid) < (_NEAR_RATIO * mesh.panel_diameter) ** 2)
 
 
 def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float) -> np.ndarray:
     """Matrix M[i, q] ~ int_{panel q} e^{ik|x_i - y|}/(4 pi |x_i - y|) dsigma(y).
 
-    Base rule everywhere, near buckets re-integrated on subdivided panels,
-    exact centroid hits (collocation points) via the analytic static split.
+    Base rule everywhere, near pairs (collocation self entries included)
+    replaced by the closed-form static part plus the subrule remainder.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, m = len(points), mesh.n_panels
@@ -216,34 +252,18 @@ def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float) -> np.ndarray
     areas = mesh.panel_area
     out = np.empty((n, m), dtype=complex)
 
-    near: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     rows_per_chunk = max(1, _CHUNK // max(m * len(w), 1))
     for start in range(0, n, rows_per_chunk):
         stop = min(start + rows_per_chunk, n)
         x = points[start:stop]
-        d = x[:, None, None, :] - qpts[None, :, :, :]
-        r = np.sqrt(np.einsum("...i,...i->...", d, d))
+        r = np.sqrt(_squared_distances(x, qpts))
         # a target on a quadrature point (r = 0) lies within a third of the panel
-        # diameter of the centroid, inside the 0.45 bucket: its base value is
-        # overwritten below, the clamp only keeps the discarded value finite
+        # diameter of the centroid, so the pair is near and its base value is
+        # overwritten below; the clamp only keeps the discarded value finite
         r = np.maximum(r, 1e-290)
         out[start:stop] = np.einsum("img,g->im", radial_kernel(r, k), w) * areas[None, :]
-        for ii, qq, depth in _near_pairs(x, mesh):
-            near.setdefault(depth, []).append((ii + start, qq))
-
-    corners = np.stack(mesh.corners(), axis=1)
-    for depth, pairs in near.items():
-        ii = np.concatenate([i for i, _ in pairs])
-        qq = np.concatenate([q for _, q in pairs])
-        if depth:
-            out[ii, qq] = _pair_integrals(points[ii], corners[qq], k, depth, grad=False)
-            continue
-        static = static_self_integrals(mesh)
-        # bounded remainder (e^{ikr} - 1)/(4 pi r) by the base rule
-        d = points[ii][:, None, :] - qpts[qq]                 # (p, g, 3)
-        r = np.sqrt(np.einsum("...i,...i->...", d, d))
-        rem = radial_kernel(r, k) - radial_kernel(r, 0.0)
-        out[ii, qq] = static[qq] + np.einsum("pg,g->p", rem, w) * areas[qq]
+        ii, qq = _near_pairs(x, mesh)
+        out[ii + start, qq] = _near_pair_integrals(x, mesh, ii, qq, k, grad=False)
     return out
 
 
@@ -267,35 +287,32 @@ def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.
 
 
 def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
-    """Analytic gradient of the single-layer field (off-surface points)."""
+    """Analytic gradient of the single-layer field (off-surface points).
+
+    Raises ValueError for a point on a closed panel, within _SELF_TOL panel
+    diameters.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eta = np.asarray(eta, dtype=complex)
     n, m = len(points), mesh.n_panels
     qpts, w = mesh.quadrature_points()
-    areas = mesh.panel_area
-    out = np.zeros((n, 3), dtype=complex)
+    coef = eta * mesh.panel_area
+    out = np.empty((n, 3), dtype=complex)
 
-    coef = eta * areas
     rows_per_chunk = max(1, _CHUNK // max(m * len(w), 1))
-    corners = np.stack(mesh.corners(), axis=1)
-
     for start in range(0, n, rows_per_chunk):
         stop = min(start + rows_per_chunk, n)
         x = points[start:stop]
+        # near pairs first: they raise for a point on the surface, before r = 0 is divided by
+        ii, qq = _near_pairs(x, mesh)
+        near = _near_pair_integrals(x, mesh, ii, qq, k, grad=True)
         d = x[:, None, None, :] - qpts[None, :, :, :]
         r = np.sqrt(np.einsum("...i,...i->...", d, d))
-        pairs = _near_pairs(x, mesh)
-        if np.any(r < _SELF_TOL) or any(depth == 0 for _, _, depth in pairs):
-            raise ValueError("layer gradient requested on the surface")
         g = radial_gradient_factor(r, k)
+        g[ii, qq] = 0.0                                        # near pairs take the closed form
         base = np.einsum("imgk,img,g->imk", d, g, w)
         out[start:stop] = np.einsum("imk,m->ik", base, coef)
-
-        for ii, qq, depth in pairs:
-            refined = _pair_integrals(x[ii], corners[qq], k, depth, grad=True)
-            # swap the base-rule pair contribution for the refined one
-            coarse = np.einsum("pgk,pg,g->pk", d[ii, qq], g[ii, qq], w) * areas[qq, None]
-            np.add.at(out, ii + start, (refined - coarse) * eta[qq, None])
+        np.add.at(out, ii + start, near * eta[qq, None])
     return out
 
 
@@ -432,74 +449,6 @@ class DeltaSystem:
             )
             for j, inc in enumerate(incidents)
         ]
-
-
-def solve_delta_system_composition(
-    V: PotentialSample | None,
-    delta: DeltaSpec,
-    inc: IncidentField,
-    k: float,
-) -> DeltaSolution:
-    """Operator-composition route (cross-validation path, small sizes only).
-
-    Realizes psi^{V,alpha} = psi^V - SL^V (1 + alpha g0 SL^V)^{-1} alpha g0 psi^V
-    with SL^V applied through the volume solver, instead of one block solve.
-    """
-    from .volume import solve_lippmann_schwinger
-
-    mesh = delta.mesh
-    alpha = delta.alpha
-    np_ = mesh.n_panels
-    if V is None or len(V.support()) == 0:
-        # free background: SL^V = SL^0
-        S = assemble_single_layer(mesh, k)
-        psi0_panels = np.asarray(eval_incident(inc, k, mesh.panel_centroid), dtype=complex)
-        A = alpha[:, None] * S
-        A[np.arange(np_), np.arange(np_)] += 1.0
-        lu = GuardedLU(A, context="surface system (composition route)")
-        eta = lu.solve(alpha * psi0_panels)
-        trace = psi0_panels - S @ eta
-        residual = float(np.linalg.norm(A @ eta - alpha * psi0_panels) / max(np.linalg.norm(alpha * psi0_panels), 1e-300))
-        return DeltaSolution(
-            density=BoundaryDensity(mesh=mesh, eta=eta), incident=inc, k=k,
-            residual=residual, trace=trace, potential=V, delta=delta,
-            support=np.zeros(0, dtype=int), source_density=np.zeros(0, dtype=complex),
-            psi_support=np.zeros(0, dtype=complex),
-        )
-
-    grid = V.grid
-    support = V.support()
-    Vs = V.values[support]
-    centers = grid.cell_center[support]
-
-    base = solve_lippmann_schwinger(V, inc, k)
-    psi_v = base.field.values[support]
-    S = assemble_single_layer(mesh, k)
-    SLvol = _layer_matrix(centers, mesh, k)
-    Tr = cell_block(mesh.panel_centroid, centers, grid, k)
-    G = assemble_volume_operator(grid, k, cells=support)
-
-    lhs = G * Vs[None, :]
-    lhs[np.arange(len(support)), np.arange(len(support))] += 1.0
-    lu_v = GuardedLU(lhs, context="volume block (composition route)")
-    U = lu_v.solve(SLvol)                       # SL^V eta on the support grid
-    g0_slv = S - Tr @ (Vs[:, None] * U)         # gamma0 SL^V as a panel operator
-
-    trace_psi_v = np.asarray(eval_incident(inc, k, mesh.panel_centroid), dtype=complex) - Tr @ (Vs * psi_v)
-    A = alpha[:, None] * g0_slv
-    A[np.arange(np_), np.arange(np_)] += 1.0
-    lu_s = GuardedLU(A, context="trace system (composition route)")
-    eta = lu_s.solve(alpha * trace_psi_v)
-
-    psi_total = psi_v - U @ eta
-    source = Vs * psi_total
-    trace = trace_psi_v - g0_slv @ eta
-    residual = float(np.linalg.norm(A @ eta - alpha * trace_psi_v) / max(np.linalg.norm(alpha * trace_psi_v) + 1e-300, 1e-300))
-    return DeltaSolution(
-        density=BoundaryDensity(mesh=mesh, eta=eta), incident=inc, k=k,
-        residual=residual, trace=trace, potential=V, delta=delta,
-        support=support, source_density=source, psi_support=psi_total,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .farfield import (
     load_farfield_csv,
     save_farfield_csv,
 )
-from .geometry import load_mesh, make_sphere_mesh, make_volume_grid
+from .geometry import MeshFormatError, load_mesh, make_sphere_mesh, make_volume_grid
 from .kernels import plane_wave, sigma_pair_for_xi
 from .volume import PotentialSample
 
@@ -138,7 +138,10 @@ def _build_mesh(cfg: dict):
         return make_sphere_mesh(_positive(spec.get("radius", 1.0), "mesh.radius"),
                                 _count(spec, "subdivisions", "mesh.subdivisions", 2, minimum=0))
     if kind == "off":
-        return load_mesh(spec["path"])
+        try:
+            return load_mesh(spec["path"])
+        except MeshFormatError as exc:
+            raise ConfigError(f"config key 'mesh.path': {exc}") from exc
     raise ConfigError(f"mesh.kind must be 'sphere' or 'off', got {kind!r}")
 
 
@@ -149,7 +152,11 @@ def _build_grid(cfg: dict):
     bbox = spec.get("bbox")
     if isinstance(bbox, (int, float)):
         bbox = (-abs(bbox), abs(bbox))
-    return make_volume_grid(tuple(bbox), _count(spec, "n", "grid.n", minimum=2))
+    n = _count(spec, "n", "grid.n", minimum=2)
+    try:
+        return make_volume_grid(tuple(bbox), n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key 'grid.bbox' must be [lo, hi] with lo < hi, got {bbox!r} ({exc})")
 
 
 def _build_bumps(entries, name: str):
@@ -295,12 +302,16 @@ def cmd_farfield(cfg: dict, out: Path, quiet: bool) -> int:
     if kc is not None:
         flux_nodes = {"n_theta": _count(kc, "n_theta", "kirchhoff.n_theta", 24, minimum=2),
                       "n_phi": _count(kc, "n_phi", "kirchhoff.n_phi", 48, minimum=4)}
+        radius = _positive(kc.get("radius"), "kirchhoff.radius")
+        if radius <= mesh.bounding_radius:
+            raise ConfigError(f"config key 'kirchhoff.radius' = {radius:g} must exceed the mesh "
+                              f"radius {mesh.bounding_radius:.3g}")
 
     sols = DeltaSystem(V, delta, k).solve_many([plane_wave(d) for d in inc_dirs])
     values = farfield_source(sols, obs_dirs)
     extra = {}
     if kc is not None:
-        row = farfield_kirchhoff(sols[0], float(kc["radius"]), obs_dirs, **flux_nodes,
+        row = farfield_kirchhoff(sols[0], radius, obs_dirs, **flux_nodes,
                                  gradient="analytic")
         num = float(np.linalg.norm(row - values[0]))
         den = float(np.linalg.norm(values[0])) or 1.0
@@ -329,12 +340,16 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
     shell = med_cfg.get("shell_density", 0.0)
     if isinstance(shell, dict):
         shell = _panel_csv(shell, mesh, "medium.shell_density")
+    cutoff = _build_cutoff(med_cfg.get("cutoff"), "medium.cutoff")
+    if cutoff.r_inner <= mesh.bounding_radius:
+        raise ConfigError(f"config key 'medium.cutoff.r_inner' must exceed the mesh radius "
+                          f"{mesh.bounding_radius:.3g}, got {cutoff.r_inner:g}")
     medium = ac.MediumSpec(
         gamma=mesh,
         shell_density=np.asarray(shell, dtype=float) if not np.isscalar(shell) else float(shell),
         rho_bumps=_build_bumps(med_cfg.get("rho_bumps"), "medium.rho_bumps"),
         v_bumps=_build_bumps(med_cfg.get("v_bumps"), "medium.v_bumps"),
-        cutoff=_build_cutoff(med_cfg.get("cutoff"), "medium.cutoff"),
+        cutoff=cutoff,
     )
     inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
     obs_dirs, obs_w, obs_grid = _direction_set(cfg.get("observations"), "observations")

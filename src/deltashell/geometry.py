@@ -136,6 +136,11 @@ class SurfaceMesh:
     def total_area(self) -> float:
         return float(self.panel_area.sum())
 
+    @property
+    def bounding_radius(self) -> float:
+        """Largest vertex distance from the origin."""
+        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
+
     def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vertex coordinate triples per panel, each (nt, 3)."""
         t = self.triangles
@@ -161,12 +166,22 @@ class SurfaceMesh:
         return sum(1 for v in self.edge_multiplicity().values() if len(v) != 2)
 
     def check_orientation(self) -> None:
-        """Raise on inconsistent winding (an edge traversed twice the same way)."""
-        for (i, j), orients in self.edge_multiplicity().items():
+        """Raise on inconsistent winding (an edge traversed twice the same way),
+        and on inward winding of a closed mesh (signed volume <= 0)."""
+        edges = self.edge_multiplicity()
+        for (i, j), orients in edges.items():
             if len(orients) == 2 and orients[0] == orients[1]:
                 raise MeshFormatError(
                     f"inconsistent winding: edge ({i}, {j}) traversed twice "
                     "in the same direction"
+                )
+        if all(len(v) == 2 for v in edges.values()):
+            v0, v1, v2 = self.corners()
+            volume = np.einsum("ij,ij->", v0, np.cross(v1, v2)) / 6.0
+            if volume <= 0:
+                raise MeshFormatError(
+                    f"inward winding: the closed mesh has signed volume {volume:.3g} <= 0; "
+                    "faces must be counter-clockwise seen from outside"
                 )
 
 

@@ -24,6 +24,8 @@ from .geometry import SphereGrid, make_sphere_grid
 __all__ = [
     "radial_kernel",
     "radial_gradient_factor",
+    "radial_remainder",
+    "radial_remainder_gradient_factor",
     "helmholtz_kernel",
     "helmholtz_kernel_gradient",
     "ComplexDirection",
@@ -54,6 +56,20 @@ def radial_kernel(r, k: float):
 def radial_gradient_factor(r, k: float):
     """Factor e^{ikr}(ikr - 1)/(4 pi r^3): grad_x G_k(x, y) = (x - y) times it."""
     return np.exp(1j * k * r) * (1j * k * r - 1.0) / (4.0 * np.pi * r**3)
+
+
+def radial_remainder(r, k: float):
+    """Kernel minus its singular terms: e^{ikr}/(4 pi r) - 1/(4 pi r) + k^2 r/(8 pi).
+
+    Written as (ik/4 pi) e^{ikr/2} sinc(kr/2) + k^2 r/(8 pi), so it is finite
+    (ik/(4 pi)) at r = 0; its first kink is in the r^3 term.
+    """
+    return 0.25j * k / np.pi * np.exp(0.5j * k * r) * np.sinc(0.5 * k * r / np.pi) + k**2 * r / (8.0 * np.pi)
+
+
+def radial_remainder_gradient_factor(r, k: float):
+    """Factor g'(r)/r of g = radial_remainder: its x-gradient is (x - y) times it (r > 0)."""
+    return (0.25j * k / np.pi * np.exp(1j * k * r) - radial_remainder(r, k) + k**2 * r / (4.0 * np.pi)) / r**2
 
 
 def helmholtz_kernel(x, y, k: float):

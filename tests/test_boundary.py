@@ -9,9 +9,13 @@ from scipy import integrate
 
 from deltashell._dense import ExceptionalFrequencyError, GuardedLU
 from deltashell.boundary import (
-    _NEAR_BUCKETS,
+    _NEAR_RATIO,
+    BoundaryDensity,
+    DeltaSolution,
     DeltaSpec,
     DeltaSystem,
+    _flat_triangle_moments,
+    _layer_matrix,
     assemble_single_layer,
     check_jump_relation,
     eval_scattered_field,
@@ -19,12 +23,11 @@ from deltashell.boundary import (
     eval_total_field,
     layer_potential,
     layer_potential_gradient,
-    solve_delta_system_composition,
     static_self_integrals,
 )
-from deltashell.geometry import SurfaceMesh, make_sphere_mesh
+from deltashell.geometry import SurfaceMesh, make_sphere_mesh, triangle_rule
 from deltashell.kernels import Herglotz, eval_incident, helmholtz_kernel, plane_wave
-from deltashell.volume import assemble_volume_operator, solve_lippmann_schwinger
+from deltashell.volume import assemble_volume_operator, cell_block, solve_lippmann_schwinger
 
 from conftest import bump_potential, mixed_incidents
 
@@ -45,6 +48,53 @@ class TestSingleLayer:
         jac = 2.0 * mesh.panel_area[0]
         val, _ = integrate.dblquad(integrand, 0, 1, 0, lambda u: 1 - u, epsabs=1e-12)
         assert_allclose(static_self_integrals(mesh)[0], val * jac / (4 * np.pi), rtol=1e-10)
+
+    def test_flat_square_assembles_coplanar_pairs(self):
+        # each centroid lies in the plane of the other panel, outside it; k times the
+        # panel diameter is 0.37, inside the 0.33-1.05 of the sphere meshes used here
+        square = SurfaceMesh.from_arrays(0.2 * np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
+                                         [[0, 1, 2], [0, 2, 3]])
+        k = 1.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = assemble_single_layer(square, k)
+        tri = square.vertices[square.triangles[1]]
+        x = square.panel_centroid[0]
+
+        def part(v, u, f):
+            r = np.linalg.norm(x - (tri[0] + u * (tri[1] - tri[0]) + v * (tri[2] - tri[0])))
+            return f(np.exp(1j * k * r) / (4 * np.pi * r))
+
+        jac = 2.0 * square.panel_area[1]
+        ref = sum(unit * integrate.dblquad(part, 0, 1, 0, lambda u: 1 - u, args=(f,), epsabs=1e-13)[0]
+                  for unit, f in ((1.0, np.real), (1j, np.imag))) * jac
+        assert abs(S[0, 1] - ref) <= 5e-6 * abs(ref)
+
+    def test_near_entries_match_converged_reference(self, sphere_meshes):
+        # reference: closed-form 1/r part plus the remainder (e^{ikr} - 1)/(4 pi r)
+        # on depth-4 uniform subdivisions (256 subtriangles per panel)
+        mesh = sphere_meshes[3]
+        k = 2.0
+        rows = np.arange(0, mesh.n_panels, 32)
+        c = mesh.panel_centroid[rows]
+        ii, qq = np.nonzero(np.linalg.norm(c[:, None] - mesh.panel_centroid[None], axis=-1)
+                            < _NEAR_RATIO * mesh.panel_diameter[None, :])
+        assert np.any(rows[ii] == qq) and np.any(rows[ii] != qq)
+        corners = np.stack(mesh.corners(), axis=1)[qq]
+        x = c[ii]
+        sub = corners
+        for _ in range(4):
+            a, b, d = sub[:, 0], sub[:, 1], sub[:, 2]
+            ab, bd, da = (a + b) / 2, (b + d) / 2, (d + a) / 2
+            sub = np.concatenate([np.stack(t, axis=1) for t in
+                                  ((a, ab, da), (b, bd, ab), (d, da, bd), (ab, bd, da))])
+        n_sub = len(sub) // len(x)
+        qpts, w = triangle_rule(sub[:, 0], sub[:, 1], sub[:, 2])        # rows: pair fastest
+        r = np.linalg.norm(np.tile(x, (n_sub, 1))[:, None, :] - qpts, axis=-1)
+        rem = (np.exp(1j * k * r) - 1.0) / (4 * np.pi * r) @ w * mesh.panel_area[np.tile(qq, n_sub)] / n_sub
+        ref = _flat_triangle_moments(x, corners, grad=False)[:, 0] + rem.reshape(n_sub, -1).sum(axis=0)
+        S = assemble_single_layer(mesh, k)
+        assert np.max(np.abs(S[rows[ii], qq] - ref) / np.abs(ref)) <= 5e-6
 
     def test_uniform_shell_trace_converges_to_one(self, sphere_meshes):
         # Newtonian potential of the unit shell equals 1 on the surface
@@ -77,7 +127,7 @@ class TestSingleLayer:
         assert asyms[-1] < 2e-3
 
     def test_potential_on_a_quadrature_point_is_finite(self, sphere_meshes):
-        # r = 0 in the base rule; the pair is near-field and re-integrated
+        # r = 0 in the base rule; the pair is near and integrated in closed form
         mesh = sphere_meshes[1]
         qpts, _ = mesh.quadrature_points()
         eta = np.ones(mesh.n_panels)
@@ -93,6 +143,43 @@ class TestSingleLayer:
             assemble_single_layer(sphere_meshes[2], 1.0, max_panels=100)
 
 
+TRI = np.array([[0.1, -0.2, 0.0], [1.3, 0.1, 0.05], [0.4, 0.9, -0.1]])
+TRI_N = np.cross(TRI[1] - TRI[0], TRI[2] - TRI[0]) / np.linalg.norm(np.cross(TRI[1] - TRI[0], TRI[2] - TRI[0]))
+CLOSED_FORM_TARGETS = {
+    "above the interior": TRI.mean(axis=0) + 0.3 * TRI_N,
+    "coplanar outside": TRI[0] + 1.2 * (TRI[2] - TRI[0]) - 0.5 * (TRI[1] - TRI[0]),
+    "on an edge's extension line": TRI[0] + 1.4 * (TRI[1] - TRI[0]),
+    "near a vertex": TRI[2] - 0.01 * TRI_N + 0.005 * (TRI[0] - TRI[2]),
+}
+
+
+class TestClosedForm:
+    """The flat-triangle integrals of 1/r and r (over 4 pi) and their gradients."""
+
+    @staticmethod
+    def _quad(fun):
+        def integrand(v, u):
+            return fun(TRI[0] + u * (TRI[1] - TRI[0]) + v * (TRI[2] - TRI[0]))
+
+        jac = np.linalg.norm(np.cross(TRI[1] - TRI[0], TRI[2] - TRI[0]))
+        return integrate.dblquad(integrand, 0, 1, 0, lambda u: 1 - u, epsabs=1e-13)[0] * jac / (4 * np.pi)
+
+    @pytest.mark.parametrize("target", list(CLOSED_FORM_TARGETS))
+    def test_against_dblquad_and_central_differences(self, target):
+        x = CLOSED_FORM_TARGETS[target]
+        value = _flat_triangle_moments(x[None], TRI[None], grad=False)[0]
+        grad = _flat_triangle_moments(x[None], TRI[None], grad=True)[0]
+        ref = [self._quad(lambda y: 1 / np.linalg.norm(x - y)), self._quad(lambda y: np.linalg.norm(x - y))]
+        assert_allclose(value, ref, rtol=1e-10)
+        ref_grad = [[self._quad(lambda y: -(x - y)[i] / np.linalg.norm(x - y) ** 3) for i in range(3)],
+                    [self._quad(lambda y: (x - y)[i] / np.linalg.norm(x - y)) for i in range(3)]]
+        for g, r in zip(grad, ref_grad):
+            assert np.linalg.norm(g - r) <= 1e-10 * np.linalg.norm(r)
+        for j in (0, 1):
+            fd = _central_gradient(lambda p: _flat_triangle_moments(p, TRI[None], grad=False)[:, j], x[None])
+            assert np.linalg.norm(grad[j] - fd[0]) <= 1e-8 * np.linalg.norm(grad[j])
+
+
 def _rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
@@ -100,23 +187,18 @@ def _rel(a, b):
 FD_STEP = 1e-6
 
 
-def _bucket_probes(mesh, q=0):
-    """Points on panel q's normal through its centroid: one per near bucket and
-    one beyond them; the first three buckets are probed on both sides."""
+def _near_probes(mesh, q=0):
+    """Points on panel q's normal through its centroid, at several fractions of the
+    near threshold and one beyond it; those within a diameter on both sides."""
     c, n, d = mesh.panel_centroid[q], mesh.panel_normal[q], mesh.panel_diameter[q]
-    edges = [0.0] + [t for t, _ in _NEAR_BUCKETS] + [4.0]
-    pts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        f = 0.5 * (lo + hi)
-        pts += [c + s * f * d * n for s in ((1.0, -1.0) if f < 1.0 else (1.0,))]
-    return np.array(pts)
+    ratios = (0.1, 0.325, 0.675, 1.25, 2.2, _NEAR_RATIO + 0.6)
+    return np.array([c + s * f * d * n for f in ratios for s in ((1.0, -1.0) if f < 1.0 else (1.0,))])
 
 
-def _assert_step_keeps_buckets(pts, mesh, h=FD_STEP):
-    # central differences see one quadrature only if x +- h stays in the buckets of x
+def _assert_step_keeps_near_pairs(pts, mesh, h=FD_STEP):
+    # central differences see one quadrature only if x +- h keeps the near pairs of x
     ratio = np.linalg.norm(pts[:, None, :] - mesh.panel_centroid[None], axis=-1) / mesh.panel_diameter
-    gap = min(np.min(np.abs(ratio - t)) for t, _ in _NEAR_BUCKETS)
-    assert gap > 2 * h / np.min(mesh.panel_diameter)
+    assert np.min(np.abs(ratio - _NEAR_RATIO)) > 2 * h / np.min(mesh.panel_diameter)
 
 
 def _central_gradient(f, pts, h=FD_STEP):
@@ -133,8 +215,8 @@ class TestGradients:
         mesh = sphere_meshes[2]
         k = 1.7
         eta = rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels)
-        pts = np.concatenate([_bucket_probes(mesh, q) for q in (0, 101)])
-        _assert_step_keeps_buckets(pts, mesh)
+        pts = np.concatenate([_near_probes(mesh, q) for q in (0, 101)])
+        _assert_step_keeps_near_pairs(pts, mesh)
         grad = layer_potential_gradient(pts, mesh, eta, k)
         fd = _central_gradient(lambda x: layer_potential(x, mesh, eta, k), pts)
         for g, f in zip(grad, fd):
@@ -143,13 +225,34 @@ class TestGradients:
     def test_layer_gradient_rejects_points_on_the_surface(self, sphere_meshes):
         mesh = sphere_meshes[1]
         qpts, _ = mesh.quadrature_points()
-        for x in (mesh.panel_centroid[3], qpts[3, 1]):
+        v0, v1, v2 = (v[3] for v in mesh.corners())
+        for x in (mesh.panel_centroid[3], qpts[3, 1], 0.2 * v0 + 0.3 * v1 + 0.5 * v2,
+                  0.5 * (v0 + v1), v2):
             with pytest.raises(ValueError, match="on the surface"):
                 layer_potential_gradient(x[None], mesh, np.ones(mesh.n_panels), 1.0)
 
+    @pytest.mark.parametrize("radius", [1e-6, 1e6])
+    def test_layer_gradient_scales_with_the_mesh(self, rng, radius):
+        # the on-surface tolerance scales with the panel diameter: at radius 1e6 a
+        # point on a panel sits ~1e-10 off its plane after rounding
+        mesh = make_sphere_mesh(radius, 2)
+        k = 1.7 / radius
+        eta = rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels)
+        c, n, d = mesh.panel_centroid[7], mesh.panel_normal[7], mesh.panel_diameter[7]
+        pts = np.array([c + 0.1 * d * n, c - 0.1 * d * n])
+        h = FD_STEP * np.min(mesh.panel_diameter)
+        _assert_step_keeps_near_pairs(pts, mesh, h)
+        grad = layer_potential_gradient(pts, mesh, eta, k)
+        fd = _central_gradient(lambda x: layer_potential(x, mesh, eta, k), pts, h)
+        for g, f in zip(grad, fd):
+            assert np.linalg.norm(g - f) <= 1e-7 * np.linalg.norm(g)
+        v0, v1, v2 = (v[7] for v in mesh.corners())
+        with pytest.raises(ValueError, match="on the surface"):
+            layer_potential_gradient((0.2 * v0 + 0.3 * v1 + 0.5 * v2)[None], mesh, eta, k)
+
     def test_scattered_gradient_matches_central_differences(self, small_system):
         sol = small_system.solve(plane_wave(EZ))
-        pts = _bucket_probes(sol.mesh)
+        pts = _near_probes(sol.mesh)
         if len(sol.support):
             # a point inside a cell's self radius, where the cell adds no gradient
             grid = sol.potential.grid
@@ -158,7 +261,7 @@ class TestGradients:
             pts = np.concatenate([pts, [c + 0.1 * np.min(grid.spacing) / np.sqrt(3.0)]])
             r = np.linalg.norm(pts[:, None, :] - centers[None], axis=-1)
             assert np.min(np.abs(r - 0.5 * np.min(grid.spacing))) > 2 * FD_STEP
-        _assert_step_keeps_buckets(pts, sol.mesh)
+        _assert_step_keeps_near_pairs(pts, sol.mesh)
         grad = eval_scattered_gradient(sol, pts)
         fd = _central_gradient(lambda x: eval_scattered_field(sol, x), pts)
         for g, f in zip(grad, fd):
@@ -183,10 +286,10 @@ class TestKernelEntries:
                             >= 0.5 * np.min(small_grid.spacing))
         assert_allclose(system.Tr[qq, jj], vol * helmholtz_kernel(c[qq], centers[jj], k), rtol=1e-14)
 
-        # panel pairs beyond the last near bucket carry the plain 3-point rule
+        # panel pairs beyond the near threshold carry the plain 3-point rule
         qpts, w = mesh.quadrature_points()
         ratio = np.linalg.norm(c[:, None] - c[None], axis=-1) / mesh.panel_diameter[None, :]
-        qq, pp = np.nonzero(ratio >= _NEAR_BUCKETS[-1][0])
+        qq, pp = np.nonzero(ratio >= _NEAR_RATIO)
         assert len(qq) > 0
         expected = helmholtz_kernel(c[qq][:, None, :], qpts[pp], k) @ w * mesh.panel_area[pp]
         assert_allclose(system.S[qq, pp], expected, rtol=1e-13)
@@ -230,6 +333,67 @@ class TestJumpRelation:
         mesh = sphere_meshes[2]
         err = check_jump_relation(mesh, 1.5, np.ones(mesh.n_panels))
         assert err < 0.1
+
+
+def solve_delta_system_composition(V, delta, inc, k):
+    """Operator-composition route: the cross-check oracle for the block solve (small sizes).
+
+    Realizes psi^{V,alpha} = psi^V - SL^V (1 + alpha g0 SL^V)^{-1} alpha g0 psi^V
+    with SL^V applied through the volume solver, instead of one block solve.
+    """
+    mesh = delta.mesh
+    alpha = delta.alpha
+    np_ = mesh.n_panels
+    if V is None or len(V.support()) == 0:
+        # free background: SL^V = SL^0
+        S = assemble_single_layer(mesh, k)
+        psi0_panels = np.asarray(eval_incident(inc, k, mesh.panel_centroid), dtype=complex)
+        A = alpha[:, None] * S
+        A[np.arange(np_), np.arange(np_)] += 1.0
+        lu = GuardedLU(A, context="surface system (composition route)")
+        eta = lu.solve(alpha * psi0_panels)
+        trace = psi0_panels - S @ eta
+        residual = float(np.linalg.norm(A @ eta - alpha * psi0_panels) / max(np.linalg.norm(alpha * psi0_panels), 1e-300))
+        return DeltaSolution(
+            density=BoundaryDensity(mesh=mesh, eta=eta), incident=inc, k=k,
+            residual=residual, trace=trace, potential=V, delta=delta,
+            support=np.zeros(0, dtype=int), source_density=np.zeros(0, dtype=complex),
+            psi_support=np.zeros(0, dtype=complex),
+        )
+
+    grid = V.grid
+    support = V.support()
+    Vs = V.values[support]
+    centers = grid.cell_center[support]
+
+    base = solve_lippmann_schwinger(V, inc, k)
+    psi_v = base.field.values[support]
+    S = assemble_single_layer(mesh, k)
+    SLvol = _layer_matrix(centers, mesh, k)
+    Tr = cell_block(mesh.panel_centroid, centers, grid, k)
+    G = assemble_volume_operator(grid, k, cells=support)
+
+    lhs = G * Vs[None, :]
+    lhs[np.arange(len(support)), np.arange(len(support))] += 1.0
+    lu_v = GuardedLU(lhs, context="volume block (composition route)")
+    U = lu_v.solve(SLvol)                       # SL^V eta on the support grid
+    g0_slv = S - Tr @ (Vs[:, None] * U)         # gamma0 SL^V as a panel operator
+
+    trace_psi_v = np.asarray(eval_incident(inc, k, mesh.panel_centroid), dtype=complex) - Tr @ (Vs * psi_v)
+    A = alpha[:, None] * g0_slv
+    A[np.arange(np_), np.arange(np_)] += 1.0
+    lu_s = GuardedLU(A, context="trace system (composition route)")
+    eta = lu_s.solve(alpha * trace_psi_v)
+
+    psi_total = psi_v - U @ eta
+    source = Vs * psi_total
+    trace = trace_psi_v - g0_slv @ eta
+    residual = float(np.linalg.norm(A @ eta - alpha * trace_psi_v) / max(np.linalg.norm(alpha * trace_psi_v) + 1e-300, 1e-300))
+    return DeltaSolution(
+        density=BoundaryDensity(mesh=mesh, eta=eta), incident=inc, k=k,
+        residual=residual, trace=trace, potential=V, delta=delta,
+        support=support, source_density=source, psi_support=psi_total,
+    )
 
 
 class TestDeltaSolve:

@@ -12,6 +12,7 @@ import pytest
 import deltashell
 from deltashell.cli import main
 from deltashell.farfield import load_farfield_csv
+from deltashell.geometry import SurfaceMesh, make_sphere_mesh, save_mesh
 
 
 def write_config(tmp_path, name, cfg):
@@ -104,6 +105,10 @@ class TestConfigValidation:
         "frequencies[0]": ("acoustic", {"frequencies": [-1.0]}),
         "verify.subdivision": ("verify", {"verify": {"subdivision": -1}}),
         "verify.grid_n": ("verify", {"verify": {"grid_n": 0}}),
+        "grid.bbox": ("forward", {"grid": {"bbox": [1.5, -1.5], "n": 4}}),
+        "kirchhoff.radius": ("farfield", {"kirchhoff": {"radius": 0}}),
+        "medium.cutoff.r_inner": ("acoustic", {"medium": {"shell_density": 1.0,
+                                                          "cutoff": {"r_inner": 0.5, "r_outer": 2.0}}}),
     }
 
     @pytest.mark.parametrize("field", list(BAD_FIELDS))
@@ -115,6 +120,17 @@ class TestConfigValidation:
         path = write_config(tmp_path, "bad.json", cfg)
         assert main(["--config", path, "--out", str(tmp_path), command]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+
+    def test_inward_wound_mesh_names_path(self, tmp_path, capsys):
+        sphere = make_sphere_mesh(1.0, 1)
+        mesh_path = tmp_path / "inward.off"
+        save_mesh(SurfaceMesh.from_arrays(sphere.vertices, sphere.triangles[:, ::-1]), mesh_path)
+        cfg = dict(FORWARD_TRIVIAL, mesh={"kind": "off", "path": str(mesh_path)})
+        path = write_config(tmp_path, "inward.json", cfg)
+        assert main(["--config", path, "--out", str(tmp_path), "forward"]) == 2
+        err = capsys.readouterr().err
+        assert "'mesh.path'" in err and "inward winding" in err
 
 
 class TestForward:

@@ -136,6 +136,13 @@ class TestOffFiles:
         with pytest.raises(MeshFormatError, match="inconsistent winding"):
             load_mesh(path)
 
+    def test_inward_winding_fails(self, tmp_path, sphere_meshes):
+        m = sphere_meshes[1]
+        path = tmp_path / "inward.off"
+        save_mesh(SurfaceMesh.from_arrays(m.vertices, m.triangles[:, ::-1]), path)
+        with pytest.raises(MeshFormatError, match="inward winding"):
+            load_mesh(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.off"
         path.write_text("NOT_OFF\n")

@@ -15,6 +15,9 @@ from deltashell.kernels import (
     helmholtz_kernel_gradient,
     make_sigma_k,
     plane_wave,
+    radial_kernel,
+    radial_remainder,
+    radial_remainder_gradient_factor,
     sigma_pair_for_xi,
 )
 
@@ -49,6 +52,20 @@ class TestKernel:
             e[ax] = h
             fd = (helmholtz_kernel(x + e, y, k) - helmholtz_kernel(x - e, y, k)) / (2 * h)
             assert abs(g[ax] - fd) < 1e-7 * abs(g[ax]) + 1e-12
+
+    def test_remainder_is_kernel_minus_singular_terms(self):
+        k = 2.3
+        r = np.geomspace(1e-2, 10.0, 50)
+        direct = radial_kernel(r, k) - radial_kernel(r, 0.0) + k**2 * r / (8 * np.pi)
+        assert_allclose(radial_remainder(r, k), direct, rtol=1e-12)
+        assert radial_remainder(0.0, k) == 0.25j * k / np.pi
+        assert radial_remainder(r, 0.0).tolist() == [0.0] * len(r)
+
+    def test_remainder_gradient_factor_is_derivative_over_r(self):
+        k, h = 2.3, 1e-6
+        r = np.geomspace(1e-3, 10.0, 40)
+        fd = (radial_remainder(r + h, k) - radial_remainder(r - h, k)) / (2 * h)
+        assert_allclose(radial_remainder_gradient_factor(r, k) * r, fd, rtol=1e-7)
 
 
 class TestSigmaK:
