@@ -87,8 +87,6 @@ from .volume import (
     PotentialSample,
     VolumeField,
     assemble_volume_operator,
-    eval_volume_field,
-    solve_lippmann_schwinger,
 )
 
 __version__ = "0.1.0"

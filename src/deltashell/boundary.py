@@ -122,6 +122,11 @@ class BoundaryDensity:
         object.__setattr__(self, "eta", e)
 
 
+# no surface: a 0-panel mesh, so alpha is zero and the system is cells-only
+_NO_SURFACE = DeltaSpec(SurfaceMesh.from_arrays(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)),
+                        np.zeros(0))
+
+
 # ---------------------------------------------------------------------------
 # Flat-triangle quadrature helpers
 # ---------------------------------------------------------------------------
@@ -358,19 +363,17 @@ class DeltaSolution:
 
 
 class DeltaSystem:
-    """Assembled and factorized coupled system, reusable across incident fields."""
+    """Assembled and factorized coupled system, reusable across incident fields.
 
-    def __init__(
-        self,
-        V: PotentialSample | None,
-        delta: DeltaSpec,
-        k: float,
-        max_panels: int = MAX_PANELS,
-    ):
+    ``V = None`` drops the cells and ``delta = None`` the surface (an empty
+    mesh), so ``DeltaSystem(V, None, k)`` is the plain Lippmann-Schwinger solve.
+    """
+
+    def __init__(self, V: PotentialSample | None, delta: DeltaSpec | None, k: float):
         if k <= 0:
             raise ValueError("k must be positive")
         self.k = float(k)
-        self.delta = delta
+        self.delta = delta = _NO_SURFACE if delta is None else delta
         self.potential = V
         self.mesh = delta.mesh
 
@@ -389,7 +392,7 @@ class DeltaSystem:
             self.centers = np.zeros((0, 3))
 
         if self.surface_active:
-            self.S = assemble_single_layer(self.mesh, k, max_panels=max_panels)
+            self.S = assemble_single_layer(self.mesh, k)
             SLvol = _layer_matrix(self.centers, self.mesh, k)
         else:
             # alpha == 0: the panel rows decouple (eta = 0); solve cells only

@@ -34,6 +34,7 @@ from .boundary import DeltaSpec, DeltaSystem, density_to_csv_rows, eval_total_fi
 from .farfield import (
     CONVENTIONS,
     FarFieldPattern,
+    check_kirchhoff_radius,
     direction_grid,
     farfield_kirchhoff,
     farfield_source,
@@ -306,6 +307,10 @@ def cmd_farfield(cfg: dict, out: Path, quiet: bool) -> int:
         if radius <= mesh.bounding_radius:
             raise ConfigError(f"config key 'kirchhoff.radius' = {radius:g} must exceed the mesh "
                               f"radius {mesh.bounding_radius:.3g}")
+        try:
+            check_kirchhoff_radius(radius, mesh, V)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'kirchhoff.radius': {exc}") from exc
 
     sols = DeltaSystem(V, delta, k).solve_many([plane_wave(d) for d in inc_dirs])
     values = farfield_source(sols, obs_dirs)
@@ -390,10 +395,13 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     spec = cfg.get("verify", {})
     subdivision = _count(spec, "subdivision", "verify.subdivision", 2, minimum=0)
     grid_n = _count(spec, "grid_n", "verify.grid_n", 10, minimum=2)
-    k = float(spec.get("k", 1.0))
-    w = float(spec.get("w", 0.5))
+    k = _positive(spec.get("k", 1.0), "verify.k")
+    w = spec.get("w", 0.5)
+    if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < np.inf:
+        raise ConfigError(f"config key 'verify.w' must be a finite number >= 0, got {w!r}")
+    w = float(w)
     xi = np.asarray(spec.get("xi", [1.0, 0.0, 0.0]), dtype=float)
-    R = float(spec.get("R", 1.8))
+    R = _positive(spec.get("R", 1.8), "verify.R")
 
     mesh = make_sphere_mesh(1.0, subdivision)
     grid = make_volume_grid((-1.6, 1.6), grid_n)

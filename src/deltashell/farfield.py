@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import DeltaSolution, eval_scattered_field, eval_scattered_gradient
-from .geometry import SphereGrid, make_sphere_grid
+from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
+from .volume import PotentialSample
 
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "direction_grid",
     "farfield_source",
     "farfield_kirchhoff",
+    "check_kirchhoff_radius",
     "scattering_amplitude",
     "save_farfield_csv",
     "load_farfield_csv",
@@ -150,13 +152,21 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _scatterer_radius(sol: DeltaSolution) -> float:
-    r = float(np.max(np.linalg.norm(sol.mesh.panel_centroid, axis=1))) if sol.mesh.n_panels else 0.0
-    if len(sol.support):
-        grid = sol.potential.grid
-        r = max(r, float(np.max(np.linalg.norm(grid.cell_center[sol.support], axis=1)))
-                + 0.87 * float(np.max(grid.spacing)))
+def _scatterer_radius(mesh: SurfaceMesh, V: PotentialSample | None) -> float:
+    """Radius about the origin of the panel centroids and the support cells of V."""
+    r = float(np.max(np.linalg.norm(mesh.panel_centroid, axis=1))) if mesh.n_panels else 0.0
+    support = V.support() if V is not None else []
+    if len(support):
+        r = max(r, float(np.max(np.linalg.norm(V.grid.cell_center[support], axis=1)))
+                + 0.87 * float(np.max(V.grid.spacing)))
     return r
+
+
+def check_kirchhoff_radius(R0: float, mesh: SurfaceMesh, V: PotentialSample | None) -> None:
+    """Raise ValueError unless the sphere |y| = R0 clears the scatterer by 2%."""
+    r_scat = _scatterer_radius(mesh, V)
+    if R0 <= r_scat * 1.02:
+        raise ValueError(f"R0 = {R0} does not enclose the scatterer (radius {r_scat:.3g})")
 
 
 def farfield_kirchhoff(
@@ -174,9 +184,7 @@ def farfield_kirchhoff(
     derivative of the source representation ("analytic", cross-check).
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    r_scat = _scatterer_radius(sol)
-    if R0 <= r_scat * 1.02:
-        raise ValueError(f"R0 = {R0} does not enclose the scatterer (radius {r_scat:.3g})")
+    check_kirchhoff_radius(R0, sol.mesh, sol.potential)
     sphere = make_sphere_grid(R0, n_theta, n_phi)
     y, ny, w = sphere.nodes, sphere.normals, sphere.weights
     k = sol.k

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphereGrid, make_sphere_grid
-
 __all__ = [
     "radial_kernel",
     "radial_gradient_factor",
@@ -35,7 +33,6 @@ __all__ = [
     "Exponential",
     "Herglotz",
     "plane_wave",
-    "herglotz_wave",
     "eval_incident",
     "eval_incident_grad",
     "OverflowGuardError",
@@ -284,16 +281,6 @@ IncidentField = PlaneWave | Exponential | Herglotz
 
 def plane_wave(direction) -> PlaneWave:
     return PlaneWave(direction=np.asarray(direction, dtype=float))
-
-
-def herglotz_wave(density_fn, k: float, grid: SphereGrid | None = None, n_theta: int = 16, n_phi: int = 32) -> Herglotz:
-    """Sample a density f on a unit-sphere rule (Gauss x uniform by default)."""
-    if grid is None:
-        grid = make_sphere_grid(1.0, n_theta, n_phi)
-    if abs(grid.radius - 1.0) > 1e-12:
-        raise ValueError("Herglotz rule must live on the unit sphere")
-    f = np.asarray([density_fn(d) for d in grid.normals], dtype=complex)
-    return Herglotz(directions=grid.normals, weights=grid.weights, density=f)
 
 
 def eval_incident(f: IncidentField, k: float, x) -> np.ndarray | complex:

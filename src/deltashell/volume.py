@@ -1,10 +1,14 @@
-"""Discretized Lippmann-Schwinger solver for compactly supported potentials.
+"""Volume operator blocks for compactly supported potentials.
 
-The total field psi for a regular potential V solves
+The total field psi for a regular potential V solves the Lippmann-Schwinger
+equation
 
     (I + G diag(V)) psi = psi0      on the cell grid,
 
-where G is the outgoing free resolvent discretized cellwise: G[i, j]
+whose dense solve is the cells-only case of ``boundary.DeltaSystem``
+(``DeltaSystem(V, None, k)``).  This module holds its blocks: the grid
+samples, the cell kernel block, the assembled operator and the volume
+potential.  G is the outgoing free resolvent discretized cellwise: G[i, j]
 approximates the kernel integral over cell j seen from center i.  The
 off-diagonal entries use the midpoint rule (kernel at centers times cell
 volume); the diagonal replaces the cubic cell by the ball of equal volume,
@@ -28,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import GuardedLU
 from .geometry import VolumeGrid
-from .kernels import IncidentField, eval_incident, radial_gradient_factor, radial_kernel
+from .kernels import radial_gradient_factor, radial_kernel
 
 __all__ = [
     "PotentialSample",
@@ -38,9 +41,7 @@ __all__ = [
     "ball_self_term",
     "cell_block",
     "assemble_volume_operator",
-    "solve_lippmann_schwinger",
     "volume_potential",
-    "eval_volume_field",
 ]
 
 MAX_GRID_CELLS = 32**3
@@ -162,64 +163,3 @@ def volume_potential(points, grid: VolumeGrid, density: np.ndarray, k: float, ce
         stop = min(start + rows_per_chunk, len(points))
         out[start:stop] = cell_block(points[start:stop], centers, grid, k) @ density
     return out
-
-
-@dataclass
-class LippmannSchwingerSolution:
-    """Total field with the pieces needed to evaluate it off-grid."""
-
-    field: VolumeField
-    potential: PotentialSample
-    incident: IncidentField
-    k: float
-    residual: float
-    support: np.ndarray          # indices of cells in the dense solve
-    source_density: np.ndarray   # (V psi) on support cells
-
-
-def solve_lippmann_schwinger(
-    V: PotentialSample,
-    inc: IncidentField,
-    k: float,
-    max_cells: int = MAX_GRID_CELLS,
-) -> LippmannSchwingerSolution:
-    """Solve (I + G diag(V)) psi = psi0 on the grid by a dense direct solve."""
-    grid = V.grid
-    support = V.support()
-    psi0_all = np.asarray(eval_incident(inc, k, grid.cell_center), dtype=complex)
-
-    if len(support) == 0:
-        field = VolumeField(grid=grid, values=psi0_all)
-        return LippmannSchwingerSolution(
-            field=field, potential=V, incident=inc, k=k, residual=0.0,
-            support=support, source_density=np.zeros(0, dtype=complex),
-        )
-
-    G = assemble_volume_operator(grid, k, cells=support, max_cells=max_cells)
-    A = G * V.values[support][None, :]
-    A[np.diag_indices_from(A)] += 1.0
-    lu = GuardedLU(A, context="Lippmann-Schwinger system")
-    psi_s = lu.solve(psi0_all[support])
-    residual = float(np.linalg.norm(A @ psi_s - psi0_all[support]) / np.linalg.norm(psi0_all[support]))
-
-    source = V.values[support] * psi_s
-    values = psi0_all - volume_potential(grid.cell_center, grid, source, k, cells=support)
-    values[support] = psi_s  # dense solve values are authoritative on the support
-    field = VolumeField(grid=grid, values=values)
-    return LippmannSchwingerSolution(
-        field=field, potential=V, incident=inc, k=k, residual=residual,
-        support=support, source_density=source,
-    )
-
-
-def eval_volume_field(
-    sol: LippmannSchwingerSolution,
-    x,
-) -> np.ndarray | complex:
-    """Total field at arbitrary points via psi = psi0 - G (V psi)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    psi0 = np.asarray(eval_incident(sol.incident, sol.k, pts), dtype=complex)
-    vals = psi0 - volume_potential(pts, sol.field.grid, sol.source_density, sol.k, cells=sol.support)
-    return vals[0] if single else vals

@@ -54,9 +54,9 @@ from deltashell.harness import (
 )
 from deltashell.kernels import plane_wave, sigma_pair_for_xi
 from deltashell.mie import RadialMedium, mie_farfield_values, solve_partial_waves, spherical_bessel, spherical_hankel
-from deltashell.volume import PotentialSample, solve_lippmann_schwinger
+from deltashell.volume import PotentialSample
 
-from conftest import bump_potential
+from conftest import bump_potential, reference_lippmann_schwinger
 
 EZ = np.array([0.0, 0.0, 1.0])
 XI = np.array([1.0, 0.0, 0.0])
@@ -210,14 +210,7 @@ def test_criterion_6_sommerfeld_all_configurations(cgo_media, bem_sphere_runs):
 
     configs["surface-only"] = bem_sphere_runs[1280]["solution"]
     configs["volume+surface"] = DeltaSystem(d1.V, d1.delta, k).solve(plane_wave(EZ))
-
-    sol_v = solve_lippmann_schwinger(d1.V, plane_wave(EZ), k)
-    from deltashell.volume import eval_volume_field
-
-    def scattered_volume(pts):
-        return eval_volume_field(sol_v, pts) - np.exp(1j * k * pts @ EZ)
-
-    configs["volume-only"] = scattered_volume
+    configs["volume-only"] = DeltaSystem(d1.V, None, k).solve(plane_wave(EZ))
 
     mesh = make_sphere_mesh(1.0, 2)
     medium = MediumSpec(gamma=mesh, shell_density=np.full(mesh.n_panels, 1.0),
@@ -229,8 +222,7 @@ def test_criterion_6_sommerfeld_all_configurations(cgo_media, bem_sphere_runs):
     all_ok = True
     details = []
     for name, target in configs.items():
-        kk = getattr(target, "k", k) if not callable(target) else k
-        rep = sommerfeld_check(target, kk, name=f"sommerfeld[{name}]")
+        rep = sommerfeld_check(target, target.k, name=f"sommerfeld[{name}]")
         all_ok &= rep.passed
         details.append(f"{name}: ratios {['%.2f' % q for q in rep.metrics['decay_ratios']]}")
         assert rep.passed, (name, rep.metrics)
@@ -249,11 +241,11 @@ def test_criterion_7_acoustic_consistency(obs_grid):
     omega = 1.5
     data = acoustic_to_schrodinger(smooth, omega, grid)
     sol_d = DeltaSystem(data.V, data.delta, omega).solve(plane_wave(EZ))
-    sol_v = solve_lippmann_schwinger(data.V, plane_wave(EZ), omega)
+    support, source, _ = reference_lippmann_schwinger(data.V, plane_wave(EZ), omega)
     obs = obs_grid.normals
     ff_d = farfield_source(sol_d, obs)
-    src = sol_v.source_density * grid.cell_volume
-    centers = grid.cell_center[sol_v.support]
+    src = source * grid.cell_volume
+    centers = grid.cell_center[support]
     ff_v = -(np.exp(-1j * omega * (obs @ centers.T)) @ src) / (4 * np.pi)
     gap_ff = float(np.linalg.norm(ff_d - ff_v) / np.linalg.norm(ff_v))
 

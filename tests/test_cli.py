@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import deltashell
+from deltashell import cli
 from deltashell.cli import main
 from deltashell.farfield import load_farfield_csv
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, save_mesh
@@ -109,6 +110,9 @@ class TestConfigValidation:
         "kirchhoff.radius": ("farfield", {"kirchhoff": {"radius": 0}}),
         "medium.cutoff.r_inner": ("acoustic", {"medium": {"shell_density": 1.0,
                                                           "cutoff": {"r_inner": 0.5, "r_outer": 2.0}}}),
+        "verify.k": ("verify", {"verify": {"k": -1.0}}),
+        "verify.w": ("verify", {"verify": {"w": -0.5}}),
+        "verify.R": ("verify", {"verify": {"R": 0}}),
     }
 
     @pytest.mark.parametrize("field", list(BAD_FIELDS))
@@ -121,6 +125,23 @@ class TestConfigValidation:
         assert main(["--config", path, "--out", str(tmp_path), command]) == 2
         assert f"'{field}'" in capsys.readouterr().err
 
+
+    def test_kirchhoff_radius_must_clear_the_potential_support(self, tmp_path, capsys, monkeypatch):
+        # radius 1.5 clears the unit-sphere mesh but not the support cells of a bump cut
+        # off at r_outer = 1.4 on an 8^3 grid (cell centres plus half-diagonals reach 1.66)
+        cfg = dict(TestFarfieldCommand.CFG, grid={"bbox": [-1.6, 1.6], "n": 8},
+                   potential_bumps=[{"amplitude": 0.3, "center": [0.0, 0.0, 0.0], "width": 0.45}],
+                   cutoff={"r_inner": 1.05, "r_outer": 1.4},
+                   kirchhoff={"radius": 1.5, "n_theta": 12, "n_phi": 24})
+        path = write_config(tmp_path, "support.json", cfg)
+
+        def no_solve(*args):
+            raise AssertionError("the config reached the solve")
+
+        monkeypatch.setattr(cli, "DeltaSystem", no_solve)
+        assert main(["--config", path, "--out", str(tmp_path), "farfield"]) == 2
+        err = capsys.readouterr().err
+        assert "'kirchhoff.radius'" in err and "enclose" in err
 
     def test_inward_wound_mesh_names_path(self, tmp_path, capsys):
         sphere = make_sphere_mesh(1.0, 1)

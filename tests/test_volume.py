@@ -1,18 +1,17 @@
-"""Lippmann-Schwinger solver: operator entries, Born regime, radiation."""
+"""Volume operator entries; cells-only solve DeltaSystem(V, None, k): Born regime, radiation."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from deltashell.boundary import DeltaSystem, eval_total_field
 from deltashell.harness import sommerfeld_check
 from deltashell.kernels import plane_wave
 from deltashell.volume import (
     PotentialSample,
     assemble_volume_operator,
     ball_self_term,
-    eval_volume_field,
-    solve_lippmann_schwinger,
     volume_potential,
 )
 from deltashell.geometry import make_volume_grid
@@ -60,9 +59,9 @@ class TestOperator:
 class TestSolve:
     def test_zero_potential_returns_incident(self, small_grid):
         V = PotentialSample(grid=small_grid, values=np.zeros(small_grid.n_cells))
-        sol = solve_lippmann_schwinger(V, plane_wave(EZ), 1.5)
+        sol = DeltaSystem(V, None, 1.5).solve(plane_wave(EZ))
         inc = np.exp(1.5j * small_grid.cell_center @ EZ)
-        assert_allclose(sol.field.values, inc, rtol=0, atol=1e-15)
+        assert_allclose(sol.volume_field.values, inc, rtol=0, atol=1e-15)
 
     def test_born_limit(self, small_grid):
         # (psi - psi0)/eps -> -G (bump psi0), applied on the whole grid
@@ -76,8 +75,8 @@ class TestSolve:
         errs = []
         for eps in (1e-1, 1e-2, 1e-3):
             V = PotentialSample(grid=small_grid, values=eps * base.values)
-            sol = solve_lippmann_schwinger(V, plane_wave(EZ), k)
-            errs.append(np.linalg.norm(sol.field.values - psi0 - eps * born))
+            sol = DeltaSystem(V, None, k).solve(plane_wave(EZ))
+            errs.append(np.linalg.norm(sol.volume_field.values - psi0 - eps * born))
         # quadratic remainder: err(eps)/eps^2 roughly constant
         slopes = [errs[i] / errs[i + 1] for i in range(2)]
         for s in slopes:
@@ -85,31 +84,31 @@ class TestSolve:
 
     def test_residual_small(self, small_grid):
         V = bump_potential(small_grid, 0.8)
-        sol = solve_lippmann_schwinger(V, plane_wave(EZ), 2.0)
+        sol = DeltaSystem(V, None, 2.0).solve(plane_wave(EZ))
         assert sol.residual < 1e-10
 
     def test_eval_at_cell_center_reproduces_grid_value(self, small_grid):
         V = bump_potential(small_grid, 0.8)
-        sol = solve_lippmann_schwinger(V, plane_wave(EZ), 2.0)
+        sol = DeltaSystem(V, None, 2.0).solve(plane_wave(EZ))
         idx = [0, 100, int(sol.support[3])]
-        vals = eval_volume_field(sol, small_grid.cell_center[idx])
-        assert np.max(np.abs(vals - sol.field.values[idx])) < 1e-10
+        vals = eval_total_field(sol, small_grid.cell_center[idx])
+        assert np.max(np.abs(vals - sol.volume_field.values[idx])) < 1e-10
 
     def test_far_value_decays_like_outgoing(self, small_grid):
         V = bump_potential(small_grid, 0.8)
-        sol = solve_lippmann_schwinger(V, plane_wave(EZ), 2.0)
+        sol = DeltaSystem(V, None, 2.0).solve(plane_wave(EZ))
         x1, x2 = 6.0 * EZ[None, :], 12.0 * EZ[None, :]
         inc = lambda x: np.exp(2j * x @ EZ)
-        s1 = abs(eval_volume_field(sol, x1)[0] - inc(x1)[0])
-        s2 = abs(eval_volume_field(sol, x2)[0] - inc(x2)[0])
+        s1 = abs(eval_total_field(sol, x1)[0] - inc(x1)[0])
+        s2 = abs(eval_total_field(sol, x2)[0] - inc(x2)[0])
         assert 1.5 < s1 / s2 < 2.5
 
     def test_sommerfeld_residual_decay(self, small_grid):
         V = bump_potential(small_grid, 0.8)
-        sol = solve_lippmann_schwinger(V, plane_wave(EZ), 2.0)
+        sol = DeltaSystem(V, None, 2.0).solve(plane_wave(EZ))
 
         def scattered(pts):
-            return eval_volume_field(sol, pts) - np.exp(2j * pts @ EZ)
+            return eval_total_field(sol, pts) - np.exp(2j * pts @ EZ)
 
         report = sommerfeld_check(scattered, 2.0)
         assert report.passed, report.metrics
