@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import DeltaSpec, DeltaSystem, layer_potential, layer_potential_gradient
+from .boundary import DeltaSpec, DeltaSystem, layer_potential, layer_potential_gradient, near_surface
 from .farfield import FarFieldPattern, farfield_source
 from .geometry import SurfaceMesh, VolumeGrid
 from .kernels import plane_wave
@@ -175,12 +175,7 @@ def eval_density(m: MediumSpec, x, derivatives: bool = True):
     if not derivatives:
         return rho, None, None
 
-    dist = np.min(
-        np.linalg.norm(x[:, None, :] - m.gamma.panel_centroid[None, :, :], axis=-1)
-        / m.gamma.panel_diameter[None, :],
-        axis=1,
-    )
-    if np.any(dist < 0.25):
+    if near_surface(x, m.gamma):
         warnings.warn(_NEAR_GAMMA_WARNING + " within a quarter panel diameter "
                       "of Gamma; near-field accuracy is reduced", stacklevel=2)
     sl_grad = layer_potential_gradient(x, m.gamma, xi.astype(complex), 0.0).real

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dense import ExceptionalFrequencyError, GuardedLU  # noqa: F401 (re-export)
+from ._dense import ExceptionalFrequencyError, GuardedLU, row_chunks  # noqa: F401 (re-export)
 from .geometry import SurfaceMesh, triangle_rule
 from .kernels import (
     IncidentField,
@@ -61,13 +61,13 @@ __all__ = [
     "eval_total_field",
     "eval_scattered_field",
     "eval_scattered_gradient",
+    "near_surface",
     "check_jump_relation",
     "static_self_integrals",
     "density_to_csv_rows",
 ]
 
 MAX_PANELS = 8192
-_CHUNK = 2**22
 
 # a (target, panel) pair is near when the centroid distance is below this
 # many panel diameters
@@ -202,6 +202,7 @@ def static_self_integrals(mesh: SurfaceMesh) -> np.ndarray:
 # one is the panel halved towards its vertex, the middle one the panel halved
 # and point-reflected through the centroid
 _GAUSS3, _ = triangle_rule(*np.eye(3)[:, None])
+_RULE_POINTS = _GAUSS3.shape[1]  # points of the panel rule
 _SUB_BARY = np.concatenate([(np.eye(3)[:, None] + _GAUSS3) / 2, (1 - _GAUSS3) / 2]).reshape(-1, 3)
 _SUB_W = np.full(len(_SUB_BARY), 1.0 / len(_SUB_BARY))
 
@@ -215,9 +216,7 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
     """
     corners = np.stack(mesh.corners(), axis=1)
     out = np.empty((len(ii), 3) if grad else len(ii), dtype=complex)
-    chunk = max(1, _CHUNK // (len(_SUB_W) * 3))
-    for start in range(0, len(ii), chunk):
-        sl = slice(start, start + chunk)
+    for sl in row_chunks(len(ii), len(_SUB_W) * 3):
         xs, cs, areas = x[ii[sl]], corners[qq[sl]], mesh.panel_area[qq[sl]]
         d = xs[:, None, :] - np.einsum("sj,pjk->psk", _SUB_BARY, cs)
         r = np.sqrt(np.einsum("psk,psk->ps", d, d))
@@ -245,37 +244,53 @@ def _near_pairs(x: np.ndarray, mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarra
     return np.nonzero(_squared_distances(x, mesh.panel_centroid) < (_NEAR_RATIO * mesh.panel_diameter) ** 2)
 
 
-def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float) -> np.ndarray:
-    """Matrix M[i, q] ~ int_{panel q} e^{ik|x_i - y|}/(4 pi |x_i - y|) dsigma(y).
+def near_surface(x: np.ndarray, mesh: SurfaceMesh) -> bool:
+    """True when a point of x lies within a quarter panel diameter of a panel centroid."""
+    limit = (0.25 * mesh.panel_diameter) ** 2
+    return any(np.any(_squared_distances(x[rows], mesh.panel_centroid) < limit)
+               for rows in row_chunks(len(x), mesh.n_panels))
 
-    Base rule everywhere, near pairs (collocation self entries included)
-    replaced by the closed-form static part plus the subrule remainder.
+
+def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False) -> np.ndarray:
+    """Panel integrals of the kernel from targets x: M[i, q] ~ int_{panel q} G_k(x_i, y) dsigma(y).
+
+    Returns (n, m) values, or with ``grad`` the (n, m, 3) x-gradients.  Base
+    rule everywhere; near pairs (collocation self entries included) take the
+    closed-form static part plus the subrule remainder.  The near pairs are
+    integrated first, so a gradient on the surface raises before the base
+    rule runs; their base-rule distance is the placeholder 1.0, as in
+    ``volume.cell_block``, since a target on a quadrature point is near.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, m = len(points), mesh.n_panels
     qpts, w = mesh.quadrature_points()                        # (m, g, 3), (g,)
-    areas = mesh.panel_area
-    out = np.empty((n, m), dtype=complex)
-
-    rows_per_chunk = max(1, _CHUNK // max(m * len(w), 1))
-    for start in range(0, n, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n)
-        x = points[start:stop]
+    ii, qq = _near_pairs(x, mesh)
+    near = _near_pair_integrals(x, mesh, ii, qq, k, grad)
+    if grad:
+        d = x[:, None, None, :] - qpts[None, :, :, :]
+        r = np.sqrt(np.einsum("...i,...i->...", d, d))
+        r[ii, qq] = 1.0
+        block = np.einsum("imgk,img,g->imk", d, radial_gradient_factor(r, k), w)
+        block *= mesh.panel_area[None, :, None]
+    else:
         r = np.sqrt(_squared_distances(x, qpts))
-        # a target on a quadrature point (r = 0) lies within a third of the panel
-        # diameter of the centroid, so the pair is near and its base value is
-        # overwritten below; the clamp only keeps the discarded value finite
-        r = np.maximum(r, 1e-290)
-        out[start:stop] = np.einsum("img,g->im", radial_kernel(r, k), w) * areas[None, :]
-        ii, qq = _near_pairs(x, mesh)
-        out[ii + start, qq] = _near_pair_integrals(x, mesh, ii, qq, k, grad=False)
+        r[ii, qq] = 1.0
+        block = np.einsum("img,g->im", radial_kernel(r, k), w) * mesh.panel_area[None, :]
+    block[ii, qq] = near
+    return block
+
+
+def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float) -> np.ndarray:
+    """The filled panel block from ``points``, in row chunks."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((len(points), mesh.n_panels), dtype=complex)
+    for rows in row_chunks(len(points), mesh.n_panels * _RULE_POINTS):
+        out[rows] = _panel_block(points[rows], mesh, k)
     return out
 
 
-def assemble_single_layer(mesh: SurfaceMesh, k: float, max_panels: int = MAX_PANELS) -> np.ndarray:
+def assemble_single_layer(mesh: SurfaceMesh, k: float) -> np.ndarray:
     """Collocation single-layer matrix S[q, p] = int_{panel p} G_k(c_q, y) dsigma."""
-    if mesh.n_panels > max_panels:
-        raise ValueError(f"mesh has {mesh.n_panels} panels, cap is {max_panels}")
+    if mesh.n_panels > MAX_PANELS:
+        raise ValueError(f"mesh has {mesh.n_panels} panels, cap is {MAX_PANELS}")
     return _layer_matrix(mesh.panel_centroid, mesh, k)
 
 
@@ -284,10 +299,8 @@ def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eta = np.asarray(eta, dtype=complex)
     out = np.empty(len(points), dtype=complex)
-    chunk = max(16, _CHUNK // max(mesh.n_panels * 4, 1))
-    for start in range(0, len(points), chunk):
-        stop = min(start + chunk, len(points))
-        out[start:stop] = _layer_matrix(points[start:stop], mesh, k) @ eta
+    for rows in row_chunks(len(points), mesh.n_panels * 4, min_rows=16):
+        out[rows] = _layer_matrix(points[rows], mesh, k) @ eta
     return out
 
 
@@ -299,25 +312,9 @@ def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: floa
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eta = np.asarray(eta, dtype=complex)
-    n, m = len(points), mesh.n_panels
-    qpts, w = mesh.quadrature_points()
-    coef = eta * mesh.panel_area
-    out = np.empty((n, 3), dtype=complex)
-
-    rows_per_chunk = max(1, _CHUNK // max(m * len(w), 1))
-    for start in range(0, n, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n)
-        x = points[start:stop]
-        # near pairs first: they raise for a point on the surface, before r = 0 is divided by
-        ii, qq = _near_pairs(x, mesh)
-        near = _near_pair_integrals(x, mesh, ii, qq, k, grad=True)
-        d = x[:, None, None, :] - qpts[None, :, :, :]
-        r = np.sqrt(np.einsum("...i,...i->...", d, d))
-        g = radial_gradient_factor(r, k)
-        g[ii, qq] = 0.0                                        # near pairs take the closed form
-        base = np.einsum("imgk,img,g->imk", d, g, w)
-        out[start:stop] = np.einsum("imk,m->ik", base, coef)
-        np.add.at(out, ii + start, near * eta[qq, None])
+    out = np.empty((len(points), 3), dtype=complex)
+    for rows in row_chunks(len(points), mesh.n_panels * _RULE_POINTS):
+        out[rows] = np.einsum("imk,m->ik", _panel_block(points[rows], mesh, k, grad=True), eta)
     return out
 
 
@@ -476,15 +473,9 @@ def eval_total_field(sol: DeltaSolution, x, near_warning: bool = True) -> np.nda
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    if near_warning and sol.mesh.n_panels:
-        dist = np.min(
-            np.linalg.norm(pts[:, None, :] - sol.mesh.panel_centroid[None, :, :], axis=-1)
-            / sol.mesh.panel_diameter[None, :],
-            axis=1,
-        )
-        if np.any(dist < 0.25):
-            warnings.warn("evaluation point within a quarter panel diameter of Gamma; "
-                          "near-field accuracy is reduced", stacklevel=2)
+    if near_warning and near_surface(pts, sol.mesh):
+        warnings.warn("evaluation point within a quarter panel diameter of Gamma; "
+                      "near-field accuracy is reduced", stacklevel=2)
     psi0 = np.asarray(eval_incident(sol.incident, sol.k, pts), dtype=complex)
     vals = psi0 + eval_scattered_field(sol, pts)
     return vals[0] if single else vals

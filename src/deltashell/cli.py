@@ -316,8 +316,7 @@ def cmd_farfield(cfg: dict, out: Path, quiet: bool) -> int:
     values = farfield_source(sols, obs_dirs)
     extra = {}
     if kc is not None:
-        row = farfield_kirchhoff(sols[0], radius, obs_dirs, **flux_nodes,
-                                 gradient="analytic")
+        row = farfield_kirchhoff(sols[0], radius, obs_dirs, **flux_nodes)
         num = float(np.linalg.norm(row - values[0]))
         den = float(np.linalg.norm(values[0])) or 1.0
         extra["kirchhoff_vs_source_rel_l2"] = num / den

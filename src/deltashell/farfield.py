@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._dense import row_chunks
 from .boundary import DeltaSolution, eval_scattered_field, eval_scattered_gradient
 from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
 from .volume import PotentialSample
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 AMPLITUDE_SCALE = (2.0 * np.pi) ** 1.5
-_CHUNK = 2**22  # phase-matrix entries per observation chunk
 
 CONVENTIONS = {
     "kernel": "exp(+ik r)/(4 pi r)",
@@ -145,9 +145,8 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
 
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     out = np.empty((len(obs), len(sols)), dtype=complex)
-    rows = max(1, _CHUNK // max(len(pts), 1))
-    for start in range(0, len(obs), rows):
-        out[start:start + rows] = np.exp(-1j * first.k * (obs[start:start + rows] @ pts.T)) @ coef
+    for rows in row_chunks(len(obs), len(pts)):
+        out[rows] = np.exp(-1j * first.k * (obs[rows] @ pts.T)) @ coef
     out = -out.T / (4.0 * np.pi)
     return out[0] if single else out
 
@@ -175,13 +174,11 @@ def farfield_kirchhoff(
     obs: np.ndarray,
     n_theta: int = 24,
     n_phi: int = 48,
-    gradient: str = "fd",
 ) -> np.ndarray:
     """Far field from the flux integral over the sphere |y| = R0.
 
-    ``gradient`` selects central finite differences of the evaluated
-    scattered field ("fd", step min(1e-3, R0 * 1e-4)) or the analytic
-    derivative of the source representation ("analytic", cross-check).
+    The normal derivative of the scattered field is the analytic gradient
+    of the source representation (``eval_scattered_gradient``).
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     check_kirchhoff_radius(R0, sol.mesh, sol.potential)
@@ -190,17 +187,7 @@ def farfield_kirchhoff(
     k = sol.k
 
     psi_sc = eval_scattered_field(sol, y)
-    if gradient == "fd":
-        h = min(1e-3, R0 * 1e-4)
-        grad = np.empty((len(y), 3), dtype=complex)
-        for ax in range(3):
-            e = np.zeros(3)
-            e[ax] = h
-            grad[:, ax] = (eval_scattered_field(sol, y + e) - eval_scattered_field(sol, y - e)) / (2.0 * h)
-    elif gradient == "analytic":
-        grad = eval_scattered_gradient(sol, y)
-    else:
-        raise ValueError("gradient must be 'fd' or 'analytic'")
+    grad = eval_scattered_gradient(sol, y)
     dn_psi = np.einsum("ij,ij->i", ny, grad)
 
     phases = np.exp(-1j * k * (obs @ y.T))                    # (n_obs, n_nodes)

@@ -15,7 +15,6 @@ Meshes are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,8 +244,9 @@ def load_mesh(path) -> SurfaceMesh:
 
     Orientation is taken from the file winding (CCW seen from outside).
     Raises ``MeshFormatError`` with a line number on parse errors and on
-    non-triangular faces or inconsistent winding; a non-closed mesh is
-    accepted with a warning reporting the open-edge count.
+    non-triangular faces, on inconsistent or inward winding, and with the
+    open-edge count on a mesh that is not closed (the formulation needs a
+    closed Gamma).
     """
     with open(path, "r") as fh:
         raw = fh.readlines()
@@ -300,7 +300,7 @@ def load_mesh(path) -> SurfaceMesh:
     mesh.check_orientation()
     n_open = mesh.open_edge_count()
     if n_open:
-        warnings.warn(f"{path}: mesh is not closed ({n_open} open edges)", stacklevel=2)
+        raise MeshFormatError(f"{path}: mesh is not closed ({n_open} open edges)")
     return mesh
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._dense import row_chunks
 from .geometry import VolumeGrid
 from .kernels import radial_gradient_factor, radial_kernel
 
@@ -45,7 +46,6 @@ __all__ = [
 ]
 
 MAX_GRID_CELLS = 32**3
-_CHUNK = 2**22  # entries per kernel-evaluation chunk
 
 
 @dataclass(frozen=True)
@@ -119,26 +119,18 @@ def cell_block(points: np.ndarray, centers: np.ndarray, grid: VolumeGrid, k: flo
     return block
 
 
-def assemble_volume_operator(
-    grid: VolumeGrid,
-    k: float,
-    cells: np.ndarray | None = None,
-    max_cells: int = MAX_GRID_CELLS,
-) -> np.ndarray:
+def assemble_volume_operator(grid: VolumeGrid, k: float, cells: np.ndarray | None = None) -> np.ndarray:
     """Dense operator G for the selected cells (all cells by default).
 
     G[i, j] ~ int_{cell j} e^{ik|c_i - y|}/(4 pi |c_i - y|) dy.  Complex
     symmetric by construction.
     """
-    if grid.n_cells > max_cells:
-        raise ValueError(f"grid has {grid.n_cells} cells, cap is {max_cells}")
+    if grid.n_cells > MAX_GRID_CELLS:
+        raise ValueError(f"grid has {grid.n_cells} cells, cap is {MAX_GRID_CELLS}")
     centers = grid.cell_center if cells is None else grid.cell_center[cells]
-    n = len(centers)
-    G = np.empty((n, n), dtype=complex)
-    rows_per_chunk = max(1, _CHUNK // max(n, 1))
-    for start in range(0, n, rows_per_chunk):
-        G[start:start + rows_per_chunk] = cell_block(centers[start:start + rows_per_chunk],
-                                                     centers, grid, k)
+    G = np.empty((len(centers), len(centers)), dtype=complex)
+    for rows in row_chunks(len(centers), len(centers)):
+        G[rows] = cell_block(centers[rows], centers, grid, k)
     return G
 
 
@@ -158,8 +150,6 @@ def volume_potential(points, grid: VolumeGrid, density: np.ndarray, k: float, ce
         raise ValueError("density length does not match the selected cells")
 
     out = np.zeros(len(points), dtype=complex)
-    rows_per_chunk = max(1, _CHUNK // max(len(centers), 1))
-    for start in range(0, len(points), rows_per_chunk):
-        stop = min(start + rows_per_chunk, len(points))
-        out[start:stop] = cell_block(points[start:stop], centers, grid, k) @ density
+    for rows in row_chunks(len(points), len(centers)):
+        out[rows] = cell_block(points[rows], centers, grid, k) @ density
     return out

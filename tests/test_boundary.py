@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from deltashell import _dense, boundary
 from deltashell._dense import ExceptionalFrequencyError, GuardedLU
 from deltashell.boundary import (
     _NEAR_RATIO,
@@ -23,6 +24,7 @@ from deltashell.boundary import (
     eval_total_field,
     layer_potential,
     layer_potential_gradient,
+    near_surface,
     static_self_integrals,
 )
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, triangle_rule
@@ -127,7 +129,8 @@ class TestSingleLayer:
         assert asyms[-1] < 2e-3
 
     def test_potential_on_a_quadrature_point_is_finite(self, sphere_meshes):
-        # r = 0 in the base rule; the pair is near and integrated in closed form
+        # r = 0 in the base rule; the pair is near, so the base rule sees the placeholder
+        # distance and the value is the limit of the continuous single layer
         mesh = sphere_meshes[1]
         qpts, _ = mesh.quadrature_points()
         eta = np.ones(mesh.n_panels)
@@ -135,12 +138,23 @@ class TestSingleLayer:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             on = layer_potential(x, mesh, eta, 1.0)
-        off = layer_potential(x + 1e-3 * mesh.panel_normal[3], mesh, eta, 1.0)
-        assert np.all(np.abs(on - off) < 1e-2 * np.abs(on))
+        off = layer_potential(x + 1e-9 * mesh.panel_diameter[3] * mesh.panel_normal[3], mesh, eta, 1.0)
+        assert np.all(np.isfinite(on))
+        assert np.all(np.abs(on - off) <= 1e-8 * np.abs(off))
 
-    def test_panel_cap(self, sphere_meshes):
-        with pytest.raises(ValueError, match="cap"):
-            assemble_single_layer(sphere_meshes[2], 1.0, max_panels=100)
+    def test_layer_matrix_is_chunk_invariant(self, sphere_meshes, monkeypatch):
+        # a filled block does not depend on where the rows split
+        mesh = sphere_meshes[2]
+        points = np.concatenate([mesh.panel_centroid, 1.1 * mesh.panel_centroid[:40]])
+        default = _layer_matrix(points, mesh, 1.7)
+        monkeypatch.setattr(_dense, "CHUNK", mesh.n_panels * 3)  # one row per chunk
+        assert len(_dense.row_chunks(len(points), mesh.n_panels * 3)) == len(points)
+        assert np.array_equal(_layer_matrix(points, mesh, 1.7), default)
+
+    def test_panel_cap(self, sphere_meshes, monkeypatch):
+        monkeypatch.setattr(boundary, "MAX_PANELS", 100)
+        with pytest.raises(ValueError, match="cap is 100"):
+            assemble_single_layer(sphere_meshes[2], 1.0)
 
 
 TRI = np.array([[0.1, -0.2, 0.0], [1.3, 0.1, 0.05], [0.4, 0.9, -0.1]])
@@ -498,6 +512,17 @@ class TestDeltaSolve:
         probe = mesh.panel_centroid[0] + 0.05 * mesh.panel_diameter[0] * mesh.panel_normal[0]
         with pytest.warns(UserWarning, match="near-field"):
             eval_total_field(sol, probe)
+        # the limit is a quarter panel diameter from a centroid
+        c, d, n = mesh.panel_centroid[5], mesh.panel_diameter[5], mesh.panel_normal[5]
+        inside, outside = c + 0.24 * d * n, c + 0.26 * d * n
+        assert near_surface(np.array([3.0 * EZ, inside]), mesh)
+        assert not near_surface(np.array([3.0 * EZ, outside]), mesh)
+        with pytest.warns(UserWarning, match="quarter panel diameter"):
+            eval_total_field(sol, inside)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eval_total_field(sol, outside)
+            eval_total_field(sol, inside, near_warning=False)
 
     def test_singular_system_raises_exceptional_frequency(self):
         A = np.ones((4, 4), dtype=complex)

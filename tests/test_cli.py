@@ -153,6 +153,16 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "'mesh.path'" in err and "inward winding" in err
 
+    def test_open_mesh_names_path(self, tmp_path, capsys):
+        sphere = make_sphere_mesh(1.0, 1)
+        mesh_path = tmp_path / "open.off"
+        save_mesh(SurfaceMesh.from_arrays(sphere.vertices, sphere.triangles[:-1]), mesh_path)
+        cfg = dict(FORWARD_TRIVIAL, mesh={"kind": "off", "path": str(mesh_path)})
+        path = write_config(tmp_path, "open.json", cfg)
+        assert main(["--config", path, "--out", str(tmp_path), "forward"]) == 2
+        err = capsys.readouterr().err
+        assert "'mesh.path'" in err and "3 open edges" in err
+
 
 class TestForward:
     def test_trivial_run_writes_incident_field(self, tmp_path):

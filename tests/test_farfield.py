@@ -75,12 +75,6 @@ class TestRoutes:
         k3 = farfield_kirchhoff(combined_solution, 3.0, obs)
         assert np.linalg.norm(k2 - k3) / np.linalg.norm(k2) < 1e-4
 
-    def test_gradient_flag_cross_check(self, sphere_solution):
-        obs = lattice_directions()
-        fd = farfield_kirchhoff(sphere_solution, 2.0, obs, gradient="fd")
-        an = farfield_kirchhoff(sphere_solution, 2.0, obs, gradient="analytic")
-        assert np.linalg.norm(fd - an) / np.linalg.norm(an) < 1e-6
-
     def test_radius_must_enclose_scatterer(self, sphere_solution):
         with pytest.raises(ValueError, match="enclose"):
             farfield_kirchhoff(sphere_solution, 0.9, lattice_directions())

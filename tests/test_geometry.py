@@ -120,11 +120,11 @@ class TestOffFiles:
         assert len(mult) == 30
         assert all(len(v) == 2 for v in mult.values())
 
-    def test_open_mesh_warns_with_count(self, tmp_path, sphere_meshes):
+    def test_open_mesh_raises_with_count(self, tmp_path, sphere_meshes):
         m = sphere_meshes[0]
         path = tmp_path / "open.off"
         save_mesh(SurfaceMesh.from_arrays(m.vertices, m.triangles[:-1]), path)
-        with pytest.warns(UserWarning, match="3 open edges"):
+        with pytest.raises(MeshFormatError, match="not closed \\(3 open edges\\)"):
             load_mesh(path)
 
     def test_inconsistent_winding_fails(self, tmp_path, sphere_meshes):

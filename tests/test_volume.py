@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from deltashell import _dense, volume
 from deltashell.boundary import DeltaSystem, eval_total_field
 from deltashell.harness import sommerfeld_check
 from deltashell.kernels import plane_wave
@@ -50,10 +51,19 @@ class TestOperator:
         G = assemble_volume_operator(grid, 1.3)
         assert np.array_equal(G, G.T)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(volume, "MAX_GRID_CELLS", 100)
         grid = make_volume_grid((-1.0, 1.0), 8)
-        with pytest.raises(ValueError, match="cap"):
-            assemble_volume_operator(grid, 1.0, max_cells=100)
+        with pytest.raises(ValueError, match="cap is 100"):
+            assemble_volume_operator(grid, 1.0)
+
+    def test_assembly_is_chunk_invariant(self, monkeypatch):
+        # a filled block does not depend on where the rows split
+        grid = make_volume_grid((-1.0, 1.0), 6)
+        default = assemble_volume_operator(grid, 1.3)
+        monkeypatch.setattr(_dense, "CHUNK", grid.n_cells)      # one row per chunk
+        assert len(_dense.row_chunks(grid.n_cells, grid.n_cells)) == grid.n_cells
+        assert np.array_equal(assemble_volume_operator(grid, 1.3), default)
 
 
 class TestSolve:
