@@ -12,14 +12,14 @@ RCOND_FLOOR = 1e-12
 CHUNK = 2**22  # entries per row chunk of a dense kernel block
 
 
-def row_chunks(n: int, row_entries: int, min_rows: int = 1) -> list[slice]:
-    """Row slices covering range(n), each of max(min_rows, CHUNK // row_entries) rows.
+def row_chunks(n: int, row_entries: int) -> list[slice]:
+    """Row slices covering range(n), each of max(1, CHUNK // row_entries) rows.
 
     ``row_entries`` is the number of temporary entries one row costs.  BLAS
     products depend on where the rows split, so each caller keeps its own
     budget; a block filled row by row is the same for any split.
     """
-    rows = max(min_rows, CHUNK // max(row_entries, 1))
+    rows = max(1, CHUNK // max(row_entries, 1))
     return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import DeltaSpec, DeltaSystem, layer_potential, layer_potential_gradient, near_surface
+from .boundary import DeltaSpec, DeltaSystem, layer_potential, layer_potential_gradient, near_surface, on_surface
 from .farfield import FarFieldPattern, farfield_source
 from .geometry import SurfaceMesh, VolumeGrid
 from .kernels import plane_wave
@@ -48,6 +48,7 @@ __all__ = [
     "MediumValidityError",
     "eval_density",
     "eval_sound_speed",
+    "check_medium_grid",
     "acoustic_to_schrodinger",
     "schrodinger_to_acoustic_field",
     "acoustic_farfield",
@@ -198,6 +199,17 @@ def surface_density_trace(m: MediumSpec) -> np.ndarray:
     return rho
 
 
+def check_medium_grid(m: MediumSpec, grid: VolumeGrid) -> None:
+    """Raise ValueError unless the grid covers the support ball and no cell centre lies on Gamma."""
+    R = m.r_support
+    if np.any(grid.lo > -R) or np.any(grid.hi < R):
+        raise ValueError(f"grid {grid.lo}..{grid.hi} does not cover the support ball radius {R}")
+    n_on = int(np.count_nonzero(on_surface(grid.cell_center, m.gamma)))
+    if n_on:
+        raise ValueError(f"{n_on} grid cell centres lie on Gamma, where the density gradient "
+                         "is undefined; shift or refine the grid")
+
+
 def _schrodinger_data(m: MediumSpec, omegas, grid: VolumeGrid) -> list[SchrodingerData]:
     """(V, alpha) at each of ``omegas`` from one sampling of the medium.
 
@@ -206,9 +218,7 @@ def _schrodinger_data(m: MediumSpec, omegas, grid: VolumeGrid) -> list[Schroding
     omegas = [float(omega) for omega in omegas]
     if not all(omega > 0 for omega in omegas):
         raise ValueError("omega must be positive")
-    R = m.r_support
-    if np.any(grid.lo > -R) or np.any(grid.hi < R):
-        raise ValueError(f"grid {grid.lo}..{grid.hi} does not cover the support ball radius {R}")
+    check_medium_grid(m, grid)
 
     x = grid.cell_center
     with warnings.catch_warnings():

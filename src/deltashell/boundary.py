@@ -62,6 +62,7 @@ __all__ = [
     "eval_scattered_field",
     "eval_scattered_gradient",
     "near_surface",
+    "on_surface",
     "check_jump_relation",
     "static_self_integrals",
     "density_to_csv_rows",
@@ -74,6 +75,8 @@ MAX_PANELS = 8192
 _NEAR_RATIO = 2.8
 # a target within this many panel diameters of a closed panel is on the surface
 _SELF_TOL = 1e-12
+# check_jump_relation: offset from Gamma in panel diameters, FD step in offsets
+_JUMP_OFFSET, _JUMP_FD_STEP = 0.1, 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +149,7 @@ def _flat_triangle_moments(x: np.ndarray, corners: np.ndarray, grad: bool) -> np
         int r = (h^2 int r^-1 + sum_i t_i E_i)/3, grad = -sum_i E_i m_i + h (int r^-1) n.
 
     The gradients raise ValueError for a target on the closed panel
-    (height and distance outside it within _SELF_TOL diameters).
+    (``_panel_gap`` within _SELF_TOL).
     """
     a = corners - x[:, None, :]                              # v_i - x
     R = np.linalg.norm(a, axis=2)
@@ -184,13 +187,25 @@ def _flat_triangle_moments(x: np.ndarray, corners: np.ndarray, grad: bool) -> np
     if not grad:
         lin = (h**2 * inv + np.einsum("pi,pi->p", t, E)) / 3.0
         return np.stack([inv, lin], axis=1) / (4.0 * np.pi)
-    diameter = length.max(axis=1)
-    on_panel = (np.abs(h) <= _SELF_TOL * diameter) & np.all(t >= -_SELF_TOL * diameter[:, None], axis=1)
-    if np.any(on_panel):
+    if np.any(_panel_gap(x, corners) <= _SELF_TOL):
         raise ValueError("layer gradient requested on the surface")
     grad_inv = omega[:, None] * n - np.einsum("pi,pij->pj", f, m)
     grad_lin = (h * inv)[:, None] * n - np.einsum("pi,pij->pj", E, m)
     return np.stack([grad_inv, grad_lin], axis=1) / (4.0 * np.pi)
+
+
+def _panel_gap(x: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Distance from x[p] to the closed flat triangle corners[p] (height or nearest edge), in its diameters."""
+    e = np.roll(corners, -1, axis=1) - corners               # edge i: v_i -> v_{i+1}
+    a = x[:, None, :] - corners                              # x - v_i
+    e2 = np.einsum("pij,pij->pi", e, e)
+    s = np.clip(np.einsum("pij,pij->pi", a, e) / e2, 0.0, 1.0)
+    to_edge = np.linalg.norm(a - s[..., None] * e, axis=2).min(axis=1)
+    n = np.cross(e[:, 0], e[:, 1])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    inside = np.all(np.einsum("pij,pj->pi", np.cross(e, a), n) >= 0, axis=1)
+    dist = np.where(inside, np.abs(np.einsum("pj,pj->p", a[:, 0], n)), to_edge)
+    return dist / np.sqrt(e2.max(axis=1))
 
 
 def static_self_integrals(mesh: SurfaceMesh) -> np.ndarray:
@@ -244,11 +259,25 @@ def _near_pairs(x: np.ndarray, mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarra
     return np.nonzero(_squared_distances(x, mesh.panel_centroid) < (_NEAR_RATIO * mesh.panel_diameter) ** 2)
 
 
+def _surface_gap(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
+    """Per point of x, the least ``_panel_gap`` over its near pairs (inf if none); a point
+    within a quarter diameter of a panel lies within 0.92 diameters of its centroid."""
+    corners = np.stack(mesh.corners(), axis=1)
+    out = np.full(len(x), np.inf)
+    for rows in row_chunks(len(x), mesh.n_panels):
+        ii, qq = _near_pairs(x[rows], mesh)
+        np.minimum.at(out[rows], ii, _panel_gap(x[rows][ii], corners[qq]))
+    return out
+
+
 def near_surface(x: np.ndarray, mesh: SurfaceMesh) -> bool:
-    """True when a point of x lies within a quarter panel diameter of a panel centroid."""
-    limit = (0.25 * mesh.panel_diameter) ** 2
-    return any(np.any(_squared_distances(x[rows], mesh.panel_centroid) < limit)
-               for rows in row_chunks(len(x), mesh.n_panels))
+    """True when a point of x lies within a quarter panel diameter of a closed panel."""
+    return bool(np.any(_surface_gap(x, mesh) < 0.25))
+
+
+def on_surface(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
+    """Mask of the points of x on a closed panel, where ``layer_potential_gradient`` raises."""
+    return _surface_gap(x, mesh) <= _SELF_TOL
 
 
 def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False) -> np.ndarray:
@@ -299,8 +328,8 @@ def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eta = np.asarray(eta, dtype=complex)
     out = np.empty(len(points), dtype=complex)
-    for rows in row_chunks(len(points), mesh.n_panels * 4, min_rows=16):
-        out[rows] = _layer_matrix(points[rows], mesh, k) @ eta
+    for rows in row_chunks(len(points), mesh.n_panels * 4):
+        out[rows] = _panel_block(points[rows], mesh, k) @ eta
     return out
 
 
@@ -494,33 +523,24 @@ def eval_scattered_gradient(sol: DeltaSolution, x) -> np.ndarray:
     return out
 
 
-def check_jump_relation(
-    mesh: SurfaceMesh,
-    k: float,
-    xi: np.ndarray,
-    delta_factor: float = 0.1,
-    fd_factor: float = 0.5,
-) -> float:
+def check_jump_relation(mesh: SurfaceMesh, k: float, xi: np.ndarray) -> float:
     """Relative error in the normal-derivative jump [d_n SL xi] = -xi.
 
     Evaluates n.grad(SL xi) at c_q +/- delta n_q by central finite
-    differences of the layer potential (offset delta and step are fractions
-    of the local panel diameter) and returns the area-weighted relative L^2
-    error of (jump + xi).
+    differences of the layer potential (offset delta = _JUMP_OFFSET panel
+    diameters, step _JUMP_FD_STEP delta) and returns the area-weighted
+    relative L^2 error of (jump + xi).
     """
     xi = np.asarray(xi, dtype=complex)
     if xi.shape == ():
         xi = np.full(mesh.n_panels, complex(xi))
     c = mesh.panel_centroid
     nrm = mesh.panel_normal
-    delta = delta_factor * mesh.panel_diameter
-    h = fd_factor * delta
+    delta = _JUMP_OFFSET * mesh.panel_diameter
+    h = _JUMP_FD_STEP * delta
 
-    offsets = [delta + h, delta - h, -(delta - h), -(delta + h)]
-    vals = [
-        layer_potential(c + off[:, None] * nrm, mesh, xi, k)
-        for off in offsets
-    ]
+    vals = [layer_potential(c + off[:, None] * nrm, mesh, xi, k)
+            for off in (delta + h, delta - h, -(delta - h), -(delta + h))]
     dn_out = (vals[0] - vals[1]) / (2.0 * h)
     dn_in = (vals[2] - vals[3]) / (2.0 * h)
     jump = dn_out - dn_in

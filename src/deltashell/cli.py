@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +35,14 @@ from .boundary import DeltaSpec, DeltaSystem, density_to_csv_rows, eval_total_fi
 from .farfield import (
     CONVENTIONS,
     FarFieldPattern,
-    check_kirchhoff_radius,
+    check_enclosing_radius,
     direction_grid,
     farfield_kirchhoff,
     farfield_source,
     load_farfield_csv,
     save_farfield_csv,
 )
-from .geometry import MeshFormatError, load_mesh, make_sphere_mesh, make_volume_grid
+from .geometry import load_mesh, make_sphere_mesh, make_volume_grid
 from .kernels import plane_wave, sigma_pair_for_xi
 from .volume import PotentialSample
 
@@ -115,6 +116,15 @@ def _count(spec: dict, key: str, name: str, default=None, *, minimum: int) -> in
     return int(val)
 
 
+@contextmanager
+def _names(name: str):
+    """Re-raise a ValueError of the block as a ConfigError naming the field ``name``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config key '{name}': {exc}") from exc
+
+
 def _positive(val, name: str) -> float:
     """Finite positive number ``val``; ConfigError naming the field otherwise."""
     if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < np.inf:
@@ -139,10 +149,8 @@ def _build_mesh(cfg: dict):
         return make_sphere_mesh(_positive(spec.get("radius", 1.0), "mesh.radius"),
                                 _count(spec, "subdivisions", "mesh.subdivisions", 2, minimum=0))
     if kind == "off":
-        try:
+        with _names("mesh.path"):
             return load_mesh(spec["path"])
-        except MeshFormatError as exc:
-            raise ConfigError(f"config key 'mesh.path': {exc}") from exc
     raise ConfigError(f"mesh.kind must be 'sphere' or 'off', got {kind!r}")
 
 
@@ -304,13 +312,8 @@ def cmd_farfield(cfg: dict, out: Path, quiet: bool) -> int:
         flux_nodes = {"n_theta": _count(kc, "n_theta", "kirchhoff.n_theta", 24, minimum=2),
                       "n_phi": _count(kc, "n_phi", "kirchhoff.n_phi", 48, minimum=4)}
         radius = _positive(kc.get("radius"), "kirchhoff.radius")
-        if radius <= mesh.bounding_radius:
-            raise ConfigError(f"config key 'kirchhoff.radius' = {radius:g} must exceed the mesh "
-                              f"radius {mesh.bounding_radius:.3g}")
-        try:
-            check_kirchhoff_radius(radius, mesh, V)
-        except ValueError as exc:
-            raise ConfigError(f"config key 'kirchhoff.radius': {exc}") from exc
+        with _names("kirchhoff.radius"):
+            check_enclosing_radius(radius, mesh, V)
 
     sols = DeltaSystem(V, delta, k).solve_many([plane_wave(d) for d in inc_dirs])
     values = farfield_source(sols, obs_dirs)
@@ -355,6 +358,8 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
         v_bumps=_build_bumps(med_cfg.get("v_bumps"), "medium.v_bumps"),
         cutoff=cutoff,
     )
+    with _names("grid"):
+        ac.check_medium_grid(medium, grid)
     inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
     obs_dirs, obs_w, obs_grid = _direction_set(cfg.get("observations"), "observations")
     if obs_grid is None:
@@ -415,6 +420,9 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
 
     d1 = ac.SchrodingerData(V=bump_potential(0.35), delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)), omega=k)
     d2 = ac.SchrodingerData(V=bump_potential(-0.25), delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)), omega=k)
+    with _names("verify.R"):
+        for d in (d1, d2):
+            check_enclosing_radius(R, d.delta.mesh, d.V)
     rho1, rho2 = sigma_pair_for_xi(xi, k, w)
 
     reports = [

@@ -20,8 +20,9 @@ this module extracts psi_inf
 Both routes describe the same discrete solution; their agreement is a
 consistency check, not a convergence statement.
 
-Plane-wave rows additionally define the scattering amplitude
-s = (2 pi)^{3/2} psi_inf; the acoustic far field equals (2 pi)^{-3/2} s.
+Each row belongs to a plane-wave incidence and defines the scattering
+amplitude s = (2 pi)^{3/2} psi_inf; the acoustic far field equals
+(2 pi)^{-3/2} s.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "direction_grid",
     "farfield_source",
     "farfield_kirchhoff",
-    "check_kirchhoff_radius",
+    "check_enclosing_radius",
     "scattering_amplitude",
     "save_farfield_csv",
     "load_farfield_csv",
@@ -75,21 +76,21 @@ class FarFieldPattern:
     values: np.ndarray            # (n_inc, n_obs) complex
     observations: np.ndarray      # (n_obs, 3) unit vectors
     obs_weights: np.ndarray       # S^2 quadrature weights (sum 4 pi) or uniform
-    incidence: np.ndarray | list  # (n_inc, 3) unit vectors, or list[ComplexDirection]
+    incidence: np.ndarray         # (n_inc, 3) plane-wave unit vectors
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=complex))
         self.observations = np.atleast_2d(np.asarray(self.observations, dtype=float))
         self.obs_weights = np.asarray(self.obs_weights, dtype=float)
+        self.incidence = np.asarray(self.incidence, dtype=float)
         if self.values.shape[1] != len(self.observations):
             raise ValueError("values/observations shape mismatch")
+        if self.incidence.shape != (len(self.values), 3):
+            raise ValueError(f"incidence must be ({len(self.values)}, 3), one direction per "
+                             f"value row; got shape {self.incidence.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("far field has non-finite values")
-
-    @property
-    def is_plane(self) -> bool:
-        return isinstance(self.incidence, np.ndarray)
 
     def rel_l2_distance(self, other: "FarFieldPattern") -> float:
         """Weighted relative L^2 distance; grids must coincide."""
@@ -151,21 +152,19 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _scatterer_radius(mesh: SurfaceMesh, V: PotentialSample | None) -> float:
-    """Radius about the origin of the panel centroids and the support cells of V."""
-    r = float(np.max(np.linalg.norm(mesh.panel_centroid, axis=1))) if mesh.n_panels else 0.0
+def check_enclosing_radius(R: float, mesh: SurfaceMesh, V: PotentialSample | None) -> None:
+    """Raise ValueError unless the sphere |y| = R clears the scatterer by 2%.
+
+    The scatterer reaches the mesh's vertex radius and, for each support cell
+    of V, its centre radius plus 0.87 spacings (a cell's half-diagonal).
+    """
+    r_scat = mesh.bounding_radius
     support = V.support() if V is not None else []
     if len(support):
-        r = max(r, float(np.max(np.linalg.norm(V.grid.cell_center[support], axis=1)))
-                + 0.87 * float(np.max(V.grid.spacing)))
-    return r
-
-
-def check_kirchhoff_radius(R0: float, mesh: SurfaceMesh, V: PotentialSample | None) -> None:
-    """Raise ValueError unless the sphere |y| = R0 clears the scatterer by 2%."""
-    r_scat = _scatterer_radius(mesh, V)
-    if R0 <= r_scat * 1.02:
-        raise ValueError(f"R0 = {R0} does not enclose the scatterer (radius {r_scat:.3g})")
+        r_scat = max(r_scat, float(np.max(np.linalg.norm(V.grid.cell_center[support], axis=1)))
+                     + 0.87 * float(np.max(V.grid.spacing)))
+    if R <= r_scat * 1.02:
+        raise ValueError(f"R = {R} does not enclose the scatterer (radius {r_scat:.3g})")
 
 
 def farfield_kirchhoff(
@@ -181,7 +180,7 @@ def farfield_kirchhoff(
     of the source representation (``eval_scattered_gradient``).
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    check_kirchhoff_radius(R0, sol.mesh, sol.potential)
+    check_enclosing_radius(R0, sol.mesh, sol.potential)
     sphere = make_sphere_grid(R0, n_theta, n_phi)
     y, ny, w = sphere.nodes, sphere.normals, sphere.weights
     k = sol.k
@@ -198,8 +197,6 @@ def farfield_kirchhoff(
 
 def scattering_amplitude(ff: FarFieldPattern) -> FarFieldPattern:
     """s = (2 pi)^{3/2} psi_inf for plane-wave incidence rows."""
-    if not ff.is_plane:
-        raise ValueError("scattering amplitude is defined for plane-wave incidence (w = 0)")
     meta = dict(ff.meta)
     meta["quantity"] = "scattering_amplitude"
     meta["scale"] = "(2 pi)^{3/2}"
@@ -232,7 +229,7 @@ def save_farfield_csv(ff: FarFieldPattern, path, extra_meta: dict | None = None)
     meta = {
         "k": ff.k,
         "conventions": CONVENTIONS,
-        "incidence_kind": "plane" if ff.is_plane else "cgo",
+        "incidence_kind": "plane",
         "n_incidence": ff.values.shape[0],
         "n_observation": ff.values.shape[1],
         "obs_weights": [float(w) for w in ff.obs_weights],
@@ -243,27 +240,15 @@ def save_farfield_csv(ff: FarFieldPattern, path, extra_meta: dict | None = None)
     obs_t, obs_p = _angles(ff.observations)
     with open(path, "w") as fh:
         fh.write("# META " + json.dumps(meta, sort_keys=True) + "\n")
-        if ff.is_plane:
-            inc_t, inc_p = _angles(ff.incidence)
-            fh.write("k,inc_theta,inc_phi,obs_theta,obs_phi,re,im\n")
-            for i in range(ff.values.shape[0]):
-                for j in range(ff.values.shape[1]):
-                    v = ff.values[i, j]
-                    fh.write(",".join([
-                        _fmt(ff.k), _fmt(inc_t[i]), _fmt(inc_p[i]),
-                        _fmt(obs_t[j]), _fmt(obs_p[j]), _fmt(v.real), _fmt(v.imag),
-                    ]) + "\n")
-        else:
-            fh.write("k,w,zeta_x,zeta_y,zeta_z,xi_x,xi_y,xi_z,obs_theta,obs_phi,re,im\n")
-            for i, rho in enumerate(ff.incidence):
-                for j in range(ff.values.shape[1]):
-                    v = ff.values[i, j]
-                    fh.write(",".join([
-                        _fmt(ff.k), _fmt(rho.w),
-                        _fmt(rho.zeta_hat[0]), _fmt(rho.zeta_hat[1]), _fmt(rho.zeta_hat[2]),
-                        _fmt(rho.xi_hat[0]), _fmt(rho.xi_hat[1]), _fmt(rho.xi_hat[2]),
-                        _fmt(obs_t[j]), _fmt(obs_p[j]), _fmt(v.real), _fmt(v.imag),
-                    ]) + "\n")
+        inc_t, inc_p = _angles(ff.incidence)
+        fh.write("k,inc_theta,inc_phi,obs_theta,obs_phi,re,im\n")
+        for i in range(ff.values.shape[0]):
+            for j in range(ff.values.shape[1]):
+                v = ff.values[i, j]
+                fh.write(",".join([
+                    _fmt(ff.k), _fmt(inc_t[i]), _fmt(inc_p[i]),
+                    _fmt(obs_t[j]), _fmt(obs_p[j]), _fmt(v.real), _fmt(v.imag),
+                ]) + "\n")
 
 
 def load_farfield_csv(path) -> FarFieldPattern:
@@ -272,6 +257,8 @@ def load_farfield_csv(path) -> FarFieldPattern:
     if not lines or not lines[0].startswith("# META "):
         raise ValueError(f"{path}: missing metadata header")
     meta = json.loads(lines[0][len("# META "):])
+    if meta.get("incidence_kind") != "plane":
+        raise ValueError(f"{path}: incidence kind {meta.get('incidence_kind')!r} is not 'plane'")
     header = lines[1].split(",")
     rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[2:] if ln])
     n_inc, n_obs = meta["n_incidence"], meta["n_observation"]
@@ -282,17 +269,9 @@ def load_farfield_csv(path) -> FarFieldPattern:
     obs_t = rows[:n_obs, header.index("obs_theta")]
     obs_p = rows[:n_obs, header.index("obs_phi")]
     observations = _unit(obs_t, obs_p)
-    if meta["incidence_kind"] == "plane":
-        inc_t = rows[::n_obs, header.index("inc_theta")]
-        inc_p = rows[::n_obs, header.index("inc_phi")]
-        incidence = _unit(inc_t, inc_p)
-    else:
-        from .kernels import make_sigma_k
-
-        incidence = []
-        for i in range(n_inc):
-            r = rows[i * n_obs]
-            incidence.append(make_sigma_k(r[1], r[2:5], r[5:8], k))
+    inc_t = rows[::n_obs, header.index("inc_theta")]
+    inc_p = rows[::n_obs, header.index("inc_phi")]
+    incidence = _unit(inc_t, inc_p)
     weights = np.asarray(meta.get("obs_weights", np.full(n_obs, 4.0 * np.pi / n_obs)), dtype=float)
     return FarFieldPattern(
         k=k, values=vals, observations=observations,

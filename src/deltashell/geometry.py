@@ -138,7 +138,7 @@ class SurfaceMesh:
     @property
     def bounding_radius(self) -> float:
         """Largest vertex distance from the origin."""
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
+        return float(np.max(np.linalg.norm(self.vertices, axis=1), initial=0.0))
 
     def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vertex coordinate triples per panel, each (nt, 3)."""

@@ -31,7 +31,7 @@ from .boundary import (
     eval_scattered_gradient,
     eval_total_field,
 )
-from .farfield import FarFieldPattern
+from .farfield import FarFieldPattern, check_enclosing_radius
 from .geometry import make_sphere_grid
 from .kernels import ComplexDirection, Exponential, eval_incident_grad, sigma_pair_for_xi
 
@@ -44,6 +44,13 @@ __all__ = [
     "reciprocity_check",
     "lattice_directions",
 ]
+
+PAIRING_REL_TOL = 1e-2          # Green identity between independently quadratured sides
+ALGEBRAIC_TOL = 1e-10           # algebraic zeros and exact splits of the same sampled values
+WRONSKIAN_NODES = (24, 48)      # (n_theta, n_phi) of the Wronskian sphere |y| = R
+SOMMERFELD_RADII = (4.0, 8.0, 16.0)  # radiation residual radii, each doubling the last
+SOMMERFELD_MIN_DECAY = 1.8      # least residual decay per radius doubling
+SOMMERFELD_FD_STEP = 1e-3       # radial central-difference step
 
 
 @dataclass
@@ -93,58 +100,39 @@ def _cross_trace(sol: DeltaSolution, mesh) -> np.ndarray:
     return np.asarray(eval_total_field(sol, mesh.panel_centroid, near_warning=False), dtype=complex)
 
 
-def _pairing_terms(d1: SchrodingerData, d2: SchrodingerData,
-                   sol1: DeltaSolution, sol2: DeltaSolution,
-                   cell_mask: np.ndarray | None = None):
-    """Volume and surface factors of <psi1 (Vt1 - Vt2), psi2> on shared nodes.
+def _solve_pair(d1: SchrodingerData, d2: SchrodingerData,
+                rho1: ComplexDirection, rho2: ComplexDirection, k: float):
+    """The CGO solutions psi_m of medium m for the exponential e^{rho_m . x}."""
+    return (DeltaSystem(d1.V, d1.delta, k).solve(Exponential(rho1)),
+            DeltaSystem(d2.V, d2.delta, k).solve(Exponential(rho2)))
 
-    Conjugate-linear in the first slot: psi1 enters conjugated throughout.
-    Returns per-node arrays so callers can reuse the identical sampled values
-    in algebraically rearranged sums.
+
+def _pairing_nodes(d1: SchrodingerData, d2: SchrodingerData,
+                   sol1: DeltaSolution, sol2: DeltaSolution):
+    """Node groups (x, w, psi1, psi2) of <psi1 (Vt1 - Vt2), psi2> = sum w conj(psi1) psi2.
+
+    The signed weights are vol (V1 - V2) on the cells, area alpha1 on Gamma1
+    and -area alpha2 on Gamma2; callers reuse the identical sampled values in
+    algebraically rearranged sums.
     """
-    grid = d1.V.grid
-    if grid is not d2.V.grid and not (
-        np.array_equal(grid.lo, d2.V.grid.lo)
-        and np.array_equal(grid.hi, d2.V.grid.hi)
-        and grid.n == d2.V.grid.n
-    ):
+    grid, grid2 = d1.V.grid, d2.V.grid
+    if not (np.array_equal(grid.lo, grid2.lo) and np.array_equal(grid.hi, grid2.hi) and grid.n == grid2.n):
         raise ValueError("the two media must be sampled on a shared grid")
-    psi1_cells = sol1.volume_field.values
-    psi2_cells = sol2.volume_field.values
-    dV = d1.V.values - d2.V.values
-    vol = grid.cell_volume
-    if cell_mask is None:
-        cell_mask = np.ones(grid.n_cells, dtype=bool)
-
     mesh1, mesh2 = d1.delta.mesh, d2.delta.mesh
-    tr1_on_1, tr2_on_1 = sol1.trace, _cross_trace(sol2, mesh1)
-    tr1_on_2, tr2_on_2 = _cross_trace(sol1, mesh2), sol2.trace
-    return {
-        "cells": (grid.cell_center[cell_mask], vol, dV[cell_mask],
-                  psi1_cells[cell_mask], psi2_cells[cell_mask]),
-        "gamma1": (mesh1.panel_centroid, mesh1.panel_area, d1.delta.alpha, tr1_on_1, tr2_on_1),
-        "gamma2": (mesh2.panel_centroid, mesh2.panel_area, d2.delta.alpha, tr1_on_2, tr2_on_2),
-    }
+    return (
+        (grid.cell_center, grid.cell_volume * (d1.V.values - d2.V.values),
+         sol1.volume_field.values, sol2.volume_field.values),
+        (mesh1.panel_centroid, mesh1.panel_area * d1.delta.alpha,
+         sol1.trace, _cross_trace(sol2, mesh1)),
+        (mesh2.panel_centroid, -mesh2.panel_area * d2.delta.alpha,
+         _cross_trace(sol1, mesh2), sol2.trace),
+    )
 
 
-def _pairing_value(terms) -> complex:
-    x, vol, dV, p1, p2 = terms["cells"]
-    out = vol * np.sum(dV * np.conj(p1) * p2)
-    _, a1, al1, t1, t2 = terms["gamma1"]
-    out += np.sum(a1 * al1 * np.conj(t1) * t2)
-    _, a2, al2, t1, t2 = terms["gamma2"]
-    out -= np.sum(a2 * al2 * np.conj(t1) * t2)
-    return complex(out)
-
-
-def _pairing_mass(terms) -> float:
-    x, vol, dV, p1, p2 = terms["cells"]
-    out = vol * np.sum(np.abs(dV * np.conj(p1) * p2))
-    _, a1, al1, t1, t2 = terms["gamma1"]
-    out += np.sum(np.abs(a1 * al1 * t1 * t2))
-    _, a2, al2, t1, t2 = terms["gamma2"]
-    out += np.sum(np.abs(a2 * al2 * t1 * t2))
-    return float(out)
+def _pairing(nodes) -> tuple[complex, float]:
+    """(pairing, mass): the sums of w conj(psi1) psi2 and of its modulus, one per group."""
+    terms = [w * np.conj(p1) * p2 for _, w, p1, p2 in nodes]
+    return complex(sum(np.sum(t) for t in terms)), float(sum(np.sum(np.abs(t)) for t in terms))
 
 
 def green_pairing_check(
@@ -153,49 +141,29 @@ def green_pairing_check(
     rho1: ComplexDirection,
     rho2: ComplexDirection,
     R: float,
-    n_theta: int = 24,
-    n_phi: int = 48,
-    rel_tol: float = 1e-2,
-    zero_tol: float = 1e-10,
 ) -> ExperimentReport:
     """Volume+surface pairing against the boundary Wronskian on |y| = R.
 
     LHS = int conj(psi1)(V1 - V2) psi2 + int_G1 conj(eta1) tr psi2
                                        - int_G2 conj(tr psi1) eta2,
-    RHS = int_{|y|=R} [ conj(d_r psi1) psi2 - conj(psi1) d_r psi2 ].
+    RHS = int_{|y|=R} [ conj(d_r psi1) psi2 - conj(psi1) d_r psi2 ],
 
-    For identical media the LHS vanishes algebraically (asserted at
-    zero_tol); the Green-identity match is asserted at rel_tol.
+    with B_R enclosing both scatterers (``check_enclosing_radius``) and the
+    RHS on the WRONSKIAN_NODES sphere grid.  For identical media the LHS
+    vanishes algebraically (asserted at ALGEBRAIC_TOL); the Green-identity
+    match is asserted at PAIRING_REL_TOL.
     """
     t0 = time.time()
     k = rho1.k
     if abs(rho2.k - k) > 1e-12 * max(1.0, k):
         raise ValueError("rho1 and rho2 must share the wavenumber")
-
     for d in (d1, d2):
-        r_mesh = float(np.max(np.linalg.norm(d.delta.mesh.panel_centroid, axis=1)))
-        supp = d.V.support()
-        r_supp = (
-            float(np.max(np.linalg.norm(d.V.grid.cell_center[supp], axis=1)))
-            if len(supp) else 0.0
-        )
-        if max(r_mesh, r_supp) >= R:
-            raise ValueError(
-                f"B_R (R = {R}) does not contain the scatterer "
-                f"(radius {max(r_mesh, r_supp):.3g}): overlapping-support misconfiguration"
-            )
+        check_enclosing_radius(R, d.delta.mesh, d.V)
 
-    sys1 = DeltaSystem(d1.V, d1.delta, k)
-    sys2 = DeltaSystem(d2.V, d2.delta, k)
-    sol1 = sys1.solve(Exponential(rho1))
-    sol2 = sys2.solve(Exponential(rho2))
+    sol1, sol2 = _solve_pair(d1, d2, rho1, rho2, k)
+    lhs, mass = _pairing(_pairing_nodes(d1, d2, sol1, sol2))
 
-    inside = np.linalg.norm(d1.V.grid.cell_center, axis=1) < R
-    terms = _pairing_terms(d1, d2, sol1, sol2, cell_mask=inside)
-    lhs = _pairing_value(terms)
-    mass = _pairing_mass(terms)
-
-    sphere = make_sphere_grid(R, n_theta, n_phi)
+    sphere = make_sphere_grid(R, *WRONSKIAN_NODES)
     psi1, dr1 = _total_field_and_radial(sol1, sphere.nodes, sphere.normals)
     psi2, dr2 = _total_field_and_radial(sol2, sphere.nodes, sphere.normals)
     rhs = complex(np.sum(sphere.weights * (np.conj(dr1) * psi2 - np.conj(psi1) * dr2)))
@@ -218,11 +186,12 @@ def green_pairing_check(
     if identical:
         # LHS is an algebraic zero; the Wronskian vanishes only at the
         # Green-identity level (discrete flux conservation).
-        passed = abs(lhs) <= zero_tol * max(mass, 1.0) and abs(rhs) <= rel_tol * max(wron_mass, 1e-300)
-        thresholds = {"lhs_zero": zero_tol, "rhs_over_mass": rel_tol}
+        passed = (abs(lhs) <= ALGEBRAIC_TOL * max(mass, 1.0)
+                  and abs(rhs) <= PAIRING_REL_TOL * max(wron_mass, 1e-300))
+        thresholds = {"lhs_zero": ALGEBRAIC_TOL, "rhs_over_mass": PAIRING_REL_TOL}
     else:
-        passed = rel_gap <= rel_tol
-        thresholds = {"rel_gap": rel_tol}
+        passed = rel_gap <= PAIRING_REL_TOL
+        thresholds = {"rel_gap": PAIRING_REL_TOL}
     return ExperimentReport(
         name="green_pairing",
         inputs={"k": k, "w1": rho1.w, "w2": rho2.w, "R": R},
@@ -239,7 +208,6 @@ def fourier_identity_check(
     xi: np.ndarray,
     w: float,
     k: float,
-    split_tol: float = 1e-10,
 ) -> ExperimentReport:
     """Exact finite-w decomposition of the pairing behind the uniqueness proof.
 
@@ -254,38 +222,23 @@ def fourier_identity_check(
              + <conj(phi1) (Vt1 - Vt2), u_xi phi2>,
 
     and D = hat(Vt2)(xi) - hat(Vt1)(xi) by direct quadrature.  The split is
-    algebraic and asserted at split_tol; |F_xi - D| is the finite-w
+    algebraic and asserted at ALGEBRAIC_TOL; |F_xi - D| is the finite-w
     remainder, reported only (it tends to 0 along the CGO sequence w -> oo).
     """
     t0 = time.time()
     xi = np.asarray(xi, dtype=float)
     rho1, rho2 = sigma_pair_for_xi(xi, k, w)
-    sol1 = DeltaSystem(d1.V, d1.delta, k).solve(Exponential(rho1))
-    sol2 = DeltaSystem(d2.V, d2.delta, k).solve(Exponential(rho2))
-
-    terms = _pairing_terms(d1, d2, sol1, sol2)
-    P = _pairing_value(terms)
-    mass = _pairing_mass(terms)
-
-    def u_xi(x):
-        return np.exp(-1j * (x @ xi))
-
-    def phi(x, psi, rho):
-        return np.exp(-(x @ rho.rho)) * psi - 1.0
+    nodes = _pairing_nodes(d1, d2, *_solve_pair(d1, d2, rho1, rho2, k))
+    P, mass = _pairing(nodes)
 
     F = 0.0 + 0.0j
     D = 0.0 + 0.0j
-    for key, sign in (("cells", 1.0), ("gamma1", 1.0), ("gamma2", -1.0)):
-        x, weight, strength, p1, p2 = terms[key]
-        u = u_xi(x)
-        f1 = np.conj(phi(x, p1, rho1))
-        f2 = phi(x, p2, rho2)
-        if key == "cells":
-            node_w = weight * strength           # vol * (V1 - V2)
-        else:
-            node_w = sign * weight * strength    # +- area * alpha_m
+    for x, node_w, p1, p2 in nodes:
+        u = np.exp(-1j * (x @ xi))                         # u_xi
+        f1 = np.conj(np.exp(-(x @ rho1.rho)) * p1 - 1.0)   # conj(phi1)
+        f2 = np.exp(-(x @ rho2.rho)) * p2 - 1.0            # phi2
         F += np.sum(node_w * u * (f1 + f2)) + np.sum(node_w * u * f1 * f2)
-        D -= np.sum(node_w * u)                  # D = hat(Vt2) - hat(Vt1)
+        D -= np.sum(node_w * u)                            # D = hat(Vt2) - hat(Vt1)
 
     split_err = abs(P - (-D + F)) / max(mass, 1e-300)
     metrics = {
@@ -300,25 +253,20 @@ def fourier_identity_check(
         name="fourier_identity",
         inputs={"k": k, "w": w, "xi": list(map(float, xi))},
         metrics=metrics,
-        thresholds={"split_err": split_tol},
-        passed=bool(split_err <= split_tol),
+        thresholds={"split_err": ALGEBRAIC_TOL},
+        passed=bool(split_err <= ALGEBRAIC_TOL),
         seconds=time.time() - t0,
     )
 
 
-def sommerfeld_check(
-    scattered_eval,
-    k: float,
-    radii=(4.0, 8.0, 16.0),
-    min_decay: float = 1.8,
-    fd_step: float = 1e-3,
-    name: str = "sommerfeld",
-) -> ExperimentReport:
+def sommerfeld_check(scattered_eval, k: float, name: str = "sommerfeld") -> ExperimentReport:
     """Radiation-condition residual max_d |r (d_r - ik) psi_sc| per radius.
 
     ``scattered_eval`` maps an (n, 3) point array to scattered-field values
-    (a DeltaSolution is accepted directly).  Asserts the residual drops by at
-    least ``min_decay`` per radius doubling.
+    (a DeltaSolution is accepted directly).  The radial derivative is a
+    central difference of step SOMMERFELD_FD_STEP at each of SOMMERFELD_RADII;
+    asserts the residual drops by at least SOMMERFELD_MIN_DECAY per radius
+    doubling.
     """
     t0 = time.time()
     if isinstance(scattered_eval, DeltaSolution):
@@ -326,21 +274,20 @@ def sommerfeld_check(
         scattered_eval = lambda pts: eval_scattered_field(sol, pts)  # noqa: E731
     dirs = lattice_directions()
     residuals = []
-    for r in radii:
-        pts = r * dirs
-        up = scattered_eval((r + fd_step) * dirs)
-        dn = scattered_eval((r - fd_step) * dirs)
-        mid = scattered_eval(pts)
-        d_r = (up - dn) / (2.0 * fd_step)
+    for r in SOMMERFELD_RADII:
+        up = scattered_eval((r + SOMMERFELD_FD_STEP) * dirs)
+        dn = scattered_eval((r - SOMMERFELD_FD_STEP) * dirs)
+        mid = scattered_eval(r * dirs)
+        d_r = (up - dn) / (2.0 * SOMMERFELD_FD_STEP)
         residuals.append(float(np.max(np.abs(r * (d_r - 1j * k * mid)))))
     ratios = [residuals[i] / max(residuals[i + 1], 1e-300) for i in range(len(residuals) - 1)]
     scale = max(residuals)
-    passed = all(q >= min_decay for q in ratios) or scale < 1e-14
+    passed = all(q >= SOMMERFELD_MIN_DECAY for q in ratios) or scale < 1e-14
     return ExperimentReport(
         name=name,
-        inputs={"k": k, "radii": list(map(float, radii))},
+        inputs={"k": k, "radii": list(map(float, SOMMERFELD_RADII))},
         metrics={"residuals": residuals, "decay_ratios": ratios},
-        thresholds={"decay_per_doubling": min_decay},
+        thresholds={"decay_per_doubling": SOMMERFELD_MIN_DECAY},
         passed=bool(passed),
         seconds=time.time() - t0,
     )
@@ -411,8 +358,6 @@ def uniqueness_experiment(
 def reciprocity_check(ff: FarFieldPattern, rel_tol: float = 0.01) -> ExperimentReport:
     """max |s(xi, x) - s(-x, -xi)| / max |s| on an antipode-closed grid."""
     t0 = time.time()
-    if not ff.is_plane:
-        raise ValueError("reciprocity check needs plane-wave incidence rows")
     inc = ff.incidence
     obs = ff.observations
     if inc.shape != obs.shape or np.max(np.abs(inc - obs)) > 1e-9:

@@ -6,7 +6,7 @@ import pytest
 from deltashell._dense import GuardedLU
 from deltashell.acoustic import GaussianBump, RadialCutoff
 from deltashell.boundary import DeltaSpec, DeltaSystem
-from deltashell.geometry import make_sphere_mesh, make_volume_grid
+from deltashell.geometry import SurfaceMesh, make_sphere_mesh, make_volume_grid
 from deltashell.kernels import Herglotz, eval_incident, plane_wave
 from deltashell.volume import PotentialSample, assemble_volume_operator, volume_potential
 
@@ -20,6 +20,24 @@ def sphere_meshes():
 @pytest.fixture(scope="session")
 def small_grid():
     return make_volume_grid((-1.6, 1.6), 12)
+
+
+def cube_mesh(side=2.0):
+    """Outward-wound 12-triangle cube of edge ``side`` centred at the origin."""
+    h = side / 2.0
+    verts = np.array([
+        [-h, -h, -h], [h, -h, -h], [h, h, -h], [-h, h, -h],
+        [-h, -h, h], [h, -h, h], [h, h, h], [-h, h, h],
+    ])
+    faces = [
+        [0, 2, 1], [0, 3, 2],      # bottom (z = -h), outward = -z
+        [4, 5, 6], [4, 6, 7],      # top
+        [0, 1, 5], [0, 5, 4],      # front (y = -h)
+        [2, 3, 7], [2, 7, 6],      # back
+        [1, 2, 6], [1, 6, 5],      # right
+        [3, 0, 4], [3, 4, 7],      # left
+    ]
+    return SurfaceMesh.from_arrays(verts, faces)
 
 
 def bump_potential(grid, amplitude, width=0.45, r_in=1.05, r_out=1.40, center=(0.0, 0.0, 0.0)):

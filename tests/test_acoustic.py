@@ -26,7 +26,7 @@ from deltashell.geometry import make_volume_grid
 from deltashell.kernels import plane_wave
 from deltashell.mie import RadialMedium, mie_farfield_values, solve_partial_waves
 
-from conftest import reference_lippmann_schwinger
+from conftest import cube_mesh, reference_lippmann_schwinger
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -199,6 +199,12 @@ class TestTransform:
         with pytest.raises(ValueError, match="cover"):
             acoustic_to_schrodinger(m, 1.0, make_volume_grid((-2.0, 2.0), 8))
 
+    def test_cell_centres_on_gamma_rejected(self):
+        # cube faces at +-0.8 on a grid of spacing 0.4: 98 cell centres lie on Gamma
+        m = MediumSpec(gamma=cube_mesh(1.6), shell_density=1.0, cutoff=RadialCutoff(1.5, 2.0))
+        with pytest.raises(ValueError, match="98 grid cell centres lie on Gamma"):
+            acoustic_to_schrodinger(m, 1.0, make_volume_grid((-2.2, 2.2), 11))
+
     def test_negative_density_rejected(self, sphere_meshes):
         m = shell_medium(
             sphere_meshes[1], xi=0.0,
@@ -366,12 +372,14 @@ class TestPipeline:
         radii = np.linspace(1.0, 2.4, 60)
         shells = [(1.0, 0.0)]
         cut = RadialCutoff(1.6, 2.4)
-        for r0, r1 in zip(radii[:-1], radii[1:]):
-            rmid = 0.5 * (r0 + r1)
-            x = np.array([[rmid, 0.0, 0.0]])
-            rho, grad, lap = eval_density(m, x)
-            v_mid = -0.5 * lap[0] / rho[0] + 0.75 * (grad[0] @ grad[0]) / rho[0] ** 2
-            shells.append((r1, v_mid))
+        # the first midpoint, r = 1.012, lies within a quarter panel diameter of Gamma
+        with pytest.warns(UserWarning, match="density derivatives requested"):
+            for r0, r1 in zip(radii[:-1], radii[1:]):
+                rmid = 0.5 * (r0 + r1)
+                x = np.array([[rmid, 0.0, 0.0]])
+                rho, grad, lap = eval_density(m, x)
+                v_mid = -0.5 * lap[0] / rho[0] + 0.75 * (grad[0] @ grad[0]) / rho[0] ** 2
+                shells.append((r1, v_mid))
         alpha = xi / (2.0 * (1.0 + xi))
         oracle = solve_partial_waves(RadialMedium(a=1.0, alpha=alpha, shells=tuple(shells)), omega)
         ref = mie_farfield_values(oracle, EZ, obs_grid.normals)

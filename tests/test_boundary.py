@@ -25,6 +25,7 @@ from deltashell.boundary import (
     layer_potential,
     layer_potential_gradient,
     near_surface,
+    on_surface,
     static_self_integrals,
 )
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, triangle_rule
@@ -523,6 +524,20 @@ class TestDeltaSolve:
             warnings.simplefilter("error")
             eval_total_field(sol, outside)
             eval_total_field(sol, inside, near_warning=False)
+
+    def test_near_surface_measures_the_closed_panel(self, sphere_meshes):
+        # a vertex and an edge midpoint lie on Gamma, farther than a quarter
+        # diameter from every centroid
+        mesh = sphere_meshes[2]
+        sol = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)),
+                          1.0).solve(plane_wave(EZ))
+        v0, v1, _ = (v[0] for v in mesh.corners())
+        for x in (mesh.vertices[0], 0.5 * (v0 + v1)):
+            with pytest.warns(UserWarning, match="quarter panel diameter"):
+                eval_total_field(sol, x)
+        probes = np.array([mesh.vertices[0], 0.5 * (v0 + v1), mesh.panel_centroid[9],
+                           1.01 * mesh.vertices[0], 3.0 * EZ])
+        assert on_surface(probes, mesh).tolist() == [True, True, True, False, False]
 
     def test_singular_system_raises_exceptional_frequency(self):
         A = np.ones((4, 4), dtype=complex)

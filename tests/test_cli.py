@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 
 import deltashell
-from deltashell import cli
+from deltashell import acoustic, cli, harness
 from deltashell.cli import main
 from deltashell.farfield import load_farfield_csv
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, save_mesh
+
+from conftest import cube_mesh
+
+
+def no_solve(*args):
+    raise AssertionError("the config reached a solve")
 
 
 def write_config(tmp_path, name, cfg):
@@ -107,23 +113,49 @@ class TestConfigValidation:
         "verify.subdivision": ("verify", {"verify": {"subdivision": -1}}),
         "verify.grid_n": ("verify", {"verify": {"grid_n": 0}}),
         "grid.bbox": ("forward", {"grid": {"bbox": [1.5, -1.5], "n": 4}}),
-        "kirchhoff.radius": ("farfield", {"kirchhoff": {"radius": 0}}),
+        # 0.9 clears the centroids of the 20-panel sphere (0.79) but not its vertices
+        "kirchhoff.radius": ("farfield", {"kirchhoff": {"radius": 0}},
+                             {"mesh": {"kind": "sphere", "subdivisions": 0},
+                              "kirchhoff": {"radius": 0.9}}),
         "medium.cutoff.r_inner": ("acoustic", {"medium": {"shell_density": 1.0,
                                                           "cutoff": {"r_inner": 0.5, "r_outer": 2.0}}}),
         "verify.k": ("verify", {"verify": {"k": -1.0}}),
         "verify.w": ("verify", {"verify": {"w": -0.5}}),
-        "verify.R": ("verify", {"verify": {"R": 0}}),
+        # B_R must enclose both media: 1.2 cuts the support cells, 1.5 their half-diagonals
+        "verify.R": ("verify", {"verify": {"R": 0}}, {"verify": {"R": 1.5}}, {"verify": {"R": 1.2}}),
     }
 
     @pytest.mark.parametrize("field", list(BAD_FIELDS))
     def test_bad_size_or_width_names_field(self, tmp_path, capsys, field):
-        command, section = self.BAD_FIELDS[field]
-        cfg = dict({"forward": FORWARD_TRIVIAL, "farfield": TestFarfieldCommand.CFG,
-                    "acoustic": ACOUSTIC, "verify": {}}[command])
-        cfg.update(section)
-        path = write_config(tmp_path, "bad.json", cfg)
-        assert main(["--config", path, "--out", str(tmp_path), command]) == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        command, *sections = self.BAD_FIELDS[field]
+        for section in sections:
+            cfg = dict({"forward": FORWARD_TRIVIAL, "farfield": TestFarfieldCommand.CFG,
+                        "acoustic": ACOUSTIC, "verify": {}}[command])
+            cfg.update(section)
+            path = write_config(tmp_path, "bad.json", cfg)
+            assert main(["--config", path, "--out", str(tmp_path), command]) == 2, section
+            assert f"'{field}'" in capsys.readouterr().err
+
+    def test_verify_radius_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DeltaSystem", no_solve)
+        monkeypatch.setattr(harness, "DeltaSystem", no_solve)
+        path = write_config(tmp_path, "r.json", {"verify": {"R": 1.5}})
+        assert main(["--config", path, "--out", str(tmp_path), "verify"]) == 2
+        err = capsys.readouterr().err
+        assert "'verify.R'" in err and "does not enclose" in err
+
+    def test_cell_centres_on_gamma_name_grid(self, tmp_path, capsys, monkeypatch):
+        # cube faces at +-0.8 on a grid of spacing 0.4: 98 cell centres lie on Gamma
+        mesh_path = tmp_path / "cube.off"
+        save_mesh(cube_mesh(1.6), mesh_path)
+        cfg = dict(ACOUSTIC, mesh={"kind": "off", "path": str(mesh_path)},
+                   medium={"shell_density": 1.0, "cutoff": {"r_inner": 1.5, "r_outer": 2.0}},
+                   grid={"bbox": [-2.2, 2.2], "n": 11})
+        path = write_config(tmp_path, "cube.json", cfg)
+        monkeypatch.setattr(acoustic, "DeltaSystem", no_solve)
+        assert main(["--config", path, "--out", str(tmp_path), "acoustic"]) == 2
+        err = capsys.readouterr().err
+        assert "'grid'" in err and "98 grid cell centres" in err
 
 
     def test_kirchhoff_radius_must_clear_the_potential_support(self, tmp_path, capsys, monkeypatch):
@@ -134,10 +166,6 @@ class TestConfigValidation:
                    cutoff={"r_inner": 1.05, "r_outer": 1.4},
                    kirchhoff={"radius": 1.5, "n_theta": 12, "n_phi": 24})
         path = write_config(tmp_path, "support.json", cfg)
-
-        def no_solve(*args):
-            raise AssertionError("the config reached the solve")
-
         monkeypatch.setattr(cli, "DeltaSystem", no_solve)
         assert main(["--config", path, "--out", str(tmp_path), "farfield"]) == 2
         err = capsys.readouterr().err

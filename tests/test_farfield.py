@@ -16,7 +16,7 @@ from deltashell.farfield import (
     scattering_amplitude,
 )
 from deltashell.harness import lattice_directions
-from deltashell.kernels import Herglotz, make_sigma_k, plane_wave
+from deltashell.kernels import Herglotz, plane_wave
 from deltashell.mie import RadialMedium, mie_farfield_values, solve_partial_waves
 
 from conftest import bump_potential, mixed_incidents
@@ -151,13 +151,12 @@ class TestAmplitude:
                              obs_weights=np.ones(len(obs)), incidence=EZ[None, :])
         assert np.all(scattering_amplitude(ff).values == 0)
 
-    def test_cgo_rows_rejected(self):
+    def test_incidence_needs_one_direction_per_row(self):
         obs = lattice_directions()
-        rho = make_sigma_k(1.0, np.array([1.0, 0, 0]), EZ, 1.0)
-        ff = FarFieldPattern(k=1.0, values=np.zeros((1, len(obs))), observations=obs,
-                             obs_weights=np.ones(len(obs)), incidence=[rho])
-        with pytest.raises(ValueError, match="plane-wave"):
-            scattering_amplitude(ff)
+        for incidence in (np.array([EZ, EZ]), EZ, np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="one direction per value row"):
+                FarFieldPattern(k=1.0, values=np.zeros((1, len(obs))), observations=obs,
+                                obs_weights=np.ones(len(obs)), incidence=incidence)
 
 
 class TestCsv:
@@ -175,18 +174,17 @@ class TestCsv:
         assert np.max(np.abs(back.observations - ff.observations)) < 1e-12
         assert back.meta["conventions"]["kernel"] == "exp(+ik r)/(4 pi r)"
 
-    def test_cgo_schema_roundtrip(self, tmp_path):
+    def test_only_plane_incidence_loads(self, tmp_path):
         obs = lattice_directions()
-        rho = make_sigma_k(0.7, np.array([1.0, 0, 0]), EZ, 1.3)
-        vals = (np.arange(len(obs)) + 1j)[None, :]
-        ff = FarFieldPattern(k=1.3, values=vals, observations=obs,
-                             obs_weights=np.ones(len(obs)), incidence=[rho])
-        path = tmp_path / "cgo.csv"
+        ff = FarFieldPattern(k=1.3, values=(np.arange(len(obs)) + 1j)[None, :], observations=obs,
+                             obs_weights=np.ones(len(obs)), incidence=EZ[None, :])
+        path = tmp_path / "kind.csv"
         save_farfield_csv(ff, path)
-        back = load_farfield_csv(path)
-        assert back.meta["incidence_kind"] == "cgo"
-        assert abs(back.incidence[0].w - 0.7) < 1e-14
-        assert np.max(np.abs(back.values - vals)) < 1e-12
+        text = path.read_text()
+        assert '"incidence_kind": "plane"' in text
+        path.write_text(text.replace('"incidence_kind": "plane"', '"incidence_kind": "cgo"'))
+        with pytest.raises(ValueError, match="'cgo' is not 'plane'"):
+            load_farfield_csv(path)
 
     def test_grid_mismatch_detected(self, tmp_path):
         obs = lattice_directions()

@@ -15,6 +15,8 @@ from deltashell.geometry import (
     save_mesh,
 )
 
+from conftest import cube_mesh
+
 SPHERE_AREA = 4.0 * np.pi
 
 
@@ -70,27 +72,10 @@ class TestIcosphere:
             make_sphere_mesh(1.0, -1)
 
 
-def _cube_mesh(side=2.0):
-    h = side / 2.0
-    verts = np.array([
-        [-h, -h, -h], [h, -h, -h], [h, h, -h], [-h, h, -h],
-        [-h, -h, h], [h, -h, h], [h, h, h], [-h, h, h],
-    ])
-    faces = [
-        [0, 2, 1], [0, 3, 2],      # bottom (z = -h), outward = -z
-        [4, 5, 6], [4, 6, 7],      # top
-        [0, 1, 5], [0, 5, 4],      # front (y = -h)
-        [2, 3, 7], [2, 7, 6],      # back
-        [1, 2, 6], [1, 6, 5],      # right
-        [3, 0, 4], [3, 4, 7],      # left
-    ]
-    return SurfaceMesh.from_arrays(verts, faces)
-
-
 class TestOffFiles:
     def test_cube_roundtrip_area(self, tmp_path):
         path = tmp_path / "cube.off"
-        save_mesh(_cube_mesh(2.0), path)
+        save_mesh(cube_mesh(2.0), path)
         m = load_mesh(path)
         assert m.n_panels == 12
         assert_allclose(m.total_area, 24.0, rtol=1e-12)

@@ -10,6 +10,10 @@ from deltashell.boundary import DeltaSpec, DeltaSystem
 from deltashell.farfield import FarFieldPattern, direction_grid, farfield_source
 from deltashell.geometry import make_sphere_mesh, make_volume_grid
 from deltashell.harness import (
+    ALGEBRAIC_TOL,
+    PAIRING_REL_TOL,
+    SOMMERFELD_MIN_DECAY,
+    SOMMERFELD_RADII,
     fourier_identity_check,
     green_pairing_check,
     lattice_directions,
@@ -63,8 +67,10 @@ class TestGreenPairing:
     def test_containment_validated(self, sphere_media):
         d1, d2 = sphere_media
         rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
-        with pytest.raises(ValueError, match="overlapping-support"):
-            green_pairing_check(d1, d2, rho1, rho2, R=0.8)
+        # 0.8 cuts Gamma, 1.5 the support cells (centre plus half-diagonal 1.61)
+        for R in (0.8, 1.5):
+            with pytest.raises(ValueError, match="does not enclose"):
+                green_pairing_check(d1, d2, rho1, rho2, R=R)
 
     def test_wavenumber_consistency(self, sphere_media):
         d1, d2 = sphere_media
@@ -224,3 +230,21 @@ class TestReportFormat:
         payload = json.loads(report.to_json())
         assert set(payload) == {"name", "inputs", "metrics", "thresholds", "pass", "seconds"}
         assert isinstance(payload["pass"], bool)
+
+    def test_thresholds_record_the_module_constants(self, sphere_meshes):
+        grid = make_volume_grid((-1.6, 1.6), 8)
+        mesh = sphere_meshes[1]
+        d1, d2 = (SchrodingerData(V=bump_potential(grid, amp),
+                                  delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, a)),
+                                  omega=1.0)
+                  for amp, a in ((0.35, 1.0), (-0.25, 1.5)))
+        rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
+        assert green_pairing_check(d1, d2, rho1, rho2, R=1.8).thresholds == {
+            "rel_gap": PAIRING_REL_TOL}
+        assert green_pairing_check(d1, d1, rho1, rho1, R=1.8).thresholds == {
+            "lhs_zero": ALGEBRAIC_TOL, "rhs_over_mass": PAIRING_REL_TOL}
+        assert fourier_identity_check(d1, d2, XI, w=0.5, k=1.0).thresholds == {
+            "split_err": ALGEBRAIC_TOL}
+        radiation = sommerfeld_check(lambda pts: np.zeros(len(pts), dtype=complex), 1.0)
+        assert radiation.thresholds == {"decay_per_doubling": SOMMERFELD_MIN_DECAY}
+        assert radiation.inputs["radii"] == list(SOMMERFELD_RADII)
