@@ -13,10 +13,10 @@ import numpy as np
 
 from deltashell import (
     DeltaSpec,
+    DeltaSystem,
     GaussianBump,
     PotentialSample,
     RadialCutoff,
-    SchrodingerData,
     fourier_identity_check,
     green_pairing_check,
     make_sphere_mesh,
@@ -28,32 +28,32 @@ mesh = make_sphere_mesh(1.0, 2)
 grid = make_volume_grid((-1.6, 1.6), 12)
 
 
+k, w = 1.0, 0.5
+
+
 def medium(amplitude, alpha):
+    """One assembled system per medium; every identity below solves on it."""
     bump, _, _ = GaussianBump(amplitude=amplitude, center=(0.0, 0.0, 0.0), width=0.45).fields(grid.cell_center)
     cut, _, _ = RadialCutoff(1.05, 1.40).fields(grid.cell_center)
-    return SchrodingerData(
-        V=PotentialSample(grid=grid, values=bump * cut),
-        delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)),
-        omega=1.0,
-    )
+    return DeltaSystem(PotentialSample(grid=grid, values=bump * cut),
+                       DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)), k)
 
 
-d1 = medium(0.35, 1.0)
-d2 = medium(-0.25, 1.5)
-k, w = 1.0, 0.5
+sys1 = medium(0.35, 1.0)
+sys2 = medium(-0.25, 1.5)
 xi = np.array([1.0, 0.0, 0.0])
 rho1, rho2 = sigma_pair_for_xi(xi, k, w)
 print(f"rho1 = {rho1.rho}")
 print(f"rho2 = {rho2.rho}")
 print(f"conj(rho1) + rho2 + i xi = {np.conj(rho1.rho) + rho2.rho + 1j * xi}")
 
-green = green_pairing_check(d1, d2, rho1, rho2, R=1.8)
+green = green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
 print("\nGreen pairing (volume+surface pairing vs boundary Wronskian):")
 print(f"  LHS = {complex(green.metrics['lhs_re'], green.metrics['lhs_im']):.6f}")
 print(f"  RHS = {complex(green.metrics['rhs_re'], green.metrics['rhs_im']):.6f}")
 print(f"  relative gap = {green.metrics['rel_gap']:.2e}  -> {'PASS' if green.passed else 'FAIL'}")
 
-four = fourier_identity_check(d1, d2, xi, w, k)
+four = fourier_identity_check(sys1, sys2, xi, w)
 print("\nFinite-w decomposition (pairing = -(Fourier difference) + F_xi):")
 print(f"  split closes to {four.metrics['split_err']:.2e}")
 print(f"  |F_xi| = {abs(complex(four.metrics['F_re'], four.metrics['F_im'])):.4f}")

@@ -404,42 +404,37 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < np.inf:
         raise ConfigError(f"config key 'verify.w' must be a finite number >= 0, got {w!r}")
     w = float(w)
-    xi = np.asarray(spec.get("xi", [1.0, 0.0, 0.0]), dtype=float)
     R = _positive(spec.get("R", 1.8), "verify.R")
+    xi = spec.get("xi", [1.0, 0.0, 0.0])
+    if not (isinstance(xi, list) and len(xi) == 3
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool) and -np.inf < c < np.inf for c in xi)):
+        raise ConfigError(f"config key 'verify.xi' must be a finite 3-vector, got {xi!r}")
+    xi = np.array(xi, dtype=float)
+    with _names("verify.xi"):
+        rho1, rho2 = sigma_pair_for_xi(xi, k, w)
 
     mesh = make_sphere_mesh(1.0, subdivision)
     grid = make_volume_grid((-1.6, 1.6), grid_n)
-
-    def bump_potential(amp):
-        x = grid.cell_center
-        b = ac.GaussianBump(amplitude=amp, center=(0.0, 0.0, 0.0), width=0.45)
-        cut = ac.RadialCutoff(1.05, 1.40)
-        v, _, _ = b.fields(x)
-        c, _, _ = cut.fields(x)
-        return PotentialSample(grid=grid, values=v * c)
-
-    d1 = ac.SchrodingerData(V=bump_potential(0.35), delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)), omega=k)
-    d2 = ac.SchrodingerData(V=bump_potential(-0.25), delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)), omega=k)
+    potentials = [_build_potential({"potential_bumps": [{"amplitude": amp, "center": [0.0, 0.0, 0.0], "width": 0.45}],
+                                    "cutoff": {"r_inner": 1.05, "r_outer": 1.40}}, grid) for amp in (0.35, -0.25)]
     with _names("verify.R"):
-        for d in (d1, d2):
-            check_enclosing_radius(R, d.delta.mesh, d.V)
-    rho1, rho2 = sigma_pair_for_xi(xi, k, w)
-
-    reports = [
-        hn.green_pairing_check(d1, d2, rho1, rho2, R),
-        hn.green_pairing_check(d1, d1, rho1, rho2, R),
-        hn.fourier_identity_check(d1, d2, xi, w, k),
-    ]
-
-    sys1 = DeltaSystem(d1.V, d1.delta, k)
-    sol = sys1.solve(plane_wave(np.array([0.0, 0.0, 1.0])))
-    reports.append(hn.sommerfeld_check(sol, k))
+        for V in potentials:
+            check_enclosing_radius(R, mesh, V)
+    # one assembled system per medium serves every report
+    sys1, sys2 = (DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)), k)
+                  for V, alpha in zip(potentials, (1.0, 1.5)))
 
     g = direction_grid(6, 12)
     values = farfield_source(sys1.solve_many([plane_wave(d) for d in g.normals]), g.normals)
     ff = FarFieldPattern(k=k, values=values, observations=g.normals,
                          obs_weights=g.weights, incidence=g.normals)
-    reports.append(hn.reciprocity_check(ff, rel_tol=0.01))
+    reports = [
+        hn.green_pairing_check(sys1, sys2, rho1, rho2, R),
+        hn.green_pairing_check(sys1, sys1, rho1, rho2, R),
+        hn.fourier_identity_check(sys1, sys2, xi, w),
+        hn.sommerfeld_check(sys1.solve(plane_wave(np.array([0.0, 0.0, 1.0]))), k),
+        hn.reciprocity_check(ff, rel_tol=0.01),
+    ]
 
     bundle = {
         "config_digest": config_digest(cfg),

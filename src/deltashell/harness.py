@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import SchrodingerData, acoustic_farfield, media_equal
+from .acoustic import acoustic_farfield, media_equal
 from .boundary import (
     DeltaSolution,
     DeltaSystem,
@@ -100,31 +100,34 @@ def _cross_trace(sol: DeltaSolution, mesh) -> np.ndarray:
     return np.asarray(eval_total_field(sol, mesh.panel_centroid, near_warning=False), dtype=complex)
 
 
-def _solve_pair(d1: SchrodingerData, d2: SchrodingerData,
-                rho1: ComplexDirection, rho2: ComplexDirection, k: float):
-    """The CGO solutions psi_m of medium m for the exponential e^{rho_m . x}."""
-    return (DeltaSystem(d1.V, d1.delta, k).solve(Exponential(rho1)),
-            DeltaSystem(d2.V, d2.delta, k).solve(Exponential(rho2)))
+def _check_media(sys1: DeltaSystem, sys2: DeltaSystem, *rhos: ComplexDirection) -> float:
+    """The one k of both systems and the directions; ValueError unless both media share a grid."""
+    k = sys1.k
+    if any(abs(kk - k) > 1e-12 * max(1.0, k) for kk in (sys2.k, *(r.k for r in rhos))):
+        raise ValueError("the two systems and the directions must share the wavenumber")
+    if sys1.potential is None or sys2.potential is None:
+        raise ValueError("the pairing needs both media sampled on a shared grid, not a system without V")
+    grid, grid2 = sys1.potential.grid, sys2.potential.grid
+    if not (np.array_equal(grid.lo, grid2.lo) and np.array_equal(grid.hi, grid2.hi) and grid.n == grid2.n):
+        raise ValueError("the two media must be sampled on a shared grid")
+    return k
 
 
-def _pairing_nodes(d1: SchrodingerData, d2: SchrodingerData,
-                   sol1: DeltaSolution, sol2: DeltaSolution):
+def _pairing_nodes(sys1: DeltaSystem, sys2: DeltaSystem, sol1: DeltaSolution, sol2: DeltaSolution):
     """Node groups (x, w, psi1, psi2) of <psi1 (Vt1 - Vt2), psi2> = sum w conj(psi1) psi2.
 
     The signed weights are vol (V1 - V2) on the cells, area alpha1 on Gamma1
     and -area alpha2 on Gamma2; callers reuse the identical sampled values in
     algebraically rearranged sums.
     """
-    grid, grid2 = d1.V.grid, d2.V.grid
-    if not (np.array_equal(grid.lo, grid2.lo) and np.array_equal(grid.hi, grid2.hi) and grid.n == grid2.n):
-        raise ValueError("the two media must be sampled on a shared grid")
-    mesh1, mesh2 = d1.delta.mesh, d2.delta.mesh
+    grid = sys1.potential.grid
+    mesh1, mesh2 = sys1.mesh, sys2.mesh
     return (
-        (grid.cell_center, grid.cell_volume * (d1.V.values - d2.V.values),
+        (grid.cell_center, grid.cell_volume * (sys1.potential.values - sys2.potential.values),
          sol1.volume_field.values, sol2.volume_field.values),
-        (mesh1.panel_centroid, mesh1.panel_area * d1.delta.alpha,
+        (mesh1.panel_centroid, mesh1.panel_area * sys1.delta.alpha,
          sol1.trace, _cross_trace(sol2, mesh1)),
-        (mesh2.panel_centroid, -mesh2.panel_area * d2.delta.alpha,
+        (mesh2.panel_centroid, -mesh2.panel_area * sys2.delta.alpha,
          _cross_trace(sol1, mesh2), sol2.trace),
     )
 
@@ -136,13 +139,16 @@ def _pairing(nodes) -> tuple[complex, float]:
 
 
 def green_pairing_check(
-    d1: SchrodingerData,
-    d2: SchrodingerData,
+    sys1: DeltaSystem,
+    sys2: DeltaSystem,
     rho1: ComplexDirection,
     rho2: ComplexDirection,
     R: float,
 ) -> ExperimentReport:
     """Volume+surface pairing against the boundary Wronskian on |y| = R.
+
+    ``sysN`` is the assembled system of medium N; its CGO solution psi_N is
+    ``sysN.solve(Exponential(rhoN))``.  Both systems and both rho share k.
 
     LHS = int conj(psi1)(V1 - V2) psi2 + int_G1 conj(eta1) tr psi2
                                        - int_G2 conj(tr psi1) eta2,
@@ -154,14 +160,12 @@ def green_pairing_check(
     match is asserted at PAIRING_REL_TOL.
     """
     t0 = time.time()
-    k = rho1.k
-    if abs(rho2.k - k) > 1e-12 * max(1.0, k):
-        raise ValueError("rho1 and rho2 must share the wavenumber")
-    for d in (d1, d2):
-        check_enclosing_radius(R, d.delta.mesh, d.V)
+    k = _check_media(sys1, sys2, rho1, rho2)
+    for system in (sys1, sys2):
+        check_enclosing_radius(R, system.mesh, system.potential)
 
-    sol1, sol2 = _solve_pair(d1, d2, rho1, rho2, k)
-    lhs, mass = _pairing(_pairing_nodes(d1, d2, sol1, sol2))
+    sol1, sol2 = sys1.solve(Exponential(rho1)), sys2.solve(Exponential(rho2))
+    lhs, mass = _pairing(_pairing_nodes(sys1, sys2, sol1, sol2))
 
     sphere = make_sphere_grid(R, *WRONSKIAN_NODES)
     psi1, dr1 = _total_field_and_radial(sol1, sphere.nodes, sphere.normals)
@@ -170,9 +174,9 @@ def green_pairing_check(
     wron_mass = float(np.sum(sphere.weights * (np.abs(dr1 * psi2) + np.abs(psi1 * dr2))))
 
     identical = (
-        np.array_equal(d1.V.values, d2.V.values)
-        and d1.delta.mesh is d2.delta.mesh
-        and np.array_equal(d1.delta.alpha, d2.delta.alpha)
+        np.array_equal(sys1.potential.values, sys2.potential.values)
+        and sys1.mesh is sys2.mesh
+        and np.array_equal(sys1.delta.alpha, sys2.delta.alpha)
     )
     rel_gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
     metrics = {
@@ -203,11 +207,10 @@ def green_pairing_check(
 
 
 def fourier_identity_check(
-    d1: SchrodingerData,
-    d2: SchrodingerData,
+    sys1: DeltaSystem,
+    sys2: DeltaSystem,
     xi: np.ndarray,
     w: float,
-    k: float,
 ) -> ExperimentReport:
     """Exact finite-w decomposition of the pairing behind the uniqueness proof.
 
@@ -221,14 +224,16 @@ def fourier_identity_check(
         F_xi = <Vt1 - Vt2, u_xi (conj(phi1) + phi2)>
              + <conj(phi1) (Vt1 - Vt2), u_xi phi2>,
 
-    and D = hat(Vt2)(xi) - hat(Vt1)(xi) by direct quadrature.  The split is
-    algebraic and asserted at ALGEBRAIC_TOL; |F_xi - D| is the finite-w
-    remainder, reported only (it tends to 0 along the CGO sequence w -> oo).
+    and D = hat(Vt2)(xi) - hat(Vt1)(xi) by direct quadrature, at the systems'
+    shared k.  The split is algebraic and asserted at ALGEBRAIC_TOL; |F_xi - D|
+    is the finite-w remainder, reported only (it tends to 0 along the CGO
+    sequence w -> oo).
     """
     t0 = time.time()
+    k = _check_media(sys1, sys2)
     xi = np.asarray(xi, dtype=float)
     rho1, rho2 = sigma_pair_for_xi(xi, k, w)
-    nodes = _pairing_nodes(d1, d2, *_solve_pair(d1, d2, rho1, rho2, k))
+    nodes = _pairing_nodes(sys1, sys2, sys1.solve(Exponential(rho1)), sys2.solve(Exponential(rho2)))
     P, mass = _pairing(nodes)
 
     F = 0.0 + 0.0j

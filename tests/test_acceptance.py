@@ -35,7 +35,6 @@ from deltashell.acoustic import (
     GaussianBump,
     MediumSpec,
     RadialCutoff,
-    SchrodingerData,
     acoustic_to_schrodinger,
     eval_sound_speed,
 )
@@ -99,15 +98,12 @@ def bem_sphere_runs(obs_grid):
 
 @pytest.fixture(scope="module")
 def cgo_media():
+    """The assembled systems of the two CGO media at k = 1."""
     grid = make_volume_grid((-1.6, 1.6), 12)
     mesh = make_sphere_mesh(1.0, 2)
-    d1 = SchrodingerData(V=bump_potential(grid, 0.35),
-                         delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)),
-                         omega=1.0)
-    d2 = SchrodingerData(V=bump_potential(grid, -0.25),
-                         delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)),
-                         omega=1.0)
-    return d1, d2
+    return tuple(DeltaSystem(bump_potential(grid, amp),
+                             DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)), 1.0)
+                 for amp, alpha in ((0.35, 1.0), (-0.25, 1.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +173,10 @@ def test_criterion_3_jump_relation():
 
 
 def test_criterion_4_green_pairing(cgo_media):
-    d1, d2 = cgo_media
+    sys1, sys2 = cgo_media
     rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
-    r_distinct = green_pairing_check(d1, d2, rho1, rho2, R=1.8)
-    r_zero = green_pairing_check(d1, d1, rho1, rho1, R=1.8)
+    r_distinct = green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
+    r_zero = green_pairing_check(sys1, sys1, rho1, rho1, R=1.8)
     lhs_zero = abs(complex(r_zero.metrics["lhs_re"], r_zero.metrics["lhs_im"]))
     zero_rel = lhs_zero / max(r_zero.metrics["pairing_mass"], 1.0)
     ok = r_distinct.metrics["rel_gap"] <= 1e-2 and zero_rel <= 1e-10
@@ -192,8 +188,8 @@ def test_criterion_4_green_pairing(cgo_media):
 
 
 def test_criterion_5_fourier_split(cgo_media):
-    d1, d2 = cgo_media
-    r = fourier_identity_check(d1, d2, XI, w=0.5, k=1.0)
+    sys1, sys2 = cgo_media
+    r = fourier_identity_check(sys1, sys2, XI, w=0.5)
     ok = r.metrics["split_err"] <= 1e-10
     report(5, ok, f"F_xi split closes to {r.metrics['split_err']:.2e} <= 1e-10; "
                   f"finite-w remainder |F - D| = {r.metrics['finite_w_remainder']:.3f} "
@@ -204,13 +200,12 @@ def test_criterion_5_fourier_split(cgo_media):
 
 
 def test_criterion_6_sommerfeld_all_configurations(cgo_media, bem_sphere_runs):
-    d1, _ = cgo_media
-    k = 1.0
+    sys1, _ = cgo_media
     configs = {}
 
     configs["surface-only"] = bem_sphere_runs[1280]["solution"]
-    configs["volume+surface"] = DeltaSystem(d1.V, d1.delta, k).solve(plane_wave(EZ))
-    configs["volume-only"] = DeltaSystem(d1.V, None, k).solve(plane_wave(EZ))
+    configs["volume+surface"] = sys1.solve(plane_wave(EZ))
+    configs["volume-only"] = DeltaSystem(sys1.potential, None, sys1.k).solve(plane_wave(EZ))
 
     mesh = make_sphere_mesh(1.0, 2)
     medium = MediumSpec(gamma=mesh, shell_density=np.full(mesh.n_panels, 1.0),

@@ -11,6 +11,7 @@ import pytest
 
 import deltashell
 from deltashell import acoustic, cli, harness
+from deltashell.boundary import DeltaSystem
 from deltashell.cli import main
 from deltashell.farfield import load_farfield_csv
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, save_mesh
@@ -20,6 +21,9 @@ from conftest import cube_mesh
 
 def no_solve(*args):
     raise AssertionError("the config reached a solve")
+
+
+BAD_XI = ([1.0, 0.0], [0.0, 0.0, 0.0, 1.0], None, [1.0, 0.0, float("nan")], [10.0, 0.0, 0.0])
 
 
 def write_config(tmp_path, name, cfg):
@@ -123,6 +127,8 @@ class TestConfigValidation:
         "verify.w": ("verify", {"verify": {"w": -0.5}}),
         # B_R must enclose both media: 1.2 cuts the support cells, 1.5 their half-diagonals
         "verify.R": ("verify", {"verify": {"R": 0}}, {"verify": {"R": 1.5}}, {"verify": {"R": 1.2}}),
+        # not a finite 3-vector, or too large for w = 0.5 at k = 1 (|xi|^2/4 > w^2 + k^2)
+        "verify.xi": ("verify", *({"verify": {"xi": xi}} for xi in BAD_XI)),
     }
 
     @pytest.mark.parametrize("field", list(BAD_FIELDS))
@@ -135,6 +141,14 @@ class TestConfigValidation:
             path = write_config(tmp_path, "bad.json", cfg)
             assert main(["--config", path, "--out", str(tmp_path), command]) == 2, section
             assert f"'{field}'" in capsys.readouterr().err
+
+    def test_verify_xi_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DeltaSystem", no_solve)
+        monkeypatch.setattr(harness, "DeltaSystem", no_solve)
+        for xi in BAD_XI:
+            path = write_config(tmp_path, "xi.json", {"verify": {"xi": xi}})
+            assert main(["--config", path, "--out", str(tmp_path), "verify"]) == 2, xi
+            assert "'verify.xi'" in capsys.readouterr().err
 
     def test_verify_radius_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DeltaSystem", no_solve)
@@ -326,3 +340,16 @@ class TestVerifyCommand:
         assert bundle["all_pass"]
         names = {r["name"] for r in bundle["reports"]}
         assert {"green_pairing", "fourier_identity", "sommerfeld", "reciprocity"} <= names
+
+    def test_one_system_per_medium_serves_every_report(self, tmp_path, monkeypatch):
+        builds = []
+        init = DeltaSystem.__init__
+
+        def counted(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(DeltaSystem, "__init__", counted)
+        path = write_config(tmp_path, "v.json", {"verify": {"subdivision": 0, "grid_n": 8}})
+        assert main(["--config", path, "--out", str(tmp_path), "--quiet", "verify"]) in (0, 3)
+        assert len(builds) == 2

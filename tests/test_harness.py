@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from deltashell.acoustic import GaussianBump, MediumSpec, RadialCutoff, SchrodingerData
+from deltashell.acoustic import GaussianBump, MediumSpec, RadialCutoff
 from deltashell.boundary import DeltaSpec, DeltaSystem
 from deltashell.farfield import FarFieldPattern, direction_grid, farfield_source
 from deltashell.geometry import make_sphere_mesh, make_volume_grid
@@ -31,80 +31,98 @@ XI = np.array([1.0, 0.0, 0.0])
 
 
 @pytest.fixture(scope="module")
-def sphere_media(sphere_meshes, small_grid):
+def sphere_systems(sphere_meshes, small_grid):
+    """The assembled systems of the two media at k = 1, shared by every check."""
     mesh = sphere_meshes[2]
-    d1 = SchrodingerData(V=bump_potential(small_grid, 0.35),
-                         delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)),
-                         omega=1.0)
-    d2 = SchrodingerData(V=bump_potential(small_grid, -0.25),
-                         delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)),
-                         omega=1.0)
-    return d1, d2
+    return tuple(DeltaSystem(bump_potential(small_grid, amp),
+                             DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)), 1.0)
+                 for amp, alpha in ((0.35, 1.0), (-0.25, 1.5)))
 
 
 class TestGreenPairing:
-    def test_distinct_media(self, sphere_media):
-        d1, d2 = sphere_media
+    def test_distinct_media(self, sphere_systems):
+        sys1, sys2 = sphere_systems
         rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
-        report = green_pairing_check(d1, d2, rho1, rho2, R=1.8)
+        report = green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
         assert report.passed
         assert report.metrics["rel_gap"] <= 1e-2
 
-    def test_identical_media_zero_cases(self, sphere_media):
-        d1, _ = sphere_media
+    def test_identical_media_zero_cases(self, sphere_systems):
+        sys1, _ = sphere_systems
         rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
         # same medium, same direction: LHS is an algebraic zero
-        r_same = green_pairing_check(d1, d1, rho1, rho1, R=1.8)
+        r_same = green_pairing_check(sys1, sys1, rho1, rho1, R=1.8)
         assert r_same.passed
         lhs = abs(complex(r_same.metrics["lhs_re"], r_same.metrics["lhs_im"]))
         assert lhs <= 1e-10 * max(r_same.metrics["pairing_mass"], 1.0)
         # same medium, different directions: same-operator Wronskian vanishes
-        r_cross = green_pairing_check(d1, d1, rho1, rho2, R=1.8)
+        r_cross = green_pairing_check(sys1, sys1, rho1, rho2, R=1.8)
         assert r_cross.passed
         rhs = abs(complex(r_cross.metrics["rhs_re"], r_cross.metrics["rhs_im"]))
         assert rhs <= 1e-2 * r_cross.metrics["wronskian_mass"]
 
-    def test_containment_validated(self, sphere_media):
-        d1, d2 = sphere_media
+    def test_containment_validated(self, sphere_systems):
+        sys1, sys2 = sphere_systems
         rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
         # 0.8 cuts Gamma, 1.5 the support cells (centre plus half-diagonal 1.61)
         for R in (0.8, 1.5):
             with pytest.raises(ValueError, match="does not enclose"):
-                green_pairing_check(d1, d2, rho1, rho2, R=R)
+                green_pairing_check(sys1, sys2, rho1, rho2, R=R)
 
-    def test_wavenumber_consistency(self, sphere_media):
-        d1, d2 = sphere_media
+    def test_wavenumber_consistency(self, sphere_systems):
+        sys1, sys2 = sphere_systems
         rho1, _ = sigma_pair_for_xi(XI, 1.0, 0.5)
         _, rho2 = sigma_pair_for_xi(XI, 2.0, 0.5)
         with pytest.raises(ValueError, match="wavenumber"):
-            green_pairing_check(d1, d2, rho1, rho2, R=1.8)
+            green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
+
+    def test_systems_and_directions_share_one_wavenumber(self, sphere_systems):
+        sys1, sys2 = sphere_systems
+        # another k on the second system (cells only: the guard runs before any solve)
+        sys2_k2 = DeltaSystem(sys2.potential, None, 2.0)
+        with pytest.raises(ValueError, match="wavenumber"):
+            green_pairing_check(sys1, sys2_k2, *sigma_pair_for_xi(XI, 1.0, 0.5), R=1.8)
+        with pytest.raises(ValueError, match="wavenumber"):
+            fourier_identity_check(sys1, sys2_k2, XI, w=0.5)
+        # both directions at another k than the systems
+        with pytest.raises(ValueError, match="wavenumber"):
+            green_pairing_check(sys1, sys2, *sigma_pair_for_xi(XI, 2.0, 0.5), R=1.8)
+
+    def test_system_without_potential_rejected(self, sphere_systems, sphere_meshes):
+        sys1, _ = sphere_systems
+        mesh = sphere_meshes[1]
+        surface_only = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)), 1.0)
+        with pytest.raises(ValueError, match="shared grid"):
+            green_pairing_check(sys1, surface_only, *sigma_pair_for_xi(XI, 1.0, 0.5), R=1.8)
+        with pytest.raises(ValueError, match="shared grid"):
+            fourier_identity_check(surface_only, sys1, XI, w=0.5)
 
 
 class TestFourierIdentity:
-    def test_exact_split(self, sphere_media):
-        d1, d2 = sphere_media
-        report = fourier_identity_check(d1, d2, XI, w=0.5, k=1.0)
+    def test_exact_split(self, sphere_systems):
+        sys1, sys2 = sphere_systems
+        report = fourier_identity_check(sys1, sys2, XI, w=0.5)
         assert report.passed
         assert report.metrics["split_err"] <= 1e-10
         assert report.metrics["finite_w_remainder"] > 0  # reported, not asserted
 
-    def test_identical_media_all_terms_vanish(self, sphere_media):
-        d1, _ = sphere_media
-        report = fourier_identity_check(d1, d1, XI, w=0.5, k=1.0)
+    def test_identical_media_all_terms_vanish(self, sphere_systems):
+        sys1, _ = sphere_systems
+        report = fourier_identity_check(sys1, sys1, XI, w=0.5)
         assert report.metrics["split_err"] <= 1e-10
         for key in ("pairing_re", "pairing_im", "F_re", "F_im",
                     "fourier_diff_re", "fourier_diff_im"):
             assert abs(report.metrics[key]) <= 1e-12
 
-    def test_zero_frequency_fourier_difference(self, sphere_media):
+    def test_zero_frequency_fourier_difference(self, sphere_systems):
         # xi = 0: the Fourier difference is the plain quadrature of the data
-        d1, d2 = sphere_media
-        report = fourier_identity_check(d1, d2, np.zeros(3), w=0.7, k=1.0)
-        vol = d1.V.grid.cell_volume
+        sys1, sys2 = sphere_systems
+        report = fourier_identity_check(sys1, sys2, np.zeros(3), w=0.7)
+        vol = sys1.potential.grid.cell_volume
         direct = (
-            vol * np.sum(d2.V.values - d1.V.values)
-            + np.sum(d2.delta.mesh.panel_area * d2.delta.alpha)
-            - np.sum(d1.delta.mesh.panel_area * d1.delta.alpha)
+            vol * np.sum(sys2.potential.values - sys1.potential.values)
+            + np.sum(sys2.mesh.panel_area * sys2.delta.alpha)
+            - np.sum(sys1.mesh.panel_area * sys1.delta.alpha)
         )
         got = complex(report.metrics["fourier_diff_re"], report.metrics["fourier_diff_im"])
         assert abs(got - direct) < 1e-10 * abs(direct)
@@ -223,10 +241,10 @@ class TestUniqueness:
 
 
 class TestReportFormat:
-    def test_json_schema(self, sphere_media):
-        d1, d2 = sphere_media
+    def test_json_schema(self, sphere_systems):
+        sys1, sys2 = sphere_systems
         rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
-        report = green_pairing_check(d1, d2, rho1, rho2, R=1.8)
+        report = green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
         payload = json.loads(report.to_json())
         assert set(payload) == {"name", "inputs", "metrics", "thresholds", "pass", "seconds"}
         assert isinstance(payload["pass"], bool)
@@ -234,16 +252,15 @@ class TestReportFormat:
     def test_thresholds_record_the_module_constants(self, sphere_meshes):
         grid = make_volume_grid((-1.6, 1.6), 8)
         mesh = sphere_meshes[1]
-        d1, d2 = (SchrodingerData(V=bump_potential(grid, amp),
-                                  delta=DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, a)),
-                                  omega=1.0)
-                  for amp, a in ((0.35, 1.0), (-0.25, 1.5)))
+        sys1, sys2 = (DeltaSystem(bump_potential(grid, amp),
+                                  DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, a)), 1.0)
+                      for amp, a in ((0.35, 1.0), (-0.25, 1.5)))
         rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
-        assert green_pairing_check(d1, d2, rho1, rho2, R=1.8).thresholds == {
+        assert green_pairing_check(sys1, sys2, rho1, rho2, R=1.8).thresholds == {
             "rel_gap": PAIRING_REL_TOL}
-        assert green_pairing_check(d1, d1, rho1, rho1, R=1.8).thresholds == {
+        assert green_pairing_check(sys1, sys1, rho1, rho1, R=1.8).thresholds == {
             "lhs_zero": ALGEBRAIC_TOL, "rhs_over_mass": PAIRING_REL_TOL}
-        assert fourier_identity_check(d1, d2, XI, w=0.5, k=1.0).thresholds == {
+        assert fourier_identity_check(sys1, sys2, XI, w=0.5).thresholds == {
             "split_err": ALGEBRAIC_TOL}
         radiation = sommerfeld_check(lambda pts: np.zeros(len(pts), dtype=complex), 1.0)
         assert radiation.thresholds == {"decay_per_doubling": SOMMERFELD_MIN_DECAY}

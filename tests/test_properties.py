@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltashell.boundary import DeltaSpec, DeltaSystem, assemble_single_layer
-from deltashell.kernels import plane_wave
+from deltashell.kernels import Herglotz, plane_wave
 
 from conftest import bump_potential
 
@@ -42,3 +42,54 @@ def test_alpha_to_zero_approaches_the_cells_only_field(alpha_path, exponent):
     t = 10.0**exponent
     gap = np.linalg.norm(field(t) - base)
     assert abs(gap / t - slope) <= 2.0 * (t + T_REF) * coupling * slope
+
+
+EPS = np.finfo(float).eps
+# one incident wave: direction angles (theta, phi), quadrature weight, density sample
+WAVE = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi),
+                 st.floats(0.1, 2.0), st.complex_numbers(max_magnitude=2.0))
+
+
+@pytest.fixture(scope="module")
+def linear_solve(small_system):
+    """(system, |A^-1|_2 bound, max|V|, |Tr|_2, |S|_2, max |x| over the collocation points)."""
+    s = small_system
+    inv_norm = np.sqrt(len(s._A)) / (s._lu.rcond * np.linalg.norm(s._A, 1))
+    tr_norm = np.linalg.norm(s.Tr, 2) if s.Tr.size else 0.0
+    s_norm = np.linalg.norm(s.S, 2) if s.surface_active else 0.0
+    points = np.concatenate([s.centers, s.mesh.panel_centroid])
+    return (s, inv_norm, np.max(np.abs(s.Vs), initial=0.0), tr_norm, s_norm,
+            float(np.max(np.linalg.norm(points, axis=1))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(waves=st.lists(WAVE, min_size=1, max_size=5))
+def test_herglotz_solution_is_the_weighted_sum_of_its_plane_waves(linear_solve, waves):
+    # The Herglotz right-hand side b_H is sum c_j b_j (c_j = weight * density)
+    # to rounding, so with x = A^-1 b for each column and r its recorded
+    # relative residual:
+    #   |x_H - sum c_j x_j| <= |A^-1|_2 (r_H |b_H| + sum |c_j| r_j |b_j| + rounding),
+    # where |b| <= sqrt(n) max(1, |alpha|) per unit of |c|, and |A^-1|_2 <=
+    # sqrt(n) / (rcond |A|_1) from the LU's 1-norm estimate.  The rounding is
+    # eps (k max|x| + m + 2) per unit of |c| (phase, exponential and the m-term
+    # sums).  eta is a block of x, the source is V times one, and the trace is
+    # psi0 - Tr source - S eta.  A factor 10 covers the condition estimator,
+    # which can under-estimate |A^-1|_1, and the rounding of the residuals.
+    system, inv_norm, v_max, tr_norm, s_norm, r_max = linear_solve
+    theta, phi, weights, density = (np.array(v) for v in zip(*waves))
+    dirs = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)
+    c = weights * density
+    total = system.solve(Herglotz(directions=dirs, weights=weights, density=density))
+    plane = system.solve_many([plane_wave(d) for d in dirs])
+
+    n = len(system._A)
+    rounding = EPS * (system.k * r_max + len(c) + 2)
+    b_norm = np.sqrt(n) * max(1.0, np.max(np.abs(system.delta.alpha), initial=0.0)) * np.sum(np.abs(c))
+    x_err = 10.0 * inv_norm * b_norm * (total.residual + max(p.residual for p in plane) + rounding)
+
+    def gap(part):
+        return np.linalg.norm(part(total) - sum(cj * part(p) for cj, p in zip(c, plane)))
+
+    assert gap(lambda sol: sol.density.eta) <= x_err
+    assert gap(lambda sol: sol.source_density) <= v_max * x_err
+    assert gap(lambda sol: sol.trace) <= 10.0 * b_norm * rounding + (tr_norm * v_max + s_norm) * x_err
