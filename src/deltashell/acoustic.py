@@ -56,9 +56,6 @@ __all__ = [
 ]
 
 
-_NEAR_GAMMA_WARNING = "density derivatives requested"
-
-
 class MediumValidityError(ValueError):
     """Sampled density or sound speed violates positivity."""
 
@@ -157,15 +154,8 @@ def _sum_bumps(bumps, x: np.ndarray):
     return val, grad, lap
 
 
-def eval_density(m: MediumSpec, x, derivatives: bool = True):
-    """(rho, grad rho, piecewise lap rho) at points x; rho alone also on Gamma.
-
-    The layer contribution to the Laplacian vanishes (harmonic off Gamma);
-    its value and gradient come from panel quadrature of the static kernel.
-    Gradient accuracy degrades within a quarter panel diameter of Gamma
-    (warned, matching the solver's near-field contract).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def _density(m: MediumSpec, x: np.ndarray, derivatives: bool):
+    """``eval_density`` without the near-Gamma scan."""
     xi = m.shell_density
     sl = layer_potential(x, m.gamma, xi.astype(complex), 0.0).real
     b_val, b_grad, b_lap = _sum_bumps(m.rho_bumps, x)
@@ -176,14 +166,26 @@ def eval_density(m: MediumSpec, x, derivatives: bool = True):
     if not derivatives:
         return rho, None, None
 
-    if near_surface(x, m.gamma):
-        warnings.warn(_NEAR_GAMMA_WARNING + " within a quarter panel diameter "
-                      "of Gamma; near-field accuracy is reduced", stacklevel=2)
     sl_grad = layer_potential_gradient(x, m.gamma, xi.astype(complex), 0.0).real
     f_grad = b_grad + sl_grad
     grad = c_grad * f[:, None] + c_val[:, None] * f_grad
     lap = c_lap * f + 2.0 * np.einsum("ij,ij->i", c_grad, f_grad) + c_val * b_lap
     return rho, grad, lap
+
+
+def eval_density(m: MediumSpec, x, derivatives: bool = True):
+    """(rho, grad rho, piecewise lap rho) at points x; rho alone also on Gamma.
+
+    The layer contribution to the Laplacian vanishes (harmonic off Gamma);
+    its value and gradient come from panel quadrature of the static kernel.
+    Gradient accuracy degrades within a quarter panel diameter of Gamma
+    (warned, matching the solver's near-field contract).
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if derivatives and near_surface(x, m.gamma):
+        warnings.warn("density derivatives requested within a quarter panel diameter "
+                      "of Gamma; near-field accuracy is reduced", stacklevel=2)
+    return _density(m, x, derivatives)
 
 
 def eval_sound_speed(m: MediumSpec, x) -> np.ndarray:
@@ -221,10 +223,8 @@ def _schrodinger_data(m: MediumSpec, omegas, grid: VolumeGrid) -> list[Schroding
     check_medium_grid(m, grid)
 
     x = grid.cell_center
-    with warnings.catch_warnings():
-        # near-Gamma cells take one-sided values
-        warnings.filterwarnings("ignore", message=_NEAR_GAMMA_WARNING)
-        rho, grad, lap = eval_density(m, x)
+    # no centre is on Gamma; cells near it take one-sided values, unwarned
+    rho, grad, lap = _density(m, x, derivatives=True)
     if np.any(rho <= 0):
         raise MediumValidityError(f"density reaches {rho.min():.3g} <= 0 on the grid")
     v = eval_sound_speed(m, x)

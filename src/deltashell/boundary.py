@@ -1,15 +1,18 @@
 """Delta-shell boundary solver: single-layer operator and the coupled system.
 
-The total field for a potential V plus a surface interaction of strength
-alpha on Gamma satisfies, in discretized form, the single block system
+A potential V plus a surface interaction of strength alpha on Gamma is the
+singular potential V~ = V + alpha delta_Gamma.  Its discrete form is one
+Lippmann-Schwinger equation over the collocation points x_i (the support
+cell centres, then the panel centroids):
 
-    psi_i + sum_j G_ij V_j psi_j + sum_q SLvol_iq eta_q = psi0(c_i)   (cells)
-    eta_q = alpha_q * [ psi0(x_q) - sum_j Tr_qj V_j psi_j
-                                  - sum_p S_qp eta_p ]                (panels)
+    psi_i + sum_j K_ij w_j psi_j = psi0(x_i),
 
-in the unknowns (psi on grid cells, eta on panels), where eta is the
-surface density alpha * trace(psi) (equal to the jump of the normal
-derivative of psi across Gamma).  All blocks use the outgoing kernel.
+where K_ij integrates the outgoing kernel over cell or panel j from x_i,
+K = [[G, SLvol], [Tr, S]] by blocks, and w = (V on the cells, alpha on the
+panels) is the discrete V~.  The panel unknowns are the trace psi|_Gamma;
+eta = alpha psi|_Gamma is the surface density (the jump of the normal
+derivative of psi across Gamma).  With alpha = 0 the panel columns drop and
+the panel rows give the trace alone.
 
 Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
 ``geometry.triangle_rule``; every kernel value comes from ``kernels``):
@@ -389,8 +392,11 @@ class DeltaSolution:
 
 
 class DeltaSystem:
-    """Assembled and factorized coupled system, reusable across incident fields.
+    """The factorized system (I + K diag(w)) x = psi0, reusable across incident fields.
 
+    ``kernel`` is K, one row per collocation point in ``points`` (the
+    support cells, then every panel), and ``weights`` is w, one entry per
+    unknown: V on the cells and, unless alpha = 0, alpha on the panels.
     ``V = None`` drops the cells and ``delta = None`` the surface (an empty
     mesh), so ``DeltaSystem(V, None, k)`` is the plain Lippmann-Schwinger solve.
     """
@@ -402,38 +408,32 @@ class DeltaSystem:
         self.delta = delta = _NO_SURFACE if delta is None else delta
         self.potential = V
         self.mesh = delta.mesh
-
-        alpha = delta.alpha
-        self.surface_active = not delta.is_zero
         self.support = V.support() if V is not None else np.zeros(0, dtype=int)
-        ns, np_ = len(self.support), self.mesh.n_panels
 
-        if V is not None and ns:
-            self.G = assemble_volume_operator(V.grid, k, cells=self.support)
-            self.Vs = V.values[self.support]
-            self.centers = V.grid.cell_center[self.support]
+        if len(self.support):
+            G = assemble_volume_operator(V.grid, k, cells=self.support)
+            centers = V.grid.cell_center[self.support]
+            Tr = cell_block(self.mesh.panel_centroid, centers, V.grid, k)
+            Vs = V.values[self.support]
         else:
-            self.G = np.zeros((0, 0), dtype=complex)
-            self.Vs = np.zeros(0)
-            self.centers = np.zeros((0, 3))
+            G = np.zeros((0, 0), dtype=complex)
+            centers = np.zeros((0, 3))
+            Tr = np.zeros((self.mesh.n_panels, 0), dtype=complex)
+            Vs = np.zeros(0)
+        self.points = np.concatenate([centers, self.mesh.panel_centroid])
 
-        if self.surface_active:
-            self.S = assemble_single_layer(self.mesh, k)
-            SLvol = _layer_matrix(self.centers, self.mesh, k)
+        if delta.is_zero:
+            self.kernel = np.block([[G], [Tr]])
+            self.weights = Vs
         else:
-            # alpha == 0: the panel rows decouple (eta = 0); solve cells only
-            self.S = None
-        # Tr after the layer blocks, whose chunked temporaries set the peak memory
-        self.Tr = (cell_block(self.mesh.panel_centroid, self.centers, V.grid, k) if ns
-                   else np.zeros((np_, 0), dtype=complex))
-        A = self.G * self.Vs[None, :]
-        if self.surface_active:
-            A = np.block([[A, SLvol],
-                          [alpha[:, None] * (self.Tr * self.Vs[None, :]), alpha[:, None] * self.S]])
+            self.kernel = np.block([[G, _layer_matrix(centers, self.mesh, k)],
+                                    [Tr, assemble_single_layer(self.mesh, k)]])
+            self.weights = np.concatenate([Vs, delta.alpha])
+
+        n = len(self.weights)
+        A = self.kernel[:n] * self.weights
         A[np.diag_indices_from(A)] += 1.0
-
-        self._A = A
-        self._lu = GuardedLU(A, context="delta-shell system") if len(A) else None
+        self._lu = GuardedLU(A, context="delta-shell system") if n else None
 
     def solve(self, inc: IncidentField) -> DeltaSolution:
         return self.solve_many([inc])[0]
@@ -441,34 +441,25 @@ class DeltaSystem:
     def solve_many(self, incidents) -> list[DeltaSolution]:
         """Solutions for several incident fields from one back-substitution.
 
-        The incident fields form the columns of one right-hand-side matrix;
-        residuals, source densities and panel traces are computed for all
-        columns at once.
+        The incident fields form the columns of one right-hand-side matrix.
+        One product K (w x) gives every column's residual (the unknowns'
+        rows) and its trace psi0 - K (w x) at the panels.
         """
         incidents = list(incidents)
-        ns, np_ = len(self.support), self.mesh.n_panels
-        points = np.concatenate([self.centers, self.mesh.panel_centroid])
-        psi0 = np.stack([np.asarray(eval_incident(inc, self.k, points), dtype=complex)
+        ns, n = len(self.support), len(self.weights)
+        psi0 = np.stack([np.asarray(eval_incident(inc, self.k, self.points), dtype=complex)
                          for inc in incidents], axis=1)                # (ns + np, n_rhs)
-
-        if self.surface_active:
-            rhs = psi0.copy()
-            rhs[ns:] *= self.delta.alpha[:, None]
-        else:
-            rhs = psi0[:ns]
-        x = self._lu.solve(rhs) if len(rhs) else rhs
-        residual = (np.linalg.norm(self._A @ x - rhs, axis=0)
-                    / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
-        psi_s = x[:ns]
-        eta = x[ns:] if self.surface_active else np.zeros((np_, len(incidents)), dtype=complex)
-
-        source = self.Vs[:, None] * psi_s
-        trace = psi0[ns:] - self.Tr @ source
-        if self.surface_active:
-            trace = trace - self.S @ eta
+        x = self._lu.solve(psi0[:n]) if n else psi0[:n]
+        wx = self.weights[:, None] * x
+        kwx = self.kernel @ wx
+        residual = (np.linalg.norm(x + kwx[:n] - psi0[:n], axis=0)
+                    / np.maximum(np.linalg.norm(psi0[:n], axis=0), 1e-300))
+        trace = psi0[ns:] - kwx[ns:]
+        eta = (np.zeros((self.mesh.n_panels, len(incidents)), dtype=complex) if self.delta.is_zero
+               else wx[ns:])
 
         # one contiguous row per solution
-        psi_s, source, eta, trace = (np.ascontiguousarray(a.T) for a in (psi_s, source, eta, trace))
+        psi_s, source, eta, trace = (np.ascontiguousarray(a.T) for a in (x[:ns], wx[:ns], eta, trace))
         return [
             DeltaSolution(
                 density=BoundaryDensity(mesh=self.mesh, eta=eta[j]), incident=inc, k=self.k,

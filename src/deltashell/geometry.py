@@ -339,19 +339,6 @@ class SphereGrid:
     def n_nodes(self) -> int:
         return len(self.weights)
 
-    def antipode_index(self) -> np.ndarray:
-        """Index map sending each node to (the index of) its antipode.
-
-        Requires n_phi even; the node set is then closed under x -> -x.
-        """
-        if self.n_phi % 2:
-            raise ValueError("antipode map needs an even n_phi")
-        it, ip = np.meshgrid(
-            np.arange(self.n_theta), np.arange(self.n_phi), indexing="ij"
-        )
-        anti = (self.n_theta - 1 - it) * self.n_phi + (ip + self.n_phi // 2) % self.n_phi
-        return anti.ravel()
-
 
 def make_sphere_grid(R: float, n_theta: int, n_phi: int) -> SphereGrid:
     if R <= 0:

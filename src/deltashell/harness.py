@@ -17,7 +17,6 @@ asserted.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -71,9 +70,6 @@ class ExperimentReport:
             "pass": bool(self.passed),
             "seconds": self.seconds,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def lattice_directions() -> np.ndarray:

@@ -116,10 +116,6 @@ class ComplexDirection:
         if np.max(np.abs(rebuilt - rho)) > 1e-12 * max(1.0, self.k + self.w):
             raise ValueError("(w, zeta, xi) parametrization does not reproduce rho")
 
-    @property
-    def is_plane_wave(self) -> bool:
-        return self.w == 0.0
-
 
 def make_sigma_k(w: float, zeta_hat, xi_hat, k: float) -> ComplexDirection:
     """Build rho = w zeta + i sqrt(w^2 + k^2) xi in Sigma_k."""

@@ -130,7 +130,9 @@ def test_criterion_1_mie_agreement(bem_sphere_runs, mie_sphere_reference, obs_gr
 
 def test_criterion_1_single_layer_symmetry_at_scale(bem_sphere_runs):
     # supporting check at the acceptance mesh: operator-scale symmetry
-    S = bem_sphere_runs[5120]["system"].S
+    system = bem_sphere_runs[5120]["system"]
+    ns = len(system.support)
+    S = system.kernel[ns:, ns:]
     rel = np.max(np.abs(S - S.T)) / np.linalg.norm(S, 1)
     report(1, rel <= 1e-3, f"single-layer symmetry at 5120 panels: {rel:.2e} <= 1e-3")
     assert rel <= 1e-3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deltashell import acoustic
+from deltashell import acoustic, boundary
 from deltashell.acoustic import (
     GaussianBump,
     MediumSpec,
@@ -20,7 +20,7 @@ from deltashell.acoustic import (
     schrodinger_to_acoustic_field,
     surface_density_trace,
 )
-from deltashell.boundary import DeltaSystem, assemble_single_layer
+from deltashell.boundary import DeltaSystem, assemble_single_layer, near_surface
 from deltashell.farfield import direction_grid, farfield_source
 from deltashell.geometry import make_volume_grid
 from deltashell.kernels import plane_wave
@@ -176,23 +176,39 @@ class TestTransform:
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_only_near_gamma_warning_is_silenced(self, sphere_meshes, monkeypatch):
-        real = acoustic.eval_density
+        # 12 cell centres of the 7^3 grid lie within a quarter panel diameter of
+        # Gamma; the grid sampling does not warn about them, but passes on others
+        real = acoustic._density
 
-        def noisy(m, x, derivatives=True):
+        def noisy(m, x, derivatives):
             if derivatives:  # the grid sampling, not the trace on Gamma
-                warnings.warn("density derivatives requested within a quarter panel diameter "
-                              "of Gamma; near-field accuracy is reduced")
                 warnings.warn("overflow in a density term", RuntimeWarning)
             return real(m, x, derivatives)
 
-        monkeypatch.setattr(acoustic, "eval_density", noisy)
+        monkeypatch.setattr(acoustic, "_density", noisy)
         m = shell_medium(sphere_meshes[1], xi=0.9, cutoff=(1.4, 2.0))
+        grid = make_volume_grid((-2.6, 2.6), 7)
+        assert near_surface(grid.cell_center, m.gamma)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            acoustic_to_schrodinger(m, 1.0, make_volume_grid((-2.6, 2.6), 6))
+            acoustic_to_schrodinger(m, 1.0, grid)
         messages = [str(w.message) for w in record]
         assert "overflow in a density term" in messages
         assert not any("density derivatives requested" in msg for msg in messages)
+
+    def test_one_surface_scan_per_sampling(self, sphere_meshes, monkeypatch):
+        # check_medium_grid scans the cell centres against Gamma; the sampling does not
+        calls = []
+        real = boundary._surface_gap
+
+        def counted(x, mesh):
+            calls.append(len(x))
+            return real(x, mesh)
+
+        monkeypatch.setattr(boundary, "_surface_gap", counted)
+        m = shell_medium(sphere_meshes[1], xi=0.9, cutoff=(1.4, 2.0))
+        acoustic_to_schrodinger(m, 1.0, make_volume_grid((-2.6, 2.6), 7))
+        assert calls == [7**3]
 
     def test_grid_must_cover_support(self, sphere_meshes):
         m = shell_medium(sphere_meshes[1], xi=1.0)
@@ -417,9 +433,9 @@ class TestPipeline:
 
     def test_medium_sampled_once_for_two_frequencies(self, sphere_meshes, monkeypatch):
         density_points, trace_calls = [], []
-        real_density, real_trace = acoustic.eval_density, acoustic.surface_density_trace
+        real_density, real_trace = acoustic._density, acoustic.surface_density_trace
 
-        def counted_density(m, x, derivatives=True):
+        def counted_density(m, x, derivatives):
             density_points.append(len(x))
             return real_density(m, x, derivatives)
 
@@ -427,7 +443,7 @@ class TestPipeline:
             trace_calls.append(m)
             return real_trace(m)
 
-        monkeypatch.setattr(acoustic, "eval_density", counted_density)
+        monkeypatch.setattr(acoustic, "_density", counted_density)
         monkeypatch.setattr(acoustic, "surface_density_trace", counted_trace)
         mesh = sphere_meshes[1]
         m = shell_medium(mesh, xi=0.9, cutoff=(1.4, 2.0))

@@ -1,5 +1,6 @@
 """Single-layer operator, coupled delta solve, jump relations."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -293,6 +294,7 @@ class TestKernelEntries:
         system = DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)), k)
         vol = small_grid.cell_volume
         centers = small_grid.cell_center[V.support()]
+        ns = len(centers)
 
         G = assemble_volume_operator(small_grid, k, cells=V.support())
         ii, jj = np.nonzero(~np.eye(len(centers), dtype=bool))
@@ -301,7 +303,7 @@ class TestKernelEntries:
         c = mesh.panel_centroid
         qq, jj = np.nonzero(np.linalg.norm(c[:, None] - centers[None], axis=-1)
                             >= 0.5 * np.min(small_grid.spacing))
-        assert_allclose(system.Tr[qq, jj], vol * helmholtz_kernel(c[qq], centers[jj], k), rtol=1e-14)
+        assert_allclose(system.kernel[ns:, :ns][qq, jj], vol * helmholtz_kernel(c[qq], centers[jj], k), rtol=1e-14)
 
         # panel pairs beyond the near threshold carry the plain 3-point rule
         qpts, w = mesh.quadrature_points()
@@ -309,7 +311,56 @@ class TestKernelEntries:
         qq, pp = np.nonzero(ratio >= _NEAR_RATIO)
         assert len(qq) > 0
         expected = helmholtz_kernel(c[qq][:, None, :], qpts[pp], k) @ w * mesh.panel_area[pp]
-        assert_allclose(system.S[qq, pp], expected, rtol=1e-13)
+        assert_allclose(system.kernel[ns:, ns:][qq, pp], expected, rtol=1e-13)
+
+
+class TestSystemMatrix:
+    def test_kernel_blocks_are_the_assembled_blocks(self, small_system):
+        s = small_system
+        mesh, V, ns = s.mesh, s.potential, len(s.support)
+        centers = V.grid.cell_center[s.support] if ns else np.zeros((0, 3))
+        assert np.array_equal(s.points, np.concatenate([centers, mesh.panel_centroid]))
+        if ns:
+            assert np.array_equal(s.kernel[:ns, :ns], assemble_volume_operator(V.grid, s.k, cells=s.support))
+            assert np.array_equal(s.kernel[ns:, :ns], cell_block(mesh.panel_centroid, centers, V.grid, s.k))
+        Vs = V.values[s.support] if ns else np.zeros(0)
+        if s.delta.is_zero:
+            # the panel columns drop; the panel rows stay for the trace
+            assert s.kernel.shape == (ns + mesh.n_panels, ns)
+            assert np.array_equal(s.weights, Vs)
+        else:
+            assert np.array_equal(s.kernel[:ns, ns:], _layer_matrix(centers, mesh, s.k))
+            assert np.array_equal(s.kernel[ns:, ns:], assemble_single_layer(mesh, s.k))
+            assert np.array_equal(s.weights, np.concatenate([Vs, s.delta.alpha]))
+
+    def test_residual_is_the_dense_residual(self, small_system, monkeypatch):
+        # a perturbed back-substitution lifts the residual far above rounding, where
+        # the recorded value must be |(I + K diag(w)) x - psi0| / |psi0| rebuilt densely
+        s = small_system
+        n = len(s.weights)
+        shift = 1e-6 * np.exp(1j * np.arange(n))[:, None]
+        solve = s._lu.solve
+        monkeypatch.setattr(s._lu, "solve", lambda b: solve(b) + shift)
+        sol = s.solve(plane_wave(EZ))
+        psi0 = eval_incident(plane_wave(EZ), s.k, s.points)[:n]
+        x = solve(psi0[:, None])[:, 0] + shift[:, 0]
+        A = np.eye(n) + s.kernel[:n] * s.weights
+        dense = np.linalg.norm(A @ x - psi0) / np.linalg.norm(psi0)
+        assert dense > 1e-8
+        assert abs(sol.residual - dense) <= 1e-8 * dense
+
+    def test_built_system_holds_two_matrices(self, sphere_meshes):
+        # the kernel and the LU factors; the scaled matrix A is a temporary
+        mesh = sphere_meshes[3]
+        delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0))
+        tracemalloc.start()
+        try:
+            system = DeltaSystem(None, delta, 2.0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert system.kernel.shape == (1280, 1280)
+        assert held <= 2.02 * mesh.n_panels**2 * 16
 
 
 class TestSolveMany:
@@ -327,7 +378,7 @@ class TestSolveMany:
 
     def test_stored_support_field(self, small_system):
         sol = small_system.solve_many(mixed_incidents())[-1]
-        assert_allclose(small_system.Vs * sol.psi_support, sol.source_density, rtol=1e-15)
+        assert_allclose(small_system.weights[:len(sol.support)] * sol.psi_support, sol.source_density, rtol=1e-15)
         if sol.potential is not None:
             assert np.array_equal(sol.volume_field.values[sol.support], sol.psi_support)
         if small_system.delta.is_zero:

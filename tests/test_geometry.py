@@ -160,11 +160,6 @@ class TestSphereGrid:
         vals = sph_harm_y(ell, emm, theta, phi)
         assert abs(g.weights @ vals) < 1e-10
 
-    def test_antipode_index(self):
-        g = make_sphere_grid(1.0, 6, 8)
-        anti = g.antipode_index()
-        assert np.max(np.abs(g.nodes[anti] + g.nodes)) < 1e-12
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             make_sphere_grid(1.0, 1, 8)

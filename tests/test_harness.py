@@ -245,7 +245,7 @@ class TestReportFormat:
         sys1, sys2 = sphere_systems
         rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
         report = green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert set(payload) == {"name", "inputs", "metrics", "thresholds", "pass", "seconds"}
         assert isinstance(payload["pass"], bool)
 

@@ -72,7 +72,7 @@ class TestSigmaK:
     def test_plane_wave_limit(self):
         rho = make_sigma_k(0.0, EX, EZ, 2.0)
         assert_allclose(rho.rho, 2j * EZ, atol=1e-15)
-        assert rho.is_plane_wave
+        assert rho.w == 0.0
 
     def test_imaginary_norm(self):
         rho = make_sigma_k(3.0, EX, EZ, 4.0)

@@ -52,14 +52,18 @@ WAVE = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi),
 
 @pytest.fixture(scope="module")
 def linear_solve(small_system):
-    """(system, |A^-1|_2 bound, max|V|, |Tr|_2, |S|_2, max |x| over the collocation points)."""
+    """(system, |A^-1|_2 bound, max|V|, max|alpha|, |Tr|_2, |S diag(alpha)|_2, max |x| over the points)."""
     s = small_system
-    inv_norm = np.sqrt(len(s._A)) / (s._lu.rcond * np.linalg.norm(s._A, 1))
-    tr_norm = np.linalg.norm(s.Tr, 2) if s.Tr.size else 0.0
-    s_norm = np.linalg.norm(s.S, 2) if s.surface_active else 0.0
-    points = np.concatenate([s.centers, s.mesh.panel_centroid])
-    return (s, inv_norm, np.max(np.abs(s.Vs), initial=0.0), tr_norm, s_norm,
-            float(np.max(np.linalg.norm(points, axis=1))))
+    ns, n = len(s.support), len(s.weights)
+    A = s.kernel[:n] * s.weights
+    A[np.diag_indices_from(A)] += 1.0
+    inv_norm = np.sqrt(n) / (s._lu.rcond * np.linalg.norm(A, 1))
+    Tr, S_alpha = s.kernel[ns:, :ns], s.kernel[ns:, ns:] * s.weights[ns:]
+    tr_norm = np.linalg.norm(Tr, 2) if Tr.size else 0.0
+    s_norm = np.linalg.norm(S_alpha, 2) if S_alpha.size else 0.0
+    return (s, inv_norm, np.max(np.abs(s.weights[:ns]), initial=0.0),
+            np.max(np.abs(s.weights[ns:]), initial=0.0), tr_norm, s_norm,
+            float(np.max(np.linalg.norm(s.points, axis=1))))
 
 
 @settings(derandomize=True, deadline=None, max_examples=5)
@@ -69,27 +73,27 @@ def test_herglotz_solution_is_the_weighted_sum_of_its_plane_waves(linear_solve, 
     # to rounding, so with x = A^-1 b for each column and r its recorded
     # relative residual:
     #   |x_H - sum c_j x_j| <= |A^-1|_2 (r_H |b_H| + sum |c_j| r_j |b_j| + rounding),
-    # where |b| <= sqrt(n) max(1, |alpha|) per unit of |c|, and |A^-1|_2 <=
+    # where b = psi0 and |b| <= sqrt(n) per unit of |c|, and |A^-1|_2 <=
     # sqrt(n) / (rcond |A|_1) from the LU's 1-norm estimate.  The rounding is
     # eps (k max|x| + m + 2) per unit of |c| (phase, exponential and the m-term
-    # sums).  eta is a block of x, the source is V times one, and the trace is
-    # psi0 - Tr source - S eta.  A factor 10 covers the condition estimator,
+    # sums).  The source is V and eta is alpha times a block of x, and the trace
+    # is psi0 - Tr source - S eta.  A factor 10 covers the condition estimator,
     # which can under-estimate |A^-1|_1, and the rounding of the residuals.
-    system, inv_norm, v_max, tr_norm, s_norm, r_max = linear_solve
+    system, inv_norm, v_max, a_max, tr_norm, s_norm, r_max = linear_solve
     theta, phi, weights, density = (np.array(v) for v in zip(*waves))
     dirs = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)
     c = weights * density
     total = system.solve(Herglotz(directions=dirs, weights=weights, density=density))
     plane = system.solve_many([plane_wave(d) for d in dirs])
 
-    n = len(system._A)
+    n = len(system.weights)
     rounding = EPS * (system.k * r_max + len(c) + 2)
-    b_norm = np.sqrt(n) * max(1.0, np.max(np.abs(system.delta.alpha), initial=0.0)) * np.sum(np.abs(c))
+    b_norm = np.sqrt(n) * np.sum(np.abs(c))
     x_err = 10.0 * inv_norm * b_norm * (total.residual + max(p.residual for p in plane) + rounding)
 
     def gap(part):
         return np.linalg.norm(part(total) - sum(cj * part(p) for cj, p in zip(c, plane)))
 
-    assert gap(lambda sol: sol.density.eta) <= x_err
+    assert gap(lambda sol: sol.density.eta) <= a_max * x_err
     assert gap(lambda sol: sol.source_density) <= v_max * x_err
     assert gap(lambda sol: sol.trace) <= 10.0 * b_norm * rounding + (tr_norm * v_max + s_norm) * x_err
