@@ -14,6 +14,7 @@ import numpy as np
 from deltashell import (
     DeltaSpec,
     DeltaSystem,
+    Exponential,
     GaussianBump,
     PotentialSample,
     RadialCutoff,
@@ -32,7 +33,7 @@ k, w = 1.0, 0.5
 
 
 def medium(amplitude, alpha):
-    """One assembled system per medium; every identity below solves on it."""
+    """The assembled system of one medium."""
     bump, _, _ = GaussianBump(amplitude=amplitude, center=(0.0, 0.0, 0.0), width=0.45).fields(grid.cell_center)
     cut, _, _ = RadialCutoff(1.05, 1.40).fields(grid.cell_center)
     return DeltaSystem(PotentialSample(grid=grid, values=bump * cut),
@@ -47,13 +48,17 @@ print(f"rho1 = {rho1.rho}")
 print(f"rho2 = {rho2.rho}")
 print(f"conj(rho1) + rho2 + i xi = {np.conj(rho1.rho) + rho2.rho + 1j * xi}")
 
-green = green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
+# the CGO solutions psi_m = e^{rho_m . x} (1 + phi_m): one solve per medium
+psi1 = sys1.solve(Exponential(rho1))
+psi2 = sys2.solve(Exponential(rho2))
+
+green = green_pairing_check(psi1, psi2, R=1.8)
 print("\nGreen pairing (volume+surface pairing vs boundary Wronskian):")
 print(f"  LHS = {complex(green.metrics['lhs_re'], green.metrics['lhs_im']):.6f}")
 print(f"  RHS = {complex(green.metrics['rhs_re'], green.metrics['rhs_im']):.6f}")
 print(f"  relative gap = {green.metrics['rel_gap']:.2e}  -> {'PASS' if green.passed else 'FAIL'}")
 
-four = fourier_identity_check(sys1, sys2, xi, w)
+four = fourier_identity_check(psi1, psi2, xi)
 print("\nFinite-w decomposition (pairing = -(Fourier difference) + F_xi):")
 print(f"  split closes to {four.metrics['split_err']:.2e}")
 print(f"  |F_xi| = {abs(complex(four.metrics['F_re'], four.metrics['F_im'])):.4f}")

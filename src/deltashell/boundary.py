@@ -31,7 +31,7 @@ Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ __all__ = [
     "near_surface",
     "on_surface",
     "check_jump_relation",
-    "static_self_integrals",
     "density_to_csv_rows",
 ]
 
@@ -209,11 +208,6 @@ def _panel_gap(x: np.ndarray, corners: np.ndarray) -> np.ndarray:
     inside = np.all(np.einsum("pij,pj->pi", np.cross(e, a), n) >= 0, axis=1)
     dist = np.where(inside, np.abs(np.einsum("pj,pj->p", a[:, 0], n)), to_edge)
     return dist / np.sqrt(e2.max(axis=1))
-
-
-def static_self_integrals(mesh: SurfaceMesh) -> np.ndarray:
-    """Closed-form int_panel dsigma(y) / (4 pi |c - y|) from each centroid c."""
-    return _flat_triangle_moments(mesh.panel_centroid, np.stack(mesh.corners(), axis=1), grad=False)[:, 0]
 
 
 # the 3-point rule on the panel's four midpoint subtriangles, barycentric: a corner
@@ -368,7 +362,6 @@ class DeltaSolution:
     support: np.ndarray          # grid cells in the dense solve
     source_density: np.ndarray   # (V psi) on support cells
     psi_support: np.ndarray      # psi on support cells (dense-solve values)
-    _grid_values: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def mesh(self) -> SurfaceMesh:
@@ -376,19 +369,17 @@ class DeltaSolution:
 
     @property
     def volume_field(self) -> VolumeField | None:
-        """Total field on the full grid (computed on first access)."""
+        """Total field on the full grid (evaluated on each access)."""
         if self.potential is None:
             return None
-        if self._grid_values is None:
-            grid = self.potential.grid
-            psi0 = np.asarray(eval_incident(self.incident, self.k, grid.cell_center), dtype=complex)
-            vals = psi0 - volume_potential(grid.cell_center, grid, self.source_density,
-                                           self.k, cells=self.support)
-            if len(self.density.eta):
-                vals -= layer_potential(grid.cell_center, self.mesh, self.density.eta, self.k)
-            vals[self.support] = self.psi_support  # dense-solve values are authoritative
-            self._grid_values = vals
-        return VolumeField(grid=self.potential.grid, values=self._grid_values)
+        grid = self.potential.grid
+        psi0 = np.asarray(eval_incident(self.incident, self.k, grid.cell_center), dtype=complex)
+        vals = psi0 - volume_potential(grid.cell_center, grid, self.source_density,
+                                       self.k, cells=self.support)
+        if len(self.density.eta):
+            vals -= layer_potential(grid.cell_center, self.mesh, self.density.eta, self.k)
+        vals[self.support] = self.psi_support  # dense-solve values are authoritative
+        return VolumeField(grid=grid, values=vals)
 
 
 class DeltaSystem:

@@ -43,7 +43,7 @@ from .farfield import (
     save_farfield_csv,
 )
 from .geometry import load_mesh, make_sphere_mesh, make_volume_grid
-from .kernels import plane_wave, sigma_pair_for_xi
+from .kernels import Exponential, plane_wave, sigma_pair_for_xi
 from .volume import PotentialSample
 
 __all__ = ["main", "ConfigError", "run_command"]
@@ -107,21 +107,22 @@ def validate_config(cfg: dict, command: str) -> None:
         _positive(cfg.get("k"), "k")
 
 
-def _count(spec: dict, key: str, name: str, default=None, *, minimum: int) -> int:
-    """Integer ``spec[key]`` of at least ``minimum``; ConfigError naming the field otherwise."""
+def _count(spec: dict, key: str, name: str, default=None, *, minimum: int, maximum: float = np.inf) -> int:
+    """Integer ``spec[key]`` in [minimum, maximum]; ConfigError naming the field otherwise."""
     val = spec.get(key, default)
     integral = isinstance(val, (int, float)) and not isinstance(val, bool) and float(val).is_integer()
-    if not (integral and val >= minimum):
-        raise ConfigError(f"config key '{name}' must be an integer >= {minimum}, got {val!r}")
+    if not (integral and minimum <= val <= maximum):
+        bounds = f">= {minimum}" if maximum == np.inf else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"config key '{name}' must be an integer {bounds}, got {val!r}")
     return int(val)
 
 
 @contextmanager
 def _names(name: str):
-    """Re-raise a ValueError of the block as a ConfigError naming the field ``name``."""
+    """Re-raise a TypeError or ValueError of the block as a ConfigError naming the field ``name``."""
     try:
         yield
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key '{name}': {exc}") from exc
 
 
@@ -171,11 +172,16 @@ def _build_grid(cfg: dict):
 def _build_bumps(entries, name: str):
     bumps = []
     for i, b in enumerate(entries or []):
-        bumps.append(ac.GaussianBump(
-            amplitude=float(b["amplitude"]),
-            center=tuple(float(c) for c in b["center"]),
-            width=_positive(b.get("width"), f"{name}[{i}].width"),
-        ))
+        with _names(f"{name}[{i}].amplitude"):
+            amplitude = float(b.get("amplitude"))
+            if not np.isfinite(amplitude):
+                raise ValueError(f"must be finite, got {amplitude}")
+        with _names(f"{name}[{i}].center"):
+            center = np.array(b.get("center"), dtype=float)
+            if center.shape != (3,) or not np.all(np.isfinite(center)):
+                raise ValueError(f"must be a finite 3-vector, got {b.get('center')!r}")
+        bumps.append(ac.GaussianBump(amplitude=amplitude, center=tuple(center.tolist()),
+                                     width=_positive(b.get("width"), f"{name}[{i}].width")))
     return tuple(bumps)
 
 
@@ -202,21 +208,16 @@ def _build_potential(cfg: dict, grid):
     return PotentialSample(grid=grid, values=vals * c_val)
 
 
-def _panel_csv(spec: dict, mesh, name: str) -> np.ndarray:
-    """One value per panel from the CSV file ``spec['csv']``."""
-    vals = np.loadtxt(spec["csv"], delimiter=",", ndmin=1).ravel()
-    if vals.size != mesh.n_panels:
-        raise ConfigError(f"'{name}.csv' holds {vals.size} values; the mesh has {mesh.n_panels} panels")
+def _panel_values(spec, mesh, name: str) -> np.ndarray:
+    """One finite value per panel: the number ``spec``, or the CSV file ``{'csv': path}``."""
+    csv = isinstance(spec, dict) and "csv" in spec
+    with _names(f"{name}.csv" if csv else name):
+        vals = np.loadtxt(spec["csv"], delimiter=",", ndmin=1).ravel() if csv else np.full(mesh.n_panels, float(spec))
+        if vals.size != mesh.n_panels:
+            raise ValueError(f"holds {vals.size} values; the mesh has {mesh.n_panels} panels")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite values")
     return vals
-
-
-def _alpha_array(cfg: dict, mesh):
-    spec = cfg.get("alpha", 0.0)
-    if isinstance(spec, (int, float)):
-        return np.full(mesh.n_panels, float(spec))
-    if isinstance(spec, dict) and "csv" in spec:
-        return _panel_csv(spec, mesh, "alpha")
-    raise ConfigError("alpha must be a number or {'csv': path}")
 
 
 def _direction_set(spec, name: str, default_nt=16, default_np=32):
@@ -259,7 +260,7 @@ def cmd_forward(cfg: dict, out: Path, quiet: bool) -> int:
     mesh = _build_mesh(cfg)
     grid = _build_grid(cfg)
     k = float(cfg["k"])
-    delta = DeltaSpec(mesh=mesh, alpha=_alpha_array(cfg, mesh))
+    delta = DeltaSpec(mesh=mesh, alpha=_panel_values(cfg.get("alpha", 0.0), mesh, "alpha"))
     V = _build_potential(cfg, grid)
     inc_spec = cfg.get("incident", {"kind": "plane", "direction": [0.0, 0.0, 1.0]})
     if inc_spec.get("kind", "plane") != "plane":
@@ -302,7 +303,7 @@ def cmd_farfield(cfg: dict, out: Path, quiet: bool) -> int:
     mesh = _build_mesh(cfg)
     grid = _build_grid(cfg)
     k = float(cfg["k"])
-    delta = DeltaSpec(mesh=mesh, alpha=_alpha_array(cfg, mesh))
+    delta = DeltaSpec(mesh=mesh, alpha=_panel_values(cfg.get("alpha", 0.0), mesh, "alpha"))
     V = _build_potential(cfg, grid)
     inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
     obs_dirs, obs_w, _ = _direction_set(cfg.get("observations"), "observations")
@@ -344,16 +345,13 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
     if grid is None:
         raise ConfigError("acoustic runs need a 'grid' section")
     med_cfg = cfg.get("medium", {})
-    shell = med_cfg.get("shell_density", 0.0)
-    if isinstance(shell, dict):
-        shell = _panel_csv(shell, mesh, "medium.shell_density")
     cutoff = _build_cutoff(med_cfg.get("cutoff"), "medium.cutoff")
     if cutoff.r_inner <= mesh.bounding_radius:
         raise ConfigError(f"config key 'medium.cutoff.r_inner' must exceed the mesh radius "
                           f"{mesh.bounding_radius:.3g}, got {cutoff.r_inner:g}")
     medium = ac.MediumSpec(
         gamma=mesh,
-        shell_density=np.asarray(shell, dtype=float) if not np.isscalar(shell) else float(shell),
+        shell_density=_panel_values(med_cfg.get("shell_density", 0.0), mesh, "medium.shell_density"),
         rho_bumps=_build_bumps(med_cfg.get("rho_bumps"), "medium.rho_bumps"),
         v_bumps=_build_bumps(med_cfg.get("v_bumps"), "medium.v_bumps"),
         cutoff=cutoff,
@@ -377,12 +375,19 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
 def cmd_oracle(cfg: dict, out: Path, quiet: bool) -> int:
     spec = cfg.get("oracle", {})
     k = float(cfg["k"])
-    medium = mie.RadialMedium(
-        a=float(spec.get("a", 1.0)),
-        alpha=float(spec.get("alpha", 0.0)),
-        shells=tuple((float(r), float(v)) for r, v in spec.get("shells", [])),
-    )
-    psol = mie.solve_partial_waves(medium, k, spec.get("L"))
+    a = _positive(spec.get("a", 1.0), "oracle.a")
+    with _names("oracle.alpha"):
+        alpha = float(spec.get("alpha", 0.0))
+        if not np.isfinite(alpha):
+            raise ValueError(f"must be finite, got {alpha}")
+    with _names("oracle.shells"):
+        shells = tuple((float(r), float(v)) for r, v in spec.get("shells", []))
+        if not np.all(np.isfinite(shells)):
+            raise ValueError("non-finite values")
+        medium = mie.RadialMedium(a=a, alpha=alpha, shells=shells)
+    # solve_partial_waves clamps L to [4, LMAX_HARD]; reject what it would clamp
+    L = None if spec.get("L") is None else _count(spec, "L", "oracle.L", minimum=4, maximum=mie.LMAX_HARD)
+    psol = mie.solve_partial_waves(medium, k, L)
     inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
     obs_dirs, obs_w, _ = _direction_set(cfg.get("observations"), "observations")
     values = np.stack([mie.mie_farfield_values(psol, d, obs_dirs) for d in inc_dirs])
@@ -420,19 +425,21 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     with _names("verify.R"):
         for V in potentials:
             check_enclosing_radius(R, mesh, V)
-    # one assembled system per medium serves every report
     sys1, sys2 = (DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)), k)
                   for V, alpha in zip(potentials, (1.0, 1.5)))
 
+    # one solve per (medium, incident field) serves every report
     g = direction_grid(6, 12)
-    values = farfield_source(sys1.solve_many([plane_wave(d) for d in g.normals]), g.normals)
-    ff = FarFieldPattern(k=k, values=values, observations=g.normals,
+    psi1, psi1_rho2, radiating, *waves = sys1.solve_many(
+        [Exponential(rho1), Exponential(rho2), plane_wave([0.0, 0.0, 1.0])] + [plane_wave(d) for d in g.normals])
+    (psi2,) = sys2.solve_many([Exponential(rho2)])
+    ff = FarFieldPattern(k=k, values=farfield_source(waves, g.normals), observations=g.normals,
                          obs_weights=g.weights, incidence=g.normals)
     reports = [
-        hn.green_pairing_check(sys1, sys2, rho1, rho2, R),
-        hn.green_pairing_check(sys1, sys1, rho1, rho2, R),
-        hn.fourier_identity_check(sys1, sys2, xi, w),
-        hn.sommerfeld_check(sys1.solve(plane_wave(np.array([0.0, 0.0, 1.0]))), k),
+        hn.green_pairing_check(psi1, psi2, R),
+        hn.green_pairing_check(psi1, psi1_rho2, R),
+        hn.fourier_identity_check(psi1, psi2, xi),
+        hn.sommerfeld_check(radiating, k),
         hn.reciprocity_check(ff, rel_tol=0.01),
     ]
 

@@ -23,16 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic import acoustic_farfield, media_equal
-from .boundary import (
-    DeltaSolution,
-    DeltaSystem,
-    eval_scattered_field,
-    eval_scattered_gradient,
-    eval_total_field,
-)
+from .boundary import DeltaSolution, eval_scattered_field, eval_scattered_gradient, eval_total_field
 from .farfield import FarFieldPattern, check_enclosing_radius
 from .geometry import make_sphere_grid
-from .kernels import ComplexDirection, Exponential, eval_incident_grad, sigma_pair_for_xi
+from .kernels import eval_incident_grad
 
 __all__ = [
     "ExperimentReport",
@@ -96,34 +90,46 @@ def _cross_trace(sol: DeltaSolution, mesh) -> np.ndarray:
     return np.asarray(eval_total_field(sol, mesh.panel_centroid, near_warning=False), dtype=complex)
 
 
-def _check_media(sys1: DeltaSystem, sys2: DeltaSystem, *rhos: ComplexDirection) -> float:
-    """The one k of both systems and the directions; ValueError unless both media share a grid."""
-    k = sys1.k
-    if any(abs(kk - k) > 1e-12 * max(1.0, k) for kk in (sys2.k, *(r.k for r in rhos))):
-        raise ValueError("the two systems and the directions must share the wavenumber")
-    if sys1.potential is None or sys2.potential is None:
-        raise ValueError("the pairing needs both media sampled on a shared grid, not a system without V")
-    grid, grid2 = sys1.potential.grid, sys2.potential.grid
+def _check_media(sol1: DeltaSolution, sol2: DeltaSolution) -> float:
+    """The one k of both solutions; ValueError unless both media share a grid."""
+    k = sol1.k
+    if abs(sol2.k - k) > 1e-12 * max(1.0, k):
+        raise ValueError("the two solutions must share the wavenumber")
+    if sol1.potential is None or sol2.potential is None:
+        raise ValueError("the pairing needs both media sampled on a shared grid, not a solution without V")
+    grid, grid2 = sol1.potential.grid, sol2.potential.grid
     if not (np.array_equal(grid.lo, grid2.lo) and np.array_equal(grid.hi, grid2.hi) and grid.n == grid2.n):
         raise ValueError("the two media must be sampled on a shared grid")
     return k
 
 
-def _pairing_nodes(sys1: DeltaSystem, sys2: DeltaSystem, sol1: DeltaSolution, sol2: DeltaSolution):
+def _cell_values(sol: DeltaSolution, cells: np.ndarray) -> np.ndarray:
+    """psi at grid cells: the dense-solve values on the solution's support, the field elsewhere."""
+    out = np.empty(len(cells), dtype=complex)
+    on = np.isin(cells, sol.support)
+    out[on] = sol.psi_support[np.searchsorted(sol.support, cells[on])]
+    if not on.all():
+        out[~on] = eval_total_field(sol, sol.potential.grid.cell_center[cells[~on]], near_warning=False)
+    return out
+
+
+def _pairing_nodes(sol1: DeltaSolution, sol2: DeltaSolution):
     """Node groups (x, w, psi1, psi2) of <psi1 (Vt1 - Vt2), psi2> = sum w conj(psi1) psi2.
 
-    The signed weights are vol (V1 - V2) on the cells, area alpha1 on Gamma1
-    and -area alpha2 on Gamma2; callers reuse the identical sampled values in
-    algebraically rearranged sums.
+    The signed weights are vol (V1 - V2) on the cells where it is nonzero,
+    area alpha1 on Gamma1 and -area alpha2 on Gamma2; callers reuse the
+    identical sampled values in algebraically rearranged sums.
     """
-    grid = sys1.potential.grid
-    mesh1, mesh2 = sys1.mesh, sys2.mesh
+    grid = sol1.potential.grid
+    dV = sol1.potential.values - sol2.potential.values
+    cells = np.flatnonzero(dV)
+    mesh1, mesh2 = sol1.mesh, sol2.mesh
     return (
-        (grid.cell_center, grid.cell_volume * (sys1.potential.values - sys2.potential.values),
-         sol1.volume_field.values, sol2.volume_field.values),
-        (mesh1.panel_centroid, mesh1.panel_area * sys1.delta.alpha,
+        (grid.cell_center[cells], grid.cell_volume * dV[cells],
+         _cell_values(sol1, cells), _cell_values(sol2, cells)),
+        (mesh1.panel_centroid, mesh1.panel_area * sol1.delta.alpha,
          sol1.trace, _cross_trace(sol2, mesh1)),
-        (mesh2.panel_centroid, -mesh2.panel_area * sys2.delta.alpha,
+        (mesh2.panel_centroid, -mesh2.panel_area * sol2.delta.alpha,
          _cross_trace(sol1, mesh2), sol2.trace),
     )
 
@@ -134,17 +140,12 @@ def _pairing(nodes) -> tuple[complex, float]:
     return complex(sum(np.sum(t) for t in terms)), float(sum(np.sum(np.abs(t)) for t in terms))
 
 
-def green_pairing_check(
-    sys1: DeltaSystem,
-    sys2: DeltaSystem,
-    rho1: ComplexDirection,
-    rho2: ComplexDirection,
-    R: float,
-) -> ExperimentReport:
+def green_pairing_check(sol1: DeltaSolution, sol2: DeltaSolution, R: float) -> ExperimentReport:
     """Volume+surface pairing against the boundary Wronskian on |y| = R.
 
-    ``sysN`` is the assembled system of medium N; its CGO solution psi_N is
-    ``sysN.solve(Exponential(rhoN))``.  Both systems and both rho share k.
+    ``solN`` is the CGO solution psi_N of medium N for the incident field
+    ``Exponential(rhoN)``; k, V, alpha and Gamma come from the solutions,
+    which share k.
 
     LHS = int conj(psi1)(V1 - V2) psi2 + int_G1 conj(eta1) tr psi2
                                        - int_G2 conj(tr psi1) eta2,
@@ -156,12 +157,12 @@ def green_pairing_check(
     match is asserted at PAIRING_REL_TOL.
     """
     t0 = time.time()
-    k = _check_media(sys1, sys2, rho1, rho2)
-    for system in (sys1, sys2):
-        check_enclosing_radius(R, system.mesh, system.potential)
+    k = _check_media(sol1, sol2)
+    rho1, rho2 = sol1.incident.rho_dir, sol2.incident.rho_dir
+    for sol in (sol1, sol2):
+        check_enclosing_radius(R, sol.mesh, sol.potential)
 
-    sol1, sol2 = sys1.solve(Exponential(rho1)), sys2.solve(Exponential(rho2))
-    lhs, mass = _pairing(_pairing_nodes(sys1, sys2, sol1, sol2))
+    lhs, mass = _pairing(_pairing_nodes(sol1, sol2))
 
     sphere = make_sphere_grid(R, *WRONSKIAN_NODES)
     psi1, dr1 = _total_field_and_radial(sol1, sphere.nodes, sphere.normals)
@@ -170,9 +171,9 @@ def green_pairing_check(
     wron_mass = float(np.sum(sphere.weights * (np.abs(dr1 * psi2) + np.abs(psi1 * dr2))))
 
     identical = (
-        np.array_equal(sys1.potential.values, sys2.potential.values)
-        and sys1.mesh is sys2.mesh
-        and np.array_equal(sys1.delta.alpha, sys2.delta.alpha)
+        np.array_equal(sol1.potential.values, sol2.potential.values)
+        and sol1.mesh is sol2.mesh
+        and np.array_equal(sol1.delta.alpha, sol2.delta.alpha)
     )
     rel_gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
     metrics = {
@@ -202,16 +203,12 @@ def green_pairing_check(
     )
 
 
-def fourier_identity_check(
-    sys1: DeltaSystem,
-    sys2: DeltaSystem,
-    xi: np.ndarray,
-    w: float,
-) -> ExperimentReport:
+def fourier_identity_check(sol1: DeltaSolution, sol2: DeltaSolution, xi: np.ndarray) -> ExperimentReport:
     """Exact finite-w decomposition of the pairing behind the uniqueness proof.
 
-    With (rho1, rho2) chosen so conj(rho1) + rho2 = -i xi, write
-    psi_m = e^{rho_m . x} (1 + phi_m); then, node by node,
+    ``solN`` is the CGO solution psi_N of medium N for ``Exponential(rhoN)``,
+    with conj(rho1) + rho2 = -i xi (ValueError otherwise; w = rho1.w).
+    Write psi_m = e^{rho_m . x} (1 + phi_m); then, node by node,
 
         <psi1 (Vt1 - Vt2), psi2>  =  <Vt1 - Vt2, u_xi>  +  F_xi,
 
@@ -220,16 +217,19 @@ def fourier_identity_check(
         F_xi = <Vt1 - Vt2, u_xi (conj(phi1) + phi2)>
              + <conj(phi1) (Vt1 - Vt2), u_xi phi2>,
 
-    and D = hat(Vt2)(xi) - hat(Vt1)(xi) by direct quadrature, at the systems'
+    and D = hat(Vt2)(xi) - hat(Vt1)(xi) by direct quadrature, at the solutions'
     shared k.  The split is algebraic and asserted at ALGEBRAIC_TOL; |F_xi - D|
     is the finite-w remainder, reported only (it tends to 0 along the CGO
     sequence w -> oo).
     """
     t0 = time.time()
-    k = _check_media(sys1, sys2)
+    k = _check_media(sol1, sol2)
     xi = np.asarray(xi, dtype=float)
-    rho1, rho2 = sigma_pair_for_xi(xi, k, w)
-    nodes = _pairing_nodes(sys1, sys2, sys1.solve(Exponential(rho1)), sys2.solve(Exponential(rho2)))
+    rho1, rho2 = sol1.incident.rho_dir, sol2.incident.rho_dir
+    gap = np.conj(rho1.rho) + rho2.rho + 1j * xi
+    if np.max(np.abs(gap)) > 1e-12 * (1.0 + np.linalg.norm(rho1.rho) + np.linalg.norm(rho2.rho)):
+        raise ValueError("the directions must satisfy conj(rho1) + rho2 = -i xi")
+    nodes = _pairing_nodes(sol1, sol2)
     P, mass = _pairing(nodes)
 
     F = 0.0 + 0.0j
@@ -252,7 +252,7 @@ def fourier_identity_check(
     }
     return ExperimentReport(
         name="fourier_identity",
-        inputs={"k": k, "w": w, "xi": list(map(float, xi))},
+        inputs={"k": k, "w": rho1.w, "xi": list(map(float, xi))},
         metrics=metrics,
         thresholds={"split_err": ALGEBRAIC_TOL},
         passed=bool(split_err <= ALGEBRAIC_TOL),

@@ -51,7 +51,7 @@ from deltashell.harness import (
     sommerfeld_check,
     uniqueness_experiment,
 )
-from deltashell.kernels import plane_wave, sigma_pair_for_xi
+from deltashell.kernels import Exponential, plane_wave, sigma_pair_for_xi
 from deltashell.mie import RadialMedium, mie_farfield_values, solve_partial_waves, spherical_bessel, spherical_hankel
 from deltashell.volume import PotentialSample
 
@@ -174,11 +174,17 @@ def test_criterion_3_jump_relation():
         assert errs[2] <= 0.05
 
 
-def test_criterion_4_green_pairing(cgo_media):
-    sys1, sys2 = cgo_media
+@pytest.fixture(scope="module")
+def cgo_solutions(cgo_media):
+    """The CGO solutions psi1, psi2 of the two media for Exp(rho1), Exp(rho2)."""
     rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
-    r_distinct = green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
-    r_zero = green_pairing_check(sys1, sys1, rho1, rho1, R=1.8)
+    return tuple(system.solve(Exponential(rho)) for system, rho in zip(cgo_media, (rho1, rho2)))
+
+
+def test_criterion_4_green_pairing(cgo_solutions):
+    psi1, psi2 = cgo_solutions
+    r_distinct = green_pairing_check(psi1, psi2, R=1.8)
+    r_zero = green_pairing_check(psi1, psi1, R=1.8)
     lhs_zero = abs(complex(r_zero.metrics["lhs_re"], r_zero.metrics["lhs_im"]))
     zero_rel = lhs_zero / max(r_zero.metrics["pairing_mass"], 1.0)
     ok = r_distinct.metrics["rel_gap"] <= 1e-2 and zero_rel <= 1e-10
@@ -189,9 +195,8 @@ def test_criterion_4_green_pairing(cgo_media):
     assert zero_rel <= 1e-10
 
 
-def test_criterion_5_fourier_split(cgo_media):
-    sys1, sys2 = cgo_media
-    r = fourier_identity_check(sys1, sys2, XI, w=0.5)
+def test_criterion_5_fourier_split(cgo_solutions):
+    r = fourier_identity_check(*cgo_solutions, XI)
     ok = r.metrics["split_err"] <= 1e-10
     report(5, ok, f"F_xi split closes to {r.metrics['split_err']:.2e} <= 1e-10; "
                   f"finite-w remainder |F - D| = {r.metrics['finite_w_remainder']:.3f} "

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import deltashell
-from deltashell import acoustic, cli, harness
-from deltashell.boundary import DeltaSystem
+from deltashell import acoustic, cli
+from deltashell.boundary import DeltaSolution, DeltaSystem
 from deltashell.cli import main
 from deltashell.farfield import load_farfield_csv
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, save_mesh
@@ -50,6 +50,15 @@ ACOUSTIC = {
     "incidences": {"directions": [[0.0, 0.0, 1.0]]},
     "observations": {"n_theta": 4, "n_phi": 8},
     "output": {"prefix": "ac"},
+}
+
+
+ORACLE = {
+    "k": 2.0,
+    "oracle": {"a": 1.0, "alpha": 2.0},
+    "incidences": {"directions": [[0.0, 0.0, 1.0]]},
+    "observations": {"n_theta": 4, "n_phi": 8},
+    "output": {"prefix": "mie"},
 }
 
 
@@ -129,6 +138,28 @@ class TestConfigValidation:
         "verify.R": ("verify", {"verify": {"R": 0}}, {"verify": {"R": 1.5}}, {"verify": {"R": 1.2}}),
         # not a finite 3-vector, or too large for w = 0.5 at k = 1 (|xi|^2/4 > w^2 + k^2)
         "verify.xi": ("verify", *({"verify": {"xi": xi}} for xi in BAD_XI)),
+        # a bump needs a finite amplitude and a finite 3-vector centre, in every bump list
+        "potential_bumps[0].amplitude": ("forward", *({"potential_bumps": [dict(bump, width=0.45)]} for bump in (
+            {"amplitude": "x", "center": [0.0, 0.0, 0.0]}, {"center": [0.0, 0.0, 0.0]},
+            {"amplitude": float("nan"), "center": [0.0, 0.0, 0.0]}))),
+        "potential_bumps[0].center": ("forward", *({"potential_bumps": [{"amplitude": 0.3, "center": c, "width": 0.45}]}
+                                                   for c in ([0.0, 0.0], None, "xyz", [0.0, float("inf"), 0.0]))),
+        "medium.v_bumps[1].center": ("acoustic", {"medium": dict(ACOUSTIC["medium"], v_bumps=[
+            {"amplitude": 0.3, "center": [0.0, 0.0, 0.0], "width": 0.45},
+            {"amplitude": 0.3, "center": [0.0, 0.0], "width": 0.45}])}),
+        "medium.rho_bumps[0].amplitude": ("acoustic", {"medium": dict(ACOUSTIC["medium"], rho_bumps=[
+            {"amplitude": [0.3], "center": [0.0, 0.0, 0.0], "width": 0.45}])}),
+        "alpha": ("forward", {"alpha": float("nan")}, {"alpha": float("inf")}),
+        "medium.shell_density": ("acoustic", {"medium": dict(ACOUSTIC["medium"], shell_density="x")}),
+        "oracle.a": ("oracle", {"oracle": {"a": -1}}),
+        "oracle.alpha": ("oracle", {"oracle": {"alpha": "x"}}, {"oracle": {"alpha": None}},
+                         {"oracle": {"alpha": float("nan")}}),
+        "oracle.shells": ("oracle", {"oracle": {"shells": [[0.5]]}}, {"oracle": {"shells": [0.5]}},
+                          {"oracle": {"shells": [[0.5, 0.2], [0.4, 0.1]]}},
+                          {"oracle": {"shells": [[0.5, float("inf")]]}}),
+        # the partial-wave solve clamps L to [4, LMAX_HARD]; the CLI rejects what it would clamp
+        "oracle.L": ("oracle", {"oracle": {"L": -3}}, {"oracle": {"L": 3}}, {"oracle": {"L": 201}},
+                     {"oracle": {"L": 4.5}}),
     }
 
     @pytest.mark.parametrize("field", list(BAD_FIELDS))
@@ -136,7 +167,7 @@ class TestConfigValidation:
         command, *sections = self.BAD_FIELDS[field]
         for section in sections:
             cfg = dict({"forward": FORWARD_TRIVIAL, "farfield": TestFarfieldCommand.CFG,
-                        "acoustic": ACOUSTIC, "verify": {}}[command])
+                        "acoustic": ACOUSTIC, "oracle": ORACLE, "verify": {}}[command])
             cfg.update(section)
             path = write_config(tmp_path, "bad.json", cfg)
             assert main(["--config", path, "--out", str(tmp_path), command]) == 2, section
@@ -144,7 +175,6 @@ class TestConfigValidation:
 
     def test_verify_xi_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DeltaSystem", no_solve)
-        monkeypatch.setattr(harness, "DeltaSystem", no_solve)
         for xi in BAD_XI:
             path = write_config(tmp_path, "xi.json", {"verify": {"xi": xi}})
             assert main(["--config", path, "--out", str(tmp_path), "verify"]) == 2, xi
@@ -152,7 +182,6 @@ class TestConfigValidation:
 
     def test_verify_radius_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DeltaSystem", no_solve)
-        monkeypatch.setattr(harness, "DeltaSystem", no_solve)
         path = write_config(tmp_path, "r.json", {"verify": {"R": 1.5}})
         assert main(["--config", path, "--out", str(tmp_path), "verify"]) == 2
         err = capsys.readouterr().err
@@ -342,14 +371,32 @@ class TestVerifyCommand:
         assert {"green_pairing", "fourier_identity", "sommerfeld", "reciprocity"} <= names
 
     def test_one_system_per_medium_serves_every_report(self, tmp_path, monkeypatch):
-        builds = []
-        init = DeltaSystem.__init__
+        # the default run: two systems, one solve_many each, no (system, incident field) twice
+        builds, batches = [], []
+        init, solve_many = DeltaSystem.__init__, DeltaSystem.solve_many
 
-        def counted(self, *args):
-            builds.append(args)
+        def counted_init(self, *args):
+            builds.append(self)
             init(self, *args)
 
-        monkeypatch.setattr(DeltaSystem, "__init__", counted)
-        path = write_config(tmp_path, "v.json", {"verify": {"subdivision": 0, "grid_n": 8}})
-        assert main(["--config", path, "--out", str(tmp_path), "--quiet", "verify"]) in (0, 3)
+        def counted_solve_many(self, incidents):
+            incidents = list(incidents)
+            batches.append((self, incidents))
+            return solve_many(self, incidents)
+
+        def whole_grid(sol):
+            raise AssertionError("verify sampled a whole-grid field")
+
+        def key(inc):
+            return (type(inc).__name__, (inc.rho_dir.rho if hasattr(inc, "rho_dir") else inc.direction).tobytes())
+
+        monkeypatch.setattr(DeltaSystem, "__init__", counted_init)
+        monkeypatch.setattr(DeltaSystem, "solve_many", counted_solve_many)
+        monkeypatch.setattr(DeltaSolution, "volume_field", property(whole_grid))
+        path = write_config(tmp_path, "v.json", {"verify": {}})
+        assert main(["--config", path, "--out", str(tmp_path), "--quiet", "verify"]) == 0
         assert len(builds) == 2
+        assert sorted(id(system) for system, _ in batches) == sorted(map(id, builds))
+        n_rhs = {id(system): len({key(inc) for inc in incidents}) for system, incidents in batches}
+        assert sorted(n_rhs.values()) == [1, 75]  # sys2: Exp(rho2); sys1: Exp(rho1), Exp(rho2), 73 plane waves
+        assert sum(len(incidents) for _, incidents in batches) == 76

@@ -21,7 +21,7 @@ from deltashell.harness import (
     sommerfeld_check,
     uniqueness_experiment,
 )
-from deltashell.kernels import plane_wave, sigma_pair_for_xi
+from deltashell.kernels import Exponential, plane_wave, sigma_pair_for_xi
 from deltashell.mie import RadialMedium, mie_farfield_values, radial_field, solve_partial_waves
 
 from conftest import bump_potential
@@ -32,83 +32,141 @@ XI = np.array([1.0, 0.0, 0.0])
 
 @pytest.fixture(scope="module")
 def sphere_systems(sphere_meshes, small_grid):
-    """The assembled systems of the two media at k = 1, shared by every check."""
+    """The assembled systems of the two media at k = 1."""
     mesh = sphere_meshes[2]
     return tuple(DeltaSystem(bump_potential(small_grid, amp),
                              DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)), 1.0)
                  for amp, alpha in ((0.35, 1.0), (-0.25, 1.5)))
 
 
+def cgo_solutions(sys1, sys2, xi=XI, w=0.5):
+    """(psi1, psi2, psi1 for rho2): each system's solutions for Exp(rho1), Exp(rho2), one solve each."""
+    rho1, rho2 = sigma_pair_for_xi(xi, sys1.k, w)
+    psi1, psi1_rho2 = sys1.solve_many([Exponential(rho1), Exponential(rho2)])
+    return psi1, sys2.solve(Exponential(rho2)), psi1_rho2
+
+
+@pytest.fixture(scope="module")
+def cgo(sphere_systems):
+    return cgo_solutions(*sphere_systems)
+
+
+def reference_pairing(sol1, sol2):
+    """<psi1 (Vt1 - Vt2), psi2> over the whole-grid fields of both solutions (one shared mesh)."""
+    assert sol1.mesh is sol2.mesh
+    vol = sol1.potential.grid.cell_volume
+    cells = vol * np.sum(np.conj(sol1.volume_field.values) * (sol1.potential.values - sol2.potential.values)
+                         * sol2.volume_field.values)
+    dalpha = sol1.delta.alpha - sol2.delta.alpha
+    return cells + np.sum(sol1.mesh.panel_area * dalpha * np.conj(sol1.trace) * sol2.trace)
+
+
 class TestGreenPairing:
-    def test_distinct_media(self, sphere_systems):
-        sys1, sys2 = sphere_systems
-        rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
-        report = green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
+    def test_distinct_media(self, cgo):
+        psi1, psi2, _ = cgo
+        report = green_pairing_check(psi1, psi2, R=1.8)
         assert report.passed
         assert report.metrics["rel_gap"] <= 1e-2
+        assert report.inputs == {"k": 1.0, "w1": 0.5, "w2": 0.5, "R": 1.8}
 
-    def test_identical_media_zero_cases(self, sphere_systems):
-        sys1, _ = sphere_systems
-        rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
+    def test_identical_media_zero_cases(self, cgo):
+        psi1, _, psi1_rho2 = cgo
         # same medium, same direction: LHS is an algebraic zero
-        r_same = green_pairing_check(sys1, sys1, rho1, rho1, R=1.8)
+        r_same = green_pairing_check(psi1, psi1, R=1.8)
         assert r_same.passed
         lhs = abs(complex(r_same.metrics["lhs_re"], r_same.metrics["lhs_im"]))
         assert lhs <= 1e-10 * max(r_same.metrics["pairing_mass"], 1.0)
         # same medium, different directions: same-operator Wronskian vanishes
-        r_cross = green_pairing_check(sys1, sys1, rho1, rho2, R=1.8)
+        r_cross = green_pairing_check(psi1, psi1_rho2, R=1.8)
         assert r_cross.passed
         rhs = abs(complex(r_cross.metrics["rhs_re"], r_cross.metrics["rhs_im"]))
         assert rhs <= 1e-2 * r_cross.metrics["wronskian_mass"]
 
-    def test_containment_validated(self, sphere_systems):
-        sys1, sys2 = sphere_systems
-        rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
+    def test_containment_validated(self, cgo):
+        psi1, psi2, _ = cgo
         # 0.8 cuts Gamma, 1.5 the support cells (centre plus half-diagonal 1.61)
         for R in (0.8, 1.5):
             with pytest.raises(ValueError, match="does not enclose"):
-                green_pairing_check(sys1, sys2, rho1, rho2, R=R)
+                green_pairing_check(psi1, psi2, R=R)
 
     def test_wavenumber_consistency(self, sphere_systems):
-        sys1, sys2 = sphere_systems
-        rho1, _ = sigma_pair_for_xi(XI, 1.0, 0.5)
+        # a direction built for another k than the system's is refused at the solve
+        _, sys2 = sphere_systems
         _, rho2 = sigma_pair_for_xi(XI, 2.0, 0.5)
-        with pytest.raises(ValueError, match="wavenumber"):
-            green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
+        with pytest.raises(ValueError, match="built for k=2"):
+            sys2.solve(Exponential(rho2))
 
-    def test_systems_and_directions_share_one_wavenumber(self, sphere_systems):
-        sys1, sys2 = sphere_systems
-        # another k on the second system (cells only: the guard runs before any solve)
-        sys2_k2 = DeltaSystem(sys2.potential, None, 2.0)
+    def test_systems_and_directions_share_one_wavenumber(self, sphere_systems, cgo):
+        _, sys2 = sphere_systems
+        psi1 = cgo[0]
+        # a solution of the second medium at another k (cells only)
+        _, rho2 = sigma_pair_for_xi(XI, 2.0, 0.5)
+        psi2_k2 = DeltaSystem(sys2.potential, None, 2.0).solve(Exponential(rho2))
         with pytest.raises(ValueError, match="wavenumber"):
-            green_pairing_check(sys1, sys2_k2, *sigma_pair_for_xi(XI, 1.0, 0.5), R=1.8)
+            green_pairing_check(psi1, psi2_k2, R=1.8)
         with pytest.raises(ValueError, match="wavenumber"):
-            fourier_identity_check(sys1, sys2_k2, XI, w=0.5)
-        # both directions at another k than the systems
-        with pytest.raises(ValueError, match="wavenumber"):
-            green_pairing_check(sys1, sys2, *sigma_pair_for_xi(XI, 2.0, 0.5), R=1.8)
+            fourier_identity_check(psi1, psi2_k2, XI)
 
-    def test_system_without_potential_rejected(self, sphere_systems, sphere_meshes):
-        sys1, _ = sphere_systems
+    def test_system_without_potential_rejected(self, sphere_meshes, cgo):
+        psi1 = cgo[0]
         mesh = sphere_meshes[1]
         surface_only = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)), 1.0)
+        sol = surface_only.solve(Exponential(sigma_pair_for_xi(XI, 1.0, 0.5)[1]))
         with pytest.raises(ValueError, match="shared grid"):
-            green_pairing_check(sys1, surface_only, *sigma_pair_for_xi(XI, 1.0, 0.5), R=1.8)
+            green_pairing_check(psi1, sol, R=1.8)
         with pytest.raises(ValueError, match="shared grid"):
-            fourier_identity_check(surface_only, sys1, XI, w=0.5)
+            fourier_identity_check(sol, psi1, XI)
+
+    def test_plane_wave_solution_rejected(self, sphere_systems, cgo):
+        sys1, _ = sphere_systems
+        psi1, psi2, _ = cgo
+        plane = sys1.solve(plane_wave(EZ))
+        with pytest.raises(AttributeError, match="rho_dir"):
+            green_pairing_check(plane, psi2, R=1.8)
+        with pytest.raises(AttributeError, match="rho_dir"):
+            fourier_identity_check(psi1, plane, XI)
+
+    def test_supports_that_differ(self, sphere_meshes, small_grid):
+        # the second bump is cut off at r = 1.0, so cells weighted by V1 - V2 lie off its support
+        mesh = sphere_meshes[2]
+        potentials = (bump_potential(small_grid, 0.35), bump_potential(small_grid, -0.25, r_in=0.7, r_out=1.0))
+        sys1, sys2 = (DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)), 1.0)
+                      for V, alpha in zip(potentials, (1.0, 1.5)))
+        assert len(np.setdiff1d(sys1.support, sys2.support)) > 0
+        psi1, psi2, _ = cgo_solutions(sys1, sys2)
+        ref = reference_pairing(psi1, psi2)
+        green = green_pairing_check(psi1, psi2, R=1.8)
+        four = fourier_identity_check(psi1, psi2, XI)
+        assert green.passed and four.passed
+        for report, key in ((green, "lhs"), (four, "pairing")):
+            got = complex(report.metrics[f"{key}_re"], report.metrics[f"{key}_im"])
+            assert abs(got - ref) <= 1e-12 * report.metrics["pairing_mass"]
 
 
 class TestFourierIdentity:
-    def test_exact_split(self, sphere_systems):
-        sys1, sys2 = sphere_systems
-        report = fourier_identity_check(sys1, sys2, XI, w=0.5)
+    def test_exact_split(self, cgo):
+        psi1, psi2, _ = cgo
+        report = fourier_identity_check(psi1, psi2, XI)
         assert report.passed
         assert report.metrics["split_err"] <= 1e-10
         assert report.metrics["finite_w_remainder"] > 0  # reported, not asserted
+        assert report.inputs == {"k": 1.0, "w": 0.5, "xi": [1.0, 0.0, 0.0]}
 
-    def test_identical_media_all_terms_vanish(self, sphere_systems):
-        sys1, _ = sphere_systems
-        report = fourier_identity_check(sys1, sys1, XI, w=0.5)
+    def test_pairing_matches_whole_grid_reference(self, cgo):
+        psi1, psi2, _ = cgo
+        report = fourier_identity_check(psi1, psi2, XI)
+        got = complex(report.metrics["pairing_re"], report.metrics["pairing_im"])
+        assert abs(got - reference_pairing(psi1, psi2)) <= 1e-12 * report.metrics["pairing_mass"]
+
+    def test_directions_must_match_xi(self, cgo):
+        psi1, psi2, _ = cgo
+        for xi in (-XI, 2.0 * XI, np.array([0.0, 1.0, 0.0])):
+            with pytest.raises(ValueError, match="-i xi"):
+                fourier_identity_check(psi1, psi2, xi)
+
+    def test_identical_media_all_terms_vanish(self, cgo):
+        psi1, _, psi1_rho2 = cgo
+        report = fourier_identity_check(psi1, psi1_rho2, XI)
         assert report.metrics["split_err"] <= 1e-10
         for key in ("pairing_re", "pairing_im", "F_re", "F_im",
                     "fourier_diff_re", "fourier_diff_im"):
@@ -117,7 +175,9 @@ class TestFourierIdentity:
     def test_zero_frequency_fourier_difference(self, sphere_systems):
         # xi = 0: the Fourier difference is the plain quadrature of the data
         sys1, sys2 = sphere_systems
-        report = fourier_identity_check(sys1, sys2, np.zeros(3), w=0.7)
+        psi1, psi2, _ = cgo_solutions(sys1, sys2, np.zeros(3), w=0.7)
+        report = fourier_identity_check(psi1, psi2, np.zeros(3))
+        assert report.inputs["w"] == 0.7
         vol = sys1.potential.grid.cell_volume
         direct = (
             vol * np.sum(sys2.potential.values - sys1.potential.values)
@@ -241,10 +301,9 @@ class TestUniqueness:
 
 
 class TestReportFormat:
-    def test_json_schema(self, sphere_systems):
-        sys1, sys2 = sphere_systems
-        rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
-        report = green_pairing_check(sys1, sys2, rho1, rho2, R=1.8)
+    def test_json_schema(self, cgo):
+        psi1, psi2, _ = cgo
+        report = green_pairing_check(psi1, psi2, R=1.8)
         payload = json.loads(json.dumps(report.to_dict()))
         assert set(payload) == {"name", "inputs", "metrics", "thresholds", "pass", "seconds"}
         assert isinstance(payload["pass"], bool)
@@ -255,12 +314,12 @@ class TestReportFormat:
         sys1, sys2 = (DeltaSystem(bump_potential(grid, amp),
                                   DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, a)), 1.0)
                       for amp, a in ((0.35, 1.0), (-0.25, 1.5)))
-        rho1, rho2 = sigma_pair_for_xi(XI, 1.0, 0.5)
-        assert green_pairing_check(sys1, sys2, rho1, rho2, R=1.8).thresholds == {
+        psi1, psi2, _ = cgo_solutions(sys1, sys2)
+        assert green_pairing_check(psi1, psi2, R=1.8).thresholds == {
             "rel_gap": PAIRING_REL_TOL}
-        assert green_pairing_check(sys1, sys1, rho1, rho1, R=1.8).thresholds == {
+        assert green_pairing_check(psi1, psi1, R=1.8).thresholds == {
             "lhs_zero": ALGEBRAIC_TOL, "rhs_over_mass": PAIRING_REL_TOL}
-        assert fourier_identity_check(sys1, sys2, XI, w=0.5).thresholds == {
+        assert fourier_identity_check(psi1, psi2, XI).thresholds == {
             "split_err": ALGEBRAIC_TOL}
         radiation = sommerfeld_check(lambda pts: np.zeros(len(pts), dtype=complex), 1.0)
         assert radiation.thresholds == {"decay_per_doubling": SOMMERFELD_MIN_DECAY}
