@@ -1,15 +1,20 @@
-"""Guarded dense complex solves and the row-chunk budget of every dense kernel block."""
+"""Guarded dense complex solves, and the row chunks every dense kernel block is filled in."""
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from scipy.linalg import lapack
 
-__all__ = ["ExceptionalFrequencyError", "GuardedLU", "row_chunks"]
+__all__ = ["ExceptionalFrequencyError", "GuardedLU", "map_chunks", "row_chunks"]
 
 RCOND_FLOOR = 1e-12
-CHUNK = 2**22  # entries per row chunk of a dense kernel block
+CHUNK = 2**20  # entries per row chunk of a dense kernel block
+WORKERS = len(os.sched_getaffinity(0))  # threads that fill row chunks, the caller included
 
 
 def row_chunks(n: int, row_entries: int) -> list[slice]:
@@ -23,6 +28,42 @@ def row_chunks(n: int, row_entries: int) -> list[slice]:
     return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
+def map_chunks(body, slices: list[slice]) -> None:
+    """Call ``body(s)`` once for every slice s, on up to WORKERS threads.
+
+    The caller and WORKERS - 1 helper threads take whole slices from one
+    shared queue, so the split does not depend on the worker count; each
+    body writes its own rows of its output.  numpy's ufuncs, ``einsum`` and
+    BLAS release the interpreter lock, so the bodies run side by side.  An
+    exception in any body stops every thread from taking another slice and
+    is raised here.  With one worker or one slice the bodies run inline.
+    """
+    helpers = min(WORKERS, len(slices)) - 1
+    if helpers <= 0:
+        for s in slices:
+            body(s)
+        return
+    queue, lock, failed = iter(slices), threading.Lock(), threading.Event()
+
+    def take() -> None:
+        while not failed.is_set():
+            with lock:
+                s = next(queue, None)
+            if s is None:
+                return
+            try:
+                body(s)
+            except BaseException:
+                failed.set()
+                raise
+
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(take) for _ in range(helpers)]
+        take()
+    for f in futures:
+        f.result()
+
+
 class ExceptionalFrequencyError(RuntimeError):
     """The discrete system is (numerically) singular at this wavenumber.
 
@@ -34,14 +75,16 @@ class ExceptionalFrequencyError(RuntimeError):
 class GuardedLU:
     """LU factorization with a 1-norm condition estimate.
 
-    Raises ``ExceptionalFrequencyError`` when the reciprocal condition
-    estimate drops below ``RCOND_FLOOR`` (condition number above 1e12).
+    Factors in place: a complex Fortran-ordered A is overwritten by its LU
+    factors, any other A is copied first.  Raises ``ExceptionalFrequencyError``
+    when the reciprocal condition estimate drops below ``RCOND_FLOOR``
+    (condition number above 1e12).
     """
 
     def __init__(self, A: np.ndarray, context: str = "linear system"):
-        A = np.ascontiguousarray(A, dtype=complex)
+        A = np.asfortranarray(A, dtype=complex)
         anorm = np.linalg.norm(A, 1)
-        lu, piv, info = lapack.zgetrf(A)
+        lu, piv, info = lapack.zgetrf(A, overwrite_a=1)
         if info > 0:
             raise ExceptionalFrequencyError(
                 f"{context}: exactly singular factorization; try perturbing k"

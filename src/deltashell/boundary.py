@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import ExceptionalFrequencyError, GuardedLU, row_chunks  # noqa: F401 (re-export)
+from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, row_chunks  # noqa: F401 (re-export)
 from .geometry import SurfaceMesh, triangle_rule
 from .kernels import (
     IncidentField,
@@ -308,8 +308,11 @@ def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float) -> np.ndarray
     """The filled panel block from ``points``, in row chunks."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty((len(points), mesh.n_panels), dtype=complex)
-    for rows in row_chunks(len(points), mesh.n_panels * _RULE_POINTS):
+
+    def fill(rows):
         out[rows] = _panel_block(points[rows], mesh, k)
+
+    map_chunks(fill, row_chunks(len(points), mesh.n_panels * _RULE_POINTS))
     return out
 
 
@@ -325,8 +328,11 @@ def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eta = np.asarray(eta, dtype=complex)
     out = np.empty(len(points), dtype=complex)
-    for rows in row_chunks(len(points), mesh.n_panels * 4):
+
+    def fill(rows):
         out[rows] = _panel_block(points[rows], mesh, k) @ eta
+
+    map_chunks(fill, row_chunks(len(points), mesh.n_panels * 4))
     return out
 
 
@@ -339,8 +345,11 @@ def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: floa
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eta = np.asarray(eta, dtype=complex)
     out = np.empty((len(points), 3), dtype=complex)
-    for rows in row_chunks(len(points), mesh.n_panels * _RULE_POINTS):
+
+    def fill(rows):
         out[rows] = np.einsum("imk,m->ik", _panel_block(points[rows], mesh, k, grad=True), eta)
+
+    map_chunks(fill, row_chunks(len(points), mesh.n_panels * _RULE_POINTS))
     return out
 
 
@@ -421,8 +430,9 @@ class DeltaSystem:
                                     [Tr, assemble_single_layer(self.mesh, k)]])
             self.weights = np.concatenate([Vs, delta.alpha])
 
+        # A in Fortran order, which GuardedLU factors in place
         n = len(self.weights)
-        A = self.kernel[:n] * self.weights
+        A = np.multiply(self.kernel[:n], self.weights, out=np.empty((n, n), dtype=complex, order="F"))
         A[np.diag_indices_from(A)] += 1.0
         self._lu = GuardedLU(A, context="delta-shell system") if n else None
 

@@ -13,8 +13,8 @@ compare    L^2 / max relative distance between two far-field CSVs
 Exit codes: 0 ok, 1 compute failure, 2 config error, 3 verification failure;
 a config error names the offending field.  Outputs embed the config digest
 and the convention block; the same config run with the same BLAS thread
-count produces byte-identical files (BLAS reductions may change with the
-thread count).
+count, on any number of cores, produces byte-identical files (BLAS
+reductions may change with the thread count).
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def _check_keys(obj: dict, allowed: set, path: str) -> None:
         if key in _SCHEMAS and isinstance(obj[key], dict):
             _check_keys(obj[key], _SCHEMAS[key], f"{path}{key}.")
         if key in ("rho_bumps", "v_bumps", "potential_bumps") and obj[key] is not None:
+            if not isinstance(obj[key], list):
+                raise ConfigError(f"config section '{path}{key}' must be a list of bumps, got {obj[key]!r}")
             for i, bump in enumerate(obj[key]):
                 _check_keys(bump, _BUMP_KEYS, f"{path}{key}[{i}].")
 
@@ -220,18 +222,32 @@ def _panel_values(spec, mesh, name: str) -> np.ndarray:
     return vals
 
 
+def _unit_directions(raw, name: str, single: bool = False) -> np.ndarray:
+    """The rows of ``raw`` scaled to unit length.
+
+    ``raw`` is a list of 3-vectors, row i named ``name[i]``, or with ``single``
+    one 3-vector named ``name`` (returned as one row).  ConfigError naming the
+    field unless every row is a finite nonzero 3-vector.
+    """
+    with _names(name):
+        dirs = np.array(raw, dtype=float, ndmin=2)
+    if dirs.ndim != 2 or dirs.shape[1] != 3 or (single and np.ndim(raw) != 1):
+        what = "a 3-vector" if single else "a list of 3-vectors"
+        raise ConfigError(f"'{name}' must be {what}, got {raw!r}")
+    norms = np.linalg.norm(dirs, axis=1)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+    if len(bad):
+        field = name if single else f"{name}[{bad[0]}]"
+        raise ConfigError(f"'{field}' must be a finite nonzero vector")
+    dirs /= norms[:, None]
+    return dirs
+
+
 def _direction_set(spec, name: str, default_nt=16, default_np=32):
     if spec is None:
         spec = {}
     if "directions" in spec:
-        dirs = np.array(spec["directions"], dtype=float, ndmin=2)
-        if dirs.ndim != 2 or dirs.shape[1] != 3:
-            raise ConfigError(f"'{name}.directions' must be a list of 3-vectors")
-        norms = np.linalg.norm(dirs, axis=1)
-        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
-        if len(bad):
-            raise ConfigError(f"'{name}.directions[{bad[0]}]' must be a finite nonzero vector")
-        dirs /= norms[:, None]
+        dirs = _unit_directions(spec["directions"], f"{name}.directions")
         weights = np.full(len(dirs), 4.0 * np.pi / len(dirs))
         return dirs, weights, None
     g = direction_grid(_count(spec, "n_theta", f"{name}.n_theta", default_nt, minimum=2),
@@ -265,7 +281,7 @@ def cmd_forward(cfg: dict, out: Path, quiet: bool) -> int:
     inc_spec = cfg.get("incident", {"kind": "plane", "direction": [0.0, 0.0, 1.0]})
     if inc_spec.get("kind", "plane") != "plane":
         raise ConfigError("forward supports plane-wave incidence")
-    inc = plane_wave(np.asarray(inc_spec["direction"], dtype=float))
+    inc = plane_wave(_unit_directions(inc_spec.get("direction"), "incident.direction", single=True)[0])
 
     sol = DeltaSystem(V, delta, k).solve(inc)
 

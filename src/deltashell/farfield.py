@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dense import row_chunks
+from ._dense import map_chunks, row_chunks
 from .boundary import DeltaSolution, eval_scattered_field, eval_scattered_gradient
 from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
 from .volume import PotentialSample
@@ -146,8 +146,11 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
 
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     out = np.empty((len(obs), len(sols)), dtype=complex)
-    for rows in row_chunks(len(obs), len(pts)):
+
+    def fill(rows):
         out[rows] = np.exp(-1j * first.k * (obs[rows] @ pts.T)) @ coef
+
+    map_chunks(fill, row_chunks(len(obs), len(pts)))
     out = -out.T / (4.0 * np.pi)
     return out[0] if single else out
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import row_chunks
+from ._dense import map_chunks, row_chunks
 from .geometry import VolumeGrid
 from .kernels import radial_gradient_factor, radial_kernel
 
@@ -129,8 +129,11 @@ def assemble_volume_operator(grid: VolumeGrid, k: float, cells: np.ndarray | Non
         raise ValueError(f"grid has {grid.n_cells} cells, cap is {MAX_GRID_CELLS}")
     centers = grid.cell_center if cells is None else grid.cell_center[cells]
     G = np.empty((len(centers), len(centers)), dtype=complex)
-    for rows in row_chunks(len(centers), len(centers)):
+
+    def fill(rows):
         G[rows] = cell_block(centers[rows], centers, grid, k)
+
+    map_chunks(fill, row_chunks(len(centers), len(centers)))
     return G
 
 
@@ -150,6 +153,9 @@ def volume_potential(points, grid: VolumeGrid, density: np.ndarray, k: float, ce
         raise ValueError("density length does not match the selected cells")
 
     out = np.zeros(len(points), dtype=complex)
-    for rows in row_chunks(len(points), len(centers)):
+
+    def fill(rows):
         out[rows] = cell_block(points[rows], centers, grid, k) @ density
+
+    map_chunks(fill, row_chunks(len(points), len(centers)))
     return out

@@ -160,6 +160,15 @@ class TestConfigValidation:
         # the partial-wave solve clamps L to [4, LMAX_HARD]; the CLI rejects what it would clamp
         "oracle.L": ("oracle", {"oracle": {"L": -3}}, {"oracle": {"L": 3}}, {"oracle": {"L": 201}},
                      {"oracle": {"L": 4.5}}),
+        # the forward incidence is normalised and checked as the farfield incidences are
+        "incident.direction": ("forward", *({"incident": {"kind": "plane", "direction": d}} for d in (
+            [0.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, float("nan"), 1.0],
+            [float("inf"), 0.0, 0.0], None, "z", [[0.0, 0.0, 1.0]]))),
+        # a bump section is a list of bumps
+        "potential_bumps": ("forward", {"potential_bumps": 5}, {"potential_bumps": {"amplitude": 0.3}},
+                            {"potential_bumps": "bump"}),
+        "medium.rho_bumps": ("acoustic", {"medium": dict(ACOUSTIC["medium"], rho_bumps=5)}),
+        "medium.v_bumps": ("acoustic", {"medium": dict(ACOUSTIC["medium"], v_bumps={"width": 0.4})}),
     }
 
     @pytest.mark.parametrize("field", list(BAD_FIELDS))
@@ -250,6 +259,17 @@ class TestForward:
 
         meta = json.loads((tmp_path / "run_metadata.json").read_text())
         assert "config_digest" in meta and "conventions" in meta
+
+    def test_incident_direction_is_normalised(self, tmp_path):
+        # [0, 0, 2] is the direction of [0, 0, 1], as in the farfield incidences
+        outs = []
+        for name, d in (("unit", [0.0, 0.0, 1.0]), ("long", [0.0, 0.0, 2.0])):
+            cfg = dict(FORWARD_TRIVIAL, alpha=1.0, incident={"kind": "plane", "direction": d})
+            path = write_config(tmp_path, f"{name}.json", cfg)
+            assert main(["--config", path, "--out", str(tmp_path / name), "--quiet", "forward"]) == 0
+            outs.append(tmp_path / name)
+        for csv in ("run_density.csv", "run_field.csv"):
+            assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
 
 
 class TestFarfieldCommand:

@@ -1,0 +1,180 @@
+"""Row-chunk threads and the in-place guarded LU of ``_dense``."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from deltashell import _dense, boundary, farfield, volume
+from deltashell._dense import GuardedLU, map_chunks
+from deltashell.boundary import DeltaSpec, DeltaSystem
+from deltashell.kernels import plane_wave
+
+from conftest import bump_potential
+
+
+@pytest.fixture
+def slice_counts(monkeypatch):
+    """Slice counts of every ``map_chunks`` call the kernel modules make, with CHUNK small
+    enough that the small test inputs split."""
+    monkeypatch.setattr(_dense, "CHUNK", 2**15)
+    counts = []
+
+    def spy(body, slices):
+        slices = list(slices)
+        counts.append(len(slices))
+        map_chunks(body, slices)
+
+    for module in (boundary, volume, farfield):
+        monkeypatch.setattr(module, "map_chunks", spy)
+    return counts
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Threads started while the test runs."""
+    threads = []
+    start = threading.Thread.start
+
+    def record(self):
+        threads.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return threads
+
+
+@pytest.fixture(scope="module")
+def sites(sphere_meshes, small_grid):
+    """Every mapped site, by name: a function of no arguments."""
+    mesh, grid = sphere_meshes[2], small_grid
+    V = bump_potential(grid, 0.6)
+    support = V.support()
+    centers = grid.cell_center[support]
+    eta = np.exp(1j * mesh.panel_centroid[:, 0])
+    points = np.concatenate([centers, 1.7 * mesh.panel_centroid])
+    off = points[~boundary.on_surface(points, mesh)]
+    system = DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)), 1.7)
+    sols = system.solve_many([plane_wave(d) for d in np.eye(3)])
+    return {
+        "S": lambda: boundary.assemble_single_layer(mesh, 1.7),
+        "SLvol": lambda: boundary._layer_matrix(centers, mesh, 1.7),
+        "G": lambda: volume.assemble_volume_operator(grid, 1.7, cells=support),
+        "layer_potential": lambda: boundary.layer_potential(points, mesh, eta, 1.7),
+        "layer_potential_gradient": lambda: boundary.layer_potential_gradient(off, mesh, eta, 1.7),
+        "volume_potential": lambda: volume.volume_potential(points, grid, V.values[support] * eta[0],
+                                                            1.7, cells=support),
+        "farfield_source": lambda: farfield.farfield_source(sols, farfield.direction_grid(6, 12).normals),
+    }
+
+
+SITES = ["S", "SLvol", "G", "layer_potential", "layer_potential_gradient", "volume_potential",
+         "farfield_source"]
+
+
+class TestMapChunks:
+    @pytest.mark.parametrize("site", SITES)
+    def test_site_is_worker_invariant(self, sites, monkeypatch, slice_counts, site):
+        # whole slices per worker: the split, and so every bit, is the same at 1 and 2 workers
+        fn = sites[site]
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(_dense, "WORKERS", workers)
+            slice_counts.clear()
+            results.append(fn())
+            assert slice_counts and slice_counts[-1] > 1
+        assert np.array_equal(results[0], results[1])
+
+    def test_one_worker_starts_no_thread(self, sphere_meshes, monkeypatch, slice_counts, started):
+        mesh = sphere_meshes[2]
+        monkeypatch.setattr(_dense, "WORKERS", 1)
+        boundary.assemble_single_layer(mesh, 1.0)
+        assert slice_counts[-1] > 1 and started == []
+        monkeypatch.setattr(_dense, "WORKERS", 2)
+        boundary.assemble_single_layer(mesh, 1.0)
+        assert len(started) == 1
+
+    def test_one_slice_starts_no_thread(self, monkeypatch, started):
+        monkeypatch.setattr(_dense, "WORKERS", 2)
+        seen = []
+        map_chunks(seen.append, [slice(0, 4)])
+        assert seen == [slice(0, 4)] and started == []
+
+    def test_helper_error_reaches_the_caller(self, sphere_meshes, monkeypatch, slice_counts):
+        # once the caller holds a slice, the helper's first slice asks for the gradient on
+        # Gamma; the caller finishes its slice after that has failed and takes no other
+        mesh = sphere_meshes[2]
+        monkeypatch.setattr(_dense, "WORKERS", 2)
+        panel_block = boundary._panel_block
+        caller_in, failed = threading.Event(), threading.Event()
+        callers = []
+
+        def block(x, mesh, k, grad=False):
+            callers.append(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                caller_in.set()
+                assert failed.wait(timeout=60)
+                return panel_block(x, mesh, k, grad)
+            assert caller_in.wait(timeout=60)
+            try:
+                return panel_block(mesh.panel_centroid[:len(x)], mesh, k, grad)
+            finally:
+                failed.set()
+
+        monkeypatch.setattr(boundary, "_panel_block", block)
+        with pytest.raises(ValueError, match="layer gradient requested on the surface"):
+            boundary.layer_potential_gradient(2.0 * mesh.panel_centroid, mesh, np.ones(mesh.n_panels), 1.0)
+        assert slice_counts[-1] > 2
+        assert len(callers) == 2 and callers[0] is not callers[1]
+
+    def test_every_slice_taken_once_under_contention(self, monkeypatch):
+        # more workers than cores and a short switch interval: a slice lost or taken twice
+        # leaves a row of ``hits`` other than 1
+        monkeypatch.setattr(_dense, "WORKERS", 6)
+        hits = np.zeros(600, dtype=int)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def body(rows):
+                hits[rows] += 1
+
+            map_chunks(body, [slice(lo, lo + 3) for lo in range(0, len(hits), 3)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.all(hits == 1)
+
+
+class TestGuardedLU:
+    def test_factors_a_fortran_matrix_in_place(self, rng):
+        n = 40
+        A = np.asfortranarray(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                              + 10.0 * np.eye(n))
+        ref = A.copy()
+        b = rng.standard_normal(n) + 0j
+        lu = GuardedLU(A)
+        assert np.shares_memory(lu._lu, A)
+        assert_allclose(ref @ lu.solve(b), b, rtol=0, atol=1e-12)
+
+    def test_copies_a_c_ordered_matrix(self, rng):
+        A = rng.standard_normal((30, 30)) + 10.0 * np.eye(30) + 0j
+        ref = A.copy()
+        lu = GuardedLU(A)
+        assert not np.shares_memory(lu._lu, A)
+        assert np.array_equal(A, ref)
+
+    def test_system_matrix_is_factored_in_place(self, sphere_meshes, monkeypatch):
+        # DeltaSystem writes A in Fortran order and the LU overwrites it, so a build
+        # makes no third n x n array besides the kernel and A
+        given = []
+
+        def guarded(A, context):
+            given.append(A)
+            return GuardedLU(A, context)
+
+        monkeypatch.setattr(boundary, "GuardedLU", guarded)
+        mesh = sphere_meshes[2]
+        system = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0)), 2.0)
+        assert np.shares_memory(system._lu._lu, given[0])
+        assert not np.shares_memory(system._lu._lu, system.kernel)
