@@ -46,6 +46,7 @@ __all__ = [
     "MediumSpec",
     "SchrodingerData",
     "MediumValidityError",
+    "MediumGridError",
     "eval_density",
     "eval_sound_speed",
     "check_medium_grid",
@@ -58,6 +59,10 @@ __all__ = [
 
 class MediumValidityError(ValueError):
     """Sampled density or sound speed violates positivity."""
+
+
+class MediumGridError(ValueError):
+    """The sampling grid misses part of the medium's support or puts a cell centre on Gamma."""
 
 
 @dataclass(frozen=True)
@@ -202,14 +207,14 @@ def surface_density_trace(m: MediumSpec) -> np.ndarray:
 
 
 def check_medium_grid(m: MediumSpec, grid: VolumeGrid) -> None:
-    """Raise ValueError unless the grid covers the support ball and no cell centre lies on Gamma."""
+    """Raise MediumGridError unless the grid covers the support ball and no cell centre lies on Gamma."""
     R = m.r_support
     if np.any(grid.lo > -R) or np.any(grid.hi < R):
-        raise ValueError(f"grid {grid.lo}..{grid.hi} does not cover the support ball radius {R}")
+        raise MediumGridError(f"grid {grid.lo}..{grid.hi} does not cover the support ball radius {R}")
     n_on = int(np.count_nonzero(on_surface(grid.cell_center, m.gamma)))
     if n_on:
-        raise ValueError(f"{n_on} grid cell centres lie on Gamma, where the density gradient "
-                         "is undefined; shift or refine the grid")
+        raise MediumGridError(f"{n_on} grid cell centres lie on Gamma, where the density gradient "
+                              "is undefined; shift or refine the grid")
 
 
 def _schrodinger_data(m: MediumSpec, omegas, grid: VolumeGrid) -> list[SchrodingerData]:

@@ -7,12 +7,16 @@ cell centres, then the panel centroids):
 
     psi_i + sum_j K_ij w_j psi_j = psi0(x_i),
 
-where K_ij integrates the outgoing kernel over cell or panel j from x_i,
-K = [[G, SLvol], [Tr, S]] by blocks, and w = (V on the cells, alpha on the
-panels) is the discrete V~.  The panel unknowns are the trace psi|_Gamma;
-eta = alpha psi|_Gamma is the surface density (the jump of the normal
-derivative of psi across Gamma).  With alpha = 0 the panel columns drop and
-the panel rows give the trace alone.
+where K_ij integrates the outgoing kernel over cell or panel j from x_i and
+w = (V on the cells, alpha on the panels) is the discrete V~.  The panel
+unknowns are the trace psi|_Gamma; eta = alpha psi|_Gamma is the surface
+density (the jump of the normal derivative of psi across Gamma).  With
+alpha = 0 the panel columns drop and the panel rows give the trace alone.
+
+One row function gives K(x, .) over cells and panels; a fill writes the rows
+of K (S is the fill at the centroids with no cells), and an apply forms
+sum_j K(x, j) q_j: the layer potential (q = eta) and the scattered field
+-K (w psi), the outgoing resolvent applied to the source V~ psi.
 
 Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
 ``geometry.triangle_rule``; every kernel value comes from ``kernels``):
@@ -45,13 +49,7 @@ from .kernels import (
     radial_remainder,
     radial_remainder_gradient_factor,
 )
-from .volume import (
-    PotentialSample,
-    VolumeField,
-    assemble_volume_operator,
-    cell_block,
-    volume_potential,
-)
+from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, cell_block
 
 __all__ = [
     "DeltaSpec",
@@ -214,7 +212,6 @@ def _panel_gap(x: np.ndarray, corners: np.ndarray) -> np.ndarray:
 # one is the panel halved towards its vertex, the middle one the panel halved
 # and point-reflected through the centroid
 _GAUSS3, _ = triangle_rule(*np.eye(3)[:, None])
-_RULE_POINTS = _GAUSS3.shape[1]  # points of the panel rule
 _SUB_BARY = np.concatenate([(np.eye(3)[:, None] + _GAUSS3) / 2, (1 - _GAUSS3) / 2]).reshape(-1, 3)
 _SUB_W = np.full(len(_SUB_BARY), 1.0 / len(_SUB_BARY))
 
@@ -304,36 +301,74 @@ def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False)
     return block
 
 
-def _layer_matrix(points: np.ndarray, mesh: SurfaceMesh, k: float) -> np.ndarray:
-    """The filled panel block from ``points``, in row chunks."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((len(points), mesh.n_panels), dtype=complex)
+_NO_CELLS = np.zeros((0, 3))
+
+
+def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """K(x, .) over a source set (grid, centers, mesh): the cells at ``centers`` through
+    ``volume.cell_block``, then the panels of ``mesh`` through ``_panel_block``.
+
+    Returns (n, m) values, or with ``grad`` the (n, m, 3) x-gradients, in
+    ``out`` if given; an empty ``centers`` or ``mesh`` adds no columns.
+    """
+    grid, centers, mesh = sources
+    nc = len(centers)
+    if out is None:
+        out = np.empty((len(x), nc + mesh.n_panels) + ((3,) if grad else ()), dtype=complex)
+    if nc:
+        out[:, :nc] = cell_block(x, centers, grid, k, grad)
+    if mesh.n_panels:
+        out[:, nc:] = _panel_block(x, mesh, k, grad)
+    return out
+
+
+def _source_chunks(n: int, sources) -> list[slice]:
+    """Row chunks for n targets: a row costs 1 entry per cell, 4 per panel (3 rule-point distances, 1 entry)."""
+    _, centers, mesh = sources
+    return row_chunks(n, len(centers) + 4 * mesh.n_panels)
+
+
+def _fill(points: np.ndarray, sources, k: float) -> np.ndarray:
+    """The rows K(x, .) for every x in ``points``, filled in row chunks."""
+    grid, centers, mesh = sources
+    if len(centers) and grid.n_cells > MAX_GRID_CELLS:
+        raise ValueError(f"grid has {grid.n_cells} cells, cap is {MAX_GRID_CELLS}")
+    if mesh.n_panels > MAX_PANELS:
+        raise ValueError(f"mesh has {mesh.n_panels} panels, cap is {MAX_PANELS}")
+    out = np.empty((len(points), len(centers) + mesh.n_panels), dtype=complex)
+    map_chunks(lambda rows: _kernel_rows(points[rows], sources, k, out=out[rows]),
+               _source_chunks(len(points), sources))
+    return out
+
+
+def _apply(x: np.ndarray, sources, q: np.ndarray, k: float, grad: bool = False) -> np.ndarray:
+    """sum_j K(x, j) q_j over a source set, or with ``grad`` its (n, 3) x-gradient."""
+    out = np.empty((len(x), 3) if grad else len(x), dtype=complex)
 
     def fill(rows):
-        out[rows] = _panel_block(points[rows], mesh, k)
+        block = _kernel_rows(x[rows], sources, k, grad)
+        out[rows] = np.einsum("imk,m->ik", block, q) if grad else block @ q
 
-    map_chunks(fill, row_chunks(len(points), mesh.n_panels * _RULE_POINTS))
+    map_chunks(fill, _source_chunks(len(x), sources))
     return out
+
+
+def _sources(V: PotentialSample | None, support: np.ndarray, delta: DeltaSpec):
+    """The source set of V~ = V + alpha delta_Gamma: the support cells, then the panels unless alpha = 0."""
+    grid = None if V is None else V.grid
+    centers = _NO_CELLS if V is None else grid.cell_center[support]
+    return grid, centers, _NO_SURFACE.mesh if delta.is_zero else delta.mesh
 
 
 def assemble_single_layer(mesh: SurfaceMesh, k: float) -> np.ndarray:
     """Collocation single-layer matrix S[q, p] = int_{panel p} G_k(c_q, y) dsigma."""
-    if mesh.n_panels > MAX_PANELS:
-        raise ValueError(f"mesh has {mesh.n_panels} panels, cap is {MAX_PANELS}")
-    return _layer_matrix(mesh.panel_centroid, mesh, k)
+    return _fill(mesh.panel_centroid, (None, _NO_CELLS, mesh), k)
 
 
 def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
     """Single-layer field sum_q eta_q int_{panel q} G_k(x, y) dsigma(y)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    eta = np.asarray(eta, dtype=complex)
-    out = np.empty(len(points), dtype=complex)
-
-    def fill(rows):
-        out[rows] = _panel_block(points[rows], mesh, k) @ eta
-
-    map_chunks(fill, row_chunks(len(points), mesh.n_panels * 4))
-    return out
+    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), (None, _NO_CELLS, mesh),
+                  np.asarray(eta, dtype=complex), k)
 
 
 def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
@@ -342,15 +377,8 @@ def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: floa
     Raises ValueError for a point on a closed panel, within _SELF_TOL panel
     diameters.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    eta = np.asarray(eta, dtype=complex)
-    out = np.empty((len(points), 3), dtype=complex)
-
-    def fill(rows):
-        out[rows] = np.einsum("imk,m->ik", _panel_block(points[rows], mesh, k, grad=True), eta)
-
-    map_chunks(fill, row_chunks(len(points), mesh.n_panels * _RULE_POINTS))
-    return out
+    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), (None, _NO_CELLS, mesh),
+                  np.asarray(eta, dtype=complex), k, grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +410,15 @@ class DeltaSolution:
         if self.potential is None:
             return None
         grid = self.potential.grid
-        psi0 = np.asarray(eval_incident(self.incident, self.k, grid.cell_center), dtype=complex)
-        vals = psi0 - volume_potential(grid.cell_center, grid, self.source_density,
-                                       self.k, cells=self.support)
-        if len(self.density.eta):
-            vals -= layer_potential(grid.cell_center, self.mesh, self.density.eta, self.k)
-        vals[self.support] = self.psi_support  # dense-solve values are authoritative
-        return VolumeField(grid=grid, values=vals)
+        return VolumeField(grid=grid, values=self._cell_values(np.arange(grid.n_cells)))
+
+    def _cell_values(self, cells: np.ndarray) -> np.ndarray:
+        """psi at grid cells: the total field, with the dense-solve values on the support."""
+        out = np.empty(len(cells), dtype=complex)
+        on = np.isin(cells, self.support)
+        out[on] = self.psi_support[np.searchsorted(self.support, cells[on])]
+        out[~on] = eval_total_field(self, self.potential.grid.cell_center[cells[~on]], near_warning=False)
+        return out
 
 
 class DeltaSystem:
@@ -410,25 +440,11 @@ class DeltaSystem:
         self.mesh = delta.mesh
         self.support = V.support() if V is not None else np.zeros(0, dtype=int)
 
-        if len(self.support):
-            G = assemble_volume_operator(V.grid, k, cells=self.support)
-            centers = V.grid.cell_center[self.support]
-            Tr = cell_block(self.mesh.panel_centroid, centers, V.grid, k)
-            Vs = V.values[self.support]
-        else:
-            G = np.zeros((0, 0), dtype=complex)
-            centers = np.zeros((0, 3))
-            Tr = np.zeros((self.mesh.n_panels, 0), dtype=complex)
-            Vs = np.zeros(0)
-        self.points = np.concatenate([centers, self.mesh.panel_centroid])
-
-        if delta.is_zero:
-            self.kernel = np.block([[G], [Tr]])
-            self.weights = Vs
-        else:
-            self.kernel = np.block([[G, _layer_matrix(centers, self.mesh, k)],
-                                    [Tr, assemble_single_layer(self.mesh, k)]])
-            self.weights = np.concatenate([Vs, delta.alpha])
+        sources = _sources(V, self.support, delta)
+        self.points = np.concatenate([sources[1], self.mesh.panel_centroid])
+        self.kernel = _fill(self.points, sources, k)
+        Vs = np.zeros(0) if V is None else V.values[self.support]
+        self.weights = Vs if delta.is_zero else np.concatenate([Vs, delta.alpha])
 
         # A in Fortran order, which GuardedLU factors in place
         n = len(self.weights)
@@ -476,17 +492,17 @@ class DeltaSystem:
 # Field evaluation
 # ---------------------------------------------------------------------------
 
+def _scattered(sol: DeltaSolution, pts: np.ndarray, grad: bool = False) -> np.ndarray:
+    """-K(x, .) (w psi): the outgoing field of the source V~ psi at pts, or its gradient."""
+    q = sol.source_density if sol.delta.is_zero else np.concatenate([sol.source_density, sol.density.eta])
+    return -_apply(pts, _sources(sol.potential, sol.support, sol.delta), q, sol.k, grad)
+
+
 def eval_scattered_field(sol: DeltaSolution, x) -> np.ndarray | complex:
     """Scattered part: -G (V psi) - SL eta evaluated at x."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    vals = np.zeros(len(pts), dtype=complex)
-    if len(sol.support):
-        vals -= volume_potential(pts, sol.potential.grid, sol.source_density, sol.k, cells=sol.support)
-    if np.any(sol.density.eta):
-        vals -= layer_potential(pts, sol.mesh, sol.density.eta, sol.k)
-    return vals[0] if single else vals
+    vals = _scattered(sol, np.atleast_2d(x))
+    return vals[0] if x.ndim == 1 else vals
 
 
 def eval_total_field(sol: DeltaSolution, x, near_warning: bool = True) -> np.ndarray | complex:
@@ -504,15 +520,7 @@ def eval_total_field(sol: DeltaSolution, x, near_warning: bool = True) -> np.nda
 
 def eval_scattered_gradient(sol: DeltaSolution, x) -> np.ndarray:
     """Analytic gradient of the scattered field at off-surface points."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.zeros((len(pts), 3), dtype=complex)
-    if len(sol.support):
-        grid = sol.potential.grid
-        d, factor = cell_block(pts, grid.cell_center[sol.support], grid, sol.k, grad=True)
-        out -= np.einsum("ijk,ij,j->ik", d, factor, sol.source_density)
-    if np.any(sol.density.eta):
-        out -= layer_potential_gradient(pts, sol.mesh, sol.density.eta, sol.k)
-    return out
+    return _scattered(sol, np.atleast_2d(np.asarray(x, dtype=float)), grad=True)
 
 
 def check_jump_relation(mesh: SurfaceMesh, k: float, xi: np.ndarray) -> float:

@@ -35,6 +35,7 @@ from .boundary import DeltaSpec, DeltaSystem, density_to_csv_rows, eval_total_fi
 from .farfield import (
     CONVENTIONS,
     FarFieldPattern,
+    _fmt,
     check_enclosing_radius,
     direction_grid,
     farfield_kirchhoff,
@@ -51,10 +52,6 @@ __all__ = ["main", "ConfigError", "run_command"]
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +117,11 @@ def _count(spec: dict, key: str, name: str, default=None, *, minimum: int, maxim
 
 
 @contextmanager
-def _names(name: str):
-    """Re-raise a TypeError or ValueError of the block as a ConfigError naming the field ``name``."""
+def _names(name: str, errors=(TypeError, ValueError)):
+    """Re-raise an exception of type ``errors`` of the block as a ConfigError naming the field ``name``."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except errors as exc:
         raise ConfigError(f"config key '{name}': {exc}") from exc
 
 
@@ -372,15 +369,14 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
         v_bumps=_build_bumps(med_cfg.get("v_bumps"), "medium.v_bumps"),
         cutoff=cutoff,
     )
-    with _names("grid"):
-        ac.check_medium_grid(medium, grid)
     inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
     obs_dirs, obs_w, obs_grid = _direction_set(cfg.get("observations"), "observations")
     if obs_grid is None:
         raise ConfigError("acoustic observations must be a (n_theta, n_phi) grid")
 
     prefix = (cfg.get("output") or {}).get("prefix", "acoustic")
-    patterns = ac.acoustic_farfield(medium, omegas, inc_dirs, obs_grid, grid)
+    with _names("grid", ac.MediumGridError), _names("medium", ac.MediumValidityError):
+        patterns = ac.acoustic_farfield(medium, omegas, inc_dirs, obs_grid, grid)
     for omega, ff in zip(frequencies, patterns):
         save_farfield_csv(ff, out / f"{prefix}_w{omega:g}.csv", _metadata(cfg, {"omega": omega}))
         if not quiet:

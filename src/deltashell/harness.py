@@ -103,16 +103,6 @@ def _check_media(sol1: DeltaSolution, sol2: DeltaSolution) -> float:
     return k
 
 
-def _cell_values(sol: DeltaSolution, cells: np.ndarray) -> np.ndarray:
-    """psi at grid cells: the dense-solve values on the solution's support, the field elsewhere."""
-    out = np.empty(len(cells), dtype=complex)
-    on = np.isin(cells, sol.support)
-    out[on] = sol.psi_support[np.searchsorted(sol.support, cells[on])]
-    if not on.all():
-        out[~on] = eval_total_field(sol, sol.potential.grid.cell_center[cells[~on]], near_warning=False)
-    return out
-
-
 def _pairing_nodes(sol1: DeltaSolution, sol2: DeltaSolution):
     """Node groups (x, w, psi1, psi2) of <psi1 (Vt1 - Vt2), psi2> = sum w conj(psi1) psi2.
 
@@ -126,7 +116,7 @@ def _pairing_nodes(sol1: DeltaSolution, sol2: DeltaSolution):
     mesh1, mesh2 = sol1.mesh, sol2.mesh
     return (
         (grid.cell_center[cells], grid.cell_volume * dV[cells],
-         _cell_values(sol1, cells), _cell_values(sol2, cells)),
+         sol1._cell_values(cells), sol2._cell_values(cells)),
         (mesh1.panel_centroid, mesh1.panel_area * sol1.delta.alpha,
          sol1.trace, _cross_trace(sol2, mesh1)),
         (mesh2.panel_centroid, -mesh2.panel_area * sol2.delta.alpha,

@@ -103,8 +103,8 @@ def cell_block(points: np.ndarray, centers: np.ndarray, grid: VolumeGrid, k: flo
 
     Midpoint entries vol * G_k(x_i, c_j), replaced by the equal-volume-ball
     value where x_i lies within half the spacing of c_j (the cell's self
-    region).  With ``grad`` returns ``(d, factor)``, d = x_i - c_j: the
-    x-gradient of an entry is d * factor, and zero in the self region.
+    region).  With ``grad`` returns the (n, m, 3) x-gradients, zero in the
+    self region.
     """
     d = points[:, None, :] - centers[None, :, :]
     r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
@@ -113,7 +113,7 @@ def cell_block(points: np.ndarray, centers: np.ndarray, grid: VolumeGrid, k: flo
     if grad:
         factor = radial_gradient_factor(r, k) * grid.cell_volume
         factor[near] = 0.0
-        return d, factor
+        return d * factor[..., None]
     block = radial_kernel(r, k) * grid.cell_volume
     block[near] = ball_self_term(k, grid.cell_volume)
     return block

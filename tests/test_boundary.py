@@ -17,7 +17,7 @@ from deltashell.boundary import (
     DeltaSpec,
     DeltaSystem,
     _flat_triangle_moments,
-    _layer_matrix,
+    _panel_block,
     assemble_single_layer,
     check_jump_relation,
     eval_scattered_field,
@@ -30,7 +30,7 @@ from deltashell.boundary import (
 )
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, triangle_rule
 from deltashell.kernels import Herglotz, eval_incident, helmholtz_kernel, plane_wave
-from deltashell.volume import assemble_volume_operator, cell_block
+from deltashell.volume import assemble_volume_operator, cell_block, volume_potential
 
 from conftest import bump_potential, mixed_incidents, reference_lippmann_schwinger
 
@@ -148,10 +148,12 @@ class TestSingleLayer:
         # a filled block does not depend on where the rows split
         mesh = sphere_meshes[2]
         points = np.concatenate([mesh.panel_centroid, 1.1 * mesh.panel_centroid[:40]])
-        default = _layer_matrix(points, mesh, 1.7)
+        sources = (None, np.zeros((0, 3)), mesh)
+        default = boundary._fill(points, sources, 1.7)
         monkeypatch.setattr(_dense, "CHUNK", mesh.n_panels * 3)  # one row per chunk
         assert len(_dense.row_chunks(len(points), mesh.n_panels * 3)) == len(points)
-        assert np.array_equal(_layer_matrix(points, mesh, 1.7), default)
+        assert np.array_equal(boundary._fill(points, sources, 1.7), default)
+        assert np.array_equal(_panel_block(points, mesh, 1.7), default)
 
     def test_panel_cap(self, sphere_meshes, monkeypatch):
         monkeypatch.setattr(boundary, "MAX_PANELS", 100)
@@ -329,9 +331,26 @@ class TestSystemMatrix:
             assert s.kernel.shape == (ns + mesh.n_panels, ns)
             assert np.array_equal(s.weights, Vs)
         else:
-            assert np.array_equal(s.kernel[:ns, ns:], _layer_matrix(centers, mesh, s.k))
+            assert np.array_equal(s.kernel[:ns, ns:], _panel_block(centers, mesh, s.k))
             assert np.array_equal(s.kernel[ns:, ns:], assemble_single_layer(mesh, s.k))
             assert np.array_equal(s.weights, np.concatenate([Vs, s.delta.alpha]))
+
+    def test_scattered_field_is_volume_plus_layer_potential(self, small_system, small_grid):
+        # one apply over cells and panels against the cells-only and panels-only sums
+        sol = small_system.solve(plane_wave(EZ))
+        pts = small_grid.cell_center[::5]
+        assert not np.any(on_surface(pts, sol.mesh))
+        field, grad = np.zeros(len(pts), dtype=complex), np.zeros((len(pts), 3), dtype=complex)
+        if len(sol.support):
+            grid = sol.potential.grid
+            field += volume_potential(pts, grid, sol.source_density, sol.k, cells=sol.support)
+            grad += np.einsum("imk,m->ik", cell_block(pts, grid.cell_center[sol.support], grid, sol.k, grad=True),
+                              sol.source_density)
+        if not sol.delta.is_zero:
+            field += layer_potential(pts, sol.mesh, sol.density.eta, sol.k)
+            grad += layer_potential_gradient(pts, sol.mesh, sol.density.eta, sol.k)
+        assert np.linalg.norm(eval_scattered_field(sol, pts) + field) <= 1e-14 * np.linalg.norm(field)
+        assert np.linalg.norm(eval_scattered_gradient(sol, pts) + grad) <= 1e-14 * np.linalg.norm(grad)
 
     def test_residual_is_the_dense_residual(self, small_system, monkeypatch):
         # a perturbed back-substitution lifts the residual far above rounding, where
@@ -435,7 +454,7 @@ def solve_delta_system_composition(V, delta, inc, k):
     centers = grid.cell_center[support]
 
     S = assemble_single_layer(mesh, k)
-    SLvol = _layer_matrix(centers, mesh, k)
+    SLvol = _panel_block(centers, mesh, k)
     Tr = cell_block(mesh.panel_centroid, centers, grid, k)
     G = assemble_volume_operator(grid, k, cells=support)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import deltashell
-from deltashell import acoustic, cli
+from deltashell import acoustic, boundary, cli
 from deltashell.boundary import DeltaSolution, DeltaSystem
 from deltashell.cli import main
 from deltashell.farfield import load_farfield_csv
@@ -169,6 +169,8 @@ class TestConfigValidation:
                             {"potential_bumps": "bump"}),
         "medium.rho_bumps": ("acoustic", {"medium": dict(ACOUSTIC["medium"], rho_bumps=5)}),
         "medium.v_bumps": ("acoustic", {"medium": dict(ACOUSTIC["medium"], v_bumps={"width": 0.4})}),
+        # a medium whose sampled density is not positive on the grid
+        "medium": ("acoustic", {"medium": dict(ACOUSTIC["medium"], shell_density=-10)}),
     }
 
     @pytest.mark.parametrize("field", list(BAD_FIELDS))
@@ -375,6 +377,27 @@ class TestAcousticCommand:
             ff = load_farfield_csv(tmp_path / f"ac_w{w}.csv")
             assert np.all(np.isfinite(ff.values))
             assert np.max(np.abs(ff.values)) > 1e-4
+
+    def test_one_grid_scan_per_run(self, tmp_path, capsys, monkeypatch):
+        # the sampling's grid check is the only scan of the cell centres against Gamma;
+        # its error still exits 2 naming the grid
+        calls = []
+        real = boundary._surface_gap
+
+        def counted(x, mesh):
+            calls.append(len(x))
+            return real(x, mesh)
+
+        monkeypatch.setattr(boundary, "_surface_gap", counted)
+        # boundary cell centres at 2.23, outside the cutoff, so V vanishes on them
+        path = write_config(tmp_path, "ac.json", dict(ACOUSTIC, grid={"bbox": [-2.6, 2.6], "n": 7}))
+        assert main(["--config", path, "--out", str(tmp_path), "--quiet", "acoustic"]) == 0
+        assert calls == [7**3]
+        monkeypatch.setattr(acoustic, "DeltaSystem", no_solve)
+        path = write_config(tmp_path, "small.json", dict(ACOUSTIC, grid={"bbox": [-1.5, 1.5], "n": 8}))
+        assert main(["--config", path, "--out", str(tmp_path), "acoustic"]) == 2
+        err = capsys.readouterr().err
+        assert "'grid'" in err and "does not cover the support ball" in err
 
 
 class TestVerifyCommand:

@@ -56,22 +56,24 @@ def sites(sphere_meshes, small_grid):
     eta = np.exp(1j * mesh.panel_centroid[:, 0])
     points = np.concatenate([centers, 1.7 * mesh.panel_centroid])
     off = points[~boundary.on_surface(points, mesh)]
-    system = DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)), 1.7)
-    sols = system.solve_many([plane_wave(d) for d in np.eye(3)])
+    delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5))
+    sols = DeltaSystem(V, delta, 1.7).solve_many([plane_wave(d) for d in np.eye(3)])
     return {
         "S": lambda: boundary.assemble_single_layer(mesh, 1.7),
-        "SLvol": lambda: boundary._layer_matrix(centers, mesh, 1.7),
+        "DeltaSystem": lambda: DeltaSystem(V, delta, 1.7).kernel,
         "G": lambda: volume.assemble_volume_operator(grid, 1.7, cells=support),
         "layer_potential": lambda: boundary.layer_potential(points, mesh, eta, 1.7),
         "layer_potential_gradient": lambda: boundary.layer_potential_gradient(off, mesh, eta, 1.7),
         "volume_potential": lambda: volume.volume_potential(points, grid, V.values[support] * eta[0],
                                                             1.7, cells=support),
         "farfield_source": lambda: farfield.farfield_source(sols, farfield.direction_grid(6, 12).normals),
+        "eval_scattered_field": lambda: boundary.eval_scattered_field(sols[0], points),
+        "eval_scattered_gradient": lambda: boundary.eval_scattered_gradient(sols[0], off),
     }
 
 
-SITES = ["S", "SLvol", "G", "layer_potential", "layer_potential_gradient", "volume_potential",
-         "farfield_source"]
+SITES = ["S", "DeltaSystem", "G", "layer_potential", "layer_potential_gradient", "volume_potential",
+         "farfield_source", "eval_scattered_field", "eval_scattered_gradient"]
 
 
 class TestMapChunks:
