@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from scipy.linalg import lapack
+from scipy.linalg import get_lapack_funcs
 
 __all__ = ["ExceptionalFrequencyError", "GuardedLU", "map_chunks", "row_chunks"]
 
@@ -73,27 +73,32 @@ class ExceptionalFrequencyError(RuntimeError):
 
 
 class GuardedLU:
-    """LU factorization with a 1-norm condition estimate.
+    """LU factorization with a 1-norm condition estimate, in the precision of A.
 
-    Factors in place: a complex Fortran-ordered A is overwritten by its LU
-    factors, any other A is copied first.  Raises ``ExceptionalFrequencyError``
-    when the reciprocal condition estimate drops below ``RCOND_FLOOR``
+    A complex64 A is factored by the complex64 LAPACK routines, any other A
+    by the complex128 ones; the factors keep that dtype (``self.dtype``).
+    Factors in place: a Fortran-ordered A of that dtype is overwritten by
+    its LU factors, any other A is copied first.  Raises
+    ``ExceptionalFrequencyError`` when the factorization is exactly singular
+    or the reciprocal condition estimate drops below ``RCOND_FLOOR``
     (condition number above 1e12).
     """
 
     def __init__(self, A: np.ndarray, context: str = "linear system"):
-        A = np.asfortranarray(A, dtype=complex)
-        anorm = np.linalg.norm(A, 1)
-        lu, piv, info = lapack.zgetrf(A, overwrite_a=1)
+        A = np.asarray(A)
+        A = np.asfortranarray(A, dtype=np.complex64 if A.dtype == np.complex64 else complex)
+        getrf, gecon, self._getrs, lange = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), (A,))
+        anorm = lange("1", A)
+        lu, piv, info = getrf(A, overwrite_a=1)
         if info > 0:
             raise ExceptionalFrequencyError(
                 f"{context}: exactly singular factorization; try perturbing k"
             )
         if info < 0:
-            raise ValueError(f"zgetrf failed with info={info}")
-        rcond, info = lapack.zgecon(lu, anorm)
+            raise ValueError(f"{getrf.typecode}getrf failed with info={info}")
+        rcond, info = gecon(lu, anorm)
         if info != 0:
-            raise ValueError(f"zgecon failed with info={info}")
+            raise ValueError(f"{getrf.typecode}gecon failed with info={info}")
         if rcond < RCOND_FLOOR:
             raise ExceptionalFrequencyError(
                 f"{context}: condition estimate {1.0 / max(rcond, 1e-300):.2e} exceeds 1e12 "
@@ -101,12 +106,21 @@ class GuardedLU:
             )
         self._lu = lu
         self._piv = piv
+        self.dtype = lu.dtype
         self.rcond = float(rcond)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=complex)
-        x, info = lapack.zgetrs(self._lu, self._piv, b)
-        if info != 0:
-            raise ValueError(f"zgetrs failed with info={info}")
-        return x
+        """A^-1 b in complex128, for b of shape (n,) or (n, m).
 
+        Each column of b is scaled by a power of two to a max-norm in
+        [0.5, 1) before the cast to the factors' dtype and unscaled after, so
+        that columns of any magnitude (exponentially growing CGO fields) neither
+        overflow nor underflow in complex64; a power of two scales exactly.
+        """
+        b = np.asarray(b, dtype=complex)
+        peak = np.max(np.abs(b), axis=0)
+        scale = np.ldexp(1.0, np.frexp(np.where(peak > 0, peak, 1.0))[1])
+        x, info = self._getrs(self._lu, self._piv, (b / scale).astype(self.dtype, copy=False))
+        if info != 0:
+            raise ValueError(f"{self._getrs.typecode}getrs failed with info={info}")
+        return x.astype(complex, copy=False) * scale

@@ -34,6 +34,7 @@ Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -77,6 +78,15 @@ _NEAR_RATIO = 2.8
 _SELF_TOL = 1e-12
 # check_jump_relation: offset from Gamma in panel diameters, FD step in offsets
 _JUMP_OFFSET, _JUMP_FD_STEP = 0.1, 0.5
+# mixed-precision solve (as LAPACK's zcgesv): I + K diag(w) is factored in complex64
+# unless its rcond is below _SINGLE_RCOND_FLOOR, where kappa * u_32 (u_32 = 6e-8) is no
+# longer << 1 and refinement need not converge; refinement stops at a largest residual of
+# _REFINE_TOL, when the residual stops halving, or after _REFINE_STEPS steps, and a
+# result above _REFINE_ACCEPT is solved again with a complex128 LU
+_SINGLE_RCOND_FLOOR = 1e-4
+_REFINE_TOL, _REFINE_ACCEPT, _REFINE_STEPS = 1e-15, 1e-13, 10
+
+_log = logging.getLogger("deltashell")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +242,7 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
         if grad:
             rem = np.einsum("psk,ps,s,p->pk", d, radial_remainder_gradient_factor(r, k), _SUB_W, areas)
         else:
-            rem = radial_remainder(r, k) @ _SUB_W * areas
+            rem = np.einsum("ps,s->p", radial_remainder(r, k), _SUB_W) * areas
         moments = _flat_triangle_moments(xs, cs, grad)
         out[sl] = moments[:, 0] - 0.5 * k**2 * moments[:, 1] + rem
     return out
@@ -421,6 +431,24 @@ class DeltaSolution:
         return out
 
 
+def _system_matrix(kernel: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
+    """I + K diag(w) in ``dtype`` and Fortran order, which GuardedLU factors in place.
+
+    Written column chunk by column chunk from ``kernel``, each product cast
+    to ``dtype`` as it is stored, so no other n x n array is made.
+    """
+    n = len(weights)
+    A = np.empty((n, n), dtype=dtype, order="F")
+
+    def fill(cols):
+        np.multiply(kernel[:n, cols], weights[cols], out=A[:, cols], casting="same_kind")
+        j = np.arange(n)[cols]
+        A[j, j] += 1.0
+
+    map_chunks(fill, row_chunks(n, n))
+    return A
+
+
 class DeltaSystem:
     """The factorized system (I + K diag(w)) x = psi0, reusable across incident fields.
 
@@ -429,6 +457,14 @@ class DeltaSystem:
     unknown: V on the cells and, unless alpha = 0, alpha on the panels.
     ``V = None`` drops the cells and ``delta = None`` the surface (an empty
     mesh), so ``DeltaSystem(V, None, k)`` is the plain Lippmann-Schwinger solve.
+
+    A system holds ``kernel`` in complex128 and the LU factors of
+    I + K diag(w) in complex64; ``solve_many`` refines each solution in
+    complex128 with the residual.  When the complex64 factors are singular or
+    their rcond is below ``_SINGLE_RCOND_FLOOR``, or refinement stalls above
+    ``_REFINE_ACCEPT``, the complex64 LU is dropped and the system factors
+    I + K diag(w) in complex128 instead, where a condition number above 1e12
+    raises ``ExceptionalFrequencyError``.
     """
 
     def __init__(self, V: PotentialSample | None, delta: DeltaSpec | None, k: float):
@@ -445,32 +481,42 @@ class DeltaSystem:
         self.kernel = _fill(self.points, sources, k)
         Vs = np.zeros(0) if V is None else V.values[self.support]
         self.weights = Vs if delta.is_zero else np.concatenate([Vs, delta.alpha])
+        self._lu = self._factor() if len(self.weights) else None
 
-        # A in Fortran order, which GuardedLU factors in place
-        n = len(self.weights)
-        A = np.multiply(self.kernel[:n], self.weights, out=np.empty((n, n), dtype=complex, order="F"))
-        A[np.diag_indices_from(A)] += 1.0
-        self._lu = GuardedLU(A, context="delta-shell system") if n else None
+    def _factor(self, fallback: str | None = None) -> GuardedLU:
+        """The LU of I + K diag(w): complex64 unless ``fallback`` names why not, or the
+        complex64 factors turn out singular or worse conditioned than 1/_SINGLE_RCOND_FLOOR."""
+        context = "delta-shell system"
+        if fallback is None:
+            try:
+                lu = GuardedLU(_system_matrix(self.kernel, self.weights, np.complex64), context)
+            except ExceptionalFrequencyError:
+                lu, fallback = None, "complex64 factors singular"
+            if lu is not None and lu.rcond < _SINGLE_RCOND_FLOOR:
+                lu, fallback = None, f"complex64 rcond {lu.rcond:.3e} below {_SINGLE_RCOND_FLOOR:g}"
+        if fallback is not None:
+            lu = GuardedLU(_system_matrix(self.kernel, self.weights, complex), context)
+        _log.debug("delta-shell LU: %s, n = %d, rcond %.6e, fallback: %s",
+                   lu.dtype, len(self.weights), lu.rcond, fallback)
+        return lu
 
     def solve(self, inc: IncidentField) -> DeltaSolution:
         return self.solve_many([inc])[0]
 
     def solve_many(self, incidents) -> list[DeltaSolution]:
-        """Solutions for several incident fields from one back-substitution.
+        """Solutions for several incident fields, refined together.
 
         The incident fields form the columns of one right-hand-side matrix.
-        One product K (w x) gives every column's residual (the unknowns'
-        rows) and its trace psi0 - K (w x) at the panels.
+        Starting from x = 0 and r = psi0, each refinement step adds LU^-1 r to
+        x and forms K (w x) in complex128, which gives every column's
+        residual r = psi0 - x - K (w x) on the unknowns' rows and, after the
+        last step, its trace psi0 - K (w x) at the panels.
         """
         incidents = list(incidents)
-        ns, n = len(self.support), len(self.weights)
+        ns = len(self.support)
         psi0 = np.stack([np.asarray(eval_incident(inc, self.k, self.points), dtype=complex)
                          for inc in incidents], axis=1)                # (ns + np, n_rhs)
-        x = self._lu.solve(psi0[:n]) if n else psi0[:n]
-        wx = self.weights[:, None] * x
-        kwx = self.kernel @ wx
-        residual = (np.linalg.norm(x + kwx[:n] - psi0[:n], axis=0)
-                    / np.maximum(np.linalg.norm(psi0[:n], axis=0), 1e-300))
+        x, wx, kwx, residual = self._refine(psi0)
         trace = psi0[ns:] - kwx[ns:]
         eta = (np.zeros((self.mesh.n_panels, len(incidents)), dtype=complex) if self.delta.is_zero
                else wx[ns:])
@@ -486,6 +532,30 @@ class DeltaSystem:
             )
             for j, inc in enumerate(incidents)
         ]
+
+    def _refine(self, psi0: np.ndarray):
+        """x, w x, K (w x) and each column's relative residual for the unknowns' rows of psi0."""
+        n = len(self.weights)
+        b = psi0[:n]
+        b_norm = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+        x, r, worst = np.zeros_like(b), b, np.inf
+        for steps in range(1, _REFINE_STEPS + 1):
+            if n:
+                x += self._lu.solve(r)
+            wx = self.weights[:, None] * x
+            kwx = self.kernel @ wx
+            r = b - (x + kwx[:n])
+            residual = np.linalg.norm(r, axis=0) / b_norm
+            worst, previous = residual.max(initial=0.0), worst
+            if worst <= _REFINE_TOL or worst >= previous / 2:
+                break
+        if worst > _REFINE_ACCEPT and self._lu.dtype == np.complex64:
+            self._lu = None  # drop the complex64 factors before the complex128 matrix is built
+            self._lu = self._factor(f"refinement stalled at residual {worst:.2e}")
+            return self._refine(psi0)
+        _log.debug("delta-shell solve: %d right-hand sides, %d refinement steps, largest residual %.2e",
+                   b.shape[1], steps, worst)
+        return x, wx, kwx, residual
 
 
 # ---------------------------------------------------------------------------

@@ -132,10 +132,6 @@ class SurfaceMesh:
         return len(self.triangles)
 
     @property
-    def total_area(self) -> float:
-        return float(self.panel_area.sum())
-
-    @property
     def bounding_radius(self) -> float:
         """Largest vertex distance from the origin."""
         return float(np.max(np.linalg.norm(self.vertices, axis=1), initial=0.0))

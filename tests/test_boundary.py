@@ -1,5 +1,6 @@
 """Single-layer operator, coupled delta solve, jump relations."""
 
+import logging
 import tracemalloc
 import warnings
 
@@ -29,7 +30,7 @@ from deltashell.boundary import (
     on_surface,
 )
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, triangle_rule
-from deltashell.kernels import Herglotz, eval_incident, helmholtz_kernel, plane_wave
+from deltashell.kernels import Exponential, Herglotz, eval_incident, helmholtz_kernel, plane_wave, sigma_pair_for_xi
 from deltashell.volume import assemble_volume_operator, cell_block, volume_potential
 
 from conftest import bump_potential, mixed_incidents, reference_lippmann_schwinger
@@ -354,32 +355,131 @@ class TestSystemMatrix:
 
     def test_residual_is_the_dense_residual(self, small_system, monkeypatch):
         # a perturbed back-substitution lifts the residual far above rounding, where
-        # the recorded value must be |(I + K diag(w)) x - psi0| / |psi0| rebuilt densely
+        # the recorded value must be |(I + K diag(w)) x - psi0| / |psi0| rebuilt densely;
+        # with complex128 factors the stalled refinement ends there, with no fallback
         s = small_system
         n = len(s.weights)
+        A = np.eye(n) + s.kernel[:n] * s.weights
+        lu = GuardedLU(A)
         shift = 1e-6 * np.exp(1j * np.arange(n))[:, None]
-        solve = s._lu.solve
-        monkeypatch.setattr(s._lu, "solve", lambda b: solve(b) + shift)
+        solve = lu.solve
+        monkeypatch.setattr(lu, "solve", lambda b: solve(b) + shift)
+        monkeypatch.setattr(s, "_lu", lu)
         sol = s.solve(plane_wave(EZ))
         psi0 = eval_incident(plane_wave(EZ), s.k, s.points)[:n]
         x = solve(psi0[:, None])[:, 0] + shift[:, 0]
-        A = np.eye(n) + s.kernel[:n] * s.weights
         dense = np.linalg.norm(A @ x - psi0) / np.linalg.norm(psi0)
         assert dense > 1e-8
         assert abs(sol.residual - dense) <= 1e-8 * dense
 
-    def test_built_system_holds_two_matrices(self, sphere_meshes):
-        # the kernel and the LU factors; the scaled matrix A is a temporary
+    def test_built_system_holds_two_matrices(self, sphere_meshes, monkeypatch):
+        # held: the complex128 kernel (1 n^2 * 16 B) and the complex64 LU (0.5); no n x n
+        # temporary on the way.  A small CHUNK keeps the fill's fixed-size row-chunk
+        # temporaries, which do not grow with n, from hiding the n x n arrays in the peak.
+        monkeypatch.setattr(_dense, "CHUNK", 2**15)
         mesh = sphere_meshes[3]
         delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0))
         tracemalloc.start()
         try:
             system = DeltaSystem(None, delta, 2.0)
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert system.kernel.shape == (1280, 1280)
-        assert held <= 2.02 * mesh.n_panels**2 * 16
+        assert held <= 1.52 * mesh.n_panels**2 * 16
+        assert peak <= 1.6 * mesh.n_panels**2 * 16
+
+
+class TestMixedPrecision:
+    """complex64 factors refined in complex128, and the complex128 fallback."""
+
+    @pytest.fixture
+    def system(self, sphere_meshes, small_grid):
+        # a fresh coupled system per test: the tests replace its LU
+        mesh = sphere_meshes[1]
+        return DeltaSystem(bump_potential(small_grid, 0.6),
+                           DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5)), 1.7)
+
+    @staticmethod
+    def gap_to_double_lu(system, sols):
+        # relative distance of the solutions' unknowns from a complex128 LU solve
+        n, ns = len(system.weights), len(system.support)
+        A = np.eye(n) + system.kernel[:n] * system.weights
+        psi0 = np.stack([eval_incident(sol.incident, system.k, system.points)[:n] for sol in sols], axis=1)
+        ref = GuardedLU(A).solve(psi0)
+        got = np.stack([np.concatenate([sol.psi_support, sol.density.eta / system.weights[ns:]])
+                        for sol in sols], axis=1)
+        return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+    def test_refined_single_precision_solution(self, system, caplog):
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        assert system._lu.dtype == np.complex64
+        sols = system.solve_many(mixed_incidents())
+        assert max(sol.residual for sol in sols) <= 1e-15
+        assert self.gap_to_double_lu(system, sols) <= 1e-14
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "deltashell"]
+        assert line.startswith("delta-shell solve: 6 right-hand sides, ")
+
+    def test_factorization_and_solve_are_logged(self, sphere_meshes, caplog):
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        mesh = sphere_meshes[1]
+        system = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0)), 2.0)
+        sol = system.solve(plane_wave(EZ))
+        lines = [r.getMessage() for r in caplog.records if r.name == "deltashell"]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "deltashell")
+        assert len(lines) == 2
+        assert lines[0] == (f"delta-shell LU: complex64, n = {mesh.n_panels}, rcond {system._lu.rcond:.6e}, "
+                            "fallback: None")
+        assert lines[1].startswith("delta-shell solve: 1 right-hand sides, ")
+        assert lines[1].endswith(f"refinement steps, largest residual {sol.residual:.2e}")
+
+    def test_low_single_precision_rcond_falls_back(self, system, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        monkeypatch.setattr(boundary, "_SINGLE_RCOND_FLOOR", 1.0)
+        forced = DeltaSystem(system.potential, system.delta, system.k)
+        assert forced._lu.dtype == np.complex128
+        assert "fallback: complex64 rcond" in caplog.records[0].getMessage()
+        sols = forced.solve_many(mixed_incidents())
+        assert self.gap_to_double_lu(forced, sols) <= 1e-14
+        assert max(sol.residual for sol in sols) <= 1e-15
+
+    def test_stalled_refinement_falls_back_once(self, system, monkeypatch, caplog):
+        # a back-substitution shifted by 1e-3 stalls refinement; the system factors in
+        # complex128 once and keeps that LU for later solves
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        solve = system._lu.solve
+        monkeypatch.setattr(system._lu, "solve", lambda b: solve(b) + 1e-3)
+        sols = system.solve_many(mixed_incidents())
+        assert system._lu.dtype == np.complex128
+        assert self.gap_to_double_lu(system, sols) <= 1e-14
+        assert max(sol.residual for sol in sols) <= 1e-15
+        assert any("fallback: refinement stalled" in r.getMessage() for r in caplog.records)
+        lu = system._lu
+        system.solve(plane_wave(EZ))
+        assert system._lu is lu
+
+    def test_exponential_right_hand_side_refines(self, system):
+        # |Re(rho) . x| is up to 35 on the collocation points (e^35 = 1.6e15); each column
+        # is scaled to unit max-norm before the complex64 back-substitution
+        rho1, rho2 = sigma_pair_for_xi(np.array([1.0, 0.0, 0.0]), system.k, 25.0)
+        incidents = [Exponential(rho1), Exponential(rho2), plane_wave(EZ)]
+        peak = max(np.max(np.abs(eval_incident(inc, system.k, system.points))) for inc in incidents)
+        assert peak > 1e12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sols = system.solve_many(incidents)
+        assert system._lu.dtype == np.complex64
+        assert max(sol.residual for sol in sols) <= 1e-15
+
+    def test_singular_system_raises_from_the_constructor(self, sphere_meshes, monkeypatch):
+        # K = -J / (alpha n) with J all ones: I + K diag(w) = I - J / n is singular, so the
+        # complex64 factors are refused and the complex128 guard raises
+        mesh = sphere_meshes[1]
+        n, alpha = mesh.n_panels, 2.0
+        monkeypatch.setattr(boundary, "_fill", lambda points, sources, k: np.full((len(points), n), -1.0 / (alpha * n),
+                                                                                  dtype=complex))
+        with pytest.raises(ExceptionalFrequencyError, match="perturbing k"):
+            DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(n, alpha)), 2.0)
 
 
 class TestSolveMany:
@@ -617,5 +717,5 @@ class TestDeltaSolve:
     def test_alpha_lp_norm_reported(self, sphere_meshes):
         mesh = sphere_meshes[1]
         delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0))
-        expected = (mesh.total_area * 2.0**4) ** 0.25
+        expected = (mesh.panel_area.sum() * 2.0**4) ** 0.25
         assert_allclose(delta.lp_norm(4.0), expected, rtol=1e-12)

@@ -57,10 +57,12 @@ def sites(sphere_meshes, small_grid):
     points = np.concatenate([centers, 1.7 * mesh.panel_centroid])
     off = points[~boundary.on_surface(points, mesh)]
     delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.5))
-    sols = DeltaSystem(V, delta, 1.7).solve_many([plane_wave(d) for d in np.eye(3)])
+    system = DeltaSystem(V, delta, 1.7)
+    sols = system.solve_many([plane_wave(d) for d in np.eye(3)])
     return {
         "S": lambda: boundary.assemble_single_layer(mesh, 1.7),
         "DeltaSystem": lambda: DeltaSystem(V, delta, 1.7).kernel,
+        "system_matrix": lambda: boundary._system_matrix(system.kernel, system.weights, np.complex64),
         "G": lambda: volume.assemble_volume_operator(grid, 1.7, cells=support),
         "layer_potential": lambda: boundary.layer_potential(points, mesh, eta, 1.7),
         "layer_potential_gradient": lambda: boundary.layer_potential_gradient(off, mesh, eta, 1.7),
@@ -72,7 +74,7 @@ def sites(sphere_meshes, small_grid):
     }
 
 
-SITES = ["S", "DeltaSystem", "G", "layer_potential", "layer_potential_gradient", "volume_potential",
+SITES = ["S", "DeltaSystem", "system_matrix", "G", "layer_potential", "layer_potential_gradient", "volume_potential",
          "farfield_source", "eval_scattered_field", "eval_scattered_gradient"]
 
 
@@ -159,6 +161,18 @@ class TestGuardedLU:
         assert np.shares_memory(lu._lu, A)
         assert_allclose(ref @ lu.solve(b), b, rtol=0, atol=1e-12)
 
+    def test_single_precision_solve_scales_each_column(self, rng):
+        # columns far outside the complex64 range are solved to complex64 accuracy
+        n = 30
+        A = rng.standard_normal((n, n)) + 10.0 * np.eye(n)
+        lu = GuardedLU(A.astype(np.complex64))
+        assert lu.dtype == np.complex64
+        b = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))) * np.array([1e-300, 1.0, 1e300])
+        x = lu.solve(b)
+        assert x.dtype == np.complex128
+        ref = np.linalg.solve(A, b)
+        assert np.all(np.max(np.abs(x - ref), axis=0) <= 1e-5 * np.max(np.abs(ref), axis=0))
+
     def test_copies_a_c_ordered_matrix(self, rng):
         A = rng.standard_normal((30, 30)) + 10.0 * np.eye(30) + 0j
         ref = A.copy()
@@ -167,8 +181,8 @@ class TestGuardedLU:
         assert np.array_equal(A, ref)
 
     def test_system_matrix_is_factored_in_place(self, sphere_meshes, monkeypatch):
-        # DeltaSystem writes A in Fortran order and the LU overwrites it, so a build
-        # makes no third n x n array besides the kernel and A
+        # DeltaSystem writes the complex64 A in Fortran order and the LU overwrites it,
+        # so a build makes no n x n array besides the kernel and A
         given = []
 
         def guarded(A, context):
@@ -180,3 +194,4 @@ class TestGuardedLU:
         system = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0)), 2.0)
         assert np.shares_memory(system._lu._lu, given[0])
         assert not np.shares_memory(system._lu._lu, system.kernel)
+        assert given[0].dtype == np.complex64 and given[0].flags.f_contiguous

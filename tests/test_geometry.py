@@ -32,22 +32,22 @@ class TestIcosphere:
         assert m.n_panels == 20
         assert len(m.vertices) == 12
         # exact inscribed-icosahedron area; its deficit vs 4 pi is 23.8%
-        assert_allclose(m.total_area, icosahedron_area(1.0), rtol=1e-12)
-        assert abs(m.total_area - SPHERE_AREA) / SPHERE_AREA < 0.25
+        assert_allclose(m.panel_area.sum(), icosahedron_area(1.0), rtol=1e-12)
+        assert abs(m.panel_area.sum() - SPHERE_AREA) / SPHERE_AREA < 0.25
 
     def test_refined_area_converges(self, sphere_meshes):
         m = sphere_meshes[3]
         assert m.n_panels == 1280
-        assert abs(m.total_area - SPHERE_AREA) / SPHERE_AREA < 0.005
+        assert abs(m.panel_area.sum() - SPHERE_AREA) / SPHERE_AREA < 0.005
 
     def test_area_scales_with_radius_squared(self):
         m1 = make_sphere_mesh(1.0, 2)
         m2 = make_sphere_mesh(2.0, 2)
-        assert_allclose(m2.total_area, 4.0 * m1.total_area, rtol=1e-12)
+        assert_allclose(m2.panel_area.sum(), 4.0 * m1.panel_area.sum(), rtol=1e-12)
 
     def test_refinement_monotonicity(self):
         errs = [
-            abs(make_sphere_mesh(1.0, s).total_area - SPHERE_AREA)
+            abs(make_sphere_mesh(1.0, s).panel_area.sum() - SPHERE_AREA)
             for s in range(5)
         ]
         assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
@@ -55,7 +55,7 @@ class TestIcosphere:
     def test_closedness_divergence_theorem(self, sphere_meshes):
         m = sphere_meshes[2]
         total = (m.panel_area[:, None] * m.panel_normal).sum(axis=0)
-        assert np.linalg.norm(total) < 1e-10 * m.total_area
+        assert np.linalg.norm(total) < 1e-10 * m.panel_area.sum()
 
     def test_normals_unit_and_outward(self, sphere_meshes):
         m = sphere_meshes[2]
@@ -78,7 +78,7 @@ class TestOffFiles:
         save_mesh(cube_mesh(2.0), path)
         m = load_mesh(path)
         assert m.n_panels == 12
-        assert_allclose(m.total_area, 24.0, rtol=1e-12)
+        assert_allclose(m.panel_area.sum(), 24.0, rtol=1e-12)
         assert m.open_edge_count() == 0
 
     def test_non_triangular_face_reports_line(self, tmp_path):
