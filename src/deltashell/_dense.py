@@ -13,7 +13,11 @@ from scipy.linalg import get_lapack_funcs
 __all__ = ["ExceptionalFrequencyError", "GuardedLU", "map_chunks", "row_chunks"]
 
 RCOND_FLOOR = 1e-12
-CHUNK = 2**20  # entries per row chunk of a dense kernel block
+# entries per row chunk of a dense kernel block.  glibc keeps a chunk's freed
+# temporaries in the arena of the thread that filled it, and whether it returns
+# them depends on thread timing, so they set how far one run's peak memory can
+# drift from the next: about 10 MB at 2**18, 34-60 MB at 2**20 (1280 panels).
+CHUNK = 2**18
 WORKERS = len(os.sched_getaffinity(0))  # threads that fill row chunks, the caller included
 
 

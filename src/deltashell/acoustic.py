@@ -162,7 +162,7 @@ def _sum_bumps(bumps, x: np.ndarray):
 def _density(m: MediumSpec, x: np.ndarray, derivatives: bool):
     """``eval_density`` without the near-Gamma scan."""
     xi = m.shell_density
-    sl = layer_potential(x, m.gamma, xi.astype(complex), 0.0).real
+    sl = layer_potential(x, m.gamma, xi, 0.0)
     b_val, b_grad, b_lap = _sum_bumps(m.rho_bumps, x)
     c_val, c_grad, c_lap = m.cutoff.fields(x)
 
@@ -171,7 +171,7 @@ def _density(m: MediumSpec, x: np.ndarray, derivatives: bool):
     if not derivatives:
         return rho, None, None
 
-    sl_grad = layer_potential_gradient(x, m.gamma, xi.astype(complex), 0.0).real
+    sl_grad = layer_potential_gradient(x, m.gamma, xi, 0.0)
     f_grad = b_grad + sl_grad
     grad = c_grad * f[:, None] + c_val[:, None] * f_grad
     lap = c_lap * f + 2.0 * np.einsum("ij,ij->i", c_grad, f_grad) + c_val * b_lap

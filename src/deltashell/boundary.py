@@ -21,15 +21,19 @@ sum_j K(x, j) q_j: the layer potential (q = eta) and the scattered field
 Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
 ``geometry.triangle_rule``; every kernel value comes from ``kernels``):
 
-* off-panel entries use the 3-point rule per flat triangle;
+* off-panel entries use the 3-point rule per flat triangle, summed in real
+  arithmetic: the rule weight times the panel area is folded into
+  1/(4 pi r), and the parts cos(kr)/(4 pi r) and sin(kr)/(4 pi r) of the
+  kernel are summed over the rule into the real and the imaginary part of
+  the block.  At k = 0 every block is float64;
 * a (target, panel) pair closer than 2.8 panel diameters (centroid
   distance) splits the kernel as (1/r - k^2 r/2)/(4 pi) plus a bounded
   remainder: the first part and its gradient are integrated in closed form
   over the flat triangle from any target, on the panel, coplanar or off
   the plane (Wilton-Rao-Glisson 1984, Graglia 1993), the remainder
   (``kernels.radial_remainder``) by the 3-point rule on the panel's four
-  midpoint subtriangles.  The collocation self-entry is the near pair
-  whose target is the centroid.
+  midpoint subtriangles; at k = 0 the remainder is 0 and is skipped.  The
+  collocation self-entry is the near pair whose target is the centroid.
 """
 
 from __future__ import annotations
@@ -44,9 +48,8 @@ from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, row_chunks
 from .geometry import SurfaceMesh, triangle_rule
 from .kernels import (
     IncidentField,
+    _radial_parts,
     eval_incident,
-    radial_gradient_factor,
-    radial_kernel,
     radial_remainder,
     radial_remainder_gradient_factor,
 )
@@ -218,6 +221,11 @@ def _panel_gap(x: np.ndarray, corners: np.ndarray) -> np.ndarray:
     return dist / np.sqrt(e2.max(axis=1))
 
 
+def _kernel_dtype(k: float):
+    """The dtype of the kernel's blocks: float64 at k = 0, complex128 at k > 0."""
+    return float if k == 0 else complex
+
+
 # the 3-point rule on the panel's four midpoint subtriangles, barycentric: a corner
 # one is the panel halved towards its vertex, the middle one the panel halved
 # and point-reflected through the centroid
@@ -231,19 +239,23 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
     """Integral of the kernel (or its x-gradient) over panel qq[j] from target x[ii[j]].
 
     The singular terms (1/r - k^2 r/2)/(4 pi) in closed form, the remainder
-    ``kernels.radial_remainder`` by the 12-point midpoint subrule.
+    ``kernels.radial_remainder`` by the 12-point midpoint subrule.  At k = 0
+    the kernel is 1/(4 pi r) and the remainder is 0: float64 1/r moments.
     """
     corners = np.stack(mesh.corners(), axis=1)
-    out = np.empty((len(ii), 3) if grad else len(ii), dtype=complex)
+    out = np.empty((len(ii), 3) if grad else len(ii), dtype=_kernel_dtype(k))
     for sl in row_chunks(len(ii), len(_SUB_W) * 3):
         xs, cs, areas = x[ii[sl]], corners[qq[sl]], mesh.panel_area[qq[sl]]
+        moments = _flat_triangle_moments(xs, cs, grad)
+        if k == 0:
+            out[sl] = moments[:, 0]
+            continue
         d = xs[:, None, :] - np.einsum("sj,pjk->psk", _SUB_BARY, cs)
         r = np.sqrt(np.einsum("psk,psk->ps", d, d))
         if grad:
             rem = np.einsum("psk,ps,s,p->pk", d, radial_remainder_gradient_factor(r, k), _SUB_W, areas)
         else:
             rem = np.einsum("ps,s->p", radial_remainder(r, k), _SUB_W) * areas
-        moments = _flat_triangle_moments(xs, cs, grad)
         out[sl] = moments[:, 0] - 0.5 * k**2 * moments[:, 1] + rem
     return out
 
@@ -254,7 +266,8 @@ def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.zeros((len(x),) + y.shape[:-1])
     for i in range(3):
         diff = np.subtract.outer(x[:, i], y[..., i])
-        out += diff * diff
+        diff *= diff
+        out += diff
     return out
 
 
@@ -287,26 +300,36 @@ def on_surface(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
 def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False) -> np.ndarray:
     """Panel integrals of the kernel from targets x: M[i, q] ~ int_{panel q} G_k(x_i, y) dsigma(y).
 
-    Returns (n, m) values, or with ``grad`` the (n, m, 3) x-gradients.  Base
-    rule everywhere; near pairs (collocation self entries included) take the
-    closed-form static part plus the subrule remainder.  The near pairs are
-    integrated first, so a gradient on the surface raises before the base
-    rule runs; their base-rule distance is the placeholder 1.0, as in
-    ``volume.cell_block``, since a target on a quadrature point is near.
+    Returns (n, m) values, or with ``grad`` the (n, m, 3) x-gradients;
+    float64 at k = 0.  Base rule everywhere; near pairs (collocation self
+    entries included) take the closed-form static part plus the subrule
+    remainder.  The near pairs are integrated first, so a gradient on the
+    surface raises before the base rule runs; their base-rule distance is
+    the placeholder 1.0, as in ``volume.cell_block``, since a target on a
+    quadrature point is near.
+
+    The rule weight and the panel area are folded into 1/(4 pi r) (1/(4 pi
+    r^3) for gradients), and the parts of the kernel's e^{ikr} are summed
+    over the rule separately, into the real and the imaginary part.
     """
     qpts, w = mesh.quadrature_points()                        # (m, g, 3), (g,)
     ii, qq = _near_pairs(x, mesh)
     near = _near_pair_integrals(x, mesh, ii, qq, k, grad)
     if grad:
         d = x[:, None, None, :] - qpts[None, :, :, :]
-        r = np.sqrt(np.einsum("...i,...i->...", d, d))
-        r[ii, qq] = 1.0
-        block = np.einsum("imgk,img,g->imk", d, radial_gradient_factor(r, k), w)
-        block *= mesh.panel_area[None, :, None]
+        r = np.einsum("...i,...i->...", d, d)
     else:
-        r = np.sqrt(_squared_distances(x, qpts))
-        r[ii, qq] = 1.0
-        block = np.einsum("img,g->im", radial_kernel(r, k), w) * mesh.panel_area[None, :]
+        r = _squared_distances(x, qpts)
+    np.sqrt(r, out=r)
+    r[ii, qq] = 1.0
+    # the kernel times the rule weight and the panel area, in float64 parts
+    parts = _radial_parts(r, k, mesh.panel_area[:, None] * w, grad)
+    block = np.empty(r.shape[:2] + ((3,) if grad else ()), dtype=_kernel_dtype(k))
+    for part, out in zip(parts, (block.real, block.imag)):
+        if grad:
+            np.einsum("imgk,img->imk", d, part, out=out)
+        else:
+            np.einsum("img->im", part, out=out)
     block[ii, qq] = near
     return block
 
@@ -319,12 +342,13 @@ def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.n
     ``volume.cell_block``, then the panels of ``mesh`` through ``_panel_block``.
 
     Returns (n, m) values, or with ``grad`` the (n, m, 3) x-gradients, in
-    ``out`` if given; an empty ``centers`` or ``mesh`` adds no columns.
+    ``out`` if given (float64 at k = 0); an empty ``centers`` or ``mesh`` adds
+    no columns.
     """
     grid, centers, mesh = sources
     nc = len(centers)
     if out is None:
-        out = np.empty((len(x), nc + mesh.n_panels) + ((3,) if grad else ()), dtype=complex)
+        out = np.empty((len(x), nc + mesh.n_panels) + ((3,) if grad else ()), dtype=_kernel_dtype(k))
     if nc:
         out[:, :nc] = cell_block(x, centers, grid, k, grad)
     if mesh.n_panels:
@@ -332,10 +356,11 @@ def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.n
     return out
 
 
-def _source_chunks(n: int, sources) -> list[slice]:
-    """Row chunks for n targets: a row costs 1 entry per cell, 4 per panel (3 rule-point distances, 1 entry)."""
+def _source_chunks(n: int, sources, grad: bool = False) -> list[slice]:
+    """Row chunks for n targets: a row costs 1 entry per cell, 4 per panel (3 rule-point distances, 1 entry),
+    three times that with ``grad`` (the components of x - y)."""
     _, centers, mesh = sources
-    return row_chunks(n, len(centers) + 4 * mesh.n_panels)
+    return row_chunks(n, (len(centers) + 4 * mesh.n_panels) * (3 if grad else 1))
 
 
 def _fill(points: np.ndarray, sources, k: float) -> np.ndarray:
@@ -345,21 +370,22 @@ def _fill(points: np.ndarray, sources, k: float) -> np.ndarray:
         raise ValueError(f"grid has {grid.n_cells} cells, cap is {MAX_GRID_CELLS}")
     if mesh.n_panels > MAX_PANELS:
         raise ValueError(f"mesh has {mesh.n_panels} panels, cap is {MAX_PANELS}")
-    out = np.empty((len(points), len(centers) + mesh.n_panels), dtype=complex)
+    out = np.empty((len(points), len(centers) + mesh.n_panels), dtype=_kernel_dtype(k))
     map_chunks(lambda rows: _kernel_rows(points[rows], sources, k, out=out[rows]),
                _source_chunks(len(points), sources))
     return out
 
 
 def _apply(x: np.ndarray, sources, q: np.ndarray, k: float, grad: bool = False) -> np.ndarray:
-    """sum_j K(x, j) q_j over a source set, or with ``grad`` its (n, 3) x-gradient."""
-    out = np.empty((len(x), 3) if grad else len(x), dtype=complex)
+    """sum_j K(x, j) q_j over a source set, or with ``grad`` its (n, 3) x-gradient; real
+    when k = 0 and q is real."""
+    out = np.empty((len(x), 3) if grad else len(x), dtype=np.result_type(_kernel_dtype(k), q))
 
     def fill(rows):
         block = _kernel_rows(x[rows], sources, k, grad)
         out[rows] = np.einsum("imk,m->ik", block, q) if grad else block @ q
 
-    map_chunks(fill, _source_chunks(len(x), sources))
+    map_chunks(fill, _source_chunks(len(x), sources, grad))
     return out
 
 
@@ -376,19 +402,22 @@ def assemble_single_layer(mesh: SurfaceMesh, k: float) -> np.ndarray:
 
 
 def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
-    """Single-layer field sum_q eta_q int_{panel q} G_k(x, y) dsigma(y)."""
-    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), (None, _NO_CELLS, mesh),
-                  np.asarray(eta, dtype=complex), k)
+    """Single-layer field sum_q eta_q int_{panel q} G_k(x, y) dsigma(y).
+
+    Complex, except for a real eta at k = 0 (the static layer), where the
+    field is float64 and summed in real arithmetic.
+    """
+    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), (None, _NO_CELLS, mesh), np.asarray(eta), k)
 
 
 def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
-    """Analytic gradient of the single-layer field (off-surface points).
+    """Analytic gradient of the single-layer field (off-surface points); dtype as ``layer_potential``.
 
     Raises ValueError for a point on a closed panel, within _SELF_TOL panel
     diameters.
     """
-    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), (None, _NO_CELLS, mesh),
-                  np.asarray(eta, dtype=complex), k, grad=True)
+    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), (None, _NO_CELLS, mesh), np.asarray(eta),
+                  k, grad=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ Exit codes: 0 ok, 1 compute failure, 2 config error, 3 verification failure;
 a config error names the offending field.  Outputs embed the config digest
 and the convention block; the same config run with the same BLAS thread
 count, on any number of cores, produces byte-identical files (BLAS
-reductions may change with the thread count).
+reductions may change with the thread count).  ``--log-level`` (default
+WARNING) writes the ``deltashell`` log to stderr, such as the DEBUG line of
+each factorization and solve; it changes no output file.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -495,12 +498,33 @@ def cmd_compare(path_a: str, path_b: str, out: Path, quiet: bool,
 # Entry point
 # ---------------------------------------------------------------------------
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+@contextmanager
+def _log_to_stderr(level: str):
+    """The ``deltashell`` logger at ``level``, with a stderr handler, while the block runs."""
+    logger = logging.getLogger("deltashell")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.setLevel(level)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def run_command(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="deltashell",
                                      description="delta-shell scattering engine")
     parser.add_argument("--config", type=str, help="JSON config path")
     parser.add_argument("--out", type=str, default=".", help="output directory")
     parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--log-level", default="WARNING",
+                        help=f"level of the deltashell log on stderr: {', '.join(_LOG_LEVELS)} (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("forward", "farfield", "acoustic", "oracle", "verify"):
         sub.add_parser(name)
@@ -510,6 +534,14 @@ def run_command(argv=None) -> int:
     pc.add_argument("--tol", type=float, default=None)
 
     args = parser.parse_args(argv)
+    level = args.log_level.upper()
+    if level not in _LOG_LEVELS:
+        raise ConfigError(f"--log-level must be one of {', '.join(_LOG_LEVELS)}, got {args.log_level!r}")
+    with _log_to_stderr(level):
+        return _dispatch(args)
+
+
+def _dispatch(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -8,6 +8,12 @@ Conventions (fixed here and used everywhere):
                          zeta.xi = 0, so that rho.rho = -k^2 (unconjugated
                          dot product); w = 0 recovers the plane wave rho = ik xi
 * radiation residual     |x| (x_hat.grad - ik) u_sc -> 0 selects outgoing fields
+* real arithmetic        the static kernel (k = 0) is float64; at k > 0 its
+                         parts cos(kr)/(4 pi r) and sin(kr)/(4 pi r) are
+                         computed apart, and a block sums them over its rule
+                         separately into its real and imaginary part, so no
+                         complex exponential is taken and no complex product
+                         is summed
 
 Exponential incident fields exp(rho.x) grow like exp(w |x|); evaluation
 refuses |Re(rho).x| > 40 to avoid overflow.
@@ -45,14 +51,46 @@ class OverflowGuardError(ValueError):
     """Exponential incident field requested outside its safe range."""
 
 
+def _radial_parts(r, k: float, weight=1.0, grad: bool = False) -> list:
+    """weight times ``radial_kernel`` (``radial_gradient_factor`` with ``grad``) in float64 parts:
+    [the value] at k = 0, [the real part, the imaginary part] at k > 0."""
+    inv = weight / (4.0 * np.pi * (r**3 if grad else r))
+    if k == 0:
+        return [-inv if grad else inv]
+    kr = k * r
+    c, s = np.cos(kr), np.sin(kr)
+    if grad:
+        # e^{ikr}(ikr - 1) = -(c + s kr) + i (c kr - s), formed in place
+        re = -kr
+        re *= s
+        re -= c
+        im = kr
+        im *= c
+        im -= s
+    else:
+        re, im = c, s
+    re *= inv
+    im *= inv
+    return [re, im]
+
+
+def _joined(parts: list):
+    """The array of ``_radial_parts``: its one part at k = 0, else re + i im in one complex array."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty(np.shape(parts[0]), dtype=complex)
+    out.real, out.imag = parts
+    return out[()]
+
+
 def radial_kernel(r, k: float):
-    """Outgoing kernel exp(ik r)/(4 pi r) as a function of the distance r."""
-    return np.exp(1j * k * r) / (4.0 * np.pi * r)
+    """Outgoing kernel exp(ik r)/(4 pi r) as a function of the distance r; float64 at k = 0."""
+    return _joined(_radial_parts(r, k))
 
 
 def radial_gradient_factor(r, k: float):
-    """Factor e^{ikr}(ikr - 1)/(4 pi r^3): grad_x G_k(x, y) = (x - y) times it."""
-    return np.exp(1j * k * r) * (1j * k * r - 1.0) / (4.0 * np.pi * r**3)
+    """Factor e^{ikr}(ikr - 1)/(4 pi r^3): grad_x G_k(x, y) = (x - y) times it; float64 at k = 0."""
+    return _joined(_radial_parts(r, k, grad=True))
 
 
 def radial_remainder(r, k: float):

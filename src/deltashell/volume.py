@@ -15,9 +15,11 @@ volume); the diagonal replaces the cubic cell by the ball of equal volume,
 whose self-integral has the closed form
 
     int_{|y|<a} e^{ik|y|}/(4 pi |y|) dy = (e^{ika}(1 - ika) - 1)/k^2
+                                        = a^2 sum_n (ika)^n / (n! (n + 2))
                                         -> a^2/2   as k -> 0,
 
-with a = (3 vol / 4 pi)^{1/3}.  This removes the 1/r singularity with O(h^2)
+with a = (3 vol / 4 pi)^{1/3}; the series serves small ka, where the closed
+form cancels.  This removes the 1/r singularity with O(h^2)
 consistency and no adaptive quadrature.
 
 Cells where V vanishes decouple from the unknowns: the dense solve runs on
@@ -27,6 +29,7 @@ representation psi = psi0 - G (V psi).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +49,9 @@ __all__ = [
 ]
 
 MAX_GRID_CELLS = 32**3
+# ball_self_term sums its series below this ka, where the closed form has lost
+# digits to cancellation (relative error about 1e-16 / (ka)^2)
+_BALL_SERIES_KA, _BALL_SERIES_TERMS = 0.05, 10
 
 
 @dataclass(frozen=True)
@@ -90,11 +96,19 @@ class VolumeField:
 
 
 def ball_self_term(k: float, volume: float) -> complex:
-    """Self-integral of the outgoing kernel over the equal-volume ball."""
+    """Self-integral of the outgoing kernel over the equal-volume ball; float a^2/2 at k = 0.
+
+    Below ka = _BALL_SERIES_KA the closed form cancels, and the series
+    a^2 sum_n (ika)^n / (n! (n + 2)) is summed instead; its terms from
+    n = _BALL_SERIES_TERMS on are below 1e-18 of the first.
+    """
     a = (3.0 * volume / (4.0 * np.pi)) ** (1.0 / 3.0)
     if k == 0.0:
         return a * a / 2.0
-    return (np.exp(1j * k * a) * (1.0 - 1j * k * a) - 1.0) / k**2
+    ika = 1j * k * a
+    if k * a < _BALL_SERIES_KA:
+        return a * a * sum(ika**n / (math.factorial(n) * (n + 2)) for n in range(_BALL_SERIES_TERMS))
+    return (np.exp(ika) * (1.0 - ika) - 1.0) / k**2
 
 
 def cell_block(points: np.ndarray, centers: np.ndarray, grid: VolumeGrid, k: float,

@@ -274,6 +274,25 @@ class TestForward:
             assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
 
 
+class TestLogLevel:
+    def test_debug_writes_the_solver_log_and_the_same_files(self, tmp_path, capsys):
+        path = write_config(tmp_path, "cfg.json", dict(FORWARD_TRIVIAL, alpha=1.0))
+        debug, default = tmp_path / "debug", tmp_path / "default"
+        assert main(["--config", path, "--out", str(debug), "--log-level", "DEBUG", "forward"]) == 0
+        out_debug, err = capsys.readouterr()
+        assert "delta-shell LU:" in err and "delta-shell solve:" in err
+        assert main(["--config", path, "--out", str(default), "forward"]) == 0
+        out_default, err = capsys.readouterr()
+        assert err == "" and out_debug == out_default
+        for name in ("run_density.csv", "run_field.csv", "run_metadata.json"):
+            assert (debug / name).read_bytes() == (default / name).read_bytes()
+
+    def test_unknown_level_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "cfg.json", FORWARD_TRIVIAL)
+        assert main(["--config", path, "--out", str(tmp_path), "--log-level", "LOUD", "forward"]) == 2
+        assert "--log-level" in capsys.readouterr().err
+
+
 class TestFarfieldCommand:
     CFG = {
         "k": 2.0,

@@ -66,6 +66,9 @@ def sites(sphere_meshes, small_grid):
         "G": lambda: volume.assemble_volume_operator(grid, 1.7, cells=support),
         "layer_potential": lambda: boundary.layer_potential(points, mesh, eta, 1.7),
         "layer_potential_gradient": lambda: boundary.layer_potential_gradient(off, mesh, eta, 1.7),
+        "S0": lambda: boundary.assemble_single_layer(mesh, 0.0),
+        "static_layer_potential": lambda: boundary.layer_potential(points, mesh, eta.real, 0.0),
+        "static_layer_potential_gradient": lambda: boundary.layer_potential_gradient(off, mesh, eta.real, 0.0),
         "volume_potential": lambda: volume.volume_potential(points, grid, V.values[support] * eta[0],
                                                             1.7, cells=support),
         "farfield_source": lambda: farfield.farfield_source(sols, farfield.direction_grid(6, 12).normals),
@@ -74,8 +77,9 @@ def sites(sphere_meshes, small_grid):
     }
 
 
-SITES = ["S", "DeltaSystem", "system_matrix", "G", "layer_potential", "layer_potential_gradient", "volume_potential",
-         "farfield_source", "eval_scattered_field", "eval_scattered_gradient"]
+SITES = ["S", "DeltaSystem", "system_matrix", "G", "layer_potential", "layer_potential_gradient", "S0",
+         "static_layer_potential", "static_layer_potential_gradient", "volume_potential", "farfield_source",
+         "eval_scattered_field", "eval_scattered_gradient"]
 
 
 class TestMapChunks:

@@ -15,6 +15,7 @@ from deltashell.kernels import (
     helmholtz_kernel_gradient,
     make_sigma_k,
     plane_wave,
+    radial_gradient_factor,
     radial_kernel,
     radial_remainder,
     radial_remainder_gradient_factor,
@@ -52,6 +53,22 @@ class TestKernel:
             e[ax] = h
             fd = (helmholtz_kernel(x + e, y, k) - helmholtz_kernel(x - e, y, k)) / (2 * h)
             assert abs(g[ax] - fd) < 1e-7 * abs(g[ax]) + 1e-12
+
+    def test_static_kernel_is_real(self):
+        r = np.geomspace(1e-3, 10.0, 50)
+        for got, ref in ((radial_kernel(r, 0.0), 1.0 / (4 * np.pi * r)),
+                         (radial_gradient_factor(r, 0.0), -1.0 / (4 * np.pi * r**3))):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("k", [0.5, 1.7, 2.0])
+    def test_real_and_imaginary_parts_are_the_exponential_form(self, k):
+        # cos(kr)/(4 pi r) and sin(kr)/(4 pi r) are the parts of exp(ikr)/(4 pi r) bit for bit;
+        # the gradient factor's parts are formed in another order
+        r = np.random.default_rng(7).uniform(1e-3, 10.0, 2**16)
+        assert np.array_equal(radial_kernel(r, k), np.exp(1j * k * r) / (4 * np.pi * r))
+        ref = np.exp(1j * k * r) * (1j * k * r - 1.0) / (4 * np.pi * r**3)
+        assert np.max(np.abs(radial_gradient_factor(r, k) - ref) / np.abs(ref)) <= 1e-15
 
     def test_remainder_is_kernel_minus_singular_terms(self):
         k = 2.3

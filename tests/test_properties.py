@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltashell.boundary import DeltaSpec, DeltaSystem, assemble_single_layer
+from deltashell.farfield import direction_grid, farfield_source
 from deltashell.kernels import Herglotz, plane_wave
 
 from conftest import bump_potential
@@ -97,3 +98,39 @@ def test_herglotz_solution_is_the_weighted_sum_of_its_plane_waves(linear_solve, 
     assert gap(lambda sol: sol.density.eta) <= a_max * x_err
     assert gap(lambda sol: sol.source_density) <= v_max * x_err
     assert gap(lambda sol: sol.trace) <= 10.0 * b_norm * rounding + (tr_norm * v_max + s_norm) * x_err
+
+
+# a unit direction: polar and azimuthal angle
+DIRECTION = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))
+
+
+def _unit(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+@pytest.fixture(scope="module")
+def reciprocity_system(sphere_meshes, small_grid):
+    """80 panels with alpha = 1.5 + 0.5 z + 0.3 x and an off-centre bump, so that no symmetry
+    makes the far field reciprocal; and the far-field scale, max |psi_inf| on a 4 x 8 grid."""
+    mesh = sphere_meshes[1]
+    c = mesh.panel_centroid
+    system = DeltaSystem(bump_potential(small_grid, 0.6, center=(0.25, -0.1, 0.15)),
+                         DeltaSpec(mesh, 1.5 + 0.5 * c[:, 2] + 0.3 * c[:, 0]), K)
+    dirs = direction_grid(4, 8).normals
+    scale = np.max(np.abs(farfield_source(system.solve_many([plane_wave(d) for d in dirs]), dirs)))
+    return system, scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(obs=DIRECTION, inc=DIRECTION)
+def test_far_field_is_reciprocal(reciprocity_system, obs, inc):
+    # psi_inf(x, d) = psi_inf(-d, -x) (Colton-Kress, the reciprocity theorem for far-field
+    # patterns).  Centroid collocation breaks it at O(h^2), h the largest panel diameter:
+    # over 40 x 40 random direction pairs the largest gap / scale was 2.41e-3, 2.44e-3 and
+    # 2.45e-3 times h^2 at 80, 320 and 1280 panels with this bump, and 2.74e-3, 2.79e-3
+    # and 2.81e-3 times h^2 without it.  The bound is twice the largest constant.
+    system, scale = reciprocity_system
+    x, d = _unit(*obs), _unit(*inc)
+    forward, backward = system.solve_many([plane_wave(d), plane_wave(-x)])
+    gap = abs(farfield_source(forward, x[None])[0] - farfield_source(backward, -d[None])[0])
+    assert gap <= 5.6e-3 * system.mesh.panel_diameter.max() ** 2 * scale

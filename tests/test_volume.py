@@ -46,6 +46,19 @@ class TestOperator:
         im, _ = integrate.quad(lambda r: r * np.sin(k * r), 0, a, epsabs=1e-14)
         assert_allclose(ball_self_term(k, vol), re + 1j * im, atol=1e-15)
 
+    @pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-4, 1e-2])
+    def test_small_k_keeps_every_digit(self, k):
+        # the closed form (e^{ika}(1 - ika) - 1)/k^2 cancels as ka -> 0; reference: the
+        # series int_0^a r e^{ikr} dr = a^2 sum_n (ika)^n / (n! (n + 2)), summed to 30 terms
+        vol = 0.32**3
+        a = (3 * vol / (4 * np.pi)) ** (1 / 3)
+        term, series = 1.0 + 0j, 0j
+        for n in range(30):
+            series += term / (n + 2)
+            term *= 1j * k * a / (n + 1)
+        ref = a * a * series
+        assert abs(ball_self_term(k, vol) - ref) <= 1e-14 * abs(ref)
+
     def test_complex_symmetry(self):
         grid = make_volume_grid((-1.0, 1.0), 4)
         G = assemble_volume_operator(grid, 1.3)
