@@ -19,10 +19,8 @@ from .acoustic import (
     acoustic_to_schrodinger,
     eval_density,
     eval_sound_speed,
-    schrodinger_to_acoustic_field,
 )
 from .boundary import (
-    BoundaryDensity,
     DeltaSolution,
     DeltaSpec,
     DeltaSystem,
@@ -70,7 +68,6 @@ from .kernels import (
     PlaneWave,
     eval_incident,
     eval_incident_grad,
-    helmholtz_kernel,
     make_sigma_k,
     plane_wave,
     sigma_pair_for_xi,

@@ -25,6 +25,11 @@ is exactly (omega2^2 - omega1^2)(1 - 1/v^2).
 
 Fields and far fields map back by u = sqrt(rho) psi; since rho = v = 1
 outside the cutoff, acoustic and Schrodinger far fields coincide.
+
+A medium enters the solve only through the weights (V, alpha), so media
+that share the grid, the support of V and Gamma share one kernel per omega
+(``DeltaSystem.reweighted``).  One loop runs frequencies outside and media
+inside; ``acoustic_farfield`` is its one-medium case.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ __all__ = [
     "eval_sound_speed",
     "check_medium_grid",
     "acoustic_to_schrodinger",
-    "schrodinger_to_acoustic_field",
     "acoustic_farfield",
     "media_equal",
 ]
@@ -159,23 +163,26 @@ def _sum_bumps(bumps, x: np.ndarray):
     return val, grad, lap
 
 
-def _density(m: MediumSpec, x: np.ndarray, derivatives: bool):
-    """``eval_density`` without the near-Gamma scan."""
-    xi = m.shell_density
-    sl = layer_potential(x, m.gamma, xi, 0.0)
-    b_val, b_grad, b_lap = _sum_bumps(m.rho_bumps, x)
-    c_val, c_grad, c_lap = m.cutoff.fields(x)
-
-    f = b_val + sl
-    rho = 1.0 + c_val * f
-    if not derivatives:
-        return rho, None, None
-
-    sl_grad = layer_potential_gradient(x, m.gamma, xi, 0.0)
-    f_grad = b_grad + sl_grad
-    grad = c_grad * f[:, None] + c_val[:, None] * f_grad
-    lap = c_lap * f + 2.0 * np.einsum("ij,ij->i", c_grad, f_grad) + c_val * b_lap
-    return rho, grad, lap
+def _density(media, x: np.ndarray, derivatives: bool) -> list:
+    """``eval_density`` of media that share Gamma, without the near-Gamma scan: one
+    (rho, grad rho, lap rho) per medium.  Each static layer block is made once and
+    applied to every medium's shell density (one column each)."""
+    gamma = media[0].gamma
+    xi = np.stack([m.shell_density for m in media], axis=1)
+    sl = layer_potential(x, gamma, xi, 0.0)
+    sl_grad = layer_potential_gradient(x, gamma, xi, 0.0) if derivatives else None
+    out = []
+    for j, m in enumerate(media):
+        b_val, b_grad, b_lap = _sum_bumps(m.rho_bumps, x)
+        c_val, c_grad, c_lap = m.cutoff.fields(x)
+        f = b_val + sl[:, j]
+        grad = lap = None
+        if derivatives:
+            f_grad = b_grad + sl_grad[..., j]
+            grad = c_grad * f[:, None] + c_val[:, None] * f_grad
+            lap = c_lap * f + 2.0 * np.einsum("ij,ij->i", c_grad, f_grad) + c_val * b_lap
+        out.append((1.0 + c_val * f, grad, lap))
+    return out
 
 
 def eval_density(m: MediumSpec, x, derivatives: bool = True):
@@ -190,7 +197,7 @@ def eval_density(m: MediumSpec, x, derivatives: bool = True):
     if derivatives and near_surface(x, m.gamma):
         warnings.warn("density derivatives requested within a quarter panel diameter "
                       "of Gamma; near-field accuracy is reduced", stacklevel=2)
-    return _density(m, x, derivatives)
+    return _density([m], x, derivatives)[0]
 
 
 def eval_sound_speed(m: MediumSpec, x) -> np.ndarray:
@@ -217,39 +224,41 @@ def check_medium_grid(m: MediumSpec, grid: VolumeGrid) -> None:
                               "is undefined; shift or refine the grid")
 
 
-def _schrodinger_data(m: MediumSpec, omegas, grid: VolumeGrid) -> list[SchrodingerData]:
-    """(V, alpha) at each of ``omegas`` from one sampling of the medium.
+def _schrodinger_data(media, omegas, grid: VolumeGrid) -> list[list[SchrodingerData]]:
+    """(V, alpha) of each medium at each of ``omegas``, from one sampling of the media.
 
-    Only the omega^2 (1 - 1/v^2) term varies; all entries share one DeltaSpec.
+    The media share Gamma and the grid; the static layer blocks at the cells
+    and at Gamma are made once for all of them.  Only the omega^2 (1 - 1/v^2)
+    term varies; each medium's entries share one DeltaSpec.
     """
     omegas = [float(omega) for omega in omegas]
     if not all(omega > 0 for omega in omegas):
         raise ValueError("omega must be positive")
-    check_medium_grid(m, grid)
+    # the cover check of the widest support serves every medium; the Gamma scan is shared
+    check_medium_grid(max(media, key=lambda m: m.r_support), grid)
 
     x = grid.cell_center
     # no centre is on Gamma; cells near it take one-sided values, unwarned
-    rho, grad, lap = _density(m, x, derivatives=True)
-    if np.any(rho <= 0):
-        raise MediumValidityError(f"density reaches {rho.min():.3g} <= 0 on the grid")
-    v = eval_sound_speed(m, x)
-    if np.any(v <= 0):
-        raise MediumValidityError(f"sound speed reaches {v.min():.3g} <= 0 on the grid")
+    cells = _density(media, x, derivatives=True)
+    traces = _density(media, media[0].gamma.panel_centroid, derivatives=False)
+    out = []
+    for m, (rho, grad, lap), (rho_gamma, _, _) in zip(media, cells, traces):
+        if np.any(rho <= 0):
+            raise MediumValidityError(f"density reaches {rho.min():.3g} <= 0 on the grid")
+        v = eval_sound_speed(m, x)
+        if np.any(v <= 0):
+            raise MediumValidityError(f"sound speed reaches {v.min():.3g} <= 0 on the grid")
+        if np.any(rho_gamma <= 0):
+            raise MediumValidityError("density trace on Gamma is not positive")
 
-    grad2 = np.einsum("ij,ij->i", grad, grad)
-    V_phi = -0.5 * lap / rho + 0.75 * grad2 / rho**2
-    contrast = 1.0 - 1.0 / v**2
-
-    rho_gamma = surface_density_trace(m)
-    if np.any(rho_gamma <= 0):
-        raise MediumValidityError("density trace on Gamma is not positive")
-    delta = DeltaSpec(mesh=m.gamma, alpha=0.5 * m.shell_density / rho_gamma)
-
-    return [
-        SchrodingerData(V=PotentialSample(grid=grid, values=V_phi + omega**2 * contrast),
-                        delta=delta, omega=omega)
-        for omega in omegas
-    ]
+        grad2 = np.einsum("ij,ij->i", grad, grad)
+        V_phi = -0.5 * lap / rho + 0.75 * grad2 / rho**2
+        contrast = 1.0 - 1.0 / v**2
+        delta = DeltaSpec(mesh=m.gamma, alpha=0.5 * m.shell_density / rho_gamma)
+        out.append([SchrodingerData(V=PotentialSample(grid=grid, values=V_phi + omega**2 * contrast),
+                                    delta=delta, omega=omega)
+                    for omega in omegas])
+    return out
 
 
 def acoustic_to_schrodinger(m: MediumSpec, omega: float, grid: VolumeGrid) -> SchrodingerData:
@@ -259,15 +268,41 @@ def acoustic_to_schrodinger(m: MediumSpec, omega: float, grid: VolumeGrid) -> Sc
     sqrt(rho) numerically); alpha_q = xi_q / (2 rho|_Gamma(q)) and carries no
     omega dependence.
     """
-    return _schrodinger_data(m, [omega], grid)[0]
+    return _schrodinger_data([m], [omega], grid)[0][0]
 
 
-def schrodinger_to_acoustic_field(psi, rho):
-    """u = sqrt(rho) psi pointwise."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise MediumValidityError("density must be positive")
-    return np.sqrt(rho) * np.asarray(psi, dtype=complex)
+def _farfields(media, omegas, incidence: np.ndarray, obs_grid, grid: VolumeGrid) -> list[list[FarFieldPattern]]:
+    """The far-field pattern of each medium at each of ``omegas``: frequencies outside, media inside.
+
+    Media on one Gamma are sampled together.  At each frequency a medium with
+    the previous system's sources takes its kernel, any other gets a fresh
+    fill; one kernel is held at a time, and each LU is dropped after its solves.
+    """
+    incidence = np.atleast_2d(np.asarray(incidence, dtype=float))
+    incidents = [plane_wave(d) for d in incidence]
+    groups = {}                                   # Gamma's arrays -> the media on it
+    for i, m in enumerate(media):
+        groups.setdefault((m.gamma.vertices.tobytes(), m.gamma.triangles.tobytes()), []).append(i)
+    data = {}
+    for g in groups.values():
+        data.update(zip(g, _schrodinger_data([media[i] for i in g], omegas, grid)))
+
+    patterns = [[] for _ in media]
+    for j in range(len(omegas)):
+        system = None                             # a kernel serves one frequency
+        for i in (i for g in groups.values() for i in g):
+            d = data[i][j]
+            if system is not None and system._shares_kernel(d.V, d.delta):
+                system = system.reweighted(d.V, d.delta)
+            else:
+                system = None                     # free the previous kernel before the fill
+                system = DeltaSystem(d.V, d.delta, d.omega)
+            sols = system.solve_many(incidents)
+            system._lu = None                     # the far field needs the solutions; the next medium the kernel
+            patterns[i].append(FarFieldPattern(k=d.omega, values=farfield_source(sols, obs_grid.normals),
+                                               observations=obs_grid.normals, obs_weights=obs_grid.weights,
+                                               incidence=incidence, meta={"pipeline": "acoustic", "omega": d.omega}))
+    return patterns
 
 
 def acoustic_farfield(m: MediumSpec, omegas, incidence: np.ndarray, obs_grid,
@@ -278,20 +313,7 @@ def acoustic_farfield(m: MediumSpec, omegas, incidence: np.ndarray, obs_grid,
     Since rho = v = 1 outside the cutoff ball, the acoustic far field equals
     the transformed-problem far field with k = omega.
     """
-    incidence = np.atleast_2d(np.asarray(incidence, dtype=float))
-    incidents = [plane_wave(d) for d in incidence]
-    patterns = []
-    for data in _schrodinger_data(m, omegas, grid):
-        sols = DeltaSystem(data.V, data.delta, data.omega).solve_many(incidents)
-        patterns.append(FarFieldPattern(
-            k=data.omega,
-            values=farfield_source(sols, obs_grid.normals),
-            observations=obs_grid.normals,
-            obs_weights=obs_grid.weights,
-            incidence=incidence,
-            meta={"pipeline": "acoustic", "omega": data.omega},
-        ))
-    return patterns
+    return _farfields([m], omegas, incidence, obs_grid, grid)[0]
 
 
 def media_equal(a: MediumSpec, b: MediumSpec) -> bool:

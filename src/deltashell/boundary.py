@@ -38,7 +38,9 @@ Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
 
 from __future__ import annotations
 
+import copy
 import logging
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -57,7 +59,6 @@ from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, cell_block
 
 __all__ = [
     "DeltaSpec",
-    "BoundaryDensity",
     "DeltaSolution",
     "DeltaSystem",
     "assemble_single_layer",
@@ -90,6 +91,7 @@ _SINGLE_RCOND_FLOOR = 1e-4
 _REFINE_TOL, _REFINE_ACCEPT, _REFINE_STEPS = 1e-15, 1e-13, 10
 
 _log = logging.getLogger("deltashell")
+_KERNEL_LOG = "delta-shell kernel: %s, %d x %d, k = %g, %.3f s"   # filled or reused, rows x columns, k, seconds
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +122,6 @@ class DeltaSpec:
     @property
     def is_zero(self) -> bool:
         return not np.any(self.alpha)
-
-
-@dataclass(frozen=True)
-class BoundaryDensity:
-    """eta = alpha * trace(psi) per panel; the normal-derivative jump of psi."""
-
-    mesh: SurfaceMesh
-    eta: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.eta, dtype=complex)
-        if e.shape != (self.mesh.n_panels,):
-            raise ValueError("eta must provide one value per panel")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("eta has non-finite values")
-        object.__setattr__(self, "eta", e)
 
 
 # no surface: a 0-panel mesh, so alpha is zero and the system is cells-only
@@ -242,10 +228,9 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
     ``kernels.radial_remainder`` by the 12-point midpoint subrule.  At k = 0
     the kernel is 1/(4 pi r) and the remainder is 0: float64 1/r moments.
     """
-    corners = np.stack(mesh.corners(), axis=1)
     out = np.empty((len(ii), 3) if grad else len(ii), dtype=_kernel_dtype(k))
     for sl in row_chunks(len(ii), len(_SUB_W) * 3):
-        xs, cs, areas = x[ii[sl]], corners[qq[sl]], mesh.panel_area[qq[sl]]
+        xs, cs, areas = x[ii[sl]], mesh.panel_corners[qq[sl]], mesh.panel_area[qq[sl]]
         moments = _flat_triangle_moments(xs, cs, grad)
         if k == 0:
             out[sl] = moments[:, 0]
@@ -279,11 +264,10 @@ def _near_pairs(x: np.ndarray, mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarra
 def _surface_gap(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
     """Per point of x, the least ``_panel_gap`` over its near pairs (inf if none); a point
     within a quarter diameter of a panel lies within 0.92 diameters of its centroid."""
-    corners = np.stack(mesh.corners(), axis=1)
     out = np.full(len(x), np.inf)
     for rows in row_chunks(len(x), mesh.n_panels):
         ii, qq = _near_pairs(x[rows], mesh)
-        np.minimum.at(out[rows], ii, _panel_gap(x[rows][ii], corners[qq]))
+        np.minimum.at(out[rows], ii, _panel_gap(x[rows][ii], mesh.panel_corners[qq]))
     return out
 
 
@@ -378,15 +362,26 @@ def _fill(points: np.ndarray, sources, k: float) -> np.ndarray:
 
 def _apply(x: np.ndarray, sources, q: np.ndarray, k: float, grad: bool = False) -> np.ndarray:
     """sum_j K(x, j) q_j over a source set, or with ``grad`` its (n, 3) x-gradient; real
-    when k = 0 and q is real."""
-    out = np.empty((len(x), 3) if grad else len(x), dtype=np.result_type(_kernel_dtype(k), q))
+    when k = 0 and q is real.
+
+    A 2-D q (m, c) gives (n, c), or (n, 3, c): each kernel row chunk is made once and
+    applied column by column, so every column is bitwise its 1-D product.
+    """
+    cols = np.ascontiguousarray(q.T if q.ndim == 2 else q[None])
+    out = np.empty((len(x),) + ((3,) if grad else ()) + cols.shape[:1], dtype=np.result_type(_kernel_dtype(k), q))
 
     def fill(rows):
         block = _kernel_rows(x[rows], sources, k, grad)
-        out[rows] = np.einsum("imk,m->ik", block, q) if grad else block @ q
+        for j, c in enumerate(cols):
+            out[rows, ..., j] = np.einsum("imk,m->ik", block, c) if grad else block @ c
 
     map_chunks(fill, _source_chunks(len(x), sources, grad))
-    return out
+    return out if q.ndim == 2 else out[..., 0]
+
+
+def _same(a, b, fields) -> bool:
+    """True when a is b or every one of ``fields`` is equal, arrays elementwise."""
+    return a is b or all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
 
 
 def _sources(V: PotentialSample | None, support: np.ndarray, delta: DeltaSpec):
@@ -428,7 +423,7 @@ def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: floa
 class DeltaSolution:
     """Solution of the coupled system: surface density plus grid field."""
 
-    density: BoundaryDensity
+    eta: np.ndarray              # alpha * trace per panel: the normal-derivative jump of psi
     incident: IncidentField
     k: float
     residual: float
@@ -494,20 +489,49 @@ class DeltaSystem:
     ``_REFINE_ACCEPT``, the complex64 LU is dropped and the system factors
     I + K diag(w) in complex128 instead, where a condition number above 1e12
     raises ``ExceptionalFrequencyError``.
+
+    K depends on the points and the source set, not on V or alpha: media with
+    the same grid, support and Gamma (and alpha = 0 on both or neither) share
+    it, and ``reweighted`` factors another medium's weights over it.
     """
 
     def __init__(self, V: PotentialSample | None, delta: DeltaSpec | None, k: float):
         if k <= 0:
             raise ValueError("k must be positive")
         self.k = float(k)
-        self.delta = delta = _NO_SURFACE if delta is None else delta
-        self.potential = V
-        self.mesh = delta.mesh
+        delta = _NO_SURFACE if delta is None else delta
         self.support = V.support() if V is not None else np.zeros(0, dtype=int)
-
         sources = _sources(V, self.support, delta)
-        self.points = np.concatenate([sources[1], self.mesh.panel_centroid])
+        self.points = np.concatenate([sources[1], delta.mesh.panel_centroid])
+        start = time.perf_counter()
         self.kernel = _fill(self.points, sources, k)
+        _log.debug(_KERNEL_LOG, "filled", *self.kernel.shape, k, time.perf_counter() - start)
+        self._weigh(V, delta)
+
+    def reweighted(self, V: PotentialSample | None, delta: DeltaSpec | None) -> DeltaSystem:
+        """The system of V and delta at this k over this ``kernel``: factors I + K diag(w') for
+        the new weights and computes no kernel entry.  Raises ValueError when the grid, the
+        support of V, Gamma's arrays or ``delta.is_zero`` differ, which changes the sources.
+        """
+        delta = _NO_SURFACE if delta is None else delta
+        if not self._shares_kernel(V, delta):
+            raise ValueError("reweighted: the grid, the support of V, Gamma or alpha = 0 differ")
+        _log.debug(_KERNEL_LOG, "reused", *self.kernel.shape, self.k, 0.0)
+        system = copy.copy(self)
+        system._weigh(V, delta)
+        return system
+
+    def _shares_kernel(self, V: PotentialSample | None, delta: DeltaSpec) -> bool:
+        """True when V and delta have this system's points and source set."""
+        if (V is None) != (self.potential is None) or delta.is_zero != self.delta.is_zero:
+            return False
+        return ((V is None or (_same(V.grid, self.potential.grid, ("lo", "hi", "n"))
+                               and np.array_equal(V.support(), self.support)))
+                and _same(delta.mesh, self.mesh, ("vertices", "triangles")))
+
+    def _weigh(self, V: PotentialSample | None, delta: DeltaSpec) -> None:
+        """Take w = (V on the support, alpha on the panels unless alpha = 0) and factor I + K diag(w)."""
+        self.potential, self.delta, self.mesh = V, delta, delta.mesh
         Vs = np.zeros(0) if V is None else V.values[self.support]
         self.weights = Vs if delta.is_zero else np.concatenate([Vs, delta.alpha])
         self._lu = self._factor() if len(self.weights) else None
@@ -554,7 +578,7 @@ class DeltaSystem:
         psi_s, source, eta, trace = (np.ascontiguousarray(a.T) for a in (x[:ns], wx[:ns], eta, trace))
         return [
             DeltaSolution(
-                density=BoundaryDensity(mesh=self.mesh, eta=eta[j]), incident=inc, k=self.k,
+                eta=eta[j], incident=inc, k=self.k,
                 residual=float(residual[j]), trace=trace[j], potential=self.potential,
                 delta=self.delta, support=self.support, source_density=source[j],
                 psi_support=psi_s[j],
@@ -593,7 +617,7 @@ class DeltaSystem:
 
 def _scattered(sol: DeltaSolution, pts: np.ndarray, grad: bool = False) -> np.ndarray:
     """-K(x, .) (w psi): the outgoing field of the source V~ psi at pts, or its gradient."""
-    q = sol.source_density if sol.delta.is_zero else np.concatenate([sol.source_density, sol.density.eta])
+    q = sol.source_density if sol.delta.is_zero else np.concatenate([sol.source_density, sol.eta])
     return -_apply(pts, _sources(sol.potential, sol.support, sol.delta), q, sol.k, grad)
 
 
@@ -651,5 +675,5 @@ def check_jump_relation(mesh: SurfaceMesh, k: float, xi: np.ndarray) -> float:
 
 def density_to_csv_rows(sol: DeltaSolution):
     """Yield (panel id, cx, cy, cz, Re eta, Im eta, alpha) rows."""
-    for q, (c, e, a) in enumerate(zip(sol.mesh.panel_centroid, sol.density.eta, sol.delta.alpha)):
+    for q, (c, e, a) in enumerate(zip(sol.mesh.panel_centroid, sol.eta, sol.delta.alpha)):
         yield q, c[0], c[1], c[2], e.real, e.imag, a

@@ -137,7 +137,7 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     if len(first.support):
         pts.append(first.potential.grid.cell_center[first.support])
         coef.append(np.stack([s.source_density for s in sols], axis=1) * first.potential.grid.cell_volume)
-    eta = np.stack([s.density.eta for s in sols], axis=1) * first.mesh.panel_area[:, None]
+    eta = np.stack([s.eta for s in sols], axis=1) * first.mesh.panel_area[:, None]
     if np.any(eta):
         qpts, w = first.mesh.quadrature_points()
         pts.append(qpts.reshape(-1, 3))

@@ -85,6 +85,8 @@ class SurfaceMesh:
     panel_area : (nt,), all positive
     panel_normal : (nt, 3), unit outward normals
     panel_diameter : (nt,), longest edge per panel
+    panel_corners : (nt, 3, 3), the vertex coordinates of each panel
+    panel_rule_points : (nt, 3, 3), the points of the panel rule (``triangle_rule``)
     """
 
     vertices: np.ndarray
@@ -93,6 +95,8 @@ class SurfaceMesh:
     panel_area: np.ndarray = field(repr=False, default=None)
     panel_normal: np.ndarray = field(repr=False, default=None)
     panel_diameter: np.ndarray = field(repr=False, default=None)
+    panel_corners: np.ndarray = field(repr=False, default=None)
+    panel_rule_points: np.ndarray = field(repr=False, default=None)
 
     @classmethod
     def from_arrays(cls, vertices, triangles) -> "SurfaceMesh":
@@ -117,15 +121,16 @@ class SurfaceMesh:
                 np.linalg.norm(v0 - v2, axis=1),
             ]
         )
-        mesh = cls(
+        return cls(
             vertices=_freeze(vertices),
             triangles=_freeze(triangles),
             panel_centroid=_freeze((v0 + v1 + v2) / 3.0),
             panel_area=_freeze(two_area / 2.0),
             panel_normal=_freeze(normals),
             panel_diameter=_freeze(edges.max(axis=0)),
+            panel_corners=_freeze(np.stack([v0, v1, v2], axis=1)),
+            panel_rule_points=_freeze(triangle_rule(v0, v1, v2)[0]),
         )
-        return mesh
 
     @property
     def n_panels(self) -> int:
@@ -136,17 +141,12 @@ class SurfaceMesh:
         """Largest vertex distance from the origin."""
         return float(np.max(np.linalg.norm(self.vertices, axis=1), initial=0.0))
 
-    def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vertex coordinate triples per panel, each (nt, 3)."""
-        t = self.triangles
-        return self.vertices[t[:, 0]], self.vertices[t[:, 1]], self.vertices[t[:, 2]]
-
     def quadrature_points(self) -> tuple[np.ndarray, np.ndarray]:
         """Physical quadrature points (nt, 3, 3) and weights (3,) of the panel rule.
 
         Weights sum to 1; multiply by panel_area for surface integration.
         """
-        return triangle_rule(*self.corners())
+        return self.panel_rule_points, _GAUSS3_WEIGHTS
 
     def edge_multiplicity(self) -> dict[tuple[int, int], list[int]]:
         """Map undirected edge -> list of +1/-1 orientations encountered."""
@@ -171,7 +171,7 @@ class SurfaceMesh:
                     "in the same direction"
                 )
         if all(len(v) == 2 for v in edges.values()):
-            v0, v1, v2 = self.corners()
+            v0, v1, v2 = np.moveaxis(self.panel_corners, 1, 0)
             volume = np.einsum("ij,ij->", v0, np.cross(v1, v2)) / 6.0
             if volume <= 0:
                 raise MeshFormatError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import acoustic_farfield, media_equal
+from .acoustic import _farfields, media_equal
 from .boundary import DeltaSolution, eval_scattered_field, eval_scattered_gradient, eval_total_field
 from .farfield import FarFieldPattern, check_enclosing_radius
 from .geometry import make_sphere_grid
@@ -312,10 +312,9 @@ def uniqueness_experiment(
     identical = media_equal(mA_f, mB_f)
 
     omegas = (omega, omega_tilde)
-    tables = {
-        tag: dict(zip(omegas, acoustic_farfield(medium, omegas, incidence, obs_grid, grid)))
-        for tag, medium in (("A", mA_f), ("B", mB_f), ("A_coarse", mA_c))
-    }
+    # one loop over the three media: A and B share Gamma, and their kernel when they share the support
+    patterns = _farfields([mA_f, mB_f, mA_c], omegas, incidence, obs_grid, grid)
+    tables = {tag: dict(zip(omegas, p)) for tag, p in zip(("A", "B", "A_coarse"), patterns)}
 
     metrics = {}
     noise = {}

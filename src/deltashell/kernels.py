@@ -30,8 +30,6 @@ __all__ = [
     "radial_gradient_factor",
     "radial_remainder",
     "radial_remainder_gradient_factor",
-    "helmholtz_kernel",
-    "helmholtz_kernel_gradient",
     "ComplexDirection",
     "make_sigma_k",
     "sigma_pair_for_xi",
@@ -105,30 +103,6 @@ def radial_remainder(r, k: float):
 def radial_remainder_gradient_factor(r, k: float):
     """Factor g'(r)/r of g = radial_remainder: its x-gradient is (x - y) times it (r > 0)."""
     return (0.25j * k / np.pi * np.exp(1j * k * r) - radial_remainder(r, k) + k**2 * r / (4.0 * np.pi)) / r**2
-
-
-def helmholtz_kernel(x, y, k: float):
-    """Outgoing kernel exp(ik r)/(4 pi r), r = |x - y|; broadcasts over points.
-
-    Raises ValueError on coincident points.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = np.linalg.norm(x - y, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("helmholtz_kernel: coincident points")
-    return radial_kernel(r, k)
-
-
-def helmholtz_kernel_gradient(x, y, k: float):
-    """Gradient in x of the outgoing kernel: (x-y) e^{ikr}(ikr - 1)/(4 pi r^3)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("helmholtz_kernel_gradient: coincident points")
-    return d * radial_gradient_factor(r, k)[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ representation psi = psi0 - G (V psi).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -54,6 +55,15 @@ MAX_GRID_CELLS = 32**3
 _BALL_SERIES_KA, _BALL_SERIES_TERMS = 0.05, 10
 
 
+def _caller_level() -> int:
+    """The ``warnings.warn`` stacklevel, in the function that calls this one, of the
+    first frame outside the package: the line that asked for the warned-about input."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(frozen=True)
 class PotentialSample:
     """Real potential V sampled at cell centers (units 1/length^2)."""
@@ -69,11 +79,8 @@ class PotentialSample:
             raise ValueError("potential sample has non-finite values")
         object.__setattr__(self, "values", vals)
         if np.any(np.abs(vals[self.grid.boundary_mask()]) > 0):
-            # level 3: past the dataclass-generated __init__ to the caller
-            warnings.warn(
-                "potential is nonzero on boundary cells; support may be truncated",
-                stacklevel=3,
-            )
+            warnings.warn("potential is nonzero on boundary cells; support may be truncated",
+                          stacklevel=_caller_level())
 
     def support(self) -> np.ndarray:
         return np.nonzero(self.values != 0.0)[0]

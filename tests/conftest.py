@@ -8,6 +8,7 @@ from deltashell.acoustic import GaussianBump, RadialCutoff
 from deltashell.boundary import DeltaSpec, DeltaSystem
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, make_volume_grid
 from deltashell.kernels import Herglotz, eval_incident, plane_wave
+from deltashell.mie import PartialWaveSolution, legendre_all, spherical_jn_all, spherical_yn_all
 from deltashell.volume import PotentialSample, assemble_volume_operator, volume_potential
 
 
@@ -90,3 +91,60 @@ def mixed_incidents():
     herglotz = Herglotz(directions=dirs[:3], weights=np.array([0.5, 1.0, 2.0]),
                         density=np.array([1.0, 1j, -0.5 + 0.25j]))
     return [plane_wave(d) for d in dirs] + [herglotz]
+
+
+def radial_field(sol: PartialWaveSolution, xi_hat, points: np.ndarray,
+                 scattered_only: bool = False) -> np.ndarray:
+    """Oracle field at arbitrary points (analytic evaluation).
+
+    With ``scattered_only`` the exterior wave keeps only the t_l h_l part
+    (well-defined outside the last interface; the truncated incident series
+    does not converge at k r >> L, so far-field probes should use this).
+    """
+    xi_hat = np.asarray(xi_hat, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.linalg.norm(pts, axis=1)
+    if np.any(r == 0):
+        raise ValueError("radial_field is singular at the origin")
+    mu = np.clip((pts @ xi_hat) / r, -1.0, 1.0)
+    P = legendre_all(sol.L, mu)
+
+    bps = sol.medium.breakpoints()
+    out = np.zeros(len(pts), dtype=complex)
+    ell = np.arange(sol.L + 1)
+    pref = (1j**ell) * (2 * ell + 1)
+
+    exterior = r >= bps[-1]
+    if scattered_only and not np.all(exterior):
+        raise ValueError("scattered_only evaluation is exterior-only")
+    if np.any(exterior):
+        for i in np.nonzero(exterior)[0]:
+            z = sol.k * r[i]
+            j = spherical_jn_all(sol.L, z)
+            h = j + 1j * spherical_yn_all(sol.L, z)
+            radial = sol.t * h if scattered_only else j + sol.t * h
+            out[i] = np.sum(pref * radial * P[:, i])
+    if np.any(~exterior):
+        kappas = []
+        lo = 0.0
+        for rr in bps:
+            kappas.append(np.sqrt(complex(sol.k**2 - sol.medium.potential_in_region(lo, rr))))
+            lo = rr
+        for i in np.nonzero(~exterior)[0]:
+            region = int(np.searchsorted(bps, r[i], side="right"))
+            kap = kappas[region]
+            z = kap * r[i]
+            j = spherical_jn_all(sol.L, z)
+            if region == 0:
+                radial = np.array([sol.interior[l][0] * j[l] for l in ell])
+            else:
+                y = spherical_yn_all(sol.L, z)
+                radial = np.array(
+                    [
+                        sol.interior[l][1 + 2 * (region - 1)] * j[l]
+                        + sol.interior[l][2 + 2 * (region - 1)] * y[l]
+                        for l in ell
+                    ]
+                )
+            out[i] = np.sum(pref * radial * P[:, i])
+    return out

@@ -1,5 +1,6 @@
 """Acoustic media, the Liouville-transform data, and the pipeline."""
 
+import logging
 import warnings
 
 import numpy as np
@@ -17,14 +18,14 @@ from deltashell.acoustic import (
     eval_density,
     eval_sound_speed,
     media_equal,
-    schrodinger_to_acoustic_field,
     surface_density_trace,
 )
 from deltashell.boundary import DeltaSystem, assemble_single_layer, near_surface
 from deltashell.farfield import direction_grid, farfield_source
-from deltashell.geometry import make_volume_grid
+from deltashell.geometry import make_sphere_mesh, make_volume_grid
 from deltashell.kernels import plane_wave
 from deltashell.mie import RadialMedium, mie_farfield_values, solve_partial_waves
+from deltashell.volume import PotentialSample
 
 from conftest import cube_mesh, reference_lippmann_schwinger
 
@@ -156,6 +157,19 @@ class TestTransform:
         diff = d2.V.values - d1.V.values
         assert np.max(np.abs(diff - expected)) < 1e-12 * max(1.0, np.max(np.abs(expected)))
 
+    def test_boundary_cell_warning_points_at_the_caller(self, sphere_meshes):
+        # the cutoff (3, 4) reaches the boundary cells of the 8^3 grid on (-4.2, 4.2), so V is
+        # nonzero there; the warning names the line that asked for V, in this file
+        m = shell_medium(sphere_meshes[1], xi=0.7)
+        grid = make_volume_grid((-4.2, 4.2), 8)
+        for make in (lambda: acoustic_to_schrodinger(m, 1.0, grid),
+                     lambda: PotentialSample(grid=grid, values=np.ones(grid.n_cells))):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                make()
+            [w] = [w for w in record if "nonzero on boundary cells" in str(w.message)]
+            assert w.filename == __file__
+
     def test_alpha_is_omega_independent_bitwise(self, sphere_meshes):
         m = shell_medium(sphere_meshes[1], xi=0.9)
         grid = make_volume_grid((-4.2, 4.2), 8)
@@ -180,10 +194,10 @@ class TestTransform:
         # Gamma; the grid sampling does not warn about them, but passes on others
         real = acoustic._density
 
-        def noisy(m, x, derivatives):
+        def noisy(media, x, derivatives):
             if derivatives:  # the grid sampling, not the trace on Gamma
                 warnings.warn("overflow in a density term", RuntimeWarning)
-            return real(m, x, derivatives)
+            return real(media, x, derivatives)
 
         monkeypatch.setattr(acoustic, "_density", noisy)
         m = shell_medium(sphere_meshes[1], xi=0.9, cutoff=(1.4, 2.0))
@@ -323,13 +337,6 @@ class TestLiouvilleAlgebra:
         scale = np.max(np.abs(lhs)) + np.max(np.abs(rhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) < 1e-3 * scale
 
-    def test_field_map_values(self):
-        assert_allclose(schrodinger_to_acoustic_field(1.0 + 0j, 4.0), 2.0 + 0j)
-        x = np.array([1.0 + 1j, 2.0])
-        assert_allclose(schrodinger_to_acoustic_field(x, 1.0), x)
-        with pytest.raises(MediumValidityError):
-            schrodinger_to_acoustic_field(x, -1.0)
-
     def test_solver_field_is_helmholtz_outside_support(self, sphere_meshes):
         # where rho = v = 1 the representation solves (lap + w^2) exactly
         m = shell_medium(sphere_meshes[1], xi=0.6, cutoff=(1.5, 2.2))
@@ -432,26 +439,45 @@ class TestPipeline:
             assert np.max(np.abs(ff.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_medium_sampled_once_for_two_frequencies(self, sphere_meshes, monkeypatch):
-        density_points, trace_calls = [], []
-        real_density, real_trace = acoustic._density, acoustic.surface_density_trace
+        calls = []
+        real_density = acoustic._density
 
-        def counted_density(m, x, derivatives):
-            density_points.append(len(x))
-            return real_density(m, x, derivatives)
-
-        def counted_trace(m):
-            trace_calls.append(m)
-            return real_trace(m)
+        def counted_density(media, x, derivatives):
+            calls.append((len(media), len(x), derivatives))
+            return real_density(media, x, derivatives)
 
         monkeypatch.setattr(acoustic, "_density", counted_density)
-        monkeypatch.setattr(acoustic, "surface_density_trace", counted_trace)
         mesh = sphere_meshes[1]
         m = shell_medium(mesh, xi=0.9, cutoff=(1.4, 2.0))
         grid = make_volume_grid((-2.6, 2.6), 6)
         acoustic_farfield(m, (1.0, 2.0), EZ[None, :], direction_grid(3, 6), grid)
-        # one sampling of the grid cells, one of Gamma (inside surface_density_trace)
-        assert sorted(density_points) == sorted([grid.n_cells, mesh.n_panels])
-        assert len(trace_calls) == 1
+        # one sampling of the grid cells with derivatives, one trace on Gamma without
+        assert calls == [(1, grid.n_cells, True), (1, mesh.n_panels, False)]
+
+    def test_media_on_one_gamma_share_samplings_and_kernels(self, monkeypatch, caplog):
+        # [A, B, A coarse] in one loop: A and B lie on equal meshes (two objects) and share
+        # the support, so each frequency fills A's kernel, reuses it for B and fills A coarse;
+        # every pattern is bitwise the pattern of the medium run alone
+        calls = []
+        real_density = acoustic._density
+
+        def counted_density(media, x, derivatives):
+            calls.append(len(media))
+            return real_density(media, x, derivatives)
+
+        media = [shell_medium(make_sphere_mesh(1.0, level), xi=xi, cutoff=(1.4, 2.0))
+                 for level, xi in ((2, 1.0), (2, 1.5), (1, 1.0))]
+        args = ((1.0, 2.0), np.array([EZ, [1.0, 0.0, 0.0]]), direction_grid(3, 6), make_volume_grid((-2.6, 2.6), 7))
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        monkeypatch.setattr(acoustic, "_density", counted_density)
+        shared = acoustic._farfields(media, *args)
+        monkeypatch.undo()
+        kernels = [r.getMessage().split(",")[0] for r in caplog.records if "delta-shell kernel" in r.getMessage()]
+        assert kernels == ["delta-shell kernel: filled", "delta-shell kernel: reused", "delta-shell kernel: filled"] * 2
+        assert calls == [2, 2, 1, 1]               # cells and trace: A and B together, then A coarse
+        for m, patterns in zip(media, shared):
+            for a, b in zip(patterns, acoustic_farfield(m, *args), strict=True):
+                assert a.k == b.k and np.array_equal(a.values, b.values)
 
     def test_media_equality(self, sphere_meshes):
         a = shell_medium(sphere_meshes[1], xi=1.0)

@@ -1,6 +1,8 @@
 """Single-layer operator, coupled delta solve, jump relations."""
 
+import dataclasses
 import logging
+import re
 import tracemalloc
 import warnings
 
@@ -13,7 +15,6 @@ from deltashell import _dense, boundary
 from deltashell._dense import ExceptionalFrequencyError, GuardedLU
 from deltashell.boundary import (
     _NEAR_RATIO,
-    BoundaryDensity,
     DeltaSolution,
     DeltaSpec,
     DeltaSystem,
@@ -29,18 +30,18 @@ from deltashell.boundary import (
     near_surface,
     on_surface,
 )
-from deltashell.geometry import SurfaceMesh, make_sphere_mesh, triangle_rule
+from deltashell.geometry import SurfaceMesh, make_sphere_mesh, make_volume_grid, triangle_rule
 from deltashell.kernels import (
     Exponential,
     Herglotz,
     eval_incident,
-    helmholtz_kernel,
     plane_wave,
+    radial_kernel,
     radial_remainder,
     radial_remainder_gradient_factor,
     sigma_pair_for_xi,
 )
-from deltashell.volume import assemble_volume_operator, cell_block, volume_potential
+from deltashell.volume import PotentialSample, assemble_volume_operator, cell_block, volume_potential
 
 from conftest import bump_potential, mixed_incidents, reference_lippmann_schwinger
 
@@ -60,7 +61,7 @@ class TestSingleLayer:
 
         jac = 2.0 * mesh.panel_area[0]
         val, _ = integrate.dblquad(integrand, 0, 1, 0, lambda u: 1 - u, epsabs=1e-12)
-        closed = _flat_triangle_moments(mesh.panel_centroid, np.stack(mesh.corners(), axis=1), grad=False)[:, 0]
+        closed = _flat_triangle_moments(mesh.panel_centroid, mesh.panel_corners, grad=False)[:, 0]
         assert_allclose(closed[0], val * jac / (4 * np.pi), rtol=1e-10)
 
     def test_flat_square_assembles_coplanar_pairs(self):
@@ -94,7 +95,7 @@ class TestSingleLayer:
         ii, qq = np.nonzero(np.linalg.norm(c[:, None] - mesh.panel_centroid[None], axis=-1)
                             < _NEAR_RATIO * mesh.panel_diameter[None, :])
         assert np.any(rows[ii] == qq) and np.any(rows[ii] != qq)
-        corners = np.stack(mesh.corners(), axis=1)[qq]
+        corners = mesh.panel_corners[qq]
         x = c[ii]
         sub = corners
         for _ in range(4):
@@ -253,7 +254,7 @@ class TestGradients:
     def test_layer_gradient_rejects_points_on_the_surface(self, sphere_meshes):
         mesh = sphere_meshes[1]
         qpts, _ = mesh.quadrature_points()
-        v0, v1, v2 = (v[3] for v in mesh.corners())
+        v0, v1, v2 = mesh.panel_corners[3]
         for x in (mesh.panel_centroid[3], qpts[3, 1], 0.2 * v0 + 0.3 * v1 + 0.5 * v2,
                   0.5 * (v0 + v1), v2):
             with pytest.raises(ValueError, match="on the surface"):
@@ -274,7 +275,7 @@ class TestGradients:
         fd = _central_gradient(lambda x: layer_potential(x, mesh, eta, k), pts, h)
         for g, f in zip(grad, fd):
             assert np.linalg.norm(g - f) <= 1e-7 * np.linalg.norm(g)
-        v0, v1, v2 = (v[7] for v in mesh.corners())
+        v0, v1, v2 = mesh.panel_corners[7]
         with pytest.raises(ValueError, match="on the surface"):
             layer_potential_gradient((0.2 * v0 + 0.3 * v1 + 0.5 * v2)[None], mesh, eta, k)
 
@@ -298,6 +299,11 @@ class TestGradients:
             assert np.linalg.norm(g - f) <= 1e-7 * max(np.linalg.norm(g), 1e-300)
 
 
+def kernel(x, y, k):
+    """G_k(x, y) = exp(ik|x - y|)/(4 pi |x - y|) from the radial kernel."""
+    return radial_kernel(np.linalg.norm(x - y, axis=-1), k)
+
+
 class TestKernelEntries:
     def test_assembled_entries_are_kernel_values(self, sphere_meshes, small_grid):
         k = 1.7
@@ -310,19 +316,19 @@ class TestKernelEntries:
 
         G = assemble_volume_operator(small_grid, k, cells=V.support())
         ii, jj = np.nonzero(~np.eye(len(centers), dtype=bool))
-        assert_allclose(G[ii, jj], vol * helmholtz_kernel(centers[ii], centers[jj], k), rtol=1e-14)
+        assert_allclose(G[ii, jj], vol * kernel(centers[ii], centers[jj], k), rtol=1e-14)
 
         c = mesh.panel_centroid
         qq, jj = np.nonzero(np.linalg.norm(c[:, None] - centers[None], axis=-1)
                             >= 0.5 * np.min(small_grid.spacing))
-        assert_allclose(system.kernel[ns:, :ns][qq, jj], vol * helmholtz_kernel(c[qq], centers[jj], k), rtol=1e-14)
+        assert_allclose(system.kernel[ns:, :ns][qq, jj], vol * kernel(c[qq], centers[jj], k), rtol=1e-14)
 
         # panel pairs beyond the near threshold carry the plain 3-point rule
         qpts, w = mesh.quadrature_points()
         ratio = np.linalg.norm(c[:, None] - c[None], axis=-1) / mesh.panel_diameter[None, :]
         qq, pp = np.nonzero(ratio >= _NEAR_RATIO)
         assert len(qq) > 0
-        expected = helmholtz_kernel(c[qq][:, None, :], qpts[pp], k) @ w * mesh.panel_area[pp]
+        expected = kernel(c[qq][:, None, :], qpts[pp], k) @ w * mesh.panel_area[pp]
         assert_allclose(system.kernel[ns:, ns:][qq, pp], expected, rtol=1e-13)
 
 
@@ -336,7 +342,7 @@ def _exp_form_block(x, mesh, k, grad):
     ii, qq = boundary._near_pairs(x, mesh)
     r[ii, qq] = 1.0
     e = np.exp(1j * k * r)
-    corners = np.stack(mesh.corners(), axis=1)
+    corners = mesh.panel_corners
     moments = _flat_triangle_moments(x[ii], corners[qq], grad)
     ds = x[ii][:, None, :] - np.einsum("sj,pjk->psk", boundary._SUB_BARY, corners[qq])
     rs = np.linalg.norm(ds, axis=-1)
@@ -403,6 +409,79 @@ class TestRealArithmetic:
         assert layer_potential(off, mesh, eta + 0j, 0.0).dtype == np.complex128
 
 
+class TestPanelGeometry:
+    def test_panel_block_reads_the_frozen_panel_arrays(self, sphere_meshes):
+        # the rule points and the stacked corners are built once per mesh; the block equals
+        # the block from arrays rebuilt from the vertices, as each row chunk once did
+        mesh = sphere_meshes[3]
+        v0, v1, v2 = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+        rule, corners = triangle_rule(v0, v1, v2)[0], np.stack([v0, v1, v2], axis=1)
+        assert np.array_equal(mesh.panel_rule_points, rule) and np.array_equal(mesh.panel_corners, corners)
+        assert not (mesh.panel_rule_points.flags.writeable or mesh.panel_corners.flags.writeable)
+        rebuilt = dataclasses.replace(mesh, panel_rule_points=rule, panel_corners=corners)
+        c = mesh.panel_centroid
+        off = np.concatenate([0.5 * c[::17], 1.05 * c[::9]])
+        for k in (0.0, 2.0):
+            for x, grad in ((np.concatenate([c[::5], off]), False), (off, True)):
+                assert np.array_equal(_panel_block(x, mesh, k, grad), _panel_block(x, rebuilt, k, grad))
+
+
+class TestSharedKernel:
+    """Systems over another system's kernel (``DeltaSystem.reweighted``), and one apply for many densities."""
+
+    @staticmethod
+    def other_medium(system):
+        # the same sources with other weights: 2 V on the same support, alpha raised where it
+        # is nonzero, on a copy of Gamma (equal arrays, another object)
+        V, alpha = system.potential, system.delta.alpha
+        V2 = None if V is None else PotentialSample(grid=V.grid, values=2.0 * V.values)
+        mesh = SurfaceMesh.from_arrays(system.mesh.vertices, system.mesh.triangles)
+        return V2, DeltaSpec(mesh=mesh, alpha=np.where(alpha != 0, alpha + np.linspace(0, 1, len(alpha)), 0.0))
+
+    def test_reweighted_system_is_the_fresh_system(self, small_system):
+        V, delta = self.other_medium(small_system)
+        shared, fresh = small_system.reweighted(V, delta), DeltaSystem(V, delta, small_system.k)
+        assert shared.kernel is small_system.kernel and np.array_equal(shared.kernel, fresh.kernel)
+        assert np.array_equal(shared.weights, fresh.weights)
+        a, b = (system.solve(plane_wave(EZ)) for system in (shared, fresh))
+        for name in ("eta", "trace", "psi_support", "source_density"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        pts = np.array([[0.0, 0.3, 2.5], [-2.2, 0.4, 0.1]])
+        assert np.array_equal(eval_scattered_field(a, pts), eval_scattered_field(b, pts))
+
+    def test_reweighted_rejects_other_sources(self, sphere_meshes, small_grid):
+        mesh = sphere_meshes[1]
+        V, delta = bump_potential(small_grid, 0.6), DeltaSpec(mesh=mesh, alpha=1.5)
+        system = DeltaSystem(V, delta, 1.7)
+        fewer = V.values.copy()
+        fewer[V.support()[0]] = 0.0
+        for V2, delta2 in (
+            (PotentialSample(grid=small_grid, values=fewer), delta),             # another support
+            (bump_potential(make_volume_grid((-1.6, 1.6), 10), 0.6), delta),    # another grid
+            (V, DeltaSpec(mesh=sphere_meshes[2], alpha=1.5)),                    # another Gamma
+            (V, DeltaSpec(mesh=mesh, alpha=0.0)),                                # alpha = 0
+            (None, delta),                                                       # no cells
+        ):
+            with pytest.raises(ValueError, match="reweighted"):
+                system.reweighted(V2, delta2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_apply_takes_the_densities_column_by_column(self, sphere_meshes, monkeypatch, workers):
+        # a (m, 3) density gives three columns, each bitwise the product with that column alone
+        monkeypatch.setattr(_dense, "WORKERS", workers)
+        mesh = sphere_meshes[3]
+        x = 1.5 * np.random.default_rng(11).normal(size=(120, 3))
+        q = np.random.default_rng(12).uniform(0.5, 1.5, (mesh.n_panels, 3))
+        sources = (None, boundary._NO_CELLS, mesh)
+        for k in (0.0, 2.0):
+            for grad in (False, True):
+                got = boundary._apply(x, sources, q, k, grad)
+                assert got.shape == (len(x),) + ((3,) if grad else ()) + (3,)
+                for j in range(3):
+                    one = boundary._apply(x, sources, np.ascontiguousarray(q[:, j]), k, grad)
+                    assert np.array_equal(got[..., j], one)
+
+
 class TestSystemMatrix:
     def test_kernel_blocks_are_the_assembled_blocks(self, small_system):
         s = small_system
@@ -434,8 +513,8 @@ class TestSystemMatrix:
             grad += np.einsum("imk,m->ik", cell_block(pts, grid.cell_center[sol.support], grid, sol.k, grad=True),
                               sol.source_density)
         if not sol.delta.is_zero:
-            field += layer_potential(pts, sol.mesh, sol.density.eta, sol.k)
-            grad += layer_potential_gradient(pts, sol.mesh, sol.density.eta, sol.k)
+            field += layer_potential(pts, sol.mesh, sol.eta, sol.k)
+            grad += layer_potential_gradient(pts, sol.mesh, sol.eta, sol.k)
         assert np.linalg.norm(eval_scattered_field(sol, pts) + field) <= 1e-14 * np.linalg.norm(field)
         assert np.linalg.norm(eval_scattered_gradient(sol, pts) + grad) <= 1e-14 * np.linalg.norm(grad)
 
@@ -514,7 +593,7 @@ class TestMixedPrecision:
         A = np.eye(n) + system.kernel[:n] * system.weights
         psi0 = np.stack([eval_incident(sol.incident, system.k, system.points)[:n] for sol in sols], axis=1)
         ref = GuardedLU(A).solve(psi0)
-        got = np.stack([np.concatenate([sol.psi_support, sol.density.eta / system.weights[ns:]])
+        got = np.stack([np.concatenate([sol.psi_support, sol.eta / system.weights[ns:]])
                         for sol in sols], axis=1)
         return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
@@ -534,18 +613,21 @@ class TestMixedPrecision:
         sol = system.solve(plane_wave(EZ))
         lines = [r.getMessage() for r in caplog.records if r.name == "deltashell"]
         assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "deltashell")
-        assert len(lines) == 2
-        assert lines[0] == (f"delta-shell LU: complex64, n = {mesh.n_panels}, rcond {system._lu.rcond:.6e}, "
+        assert len(lines) == 3
+        n = mesh.n_panels
+        assert re.fullmatch(rf"delta-shell kernel: filled, {n} x {n}, k = 2, \d+\.\d{{3}} s", lines[0])
+        assert lines[1] == (f"delta-shell LU: complex64, n = {n}, rcond {system._lu.rcond:.6e}, "
                             "fallback: None")
-        assert lines[1].startswith("delta-shell solve: 1 right-hand sides, ")
-        assert lines[1].endswith(f"refinement steps, largest residual {sol.residual:.2e}")
+        assert lines[2].startswith("delta-shell solve: 1 right-hand sides, ")
+        assert lines[2].endswith(f"refinement steps, largest residual {sol.residual:.2e}")
 
     def test_low_single_precision_rcond_falls_back(self, system, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="deltashell")
         monkeypatch.setattr(boundary, "_SINGLE_RCOND_FLOOR", 1.0)
         forced = DeltaSystem(system.potential, system.delta, system.k)
         assert forced._lu.dtype == np.complex128
-        assert "fallback: complex64 rcond" in caplog.records[0].getMessage()
+        (lu_line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("delta-shell LU")]
+        assert "fallback: complex64 rcond" in lu_line
         sols = forced.solve_many(mixed_incidents())
         assert self.gap_to_double_lu(forced, sols) <= 1e-14
         assert max(sol.residual for sol in sols) <= 1e-15
@@ -597,7 +679,7 @@ class TestSolveMany:
         for inc, sol in zip(incidents, batch):
             one = small_system.solve(inc)
             assert sol.incident is inc
-            assert _rel(sol.density.eta, one.density.eta) <= 1e-12
+            assert _rel(sol.eta, one.eta) <= 1e-12
             assert _rel(sol.trace, one.trace) <= 1e-12
             assert _rel(sol.source_density, one.source_density) <= 1e-12
             assert sol.residual <= 1e-10
@@ -608,7 +690,7 @@ class TestSolveMany:
         if sol.potential is not None:
             assert np.array_equal(sol.volume_field.values[sol.support], sol.psi_support)
         if small_system.delta.is_zero:
-            assert not np.any(sol.density.eta)
+            assert not np.any(sol.eta)
 
 
 class TestJumpRelation:
@@ -649,7 +731,7 @@ def solve_delta_system_composition(V, delta, inc, k):
         trace = psi0_panels - S @ eta
         residual = float(np.linalg.norm(A @ eta - alpha * psi0_panels) / max(np.linalg.norm(alpha * psi0_panels), 1e-300))
         return DeltaSolution(
-            density=BoundaryDensity(mesh=mesh, eta=eta), incident=inc, k=k,
+            eta=eta, incident=inc, k=k,
             residual=residual, trace=trace, potential=V, delta=delta,
             support=np.zeros(0, dtype=int), source_density=np.zeros(0, dtype=complex),
             psi_support=np.zeros(0, dtype=complex),
@@ -683,7 +765,7 @@ def solve_delta_system_composition(V, delta, inc, k):
     trace = trace_psi_v - g0_slv @ eta
     residual = float(np.linalg.norm(A @ eta - alpha * trace_psi_v) / max(np.linalg.norm(alpha * trace_psi_v) + 1e-300, 1e-300))
     return DeltaSolution(
-        density=BoundaryDensity(mesh=mesh, eta=eta), incident=inc, k=k,
+        eta=eta, incident=inc, k=k,
         residual=residual, trace=trace, potential=V, delta=delta,
         support=support, source_density=source, psi_support=psi_total,
     )
@@ -697,7 +779,7 @@ class TestDeltaSolve:
         delta = DeltaSpec(mesh=mesh, alpha=np.zeros(mesh.n_panels))
         sol_d = DeltaSystem(V, delta, k).solve(plane_wave(EZ))
         _, _, field_v = reference_lippmann_schwinger(V, plane_wave(EZ), k)
-        assert np.all(sol_d.density.eta == 0)
+        assert np.all(sol_d.eta == 0)
         assert np.max(np.abs(sol_d.volume_field.values - field_v)) < 1e-8
 
     def test_linearity_in_the_incident_field(self, sphere_meshes):
@@ -708,8 +790,8 @@ class TestDeltaSolve:
         d1, d2 = EZ, np.array([1.0, 0.0, 0.0])
         sum_inc = Herglotz(directions=np.array([d1, d2]), weights=np.ones(2),
                            density=np.ones(2))
-        eta_sum = system.solve(sum_inc).density.eta
-        eta_parts = system.solve(plane_wave(d1)).density.eta + system.solve(plane_wave(d2)).density.eta
+        eta_sum = system.solve(sum_inc).eta
+        eta_parts = system.solve(plane_wave(d1)).eta + system.solve(plane_wave(d2)).eta
         assert np.max(np.abs(eta_sum - eta_parts)) < 1e-10 * np.max(np.abs(eta_parts))
 
     def test_residual_stored_and_small(self, sphere_meshes, small_grid):
@@ -724,7 +806,7 @@ class TestDeltaSolve:
         mesh = sphere_meshes[1]
         alpha = np.full(mesh.n_panels, 1.3)
         sol = DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=alpha), 1.2).solve(plane_wave(EZ))
-        assert np.max(np.abs(sol.density.eta - alpha * sol.trace)) < 1e-10
+        assert np.max(np.abs(sol.eta - alpha * sol.trace)) < 1e-10
 
     def test_trace_consistent_with_two_sided_average(self, sphere_meshes):
         # eta_q ~ alpha_q * (each side extrapolated to the centroid, averaged);
@@ -743,7 +825,7 @@ class TestDeltaSolve:
         u1, d1 = sides(0.5)
         u2, d2 = sides(1.0)
         approx = alpha * 0.5 * ((2 * u1 - u2) + (2 * d1 - d2))
-        rel = np.linalg.norm(approx - sol.density.eta) / np.linalg.norm(sol.density.eta)
+        rel = np.linalg.norm(approx - sol.eta) / np.linalg.norm(sol.eta)
         assert rel < 0.05
 
     def test_field_continuous_across_surface(self, sphere_meshes):
@@ -772,8 +854,8 @@ class TestDeltaSolve:
         delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.2))
         a = DeltaSystem(V, delta, k).solve(plane_wave(EZ))
         b = solve_delta_system_composition(V, delta, plane_wave(EZ), k)
-        scale = np.max(np.abs(a.density.eta))
-        assert np.max(np.abs(a.density.eta - b.density.eta)) < 1e-10 * scale
+        scale = np.max(np.abs(a.eta))
+        assert np.max(np.abs(a.eta - b.eta)) < 1e-10 * scale
         assert np.max(np.abs(a.trace - b.trace)) < 1e-10 * np.max(np.abs(a.trace))
 
     def test_composition_route_surface_only(self, sphere_meshes):
@@ -781,7 +863,7 @@ class TestDeltaSolve:
         delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0))
         a = DeltaSystem(None, delta, 2.0).solve(plane_wave(EZ))
         b = solve_delta_system_composition(None, delta, plane_wave(EZ), 2.0)
-        assert np.max(np.abs(a.density.eta - b.density.eta)) < 1e-12
+        assert np.max(np.abs(a.eta - b.eta)) < 1e-12
 
     def test_near_surface_evaluation_warns(self, sphere_meshes):
         mesh = sphere_meshes[1]
@@ -808,7 +890,7 @@ class TestDeltaSolve:
         mesh = sphere_meshes[2]
         sol = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 1.0)),
                           1.0).solve(plane_wave(EZ))
-        v0, v1, _ = (v[0] for v in mesh.corners())
+        v0, v1, _ = mesh.panel_corners[0]
         for x in (mesh.vertices[0], 0.5 * (v0 + v1)):
             with pytest.warns(UserWarning, match="quarter panel diameter"):
                 eval_total_field(sol, x)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +287,14 @@ class TestLogLevel:
         assert err == "" and out_debug == out_default
         for name in ("run_density.csv", "run_field.csv", "run_metadata.json"):
             assert (debug / name).read_bytes() == (default / name).read_bytes()
+
+    def test_acoustic_logs_one_fill_per_frequency(self, tmp_path, capsys):
+        path = write_config(tmp_path, "ac.json", dict(ACOUSTIC, grid={"bbox": [-2.6, 2.6], "n": 7}))
+        assert main(["--config", path, "--out", str(tmp_path), "--log-level", "DEBUG", "--quiet", "acoustic"]) == 0
+        kernels = [line for line in capsys.readouterr().err.splitlines() if "delta-shell kernel:" in line]
+        assert len(kernels) == 2
+        for line, k in zip(kernels, ("1", "2")):
+            assert re.search(rf"delta-shell kernel: filled, (\d+) x \1, k = {k}, \d+\.\d{{3}} s$", line)
 
     def test_unknown_level_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json", FORWARD_TRIVIAL)

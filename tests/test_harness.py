@@ -1,6 +1,7 @@
 """Verification harness: pairing identities, radiation, uniqueness."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from deltashell.harness import (
     uniqueness_experiment,
 )
 from deltashell.kernels import Exponential, plane_wave, sigma_pair_for_xi
-from deltashell.mie import RadialMedium, mie_farfield_values, radial_field, solve_partial_waves
+from deltashell.mie import RadialMedium, mie_farfield_values, solve_partial_waves
 
-from conftest import bump_potential
+from conftest import bump_potential, radial_field
 
 EZ = np.array([0.0, 0.0, 1.0])
 XI = np.array([1.0, 0.0, 0.0])
@@ -285,6 +286,18 @@ class TestUniqueness:
                                        separation=3.0)
         assert report.passed, report.metrics
         assert not report.metrics["identical_media"]
+
+    def test_a_and_b_share_one_kernel_per_frequency(self, setup, caplog):
+        # A and B lie on one Gamma with one support: at each frequency A's kernel is filled,
+        # B reuses it, and A coarse is filled
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        grid, obs, inc = setup
+        uniqueness_experiment(self._builder(1.0), self._builder(1.5), 1.0, 2.0, grid, obs, inc,
+                              levels=(1, 2), separation=3.0)
+        kernels = [r.getMessage() for r in caplog.records if r.getMessage().startswith("delta-shell kernel")]
+        assert [line.split(", ")[0].removeprefix("delta-shell kernel: ") for line in kernels] == (
+            ["filled", "reused", "filled"] * 2)
+        assert [line.split(", ")[2] for line in kernels] == ["k = 1"] * 3 + ["k = 2"] * 3
 
     def test_identical_media_within_floor(self, setup):
         grid, obs, inc = setup

@@ -13,13 +13,14 @@ from deltashell.mie import (
     SpecialFunctionRangeError,
     legendre_all,
     mie_farfield_values,
-    radial_field,
     solve_partial_waves,
     spherical_bessel,
     spherical_hankel,
     spherical_jn_all,
     spherical_yn_all,
 )
+
+from conftest import radial_field
 
 
 class TestSpecialFunctions:

@@ -95,7 +95,7 @@ def test_herglotz_solution_is_the_weighted_sum_of_its_plane_waves(linear_solve, 
     def gap(part):
         return np.linalg.norm(part(total) - sum(cj * part(p) for cj, p in zip(c, plane)))
 
-    assert gap(lambda sol: sol.density.eta) <= a_max * x_err
+    assert gap(lambda sol: sol.eta) <= a_max * x_err
     assert gap(lambda sol: sol.source_density) <= v_max * x_err
     assert gap(lambda sol: sol.trace) <= 10.0 * b_norm * rounding + (tr_norm * v_max + s_norm) * x_err
 
