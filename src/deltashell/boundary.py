@@ -70,7 +70,6 @@ __all__ = [
     "near_surface",
     "on_surface",
     "check_jump_relation",
-    "density_to_csv_rows",
 ]
 
 MAX_PANELS = 8192
@@ -672,8 +671,3 @@ def check_jump_relation(mesh: SurfaceMesh, k: float, xi: np.ndarray) -> float:
     err = np.sqrt(np.sum(w * np.abs(jump + xi) ** 2) / np.sum(w * np.abs(xi) ** 2))
     return float(err)
 
-
-def density_to_csv_rows(sol: DeltaSolution):
-    """Yield (panel id, cx, cy, cz, Re eta, Im eta, alpha) rows."""
-    for q, (c, e, a) in enumerate(zip(sol.mesh.panel_centroid, sol.eta, sol.delta.alpha)):
-        yield q, c[0], c[1], c[2], e.real, e.imag, a

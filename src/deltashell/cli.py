@@ -34,7 +34,7 @@ import numpy as np
 from . import acoustic as ac
 from . import harness as hn
 from . import mie
-from .boundary import DeltaSpec, DeltaSystem, density_to_csv_rows, eval_total_field
+from .boundary import DeltaSpec, DeltaSystem, eval_total_field
 from .farfield import (
     CONVENTIONS,
     FarFieldPattern,
@@ -73,7 +73,6 @@ _SCHEMAS = {
     "medium": {"shell_density", "rho_bumps", "v_bumps", "cutoff"},
     "oracle": {"a", "alpha", "shells", "L"},
     "verify": {"subdivision", "grid_n", "k", "w", "xi", "R"},
-    "tolerances": {"compare_rel_l2"},
 }
 _TOP_KEYS = {
     "forward": {"k", "mesh", "alpha", "potential_bumps", "cutoff", "grid", "incident", "output"},
@@ -82,7 +81,6 @@ _TOP_KEYS = {
     "acoustic": {"frequencies", "mesh", "medium", "grid", "incidences", "observations", "output"},
     "oracle": {"k", "oracle", "incidences", "observations", "output"},
     "verify": {"verify", "output"},
-    "compare": {"tolerances"},
 }
 
 
@@ -128,9 +126,20 @@ def _names(name: str, errors=(TypeError, ValueError)):
         raise ConfigError(f"config key '{name}': {exc}") from exc
 
 
+def _finite(val, name: str, length: int | None = None):
+    """Finite JSON number ``val`` as a float, or with ``length`` a list of that many
+    as a float array; ConfigError naming the field otherwise (a string is no number)."""
+    items = [val] if length is None else val
+    if not ((length is None or isinstance(val, list) and len(val) == length)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and -np.inf < v < np.inf for v in items)):
+        what = "a finite number" if length is None else f"a list of {length} finite numbers"
+        raise ConfigError(f"config key '{name}' must be {what}, got {val!r}")
+    return float(val) if length is None else np.array(val, dtype=float)
+
+
 def _positive(val, name: str) -> float:
     """Finite positive number ``val``; ConfigError naming the field otherwise."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < np.inf:
+    if _finite(val, name) <= 0:
         raise ConfigError(f"config key '{name}' must be a positive number, got {val!r}")
     return float(val)
 
@@ -172,28 +181,18 @@ def _build_grid(cfg: dict):
 
 
 def _build_bumps(entries, name: str):
-    bumps = []
-    for i, b in enumerate(entries or []):
-        with _names(f"{name}[{i}].amplitude"):
-            amplitude = float(b.get("amplitude"))
-            if not np.isfinite(amplitude):
-                raise ValueError(f"must be finite, got {amplitude}")
-        with _names(f"{name}[{i}].center"):
-            center = np.array(b.get("center"), dtype=float)
-            if center.shape != (3,) or not np.all(np.isfinite(center)):
-                raise ValueError(f"must be a finite 3-vector, got {b.get('center')!r}")
-        bumps.append(ac.GaussianBump(amplitude=amplitude, center=tuple(center.tolist()),
-                                     width=_positive(b.get("width"), f"{name}[{i}].width")))
-    return tuple(bumps)
+    return tuple(ac.GaussianBump(amplitude=_finite(b.get("amplitude"), f"{name}[{i}].amplitude"),
+                                 center=tuple(_finite(b.get("center"), f"{name}[{i}].center", 3).tolist()),
+                                 width=_positive(b.get("width"), f"{name}[{i}].width"))
+                 for i, b in enumerate(entries or []))
 
 
 def _build_cutoff(spec, name: str):
     if spec is None:
         return ac.RadialCutoff(2.0, 3.0)
     r_inner, r_outer = (_positive(spec.get(key), f"{name}.{key}") for key in ("r_inner", "r_outer"))
-    if r_inner >= r_outer:
-        raise ConfigError(f"config key '{name}' needs r_inner < r_outer, got {r_inner:g} >= {r_outer:g}")
-    return ac.RadialCutoff(r_inner, r_outer)
+    with _names(name):
+        return ac.RadialCutoff(r_inner, r_outer)
 
 
 def _build_potential(cfg: dict, grid):
@@ -201,12 +200,8 @@ def _build_potential(cfg: dict, grid):
     cutoff = _build_cutoff(cfg.get("cutoff"), "cutoff")
     if not bumps or grid is None:
         return None
-    x = grid.cell_center
-    vals = np.zeros(len(x))
-    for b in bumps:
-        v, _, _ = b.fields(x)
-        vals += v
-    c_val, _, _ = cutoff.fields(x)
+    vals, _, _ = ac._sum_bumps(bumps, grid.cell_center)
+    c_val, _, _ = cutoff.fields(grid.cell_center)
     return PotentialSample(grid=grid, values=vals * c_val)
 
 
@@ -268,6 +263,14 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _write_rows(path: Path, header: str, columns) -> None:
+    """CSV ``header``, then row i: i and the i-th value of each column."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i, row in enumerate(zip(*columns)):
+            fh.write(f"{i}," + ",".join(map(_fmt, row)) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -287,21 +290,15 @@ def cmd_forward(cfg: dict, out: Path, quiet: bool) -> int:
 
     prefix = (cfg.get("output") or {}).get("prefix", "forward")
     dens_path = out / f"{prefix}_density.csv"
-    with open(dens_path, "w") as fh:
-        fh.write("panel,cx,cy,cz,re_eta,im_eta,alpha\n")
-        for row in density_to_csv_rows(sol):
-            fh.write(f"{row[0]}," + ",".join(_fmt(v) for v in row[1:]) + "\n")
-
-    field_path = out / f"{prefix}_field.csv"
+    _write_rows(dens_path, "panel,cx,cy,cz,re_eta,im_eta,alpha",
+                (*mesh.panel_centroid.T, sol.eta.real, sol.eta.imag, delta.alpha))
     if grid is not None:
         if V is not None:
             values = sol.volume_field.values
         else:
             values = np.asarray(eval_total_field(sol, grid.cell_center, near_warning=False))
-        with open(field_path, "w") as fh:
-            fh.write("cell,x,y,z,re_psi,im_psi\n")
-            for i, (c, v) in enumerate(zip(grid.cell_center, values)):
-                fh.write(f"{i},{_fmt(c[0])},{_fmt(c[1])},{_fmt(c[2])},{_fmt(v.real)},{_fmt(v.imag)}\n")
+        _write_rows(out / f"{prefix}_field.csv", "cell,x,y,z,re_psi,im_psi",
+                    (*grid.cell_center.T, values.real, values.imag))
 
     _write_json(out / f"{prefix}_metadata.json", _metadata(cfg, {
         "k": k,
@@ -356,34 +353,35 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
     if not (isinstance(frequencies, list) and frequencies):
         raise ConfigError(f"config key 'frequencies' must be a non-empty list, got {frequencies!r}")
     omegas = [_positive(w, f"frequencies[{i}]") for i, w in enumerate(frequencies)]
+    prefix = (cfg.get("output") or {}).get("prefix", "acoustic")
+    names = [f"{prefix}_w{omega:g}.csv" for omega in frequencies]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"config key 'frequencies[{i}]' would overwrite {name}, the table of "
+                              f"frequencies[{names.index(name)}]: frequencies must differ in 6 significant digits")
     mesh = _build_mesh(cfg)
     grid = _build_grid(cfg)
     if grid is None:
         raise ConfigError("acoustic runs need a 'grid' section")
     med_cfg = cfg.get("medium", {})
     cutoff = _build_cutoff(med_cfg.get("cutoff"), "medium.cutoff")
-    if cutoff.r_inner <= mesh.bounding_radius:
-        raise ConfigError(f"config key 'medium.cutoff.r_inner' must exceed the mesh radius "
-                          f"{mesh.bounding_radius:.3g}, got {cutoff.r_inner:g}")
-    medium = ac.MediumSpec(
-        gamma=mesh,
-        shell_density=_panel_values(med_cfg.get("shell_density", 0.0), mesh, "medium.shell_density"),
-        rho_bumps=_build_bumps(med_cfg.get("rho_bumps"), "medium.rho_bumps"),
-        v_bumps=_build_bumps(med_cfg.get("v_bumps"), "medium.v_bumps"),
-        cutoff=cutoff,
-    )
+    shell_density = _panel_values(med_cfg.get("shell_density", 0.0), mesh, "medium.shell_density")
+    rho_bumps = _build_bumps(med_cfg.get("rho_bumps"), "medium.rho_bumps")
+    v_bumps = _build_bumps(med_cfg.get("v_bumps"), "medium.v_bumps")
+    with _names("medium.cutoff.r_inner"):
+        medium = ac.MediumSpec(gamma=mesh, shell_density=shell_density, rho_bumps=rho_bumps,
+                               v_bumps=v_bumps, cutoff=cutoff)
     inc_dirs, _, _ = _direction_set(cfg.get("incidences", _SINGLE_INCIDENCE), "incidences")
     obs_dirs, obs_w, obs_grid = _direction_set(cfg.get("observations"), "observations")
     if obs_grid is None:
         raise ConfigError("acoustic observations must be a (n_theta, n_phi) grid")
 
-    prefix = (cfg.get("output") or {}).get("prefix", "acoustic")
     with _names("grid", ac.MediumGridError), _names("medium", ac.MediumValidityError):
         patterns = ac.acoustic_farfield(medium, omegas, inc_dirs, obs_grid, grid)
-    for omega, ff in zip(frequencies, patterns):
-        save_farfield_csv(ff, out / f"{prefix}_w{omega:g}.csv", _metadata(cfg, {"omega": omega}))
+    for omega, name, ff in zip(frequencies, names, patterns):
+        save_farfield_csv(ff, out / name, _metadata(cfg, {"omega": omega}))
         if not quiet:
-            print(f"acoustic: wrote {prefix}_w{omega:g}.csv")
+            print(f"acoustic: wrote {name}")
     return 0
 
 
@@ -391,10 +389,7 @@ def cmd_oracle(cfg: dict, out: Path, quiet: bool) -> int:
     spec = cfg.get("oracle", {})
     k = float(cfg["k"])
     a = _positive(spec.get("a", 1.0), "oracle.a")
-    with _names("oracle.alpha"):
-        alpha = float(spec.get("alpha", 0.0))
-        if not np.isfinite(alpha):
-            raise ValueError(f"must be finite, got {alpha}")
+    alpha = _finite(spec.get("alpha", 0.0), "oracle.alpha")
     with _names("oracle.shells"):
         shells = tuple((float(r), float(v)) for r, v in spec.get("shells", []))
         if not np.all(np.isfinite(shells)):
@@ -420,16 +415,11 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     subdivision = _count(spec, "subdivision", "verify.subdivision", 2, minimum=0)
     grid_n = _count(spec, "grid_n", "verify.grid_n", 10, minimum=2)
     k = _positive(spec.get("k", 1.0), "verify.k")
-    w = spec.get("w", 0.5)
-    if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < np.inf:
-        raise ConfigError(f"config key 'verify.w' must be a finite number >= 0, got {w!r}")
-    w = float(w)
+    w = _finite(spec.get("w", 0.5), "verify.w")
+    if w < 0:
+        raise ConfigError(f"config key 'verify.w' must be >= 0, got {w:g}")
     R = _positive(spec.get("R", 1.8), "verify.R")
-    xi = spec.get("xi", [1.0, 0.0, 0.0])
-    if not (isinstance(xi, list) and len(xi) == 3
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) and -np.inf < c < np.inf for c in xi)):
-        raise ConfigError(f"config key 'verify.xi' must be a finite 3-vector, got {xi!r}")
-    xi = np.array(xi, dtype=float)
+    xi = _finite(spec.get("xi", [1.0, 0.0, 0.0]), "verify.xi", 3)
     with _names("verify.xi"):
         rho1, rho2 = sigma_pair_for_xi(xi, k, w)
 
@@ -474,6 +464,8 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
 
 def cmd_compare(path_a: str, path_b: str, out: Path, quiet: bool,
                 tol: float | None = None) -> int:
+    if tol is not None and not 0 <= tol < np.inf:
+        raise ConfigError(f"--tol must be a finite number >= 0, got {tol!r}")
     fa = load_farfield_csv(path_a)
     fb = load_farfield_csv(path_b)
     l2 = fa.rel_l2_distance(fb)

@@ -240,18 +240,15 @@ def save_farfield_csv(ff: FarFieldPattern, path, extra_meta: dict | None = None)
     meta.update(ff.meta)
     if extra_meta:
         meta.update(extra_meta)
-    obs_t, obs_p = _angles(ff.observations)
+    # k and the angles are formatted once; each row formats only its value
+    inc = [f"{_fmt(ff.k)},{_fmt(t)},{_fmt(p)}," for t, p in zip(*_angles(ff.incidence))]
+    obs = [f"{_fmt(t)},{_fmt(p)}," for t, p in zip(*_angles(ff.observations))]
     with open(path, "w") as fh:
         fh.write("# META " + json.dumps(meta, sort_keys=True) + "\n")
-        inc_t, inc_p = _angles(ff.incidence)
         fh.write("k,inc_theta,inc_phi,obs_theta,obs_phi,re,im\n")
-        for i in range(ff.values.shape[0]):
-            for j in range(ff.values.shape[1]):
-                v = ff.values[i, j]
-                fh.write(",".join([
-                    _fmt(ff.k), _fmt(inc_t[i]), _fmt(inc_p[i]),
-                    _fmt(obs_t[j]), _fmt(obs_p[j]), _fmt(v.real), _fmt(v.imag),
-                ]) + "\n")
+        for head, row in zip(inc, ff.values):
+            fh.writelines(f"{head}{o}{_fmt(re)},{_fmt(im)}\n"
+                          for o, re, im in zip(obs, row.real.tolist(), row.imag.tolist()))
 
 
 def load_farfield_csv(path) -> FarFieldPattern:

@@ -1,0 +1,48 @@
+"""The public surface resolves: every name in a module's ``__all__``, and every
+(module, attribute) the benchmark's span recorder wraps by name."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import deltashell
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(deltashell.__path__))
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _attribute(obj, path):
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"deltashell.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"deltashell.{module}.__all__ names what the module does not define: {missing}"
+
+
+def _span_targets():
+    """The ``TARGETS`` tuple of the span recorder, read from its source without importing it."""
+    for node in ast.parse(SPANS.read_text(), filename=str(SPANS)).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{SPANS} defines no TARGETS")
+
+
+def test_span_targets_resolve():
+    # the recorder looks each one up with getattr; a missing name breaks every traced run
+    targets = _span_targets()
+    assert targets
+    missing = []
+    for module, path, _ in targets:
+        try:
+            _attribute(importlib.import_module(f"deltashell.{module}"), path)
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{path}")
+    assert not missing, f"span targets that deltashell does not define: {missing}"

@@ -134,17 +134,20 @@ class TestConfigValidation:
         "medium.cutoff.r_inner": ("acoustic", {"medium": {"shell_density": 1.0,
                                                           "cutoff": {"r_inner": 0.5, "r_outer": 2.0}}}),
         "verify.k": ("verify", {"verify": {"k": -1.0}}),
-        "verify.w": ("verify", {"verify": {"w": -0.5}}),
+        "verify.w": ("verify", {"verify": {"w": -0.5}}, {"verify": {"w": "0.5"}}),
         # B_R must enclose both media: 1.2 cuts the support cells, 1.5 their half-diagonals
         "verify.R": ("verify", {"verify": {"R": 0}}, {"verify": {"R": 1.5}}, {"verify": {"R": 1.2}}),
         # not a finite 3-vector, or too large for w = 0.5 at k = 1 (|xi|^2/4 > w^2 + k^2)
         "verify.xi": ("verify", *({"verify": {"xi": xi}} for xi in BAD_XI)),
-        # a bump needs a finite amplitude and a finite 3-vector centre, in every bump list
+        # a bump needs a finite amplitude and a finite 3-vector centre, in every bump list;
+        # numbers are JSON numbers, not strings
         "potential_bumps[0].amplitude": ("forward", *({"potential_bumps": [dict(bump, width=0.45)]} for bump in (
             {"amplitude": "x", "center": [0.0, 0.0, 0.0]}, {"center": [0.0, 0.0, 0.0]},
-            {"amplitude": float("nan"), "center": [0.0, 0.0, 0.0]}))),
+            {"amplitude": float("nan"), "center": [0.0, 0.0, 0.0]},
+            {"amplitude": "0.3", "center": [0.0, 0.0, 0.0]}))),
         "potential_bumps[0].center": ("forward", *({"potential_bumps": [{"amplitude": 0.3, "center": c, "width": 0.45}]}
-                                                   for c in ([0.0, 0.0], None, "xyz", [0.0, float("inf"), 0.0]))),
+                                                   for c in ([0.0, 0.0], None, "xyz", [0.0, float("inf"), 0.0],
+                                                             ["0", "0", "0"]))),
         "medium.v_bumps[1].center": ("acoustic", {"medium": dict(ACOUSTIC["medium"], v_bumps=[
             {"amplitude": 0.3, "center": [0.0, 0.0, 0.0], "width": 0.45},
             {"amplitude": 0.3, "center": [0.0, 0.0], "width": 0.45}])}),
@@ -154,7 +157,7 @@ class TestConfigValidation:
         "medium.shell_density": ("acoustic", {"medium": dict(ACOUSTIC["medium"], shell_density="x")}),
         "oracle.a": ("oracle", {"oracle": {"a": -1}}),
         "oracle.alpha": ("oracle", {"oracle": {"alpha": "x"}}, {"oracle": {"alpha": None}},
-                         {"oracle": {"alpha": float("nan")}}),
+                         {"oracle": {"alpha": float("nan")}}, {"oracle": {"alpha": "1.5"}}),
         "oracle.shells": ("oracle", {"oracle": {"shells": [[0.5]]}}, {"oracle": {"shells": [0.5]}},
                           {"oracle": {"shells": [[0.5, 0.2], [0.4, 0.1]]}},
                           {"oracle": {"shells": [[0.5, float("inf")]]}}),
@@ -275,6 +278,33 @@ class TestForward:
             assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
 
 
+DENSITY_CSV = """\
+panel,cx,cy,cz,re_eta,im_eta,alpha
+0,0.10000000000000001,-0,1e+308,-0,1e-300,1.5
+1,0.33333333333333331,4.9406564584124654e-324,-2.5,2,-0.14285714285714285,-0
+"""
+FIELD_CSV = """\
+cell,x,y,z,re_psi,im_psi
+0,0.33333333333333331,4.9406564584124654e-324,-2.5,2,-0.14285714285714285
+1,0.10000000000000001,-0,1e+308,-0,1e-300
+"""
+
+
+class TestForwardCsv:
+    # fixed arrays with signed zeros, a subnormal, 1e308 and repeating decimals; the
+    # literal texts are what the forward writer has always produced for them
+    POINTS = np.array([[0.1, -0.0, 1e308], [1 / 3, 5e-324, -2.5]])
+    VALUES = np.array([complex(-0.0, 1e-300), complex(2.0, -1 / 7)])
+
+    def test_density_and_field_text(self, tmp_path):
+        cli._write_rows(tmp_path / "d.csv", "panel,cx,cy,cz,re_eta,im_eta,alpha",
+                        (*self.POINTS.T, self.VALUES.real, self.VALUES.imag, np.array([1.5, -0.0])))
+        cli._write_rows(tmp_path / "f.csv", "cell,x,y,z,re_psi,im_psi",
+                        (*self.POINTS[::-1].T, self.VALUES[::-1].real, self.VALUES[::-1].imag))
+        assert (tmp_path / "d.csv").read_text() == DENSITY_CSV
+        assert (tmp_path / "f.csv").read_text() == FIELD_CSV
+
+
 class TestLogLevel:
     def test_debug_writes_the_solver_log_and_the_same_files(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json", dict(FORWARD_TRIVIAL, alpha=1.0))
@@ -335,6 +365,16 @@ class TestFarfieldCommand:
             subprocess.run([sys.executable, "-m", "deltashell.cli", "--config", path,
                             "--out", str(out), "--quiet", "farfield"], env=env, check=True)
         assert (outs[0] / "ff.csv").read_bytes() == (outs[1] / "ff.csv").read_bytes()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_compare_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        path = write_config(tmp_path, "mie.json", ORACLE)
+        assert main(["--config", path, "--out", str(tmp_path), "--quiet", "oracle"]) == 0
+        table = str(tmp_path / "mie.csv")
+        assert main(["--out", str(tmp_path), "--quiet", "compare", table, table, "--tol", "0"]) == 0
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path), "--quiet", "compare", table, table, f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_compare_identical_files(self, tmp_path):
         path = write_config(tmp_path, "ff.json", self.CFG)
@@ -405,6 +445,16 @@ class TestAcousticCommand:
             ff = load_farfield_csv(tmp_path / f"ac_w{w}.csv")
             assert np.all(np.isfinite(ff.values))
             assert np.max(np.abs(ff.values)) > 1e-4
+
+    def test_colliding_table_names_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # each table is {prefix}_w{omega:g}.csv, so these frequencies would write one file twice
+        monkeypatch.setattr(acoustic, "DeltaSystem", no_solve)
+        for frequencies, field in (([1.0, 1.0000001], "frequencies[1]"), ([2.0, 1.0, 2], "frequencies[2]"),
+                                   ([1.5, 1.5], "frequencies[1]")):
+            path = write_config(tmp_path, "ac.json", dict(ACOUSTIC, frequencies=frequencies))
+            assert main(["--config", path, "--out", str(tmp_path), "acoustic"]) == 2, frequencies
+            assert f"'{field}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_one_grid_scan_per_run(self, tmp_path, capsys, monkeypatch):
         # the sampling's grid check is the only scan of the cell centres against Gamma;

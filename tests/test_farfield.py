@@ -1,5 +1,7 @@
 """Far-field extraction routes, amplitude scaling, CSV persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -159,6 +161,17 @@ class TestAmplitude:
                                 obs_weights=np.ones(len(obs)), incidence=incidence)
 
 
+TABLE = """\
+k,inc_theta,inc_phi,obs_theta,obs_phi,re,im
+0.10000000000000001,0,0,1.5707963267948966,0,-0,4.9406564584124654e-324
+0.10000000000000001,0,0,1.5707963267948966,6.2831853061795861,1e+308,-1e+308
+0.10000000000000001,0,0,0.64350110879328426,1.5707963267948966,0.33333333333333331,0
+0.10000000000000001,3.1415926535897931,0,1.5707963267948966,0,0.10000000000000001,0.20000000000000001
+0.10000000000000001,3.1415926535897931,0,1.5707963267948966,6.2831853061795861,-2.5,-0
+0.10000000000000001,3.1415926535897931,0,0.64350110879328426,1.5707963267948966,-1.5000000000000201e-310,7
+"""
+
+
 class TestCsv:
     def test_plane_roundtrip_and_determinism(self, tmp_path, sphere_solution):
         g = direction_grid(4, 8)
@@ -173,6 +186,22 @@ class TestCsv:
         assert np.max(np.abs(back.values - ff.values)) < 1e-14
         assert np.max(np.abs(back.observations - ff.observations)) < 1e-12
         assert back.meta["conventions"]["kernel"] == "exp(+ik r)/(4 pi r)"
+
+    def test_table_text(self, tmp_path):
+        # signed zeros, a subnormal, 1e308, incidence at theta = 0 and pi, and phi just
+        # below 2 pi; the literal table is what the writer has always produced for them
+        values = np.array([[complex(-0.0, 5e-324), complex(1e308, -1e308), complex(1 / 3, 0.0)],
+                           [complex(0.1, 0.2), complex(-2.5, -0.0), complex(-1.5e-310, 7.0)]])
+        ff = FarFieldPattern(k=0.1, values=values,
+                             observations=[[1.0, 0.0, 0.0], [1.0, -1e-9, 0.0], [0.0, 0.6, 0.8]],
+                             obs_weights=[1.0, 2.0, 3.0], incidence=[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        path = tmp_path / "pinned.csv"
+        save_farfield_csv(ff, path, {"omega": 2})
+        meta, table = path.read_text().split("\n", 1)
+        assert table == TABLE
+        meta = json.loads(meta[len("# META "):])
+        assert meta["omega"] == 2 and meta["k"] == 0.1 and meta["obs_weights"] == [1.0, 2.0, 3.0]
+        assert (meta["n_incidence"], meta["n_observation"]) == (2, 3)
 
     def test_only_plane_incidence_loads(self, tmp_path):
         obs = lattice_directions()
