@@ -1,9 +1,10 @@
 """Refinement study of the single-layer jump relation [d_n SL xi] = -xi.
 
 The normal derivative of a single-layer potential jumps by minus the
-density across the surface.  The check probes both sides of each panel by
-finite differences; the error is dominated by the probe offset (a fixed
-fraction of the panel diameter), so it shrinks with refinement.
+density across the surface.  The check takes the normal derivative on both
+sides of each panel from the analytic gradient of the layer potential; the
+error is dominated by the probe offset (a fixed fraction of the panel
+diameter), so it shrinks with refinement.
 """
 
 import numpy as np

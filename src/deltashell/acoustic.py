@@ -123,12 +123,7 @@ class MediumSpec:
     cutoff: RadialCutoff = RadialCutoff(2.0, 3.0)
 
     def __post_init__(self):
-        xi = np.asarray(self.shell_density, dtype=float)
-        if xi.shape == ():
-            xi = np.full(self.gamma.n_panels, float(xi))
-        if xi.shape != (self.gamma.n_panels,):
-            raise ValueError("shell_density must provide one value per panel")
-        object.__setattr__(self, "shell_density", xi)
+        object.__setattr__(self, "shell_density", self.gamma.per_panel(self.shell_density, "shell_density"))
         r_gamma = self.gamma.bounding_radius
         if self.cutoff.r_inner <= r_gamma:
             raise ValueError(
@@ -319,8 +314,7 @@ def acoustic_farfield(m: MediumSpec, omegas, incidence: np.ndarray, obs_grid,
 def media_equal(a: MediumSpec, b: MediumSpec) -> bool:
     """Structural equality of two medium specifications."""
     return (
-        a.gamma.n_panels == b.gamma.n_panels
-        and np.array_equal(a.gamma.vertices, b.gamma.vertices)
+        np.array_equal(a.gamma.vertices, b.gamma.vertices)
         and np.array_equal(a.gamma.triangles, b.gamma.triangles)
         and np.array_equal(a.shell_density, b.shell_density)
         and a.rho_bumps == b.rho_bumps

@@ -79,8 +79,8 @@ MAX_PANELS = 8192
 _NEAR_RATIO = 2.8
 # a target within this many panel diameters of a closed panel is on the surface
 _SELF_TOL = 1e-12
-# check_jump_relation: offset from Gamma in panel diameters, FD step in offsets
-_JUMP_OFFSET, _JUMP_FD_STEP = 0.1, 0.5
+# check_jump_relation: offset from Gamma in panel diameters
+_JUMP_OFFSET = 0.1
 # mixed-precision solve (as LAPACK's zcgesv): I + K diag(w) is factored in complex64
 # unless its rcond is below _SINGLE_RCOND_FLOOR, where kappa * u_32 (u_32 = 6e-8) is no
 # longer << 1 and refinement need not converge; refinement stops at a largest residual of
@@ -105,14 +105,7 @@ class DeltaSpec:
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        if a.shape == ():
-            a = np.full(self.mesh.n_panels, float(a))
-        if a.shape != (self.mesh.n_panels,):
-            raise ValueError("alpha must provide one value per panel")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("alpha has non-finite values")
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", self.mesh.per_panel(self.alpha, "alpha"))
 
     def lp_norm(self, p: float = 4.0) -> float:
         """Discrete L^p(Gamma) norm of alpha (reported, not enforced)."""
@@ -648,23 +641,17 @@ def eval_scattered_gradient(sol: DeltaSolution, x) -> np.ndarray:
 def check_jump_relation(mesh: SurfaceMesh, k: float, xi: np.ndarray) -> float:
     """Relative error in the normal-derivative jump [d_n SL xi] = -xi.
 
-    Evaluates n.grad(SL xi) at c_q +/- delta n_q by central finite
-    differences of the layer potential (offset delta = _JUMP_OFFSET panel
-    diameters, step _JUMP_FD_STEP delta) and returns the area-weighted
-    relative L^2 error of (jump + xi).
+    ``xi`` is one real value per panel, or a number (``SurfaceMesh.per_panel``).
+    Evaluates n.grad(SL xi) at c_q +/- delta n_q with the analytic
+    ``layer_potential_gradient`` (offset delta = _JUMP_OFFSET panel
+    diameters) and returns the area-weighted relative L^2 error of
+    (jump + xi).
     """
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape == ():
-        xi = np.full(mesh.n_panels, complex(xi))
-    c = mesh.panel_centroid
+    xi = mesh.per_panel(xi, "xi")
     nrm = mesh.panel_normal
-    delta = _JUMP_OFFSET * mesh.panel_diameter
-    h = _JUMP_FD_STEP * delta
-
-    vals = [layer_potential(c + off[:, None] * nrm, mesh, xi, k)
-            for off in (delta + h, delta - h, -(delta - h), -(delta + h))]
-    dn_out = (vals[0] - vals[1]) / (2.0 * h)
-    dn_in = (vals[2] - vals[3]) / (2.0 * h)
+    off = (_JUMP_OFFSET * mesh.panel_diameter)[:, None] * nrm
+    dn_out, dn_in = (np.einsum("ij,ij->i", layer_potential_gradient(mesh.panel_centroid + side * off, mesh, xi, k), nrm)
+                     for side in (1.0, -1.0))
     jump = dn_out - dn_in
 
     w = mesh.panel_area

@@ -205,16 +205,12 @@ def _build_potential(cfg: dict, grid):
     return PotentialSample(grid=grid, values=vals * c_val)
 
 
-def _panel_values(spec, mesh, name: str) -> np.ndarray:
-    """One finite value per panel: the number ``spec``, or the CSV file ``{'csv': path}``."""
-    csv = isinstance(spec, dict) and "csv" in spec
-    with _names(f"{name}.csv" if csv else name):
-        vals = np.loadtxt(spec["csv"], delimiter=",", ndmin=1).ravel() if csv else np.full(mesh.n_panels, float(spec))
-        if vals.size != mesh.n_panels:
-            raise ValueError(f"holds {vals.size} values; the mesh has {mesh.n_panels} panels")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite values")
-    return vals
+def _panel_values(spec, mesh, name: str):
+    """The JSON number ``spec``, or one finite value per panel from the CSV file ``{'csv': path}``."""
+    if not (isinstance(spec, dict) and "csv" in spec):
+        return _finite(spec, name)
+    with _names(f"{name}.csv"):
+        return mesh.per_panel(np.loadtxt(spec["csv"], delimiter=",", ndmin=1).ravel(), spec["csv"])
 
 
 def _unit_directions(raw, name: str, single: bool = False) -> np.ndarray:
@@ -390,11 +386,10 @@ def cmd_oracle(cfg: dict, out: Path, quiet: bool) -> int:
     k = float(cfg["k"])
     a = _positive(spec.get("a", 1.0), "oracle.a")
     alpha = _finite(spec.get("alpha", 0.0), "oracle.alpha")
+    shells = spec.get("shells", [])
+    pairs = [_finite(pair, "oracle.shells", 2) for pair in (shells if isinstance(shells, list) else [shells])]
     with _names("oracle.shells"):
-        shells = tuple((float(r), float(v)) for r, v in spec.get("shells", []))
-        if not np.all(np.isfinite(shells)):
-            raise ValueError("non-finite values")
-        medium = mie.RadialMedium(a=a, alpha=alpha, shells=shells)
+        medium = mie.RadialMedium(a=a, alpha=alpha, shells=pairs)
     # solve_partial_waves clamps L to [4, LMAX_HARD]; reject what it would clamp
     L = None if spec.get("L") is None else _count(spec, "L", "oracle.L", minimum=4, maximum=mie.LMAX_HARD)
     psol = mie.solve_partial_waves(medium, k, L)
@@ -430,7 +425,7 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     with _names("verify.R"):
         for V in potentials:
             check_enclosing_radius(R, mesh, V)
-    sys1, sys2 = (DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)), k)
+    sys1, sys2 = (DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=alpha), k)
                   for V, alpha in zip(potentials, (1.0, 1.5)))
 
     # one solve per (medium, incident field) serves every report

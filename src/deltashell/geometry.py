@@ -148,29 +148,33 @@ class SurfaceMesh:
         """
         return self.panel_rule_points, _GAUSS3_WEIGHTS
 
-    def edge_multiplicity(self) -> dict[tuple[int, int], list[int]]:
-        """Map undirected edge -> list of +1/-1 orientations encountered."""
-        seen: dict[tuple[int, int], list[int]] = {}
-        for a, b, c in self.triangles:
-            for i, j in ((a, b), (b, c), (c, a)):
-                key = (min(i, j), max(i, j))
-                seen.setdefault(key, []).append(1 if i < j else -1)
-        return seen
+    def per_panel(self, values, name: str) -> np.ndarray:
+        """``values`` as one finite float per panel, a number standing for every panel;
+        ValueError naming ``name`` otherwise."""
+        vals = np.asarray(values, dtype=float)
+        if vals.shape == ():
+            vals = np.full(self.n_panels, float(vals))
+        if vals.shape != (self.n_panels,):
+            raise ValueError(f"{name} holds {vals.size} values; the mesh has {self.n_panels} panels")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{name} has non-finite values")
+        return vals
 
     def open_edge_count(self) -> int:
-        return sum(1 for v in self.edge_multiplicity().values() if len(v) != 2)
+        return int(np.count_nonzero(_edges(self.triangles)[2] != 2))
 
     def check_orientation(self) -> None:
         """Raise on inconsistent winding (an edge traversed twice the same way),
         and on inward winding of a closed mesh (signed volume <= 0)."""
-        edges = self.edge_multiplicity()
-        for (i, j), orients in edges.items():
-            if len(orients) == 2 and orients[0] == orients[1]:
-                raise MeshFormatError(
-                    f"inconsistent winding: edge ({i}, {j}) traversed twice "
-                    "in the same direction"
-                )
-        if all(len(v) == 2 for v in edges.values()):
+        edges, _, uses, balance = _edges(self.triangles)
+        same_way = np.flatnonzero((uses == 2) & (np.abs(balance) == 2))
+        if len(same_way):
+            i, j = edges[same_way[0]]
+            raise MeshFormatError(
+                f"inconsistent winding: edge ({i}, {j}) traversed twice "
+                "in the same direction"
+            )
+        if np.all(uses == 2):
             v0, v1, v2 = np.moveaxis(self.panel_corners, 1, 0)
             volume = np.einsum("ij,ij->", v0, np.cross(v1, v2)) / 6.0
             if volume <= 0:
@@ -178,6 +182,22 @@ class SurfaceMesh:
                     f"inward winding: the closed mesh has signed volume {volume:.3g} <= 0; "
                     "faces must be counter-clockwise seen from outside"
                 )
+
+
+def _edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the directed edges (a, b), (b, c), (c, a) of each face (a, b, c).
+
+    Returns the undirected edges (i, j), i < j, numbered by first use in face
+    order, (m, 2); the number of each directed edge, (nt, 3); and each
+    undirected edge's use count and direction balance (+1 per i -> j, -1 per j -> i).
+    """
+    tail, head = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    _, first, index = np.unique(lo * (int(hi.max(initial=0)) + 1) + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    index = np.argsort(order)[index]
+    return (np.stack([lo, hi], axis=1)[first[order]], index.reshape(-1, 3),
+            np.bincount(index, minlength=len(order)), np.bincount(index, np.sign(head - tail), len(order)))
 
 
 def make_sphere_mesh(radius: float, subdivisions: int) -> SurfaceMesh:
@@ -211,28 +231,16 @@ def make_sphere_mesh(radius: float, subdivisions: int) -> SurfaceMesh:
         dtype=np.int64,
     )
 
-    verts_list = [tuple(v) for v in verts]
     for _ in range(subdivisions):
-        cache: dict[tuple[int, int], int] = {}
+        # one midpoint per undirected edge, numbered by first use in face order (ab, bc, ca);
+        # each normalised by its own dot product, bit for bit as np.linalg.norm of a 3-vector
+        edges, mid, _, _ = _edges(faces)
+        (a, b, c), (ab, bc, ca) = faces.T, (len(verts) + mid).T
+        m = verts[edges[:, 0]] + verts[edges[:, 1]]
+        verts = np.concatenate([verts, m / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]])
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
 
-        def midpoint(i: int, j: int) -> int:
-            key = (min(i, j), max(i, j))
-            if key in cache:
-                return cache[key]
-            m = np.array(verts_list[i]) + np.array(verts_list[j])
-            m /= np.linalg.norm(m)
-            verts_list.append(tuple(m))
-            cache[key] = len(verts_list) - 1
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        faces = np.array(new_faces, dtype=np.int64)
-
-    verts = np.array(verts_list) * radius
-    return SurfaceMesh.from_arrays(verts, faces)
+    return SurfaceMesh.from_arrays(verts * radius, faces)
 
 
 def load_mesh(path) -> SurfaceMesh:

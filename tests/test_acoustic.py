@@ -229,6 +229,12 @@ class TestTransform:
         with pytest.raises(ValueError, match="cover"):
             acoustic_to_schrodinger(m, 1.0, make_volume_grid((-2.0, 2.0), 8))
 
+    @pytest.mark.parametrize("xi", [np.nan, np.full(79, 1.0), [1.0] * 79 + [np.inf]])
+    def test_shell_density_is_one_finite_value_per_panel(self, sphere_meshes, xi):
+        # the 80-panel mesh; a non-finite xi once passed and failed later as alpha's
+        with pytest.raises(ValueError, match="^shell_density "):
+            MediumSpec(gamma=sphere_meshes[1], shell_density=xi, cutoff=RadialCutoff(1.4, 2.0))
+
     def test_cell_centres_on_gamma_rejected(self):
         # cube faces at +-0.8 on a grid of spacing 0.4: 98 cell centres lie on Gamma
         m = MediumSpec(gamma=cube_mesh(1.6), shell_density=1.0, cutoff=RadialCutoff(1.5, 2.0))

@@ -46,3 +46,33 @@ def test_span_targets_resolve():
         except (ImportError, AttributeError):
             missing.append(f"{module}.{path}")
     assert not missing, f"span targets that deltashell does not define: {missing}"
+
+
+SRC = Path(deltashell.__file__).resolve().parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads: not in its code, its annotations or its ``__all__``.
+    Lines marked ``# noqa: F401`` and ``from __future__`` imports are exempt."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    # MODULES holds no __init__, whose imports are re-exports
+    unused = _unused_imports(SRC / f"{module}.py")
+    assert not unused, f"imported and never used: {unused}"

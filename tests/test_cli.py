@@ -153,14 +153,16 @@ class TestConfigValidation:
             {"amplitude": 0.3, "center": [0.0, 0.0], "width": 0.45}])}),
         "medium.rho_bumps[0].amplitude": ("acoustic", {"medium": dict(ACOUSTIC["medium"], rho_bumps=[
             {"amplitude": [0.3], "center": [0.0, 0.0, 0.0], "width": 0.45}])}),
-        "alpha": ("forward", {"alpha": float("nan")}, {"alpha": float("inf")}),
-        "medium.shell_density": ("acoustic", {"medium": dict(ACOUSTIC["medium"], shell_density="x")}),
+        "alpha": ("forward", {"alpha": float("nan")}, {"alpha": float("inf")}, {"alpha": "2.0"}),
+        "medium.shell_density": ("acoustic", {"medium": dict(ACOUSTIC["medium"], shell_density="x")},
+                                 {"medium": dict(ACOUSTIC["medium"], shell_density="1.0")}),
         "oracle.a": ("oracle", {"oracle": {"a": -1}}),
         "oracle.alpha": ("oracle", {"oracle": {"alpha": "x"}}, {"oracle": {"alpha": None}},
                          {"oracle": {"alpha": float("nan")}}, {"oracle": {"alpha": "1.5"}}),
         "oracle.shells": ("oracle", {"oracle": {"shells": [[0.5]]}}, {"oracle": {"shells": [0.5]}},
                           {"oracle": {"shells": [[0.5, 0.2], [0.4, 0.1]]}},
-                          {"oracle": {"shells": [[0.5, float("inf")]]}}),
+                          {"oracle": {"shells": [[0.5, float("inf")]]}}, {"oracle": {"shells": [["0.5", "0.3"]]}},
+                          {"oracle": {"shells": 0.5}}),
         # the partial-wave solve clamps L to [4, LMAX_HARD]; the CLI rejects what it would clamp
         "oracle.L": ("oracle", {"oracle": {"L": -3}}, {"oracle": {"L": 3}}, {"oracle": {"L": 201}},
                      {"oracle": {"L": 4.5}}),

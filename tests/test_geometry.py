@@ -1,5 +1,8 @@
 """Meshes, sphere quadrature, volume grids, OFF round trips."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +11,7 @@ from scipy.special import sph_harm_y
 from deltashell.geometry import (
     MeshFormatError,
     SurfaceMesh,
+    _edges,
     load_mesh,
     make_sphere_grid,
     make_sphere_mesh,
@@ -65,11 +69,51 @@ class TestIcosphere:
     def test_each_edge_shared_twice(self, sphere_meshes):
         assert sphere_meshes[1].open_edge_count() == 0
 
+    # sha256 of the vertices' and the triangles' bytes of the icosphere of radius 1: the
+    # refinement's vertex numbering and every rounding of its midpoints are part of each
+    # kernel, so a change here moves every output that uses an icosphere
+    ICOSPHERE_SHA256 = {
+        0: ("25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
+            "3db7a1822c9b623934e2e4740412c5fbeb065c97b1d30344bad8fa21007c31dc"),
+        1: ("06c7f0252260d8fc7aee150c52687730f6e6b5155419da81ee280e48c7b5a6a0",
+            "e0cdbcb335bade58be14276c1a7faf8c7b2b9d10522ca0de92c2bd6db7443d1e"),
+        2: ("7de701b5e82e6ee7720d5b5c3cbaba8ceec2aa1e2f7901e80eea82c2254f27c0",
+            "b749ec47113ac6dd2fa5788272bee48303d83020354a7b3516876ae6685c404a"),
+        3: ("e30eeaa5b2391204db18ad30d68443f2573f17187b99a8a2149acb61dc3f8d88",
+            "52ba19c5cda73d335f2e29108333509a800acd29026ae2e6c65c32ec3dd5394b"),
+        4: ("0ad2d3b64249546dacbf5ec693366050a9b2b396f11f7b1786beda06a3a1b218",
+            "1d19353ebb1a280dd705a884e8db6ef144348417dd5324e62326249995dddb35"),
+    }
+
+    @pytest.mark.parametrize("level", sorted(ICOSPHERE_SHA256))
+    def test_arrays_are_pinned(self, level):
+        m = make_sphere_mesh(1.0, level)
+        assert m.vertices.dtype == np.float64 and m.triangles.dtype == np.int64
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (m.vertices, m.triangles))
+        assert digests == self.ICOSPHERE_SHA256[level]
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             make_sphere_mesh(-1.0, 1)
         with pytest.raises(ValueError):
             make_sphere_mesh(1.0, -1)
+
+
+class TestPerPanel:
+    def test_number_or_one_value_per_panel(self, sphere_meshes):
+        m = sphere_meshes[0]
+        assert np.array_equal(m.per_panel(1.5, "alpha"), np.full(20, 1.5))
+        assert np.array_equal(m.per_panel(np.arange(20), "alpha"), np.arange(20.0))
+
+    @pytest.mark.parametrize("values, message", [
+        (np.ones(19), "xi holds 19 values; the mesh has 20 panels"),
+        (np.ones((20, 1)), "xi holds 20 values; the mesh has 20 panels"),
+        (np.nan, "xi has non-finite values"),
+        ([1.0] * 19 + [-np.inf], "xi has non-finite values"),
+    ])
+    def test_rejects_naming_the_field(self, sphere_meshes, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sphere_meshes[0].per_panel(values, "xi")
 
 
 class TestOffFiles:
@@ -101,14 +145,27 @@ class TestOffFiles:
         m = load_mesh(path)
         assert m.n_panels == 20
         assert len(m.vertices) == 12
-        mult = m.edge_multiplicity()
-        assert len(mult) == 30
-        assert all(len(v) == 2 for v in mult.values())
+        edges, _, uses, balance = _edges(m.triangles)
+        assert len(edges) == 30
+        assert np.all(uses == 2) and np.all(balance == 0)
 
     def test_open_mesh_raises_with_count(self, tmp_path, sphere_meshes):
         m = sphere_meshes[0]
         path = tmp_path / "open.off"
         save_mesh(SurfaceMesh.from_arrays(m.vertices, m.triangles[:-1]), path)
+        with pytest.raises(MeshFormatError, match="not closed \\(3 open edges\\)"):
+            load_mesh(path)
+
+    def test_edge_shared_by_three_faces_is_not_closed(self, tmp_path):
+        # a tetrahedron and a fin (1, 4, 2) on its edge (1, 2): that edge is used three
+        # times and the fin's two free edges once each
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        m = SurfaceMesh.from_arrays(verts, [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3], [1, 4, 2]])
+        edges, _, uses, _ = _edges(m.triangles)
+        assert uses[np.flatnonzero((edges == [1, 2]).all(axis=1))].tolist() == [3]
+        assert np.count_nonzero(uses != 2) == m.open_edge_count() == 3
+        path = tmp_path / "fin.off"
+        save_mesh(m, path)
         with pytest.raises(MeshFormatError, match="not closed \\(3 open edges\\)"):
             load_mesh(path)
 
@@ -118,7 +175,9 @@ class TestOffFiles:
         tris[0] = tris[0][::-1]
         path = tmp_path / "flip.off"
         save_mesh(SurfaceMesh.from_arrays(m.vertices, tris), path)
-        with pytest.raises(MeshFormatError, match="inconsistent winding"):
+        # all three edges of the flipped face (5, 11, 0) now run as their neighbours'
+        # do; the first one in face order is named
+        with pytest.raises(MeshFormatError, match="inconsistent winding: edge \\(5, 11\\) traversed twice"):
             load_mesh(path)
 
     def test_inward_winding_fails(self, tmp_path, sphere_meshes):
