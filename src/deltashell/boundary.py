@@ -25,15 +25,17 @@ Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
   arithmetic: the rule weight times the panel area is folded into
   1/(4 pi r), and the parts cos(kr)/(4 pi r) and sin(kr)/(4 pi r) of the
   kernel are summed over the rule into the real and the imaginary part of
-  the block.  At k = 0 every block is float64;
+  the block, cos and sin from one tan(kr/2) (``kernels._cis``).  At k = 0
+  every block is float64;
 * a (target, panel) pair closer than 2.8 panel diameters (centroid
   distance) splits the kernel as (1/r - k^2 r/2)/(4 pi) plus a bounded
   remainder: the first part and its gradient are integrated in closed form
   over the flat triangle from any target, on the panel, coplanar or off
   the plane (Wilton-Rao-Glisson 1984, Graglia 1993), the remainder
   (``kernels.radial_remainder``) by the 3-point rule on the panel's four
-  midpoint subtriangles; at k = 0 the remainder is 0 and is skipped.  The
-  collocation self-entry is the near pair whose target is the centroid.
+  midpoint subtriangles, in real parts; at k = 0 the remainder is 0 and
+  is skipped.  The collocation self-entry is the near pair whose target
+  is the centroid.
 """
 
 from __future__ import annotations
@@ -47,14 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, row_chunks  # noqa: F401 (re-export)
-from .geometry import SurfaceMesh, triangle_rule
-from .kernels import (
-    IncidentField,
-    _radial_parts,
-    eval_incident,
-    radial_remainder,
-    radial_remainder_gradient_factor,
-)
+from .geometry import _SUB_BARY, SurfaceMesh
+from .kernels import IncidentField, _radial_parts, _remainder_parts, eval_incident
 from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, cell_block
 
 __all__ = [
@@ -204,36 +200,29 @@ def _kernel_dtype(k: float):
     return float if k == 0 else complex
 
 
-# the 3-point rule on the panel's four midpoint subtriangles, barycentric: a corner
-# one is the panel halved towards its vertex, the middle one the panel halved
-# and point-reflected through the centroid
-_GAUSS3, _ = triangle_rule(*np.eye(3)[:, None])
-_SUB_BARY = np.concatenate([(np.eye(3)[:, None] + _GAUSS3) / 2, (1 - _GAUSS3) / 2]).reshape(-1, 3)
-_SUB_W = np.full(len(_SUB_BARY), 1.0 / len(_SUB_BARY))
-
-
 def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: np.ndarray,
                          k: float, grad: bool) -> np.ndarray:
     """Integral of the kernel (or its x-gradient) over panel qq[j] from target x[ii[j]].
 
     The singular terms (1/r - k^2 r/2)/(4 pi) in closed form, the remainder
-    ``kernels.radial_remainder`` by the 12-point midpoint subrule.  At k = 0
-    the kernel is 1/(4 pi r) and the remainder is 0: float64 1/r moments.
+    ``kernels.radial_remainder`` in real parts by the 12-point, equal-weight midpoint
+    subrule (``SurfaceMesh.panel_subrule_points``).  At k = 0 the kernel is 1/(4 pi r)
+    and the remainder is 0: float64 1/r moments.
     """
     out = np.empty((len(ii), 3) if grad else len(ii), dtype=_kernel_dtype(k))
-    for sl in row_chunks(len(ii), len(_SUB_W) * 3):
-        xs, cs, areas = x[ii[sl]], mesh.panel_corners[qq[sl]], mesh.panel_area[qq[sl]]
-        moments = _flat_triangle_moments(xs, cs, grad)
+    for sl in row_chunks(len(ii), len(_SUB_BARY) * 3):
+        xs, qs, areas = x[ii[sl]], qq[sl], mesh.panel_area[qq[sl]]
+        moments = _flat_triangle_moments(xs, mesh.panel_corners[qs], grad)
         if k == 0:
             out[sl] = moments[:, 0]
             continue
-        d = xs[:, None, :] - np.einsum("sj,pjk->psk", _SUB_BARY, cs)
+        d = xs[:, None, :] - mesh.panel_subrule_points[qs]
         r = np.sqrt(np.einsum("psk,psk->ps", d, d))
-        if grad:
-            rem = np.einsum("psk,ps,s,p->pk", d, radial_remainder_gradient_factor(r, k), _SUB_W, areas)
-        else:
-            rem = np.einsum("ps,s->p", radial_remainder(r, k), _SUB_W) * areas
-        out[sl] = moments[:, 0] - 0.5 * k**2 * moments[:, 1] + rem
+        parts = _remainder_parts(r, k, grad)
+        re, im = ([np.einsum("psk,ps,p->pk", d, part, areas) for part in parts] if grad
+                  else [np.einsum("ps,p->p", part, areas) for part in parts])
+        out[sl].real = moments[:, 0] - 0.5 * k**2 * moments[:, 1] + re / len(_SUB_BARY)
+        out[sl].imag = im / len(_SUB_BARY)
     return out
 
 
@@ -291,20 +280,19 @@ def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False)
     qpts, w = mesh.quadrature_points()                        # (m, g, 3), (g,)
     ii, qq = _near_pairs(x, mesh)
     near = _near_pair_integrals(x, mesh, ii, qq, k, grad)
-    if grad:
-        d = x[:, None, None, :] - qpts[None, :, :, :]
-        r = np.einsum("...i,...i->...", d, d)
-    else:
-        r = _squared_distances(x, qpts)
+    r = _squared_distances(x, qpts)
     np.sqrt(r, out=r)
     r[ii, qq] = 1.0
     # the kernel times the rule weight and the panel area, in float64 parts
     parts = _radial_parts(r, k, mesh.panel_area[:, None] * w, grad)
     block = np.empty(r.shape[:2] + ((3,) if grad else ()), dtype=_kernel_dtype(k))
-    for part, out in zip(parts, (block.real, block.imag)):
-        if grad:
-            np.einsum("imgk,img->imk", d, part, out=out)
-        else:
+    if grad:
+        for i in range(3):
+            diff = np.subtract.outer(x[:, i], qpts[..., i])   # component i of x - y, (n, m, g)
+            for part, out in zip(parts, (block.real, block.imag)):
+                np.einsum("img,img->im", diff, part, out=out[..., i])
+    else:
+        for part, out in zip(parts, (block.real, block.imag)):
             np.einsum("img->im", part, out=out)
     block[ii, qq] = near
     return block
@@ -531,7 +519,7 @@ class DeltaSystem:
     def _factor(self, fallback: str | None = None) -> GuardedLU:
         """The LU of I + K diag(w): complex64 unless ``fallback`` names why not, or the
         complex64 factors turn out singular or worse conditioned than 1/_SINGLE_RCOND_FLOOR."""
-        context = "delta-shell system"
+        context, start = "delta-shell system", time.perf_counter()
         if fallback is None:
             try:
                 lu = GuardedLU(_system_matrix(self.kernel, self.weights, np.complex64), context)
@@ -541,8 +529,8 @@ class DeltaSystem:
                 lu, fallback = None, f"complex64 rcond {lu.rcond:.3e} below {_SINGLE_RCOND_FLOOR:g}"
         if fallback is not None:
             lu = GuardedLU(_system_matrix(self.kernel, self.weights, complex), context)
-        _log.debug("delta-shell LU: %s, n = %d, rcond %.6e, fallback: %s",
-                   lu.dtype, len(self.weights), lu.rcond, fallback)
+        _log.debug("delta-shell LU: %s, n = %d, rcond %.6e, fallback: %s, %.3f s",
+                   lu.dtype, len(self.weights), lu.rcond, fallback, time.perf_counter() - start)
         return lu
 
     def solve(self, inc: IncidentField) -> DeltaSolution:
@@ -561,7 +549,7 @@ class DeltaSystem:
         ns = len(self.support)
         psi0 = np.stack([np.asarray(eval_incident(inc, self.k, self.points), dtype=complex)
                          for inc in incidents], axis=1)                # (ns + np, n_rhs)
-        x, wx, kwx, residual = self._refine(psi0)
+        x, wx, kwx, residual = self._refine(psi0, time.perf_counter())
         trace = psi0[ns:] - kwx[ns:]
         eta = (np.zeros((self.mesh.n_panels, len(incidents)), dtype=complex) if self.delta.is_zero
                else wx[ns:])
@@ -578,8 +566,9 @@ class DeltaSystem:
             for j, inc in enumerate(incidents)
         ]
 
-    def _refine(self, psi0: np.ndarray):
-        """x, w x, K (w x) and each column's relative residual for the unknowns' rows of psi0."""
+    def _refine(self, psi0: np.ndarray, start: float):
+        """x, w x, K (w x) and each column's relative residual for the unknowns' rows of psi0;
+        logs the seconds since ``start``."""
         n = len(self.weights)
         b = psi0[:n]
         b_norm = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
@@ -597,9 +586,9 @@ class DeltaSystem:
         if worst > _REFINE_ACCEPT and self._lu.dtype == np.complex64:
             self._lu = None  # drop the complex64 factors before the complex128 matrix is built
             self._lu = self._factor(f"refinement stalled at residual {worst:.2e}")
-            return self._refine(psi0)
-        _log.debug("delta-shell solve: %d right-hand sides, %d refinement steps, largest residual %.2e",
-                   b.shape[1], steps, worst)
+            return self._refine(psi0, start)
+        _log.debug("delta-shell solve: %d right-hand sides, %d refinement steps, largest residual %.2e, %.3f s",
+                   b.shape[1], steps, worst, time.perf_counter() - start)
         return x, wx, kwx, residual
 
 

@@ -35,6 +35,7 @@ import numpy as np
 from ._dense import map_chunks, row_chunks
 from .boundary import DeltaSolution, eval_scattered_field, eval_scattered_gradient
 from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
+from .kernels import _cis, _joined
 from .volume import PotentialSample
 
 
@@ -148,7 +149,7 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     out = np.empty((len(obs), len(sols)), dtype=complex)
 
     def fill(rows):
-        out[rows] = np.exp(-1j * first.k * (obs[rows] @ pts.T)) @ coef
+        out[rows] = _joined(_cis(-first.k * (obs[rows] @ pts.T))) @ coef
 
     map_chunks(fill, row_chunks(len(obs), len(pts)))
     out = -out.T / (4.0 * np.pi)
@@ -192,7 +193,7 @@ def farfield_kirchhoff(
     grad = eval_scattered_gradient(sol, y)
     dn_psi = np.einsum("ij,ij->i", ny, grad)
 
-    phases = np.exp(-1j * k * (obs @ y.T))                    # (n_obs, n_nodes)
+    phases = _joined(_cis(-k * (obs @ y.T)))                  # (n_obs, n_nodes)
     radial = obs @ ny.T                                       # x_hat . y_hat
     integrand = psi_sc[None, :] * (-1j * k * radial) * phases - phases * dn_psi[None, :]
     return (integrand @ w) / (4.0 * np.pi)

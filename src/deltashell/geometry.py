@@ -50,6 +50,9 @@ _GAUSS3_BARY = np.array(
     ]
 )
 _GAUSS3_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+# the rule on the four midpoint subtriangles (12 points, equal weights): a corner one is the
+# panel halved towards its vertex, the middle one the panel halved and reflected in the centroid
+_SUB_BARY = np.concatenate([(np.eye(3)[:, None] + _GAUSS3_BARY) / 2, (1 - _GAUSS3_BARY[None]) / 2]).reshape(-1, 3)
 
 
 def triangle_rule(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,6 +90,7 @@ class SurfaceMesh:
     panel_diameter : (nt,), longest edge per panel
     panel_corners : (nt, 3, 3), the vertex coordinates of each panel
     panel_rule_points : (nt, 3, 3), the points of the panel rule (``triangle_rule``)
+    panel_subrule_points : (nt, 12, 3), the points of the rule on the four midpoint subtriangles
     """
 
     vertices: np.ndarray
@@ -97,6 +101,7 @@ class SurfaceMesh:
     panel_diameter: np.ndarray = field(repr=False, default=None)
     panel_corners: np.ndarray = field(repr=False, default=None)
     panel_rule_points: np.ndarray = field(repr=False, default=None)
+    panel_subrule_points: np.ndarray = field(repr=False, default=None)
 
     @classmethod
     def from_arrays(cls, vertices, triangles) -> "SurfaceMesh":
@@ -114,13 +119,8 @@ class SurfaceMesh:
         if np.any(two_area <= 0):
             raise ValueError("degenerate panel with zero area")
         normals = cross / two_area[:, None]
-        edges = np.stack(
-            [
-                np.linalg.norm(v1 - v0, axis=1),
-                np.linalg.norm(v2 - v1, axis=1),
-                np.linalg.norm(v0 - v2, axis=1),
-            ]
-        )
+        edges = np.linalg.norm(np.stack([v1 - v0, v2 - v1, v0 - v2]), axis=2)
+        corners = np.stack([v0, v1, v2], axis=1)
         return cls(
             vertices=_freeze(vertices),
             triangles=_freeze(triangles),
@@ -128,8 +128,9 @@ class SurfaceMesh:
             panel_area=_freeze(two_area / 2.0),
             panel_normal=_freeze(normals),
             panel_diameter=_freeze(edges.max(axis=0)),
-            panel_corners=_freeze(np.stack([v0, v1, v2], axis=1)),
+            panel_corners=_freeze(corners),
             panel_rule_points=_freeze(triangle_rule(v0, v1, v2)[0]),
+            panel_subrule_points=_freeze(np.einsum("sj,pjk->psk", _SUB_BARY, corners)),
         )
 
     @property

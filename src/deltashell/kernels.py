@@ -14,6 +14,8 @@ Conventions (fixed here and used everywhere):
                          separately into its real and imaginary part, so no
                          complex exponential is taken and no complex product
                          is summed
+* phases                 every e^{i theta} is ``_cis``: cos and sin from one SIMD
+                         tan(theta/2), within 1.5 * 2^-52 of the exact values
 
 Exponential incident fields exp(rho.x) grow like exp(w |x|); evaluation
 refuses |Re(rho).x| > 40 to avoid overflow.
@@ -49,6 +51,20 @@ class OverflowGuardError(ValueError):
     """Exponential incident field requested outside its safe range."""
 
 
+def _cis(x) -> tuple:
+    """(cos x, sin x) for float64 x as (1 - t^2)/(1 + t^2) and 2t/(1 + t^2), t = tan(x/2): x/2 is
+    exact and tan(x/2) finite for every finite x, so there is no pole to branch on."""
+    t = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    np.tan(t, out=t)
+    d = t * t
+    c = 1.0 - d
+    d += 1.0
+    c /= d
+    t += t
+    t /= d
+    return c, t
+
+
 def _radial_parts(r, k: float, weight=1.0, grad: bool = False) -> list:
     """weight times ``radial_kernel`` (``radial_gradient_factor`` with ``grad``) in float64 parts:
     [the value] at k = 0, [the real part, the imaginary part] at k > 0."""
@@ -56,7 +72,7 @@ def _radial_parts(r, k: float, weight=1.0, grad: bool = False) -> list:
     if k == 0:
         return [-inv if grad else inv]
     kr = k * r
-    c, s = np.cos(kr), np.sin(kr)
+    c, s = _cis(kr)
     if grad:
         # e^{ikr}(ikr - 1) = -(c + s kr) + i (c kr - s), formed in place
         re = -kr
@@ -73,7 +89,7 @@ def _radial_parts(r, k: float, weight=1.0, grad: bool = False) -> list:
 
 
 def _joined(parts: list):
-    """The array of ``_radial_parts``: its one part at k = 0, else re + i im in one complex array."""
+    """One array from float64 parts: a single part as it is, [re, im] as re + i im in one complex array."""
     if len(parts) == 1:
         return parts[0]
     out = np.empty(np.shape(parts[0]), dtype=complex)
@@ -91,18 +107,32 @@ def radial_gradient_factor(r, k: float):
     return _joined(_radial_parts(r, k, grad=True))
 
 
+def _remainder_parts(r, k: float, grad: bool = False) -> list:
+    """``radial_remainder`` g (``radial_remainder_gradient_factor`` with ``grad``) as [re, im]
+    from c, s = cos h, sin h at h = kr/2: g = (ik/4 pi) e^{ih} sinc(h) + k^2 r/(8 pi)."""
+    h = 0.5 * k * r
+    c, s = _cis(h)
+    sinc = np.divide(s, h, out=np.ones(np.shape(h)), where=h != 0)
+    re, im = -0.25 * k / np.pi * s * sinc + k**2 * r / (8.0 * np.pi), 0.25 * k / np.pi * c * sinc
+    if not grad:
+        return [re, im]
+    # g'/r = ((ik/4 pi) e^{ikr} - g + k^2 r/(4 pi))/r^2, with e^{ikr} = (c^2 - s^2) + i 2sc
+    return [(-0.5 * k / np.pi * s * c - re + k**2 * r / (4.0 * np.pi)) / r**2,
+            (0.25 * k / np.pi * (c * c - s * s) - im) / r**2]
+
+
 def radial_remainder(r, k: float):
     """Kernel minus its singular terms: e^{ikr}/(4 pi r) - 1/(4 pi r) + k^2 r/(8 pi).
 
     Written as (ik/4 pi) e^{ikr/2} sinc(kr/2) + k^2 r/(8 pi), so it is finite
     (ik/(4 pi)) at r = 0; its first kink is in the r^3 term.
     """
-    return 0.25j * k / np.pi * np.exp(0.5j * k * r) * np.sinc(0.5 * k * r / np.pi) + k**2 * r / (8.0 * np.pi)
+    return _joined(_remainder_parts(r, k))
 
 
 def radial_remainder_gradient_factor(r, k: float):
     """Factor g'(r)/r of g = radial_remainder: its x-gradient is (x - y) times it (r > 0)."""
-    return (0.25j * k / np.pi * np.exp(1j * k * r) - radial_remainder(r, k) + k**2 * r / (4.0 * np.pi)) / r**2
+    return _joined(_remainder_parts(r, k, grad=True))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +250,7 @@ class PlaneWave:
         object.__setattr__(self, "direction", d)
 
     def values(self, k: float, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.exp(1j * k * (points @ self.direction))
+        return _joined(_cis(k * (np.atleast_2d(points) @ self.direction)))
 
     def gradients(self, k: float, points: np.ndarray) -> np.ndarray:
         vals = self.values(k, points)
@@ -243,7 +272,8 @@ class Exponential:
             raise OverflowGuardError(
                 f"|Re(rho).x| = {re_max:.3g} exceeds the overflow guard {_EXP_GUARD}"
             )
-        return np.exp(phase)
+        scale = np.exp(phase.real)
+        return _joined([part * scale for part in _cis(phase.imag)])
 
     def gradients(self, k: float, points: np.ndarray) -> np.ndarray:
         vals = self.values(k, points)
@@ -273,15 +303,14 @@ class Herglotz:
         object.__setattr__(self, "density", f)
 
     def values(self, k: float, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        phases = np.exp(1j * k * (points @ self.directions.T))   # (n, m)
-        return phases @ (self.weights * self.density)
+        return self._phases(k, points) @ (self.weights * self.density)
 
     def gradients(self, k: float, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        phases = np.exp(1j * k * (points @ self.directions.T))
-        coef = (self.weights * self.density)[:, None] * (1j * k * self.directions)
-        return phases @ coef
+        return self._phases(k, points) @ ((self.weights * self.density)[:, None] * (1j * k * self.directions))
+
+    def _phases(self, k: float, points: np.ndarray) -> np.ndarray:
+        """exp(ik d.x), (n, m): one row per point, one column per direction."""
+        return _joined(_cis(k * (np.atleast_2d(points) @ self.directions.T)))
 
 
 IncidentField = PlaneWave | Exponential | Herglotz

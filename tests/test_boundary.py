@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -616,10 +617,36 @@ class TestMixedPrecision:
         assert len(lines) == 3
         n = mesh.n_panels
         assert re.fullmatch(rf"delta-shell kernel: filled, {n} x {n}, k = 2, \d+\.\d{{3}} s", lines[0])
-        assert lines[1] == (f"delta-shell LU: complex64, n = {n}, rcond {system._lu.rcond:.6e}, "
-                            "fallback: None")
+        assert re.fullmatch(re.escape(f"delta-shell LU: complex64, n = {n}, rcond {system._lu.rcond:.6e}, "
+                                      "fallback: None, ") + r"\d+\.\d{3} s", lines[1])
         assert lines[2].startswith("delta-shell solve: 1 right-hand sides, ")
-        assert lines[2].endswith(f"refinement steps, largest residual {sol.residual:.2e}")
+        assert re.search(re.escape(f"refinement steps, largest residual {sol.residual:.2e}, ") + r"\d+\.\d{3} s$",
+                         lines[2])
+
+    def test_stage_seconds_are_the_last_record_arg(self, sphere_meshes):
+        # a handler on the "deltashell" logger reads each stage's seconds from its record's args
+        class Seconds(logging.Handler):
+            def __init__(self):
+                super().__init__(logging.DEBUG)
+                self.seconds = {}
+
+            def emit(self, record):
+                self.seconds[record.msg.split(":")[0]] = record.args[-1]
+
+        handler, log = Seconds(), logging.getLogger("deltashell")
+        level = log.level
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
+        try:
+            start = time.perf_counter()
+            DeltaSystem(None, DeltaSpec(mesh=sphere_meshes[1], alpha=2.0), 2.0).solve(plane_wave(EZ))
+            total = time.perf_counter() - start
+        finally:
+            log.removeHandler(handler)
+            log.setLevel(level)
+        assert set(handler.seconds) == {"delta-shell kernel", "delta-shell LU", "delta-shell solve"}
+        assert all(isinstance(t, float) and t > 0 for t in handler.seconds.values())
+        assert sum(handler.seconds.values()) <= total
 
     def test_low_single_precision_rcond_falls_back(self, system, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="deltashell")

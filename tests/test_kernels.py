@@ -1,5 +1,10 @@
 """Kernel values, Sigma_k algebra, incident fields."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +14,7 @@ from deltashell.kernels import (
     Exponential,
     Herglotz,
     OverflowGuardError,
+    _cis,
     eval_incident,
     eval_incident_grad,
     make_sigma_k,
@@ -62,10 +68,10 @@ class TestKernel:
 
     @pytest.mark.parametrize("k", [0.5, 1.7, 2.0])
     def test_real_and_imaginary_parts_are_the_exponential_form(self, k):
-        # cos(kr)/(4 pi r) and sin(kr)/(4 pi r) are the parts of exp(ikr)/(4 pi r) bit for bit;
-        # the gradient factor's parts are formed in another order
+        # the kernel's parts are cos(kr)/(4 pi r) and sin(kr)/(4 pi r) from ``_cis`` (tested
+        # against long-double cos and sin in TestCis); the gradient factor's parts are
+        # formed in another order than exp(ikr)(ikr - 1)
         r = np.random.default_rng(7).uniform(1e-3, 10.0, 2**16)
-        assert np.array_equal(radial_kernel(r, k), np.exp(1j * k * r) / (4 * np.pi * r))
         ref = np.exp(1j * k * r) * (1j * k * r - 1.0) / (4 * np.pi * r**3)
         assert np.max(np.abs(radial_gradient_factor(r, k) - ref) / np.abs(ref)) <= 1e-15
 
@@ -82,6 +88,41 @@ class TestKernel:
         r = np.geomspace(1e-3, 10.0, 40)
         fd = (radial_remainder(r + h, k) - radial_remainder(r - h, k)) / (2 * h)
         assert_allclose(radial_remainder_gradient_factor(r, k) * r, fd, rtol=1e-7)
+
+
+# the x ranges on which _cis is checked: large arguments, both signs, and near the zeros
+# of cos and of sin
+CIS_RANGES = [(0.0, 4.0), (0.0, 40.0), (0.0, 1e4), (-50.0, 50.0),
+              (np.pi / 2 - 1e-3, np.pi / 2 + 1e-3), (np.pi - 1e-3, np.pi + 1e-3)]
+# the AVX-512 targets numpy may dispatch float64 tan to; numpy warns about, and ignores,
+# the names its build does not dispatch
+NO_AVX512 = "AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR AVX512_KNL AVX512_KNM X86_V4"
+
+
+class TestCis:
+    def test_against_long_double(self):
+        # cos and sin from one tan(x/2) lie within 1.5 * 2^-52 of the exact values (libm's
+        # long-double cos and sin, 64-bit mantissa on x86-64)
+        rng = np.random.default_rng(11)
+        for lo, hi in CIS_RANGES:
+            x = rng.uniform(lo, hi, 400_000)
+            c, s = _cis(x)
+            exact = x.astype(np.longdouble)
+            err = max(np.max(np.abs(c - np.cos(exact))), np.max(np.abs(s - np.sin(exact))))
+            assert err <= 1.5 * 2.0**-52, (lo, hi, err / 2.0**-52)
+        for x in (np.float64(2.0), np.asarray(2.0), 2.0):
+            c, s = _cis(x)
+            assert np.shape(c) == np.shape(s) == ()
+            assert abs(c - np.cos(np.longdouble(2.0))) <= 1.5 * 2.0**-52
+            assert abs(s - np.sin(np.longdouble(2.0))) <= 1.5 * 2.0**-52
+
+    def test_against_long_double_without_avx512(self):
+        # the same check with numpy's AVX-512 dispatch off, where float64 tan is scalar code
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               f"{__file__}::TestCis::test_against_long_double"],
+                              env=env, cwd=Path(__file__).parents[1], capture_output=True, text=True)
+        assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
 
 
 class TestSigmaK:
