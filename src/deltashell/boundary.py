@@ -3,15 +3,15 @@
 A potential V plus a surface interaction of strength alpha on Gamma is the
 singular potential V~ = V + alpha delta_Gamma.  Its discrete form is one
 Lippmann-Schwinger equation over the collocation points x_i (the support
-cell centres, then the panel centroids):
+cell centres, then the panel centroids, Sigma's first):
 
     psi_i + sum_j K_ij w_j psi_j = psi0(x_i),
 
 where K_ij integrates the outgoing kernel over cell or panel j from x_i and
-w = (V on the cells, alpha on the panels) is the discrete V~.  The panel
-unknowns are the trace psi|_Gamma; eta = alpha psi|_Gamma is the surface
-density (the jump of the normal derivative of psi across Gamma).  With
-alpha = 0 the panel columns drop and the panel rows give the trace alone.
+w = (V on the cells, alpha on the panels) is the discrete V~.  The sources are
+the support of V~: the cells where V != 0 and Sigma, the panels where alpha != 0;
+the other panels' rows give the rest of the trace psi|_Gamma.  eta = alpha psi|_Gamma
+is the surface density (the jump of the normal derivative of psi across Gamma).
 
 One row function gives K(x, .) over cells and panels; a fill writes the rows
 of K (S is the fill at the centroids with no cells), and an apply forms
@@ -45,11 +45,12 @@ import logging
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, row_chunks  # noqa: F401 (re-export)
-from .geometry import _SUB_BARY, SurfaceMesh
+from .geometry import _SUB_BARY, SurfaceMesh, _freeze
 from .kernels import IncidentField, _radial_parts, _remainder_parts, eval_incident
 from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, cell_block
 
@@ -95,24 +96,31 @@ _KERNEL_LOG = "delta-shell kernel: %s, %d x %d, k = %g, %.3f s"   # filled or re
 
 @dataclass(frozen=True)
 class DeltaSpec:
-    """Surface strength alpha sampled per panel (real, units 1/length)."""
+    """Surface strength alpha sampled per panel (real, units 1/length); a read-only copy,
+    so Sigma, the panels where alpha != 0, is fixed with it."""
 
     mesh: SurfaceMesh
     alpha: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", self.mesh.per_panel(self.alpha, "alpha"))
+        object.__setattr__(self, "alpha", _freeze(np.array(self.mesh.per_panel(self.alpha, "alpha"))))
 
     def lp_norm(self, p: float = 4.0) -> float:
         """Discrete L^p(Gamma) norm of alpha (reported, not enforced)."""
         return float(np.sum(self.mesh.panel_area * np.abs(self.alpha) ** p) ** (1.0 / p))
 
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.alpha)
+    def support(self) -> np.ndarray:
+        """The panels of Sigma, where alpha != 0."""
+        return np.flatnonzero(self.alpha)
+
+    @cached_property
+    def sigma(self) -> SurfaceMesh:
+        """Sigma as a mesh of Gamma's vertices: ``mesh`` itself when alpha is nowhere 0."""
+        on, m = self.support(), self.mesh
+        return m if len(on) == m.n_panels else SurfaceMesh.from_arrays(m.vertices, m.triangles[on])
 
 
-# no surface: a 0-panel mesh, so alpha is zero and the system is cells-only
+# no surface: a 0-panel mesh, so the system is cells-only
 _NO_SURFACE = DeltaSpec(SurfaceMesh.from_arrays(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)),
                         np.zeros(0))
 
@@ -365,10 +373,10 @@ def _same(a, b, fields) -> bool:
 
 
 def _sources(V: PotentialSample | None, support: np.ndarray, delta: DeltaSpec):
-    """The source set of V~ = V + alpha delta_Gamma: the support cells, then the panels unless alpha = 0."""
+    """The source set of V~ = V + alpha delta_Gamma, its support: the cells where V != 0, then Sigma."""
     grid = None if V is None else V.grid
     centers = _NO_CELLS if V is None else grid.cell_center[support]
-    return grid, centers, _NO_SURFACE.mesh if delta.is_zero else delta.mesh
+    return grid, centers, delta.sigma
 
 
 def assemble_single_layer(mesh: SurfaceMesh, k: float) -> np.ndarray:
@@ -456,9 +464,9 @@ def _system_matrix(kernel: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray
 class DeltaSystem:
     """The factorized system (I + K diag(w)) x = psi0, reusable across incident fields.
 
-    ``kernel`` is K, one row per collocation point in ``points`` (the
-    support cells, then every panel), and ``weights`` is w, one entry per
-    unknown: V on the cells and, unless alpha = 0, alpha on the panels.
+    ``kernel`` is K, one column per source (the support of V, then Sigma, the
+    support of alpha) and one row per point of ``points``: the sources, then
+    the rest of Gamma.  ``weights`` is w: V on the cells, alpha on Sigma.
     ``V = None`` drops the cells and ``delta = None`` the surface (an empty
     mesh), so ``DeltaSystem(V, None, k)`` is the plain Lippmann-Schwinger solve.
 
@@ -470,8 +478,8 @@ class DeltaSystem:
     I + K diag(w) in complex128 instead, where a condition number above 1e12
     raises ``ExceptionalFrequencyError``.
 
-    K depends on the points and the source set, not on V or alpha: media with
-    the same grid, support and Gamma (and alpha = 0 on both or neither) share
+    K depends on the points and the source set, not on the values of V or
+    alpha: media with the same grid, Gamma and supports of V and alpha share
     it, and ``reweighted`` factors another medium's weights over it.
     """
 
@@ -482,7 +490,8 @@ class DeltaSystem:
         delta = _NO_SURFACE if delta is None else delta
         self.support = V.support() if V is not None else np.zeros(0, dtype=int)
         sources = _sources(V, self.support, delta)
-        self.points = np.concatenate([sources[1], delta.mesh.panel_centroid])
+        self._panels = np.concatenate([delta.support(), np.flatnonzero(delta.alpha == 0)])   # Sigma, then the rest
+        self.points = np.concatenate([sources[1], delta.mesh.panel_centroid[self._panels]])
         start = time.perf_counter()
         self.kernel = _fill(self.points, sources, k)
         _log.debug(_KERNEL_LOG, "filled", *self.kernel.shape, k, time.perf_counter() - start)
@@ -491,11 +500,11 @@ class DeltaSystem:
     def reweighted(self, V: PotentialSample | None, delta: DeltaSpec | None) -> DeltaSystem:
         """The system of V and delta at this k over this ``kernel``: factors I + K diag(w') for
         the new weights and computes no kernel entry.  Raises ValueError when the grid, the
-        support of V, Gamma's arrays or ``delta.is_zero`` differ, which changes the sources.
+        support of V, Gamma's arrays or the support of alpha differ, which changes the sources.
         """
         delta = _NO_SURFACE if delta is None else delta
         if not self._shares_kernel(V, delta):
-            raise ValueError("reweighted: the grid, the support of V, Gamma or alpha = 0 differ")
+            raise ValueError("reweighted: the grid, the support of V, Gamma or the support of alpha differ")
         _log.debug(_KERNEL_LOG, "reused", *self.kernel.shape, self.k, 0.0)
         system = copy.copy(self)
         system._weigh(V, delta)
@@ -503,17 +512,17 @@ class DeltaSystem:
 
     def _shares_kernel(self, V: PotentialSample | None, delta: DeltaSpec) -> bool:
         """True when V and delta have this system's points and source set."""
-        if (V is None) != (self.potential is None) or delta.is_zero != self.delta.is_zero:
-            return False
-        return ((V is None or (_same(V.grid, self.potential.grid, ("lo", "hi", "n"))
-                               and np.array_equal(V.support(), self.support)))
-                and _same(delta.mesh, self.mesh, ("vertices", "triangles")))
+        return ((V is None) == (self.potential is None)
+                and (V is None or (_same(V.grid, self.potential.grid, ("lo", "hi", "n"))
+                                   and np.array_equal(V.support(), self.support)))
+                and _same(delta.mesh, self.mesh, ("vertices", "triangles"))
+                and np.array_equal(delta.support(), self.delta.support()))
 
     def _weigh(self, V: PotentialSample | None, delta: DeltaSpec) -> None:
-        """Take w = (V on the support, alpha on the panels unless alpha = 0) and factor I + K diag(w)."""
+        """Take w = (V on its support, alpha on Sigma) and factor I + K diag(w)."""
         self.potential, self.delta, self.mesh = V, delta, delta.mesh
         Vs = np.zeros(0) if V is None else V.values[self.support]
-        self.weights = Vs if delta.is_zero else np.concatenate([Vs, delta.alpha])
+        self.weights = np.concatenate([Vs, delta.alpha[delta.support()]])
         self._lu = self._factor() if len(self.weights) else None
 
     def _factor(self, fallback: str | None = None) -> GuardedLU:
@@ -543,19 +552,19 @@ class DeltaSystem:
         Starting from x = 0 and r = psi0, each refinement step adds LU^-1 r to
         x and forms K (w x) in complex128, which gives every column's
         residual r = psi0 - x - K (w x) on the unknowns' rows and, after the
-        last step, its trace psi0 - K (w x) at the panels.
+        last step, its trace psi0 - K (w x) at the panels, in panel order; eta is
+        w x on Sigma and 0 elsewhere.
         """
         incidents = list(incidents)
         ns = len(self.support)
         psi0 = np.stack([np.asarray(eval_incident(inc, self.k, self.points), dtype=complex)
                          for inc in incidents], axis=1)                # (ns + np, n_rhs)
         x, wx, kwx, residual = self._refine(psi0, time.perf_counter())
-        trace = psi0[ns:] - kwx[ns:]
-        eta = (np.zeros((self.mesh.n_panels, len(incidents)), dtype=complex) if self.delta.is_zero
-               else wx[ns:])
-
         # one contiguous row per solution
-        psi_s, source, eta, trace = (np.ascontiguousarray(a.T) for a in (x[:ns], wx[:ns], eta, trace))
+        trace, eta = (np.zeros((len(incidents), self.mesh.n_panels), dtype=complex) for _ in range(2))
+        trace[:, self._panels] = (psi0[ns:] - kwx[ns:]).T
+        eta[:, self.delta.support()] = wx[ns:].T
+        psi_s, source = (np.ascontiguousarray(a.T) for a in (x[:ns], wx[:ns]))
         return [
             DeltaSolution(
                 eta=eta[j], incident=inc, k=self.k,
@@ -598,7 +607,7 @@ class DeltaSystem:
 
 def _scattered(sol: DeltaSolution, pts: np.ndarray, grad: bool = False) -> np.ndarray:
     """-K(x, .) (w psi): the outgoing field of the source V~ psi at pts, or its gradient."""
-    q = sol.source_density if sol.delta.is_zero else np.concatenate([sol.source_density, sol.eta])
+    q = np.concatenate([sol.source_density, sol.eta[sol.delta.support()]])
     return -_apply(pts, _sources(sol.potential, sol.support, sol.delta), q, sol.k, grad)
 
 
@@ -612,14 +621,13 @@ def eval_scattered_field(sol: DeltaSolution, x) -> np.ndarray | complex:
 def eval_total_field(sol: DeltaSolution, x, near_warning: bool = True) -> np.ndarray | complex:
     """Total field psi0 + scattered at x; warns near the surface."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     pts = np.atleast_2d(x)
     if near_warning and near_surface(pts, sol.mesh):
         warnings.warn("evaluation point within a quarter panel diameter of Gamma; "
                       "near-field accuracy is reduced", stacklevel=2)
     psi0 = np.asarray(eval_incident(sol.incident, sol.k, pts), dtype=complex)
     vals = psi0 + eval_scattered_field(sol, pts)
-    return vals[0] if single else vals
+    return vals[0] if x.ndim == 1 else vals
 
 
 def eval_scattered_gradient(sol: DeltaSolution, x) -> np.ndarray:
@@ -641,9 +649,6 @@ def check_jump_relation(mesh: SurfaceMesh, k: float, xi: np.ndarray) -> float:
     off = (_JUMP_OFFSET * mesh.panel_diameter)[:, None] * nrm
     dn_out, dn_in = (np.einsum("ij,ij->i", layer_potential_gradient(mesh.panel_centroid + side * off, mesh, xi, k), nrm)
                      for side in (1.0, -1.0))
-    jump = dn_out - dn_in
-
-    w = mesh.panel_area
-    err = np.sqrt(np.sum(w * np.abs(jump + xi) ** 2) / np.sum(w * np.abs(xi) ** 2))
-    return float(err)
+    w, jump = mesh.panel_area, dn_out - dn_in
+    return float(np.sqrt(np.sum(w * np.abs(jump + xi) ** 2) / np.sum(w * np.abs(xi) ** 2)))
 

@@ -481,6 +481,10 @@ def cmd_compare(path_a: str, path_b: str, out: Path, quiet: bool,
     return 0
 
 
+_COMMANDS = {"forward": cmd_forward, "farfield": cmd_farfield, "acoustic": cmd_acoustic, "oracle": cmd_oracle,
+             "verify": cmd_verify}
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -513,7 +517,7 @@ def run_command(argv=None) -> int:
     parser.add_argument("--log-level", default="WARNING",
                         help=f"level of the deltashell log on stderr: {', '.join(_LOG_LEVELS)} (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("forward", "farfield", "acoustic", "oracle", "verify"):
+    for name in _COMMANDS:
         sub.add_parser(name)
     pc = sub.add_parser("compare")
     pc.add_argument("file_a")
@@ -540,14 +544,7 @@ def _dispatch(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     validate_config(cfg, args.command)
-    handler = {
-        "forward": cmd_forward,
-        "farfield": cmd_farfield,
-        "acoustic": cmd_acoustic,
-        "oracle": cmd_oracle,
-        "verify": cmd_verify,
-    }[args.command]
-    return handler(cfg, out, args.quiet)
+    return _COMMANDS[args.command](cfg, out, args.quiet)
 
 
 def main(argv=None) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._dense import map_chunks, row_chunks
-from .boundary import DeltaSolution, eval_scattered_field, eval_scattered_gradient
+from .boundary import DeltaSolution, _sources, eval_scattered_field, eval_scattered_gradient
 from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
 from .kernels import _cis, _joined
 from .volume import PotentialSample
@@ -123,9 +123,9 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     """Far field at unit directions obs, from the sources.
 
     ``sol`` is one ``DeltaSolution`` (result (n_obs,)) or a list of solutions
-    of one system (result (n_sol, n_obs)).  Cell centers and panel quadrature
-    points share one phase matrix, built in observation chunks and applied to
-    all solutions in one product.
+    of one system (result (n_sol, n_obs)).  The support cells' centers and the
+    rule points of Sigma's panels share one phase matrix, built in observation
+    chunks and applied to all solutions in one product.
     """
     single = isinstance(sol, DeltaSolution)
     sols = [sol] if single else list(sol)
@@ -133,17 +133,13 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     if any(s.k != first.k or s.delta is not first.delta or s.potential is not first.potential
            for s in sols):
         raise ValueError("batched solutions must come from one system")
-    # source points and (n_points, n_sol) weights: cell sources, then panel densities
-    pts, coef = [np.zeros((0, 3))], [np.zeros((0, len(sols)), dtype=complex)]
-    if len(first.support):
-        pts.append(first.potential.grid.cell_center[first.support])
-        coef.append(np.stack([s.source_density for s in sols], axis=1) * first.potential.grid.cell_volume)
-    eta = np.stack([s.eta for s in sols], axis=1) * first.mesh.panel_area[:, None]
-    if np.any(eta):
-        qpts, w = first.mesh.quadrature_points()
-        pts.append(qpts.reshape(-1, 3))
-        coef.append((eta[:, None, :] * w[None, :, None]).reshape(-1, len(sols)))
-    pts, coef = np.concatenate(pts), np.concatenate(coef)
+    # source points and (n_points, n_sol) weights over the support of V~: the cells, then Sigma's rule points
+    grid, centers, sigma = _sources(first.potential, first.support, first.delta)
+    qpts, w = sigma.quadrature_points()
+    cells = np.stack([s.source_density for s in sols], axis=1) * (1.0 if grid is None else grid.cell_volume)
+    eta = np.stack([s.eta for s in sols], axis=1)[first.delta.support()] * sigma.panel_area[:, None]
+    pts = np.concatenate([centers, qpts.reshape(-1, 3)])
+    coef = np.concatenate([cells, (eta[:, None, :] * w[None, :, None]).reshape(-1, len(sols))])
 
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     out = np.empty((len(obs), len(sols)), dtype=complex)

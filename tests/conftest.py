@@ -54,15 +54,17 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture(scope="session", params=["volume+surface", "cells only", "surface only", "no surface"])
+@pytest.fixture(scope="session",
+                params=["volume+surface", "cells only", "surface only", "no surface", "volume+Sigma"])
 def small_system(request, sphere_meshes, small_grid):
-    """One factorized system per solve path: coupled, alpha = 0, no volume and no surface."""
+    """One factorized system per solve path: coupled, alpha = 0, no volume, no surface, and
+    coupled with alpha = 1.5 on Sigma, the panels with z > 0, and 0 elsewhere."""
     mesh = sphere_meshes[1]
     V = None if request.param == "surface only" else bump_potential(small_grid, 0.6)
     if request.param == "no surface":
         return DeltaSystem(V, None, 1.7)
-    alpha = 0.0 if request.param == "cells only" else 1.5
-    return DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha)), 1.7)
+    alpha = {"cells only": 0.0, "volume+Sigma": np.where(mesh.panel_centroid[:, 2] > 0, 1.5, 0.0)}
+    return DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, alpha.get(request.param, 1.5))), 1.7)
 
 
 def reference_lippmann_schwinger(V, inc, k):

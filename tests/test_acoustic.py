@@ -374,7 +374,7 @@ class TestPipeline:
         grid = make_volume_grid((-2.4, 2.4), 12)
         omega = 1.5
         data = acoustic_to_schrodinger(m, omega, grid)
-        assert data.delta.is_zero
+        assert data.delta.support().size == 0
 
         sol_d = DeltaSystem(data.V, data.delta, omega).solve(plane_wave(EZ))
         support, source, field_v = reference_lippmann_schwinger(data.V, plane_wave(EZ), omega)
@@ -386,6 +386,19 @@ class TestPipeline:
         centers = grid.cell_center[support]
         ff_v = -(np.exp(-1j * omega * (obs @ centers.T)) @ src) / (4 * np.pi)
         assert np.linalg.norm(ff_d - ff_v) / np.linalg.norm(ff_v) < 1e-3
+
+    def test_shell_density_on_part_of_gamma_solves_on_sigma(self, sphere_meshes):
+        # xi = 0 on the panels with z <= 0: alpha lives on Sigma = {z > 0}, a proper part of
+        # Gamma, and only Sigma's panels are unknowns
+        mesh = sphere_meshes[1]
+        xi = np.where(mesh.panel_centroid[:, 2] > 0, 0.8, 0.0)
+        m = MediumSpec(gamma=mesh, shell_density=xi, cutoff=RadialCutoff(1.5, 2.2))
+        data = acoustic_to_schrodinger(m, 1.5, make_volume_grid((-2.4, 2.4), 12))
+        assert np.array_equal(data.delta.support(), np.flatnonzero(xi))
+        system = DeltaSystem(data.V, data.delta, 1.5)
+        assert len(system.weights) == len(data.V.support()) + np.count_nonzero(xi) < len(system.points)
+        eta = system.solve(plane_wave(EZ)).eta
+        assert not np.any(eta[xi == 0]) and np.all(eta[xi != 0] != 0)
 
     def test_radial_shell_medium_vs_oracle(self, sphere_meshes):
         # radial medium: rho = 1 + chi * SL(xi); oracle gets the shell-ized V(r)

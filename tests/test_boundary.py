@@ -31,6 +31,7 @@ from deltashell.boundary import (
     near_surface,
     on_surface,
 )
+from deltashell.farfield import direction_grid, farfield_source
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, make_volume_grid, triangle_rule
 from deltashell.kernels import (
     Exponential,
@@ -461,10 +462,27 @@ class TestSharedKernel:
             (bump_potential(make_volume_grid((-1.6, 1.6), 10), 0.6), delta),    # another grid
             (V, DeltaSpec(mesh=sphere_meshes[2], alpha=1.5)),                    # another Gamma
             (V, DeltaSpec(mesh=mesh, alpha=0.0)),                                # alpha = 0
+            (V, DeltaSpec(mesh=mesh, alpha=np.where(mesh.panel_centroid[:, 2] > 0, 1.5, 0.0))),  # another Sigma
             (None, delta),                                                       # no cells
         ):
             with pytest.raises(ValueError, match="reweighted"):
                 system.reweighted(V2, delta2)
+
+    def test_reweighted_takes_other_values_on_the_same_sigma(self, sphere_meshes, small_grid):
+        # Sigma = {z > 0}: other nonzero values there share the kernel and give the fresh system
+        # bitwise; alpha on the other half is another Sigma
+        mesh = sphere_meshes[1]
+        V, up = bump_potential(small_grid, 0.6), mesh.panel_centroid[:, 2] > 0
+        system = DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=np.where(up, 1.5, 0.0)), 1.7)
+        delta = DeltaSpec(mesh=mesh, alpha=np.where(up, 2.0 + mesh.panel_centroid[:, 0], 0.0))
+        shared, fresh = system.reweighted(V, delta), DeltaSystem(V, delta, 1.7)
+        assert shared.kernel is system.kernel and np.array_equal(shared.kernel, fresh.kernel)
+        assert np.array_equal(shared.weights, fresh.weights)
+        a, b = (s.solve(plane_wave(EZ)) for s in (shared, fresh))
+        for name in ("eta", "trace", "psi_support", "source_density"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        with pytest.raises(ValueError, match="reweighted"):
+            system.reweighted(V, DeltaSpec(mesh=mesh, alpha=np.where(up, 0.0, 1.5)))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_apply_takes_the_densities_column_by_column(self, sphere_meshes, monkeypatch, workers):
@@ -485,22 +503,22 @@ class TestSharedKernel:
 
 class TestSystemMatrix:
     def test_kernel_blocks_are_the_assembled_blocks(self, small_system):
+        # the columns are the support cells, then Sigma (the panels where alpha != 0); the rows
+        # are the same, then the rest of Gamma, which give the trace
         s = small_system
         mesh, V, ns = s.mesh, s.potential, len(s.support)
+        sigma = np.flatnonzero(s.delta.alpha)
+        order = np.concatenate([sigma, np.flatnonzero(s.delta.alpha == 0)])
         centers = V.grid.cell_center[s.support] if ns else np.zeros((0, 3))
-        assert np.array_equal(s.points, np.concatenate([centers, mesh.panel_centroid]))
+        assert np.array_equal(s.points, np.concatenate([centers, mesh.panel_centroid[order]]))
+        assert s.kernel.shape == (ns + mesh.n_panels, ns + len(sigma))
         if ns:
             assert np.array_equal(s.kernel[:ns, :ns], assemble_volume_operator(V.grid, s.k, cells=s.support))
-            assert np.array_equal(s.kernel[ns:, :ns], cell_block(mesh.panel_centroid, centers, V.grid, s.k))
+            assert np.array_equal(s.kernel[ns:, :ns], cell_block(mesh.panel_centroid, centers, V.grid, s.k)[order])
+        assert np.array_equal(s.kernel[:ns, ns:], _panel_block(centers, mesh, s.k)[:, sigma])
+        assert np.array_equal(s.kernel[ns:, ns:], assemble_single_layer(mesh, s.k)[np.ix_(order, sigma)])
         Vs = V.values[s.support] if ns else np.zeros(0)
-        if s.delta.is_zero:
-            # the panel columns drop; the panel rows stay for the trace
-            assert s.kernel.shape == (ns + mesh.n_panels, ns)
-            assert np.array_equal(s.weights, Vs)
-        else:
-            assert np.array_equal(s.kernel[:ns, ns:], _panel_block(centers, mesh, s.k))
-            assert np.array_equal(s.kernel[ns:, ns:], assemble_single_layer(mesh, s.k))
-            assert np.array_equal(s.weights, np.concatenate([Vs, s.delta.alpha]))
+        assert np.array_equal(s.weights, np.concatenate([Vs, s.delta.alpha[sigma]]))
 
     def test_scattered_field_is_volume_plus_layer_potential(self, small_system, small_grid):
         # one apply over cells and panels against the cells-only and panels-only sums
@@ -513,7 +531,7 @@ class TestSystemMatrix:
             field += volume_potential(pts, grid, sol.source_density, sol.k, cells=sol.support)
             grad += np.einsum("imk,m->ik", cell_block(pts, grid.cell_center[sol.support], grid, sol.k, grad=True),
                               sol.source_density)
-        if not sol.delta.is_zero:
+        if sol.delta.support().size != 0:
             field += layer_potential(pts, sol.mesh, sol.eta, sol.k)
             grad += layer_potential_gradient(pts, sol.mesh, sol.eta, sol.k)
         assert np.linalg.norm(eval_scattered_field(sol, pts) + field) <= 1e-14 * np.linalg.norm(field)
@@ -716,7 +734,7 @@ class TestSolveMany:
         assert_allclose(small_system.weights[:len(sol.support)] * sol.psi_support, sol.source_density, rtol=1e-15)
         if sol.potential is not None:
             assert np.array_equal(sol.volume_field.values[sol.support], sol.psi_support)
-        if small_system.delta.is_zero:
+        if small_system.delta.support().size == 0:
             assert not np.any(sol.eta)
 
 
@@ -796,6 +814,60 @@ def solve_delta_system_composition(V, delta, inc, k):
         residual=residual, trace=trace, potential=V, delta=delta,
         support=support, source_density=source, psi_support=psi_total,
     )
+
+
+class TestSigma:
+    """alpha on Sigma, a proper part of Gamma: the panels where alpha = 0 are no unknowns."""
+
+    def test_alpha_is_a_read_only_copy(self, sphere_meshes):
+        # Sigma's mesh is built once per DeltaSpec; a change to the caller's array after the
+        # fact must not leave it stale (a system built then had 80 columns and 40 weights)
+        mesh = sphere_meshes[1]
+        alpha = np.full(mesh.n_panels, 2.0)
+        delta = DeltaSpec(mesh=mesh, alpha=alpha)
+        assert delta.sigma is mesh
+        alpha[:40] = 0.0
+        assert np.all(delta.alpha == 2.0) and delta.sigma is mesh
+        with pytest.raises(ValueError, match="read-only"):
+            delta.alpha[0] = 0.0
+        assert len(DeltaSystem(None, delta, 2.0).weights) == mesh.n_panels
+
+    @pytest.mark.parametrize("with_cells", [False, True])
+    def test_matches_the_full_gamma_reference(self, sphere_meshes, small_grid, with_cells):
+        # the dense full-Gamma system I + K diag(w), w = 0 off Sigma, built here and solved in
+        # complex128 by np.linalg.solve
+        k, mesh = 2.0, sphere_meshes[2]
+        V = bump_potential(small_grid, 0.6) if with_cells else None
+        alpha = np.where(mesh.panel_centroid[:, 2] > 0, 2.0, 0.0)
+        sigma, off = np.flatnonzero(alpha), alpha == 0
+        system = DeltaSystem(V, DeltaSpec(mesh=mesh, alpha=alpha), k)
+        cells = system.support
+        ns = len(cells)
+        assert len(system.weights) == ns + len(sigma) and 0 < len(sigma) < mesh.n_panels
+
+        centers = small_grid.cell_center[cells]
+        S = assemble_single_layer(mesh, k)
+        K = (np.block([[assemble_volume_operator(small_grid, k, cells=cells), _panel_block(centers, mesh, k)],
+                       [cell_block(mesh.panel_centroid, centers, small_grid, k), S]]) if with_cells else S)
+        w = np.concatenate([V.values[cells] if with_cells else np.zeros(0), alpha])
+        incidents = mixed_incidents()
+        points = np.concatenate([centers, mesh.panel_centroid])
+        psi0 = np.stack([eval_incident(inc, k, points) for inc in incidents], axis=1).astype(complex)
+        x = np.linalg.solve(np.eye(len(w)) + K * w, psi0)
+        eta_ref, trace_ref = (w[:, None] * x)[ns:], x[ns:]
+
+        sols = system.solve_many(incidents)
+        eta, trace = np.stack([sol.eta for sol in sols], axis=1), np.stack([sol.trace for sol in sols], axis=1)
+        assert not np.any(eta[off])
+        assert _rel(eta, eta_ref) <= 1e-12 and _rel(trace, trace_ref) <= 1e-12
+        # the far field -1/(4 pi) sum_j e^{-ik obs.y_j} q_j over the cells and every panel's rule points
+        obs = direction_grid(4, 8).normals
+        qpts, rule = mesh.quadrature_points()
+        y = np.concatenate([centers, qpts.reshape(-1, 3)])
+        panel_q = (eta_ref * mesh.panel_area[:, None])[:, None, :] * rule[None, :, None]
+        q = np.concatenate([(w[:, None] * x)[:ns] * small_grid.cell_volume, panel_q.reshape(-1, len(incidents))])
+        ff_ref = -(np.exp(-1j * k * (obs @ y.T)) @ q).T / (4.0 * np.pi)
+        assert _rel(farfield_source(sols, obs), ff_ref) <= 1e-12
 
 
 class TestDeltaSolve:

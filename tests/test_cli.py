@@ -320,6 +320,25 @@ class TestLogLevel:
         for name in ("run_density.csv", "run_field.csv", "run_metadata.json"):
             assert (debug / name).read_bytes() == (default / name).read_bytes()
 
+    def test_alpha_on_sigma_makes_sigma_the_panel_unknowns(self, tmp_path, capsys):
+        # alpha from a CSV, 0 on the panels with z <= 0: the LU has n = cells + |Sigma|, and eta
+        # is exactly 0 off Sigma
+        mesh = make_sphere_mesh(1.0, 1)
+        alpha = np.where(mesh.panel_centroid[:, 2] > 0, 2.0, 0.0)
+        csv = tmp_path / "alpha.csv"
+        np.savetxt(csv, alpha)
+        cfg = dict(FORWARD_TRIVIAL, alpha={"csv": str(csv)}, grid={"bbox": [-2.0, 2.0], "n": 10},
+                   potential_bumps=[{"amplitude": 0.3, "center": [0.0, 0.0, 0.0], "width": 0.45}],
+                   cutoff={"r_inner": 1.2, "r_outer": 1.5})
+        path = write_config(tmp_path, "sigma.json", cfg)
+        assert main(["--config", path, "--out", str(tmp_path), "--log-level", "DEBUG", "--quiet", "forward"]) == 0
+        (n,) = re.findall(r"delta-shell LU: \w+, n = (\d+),", capsys.readouterr().err)
+        cells = len(cli._build_potential(cfg, cli._build_grid(cfg)).support())
+        assert cells > 0 and int(n) == cells + np.count_nonzero(alpha) < cells + mesh.n_panels
+        dens = np.loadtxt(tmp_path / "run_density.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(dens[:, 6], alpha)
+        assert not np.any(dens[alpha == 0, 4:6]) and np.all(np.any(dens[alpha != 0, 4:6], axis=1))
+
     def test_acoustic_logs_one_fill_per_frequency(self, tmp_path, capsys):
         path = write_config(tmp_path, "ac.json", dict(ACOUSTIC, grid={"bbox": [-2.6, 2.6], "n": 7}))
         assert main(["--config", path, "--out", str(tmp_path), "--log-level", "DEBUG", "--quiet", "acoustic"]) == 0
