@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import DeltaSpec, DeltaSystem, layer_potential, layer_potential_gradient, near_surface, on_surface
+from .boundary import _NO_CELLS, DeltaSpec, DeltaSystem, _apply, near_surface, on_surface
 from .farfield import FarFieldPattern, farfield_source
 from .geometry import SurfaceMesh, VolumeGrid
 from .kernels import plane_wave
@@ -160,12 +160,12 @@ def _sum_bumps(bumps, x: np.ndarray):
 
 def _density(media, x: np.ndarray, derivatives: bool) -> list:
     """``eval_density`` of media that share Gamma, without the near-Gamma scan: one
-    (rho, grad rho, lap rho) per medium.  Each static layer block is made once and
-    applied to every medium's shell density (one column each)."""
+    (rho, grad rho, lap rho) per medium.  One static layer pass, with ``derivatives`` the jet
+    (value and gradient), serves every medium's shell density (one column each)."""
     gamma = media[0].gamma
     xi = np.stack([m.shell_density for m in media], axis=1)
-    sl = layer_potential(x, gamma, xi, 0.0)
-    sl_grad = layer_potential_gradient(x, gamma, xi, 0.0) if derivatives else None
+    sl = _apply(x, (None, _NO_CELLS, gamma), xi, 0.0, derivatives)
+    sl, sl_grad = (sl[:, 0], sl[:, 1:]) if derivatives else (sl, None)
     out = []
     for j, m in enumerate(media):
         b_val, b_grad, b_lap = _sum_bumps(m.rho_bumps, x)

@@ -13,10 +13,11 @@ the support of V~: the cells where V != 0 and Sigma, the panels where alpha != 0
 the other panels' rows give the rest of the trace psi|_Gamma.  eta = alpha psi|_Gamma
 is the surface density (the jump of the normal derivative of psi across Gamma).
 
-One row function gives K(x, .) over cells and panels; a fill writes the rows
-of K (S is the fill at the centroids with no cells), and an apply forms
-sum_j K(x, j) q_j: the layer potential (q = eta) and the scattered field
--K (w psi), the outgoing resolvent applied to the source V~ psi.
+One row function gives K(x, .) over cells and panels, or its jet (the value,
+then the x-gradient, from one pass); a fill writes the rows of K (S is the fill
+at the centroids with no cells), and an apply forms sum_j K(x, j) q_j: the layer
+potential (q = eta) and the scattered field -K (w psi), the outgoing resolvent
+applied to the source V~ psi.
 
 Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
 ``geometry.triangle_rule``; every kernel value comes from ``kernels``):
@@ -133,7 +134,7 @@ def _flat_triangle_moments(x: np.ndarray, corners: np.ndarray, grad: bool) -> np
     """Closed-form int_T r^-1 and int_T r dsigma / (4 pi), r = |x - y|, over flat triangles.
 
     x (p, 3) pairs one-to-one with corners (p, 3, 3); the target may lie on
-    T, in its plane or off it.  Returns (p, 2), or the x-gradients (p, 2, 3).
+    T, in its plane or off it.  Returns (p, 2), or with ``grad`` the (p, 2, 4) jets: each, then its x-gradient.
     With h the height of x over T, Omega the solid angle of T seen from x
     (Van Oosterom-Strackee) and, for edge i, its outward in-plane normal
     m_i, the signed distance t_i of the foot point from its line and the
@@ -143,9 +144,11 @@ def _flat_triangle_moments(x: np.ndarray, corners: np.ndarray, grad: bool) -> np
         int r^-1 = sum_i t_i f_i - |h| Omega,   grad = -sum_i f_i m_i - sign(h) Omega n,
         int r = (h^2 int r^-1 + sum_i t_i E_i)/3, grad = -sum_i E_i m_i + h (int r^-1) n.
 
-    The gradients raise ValueError for a target on the closed panel
-    (``_panel_gap`` within _SELF_TOL).
+    With ``grad`` it raises ValueError, before any work, for a target on the closed
+    panel (``_panel_gap`` within _SELF_TOL).
     """
+    if grad and np.any(_panel_gap(x, corners) <= _SELF_TOL):
+        raise ValueError("layer gradient requested on the surface")
     a = corners - x[:, None, :]                              # v_i - x
     R = np.linalg.norm(a, axis=2)
     e = np.roll(corners, -1, axis=1) - corners               # edge i: v_i -> v_{i+1}
@@ -179,14 +182,12 @@ def _flat_triangle_moments(x: np.ndarray, corners: np.ndarray, grad: bool) -> np
     omega = 2.0 * np.arctan2(triple, np.prod(R, axis=1) + np.einsum("pi,pi->p", dots, np.roll(R, 1, axis=1)))
     # omega = -sign(h) * solid angle
     inv = np.einsum("pi,pi->p", t, f) + h * omega
+    lin = (h**2 * inv + np.einsum("pi,pi->p", t, E)) / 3.0
     if not grad:
-        lin = (h**2 * inv + np.einsum("pi,pi->p", t, E)) / 3.0
         return np.stack([inv, lin], axis=1) / (4.0 * np.pi)
-    if np.any(_panel_gap(x, corners) <= _SELF_TOL):
-        raise ValueError("layer gradient requested on the surface")
     grad_inv = omega[:, None] * n - np.einsum("pi,pij->pj", f, m)
     grad_lin = (h * inv)[:, None] * n - np.einsum("pi,pij->pj", E, m)
-    return np.stack([grad_inv, grad_lin], axis=1) / (4.0 * np.pi)
+    return np.stack([np.column_stack([inv, grad_inv]), np.column_stack([lin, grad_lin])], axis=1) / (4.0 * np.pi)
 
 
 def _panel_gap(x: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -210,14 +211,14 @@ def _kernel_dtype(k: float):
 
 def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: np.ndarray,
                          k: float, grad: bool) -> np.ndarray:
-    """Integral of the kernel (or its x-gradient) over panel qq[j] from target x[ii[j]].
+    """Integral of the kernel over panel qq[j] from target x[ii[j]], or with ``grad`` its jet (value, x-gradient).
 
     The singular terms (1/r - k^2 r/2)/(4 pi) in closed form, the remainder
     ``kernels.radial_remainder`` in real parts by the 12-point, equal-weight midpoint
     subrule (``SurfaceMesh.panel_subrule_points``).  At k = 0 the kernel is 1/(4 pi r)
     and the remainder is 0: float64 1/r moments.
     """
-    out = np.empty((len(ii), 3) if grad else len(ii), dtype=_kernel_dtype(k))
+    out = np.empty((len(ii), 4) if grad else len(ii), dtype=_kernel_dtype(k))
     for sl in row_chunks(len(ii), len(_SUB_BARY) * 3):
         xs, qs, areas = x[ii[sl]], qq[sl], mesh.panel_area[qq[sl]]
         moments = _flat_triangle_moments(xs, mesh.panel_corners[qs], grad)
@@ -226,9 +227,11 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
             continue
         d = xs[:, None, :] - mesh.panel_subrule_points[qs]
         r = np.sqrt(np.einsum("psk,psk->ps", d, d))
-        parts = _remainder_parts(r, k, grad)
-        re, im = ([np.einsum("psk,ps,p->pk", d, part, areas) for part in parts] if grad
-                  else [np.einsum("ps,p->p", part, areas) for part in parts])
+        value, gradient = _remainder_parts(r, k, grad)
+        re, im = [np.einsum("ps,p->p", part, areas) for part in value]
+        if grad:
+            re, im = [np.column_stack([v, np.einsum("psk,ps,p->pk", d, part, areas)])
+                      for v, part in zip((re, im), gradient)]
         out[sl].real = moments[:, 0] - 0.5 * k**2 * moments[:, 1] + re / len(_SUB_BARY)
         out[sl].imag = im / len(_SUB_BARY)
     return out
@@ -273,8 +276,8 @@ def on_surface(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
 def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False) -> np.ndarray:
     """Panel integrals of the kernel from targets x: M[i, q] ~ int_{panel q} G_k(x_i, y) dsigma(y).
 
-    Returns (n, m) values, or with ``grad`` the (n, m, 3) x-gradients;
-    float64 at k = 0.  Base rule everywhere; near pairs (collocation self
+    Returns (n, m) values, or with ``grad`` the (n, m, 4) jets (the value, then the
+    x-gradient); float64 at k = 0.  Base rule everywhere; near pairs (collocation self
     entries included) take the closed-form static part plus the subrule
     remainder.  The near pairs are integrated first, so a gradient on the
     surface raises before the base rule runs; their base-rule distance is
@@ -292,16 +295,15 @@ def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False)
     np.sqrt(r, out=r)
     r[ii, qq] = 1.0
     # the kernel times the rule weight and the panel area, in float64 parts
-    parts = _radial_parts(r, k, mesh.panel_area[:, None] * w, grad)
-    block = np.empty(r.shape[:2] + ((3,) if grad else ()), dtype=_kernel_dtype(k))
-    if grad:
-        for i in range(3):
-            diff = np.subtract.outer(x[:, i], qpts[..., i])   # component i of x - y, (n, m, g)
-            for part, out in zip(parts, (block.real, block.imag)):
-                np.einsum("img,img->im", diff, part, out=out[..., i])
-    else:
-        for part, out in zip(parts, (block.real, block.imag)):
-            np.einsum("img->im", part, out=out)
+    value, gradient = _radial_parts(r, k, mesh.panel_area[:, None] * w, grad)
+    block = np.empty(r.shape[:2] + ((4,) if grad else ()), dtype=_kernel_dtype(k))
+    channels = np.moveaxis(block, -1, 0) if grad else [block]      # the value, then d/dx_i
+    for part, out in zip(value, (channels[0].real, channels[0].imag)):
+        np.einsum("img->im", part, out=out)
+    for i, channel in enumerate(channels[1:]):
+        diff = np.subtract.outer(x[:, i], qpts[..., i])       # component i of x - y, (n, m, g)
+        for part, out in zip(gradient, (channel.real, channel.imag)):
+            np.einsum("img,img->im", diff, part, out=out)
     block[ii, qq] = near
     return block
 
@@ -313,14 +315,14 @@ def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.n
     """K(x, .) over a source set (grid, centers, mesh): the cells at ``centers`` through
     ``volume.cell_block``, then the panels of ``mesh`` through ``_panel_block``.
 
-    Returns (n, m) values, or with ``grad`` the (n, m, 3) x-gradients, in
-    ``out`` if given (float64 at k = 0); an empty ``centers`` or ``mesh`` adds
-    no columns.
+    Returns (n, m) values, or with ``grad`` the (n, m, 4) jets (the value, then the
+    x-gradient), in ``out`` if given (float64 at k = 0); an empty ``centers`` or
+    ``mesh`` adds no columns.
     """
     grid, centers, mesh = sources
     nc = len(centers)
     if out is None:
-        out = np.empty((len(x), nc + mesh.n_panels) + ((3,) if grad else ()), dtype=_kernel_dtype(k))
+        out = np.empty((len(x), nc + mesh.n_panels) + ((4,) if grad else ()), dtype=_kernel_dtype(k))
     if nc:
         out[:, :nc] = cell_block(x, centers, grid, k, grad)
     if mesh.n_panels:
@@ -330,7 +332,8 @@ def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.n
 
 def _source_chunks(n: int, sources, grad: bool = False) -> list[slice]:
     """Row chunks for n targets: a row costs 1 entry per cell, 4 per panel (3 rule-point distances, 1 entry),
-    three times that with ``grad`` (the components of x - y)."""
+    three times that with ``grad``: a jet row's value and gradient parts, x - y and 4 channels make
+    1.9-2.8 times a value row's temporaries, so a jet chunk peaks below a value chunk."""
     _, centers, mesh = sources
     return row_chunks(n, (len(centers) + 4 * mesh.n_panels) * (3 if grad else 1))
 
@@ -349,14 +352,14 @@ def _fill(points: np.ndarray, sources, k: float) -> np.ndarray:
 
 
 def _apply(x: np.ndarray, sources, q: np.ndarray, k: float, grad: bool = False) -> np.ndarray:
-    """sum_j K(x, j) q_j over a source set, or with ``grad`` its (n, 3) x-gradient; real
-    when k = 0 and q is real.
+    """sum_j K(x, j) q_j over a source set, or with ``grad`` its (n, 4) jet (the value, then
+    the x-gradient); real when k = 0 and q is real.
 
-    A 2-D q (m, c) gives (n, c), or (n, 3, c): each kernel row chunk is made once and
+    A 2-D q (m, c) gives (n, c), or (n, 4, c): each kernel row chunk is made once and
     applied column by column, so every column is bitwise its 1-D product.
     """
     cols = np.ascontiguousarray(q.T if q.ndim == 2 else q[None])
-    out = np.empty((len(x),) + ((3,) if grad else ()) + cols.shape[:1], dtype=np.result_type(_kernel_dtype(k), q))
+    out = np.empty((len(x),) + ((4,) if grad else ()) + cols.shape[:1], dtype=np.result_type(_kernel_dtype(k), q))
 
     def fill(rows):
         block = _kernel_rows(x[rows], sources, k, grad)
@@ -400,7 +403,7 @@ def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: floa
     diameters.
     """
     return _apply(np.atleast_2d(np.asarray(points, dtype=float)), (None, _NO_CELLS, mesh), np.asarray(eta),
-                  k, grad=True)
+                  k, grad=True)[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +609,7 @@ class DeltaSystem:
 # ---------------------------------------------------------------------------
 
 def _scattered(sol: DeltaSolution, pts: np.ndarray, grad: bool = False) -> np.ndarray:
-    """-K(x, .) (w psi): the outgoing field of the source V~ psi at pts, or its gradient."""
+    """-K(x, .) (w psi): the outgoing field of the source V~ psi at pts, or with ``grad`` its (n, 4) jet."""
     q = np.concatenate([sol.source_density, sol.eta[sol.delta.support()]])
     return -_apply(pts, _sources(sol.potential, sol.support, sol.delta), q, sol.k, grad)
 
@@ -632,7 +635,7 @@ def eval_total_field(sol: DeltaSolution, x, near_warning: bool = True) -> np.nda
 
 def eval_scattered_gradient(sol: DeltaSolution, x) -> np.ndarray:
     """Analytic gradient of the scattered field at off-surface points."""
-    return _scattered(sol, np.atleast_2d(np.asarray(x, dtype=float)), grad=True)
+    return _scattered(sol, np.atleast_2d(np.asarray(x, dtype=float)), grad=True)[:, 1:]
 
 
 def check_jump_relation(mesh: SurfaceMesh, k: float, xi: np.ndarray) -> float:

@@ -457,14 +457,23 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     return 0 if bundle["all_pass"] else 3
 
 
+def _table(path: str):
+    """The far-field table at ``path``; a ConfigError naming the file when it cannot be read as one."""
+    try:
+        return load_farfield_csv(path)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path} is not a readable far-field table: {exc}") from exc
+
+
 def cmd_compare(path_a: str, path_b: str, out: Path, quiet: bool,
                 tol: float | None = None) -> int:
     if tol is not None and not 0 <= tol < np.inf:
         raise ConfigError(f"--tol must be a finite number >= 0, got {tol!r}")
-    fa = load_farfield_csv(path_a)
-    fb = load_farfield_csv(path_b)
-    l2 = fa.rel_l2_distance(fb)
-    mx = fa.max_rel_distance(fb)
+    fa, fb = (_table(path) for path in (path_a, path_b))
+    try:
+        l2, mx = fa.rel_l2_distance(fb), fa.max_rel_distance(fb)
+    except ValueError as exc:
+        raise ConfigError(f"{path_a} and {path_b} cannot be compared: {exc}") from exc
     report = {
         "file_a": str(path_a),
         "file_b": str(path_b),

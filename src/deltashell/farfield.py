@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._dense import map_chunks, row_chunks
-from .boundary import DeltaSolution, _sources, eval_scattered_field, eval_scattered_gradient
+from .boundary import DeltaSolution, _scattered, _sources
 from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
 from .kernels import _cis, _joined
 from .volume import PotentialSample
@@ -176,8 +176,8 @@ def farfield_kirchhoff(
 ) -> np.ndarray:
     """Far field from the flux integral over the sphere |y| = R0.
 
-    The normal derivative of the scattered field is the analytic gradient
-    of the source representation (``eval_scattered_gradient``).
+    The scattered field and its normal derivative, the analytic gradient of
+    the source representation, come from one kernel pass at the nodes.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     check_enclosing_radius(R0, sol.mesh, sol.potential)
@@ -185,9 +185,8 @@ def farfield_kirchhoff(
     y, ny, w = sphere.nodes, sphere.normals, sphere.weights
     k = sol.k
 
-    psi_sc = eval_scattered_field(sol, y)
-    grad = eval_scattered_gradient(sol, y)
-    dn_psi = np.einsum("ij,ij->i", ny, grad)
+    jet = _scattered(sol, y, grad=True)
+    psi_sc, dn_psi = jet[:, 0], np.einsum("ij,ij->i", ny, jet[:, 1:])
 
     phases = _joined(_cis(-k * (obs @ y.T)))                  # (n_obs, n_nodes)
     radial = obs @ ny.T                                       # x_hat . y_hat

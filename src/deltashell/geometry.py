@@ -105,8 +105,8 @@ class SurfaceMesh:
 
     @classmethod
     def from_arrays(cls, vertices, triangles) -> "SurfaceMesh":
-        vertices = np.asarray(vertices, dtype=float)
-        triangles = np.asarray(triangles, dtype=np.int64)
+        vertices = np.array(vertices, dtype=float)           # copies: the mesh freezes its own arrays
+        triangles = np.array(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError("vertices must have shape (nv, 3)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic import _farfields, media_equal
-from .boundary import DeltaSolution, eval_scattered_field, eval_scattered_gradient, eval_total_field
+from .boundary import DeltaSolution, _scattered, eval_scattered_field, eval_total_field
 from .farfield import FarFieldPattern, check_enclosing_radius
 from .geometry import make_sphere_grid
-from .kernels import eval_incident_grad
+from .kernels import eval_incident, eval_incident_grad
 
 __all__ = [
     "ExperimentReport",
@@ -77,10 +77,10 @@ def lattice_directions() -> np.ndarray:
 
 
 def _total_field_and_radial(sol: DeltaSolution, points: np.ndarray, normals: np.ndarray):
-    """(psi, d_r psi) on a sphere, analytic gradients."""
-    psi = np.asarray(eval_total_field(sol, points, near_warning=False), dtype=complex)
-    grad = eval_scattered_gradient(sol, points) + eval_incident_grad(sol.incident, sol.k, points)
-    return psi, np.einsum("ij,ij->i", normals, grad)
+    """(psi, d_r psi) on a sphere, analytic gradients; the scattered part from one kernel pass."""
+    jet = _scattered(sol, points, grad=True)
+    grad = jet[:, 1:] + eval_incident_grad(sol.incident, sol.k, points)
+    return eval_incident(sol.incident, sol.k, points) + jet[:, 0], np.einsum("ij,ij->i", normals, grad)
 
 
 def _cross_trace(sol: DeltaSolution, mesh) -> np.ndarray:

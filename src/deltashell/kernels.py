@@ -16,6 +16,8 @@ Conventions (fixed here and used everywhere):
                          is summed
 * phases                 every e^{i theta} is ``_cis``: cos and sin from one SIMD
                          tan(theta/2), within 1.5 * 2^-52 of the exact values
+* jets                   a value and its gradient from one pass and one ``_cis``;
+                         a block's jet is the value, then the x-derivatives
 
 Exponential incident fields exp(rho.x) grow like exp(w |x|); evaluation
 refuses |Re(rho).x| > 40 to avoid overflow.
@@ -65,27 +67,21 @@ def _cis(x) -> tuple:
     return c, t
 
 
-def _radial_parts(r, k: float, weight=1.0, grad: bool = False) -> list:
-    """weight times ``radial_kernel`` (``radial_gradient_factor`` with ``grad``) in float64 parts:
-    [the value] at k = 0, [the real part, the imaginary part] at k > 0."""
-    inv = weight / (4.0 * np.pi * (r**3 if grad else r))
+def _radial_parts(r, k: float, weight=1.0, grad: bool = False) -> tuple[list, list]:
+    """(value parts, gradient parts): weight times ``radial_kernel`` and, with ``grad``,
+    ``radial_gradient_factor`` in float64 parts, [the value] at k = 0 and [the real part,
+    the imaginary part] at k > 0, from one ``_cis``; no gradient parts without ``grad``."""
+    inv = weight / (4.0 * np.pi * r)
+    inv3 = weight / (4.0 * np.pi * r**3) if grad else None
     if k == 0:
-        return [-inv if grad else inv]
+        return [inv], ([-inv3] if grad else [])
     kr = k * r
     c, s = _cis(kr)
-    if grad:
-        # e^{ikr}(ikr - 1) = -(c + s kr) + i (c kr - s), formed in place
-        re = -kr
-        re *= s
-        re -= c
-        im = kr
-        im *= c
-        im -= s
-    else:
-        re, im = c, s
-    re *= inv
-    im *= inv
-    return [re, im]
+    # e^{ikr}(ikr - 1) = -(c + s kr) + i (c kr - s)
+    gradient = [(-kr * s - c) * inv3, (kr * c - s) * inv3] if grad else []
+    c *= inv
+    s *= inv
+    return [c, s], gradient
 
 
 def _joined(parts: list):
@@ -99,26 +95,26 @@ def _joined(parts: list):
 
 def radial_kernel(r, k: float):
     """Outgoing kernel exp(ik r)/(4 pi r) as a function of the distance r; float64 at k = 0."""
-    return _joined(_radial_parts(r, k))
+    return _joined(_radial_parts(r, k)[0])
 
 
 def radial_gradient_factor(r, k: float):
     """Factor e^{ikr}(ikr - 1)/(4 pi r^3): grad_x G_k(x, y) = (x - y) times it; float64 at k = 0."""
-    return _joined(_radial_parts(r, k, grad=True))
+    return _joined(_radial_parts(r, k, grad=True)[1])
 
 
-def _remainder_parts(r, k: float, grad: bool = False) -> list:
-    """``radial_remainder`` g (``radial_remainder_gradient_factor`` with ``grad``) as [re, im]
-    from c, s = cos h, sin h at h = kr/2: g = (ik/4 pi) e^{ih} sinc(h) + k^2 r/(8 pi)."""
+def _remainder_parts(r, k: float, grad: bool = False) -> tuple[list, list]:
+    """(value parts, gradient parts): ``radial_remainder`` g and, with ``grad``, ``radial_remainder_gradient_factor``
+    as [re, im] from c, s = cos h, sin h at h = kr/2: g = (ik/4 pi) e^{ih} sinc(h) + k^2 r/(8 pi)."""
     h = 0.5 * k * r
     c, s = _cis(h)
     sinc = np.divide(s, h, out=np.ones(np.shape(h)), where=h != 0)
     re, im = -0.25 * k / np.pi * s * sinc + k**2 * r / (8.0 * np.pi), 0.25 * k / np.pi * c * sinc
     if not grad:
-        return [re, im]
+        return [re, im], []
     # g'/r = ((ik/4 pi) e^{ikr} - g + k^2 r/(4 pi))/r^2, with e^{ikr} = (c^2 - s^2) + i 2sc
-    return [(-0.5 * k / np.pi * s * c - re + k**2 * r / (4.0 * np.pi)) / r**2,
-            (0.25 * k / np.pi * (c * c - s * s) - im) / r**2]
+    return [re, im], [(-0.5 * k / np.pi * s * c - re + k**2 * r / (4.0 * np.pi)) / r**2,
+                      (0.25 * k / np.pi * (c * c - s * s) - im) / r**2]
 
 
 def radial_remainder(r, k: float):
@@ -127,12 +123,12 @@ def radial_remainder(r, k: float):
     Written as (ik/4 pi) e^{ikr/2} sinc(kr/2) + k^2 r/(8 pi), so it is finite
     (ik/(4 pi)) at r = 0; its first kink is in the r^3 term.
     """
-    return _joined(_remainder_parts(r, k))
+    return _joined(_remainder_parts(r, k)[0])
 
 
 def radial_remainder_gradient_factor(r, k: float):
     """Factor g'(r)/r of g = radial_remainder: its x-gradient is (x - y) times it (r > 0)."""
-    return _joined(_remainder_parts(r, k, grad=True))
+    return _joined(_remainder_parts(r, k, grad=True)[1])
 
 
 # ---------------------------------------------------------------------------

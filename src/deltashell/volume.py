@@ -38,7 +38,7 @@ import numpy as np
 
 from ._dense import map_chunks, row_chunks
 from .geometry import VolumeGrid
-from .kernels import radial_gradient_factor, radial_kernel
+from .kernels import _joined, _radial_parts
 
 __all__ = [
     "PotentialSample",
@@ -124,20 +124,21 @@ def cell_block(points: np.ndarray, centers: np.ndarray, grid: VolumeGrid, k: flo
 
     Midpoint entries vol * G_k(x_i, c_j), replaced by the equal-volume-ball
     value where x_i lies within half the spacing of c_j (the cell's self
-    region).  With ``grad`` returns the (n, m, 3) x-gradients, zero in the
-    self region.
+    region).  With ``grad`` returns the (n, m, 4) jets: the value, then the
+    x-gradient, zero in the self region.
     """
     d = points[:, None, :] - centers[None, :, :]
     r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
     near = r < 0.5 * float(np.min(grid.spacing))
     r = np.where(near, 1.0, r)
-    if grad:
-        factor = radial_gradient_factor(r, k) * grid.cell_volume
-        factor[near] = 0.0
-        return d * factor[..., None]
-    block = radial_kernel(r, k) * grid.cell_volume
+    value, gradient = _radial_parts(r, k, grad=grad)
+    block = _joined(value) * grid.cell_volume
     block[near] = ball_self_term(k, grid.cell_volume)
-    return block
+    if not grad:
+        return block
+    factor = _joined(gradient) * grid.cell_volume
+    factor[near] = 0.0
+    return np.concatenate([block[..., None], d * factor[..., None]], axis=-1)
 
 
 def assemble_volume_operator(grid: VolumeGrid, k: float, cells: np.ndarray | None = None) -> np.ndarray:

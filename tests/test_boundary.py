@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from deltashell import _dense, boundary
+from deltashell import _dense, acoustic, boundary, harness
 from deltashell._dense import ExceptionalFrequencyError, GuardedLU
 from deltashell.boundary import (
     _NEAR_RATIO,
@@ -31,8 +31,9 @@ from deltashell.boundary import (
     near_surface,
     on_surface,
 )
-from deltashell.farfield import direction_grid, farfield_source
-from deltashell.geometry import SurfaceMesh, make_sphere_mesh, make_volume_grid, triangle_rule
+from deltashell.acoustic import MediumSpec, RadialCutoff
+from deltashell.farfield import direction_grid, farfield_kirchhoff, farfield_source
+from deltashell.geometry import SurfaceMesh, make_sphere_grid, make_sphere_mesh, make_volume_grid, triangle_rule
 from deltashell.kernels import (
     Exponential,
     Herglotz,
@@ -199,7 +200,9 @@ class TestClosedForm:
     def test_against_dblquad_and_central_differences(self, target):
         x = CLOSED_FORM_TARGETS[target]
         value = _flat_triangle_moments(x[None], TRI[None], grad=False)[0]
-        grad = _flat_triangle_moments(x[None], TRI[None], grad=True)[0]
+        jet = _flat_triangle_moments(x[None], TRI[None], grad=True)[0]
+        assert np.array_equal(jet[:, 0], value)
+        grad = jet[:, 1:]
         ref = [self._quad(lambda y: 1 / np.linalg.norm(x - y)), self._quad(lambda y: np.linalg.norm(x - y))]
         assert_allclose(value, ref, rtol=1e-10)
         ref_grad = [[self._quad(lambda y: -(x - y)[i] / np.linalg.norm(x - y) ** 3) for i in range(3)],
@@ -349,18 +352,23 @@ def _exp_form_block(x, mesh, k, grad):
     ds = x[ii][:, None, :] - np.einsum("sj,pjk->psk", boundary._SUB_BARY, corners[qq])
     rs = np.linalg.norm(ds, axis=-1)
     area = mesh.panel_area
+    block = np.einsum("img,g,m->im", e / (4 * np.pi * r), w, area)
+    rem = radial_remainder(rs, k).mean(axis=1) * area[qq]
     if grad:
-        block = np.einsum("imgk,img,g,m->imk", d, e * (1j * k * r - 1.0) / (4 * np.pi * r**3), w, area)
-        rem = np.einsum("psk,ps->pk", ds, radial_remainder_gradient_factor(rs, k)) / rs.shape[1] * area[qq, None]
-    else:
-        block = np.einsum("img,g,m->im", e / (4 * np.pi * r), w, area)
-        rem = radial_remainder(rs, k).mean(axis=1) * area[qq]
+        # the jet: the value, then the gradient
+        gradient = np.einsum("imgk,img,g,m->imk", d, e * (1j * k * r - 1.0) / (4 * np.pi * r**3), w, area)
+        block = np.concatenate([block[..., None], gradient], axis=-1)
+        rem_grad = np.einsum("psk,ps->pk", ds, radial_remainder_gradient_factor(rs, k)) / rs.shape[1] * area[qq, None]
+        rem = np.concatenate([rem[:, None], rem_grad], axis=-1)
     block[ii, qq] = moments[:, 0] - 0.5 * k**2 * moments[:, 1] + rem
     return block
 
 
 def _entry_gap(got, ref):
-    """Largest distance between entries relative to the entry (the 3-vector for gradients)."""
+    """Largest distance between entries relative to the entry (the 3-vector for gradients);
+    a jet's value and gradient are measured apart."""
+    if got.shape[-1] == 4 and got.ndim == 3:
+        return max(_entry_gap(got[..., 0], ref[..., 0]), _entry_gap(got[..., 1:], ref[..., 1:]))
     axis = -1 if got.ndim == 3 else None
     gap = np.abs(got - ref) if axis is None else np.linalg.norm(got - ref, axis=axis)
     size = np.abs(ref) if axis is None else np.linalg.norm(ref, axis=axis)
@@ -404,7 +412,7 @@ class TestRealArithmetic:
         grad = layer_potential_gradient(off, mesh, eta, 0.0)
         assert value.dtype == grad.dtype == np.float64
         ref_value = _exp_form_block(off, mesh, 0.0, False) @ eta
-        ref_grad = np.einsum("imk,m->ik", _exp_form_block(off, mesh, 0.0, True), eta)
+        ref_grad = np.einsum("imk,m->ik", _exp_form_block(off, mesh, 0.0, True)[..., 1:], eta)
         assert _entry_gap(value, ref_value.real) <= 1e-14
         assert _entry_gap(grad[:, None, :], ref_grad.real[:, None, :]) <= 1e-14
         # a complex density keeps the complex path
@@ -495,7 +503,7 @@ class TestSharedKernel:
         for k in (0.0, 2.0):
             for grad in (False, True):
                 got = boundary._apply(x, sources, q, k, grad)
-                assert got.shape == (len(x),) + ((3,) if grad else ()) + (3,)
+                assert got.shape == (len(x),) + ((4,) if grad else ()) + (3,)
                 for j in range(3):
                     one = boundary._apply(x, sources, np.ascontiguousarray(q[:, j]), k, grad)
                     assert np.array_equal(got[..., j], one)
@@ -521,7 +529,8 @@ class TestSystemMatrix:
         assert np.array_equal(s.weights, np.concatenate([Vs, s.delta.alpha[sigma]]))
 
     def test_scattered_field_is_volume_plus_layer_potential(self, small_system, small_grid):
-        # one apply over cells and panels against the cells-only and panels-only sums
+        # one apply over cells and panels against the cells-only and panels-only sums; the
+        # jet's value and gradient against the value and gradient passes
         sol = small_system.solve(plane_wave(EZ))
         pts = small_grid.cell_center[::5]
         assert not np.any(on_surface(pts, sol.mesh))
@@ -529,13 +538,40 @@ class TestSystemMatrix:
         if len(sol.support):
             grid = sol.potential.grid
             field += volume_potential(pts, grid, sol.source_density, sol.k, cells=sol.support)
-            grad += np.einsum("imk,m->ik", cell_block(pts, grid.cell_center[sol.support], grid, sol.k, grad=True),
-                              sol.source_density)
+            centers = grid.cell_center[sol.support]
+            cells = cell_block(pts, centers, grid, sol.k, grad=True)
+            assert np.array_equal(cells[..., 0], cell_block(pts, centers, grid, sol.k))
+            grad += np.einsum("imk,m->ik", cells[..., 1:], sol.source_density)
         if sol.delta.support().size != 0:
             field += layer_potential(pts, sol.mesh, sol.eta, sol.k)
             grad += layer_potential_gradient(pts, sol.mesh, sol.eta, sol.k)
         assert np.linalg.norm(eval_scattered_field(sol, pts) + field) <= 1e-14 * np.linalg.norm(field)
         assert np.linalg.norm(eval_scattered_gradient(sol, pts) + grad) <= 1e-14 * np.linalg.norm(grad)
+        jet = boundary._scattered(sol, pts, grad=True)
+        value = eval_scattered_field(sol, pts)
+        assert np.linalg.norm(jet[:, 0] - value) <= 1e-14 * np.linalg.norm(value)
+        assert np.linalg.norm(jet[:, 1:] + grad) <= 1e-14 * np.linalg.norm(grad)
+
+    def test_field_and_gradient_take_one_pass(self, small_system, sphere_meshes, small_grid, monkeypatch):
+        # each caller that needs a field and its gradient at the same points makes one
+        # kernel pass, the jet's, and no value pass
+        calls, apply = [], boundary._apply
+
+        def counted(x, sources, q, k, grad=False):
+            calls.append(grad)
+            return apply(x, sources, q, k, grad)
+
+        for module in (boundary, acoustic):
+            monkeypatch.setattr(module, "_apply", counted)
+        sol = small_system.solve(plane_wave(EZ))
+        sphere = make_sphere_grid(2.5, 4, 8)
+        medium = MediumSpec(gamma=sphere_meshes[1], shell_density=1.0, cutoff=RadialCutoff(1.4, 2.0))
+        for run in (lambda: farfield_kirchhoff(sol, 2.5, EZ, n_theta=4, n_phi=8),
+                    lambda: harness._total_field_and_radial(sol, sphere.nodes, sphere.normals),
+                    lambda: acoustic._density([medium], small_grid.cell_center[::7], derivatives=True)):
+            calls.clear()
+            run()
+            assert calls == [True]
 
     def test_residual_is_the_dense_residual(self, small_system, monkeypatch):
         # a perturbed back-substitution lifts the residual far above rounding, where
@@ -574,11 +610,11 @@ class TestSystemMatrix:
         assert peak <= 1.6 * mesh.n_panels**2 * 16
 
     def test_gradient_apply_peaks_as_the_value_apply(self, sphere_meshes, monkeypatch):
-        # a gradient row makes about twice the temporaries of a value row (the components
-        # of x - y), and is charged three times the entries, so one chunk's temporaries,
-        # which glibc keeps in the filling thread's arena, stay below a value chunk's
-        # (measured 0.66 times); charged as value rows, a gradient chunk peaked 1.9 times
-        # higher.  4 value chunks, 10 gradient chunks
+        # a jet row (the value and the gradient) makes about 1.9-2.3 times the temporaries
+        # of a panel value row (both parts, the components of x - y, 4 channels), and is
+        # charged three times the entries, so one chunk's temporaries, which glibc keeps in
+        # the filling thread's arena, stay below a value chunk's (measured 0.67 times).
+        # 4 value chunks, 10 jet chunks
         monkeypatch.setattr(_dense, "WORKERS", 1)
         monkeypatch.setattr(_dense, "CHUNK", 2**16)
         mesh = sphere_meshes[2]

@@ -397,6 +397,29 @@ class TestFarfieldCommand:
         assert main(["--out", str(tmp_path), "--quiet", "compare", table, table, f"--tol={tol}"]) == 2
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["no META line", "META key missing", "row missing", "column missing",
+                                      "other grid", "other k"])
+    def test_compare_rejects_a_table_it_cannot_read_or_compare(self, tmp_path, capsys, case):
+        # bad input, not a compute failure: exit 2 with a message naming the file
+        path = write_config(tmp_path, "mie.json", ORACLE)
+        assert main(["--config", path, "--out", str(tmp_path), "--quiet", "oracle"]) == 0
+        good, bad = tmp_path / "mie.csv", tmp_path / "bad.csv"
+        lines = good.read_text().splitlines()
+        edits = {"no META line": lambda: lines[1:],
+                 "META key missing": lambda: [lines[0].replace('"n_incidence"', '"n_inc"')] + lines[1:],
+                 "row missing": lambda: lines[:-1],
+                 "column missing": lambda: [lines[0], lines[1].replace("obs_phi", "phi")] + lines[2:]}
+        if case in edits:
+            bad.write_text("\n".join(edits[case]()) + "\n")
+        else:
+            other = dict(ORACLE, output={"prefix": "bad"},
+                         **({"observations": {"n_theta": 3, "n_phi": 8}} if case == "other grid" else {"k": 2.5}))
+            assert main(["--config", write_config(tmp_path, "bad.json", other), "--out", str(tmp_path),
+                         "--quiet", "oracle"]) == 0
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path), "--quiet", "compare", str(good), str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_compare_identical_files(self, tmp_path):
         path = write_config(tmp_path, "ff.json", self.CFG)
         main(["--config", path, "--out", str(tmp_path), "--quiet", "farfield"])

@@ -92,6 +92,17 @@ class TestIcosphere:
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (m.vertices, m.triangles))
         assert digests == self.ICOSPHERE_SHA256[level]
 
+    def test_from_arrays_freezes_copies(self, sphere_meshes):
+        # the mesh's arrays are read-only copies; the caller's stay writeable and its own
+        v, t = sphere_meshes[1].vertices.copy(), sphere_meshes[1].triangles.copy()
+        m = SurfaceMesh.from_arrays(v, t)
+        assert v.flags.writeable and t.flags.writeable
+        assert not (m.vertices.flags.writeable or m.triangles.flags.writeable)
+        assert not (np.shares_memory(m.vertices, v) or np.shares_memory(m.triangles, t))
+        v[0], t[0] = 0.0, t[1]
+        assert np.array_equal(m.vertices, sphere_meshes[1].vertices)
+        assert np.array_equal(m.triangles, sphere_meshes[1].triangles)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             make_sphere_mesh(-1.0, 1)
