@@ -41,7 +41,7 @@ import numpy as np
 
 from .boundary import _NO_CELLS, DeltaSpec, DeltaSystem, _apply, near_surface, on_surface
 from .farfield import FarFieldPattern, farfield_source
-from .geometry import SurfaceMesh, VolumeGrid
+from .geometry import SurfaceMesh, VolumeGrid, _equal
 from .kernels import plane_wave
 from .volume import PotentialSample
 
@@ -57,7 +57,6 @@ __all__ = [
     "check_medium_grid",
     "acoustic_to_schrodinger",
     "acoustic_farfield",
-    "media_equal",
 ]
 
 
@@ -112,15 +111,16 @@ class RadialCutoff:
         return val, grad, lap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MediumSpec:
-    """Jump surface, shell density, smooth bumps and cutoff defining (rho, v)."""
+    """Jump surface, shell density, smooth bumps and cutoff defining (rho, v); equal when all five are."""
 
     gamma: SurfaceMesh
     shell_density: np.ndarray                 # xi per panel; [d_n rho] = -xi
     rho_bumps: tuple[GaussianBump, ...] = ()
     v_bumps: tuple[GaussianBump, ...] = ()
     cutoff: RadialCutoff = RadialCutoff(2.0, 3.0)
+    __eq__ = _equal
 
     def __post_init__(self):
         object.__setattr__(self, "shell_density", self.gamma.per_panel(self.shell_density, "shell_density"))
@@ -269,15 +269,16 @@ def acoustic_to_schrodinger(m: MediumSpec, omega: float, grid: VolumeGrid) -> Sc
 def _farfields(media, omegas, incidence: np.ndarray, obs_grid, grid: VolumeGrid) -> list[list[FarFieldPattern]]:
     """The far-field pattern of each medium at each of ``omegas``: frequencies outside, media inside.
 
-    Media on one Gamma are sampled together.  At each frequency a medium with
-    the previous system's sources takes its kernel, any other gets a fresh
-    fill; one kernel is held at a time, and each LU is dropped after its solves.
+    Media on one Gamma (equal meshes: ``SurfaceMesh`` compares and hashes by
+    value) are sampled together.  At each frequency a medium with the previous
+    system's sources takes its kernel, any other gets a fresh fill; one kernel
+    is held at a time, and each LU is dropped after its solves.
     """
     incidence = np.atleast_2d(np.asarray(incidence, dtype=float))
     incidents = [plane_wave(d) for d in incidence]
-    groups = {}                                   # Gamma's arrays -> the media on it
+    groups = {}                                   # Gamma -> the media on it
     for i, m in enumerate(media):
-        groups.setdefault((m.gamma.vertices.tobytes(), m.gamma.triangles.tobytes()), []).append(i)
+        groups.setdefault(m.gamma, []).append(i)
     data = {}
     for g in groups.values():
         data.update(zip(g, _schrodinger_data([media[i] for i in g], omegas, grid)))
@@ -309,15 +310,3 @@ def acoustic_farfield(m: MediumSpec, omegas, incidence: np.ndarray, obs_grid,
     the transformed-problem far field with k = omega.
     """
     return _farfields([m], omegas, incidence, obs_grid, grid)[0]
-
-
-def media_equal(a: MediumSpec, b: MediumSpec) -> bool:
-    """Structural equality of two medium specifications."""
-    return (
-        np.array_equal(a.gamma.vertices, b.gamma.vertices)
-        and np.array_equal(a.gamma.triangles, b.gamma.triangles)
-        and np.array_equal(a.shell_density, b.shell_density)
-        and a.rho_bumps == b.rho_bumps
-        and a.v_bumps == b.v_bumps
-        and a.cutoff == b.cutoff
-    )

@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, row_chunks  # noqa: F401 (re-export)
-from .geometry import _SUB_BARY, SurfaceMesh, _freeze
+from .geometry import _SUB_BARY, SurfaceMesh, _equal, _freeze
 from .kernels import IncidentField, _radial_parts, _remainder_parts, eval_incident
 from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, cell_block
 
@@ -95,13 +95,14 @@ _KERNEL_LOG = "delta-shell kernel: %s, %d x %d, k = %g, %.3f s"   # filled or re
 # Data types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaSpec:
     """Surface strength alpha sampled per panel (real, units 1/length); a read-only copy,
     so Sigma, the panels where alpha != 0, is fixed with it."""
 
     mesh: SurfaceMesh
     alpha: np.ndarray
+    __eq__ = _equal
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _freeze(np.array(self.mesh.per_panel(self.alpha, "alpha"))))
@@ -370,11 +371,6 @@ def _apply(x: np.ndarray, sources, q: np.ndarray, k: float, grad: bool = False) 
     return out if q.ndim == 2 else out[..., 0]
 
 
-def _same(a, b, fields) -> bool:
-    """True when a is b or every one of ``fields`` is equal, arrays elementwise."""
-    return a is b or all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
-
-
 def _sources(V: PotentialSample | None, support: np.ndarray, delta: DeltaSpec):
     """The source set of V~ = V + alpha delta_Gamma, its support: the cells where V != 0, then Sigma."""
     grid = None if V is None else V.grid
@@ -487,8 +483,8 @@ class DeltaSystem:
     """
 
     def __init__(self, V: PotentialSample | None, delta: DeltaSpec | None, k: float):
-        if k <= 0:
-            raise ValueError("k must be positive")
+        if not 0 < k < np.inf:
+            raise ValueError(f"k must be positive and finite, got {k}")
         self.k = float(k)
         delta = _NO_SURFACE if delta is None else delta
         self.support = V.support() if V is not None else np.zeros(0, dtype=int)
@@ -516,9 +512,8 @@ class DeltaSystem:
     def _shares_kernel(self, V: PotentialSample | None, delta: DeltaSpec) -> bool:
         """True when V and delta have this system's points and source set."""
         return ((V is None) == (self.potential is None)
-                and (V is None or (_same(V.grid, self.potential.grid, ("lo", "hi", "n"))
-                                   and np.array_equal(V.support(), self.support)))
-                and _same(delta.mesh, self.mesh, ("vertices", "triangles"))
+                and (V is None or (V.grid == self.potential.grid and np.array_equal(V.support(), self.support)))
+                and delta.mesh == self.mesh
                 and np.array_equal(delta.support(), self.delta.support()))
 
     def _weigh(self, V: PotentialSample | None, delta: DeltaSpec) -> None:
@@ -642,16 +637,16 @@ def check_jump_relation(mesh: SurfaceMesh, k: float, xi: np.ndarray) -> float:
     """Relative error in the normal-derivative jump [d_n SL xi] = -xi.
 
     ``xi`` is one real value per panel, or a number (``SurfaceMesh.per_panel``).
-    Evaluates n.grad(SL xi) at c_q +/- delta n_q with the analytic
-    ``layer_potential_gradient`` (offset delta = _JUMP_OFFSET panel
-    diameters) and returns the area-weighted relative L^2 error of
+    Evaluates n.grad(SL xi) at c_q +/- delta n_q with one analytic
+    ``layer_potential_gradient`` call over both offsets (delta = _JUMP_OFFSET
+    panel diameters) and returns the area-weighted relative L^2 error of
     (jump + xi).
     """
     xi = mesh.per_panel(xi, "xi")
-    nrm = mesh.panel_normal
+    c, nrm = mesh.panel_centroid, mesh.panel_normal
     off = (_JUMP_OFFSET * mesh.panel_diameter)[:, None] * nrm
-    dn_out, dn_in = (np.einsum("ij,ij->i", layer_potential_gradient(mesh.panel_centroid + side * off, mesh, xi, k), nrm)
-                     for side in (1.0, -1.0))
+    grad = layer_potential_gradient(np.concatenate([c + off, c - off]), mesh, xi, k)
+    dn_out, dn_in = np.einsum("sij,ij->si", grad.reshape(2, -1, 3), nrm)
     w, jump = mesh.panel_area, dn_out - dn_in
     return float(np.sqrt(np.sum(w * np.abs(jump + xi) ** 2) / np.sum(w * np.abs(xi) ** 2)))
 

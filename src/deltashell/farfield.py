@@ -130,8 +130,7 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     single = isinstance(sol, DeltaSolution)
     sols = [sol] if single else list(sol)
     first = sols[0]
-    if any(s.k != first.k or s.delta is not first.delta or s.potential is not first.potential
-           for s in sols):
+    if any(s.k != first.k or s.delta != first.delta or s.potential != first.potential for s in sols):
         raise ValueError("batched solutions must come from one system")
     # source points and (n_points, n_sol) weights over the support of V~: the cells, then Sigma's rule points
     grid, centers, sigma = _sources(first.potential, first.support, first.delta)
@@ -153,7 +152,7 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
 
 
 def check_enclosing_radius(R: float, mesh: SurfaceMesh, V: PotentialSample | None) -> None:
-    """Raise ValueError unless the sphere |y| = R clears the scatterer by 2%.
+    """Raise ValueError unless the sphere |y| = R, R finite, clears the scatterer by 2%.
 
     The scatterer reaches the mesh's vertex radius and, for each support cell
     of V, its centre radius plus 0.87 spacings (a cell's half-diagonal).
@@ -163,7 +162,7 @@ def check_enclosing_radius(R: float, mesh: SurfaceMesh, V: PotentialSample | Non
     if len(support):
         r_scat = max(r_scat, float(np.max(np.linalg.norm(V.grid.cell_center[support], axis=1)))
                      + 0.87 * float(np.max(V.grid.spacing)))
-    if R <= r_scat * 1.02:
+    if not r_scat * 1.02 < R < np.inf:
         raise ValueError(f"R = {R} does not enclose the scatterer (radius {r_scat:.3g})")
 
 

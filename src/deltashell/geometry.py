@@ -10,12 +10,13 @@ Provides the three grids everything else is built on:
   used to sample compactly supported potentials.
 
 Panels are flat triangles; curvature enters only through refinement.
-Meshes are immutable after construction and safe to share between workers.
+Meshes are immutable after construction and safe to share between workers,
+and compare by value (``_equal``): a Gamma built twice is the same Gamma.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,11 +73,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _equal(a, b) -> bool:
+    """``__eq__`` of the frozen data types: the same type and every compared field equal, arrays elementwise."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return a is b or all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+                         for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare))
+
+
 # ---------------------------------------------------------------------------
 # Surface mesh
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
     """Closed, outward-oriented triangle mesh.
 
@@ -95,13 +104,17 @@ class SurfaceMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    panel_centroid: np.ndarray = field(repr=False, default=None)
-    panel_area: np.ndarray = field(repr=False, default=None)
-    panel_normal: np.ndarray = field(repr=False, default=None)
-    panel_diameter: np.ndarray = field(repr=False, default=None)
-    panel_corners: np.ndarray = field(repr=False, default=None)
-    panel_rule_points: np.ndarray = field(repr=False, default=None)
-    panel_subrule_points: np.ndarray = field(repr=False, default=None)
+    panel_centroid: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_area: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_normal: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_diameter: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_corners: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_rule_points: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_subrule_points: np.ndarray = field(repr=False, default=None, compare=False)
+    __eq__ = _equal                                       # equal vertices and triangles; the panel arrays follow
+
+    def __hash__(self) -> int:
+        return hash(self.triangles.tobytes())             # integers alone: 0.0 and -0.0 hash alike
 
     @classmethod
     def from_arrays(cls, vertices, triangles) -> "SurfaceMesh":
@@ -374,16 +387,17 @@ def make_sphere_grid(R: float, n_theta: int, n_phi: int) -> SphereGrid:
 # Cartesian volume grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolumeGrid:
-    """Uniform n x n x n cell grid tiling an axis-aligned box exactly."""
+    """Uniform n x n x n cell grid tiling an axis-aligned box exactly; equal grids have equal lo, hi and n."""
 
     lo: np.ndarray          # (3,)
     hi: np.ndarray          # (3,)
     n: int
-    cell_center: np.ndarray  # (n**3, 3), C order in (ix, iy, iz)
-    cell_volume: float
-    spacing: np.ndarray      # (3,)
+    cell_center: np.ndarray = field(compare=False)  # (n**3, 3), C order in (ix, iy, iz)
+    cell_volume: float = field(compare=False)
+    spacing: np.ndarray = field(compare=False)      # (3,)
+    __eq__ = _equal
 
     @property
     def n_cells(self) -> int:

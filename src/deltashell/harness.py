@@ -12,7 +12,8 @@ the discretization supports:
 and never a continuum limit.  In particular the CGO large-w limit is not
 chased (exponential ill-conditioning); the finite-w algebra is certified and
 the remainder against the direct Fourier difference is reported, not
-asserted.
+asserted.  Two media are identical when their potential samples and surface
+strengths compare equal, by value: a Gamma built twice is the same Gamma.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import _farfields, media_equal
+from .acoustic import _farfields
 from .boundary import DeltaSolution, _scattered, eval_scattered_field, eval_total_field
 from .farfield import FarFieldPattern, check_enclosing_radius
 from .geometry import make_sphere_grid
@@ -84,8 +85,8 @@ def _total_field_and_radial(sol: DeltaSolution, points: np.ndarray, normals: np.
 
 
 def _cross_trace(sol: DeltaSolution, mesh) -> np.ndarray:
-    """Trace of a solution on a (possibly different) surface."""
-    if mesh is sol.mesh:
+    """Trace of a solution on a surface: its own trace on a mesh equal to its Gamma."""
+    if mesh == sol.mesh:
         return sol.trace
     return np.asarray(eval_total_field(sol, mesh.panel_centroid, near_warning=False), dtype=complex)
 
@@ -97,8 +98,7 @@ def _check_media(sol1: DeltaSolution, sol2: DeltaSolution) -> float:
         raise ValueError("the two solutions must share the wavenumber")
     if sol1.potential is None or sol2.potential is None:
         raise ValueError("the pairing needs both media sampled on a shared grid, not a solution without V")
-    grid, grid2 = sol1.potential.grid, sol2.potential.grid
-    if not (np.array_equal(grid.lo, grid2.lo) and np.array_equal(grid.hi, grid2.hi) and grid.n == grid2.n):
+    if sol1.potential.grid != sol2.potential.grid:
         raise ValueError("the two media must be sampled on a shared grid")
     return k
 
@@ -160,11 +160,7 @@ def green_pairing_check(sol1: DeltaSolution, sol2: DeltaSolution, R: float) -> E
     rhs = complex(np.sum(sphere.weights * (np.conj(dr1) * psi2 - np.conj(psi1) * dr2)))
     wron_mass = float(np.sum(sphere.weights * (np.abs(dr1 * psi2) + np.abs(psi1 * dr2))))
 
-    identical = (
-        np.array_equal(sol1.potential.values, sol2.potential.values)
-        and sol1.mesh is sol2.mesh
-        and np.array_equal(sol1.delta.alpha, sol2.delta.alpha)
-    )
+    identical = sol1.potential == sol2.potential and sol1.delta == sol2.delta
     rel_gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
     metrics = {
         "lhs_re": lhs.real, "lhs_im": lhs.imag,
@@ -309,7 +305,7 @@ def uniqueness_experiment(
     coarse, fine = levels
     mA_f, mB_f = make_medium_a(fine), make_medium_b(fine)
     mA_c = make_medium_a(coarse)
-    identical = media_equal(mA_f, mB_f)
+    identical = mA_f == mB_f
 
     omegas = (omega, omega_tilde)
     # one loop over the three media: A and B share Gamma, and their kernel when they share the support

@@ -157,8 +157,8 @@ class ComplexDirection:
 
 def make_sigma_k(w: float, zeta_hat, xi_hat, k: float) -> ComplexDirection:
     """Build rho = w zeta + i sqrt(w^2 + k^2) xi in Sigma_k."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     if w < 0:
         raise ValueError("w must be nonnegative")
     zeta_hat = np.asarray(zeta_hat, dtype=float)
@@ -192,8 +192,8 @@ def sigma_pair_for_xi(xi, k: float, w: float) -> tuple[ComplexDirection, Complex
     with s = sqrt(w^2 + k^2 - |xi|^2/4), which requires w^2 + k^2 >= |xi|^2/4.
     """
     xi = np.asarray(xi, dtype=float)
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     if w < 0:
         raise ValueError("w must be nonnegative")
     xi_norm = np.linalg.norm(xi)

@@ -235,8 +235,8 @@ def solve_partial_waves(medium: RadialMedium, k: float, L: int | None = None) ->
     Raises the truncation order until |t_l| at the tail falls below 1e-14 of
     the largest coefficient (capped at l = 200).
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     bps = medium.breakpoints()
     r_max = bps[-1]
     if medium.potential_in_region(r_max, np.inf) != 0.0:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dense import map_chunks, row_chunks
-from .geometry import VolumeGrid
+from .geometry import VolumeGrid, _equal
 from .kernels import _joined, _radial_parts
 
 __all__ = [
@@ -64,12 +64,13 @@ def _caller_level() -> int:
     return level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialSample:
     """Real potential V sampled at cell centers (units 1/length^2)."""
 
     grid: VolumeGrid
     values: np.ndarray   # (n_cells,) float
+    __eq__ = _equal
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)

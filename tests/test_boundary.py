@@ -907,6 +907,13 @@ class TestSigma:
 
 
 class TestDeltaSolve:
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_wavenumber_must_be_positive_and_finite(self, sphere_meshes, k, monkeypatch):
+        # raised before any kernel entry: nan and inf filled the kernel and failed in LAPACK
+        monkeypatch.setattr(boundary, "_fill", None)
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            DeltaSystem(None, DeltaSpec(mesh=sphere_meshes[0], alpha=1.0), k)
+
     def test_alpha_zero_matches_lippmann_schwinger(self, sphere_meshes, small_grid):
         k = 1.4
         V = bump_potential(small_grid, 0.7)

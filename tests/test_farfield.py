@@ -78,8 +78,10 @@ class TestRoutes:
         assert np.linalg.norm(k2 - k3) / np.linalg.norm(k2) < 1e-4
 
     def test_radius_must_enclose_scatterer(self, sphere_solution):
-        with pytest.raises(ValueError, match="enclose"):
-            farfield_kirchhoff(sphere_solution, 0.9, lattice_directions())
+        # a nan radius passed every comparison and returned nan far fields
+        for R in (0.9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="does not enclose"):
+                farfield_kirchhoff(sphere_solution, R, lattice_directions())
 
     def test_matches_oracle(self, sphere_solution):
         g = direction_grid(8, 16)

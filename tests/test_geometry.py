@@ -1,5 +1,6 @@
 """Meshes, sphere quadrature, volume grids, OFF round trips."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -8,6 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import sph_harm_y
 
+from deltashell.acoustic import GaussianBump, MediumSpec, RadialCutoff
+from deltashell.boundary import DeltaSpec
 from deltashell.geometry import (
     MeshFormatError,
     SurfaceMesh,
@@ -18,6 +21,7 @@ from deltashell.geometry import (
     make_volume_grid,
     save_mesh,
 )
+from deltashell.volume import PotentialSample
 
 from conftest import cube_mesh
 
@@ -125,6 +129,83 @@ class TestPerPanel:
     def test_rejects_naming_the_field(self, sphere_meshes, values, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             sphere_meshes[0].per_panel(values, "xi")
+
+
+def _sphere(radius=1.0):
+    return make_sphere_mesh(radius, 1)
+
+
+def _grid(hi=1.0, n=4):
+    return make_volume_grid(((-1.0, -1.0, -1.0), (1.0, 1.0, hi)), n)
+
+
+def _potential(grid=None, amplitude=1.0):
+    grid = _grid() if grid is None else grid
+    return PotentialSample(grid=grid, values=np.where(grid.boundary_mask(), 0.0, amplitude))
+
+
+def _medium(gamma=None, xi=1.0, rho=0.1, v=0.2, r_outer=3.0):
+    return MediumSpec(gamma=_sphere() if gamma is None else gamma, shell_density=xi,
+                      rho_bumps=(GaussianBump(rho, (0.0, 0.0, 0.0), 0.4),),
+                      v_bumps=(GaussianBump(v, (0.0, 0.0, 0.3), 0.5),), cutoff=RadialCutoff(2.0, r_outer))
+
+
+# each type: a builder, and builders that change one compared field each
+VALUE_TYPES = {
+    "SurfaceMesh": (_sphere, [
+        lambda: _sphere(1.1),                                                        # vertices
+        lambda: SurfaceMesh.from_arrays(_sphere().vertices, _sphere().triangles[:, [0, 2, 1]]),  # triangles
+    ]),
+    "VolumeGrid": (_grid, [
+        lambda: make_volume_grid(((-1.5, -1.0, -1.0), (1.0, 1.0, 1.0)), 4),         # lo
+        lambda: _grid(hi=1.5),                                                       # hi
+        lambda: _grid(n=5),                                                          # n
+    ]),
+    "PotentialSample": (_potential, [
+        lambda: _potential(_grid(hi=1.5)),                                           # grid
+        lambda: _potential(amplitude=2.0),                                           # values
+    ]),
+    "DeltaSpec": (lambda: DeltaSpec(mesh=_sphere(), alpha=1.0), [
+        lambda: DeltaSpec(mesh=_sphere(1.1), alpha=1.0),                             # mesh
+        lambda: DeltaSpec(mesh=_sphere(), alpha=2.0),                                # alpha
+    ]),
+    "MediumSpec": (_medium, [
+        lambda: _medium(gamma=_sphere(1.1)),                                         # gamma
+        lambda: _medium(xi=1.5),                                                     # shell_density
+        lambda: _medium(rho=0.3),                                                    # rho_bumps
+        lambda: _medium(v=0.3),                                                      # v_bumps
+        lambda: _medium(r_outer=3.5),                                                # cutoff
+    ]),
+}
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+    def test_built_twice_is_equal_and_one_field_differs(self, name):
+        build, others = VALUE_TYPES[name]
+        a, b = build(), build()
+        assert type(a).__name__ == name and a is not b
+        assert a == b and not a != b
+        for other in others:
+            c = other()
+            assert a != c and not a == c, c
+        assert a != name                                          # another type is never equal
+
+    def test_equal_meshes_hash_equal(self):
+        m = make_sphere_mesh(1.0, 0)
+        v = m.vertices.copy()
+        v[v == 0.0] = -0.0
+        signed = SurfaceMesh.from_arrays(v, m.triangles)
+        assert signed.vertices.tobytes() != m.vertices.tobytes()   # the icosahedron has 0.0 coordinates
+        for other in (signed, make_sphere_mesh(1.0, 0)):
+            assert other == m and hash(other) == hash(m)
+            assert {m: "gamma"}[other] == "gamma"
+
+    def test_derived_arrays_are_not_compared(self):
+        # panel arrays follow from vertices and triangles; a grid from lo, hi and n
+        m, g = _sphere(), _grid()
+        assert m == dataclasses.replace(m, panel_area=2.0 * m.panel_area)
+        assert g == dataclasses.replace(g, cell_volume=0.0)
 
 
 class TestOffFiles:

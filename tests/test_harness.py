@@ -70,23 +70,28 @@ class TestGreenPairing:
         assert report.metrics["rel_gap"] <= 1e-2
         assert report.inputs == {"k": 1.0, "w1": 0.5, "w2": 0.5, "R": 1.8}
 
-    def test_identical_media_zero_cases(self, cgo):
+    def test_identical_media_zero_cases(self, cgo, small_grid):
         psi1, _, psi1_rho2 = cgo
         # same medium, same direction: LHS is an algebraic zero
         r_same = green_pairing_check(psi1, psi1, R=1.8)
         assert r_same.passed
         lhs = abs(complex(r_same.metrics["lhs_re"], r_same.metrics["lhs_im"]))
         assert lhs <= 1e-10 * max(r_same.metrics["pairing_mass"], 1.0)
-        # same medium, different directions: same-operator Wronskian vanishes
-        r_cross = green_pairing_check(psi1, psi1_rho2, R=1.8)
-        assert r_cross.passed
-        rhs = abs(complex(r_cross.metrics["rhs_re"], r_cross.metrics["rhs_im"]))
-        assert rhs <= 1e-2 * r_cross.metrics["wronskian_mass"]
+        # same medium, different directions: same-operator Wronskian vanishes; the second
+        # time on a Gamma built twice (equal arrays, another object), which is the same medium
+        rebuilt = DeltaSystem(bump_potential(small_grid, 0.35),
+                              DeltaSpec(mesh=make_sphere_mesh(1.0, 2), alpha=1.0), 1.0)
+        assert rebuilt.mesh is not psi1.mesh
+        for partner in (psi1_rho2, rebuilt.solve(psi1_rho2.incident)):
+            r_cross = green_pairing_check(psi1, partner, R=1.8)
+            assert r_cross.passed and r_cross.metrics["identical_media"]
+            rhs = abs(complex(r_cross.metrics["rhs_re"], r_cross.metrics["rhs_im"]))
+            assert rhs <= 1e-2 * r_cross.metrics["wronskian_mass"]
 
     def test_containment_validated(self, cgo):
         psi1, psi2, _ = cgo
-        # 0.8 cuts Gamma, 1.5 the support cells (centre plus half-diagonal 1.61)
-        for R in (0.8, 1.5):
+        # 0.8 cuts Gamma, 1.5 the support cells (centre plus half-diagonal 1.61); nan and inf are no sphere
+        for R in (0.8, 1.5, np.nan, np.inf):
             with pytest.raises(ValueError, match="does not enclose"):
                 green_pairing_check(psi1, psi2, R=R)
 

@@ -148,6 +148,12 @@ class TestSigmaK:
         with pytest.raises(ValueError, match="orthogonal"):
             make_sigma_k(1.0, EX, (EX + EZ) / np.sqrt(2), 1.0)
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_wavenumber_must_be_positive_and_finite(self, k):
+        # nan and inf gave nan directions
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            make_sigma_k(1.0, EX, EZ, k)
+
 
 class TestSigmaPair:
     def test_zero_xi_gives_conjugate_pair(self):
@@ -171,6 +177,11 @@ class TestSigmaPair:
     def test_insufficient_w(self):
         with pytest.raises(ValueError, match="insufficient w"):
             sigma_pair_for_xi(10.0 * EX, 1.0, 0.5)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_wavenumber_must_be_positive_and_finite(self, k):
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            sigma_pair_for_xi(EX, k, 1.0)
 
 
 class TestIncidentFields:

@@ -80,6 +80,12 @@ class TestMatching:
         sol = solve_partial_waves(RadialMedium(a=1.0, alpha=0.0), 2.0)
         assert np.max(np.abs(sol.t)) == 0.0
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_wavenumber_must_be_positive_and_finite(self, k):
+        # nan failed converting the mode count to an integer
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            solve_partial_waves(RadialMedium(a=1.0, alpha=1.0), k)
+
     def test_sound_soft_limit(self):
         k, a = 2.0, 1.0
         sol = solve_partial_waves(RadialMedium(a=a, alpha=1e6), k, L=25)
