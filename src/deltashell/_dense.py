@@ -1,4 +1,4 @@
-"""Guarded dense complex solves, and the row chunks every dense kernel block is filled in."""
+"""Guarded dense complex solves and products, and the row chunks every dense kernel block is filled in."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-__all__ = ["ExceptionalFrequencyError", "GuardedLU", "map_chunks", "row_chunks"]
+__all__ = ["ExceptionalFrequencyError", "GuardedLU", "map_chunks", "matmul", "row_chunks"]
 
 RCOND_FLOOR = 1e-12
 # entries per row chunk of a dense kernel block.  glibc keeps a chunk's freed
@@ -22,12 +22,8 @@ WORKERS = len(os.sched_getaffinity(0))  # threads that fill row chunks, the call
 
 
 def row_chunks(n: int, row_entries: int) -> list[slice]:
-    """Row slices covering range(n), each of max(1, CHUNK // row_entries) rows.
-
-    ``row_entries`` is the number of temporary entries one row costs.  BLAS
-    products depend on where the rows split, so each caller keeps its own
-    budget; a block filled row by row is the same for any split.
-    """
+    """Row slices covering range(n), each of max(1, CHUNK // row_entries) rows; ``row_entries``
+    is the number of temporary entries one row costs, so each caller keeps its own budget."""
     rows = max(1, CHUNK // max(row_entries, 1))
     return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
@@ -37,10 +33,10 @@ def map_chunks(body, slices: list[slice]) -> None:
 
     The caller and WORKERS - 1 helper threads take whole slices from one
     shared queue, so the split does not depend on the worker count; each
-    body writes its own rows of its output.  numpy's ufuncs, ``einsum`` and
-    BLAS release the interpreter lock, so the bodies run side by side.  An
-    exception in any body stops every thread from taking another slice and
-    is raised here.  With one worker or one slice the bodies run inline.
+    body writes its own rows of its output.  numpy's ufuncs and ``einsum``
+    release the interpreter lock, so the bodies run side by side; they make no
+    BLAS call (``matmul``).  An exception in any body stops every thread from taking
+    another slice and is raised here; with one worker or one slice the bodies run inline.
     """
     helpers = min(WORKERS, len(slices)) - 1
     if helpers <= 0:
@@ -66,6 +62,18 @@ def map_chunks(body, slices: list[slice]) -> None:
         take()
     for f in futures:
         f.result()
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for 2-D a and b by scipy's OpenBLAS, which GuardedLU's LAPACK calls use: numpy's has a thread pool
+    of its own, whose idle threads spin for about 0.1 s after a call and slow the other pool's, and a BLAS call
+    in a row-chunk body would run its threads beside the helpers.  A C-ordered a is passed as its transpose, so
+    it is not copied; a Fortran-ordered ``out`` of the product's dtype is written in place."""
+    trans, a = (1, a.T) if a.flags.c_contiguous else (0, a)
+    if b.shape[1] == 1 and len(b):     # gemv reads a once where gemm packs it; len(b) = 0 stays a gemm, which writes 0
+        y = None if out is None else out[:, 0]
+        return get_blas_funcs("gemv", (a, b))(1.0, a, b[:, 0], trans=trans, y=y, overwrite_y=y is not None)[:, None]
+    return get_blas_funcs("gemm", (a, b))(1.0, a, b, trans_a=trans, c=out, overwrite_c=out is not None)
 
 
 class ExceptionalFrequencyError(RuntimeError):

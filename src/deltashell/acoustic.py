@@ -68,13 +68,14 @@ class MediumGridError(ValueError):
     """The sampling grid misses part of the medium's support or puts a cell centre on Gamma."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianBump:
-    """A exp(-|x - c|^2 / (2 sigma^2)) with analytic gradient and Laplacian."""
+    """A exp(-|x - c|^2 / (2 sigma^2)) with analytic gradient and Laplacian; equal when A, c and sigma are."""
 
     amplitude: float
     center: tuple[float, float, float]
     width: float
+    __eq__ = _equal
 
     def fields(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         c = np.asarray(self.center, dtype=float)

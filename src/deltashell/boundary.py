@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, row_chunks  # noqa: F401 (re-export)
+from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, matmul, row_chunks  # noqa: F401 (re-export)
 from .geometry import _SUB_BARY, SurfaceMesh, _equal, _freeze
 from .kernels import IncidentField, _radial_parts, _remainder_parts, eval_incident
 from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, cell_block
@@ -365,7 +365,7 @@ def _apply(x: np.ndarray, sources, q: np.ndarray, k: float, grad: bool = False) 
     def fill(rows):
         block = _kernel_rows(x[rows], sources, k, grad)
         for j, c in enumerate(cols):
-            out[rows, ..., j] = np.einsum("imk,m->ik", block, c) if grad else block @ c
+            out[rows, ..., j] = np.einsum("im...,m->i...", block, c)
 
     map_chunks(fill, _source_chunks(len(x), sources, grad))
     return out if q.ndim == 2 else out[..., 0]
@@ -580,11 +580,12 @@ class DeltaSystem:
         b = psi0[:n]
         b_norm = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
         x, r, worst = np.zeros_like(b), b, np.inf
+        wx, kwx = np.zeros_like(b, order="F"), np.zeros_like(psi0, order="F")
         for steps in range(1, _REFINE_STEPS + 1):
             if n:
                 x += self._lu.solve(r)
-            wx = self.weights[:, None] * x
-            kwx = self.kernel @ wx
+                np.multiply(self.weights[:, None], x, out=wx)
+                matmul(self.kernel, wx, out=kwx)
             r = b - (x + kwx[:n])
             residual = np.linalg.norm(r, axis=0) / b_norm
             worst, previous = residual.max(initial=0.0), worst

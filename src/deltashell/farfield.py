@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dense import map_chunks, row_chunks
+from ._dense import map_chunks, matmul, row_chunks
 from .boundary import DeltaSolution, _scattered, _sources
 from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
 from .kernels import _cis, _joined
@@ -94,7 +94,7 @@ class FarFieldPattern:
             raise ValueError("far field has non-finite values")
 
     def rel_l2_distance(self, other: "FarFieldPattern") -> float:
-        """Weighted relative L^2 distance; grids must coincide."""
+        """Weighted relative L^2 distance; k, the directions and the weights must coincide."""
         self._check_same_grid(other)
         w = self.obs_weights[None, :]
         num = np.sqrt(np.sum(w * np.abs(self.values - other.values) ** 2))
@@ -107,10 +107,11 @@ class FarFieldPattern:
         return float(np.max(np.abs(self.values - other.values)) / scale)
 
     def _check_same_grid(self, other: "FarFieldPattern") -> None:
-        if self.values.shape != other.values.shape:
+        if self.values.shape != other.values.shape or self.obs_weights.shape != other.obs_weights.shape:
             raise ValueError("far-field tables have different shapes")
-        if np.max(np.abs(self.observations - other.observations)) > 1e-9:
-            raise ValueError("far-field tables use different observation grids")
+        for name in ("observations", "incidence", "obs_weights"):
+            if np.max(np.abs(getattr(self, name) - getattr(other, name)), initial=0.0) > 1e-9:
+                raise ValueError(f"far-field tables use different {name}")
         if abs(self.k - other.k) > 1e-12 * max(1.0, self.k):
             raise ValueError("far-field tables computed at different wavenumbers")
 
@@ -124,8 +125,8 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
 
     ``sol`` is one ``DeltaSolution`` (result (n_obs,)) or a list of solutions
     of one system (result (n_sol, n_obs)).  The support cells' centers and the
-    rule points of Sigma's panels share one phase matrix, built in observation
-    chunks and applied to all solutions in one product.
+    rule points of Sigma's panels share one phase matrix, built in blocks of
+    about two observation chunks, each applied to all solutions in one product.
     """
     single = isinstance(sol, DeltaSolution)
     sols = [sol] if single else list(sol)
@@ -141,14 +142,16 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     coef = np.concatenate([cells, (eta[:, None, :] * w[None, :, None]).reshape(-1, len(sols))])
 
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    out = np.empty((len(obs), len(sols)), dtype=complex)
+    out = np.empty((len(sols), len(obs)), dtype=complex, order="F")
+    for block in row_chunks(len(obs), len(pts) // 2):
+        phases = np.empty((len(obs[block]), len(pts)), dtype=complex)
 
-    def fill(rows):
-        out[rows] = _joined(_cis(-first.k * (obs[rows] @ pts.T))) @ coef
+        def fill(rows):
+            phases[rows].real, phases[rows].imag = _cis(-first.k * np.einsum("ik,jk->ij", obs[block][rows], pts))
 
-    map_chunks(fill, row_chunks(len(obs), len(pts)))
-    out = -out.T / (4.0 * np.pi)
-    return out[0] if single else out
+        map_chunks(fill, row_chunks(len(phases), len(pts)))
+        matmul(coef.T, phases.T, out=out[:, block])
+    return (out[0] if single else out) / (-4.0 * np.pi)
 
 
 def check_enclosing_radius(R: float, mesh: SurfaceMesh, V: PotentialSample | None) -> None:
@@ -187,10 +190,10 @@ def farfield_kirchhoff(
     jet = _scattered(sol, y, grad=True)
     psi_sc, dn_psi = jet[:, 0], np.einsum("ij,ij->i", ny, jet[:, 1:])
 
-    phases = _joined(_cis(-k * (obs @ y.T)))                  # (n_obs, n_nodes)
-    radial = obs @ ny.T                                       # x_hat . y_hat
+    phases = _joined(_cis(-k * np.einsum("ik,jk->ij", obs, y)))        # (n_obs, n_nodes)
+    radial = np.einsum("ik,jk->ij", obs, ny)                            # x_hat . y_hat
     integrand = psi_sc[None, :] * (-1j * k * radial) * phases - phases * dn_psi[None, :]
-    return (integrand @ w) / (4.0 * np.pi)
+    return matmul(integrand, w[:, None])[:, 0] / (4.0 * np.pi)
 
 
 def scattering_amplitude(ff: FarFieldPattern) -> FarFieldPattern:

@@ -77,7 +77,7 @@ def _equal(a, b) -> bool:
     """``__eq__`` of the frozen data types: the same type and every compared field equal, arrays elementwise."""
     if type(a) is not type(b):
         return NotImplemented
-    return a is b or all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+    return a is b or all(np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y
                          for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare))
 
 

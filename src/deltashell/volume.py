@@ -176,9 +176,6 @@ def volume_potential(points, grid: VolumeGrid, density: np.ndarray, k: float, ce
         raise ValueError("density length does not match the selected cells")
 
     out = np.zeros(len(points), dtype=complex)
-
-    def fill(rows):
-        out[rows] = cell_block(points[rows], centers, grid, k) @ density
-
-    map_chunks(fill, row_chunks(len(points), len(centers)))
+    map_chunks(lambda rows: np.einsum("im,m->i", cell_block(points[rows], centers, grid, k), density, out=out[rows]),
+               row_chunks(len(points), len(centers)))
     return out

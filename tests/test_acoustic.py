@@ -504,3 +504,14 @@ class TestPipeline:
         assert a == b and a.gamma is b.gamma
         assert a != c
         assert a == shell_medium(make_sphere_mesh(1.0, 1), xi=1.0)   # Gamma built twice
+
+    def test_bump_equality_with_array_centres(self, sphere_meshes):
+        # a centre given as an array compares elementwise, against an array or a tuple
+        bump = GaussianBump(1.0, np.zeros(3), 0.5)
+        assert bump == GaussianBump(1.0, np.zeros(3), 0.5) == GaussianBump(1.0, (0.0, 0.0, 0.0), 0.5)
+        assert bump != GaussianBump(1.0, np.array([0.0, 0.0, 0.1]), 0.5)
+        assert bump != GaussianBump(1.0, np.zeros(3), 0.6)
+        a, b = (shell_medium(sphere_meshes[1], rho_bumps=(GaussianBump(0.2, np.zeros(3), 0.5),),
+                             v_bumps=(GaussianBump(c, np.full(3, 0.1), 0.5),)) for c in (0.3, 0.3))
+        assert a == b
+        assert a != shell_medium(sphere_meshes[1], rho_bumps=a.rho_bumps)

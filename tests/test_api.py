@@ -76,3 +76,31 @@ def test_no_unused_imports(module):
     # MODULES holds no __init__, whose imports are re-exports
     unused = _unused_imports(SRC / f"{module}.py")
     assert not unused, f"imported and never used: {unused}"
+
+
+def _chunk_bodies(path: Path) -> list[ast.AST]:
+    """The functions and lambdas a module passes to ``map_chunks``, a named one looked up in the
+    function that passes it; a body that cannot be resolved there is returned as its name."""
+    bodies = []
+    for scope in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        defs = {node.name: node for node in ast.walk(scope) if isinstance(node, ast.FunctionDef)}
+        for call in ast.walk(scope):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "map_chunks":
+                body = call.args[0]
+                bodies.append(defs.get(body.id, body.id) if isinstance(body, ast.Name) else body)
+    return bodies
+
+
+def test_no_matmul_in_row_chunk_bodies():
+    # a body runs on a helper thread beside the others, so a BLAS call there would run its own
+    # threads on top of them; products go through _dense.matmul, outside the bodies
+    bodies = {f"{path.name}:{getattr(body, 'lineno', body)}": body for path in sorted(SRC.glob("*.py"))
+              for body in _chunk_bodies(path)}
+    assert len(bodies) >= 6
+    unresolved = [name for name, body in bodies.items() if isinstance(body, str)]
+    assert not unresolved, f"map_chunks bodies not defined where they are passed: {unresolved}"
+    with_matmul = [name for name, body in bodies.items()
+                   if any(isinstance(node, ast.MatMult) for node in ast.walk(body))]
+    assert not with_matmul, f"map_chunks bodies with an @ product: {with_matmul}"

@@ -398,7 +398,7 @@ class TestFarfieldCommand:
         assert "--tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["no META line", "META key missing", "row missing", "column missing",
-                                      "other grid", "other k"])
+                                      "other grid", "other k", "other incidence"])
     def test_compare_rejects_a_table_it_cannot_read_or_compare(self, tmp_path, capsys, case):
         # bad input, not a compute failure: exit 2 with a message naming the file
         path = write_config(tmp_path, "mie.json", ORACLE)
@@ -412,13 +412,17 @@ class TestFarfieldCommand:
         if case in edits:
             bad.write_text("\n".join(edits[case]()) + "\n")
         else:
-            other = dict(ORACLE, output={"prefix": "bad"},
-                         **({"observations": {"n_theta": 3, "n_phi": 8}} if case == "other grid" else {"k": 2.5}))
+            changes = {"other grid": {"observations": {"n_theta": 3, "n_phi": 8}}, "other k": {"k": 2.5},
+                       "other incidence": {"incidences": {"directions": [[1.0, 0.0, 0.0]]}}}
+            other = dict(ORACLE, output={"prefix": "bad"}, **changes[case])
             assert main(["--config", write_config(tmp_path, "bad.json", other), "--out", str(tmp_path),
                          "--quiet", "oracle"]) == 0
         capsys.readouterr()
         assert main(["--out", str(tmp_path), "--quiet", "compare", str(good), str(bad)]) == 2
-        assert str(bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        if case.startswith("other"):                 # both tables read, but they do not share a grid
+            assert str(good) in err
 
     def test_compare_identical_files(self, tmp_path):
         path = write_config(tmp_path, "ff.json", self.CFG)

@@ -1,14 +1,15 @@
-"""Row-chunk threads and the in-place guarded LU of ``_dense``."""
+"""Row-chunk threads, the products and the in-place guarded LU of ``_dense``."""
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from deltashell import _dense, boundary, farfield, volume
-from deltashell._dense import GuardedLU, map_chunks
+from deltashell._dense import GuardedLU, map_chunks, matmul
 from deltashell.boundary import DeltaSpec, DeltaSystem
 from deltashell.kernels import plane_wave
 
@@ -152,6 +153,44 @@ class TestMapChunks:
         finally:
             sys.setswitchinterval(interval)
         assert np.all(hits == 1)
+
+
+def _random(rng, shape, dtype, order="C"):
+    a = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if dtype is complex else 0.0)
+    return np.asarray(a, order=order)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("cols", [1, 200])
+    def test_matches_numpy_in_place(self, rng, dtype, order, cols):
+        a, b = _random(rng, (300, 120), dtype, order), _random(rng, (120, cols), dtype, "F")
+        out = np.empty((300, cols), dtype=dtype, order="F")
+        got = matmul(a, b, out=out)
+        assert np.shares_memory(got, out) and got.shape == (300, cols)
+        ref = a @ b
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+        assert np.array_equal(matmul(a, b), got)
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("cols", [1, 200])
+    def test_does_not_copy_a(self, rng, order, cols):
+        a, b = _random(rng, (500, 400), complex, order), _random(rng, (400, cols), complex, "F")
+        out = np.empty((500, cols), dtype=complex, order="F")
+        tracemalloc.start()
+        try:
+            matmul(a, b, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_empty_inner_dimension_gives_zeros(self, cols):
+        out = np.full((4, cols), np.nan + 0j, order="F")
+        assert np.array_equal(matmul(np.zeros((4, 0), dtype=complex), np.zeros((0, cols), dtype=complex), out=out),
+                              np.zeros((4, cols)))
 
 
 class TestGuardedLU:

@@ -226,3 +226,15 @@ class TestCsv:
                               obs_weights=np.ones(len(obs2)), incidence=EZ[None, :])
         with pytest.raises(ValueError, match="different"):
             ff1.rel_l2_distance(ff2)
+
+    @pytest.mark.parametrize("field, other", [("incidence", np.array([[1.0, 0.0, 0.0]])),
+                                              ("obs_weights", np.array([1.0, 1.0, 2.0])),
+                                              ("obs_weights", np.ones(4))])
+    def test_incidence_and_weight_mismatch_detected(self, field, other):
+        # equal values on equal observations: only the incidences or the weights tell the tables apart
+        table = dict(k=1.0, values=np.ones((1, 3)), observations=lattice_directions()[:3],
+                     obs_weights=np.ones(3), incidence=EZ[None, :])
+        ff1, ff2 = FarFieldPattern(**table), FarFieldPattern(**dict(table, **{field: other}))
+        for distance in (ff1.rel_l2_distance, ff1.max_rel_distance):
+            with pytest.raises(ValueError, match="different"):
+                distance(ff2)

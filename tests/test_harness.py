@@ -311,6 +311,19 @@ class TestUniqueness:
         assert report.passed
         assert report.metrics["identical_media"]
 
+    def test_identical_media_with_array_centred_bumps(self, setup):
+        # each medium gets its own centre array; the media still compare equal
+        grid, obs, inc = setup
+
+        def make(level):
+            mesh = make_sphere_mesh(1.0, level)
+            return MediumSpec(gamma=mesh, shell_density=np.full(mesh.n_panels, 1.0),
+                              v_bumps=(GaussianBump(0.3, np.zeros(3), 0.6),), cutoff=RadialCutoff(1.4, 2.0))
+
+        report = uniqueness_experiment(make, make, 1.0, 2.0, grid, obs, inc, levels=(1, 2))
+        assert report.passed
+        assert report.metrics["identical_media"]
+
     def test_frequency_validation(self, setup):
         grid, obs, inc = setup
         with pytest.raises(ValueError, match="distinct"):
