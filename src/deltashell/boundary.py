@@ -610,6 +610,11 @@ def _scattered(sol: DeltaSolution, pts: np.ndarray, grad: bool = False) -> np.nd
     return -_apply(pts, _sources(sol.potential, sol.support, sol.delta), q, sol.k, grad)
 
 
+def _radial(jet: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, n . grad f) from an (n, 4) jet of f, with one unit normal n per point."""
+    return jet[:, 0], np.einsum("ij,ij->i", normals, jet[:, 1:])
+
+
 def eval_scattered_field(sol: DeltaSolution, x) -> np.ndarray | complex:
     """Scattered part: -G (V psi) - SL eta evaluated at x."""
     x = np.asarray(x, dtype=float)

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._dense import map_chunks, matmul, row_chunks
-from .boundary import DeltaSolution, _scattered, _sources
+from .boundary import DeltaSolution, _radial, _scattered, _sources
 from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
-from .kernels import _cis, _joined
+from .kernels import _check_k, _cis, _joined
 from .volume import PotentialSample
 
 
@@ -112,8 +112,7 @@ class FarFieldPattern:
         for name in ("observations", "incidence", "obs_weights"):
             if np.max(np.abs(getattr(self, name) - getattr(other, name)), initial=0.0) > 1e-9:
                 raise ValueError(f"far-field tables use different {name}")
-        if abs(self.k - other.k) > 1e-12 * max(1.0, self.k):
-            raise ValueError("far-field tables computed at different wavenumbers")
+        _check_k(self.k, other.k, "far-field tables computed at different wavenumbers")
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +186,7 @@ def farfield_kirchhoff(
     y, ny, w = sphere.nodes, sphere.normals, sphere.weights
     k = sol.k
 
-    jet = _scattered(sol, y, grad=True)
-    psi_sc, dn_psi = jet[:, 0], np.einsum("ij,ij->i", ny, jet[:, 1:])
+    psi_sc, dn_psi = _radial(_scattered(sol, y, grad=True), ny)
 
     phases = _joined(_cis(-k * np.einsum("ik,jk->ij", obs, y)))        # (n_obs, n_nodes)
     radial = np.einsum("ik,jk->ij", obs, ny)                            # x_hat . y_hat

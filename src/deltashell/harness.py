@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic import _farfields
-from .boundary import DeltaSolution, _scattered, eval_scattered_field, eval_total_field
+from .boundary import DeltaSolution, _radial, _scattered, eval_total_field
 from .farfield import FarFieldPattern, check_enclosing_radius
 from .geometry import make_sphere_grid
-from .kernels import eval_incident, eval_incident_grad
+from .kernels import _check_k
 
 __all__ = [
     "ExperimentReport",
@@ -44,7 +44,6 @@ ALGEBRAIC_TOL = 1e-10           # algebraic zeros and exact splits of the same s
 WRONSKIAN_NODES = (24, 48)      # (n_theta, n_phi) of the Wronskian sphere |y| = R
 SOMMERFELD_RADII = (4.0, 8.0, 16.0)  # radiation residual radii, each doubling the last
 SOMMERFELD_MIN_DECAY = 1.8      # least residual decay per radius doubling
-SOMMERFELD_FD_STEP = 1e-3       # radial central-difference step
 
 
 @dataclass
@@ -79,9 +78,8 @@ def lattice_directions() -> np.ndarray:
 
 def _total_field_and_radial(sol: DeltaSolution, points: np.ndarray, normals: np.ndarray):
     """(psi, d_r psi) on a sphere, analytic gradients; the scattered part from one kernel pass."""
-    jet = _scattered(sol, points, grad=True)
-    grad = jet[:, 1:] + eval_incident_grad(sol.incident, sol.k, points)
-    return eval_incident(sol.incident, sol.k, points) + jet[:, 0], np.einsum("ij,ij->i", normals, grad)
+    incident = np.column_stack([sol.incident.values(sol.k, points), sol.incident.gradients(sol.k, points)])
+    return _radial(incident + _scattered(sol, points, grad=True), normals)
 
 
 def _cross_trace(sol: DeltaSolution, mesh) -> np.ndarray:
@@ -94,8 +92,7 @@ def _cross_trace(sol: DeltaSolution, mesh) -> np.ndarray:
 def _check_media(sol1: DeltaSolution, sol2: DeltaSolution) -> float:
     """The one k of both solutions; ValueError unless both media share a grid."""
     k = sol1.k
-    if abs(sol2.k - k) > 1e-12 * max(1.0, k):
-        raise ValueError("the two solutions must share the wavenumber")
+    _check_k(k, sol2.k, "the two solutions must share the wavenumber")
     if sol1.potential is None or sol2.potential is None:
         raise ValueError("the pairing needs both media sampled on a shared grid, not a solution without V")
     if sol1.potential.grid != sol2.potential.grid:
@@ -249,31 +246,27 @@ def fourier_identity_check(sol1: DeltaSolution, sol2: DeltaSolution, xi: np.ndar
 def sommerfeld_check(scattered_eval, k: float, name: str = "sommerfeld") -> ExperimentReport:
     """Radiation-condition residual max_d |r (d_r - ik) psi_sc| per radius.
 
-    ``scattered_eval`` maps an (n, 3) point array to scattered-field values
-    (a DeltaSolution is accepted directly).  The radial derivative is a
-    central difference of step SOMMERFELD_FD_STEP at each of SOMMERFELD_RADII;
-    asserts the residual drops by at least SOMMERFELD_MIN_DECAY per radius
-    doubling.
+    ``scattered_eval`` maps an (n, 3) point array to the pair (psi_sc,
+    d_r psi_sc) there.  A DeltaSolution is accepted directly: both come from
+    one analytic jet pass over the points of all SOMMERFELD_RADII, and its k
+    must be ``k`` (ValueError otherwise).  Asserts the residual drops by at
+    least SOMMERFELD_MIN_DECAY per radius doubling.
     """
     t0 = time.time()
+    radii = np.asarray(SOMMERFELD_RADII)[:, None]
+    pts = (radii[:, :, None] * lattice_directions()).reshape(-1, 3)
     if isinstance(scattered_eval, DeltaSolution):
-        sol = scattered_eval
-        scattered_eval = lambda pts: eval_scattered_field(sol, pts)  # noqa: E731
-    dirs = lattice_directions()
-    residuals = []
-    for r in SOMMERFELD_RADII:
-        up = scattered_eval((r + SOMMERFELD_FD_STEP) * dirs)
-        dn = scattered_eval((r - SOMMERFELD_FD_STEP) * dirs)
-        mid = scattered_eval(r * dirs)
-        d_r = (up - dn) / (2.0 * SOMMERFELD_FD_STEP)
-        residuals.append(float(np.max(np.abs(r * (d_r - 1j * k * mid)))))
-    ratios = [residuals[i] / max(residuals[i + 1], 1e-300) for i in range(len(residuals) - 1)]
-    scale = max(residuals)
-    passed = all(q >= SOMMERFELD_MIN_DECAY for q in ratios) or scale < 1e-14
+        _check_k(k, scattered_eval.k, f"the solution is at k={scattered_eval.k:g}, not at the check's k={k:g}")
+        psi, d_r = _radial(_scattered(scattered_eval, pts, grad=True), pts / np.linalg.norm(pts, axis=1)[:, None])
+    else:
+        psi, d_r = scattered_eval(pts)
+    residuals = np.max(np.abs(radii * (d_r - 1j * k * psi).reshape(len(radii), -1)), axis=1)
+    ratios = residuals[:-1] / np.maximum(residuals[1:], 1e-300)
+    passed = np.all(ratios >= SOMMERFELD_MIN_DECAY) or residuals.max() < 1e-14
     return ExperimentReport(
         name=name,
         inputs={"k": k, "radii": list(map(float, SOMMERFELD_RADII))},
-        metrics={"residuals": residuals, "decay_ratios": ratios},
+        metrics={"residuals": residuals.tolist(), "decay_ratios": ratios.tolist()},
         thresholds={"decay_per_doubling": SOMMERFELD_MIN_DECAY},
         passed=bool(passed),
         seconds=time.time() - t0,

@@ -53,6 +53,12 @@ class OverflowGuardError(ValueError):
     """Exponential incident field requested outside its safe range."""
 
 
+def _check_k(k: float, other: float, message: str) -> None:
+    """ValueError(message) unless the wavenumber ``other`` is ``k`` within 1e-12 max(1, k)."""
+    if abs(other - k) > 1e-12 * max(1.0, k):
+        raise ValueError(message)
+
+
 def _cis(x) -> tuple:
     """(cos x, sin x) for float64 x as (1 - t^2)/(1 + t^2) and 2t/(1 + t^2), t = tan(x/2): x/2 is
     exact and tan(x/2) finite for every finite x, so there is no pole to branch on."""
@@ -260,7 +266,7 @@ class Exponential:
     rho_dir: ComplexDirection
 
     def values(self, k: float, points: np.ndarray) -> np.ndarray:
-        self._check_k(k)
+        _check_k(k, self.rho_dir.k, f"incident field built for k={self.rho_dir.k}, asked for k={k}")
         points = np.atleast_2d(points)
         phase = points @ self.rho_dir.rho
         re_max = np.max(np.abs(phase.real)) if phase.size else 0.0
@@ -274,10 +280,6 @@ class Exponential:
     def gradients(self, k: float, points: np.ndarray) -> np.ndarray:
         vals = self.values(k, points)
         return self.rho_dir.rho[None, :] * vals[:, None]
-
-    def _check_k(self, k: float) -> None:
-        if abs(k - self.rho_dir.k) > 1e-12 * max(1.0, k):
-            raise ValueError(f"incident field built for k={self.rho_dir.k}, asked for k={k}")
 
 
 @dataclass(frozen=True)

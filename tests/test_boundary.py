@@ -568,6 +568,7 @@ class TestSystemMatrix:
         medium = MediumSpec(gamma=sphere_meshes[1], shell_density=1.0, cutoff=RadialCutoff(1.4, 2.0))
         for run in (lambda: farfield_kirchhoff(sol, 2.5, EZ, n_theta=4, n_phi=8),
                     lambda: harness._total_field_and_radial(sol, sphere.nodes, sphere.normals),
+                    lambda: harness.sommerfeld_check(sol, sol.k),
                     lambda: acoustic._density([medium], small_grid.cell_center[::7], derivatives=True)):
             calls.clear()
             run()

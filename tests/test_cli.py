@@ -33,6 +33,14 @@ def write_config(tmp_path, name, cfg):
     return str(path)
 
 
+def run_cli(args, threads):
+    """The CLI in a fresh process, with numpy's and scipy's BLAS pools at ``threads`` threads."""
+    src = str(Path(deltashell.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "deltashell.cli", *args], env=env, check=True)
+
+
 FORWARD_TRIVIAL = {
     "k": 1.5,
     "mesh": {"kind": "sphere", "radius": 1.0, "subdivisions": 1},
@@ -378,13 +386,9 @@ class TestFarfieldCommand:
     def test_byte_identical_at_fixed_blas_threads(self, tmp_path, threads):
         # the determinism claim: same config and same BLAS thread count give the same bytes
         path = write_config(tmp_path, "ff.json", self.CFG)
-        src = str(Path(deltashell.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
-            subprocess.run([sys.executable, "-m", "deltashell.cli", "--config", path,
-                            "--out", str(out), "--quiet", "farfield"], env=env, check=True)
+            run_cli(["--config", path, "--out", str(out), "--quiet", "farfield"], threads)
         assert (outs[0] / "ff.csv").read_bytes() == (outs[1] / "ff.csv").read_bytes()
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
@@ -527,17 +531,31 @@ class TestAcousticCommand:
 
 
 class TestVerifyCommand:
+    CFG = {"verify": {"subdivision": 1, "grid_n": 8, "k": 1.0, "w": 0.5, "xi": [1.0, 0.0, 0.0], "R": 1.8},
+           "output": {"prefix": "v"}}
+
     def test_bundle_passes(self, tmp_path):
-        cfg = {"verify": {"subdivision": 1, "grid_n": 8, "k": 1.0, "w": 0.5,
-                          "xi": [1.0, 0.0, 0.0], "R": 1.8},
-               "output": {"prefix": "v"}}
-        path = write_config(tmp_path, "v.json", cfg)
+        path = write_config(tmp_path, "v.json", self.CFG)
         code = main(["--config", path, "--out", str(tmp_path), "--quiet", "verify"])
         assert code == 0
         bundle = json.loads((tmp_path / "v_reports.json").read_text())
         assert bundle["all_pass"]
         names = {r["name"] for r in bundle["reports"]}
         assert {"green_pairing", "fourier_identity", "sommerfeld", "reciprocity"} <= names
+
+    def test_radiation_report_is_blas_thread_independent(self, tmp_path):
+        # d_r psi_sc comes from the analytic jet, so the solves' thread-dependent last bits
+        # reach the residuals unamplified; a 1e-3 central difference multiplies them by ~1e3
+        path = write_config(tmp_path, "v.json", self.CFG)
+        metrics = []
+        for threads in ("1", "2"):
+            run_cli(["--config", path, "--out", str(tmp_path / threads), "--quiet", "verify"], threads)
+            bundle = json.loads((tmp_path / threads / "v_reports.json").read_text())
+            (radiation,) = [r for r in bundle["reports"] if r["name"] == "sommerfeld"]
+            metrics.append(radiation["metrics"])
+        for key in ("residuals", "decay_ratios"):
+            one, two = (np.array(m[key]) for m in metrics)
+            assert np.max(np.abs(one - two) / np.abs(one)) <= 1e-14, key
 
     def test_one_system_per_medium_serves_every_report(self, tmp_path, monkeypatch):
         # the default run: two systems, one solve_many each, no (system, incident field) twice

@@ -23,7 +23,15 @@ from deltashell.harness import (
     uniqueness_experiment,
 )
 from deltashell.kernels import Exponential, plane_wave, sigma_pair_for_xi
-from deltashell.mie import RadialMedium, mie_farfield_values, solve_partial_waves
+from deltashell.mie import (
+    RadialMedium,
+    _derivatives,
+    legendre_all,
+    mie_farfield_values,
+    solve_partial_waves,
+    spherical_jn_all,
+    spherical_yn_all,
+)
 
 from conftest import bump_potential, radial_field
 
@@ -196,7 +204,7 @@ class TestFourierIdentity:
 
 class TestSommerfeld:
     def test_zero_scatterer(self):
-        report = sommerfeld_check(lambda pts: np.zeros(len(pts), dtype=complex), 1.0)
+        report = sommerfeld_check(lambda pts: (np.zeros(len(pts), dtype=complex),) * 2, 1.0)
         assert report.passed
 
     def test_point_like_scatterer(self, sphere_meshes):
@@ -208,11 +216,26 @@ class TestSommerfeld:
         for ratio in report.metrics["decay_ratios"]:
             assert 1.8 <= ratio <= 2.2  # outgoing monopole: residual ~ 1/r
 
+    def test_solution_at_another_k_rejected(self):
+        mesh = make_sphere_mesh(0.2, 1)
+        sol = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=0.5), 1.5).solve(plane_wave(EZ))
+        with pytest.raises(ValueError, match="k=1.5, not at the check's k=2"):
+            sommerfeld_check(sol, 2.0)
+
     def test_mie_analytic_fields(self):
         sol = solve_partial_waves(RadialMedium(a=1.0, alpha=2.0), 2.0)
+        ell = np.arange(sol.L + 1)
+        pref = (1j**ell) * (2 * ell + 1) * sol.t
 
         def scattered(pts):
-            return radial_field(sol, EZ, pts, scattered_only=True)
+            # d_r psi_sc = sum_l i^l (2l + 1) t_l k h_l'(kr) P_l(cos theta), term by term
+            r = np.linalg.norm(pts, axis=1)
+            P = legendre_all(sol.L, pts @ EZ / r)
+            d_r = []
+            for z, p in zip(sol.k * r, P.T):
+                h = spherical_jn_all(sol.L, z) + 1j * spherical_yn_all(sol.L, z)
+                d_r.append(sol.k * np.sum(pref * _derivatives(h, z) * p))
+            return radial_field(sol, EZ, pts, scattered_only=True), np.array(d_r)
 
         report = sommerfeld_check(scattered, 2.0)
         assert report.passed
@@ -352,6 +375,6 @@ class TestReportFormat:
             "lhs_zero": ALGEBRAIC_TOL, "rhs_over_mass": PAIRING_REL_TOL}
         assert fourier_identity_check(psi1, psi2, XI).thresholds == {
             "split_err": ALGEBRAIC_TOL}
-        radiation = sommerfeld_check(lambda pts: np.zeros(len(pts), dtype=complex), 1.0)
+        radiation = sommerfeld_check(lambda pts: (np.zeros(len(pts), dtype=complex),) * 2, 1.0)
         assert radiation.thresholds == {"decay_per_doubling": SOMMERFELD_MIN_DECAY}
         assert radiation.inputs["radii"] == list(SOMMERFELD_RADII)
