@@ -89,18 +89,19 @@ class GuardedLU:
 
     A complex64 A is factored by the complex64 LAPACK routines, any other A
     by the complex128 ones; the factors keep that dtype (``self.dtype``).
-    Factors in place: a Fortran-ordered A of that dtype is overwritten by
-    its LU factors, any other A is copied first.  Raises
-    ``ExceptionalFrequencyError`` when the factorization is exactly singular
-    or the reciprocal condition estimate drops below ``RCOND_FLOOR``
-    (condition number above 1e12).
+    Factors in place: a Fortran-ordered A of that dtype is overwritten by its LU
+    factors, any other A is copied first.  ``anorm`` is A's 1-norm if the caller has
+    it, else LAPACK's ``lange`` takes it.  Raises ``ExceptionalFrequencyError`` when the
+    factorization is exactly singular or the reciprocal condition estimate drops below
+    ``RCOND_FLOOR`` (condition number above 1e12).
     """
 
-    def __init__(self, A: np.ndarray, context: str = "linear system"):
+    def __init__(self, A: np.ndarray, anorm: float | None = None, context: str = "linear system"):
         A = np.asarray(A)
         A = np.asfortranarray(A, dtype=np.complex64 if A.dtype == np.complex64 else complex)
         getrf, gecon, self._getrs, lange = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), (A,))
-        anorm = lange("1", A)
+        if anorm is None:
+            anorm = lange("1", A)
         lu, piv, info = getrf(A, overwrite_a=1)
         if info > 0:
             raise ExceptionalFrequencyError(

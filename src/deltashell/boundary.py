@@ -19,17 +19,17 @@ at the centroids with no cells), and an apply forms sum_j K(x, j) q_j: the layer
 potential (q = eta) and the scattered field -K (w psi), the outgoing resolvent
 applied to the source V~ psi.
 
-Quadrature (one fixed panel rule, the symmetric 3-point Gauss rule of
-``geometry.triangle_rule``; every kernel value comes from ``kernels``):
+Quadrature (every phase from ``kernels._cis``, real and imaginary parts summed apart):
 
-* off-panel entries use the 3-point rule per flat triangle, summed in real
-  arithmetic: the rule weight times the panel area is folded into
-  1/(4 pi r), and the parts cos(kr)/(4 pi r) and sin(kr)/(4 pi r) of the
-  kernel are summed over the rule into the real and the imaginary part of
-  the block, cos and sin from one tan(kr/2) (``kernels._cis``).  At k = 0
-  every block is float64;
-* a (target, panel) pair closer than 2.8 panel diameters (centroid
-  distance) splits the kernel as (1/r - k^2 r/2)/(4 pi) plus a bounded
+* a (target, panel) pair at least 2.8 panel diameters apart (centroid
+  distance) takes the Taylor rule A G_k(x, c) + M : grad grad G_k(x, c) / 2,
+  the field of a monopole of the panel's area A plus a quadrupole of its
+  second moment M = int_T (y - c)(y - c)^T dsigma at its centroid c: exact for
+  integrands quadratic on the panel, as the 3-point Gauss rule is, with one
+  kernel evaluation per pair, and itself an exact radiating field, whose far
+  field e^{-ik x.c} (A - k^2 x.M x / 2) ``farfield.farfield_source`` sums.  At
+  k = 0 every block is float64;
+* a closer pair splits the kernel as (1/r - k^2 r/2)/(4 pi) plus a bounded
   remainder: the first part and its gradient are integrated in closed form
   over the flat triangle from any target, on the panel, coplanar or off
   the plane (Wilton-Rao-Glisson 1984, Graglia 1993), the remainder
@@ -52,7 +52,7 @@ import numpy as np
 
 from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, matmul, row_chunks  # noqa: F401 (re-export)
 from .geometry import _SUB_BARY, SurfaceMesh, _equal, _freeze
-from .kernels import IncidentField, _radial_parts, _remainder_parts, eval_incident
+from .kernels import IncidentField, _cis, _remainder_parts, eval_incident
 from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, cell_block
 
 __all__ = [
@@ -238,20 +238,17 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
     return out
 
 
-def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x_i - y_j|^2 for x (n, 3) and y (..., 3), shape (n, ...); one coordinate at a time,
-    which avoids the (n, ..., 3) difference array."""
-    out = np.zeros((len(x),) + y.shape[:-1])
-    for i in range(3):
-        diff = np.subtract.outer(x[:, i], y[..., i])
-        diff *= diff
-        out += diff
-    return out
+def _centroid_offsets(x: np.ndarray, mesh: SurfaceMesh):
+    """d = x - c over the panel centroids c, one (n, m) array per axis, |d|^2, and the (target, panel)
+    index pairs closer than _NEAR_RATIO panel diameters: the one distance pass of a panel block."""
+    d = [np.subtract.outer(x[:, i], mesh.panel_centroid[:, i]) for i in range(3)]
+    r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    return d, r2, np.nonzero(r2 < (_NEAR_RATIO * mesh.panel_diameter) ** 2)
 
 
 def _near_pairs(x: np.ndarray, mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
     """(target, panel) index pairs closer than _NEAR_RATIO panel diameters (centroid distance)."""
-    return np.nonzero(_squared_distances(x, mesh.panel_centroid) < (_NEAR_RATIO * mesh.panel_diameter) ** 2)
+    return _centroid_offsets(x, mesh)[2]
 
 
 def _surface_gap(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
@@ -274,39 +271,56 @@ def on_surface(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
     return _surface_gap(x, mesh) <= _SELF_TOL
 
 
-def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False) -> np.ndarray:
+def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Panel integrals of the kernel from targets x: M[i, q] ~ int_{panel q} G_k(x_i, y) dsigma(y).
 
-    Returns (n, m) values, or with ``grad`` the (n, m, 4) jets (the value, then the
-    x-gradient); float64 at k = 0.  Base rule everywhere; near pairs (collocation self
-    entries included) take the closed-form static part plus the subrule
-    remainder.  The near pairs are integrated first, so a gradient on the
-    surface raises before the base rule runs; their base-rule distance is
-    the placeholder 1.0, as in ``volume.cell_block``, since a target on a
-    quadrature point is near.
+    Returns (n, m) values, or with ``grad`` the (n, m, 4) jets (the value, then the x-gradient), in
+    ``out`` if given; float64 at k = 0.  The near pairs are integrated first, so a gradient on the
+    surface raises before any other work; their distance is then the placeholder 1.0, as in
+    ``volume.cell_block``.  Every other pair takes the far rule, with d = x - c, u = 1/r, q = d.M d, T = tr M:
 
-    The rule weight and the panel area are folded into 1/(4 pi r) (1/(4 pi
-    r^3) for gradients), and the parts of the kernel's e^{ikr} are summed
-    over the rule separately, into the real and the imaginary part.
+        e^{ikr}/(4 pi) (P + iQ),  P = A u - T u^3/2 + q (3u^5 - k^2 u^3)/2,  Q = k T u^2/2 - 3k q u^4/2,
+
+    whose gradient e^{ikr}/(4 pi) (ik u (P + iQ) d + grad P + i grad Q) is a multiple of d plus one of M d.
     """
-    qpts, w = mesh.quadrature_points()                        # (m, g, 3), (g,)
-    ii, qq = _near_pairs(x, mesh)
+    d, r, (ii, qq) = _centroid_offsets(x, mesh)
     near = _near_pair_integrals(x, mesh, ii, qq, k, grad)
-    r = _squared_distances(x, qpts)
-    np.sqrt(r, out=r)
     r[ii, qq] = 1.0
-    # the kernel times the rule weight and the panel area, in float64 parts
-    value, gradient = _radial_parts(r, k, mesh.panel_area[:, None] * w, grad)
-    block = np.empty(r.shape[:2] + ((4,) if grad else ()), dtype=_kernel_dtype(k))
-    channels = np.moveaxis(block, -1, 0) if grad else [block]      # the value, then d/dx_i
-    for part, out in zip(value, (channels[0].real, channels[0].imag)):
-        np.einsum("img->im", part, out=out)
+    area, m = mesh.panel_area / (4.0 * np.pi), mesh.panel_moment / (4.0 * np.pi)
+    u2 = np.reciprocal(r)
+    q = sum((2.0 - (i == j)) * m[:, i, j] * d[i] * d[j] for i in range(3) for j in range(i, 3)) * u2   # q u^2
+    if not grad:
+        del d                                                      # a chunk's peak is its live (rows x panels) arrays
+    u = np.sqrt(u2)
+    r *= u                                                         # |d|, which held |d|^2 so far
+    w = 0.5 * np.trace(m, axis1=1, axis2=2) - 1.5 * q              # T/2 - 3 q u^2/2
+    # [re, im] of P + iQ and, with grad, of the factors of d and of M d in the gradient; [re] at k = 0
+    parts = [[u * (area - u2 * w - 0.5 * k**2 * q)] + ([k * u2 * w] if k else [])]
+    if grad:
+        u3, ku = u2 * u, k * u
+        a = u3 * (3.0 * u2 * (w - q) - area + 1.5 * k**2 * q)
+        parts += [[a], [u3 * (3.0 * u2 - k**2)]]
+        if k:
+            parts[1] = [a - ku * parts[0][1], -2.0 * k * u2 * u2 * (w - 1.5 * q) + ku * parts[0][0]]
+            parts[2].append(-3.0 * k * u2 * u2)
+    del u, u2, w, q                                                # freed before the block and the phases
+    if out is None:
+        out = np.empty(r.shape + ((4,) if grad else ()), dtype=_kernel_dtype(k))
+    channels = [(ch.real, ch.imag) if k else (ch,) for ch in (np.moveaxis(out, -1, 0) if grad else [out])]
+    if k:
+        # times e^{ikr}: the value straight into its channel, the gradient's factors into new arrays
+        c, s = _cis(np.multiply(r, k, out=r))
+        parts = [(np.subtract(c * re, s * im, out=o[0]), np.add(s * re, c * im, out=o[1]))
+                 for (re, im), o in zip(parts, channels[:1] + [(None, None)] * 2)]
+    else:
+        channels[0][0][...] = parts[0][0]
     for i, channel in enumerate(channels[1:]):
-        diff = np.subtract.outer(x[:, i], qpts[..., i])       # component i of x - y, (n, m, g)
-        for part, out in zip(gradient, (channel.real, channel.imag)):
-            np.einsum("img,img->im", diff, part, out=out)
-    block[ii, qq] = near
-    return block
+        md = m[:, i, 0] * d[0] + m[:, i, 1] * d[1] + m[:, i, 2] * d[2]   # (M d)_i
+        for along_d, along_md, o in zip(parts[1], parts[2], channel):
+            np.add(along_d * d[i], along_md * md, out=o)
+    out[ii, qq] = near
+    return out
 
 
 _NO_CELLS = np.zeros((0, 3))
@@ -327,16 +341,16 @@ def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.n
     if nc:
         out[:, :nc] = cell_block(x, centers, grid, k, grad)
     if mesh.n_panels:
-        out[:, nc:] = _panel_block(x, mesh, k, grad)
+        _panel_block(x, mesh, k, grad, out[:, nc:])
     return out
 
 
 def _source_chunks(n: int, sources, grad: bool = False) -> list[slice]:
-    """Row chunks for n targets: a row costs 1 entry per cell, 4 per panel (3 rule-point distances, 1 entry),
-    three times that with ``grad``: a jet row's value and gradient parts, x - y and 4 channels make
-    1.9-2.8 times a value row's temporaries, so a jet chunk peaks below a value chunk."""
+    """Row chunks for n targets: a row costs 1 entry per cell and 2 per panel, five times that with ``grad``:
+    a panel row's temporaries and block peak at about 9.5 floats per panel, a jet row's at 29, so a chunk
+    holds 4.75 or 2.9 floats per charged entry, below the 3-point rule's 5.05 and 3.1."""
     _, centers, mesh = sources
-    return row_chunks(n, (len(centers) + 4 * mesh.n_panels) * (3 if grad else 1))
+    return row_chunks(n, (len(centers) + 2 * mesh.n_panels) * (5 if grad else 1))
 
 
 def _fill(points: np.ndarray, sources, k: float) -> np.ndarray:
@@ -442,22 +456,25 @@ class DeltaSolution:
         return out
 
 
-def _system_matrix(kernel: np.ndarray, weights: np.ndarray, dtype) -> np.ndarray:
-    """I + K diag(w) in ``dtype`` and Fortran order, which GuardedLU factors in place.
+def _system_matrix(kernel: np.ndarray, weights: np.ndarray, dtype) -> tuple[np.ndarray, float]:
+    """I + K diag(w) in ``dtype`` and Fortran order, which GuardedLU factors in place, and its 1-norm.
 
     Written column chunk by column chunk from ``kernel``, each product cast
-    to ``dtype`` as it is stored, so no other n x n array is made.
+    to ``dtype`` as it is stored, so no other n x n array is made; each chunk
+    sums its columns' moduli in float64, so the 1-norm takes no second pass over A.
     """
     n = len(weights)
     A = np.empty((n, n), dtype=dtype, order="F")
+    column_sums = np.empty(n)
 
     def fill(cols):
         np.multiply(kernel[:n, cols], weights[cols], out=A[:, cols], casting="same_kind")
         j = np.arange(n)[cols]
         A[j, j] += 1.0
+        np.sum(np.abs(A[:, cols]), axis=0, dtype=float, out=column_sums[cols])
 
     map_chunks(fill, row_chunks(n, n))
-    return A
+    return A, float(column_sums.max(initial=0.0))
 
 
 class DeltaSystem:
@@ -529,13 +546,13 @@ class DeltaSystem:
         context, start = "delta-shell system", time.perf_counter()
         if fallback is None:
             try:
-                lu = GuardedLU(_system_matrix(self.kernel, self.weights, np.complex64), context)
+                lu = GuardedLU(*_system_matrix(self.kernel, self.weights, np.complex64), context=context)
             except ExceptionalFrequencyError:
                 lu, fallback = None, "complex64 factors singular"
             if lu is not None and lu.rcond < _SINGLE_RCOND_FLOOR:
                 lu, fallback = None, f"complex64 rcond {lu.rcond:.3e} below {_SINGLE_RCOND_FLOOR:g}"
         if fallback is not None:
-            lu = GuardedLU(_system_matrix(self.kernel, self.weights, complex), context)
+            lu = GuardedLU(*_system_matrix(self.kernel, self.weights, complex), context=context)
         _log.debug("delta-shell LU: %s, n = %d, rcond %.6e, fallback: %s, %.3f s",
                    lu.dtype, len(self.weights), lu.rcond, fallback, time.perf_counter() - start)
         return lu

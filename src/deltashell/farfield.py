@@ -123,22 +123,24 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     """Far field at unit directions obs, from the sources.
 
     ``sol`` is one ``DeltaSolution`` (result (n_obs,)) or a list of solutions
-    of one system (result (n_sol, n_obs)).  The support cells' centers and the
-    rule points of Sigma's panels share one phase matrix, built in blocks of
-    about two observation chunks, each applied to all solutions in one product.
+    of one system (result (n_sol, n_obs)).  A cell radiates from its center, a panel
+    of Sigma as the kernel's far rule, a monopole plus a quadrupole at its centroid c,
+    with far field e^{-ik x.c} (A - k^2 x.M x / 2); the centers and the centroids share
+    one phase matrix, built in blocks of about two observation chunks, each applied
+    to all solutions in one product.
     """
     single = isinstance(sol, DeltaSolution)
     sols = [sol] if single else list(sol)
     first = sols[0]
     if any(s.k != first.k or s.delta != first.delta or s.potential != first.potential for s in sols):
         raise ValueError("batched solutions must come from one system")
-    # source points and (n_points, n_sol) weights over the support of V~: the cells, then Sigma's rule points
+    # source points and (n_points, n_sol) weights over the support of V~: the cells, then Sigma's centroids
     grid, centers, sigma = _sources(first.potential, first.support, first.delta)
-    qpts, w = sigma.quadrature_points()
     cells = np.stack([s.source_density for s in sols], axis=1) * (1.0 if grid is None else grid.cell_volume)
-    eta = np.stack([s.eta for s in sols], axis=1)[first.delta.support()] * sigma.panel_area[:, None]
-    pts = np.concatenate([centers, qpts.reshape(-1, 3)])
-    coef = np.concatenate([cells, (eta[:, None, :] * w[None, :, None]).reshape(-1, len(sols))])
+    eta = np.stack([s.eta for s in sols], axis=1)[first.delta.support()]
+    pts = np.concatenate([centers, sigma.panel_centroid])
+    coef = np.concatenate([cells, eta])
+    k, nc, quadrupole = first.k, len(centers), -0.5 * first.k**2 * sigma.panel_moment
 
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     out = np.empty((len(sols), len(obs)), dtype=complex, order="F")
@@ -146,7 +148,9 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
         phases = np.empty((len(obs[block]), len(pts)), dtype=complex)
 
         def fill(rows):
-            phases[rows].real, phases[rows].imag = _cis(-first.k * np.einsum("ik,jk->ij", obs[block][rows], pts))
+            x = obs[block][rows]
+            phases[rows].real, phases[rows].imag = _cis(-k * np.einsum("ik,jk->ij", x, pts))
+            phases[rows, nc:] *= sigma.panel_area + np.einsum("ia,ib,jab->ij", x, x, quadrupole)
 
         map_chunks(fill, row_chunks(len(phases), len(pts)))
         matmul(coef.T, phases.T, out=out[:, block])

@@ -3,7 +3,7 @@
 Provides the three grids everything else is built on:
 
 * ``SurfaceMesh``   -- closed triangulated surface (flat panels) with
-  per-panel centroids, areas, outward normals and the panel quadrature rule.
+  per-panel centroids, areas, outward normals and second moments.
 * ``SphereGrid``    -- tensor Gauss-Legendre x uniform-phi quadrature on a
   sphere of radius R, used for flux/Wronskian integrals.
 * ``VolumeGrid``    -- uniform Cartesian cell grid over an axis-aligned box,
@@ -58,13 +58,7 @@ _SUB_BARY = np.concatenate([(np.eye(3)[:, None] + _GAUSS3_BARY) / 2, (1 - _GAUSS
 
 def triangle_rule(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Panel-rule points (m, 3, 3) and weights (3,) of the triangles with corners v0, v1, v2."""
-    bary = _GAUSS3_BARY
-    pts = (
-        bary[None, :, 0, None] * v0[:, None, :]
-        + bary[None, :, 1, None] * v1[:, None, :]
-        + bary[None, :, 2, None] * v2[:, None, :]
-    )
-    return pts, _GAUSS3_WEIGHTS
+    return np.einsum("gj,jpk->pgk", _GAUSS3_BARY, np.stack([v0, v1, v2])), _GAUSS3_WEIGHTS
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -98,7 +92,7 @@ class SurfaceMesh:
     panel_normal : (nt, 3), unit outward normals
     panel_diameter : (nt,), longest edge per panel
     panel_corners : (nt, 3, 3), the vertex coordinates of each panel
-    panel_rule_points : (nt, 3, 3), the points of the panel rule (``triangle_rule``)
+    panel_moment : (nt, 3, 3), the second moment int_T (y - c)(y - c)^T dsigma about the centroid c
     panel_subrule_points : (nt, 12, 3), the points of the rule on the four midpoint subtriangles
     """
 
@@ -109,7 +103,7 @@ class SurfaceMesh:
     panel_normal: np.ndarray = field(repr=False, default=None, compare=False)
     panel_diameter: np.ndarray = field(repr=False, default=None, compare=False)
     panel_corners: np.ndarray = field(repr=False, default=None, compare=False)
-    panel_rule_points: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_moment: np.ndarray = field(repr=False, default=None, compare=False)
     panel_subrule_points: np.ndarray = field(repr=False, default=None, compare=False)
     __eq__ = _equal                                       # equal vertices and triangles; the panel arrays follow
 
@@ -134,15 +128,17 @@ class SurfaceMesh:
         normals = cross / two_area[:, None]
         edges = np.linalg.norm(np.stack([v1 - v0, v2 - v1, v0 - v2]), axis=2)
         corners = np.stack([v0, v1, v2], axis=1)
+        centroid = (v0 + v1 + v2) / 3.0
+        rel = corners - centroid[:, None]                    # int_T (y - c)(y - c)^T = A/12 sum_i (v_i - c)(v_i - c)^T
         return cls(
             vertices=_freeze(vertices),
             triangles=_freeze(triangles),
-            panel_centroid=_freeze((v0 + v1 + v2) / 3.0),
+            panel_centroid=_freeze(centroid),
             panel_area=_freeze(two_area / 2.0),
             panel_normal=_freeze(normals),
             panel_diameter=_freeze(edges.max(axis=0)),
             panel_corners=_freeze(corners),
-            panel_rule_points=_freeze(triangle_rule(v0, v1, v2)[0]),
+            panel_moment=_freeze(np.einsum("p,pij,pik->pjk", two_area / 24.0, rel, rel)),
             panel_subrule_points=_freeze(np.einsum("sj,pjk->psk", _SUB_BARY, corners)),
         )
 
@@ -156,11 +152,12 @@ class SurfaceMesh:
         return float(np.max(np.linalg.norm(self.vertices, axis=1), initial=0.0))
 
     def quadrature_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical quadrature points (nt, 3, 3) and weights (3,) of the panel rule.
+        """Points (nt, 3, 3) and weights (3,) of the 3-point rule (``triangle_rule``) on each panel.
 
-        Weights sum to 1; multiply by panel_area for surface integration.
+        Weights sum to 1; multiply by panel_area for surface integration.  No kernel
+        pass uses it: a far panel is its centroid and ``panel_moment``.
         """
-        return self.panel_rule_points, _GAUSS3_WEIGHTS
+        return triangle_rule(*self.panel_corners.transpose(1, 0, 2))
 
     def per_panel(self, values, name: str) -> np.ndarray:
         """``values`` as one finite float per panel, a number standing for every panel;

@@ -78,8 +78,7 @@ def lattice_directions() -> np.ndarray:
 
 def _total_field_and_radial(sol: DeltaSolution, points: np.ndarray, normals: np.ndarray):
     """(psi, d_r psi) on a sphere, analytic gradients; the scattered part from one kernel pass."""
-    incident = np.column_stack([sol.incident.values(sol.k, points), sol.incident.gradients(sol.k, points)])
-    return _radial(incident + _scattered(sol, points, grad=True), normals)
+    return _radial(sol.incident.jet(sol.k, points) + _scattered(sol, points, grad=True), normals)
 
 
 def _cross_trace(sol: DeltaSolution, mesh) -> np.ndarray:

@@ -10,14 +10,15 @@ Conventions (fixed here and used everywhere):
 * radiation residual     |x| (x_hat.grad - ik) u_sc -> 0 selects outgoing fields
 * real arithmetic        the static kernel (k = 0) is float64; at k > 0 its
                          parts cos(kr)/(4 pi r) and sin(kr)/(4 pi r) are
-                         computed apart, and a block sums them over its rule
-                         separately into its real and imaginary part, so no
-                         complex exponential is taken and no complex product
-                         is summed
+                         computed apart, and a block writes them (or, for a
+                         far panel, cos P - sin Q and sin P + cos Q) separately
+                         into its real and imaginary part, so no complex
+                         exponential is taken and no complex product is summed
 * phases                 every e^{i theta} is ``_cis``: cos and sin from one SIMD
                          tan(theta/2), within 1.5 * 2^-52 of the exact values
 * jets                   a value and its gradient from one pass and one ``_cis``;
-                         a block's jet is the value, then the x-derivatives
+                         a block's jet is the value, then the x-derivatives, and
+                         an incident field's ``jet`` (n, 4) is too, from one phase
 
 Exponential incident fields exp(rho.x) grow like exp(w |x|); evaluation
 refuses |Re(rho).x| > 40 to avoid overflow.
@@ -73,12 +74,12 @@ def _cis(x) -> tuple:
     return c, t
 
 
-def _radial_parts(r, k: float, weight=1.0, grad: bool = False) -> tuple[list, list]:
-    """(value parts, gradient parts): weight times ``radial_kernel`` and, with ``grad``,
+def _radial_parts(r, k: float, grad: bool = False) -> tuple[list, list]:
+    """(value parts, gradient parts): ``radial_kernel`` and, with ``grad``,
     ``radial_gradient_factor`` in float64 parts, [the value] at k = 0 and [the real part,
     the imaginary part] at k > 0, from one ``_cis``; no gradient parts without ``grad``."""
-    inv = weight / (4.0 * np.pi * r)
-    inv3 = weight / (4.0 * np.pi * r**3) if grad else None
+    inv = 1.0 / (4.0 * np.pi * r)
+    inv3 = 1.0 / (4.0 * np.pi * r**3) if grad else None
     if k == 0:
         return [inv], ([-inv3] if grad else [])
     kr = k * r
@@ -254,9 +255,9 @@ class PlaneWave:
     def values(self, k: float, points: np.ndarray) -> np.ndarray:
         return _joined(_cis(k * (np.atleast_2d(points) @ self.direction)))
 
-    def gradients(self, k: float, points: np.ndarray) -> np.ndarray:
+    def jet(self, k: float, points: np.ndarray) -> np.ndarray:
         vals = self.values(k, points)
-        return 1j * k * self.direction[None, :] * vals[:, None]
+        return np.column_stack([vals, 1j * k * self.direction[None, :] * vals[:, None]])
 
 
 @dataclass(frozen=True)
@@ -277,9 +278,9 @@ class Exponential:
         scale = np.exp(phase.real)
         return _joined([part * scale for part in _cis(phase.imag)])
 
-    def gradients(self, k: float, points: np.ndarray) -> np.ndarray:
+    def jet(self, k: float, points: np.ndarray) -> np.ndarray:
         vals = self.values(k, points)
-        return self.rho_dir.rho[None, :] * vals[:, None]
+        return np.column_stack([vals, self.rho_dir.rho[None, :] * vals[:, None]])
 
 
 @dataclass(frozen=True)
@@ -303,8 +304,9 @@ class Herglotz:
     def values(self, k: float, points: np.ndarray) -> np.ndarray:
         return self._phases(k, points) @ (self.weights * self.density)
 
-    def gradients(self, k: float, points: np.ndarray) -> np.ndarray:
-        return self._phases(k, points) @ ((self.weights * self.density)[:, None] * (1j * k * self.directions))
+    def jet(self, k: float, points: np.ndarray) -> np.ndarray:
+        phases, wf = self._phases(k, points), self.weights * self.density
+        return np.column_stack([phases @ wf, phases @ (wf[:, None] * (1j * k * self.directions))])
 
     def _phases(self, k: float, points: np.ndarray) -> np.ndarray:
         """exp(ik d.x), (n, m): one row per point, one column per direction."""
@@ -330,5 +332,5 @@ def eval_incident_grad(f: IncidentField, k: float, x) -> np.ndarray:
     """Analytic gradient of the incident field at x."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    grads = f.gradients(k, np.atleast_2d(x))
+    grads = f.jet(k, np.atleast_2d(x))[:, 1:]
     return grads[0] if single else grads

@@ -328,36 +328,91 @@ class TestKernelEntries:
                             >= 0.5 * np.min(small_grid.spacing))
         assert_allclose(system.kernel[ns:, :ns][qq, jj], vol * kernel(c[qq], centers[jj], k), rtol=1e-14)
 
-        # panel pairs beyond the near threshold carry the plain 3-point rule
-        qpts, w = mesh.quadrature_points()
+        # panel pairs beyond the near threshold carry the monopole-plus-quadrupole rule
         ratio = np.linalg.norm(c[:, None] - c[None], axis=-1) / mesh.panel_diameter[None, :]
         qq, pp = np.nonzero(ratio >= _NEAR_RATIO)
         assert len(qq) > 0
-        expected = kernel(c[qq][:, None, :], qpts[pp], k) @ w * mesh.panel_area[pp]
-        assert_allclose(system.kernel[ns:, ns:][qq, pp], expected, rtol=1e-13)
+        assert_allclose(system.kernel[ns:, ns:][qq, pp], _taylor_rule(c[qq], mesh, pp, k, False), rtol=1e-13)
+
+    @pytest.mark.parametrize("k", [0.0, 2.0, 5.0])
+    def test_far_entries_match_a_subdivided_reference(self, sphere_meshes, k):
+        # entries 2.8-10 panel diameters apart against the centroid rule on 16 x 16 subtriangles,
+        # within a bound set by the 3-point rule's error on the same entries (1.0e-4, 1.7e-4 and
+        # 1.5e-3 at k = 0, 2 and 5).  Both rules integrate quadratics exactly; the leading error is
+        # the panel's third moment A/30 sum_i (v_i - c)^3, which the centroid rule drops and the
+        # 3-point rule overshoots by A/120 sum_i (v_i - c)^3, so the far rule's error is about 4 times
+        # the 3-point rule's (measured 3.1-4.2 times)
+        mesh = sphere_meshes[2]
+        c = mesh.panel_centroid
+        x = np.concatenate([c[::32], 0.5 * c[::40], 1.5 * c[::40]])
+        ratio = np.linalg.norm(x[:, None] - c[None], axis=-1) / mesh.panel_diameter
+        ii, qq = np.nonzero((ratio >= _NEAR_RATIO) & (ratio < 10.0))
+        n = 16
+        uv = np.array([[[i, j], [i + 1, j], [i, j + 1]] for i in range(n) for j in range(n - i)]
+                      + [[[i + 1, j], [i + 1, j + 1], [i, j + 1]] for i in range(n) for j in range(n - i - 1)]) / n
+        sub = uv.mean(axis=1)                                          # subtriangle centroids, (n^2, 2)
+        bary = np.column_stack([1.0 - sub.sum(axis=1), sub])
+        ref = np.empty(len(ii), dtype=complex)
+        for lo in range(0, len(ii), 200):
+            y = np.einsum("sb,pbk->psk", bary, mesh.panel_corners[qq[lo:lo + 200]])
+            ref[lo:lo + 200] = kernel(x[ii[lo:lo + 200], None], y, k).mean(axis=1)
+        ref *= mesh.panel_area[qq]
+        qpts, w = mesh.quadrature_points()
+        three_point = kernel(x[ii][:, None], qpts[qq], k) @ w * mesh.panel_area[qq]
+        far = _panel_block(x, mesh, k)[ii, qq]
+        assert len(ii) > 6000
+        assert _entry_gap(far, ref) <= 4.5 * _entry_gap(three_point, ref)
+
+
+def _second_moments(mesh):
+    """int_T (y - c)(y - c)^T dsigma per panel, from the 3-point rule, which integrates quadratics exactly."""
+    qpts, w = mesh.quadrature_points()
+    rel = qpts - mesh.panel_centroid[:, None, :]
+    return np.einsum("p,g,pgi,pgj->pij", mesh.panel_area, w, rel, rel)
+
+
+def _taylor_rule(x, mesh, panels, k, grad):
+    """A G + M : grad grad G / 2 at the centroid of panel panels[j] seen from x[j], or with ``grad``
+    its jet (the value, then the x-gradient), in exp form from the radial derivatives g1, g2, g3 of
+    g = e^{ikr}/(4 pi r).  For a radial f and n = d/r:
+
+        d_a d_b f = f2 n_a n_b + f1/r (delta_ab - n_a n_b),
+        d_a d_b d_c f = f3 n_a n_b n_c + (f2 - f1/r)/r (delta_ab n_c + delta_ac n_b + delta_bc n_a - 3 n_a n_b n_c).
+    """
+    d = x - mesh.panel_centroid[panels]
+    r = np.linalg.norm(d, axis=-1)
+    n = d / r[:, None]
+    A, M = mesh.panel_area[panels], _second_moments(mesh)[panels]
+    Mn = np.einsum("pij,pj->pi", M, n)
+    qn, T = np.einsum("pi,pi->p", n, Mn), np.trace(M, axis1=1, axis2=2)
+    kr = k * r
+    g = np.exp(1j * kr) / (4 * np.pi * r)
+    g1 = g * (1j * kr - 1) / r
+    g2 = g * (-kr**2 - 2j * kr + 2) / r**2
+    g3 = g * (-1j * kr**3 + 3 * kr**2 + 6j * kr - 6) / r**3
+    value = A * g + 0.5 * (g2 * qn + g1 / r * (T - qn))
+    if not grad:
+        return value
+    h = (g2 - g1 / r) / r
+    gradient = (A * g1 + 0.5 * (g3 * qn + h * (T - 3 * qn)))[:, None] * n + h[:, None] * Mn
+    return np.concatenate([value[:, None], gradient], axis=-1)
 
 
 def _exp_form_block(x, mesh, k, grad):
-    """The complex128 panel block written with exp(ikr): the 3-point rule of e^{ikr}/(4 pi r)
-    (or of its gradient factor), and on near pairs the closed-form (1/r - k^2 r/2)/(4 pi) plus
-    ``kernels.radial_remainder`` on the 12-point subrule."""
-    qpts, w = mesh.quadrature_points()
-    d = x[:, None, None, :] - qpts[None]
-    r = np.linalg.norm(d, axis=-1)
+    """The complex128 panel block written with exp(ikr): ``_taylor_rule`` on far pairs, and on near
+    pairs the closed-form (1/r - k^2 r/2)/(4 pi) plus ``kernels.radial_remainder`` on the 12-point subrule."""
     ii, qq = boundary._near_pairs(x, mesh)
-    r[ii, qq] = 1.0
-    e = np.exp(1j * k * r)
-    corners = mesh.panel_corners
+    far = np.ones((len(x), mesh.n_panels), dtype=bool)
+    far[ii, qq] = False
+    block = np.empty((len(x), mesh.n_panels) + ((4,) if grad else ()), dtype=complex)
+    block[far] = _taylor_rule(x[np.nonzero(far)[0]], mesh, np.nonzero(far)[1], k, grad)
+    corners, area = mesh.panel_corners, mesh.panel_area
     moments = _flat_triangle_moments(x[ii], corners[qq], grad)
     ds = x[ii][:, None, :] - np.einsum("sj,pjk->psk", boundary._SUB_BARY, corners[qq])
     rs = np.linalg.norm(ds, axis=-1)
-    area = mesh.panel_area
-    block = np.einsum("img,g,m->im", e / (4 * np.pi * r), w, area)
     rem = radial_remainder(rs, k).mean(axis=1) * area[qq]
     if grad:
         # the jet: the value, then the gradient
-        gradient = np.einsum("imgk,img,g,m->imk", d, e * (1j * k * r - 1.0) / (4 * np.pi * r**3), w, area)
-        block = np.concatenate([block[..., None], gradient], axis=-1)
         rem_grad = np.einsum("psk,ps->pk", ds, radial_remainder_gradient_factor(rs, k)) / rs.shape[1] * area[qq, None]
         rem = np.concatenate([rem[:, None], rem_grad], axis=-1)
     block[ii, qq] = moments[:, 0] - 0.5 * k**2 * moments[:, 1] + rem
@@ -421,14 +476,18 @@ class TestRealArithmetic:
 
 class TestPanelGeometry:
     def test_panel_block_reads_the_frozen_panel_arrays(self, sphere_meshes):
-        # the rule points and the stacked corners are built once per mesh; the block equals
+        # the second moments and the stacked corners are built once per mesh; the block equals
         # the block from arrays rebuilt from the vertices, as each row chunk once did
         mesh = sphere_meshes[3]
         v0, v1, v2 = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
-        rule, corners = triangle_rule(v0, v1, v2)[0], np.stack([v0, v1, v2], axis=1)
-        assert np.array_equal(mesh.panel_rule_points, rule) and np.array_equal(mesh.panel_corners, corners)
-        assert not (mesh.panel_rule_points.flags.writeable or mesh.panel_corners.flags.writeable)
-        rebuilt = dataclasses.replace(mesh, panel_rule_points=rule, panel_corners=corners)
+        corners = np.stack([v0, v1, v2], axis=1)
+        rel = corners - ((v0 + v1 + v2) / 3.0)[:, None, :]
+        two_area = np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
+        moment = np.einsum("p,pij,pik->pjk", two_area / 24.0, rel, rel)
+        assert np.array_equal(mesh.panel_moment, moment) and np.array_equal(mesh.panel_corners, corners)
+        assert_allclose(mesh.panel_moment, _second_moments(mesh), rtol=1e-12, atol=1e-18)
+        assert not (mesh.panel_moment.flags.writeable or mesh.panel_corners.flags.writeable)
+        rebuilt = dataclasses.replace(mesh, panel_moment=moment, panel_corners=corners)
         c = mesh.panel_centroid
         off = np.concatenate([0.5 * c[::17], 1.05 * c[::9]])
         for k in (0.0, 2.0):
@@ -611,11 +670,11 @@ class TestSystemMatrix:
         assert peak <= 1.6 * mesh.n_panels**2 * 16
 
     def test_gradient_apply_peaks_as_the_value_apply(self, sphere_meshes, monkeypatch):
-        # a jet row (the value and the gradient) makes about 1.9-2.3 times the temporaries
-        # of a panel value row (both parts, the components of x - y, 4 channels), and is
-        # charged three times the entries, so one chunk's temporaries, which glibc keeps in
-        # the filling thread's arena, stay below a value chunk's (measured 0.67 times).
-        # 4 value chunks, 10 jet chunks
+        # a jet row (the value and the gradient) makes about 3.1 times the temporaries of a
+        # panel value row (d = x - c, the factors of d and M d, 4 channels), and is charged
+        # five times the entries, so one chunk's temporaries, which glibc keeps in the
+        # filling thread's arena, stay below a value chunk's (measured 0.58 times).
+        # 2 value chunks, 9 jet chunks
         monkeypatch.setattr(_dense, "WORKERS", 1)
         monkeypatch.setattr(_dense, "CHUNK", 2**16)
         mesh = sphere_meshes[2]
@@ -897,13 +956,14 @@ class TestSigma:
         eta, trace = np.stack([sol.eta for sol in sols], axis=1), np.stack([sol.trace for sol in sols], axis=1)
         assert not np.any(eta[off])
         assert _rel(eta, eta_ref) <= 1e-12 and _rel(trace, trace_ref) <= 1e-12
-        # the far field -1/(4 pi) sum_j e^{-ik obs.y_j} q_j over the cells and every panel's rule points
+        # the far field -1/(4 pi) sum_j e^{-ik obs.y_j} q_j over the cell centers and the panel centroids,
+        # a panel's q_j weighted by its monopole-plus-quadrupole factor A - k^2 obs.M obs/2
         obs = direction_grid(4, 8).normals
-        qpts, rule = mesh.quadrature_points()
-        y = np.concatenate([centers, qpts.reshape(-1, 3)])
-        panel_q = (eta_ref * mesh.panel_area[:, None])[:, None, :] * rule[None, :, None]
-        q = np.concatenate([(w[:, None] * x)[:ns] * small_grid.cell_volume, panel_q.reshape(-1, len(incidents))])
-        ff_ref = -(np.exp(-1j * k * (obs @ y.T)) @ q).T / (4.0 * np.pi)
+        y = np.concatenate([centers, mesh.panel_centroid])
+        weight = np.concatenate([np.full((len(obs), ns), small_grid.cell_volume),
+                                 mesh.panel_area - 0.5 * k**2 * np.einsum("oi,pij,oj->op", obs, _second_moments(mesh), obs)],
+                                axis=1)
+        ff_ref = -((np.exp(-1j * k * (obs @ y.T)) * weight) @ (w[:, None] * x)).T / (4.0 * np.pi)
         assert _rel(farfield_source(sols, obs), ff_ref) <= 1e-12
 
 

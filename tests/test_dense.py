@@ -63,7 +63,7 @@ def sites(sphere_meshes, small_grid):
     return {
         "S": lambda: boundary.assemble_single_layer(mesh, 1.7),
         "DeltaSystem": lambda: DeltaSystem(V, delta, 1.7).kernel,
-        "system_matrix": lambda: boundary._system_matrix(system.kernel, system.weights, np.complex64),
+        "system_matrix": lambda: np.append(*boundary._system_matrix(system.kernel, system.weights, np.complex64)),
         "G": lambda: volume.assemble_volume_operator(grid, 1.7, cells=support),
         "layer_potential": lambda: boundary.layer_potential(points, mesh, eta, 1.7),
         "layer_potential_gradient": lambda: boundary.layer_potential_gradient(off, mesh, eta, 1.7),
@@ -72,7 +72,8 @@ def sites(sphere_meshes, small_grid):
         "static_layer_potential_gradient": lambda: boundary.layer_potential_gradient(off, mesh, eta.real, 0.0),
         "volume_potential": lambda: volume.volume_potential(points, grid, V.values[support] * eta[0],
                                                             1.7, cells=support),
-        "farfield_source": lambda: farfield.farfield_source(sols, farfield.direction_grid(6, 12).normals),
+        # 128 directions over 944 sources: the last block of phase rows splits in two slices
+        "farfield_source": lambda: farfield.farfield_source(sols, farfield.direction_grid(8, 16).normals),
         "eval_scattered_field": lambda: boundary.eval_scattered_field(sols[0], points),
         "eval_scattered_gradient": lambda: boundary.eval_scattered_gradient(sols[0], off),
     }
@@ -120,15 +121,15 @@ class TestMapChunks:
         caller_in, failed = threading.Event(), threading.Event()
         callers = []
 
-        def block(x, mesh, k, grad=False):
+        def block(x, mesh, k, grad=False, out=None):
             callers.append(threading.current_thread())
             if threading.current_thread() is threading.main_thread():
                 caller_in.set()
                 assert failed.wait(timeout=60)
-                return panel_block(x, mesh, k, grad)
+                return panel_block(x, mesh, k, grad, out)
             assert caller_in.wait(timeout=60)
             try:
-                return panel_block(mesh.panel_centroid[:len(x)], mesh, k, grad)
+                return panel_block(mesh.panel_centroid[:len(x)], mesh, k, grad, out)
             finally:
                 failed.set()
 
@@ -223,14 +224,26 @@ class TestGuardedLU:
         assert not np.shares_memory(lu._lu, A)
         assert np.array_equal(A, ref)
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_system_matrix_carries_its_one_norm(self, small_system, dtype):
+        # the column sums of |A| taken while A is written are its 1-norm, which the condition
+        # estimate then reads instead of a LAPACK pass of its own; complex64 moduli round to 2^-24,
+        # and cgecon's estimate is a float32 number
+        A, anorm = boundary._system_matrix(small_system.kernel, small_system.weights, dtype)
+        norm_tol, rcond_tol = (1e-6, 1e-5) if dtype == np.complex64 else (1e-12, 1e-12)
+        ref = np.linalg.norm(A.astype(complex), 1)
+        assert abs(anorm - ref) <= norm_tol * ref
+        given, own = GuardedLU(A.copy(order="F"), anorm=anorm), GuardedLU(A.copy(order="F"))
+        assert abs(given.rcond - own.rcond) <= rcond_tol * own.rcond
+
     def test_system_matrix_is_factored_in_place(self, sphere_meshes, monkeypatch):
         # DeltaSystem writes the complex64 A in Fortran order and the LU overwrites it,
         # so a build makes no n x n array besides the kernel and A
         given = []
 
-        def guarded(A, context):
+        def guarded(A, anorm=None, context="linear system"):
             given.append(A)
-            return GuardedLU(A, context)
+            return GuardedLU(A, anorm, context)
 
         monkeypatch.setattr(boundary, "GuardedLU", guarded)
         mesh = sphere_meshes[2]

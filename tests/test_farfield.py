@@ -71,6 +71,15 @@ class TestRoutes:
         with pytest.raises(ValueError, match="one system"):
             farfield_source([sphere_solution, combined_solution], lattice_directions())
 
+    @pytest.mark.parametrize("R", [2.0, 3.0])
+    def test_routes_are_exact_for_the_shell(self, sphere_solution, R):
+        # every panel is far from the sphere |y| = R and radiates as a monopole plus a quadrupole,
+        # an exact radiating field whose far field is the source route's: the gap is rounding
+        obs = direction_grid(6, 12).normals
+        src = farfield_source(sphere_solution, obs)
+        kir = farfield_kirchhoff(sphere_solution, R, obs)
+        assert np.linalg.norm(kir - src) / np.linalg.norm(src) <= 1e-12
+
     def test_radius_independence(self, combined_solution):
         obs = direction_grid(6, 12).normals
         k2 = farfield_kirchhoff(combined_solution, 2.0, obs)
@@ -101,14 +110,18 @@ class TestRoutes:
         obs = lattice_directions()
         ff = farfield_source(sol, obs) / eps
         qpts, w = mesh.quadrature_points()
-        psi0 = np.exp(1j * k * mesh.panel_centroid @ EZ)
+        c = mesh.panel_centroid
+        psi0 = np.exp(1j * k * c @ EZ)
+        # each panel's second moment; the 3-point rule integrates quadratics exactly
+        M = np.einsum("q,g,qgi,qgj->qij", mesh.panel_area, w, qpts - c[:, None], qpts - c[:, None])
         born_disc = np.empty(len(obs), dtype=complex)
         born_full = np.empty(len(obs), dtype=complex)
         for i, x_hat in enumerate(obs):
-            out_phase = np.exp(-1j * k * qpts @ x_hat)
-            # discretization's own sampling: incident factor at centroids
-            born_disc[i] = -np.einsum("qg,g,q->", out_phase, w, psi0 * mesh.panel_area) / (4 * np.pi)
-            born_full[i] = -np.einsum("qg,g,q->", out_phase * np.exp(1j * k * qpts @ EZ),
+            # discretization's own sampling: incident factor at centroids, each panel a monopole
+            # plus a quadrupole at its centroid
+            weight = mesh.panel_area - 0.5 * k**2 * np.einsum("i,qij,j->q", x_hat, M, x_hat)
+            born_disc[i] = -np.sum(np.exp(-1j * k * c @ x_hat) * weight * psi0) / (4 * np.pi)
+            born_full[i] = -np.einsum("qg,g,q->", np.exp(-1j * k * qpts @ x_hat) * np.exp(1j * k * qpts @ EZ),
                                       w, mesh.panel_area + 0j) / (4 * np.pi)
         # the eps -> 0 limit of the discrete far field is the discrete Born term
         assert np.linalg.norm(ff - born_disc) / np.linalg.norm(born_disc) < 1e-4

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from deltashell import kernels
 from deltashell.geometry import make_sphere_grid
 from deltashell.kernels import (
     Exponential,
@@ -253,6 +254,32 @@ class TestIncidentFields:
                 e[ax] = h
                 fd = (eval_incident(f, k, x + e) - eval_incident(f, k, x - e)) / (2 * h)
                 assert abs(grad[ax] - fd) < 1e-6 * (abs(grad[ax]) + 1.0)
+
+    def test_jet_takes_one_phase(self, rng, monkeypatch):
+        # the value, then the gradient, from one _cis (and for exp(rho.x) one overflow scan): bitwise
+        # the values and the gradient written as the constant factor times them, or for the
+        # Herglotz field the two products with the phase matrix
+        k = 1.6
+        g = make_sphere_grid(1.0, 4, 8)
+        x = rng.normal(size=(7, 3)) * 0.4
+        rho = make_sigma_k(1.2, EX, EY, k)
+        fields = [(plane_wave(EZ), 1j * k * EZ), (Exponential(rho), rho.rho),
+                  (Herglotz(directions=g.normals, weights=g.weights, density=g.normals[:, 0] + 0.3j), None)]
+        calls = []
+
+        def counted(theta):
+            calls.append(np.shape(theta))
+            return _cis(theta)
+
+        for f, factor in fields:
+            values = f.values(k, x)
+            gradients = eval_incident_grad(f, k, x) if factor is None else factor[None, :] * values[:, None]
+            monkeypatch.setattr(kernels, "_cis", counted)
+            calls.clear()
+            jet = f.jet(k, x)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert np.array_equal(jet[:, 0], values) and np.array_equal(jet[:, 1:], gradients)
 
     def test_overflow_guard(self):
         rho = make_sigma_k(10.0, EX, EZ, 1.0)
