@@ -39,6 +39,7 @@ from deltashell.kernels import (
     Herglotz,
     eval_incident,
     plane_wave,
+    radial_gradient_factor,
     radial_kernel,
     radial_remainder,
     radial_remainder_gradient_factor,
@@ -327,6 +328,15 @@ class TestKernelEntries:
         qq, jj = np.nonzero(np.linalg.norm(c[:, None] - centers[None], axis=-1)
                             >= 0.5 * np.min(small_grid.spacing))
         assert_allclose(system.kernel[ns:, :ns][qq, jj], vol * kernel(c[qq], centers[jj], k), rtol=1e-14)
+
+        # the cell columns' jets outside the self region: vol [G, (x - c) radial_gradient_factor]
+        x = np.concatenate([centers, 0.8 * c, 1.3 * c[::3]])
+        jets = boundary._kernel_rows(x, (small_grid, centers, mesh), k, grad=True)[:, :ns]
+        d = x[:, None] - centers[None]
+        ii, jj = np.nonzero(np.linalg.norm(d, axis=-1) >= 0.5 * np.min(small_grid.spacing))
+        factor = radial_gradient_factor(np.linalg.norm(d[ii, jj], axis=-1), k)
+        assert_allclose(jets[ii, jj, 0], vol * kernel(x[ii], centers[jj], k), rtol=1e-14)
+        assert_allclose(jets[ii, jj, 1:], vol * d[ii, jj] * factor[:, None], rtol=1e-14)
 
         # panel pairs beyond the near threshold carry the monopole-plus-quadrupole rule
         ratio = np.linalg.norm(c[:, None] - c[None], axis=-1) / mesh.panel_diameter[None, :]
