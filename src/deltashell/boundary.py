@@ -19,17 +19,22 @@ at the centroids with no cells), and an apply forms sum_j K(x, j) q_j: the layer
 potential (q = eta) and the scattered field -K (w psi), the outgoing resolvent
 applied to the source V~ psi.
 
-Quadrature (every phase from ``kernels._cis``, real and imaginary parts summed apart):
+Quadrature (one distance pass over the cell centres and the panel centroids; every
+phase from ``kernels._cis``, real and imaginary parts summed apart):
 
-* a (target, panel) pair at least 2.8 panel diameters apart (centroid
-  distance) takes the Taylor rule A G_k(x, c) + M : grad grad G_k(x, c) / 2,
-  the field of a monopole of the panel's area A plus a quadrupole of its
-  second moment M = int_T (y - c)(y - c)^T dsigma at its centroid c: exact for
-  integrands quadratic on the panel, as the 3-point Gauss rule is, with one
-  kernel evaluation per pair, and itself an exact radiating field, whose far
-  field e^{-ik x.c} (A - k^2 x.M x / 2) ``farfield.farfield_source`` sums.  At
+* every far source is a monopole of its measure A plus a quadrupole of its
+  second moment M at its point c, the Taylor rule
+  A G_k(x, c) + M : grad grad G_k(x, c) / 2.  A cell is the monopole of its
+  volume at its centre (M = 0: the midpoint rule).  A panel at least 2.8
+  panel diameters from the target (centroid distance) has its area and
+  M = int_T (y - c)(y - c)^T dsigma at its centroid: exact for integrands
+  quadratic on the panel, as the 3-point Gauss rule is, with one kernel
+  evaluation per pair, and itself an exact radiating field, whose far field
+  e^{-ik x.c} (A - k^2 x.M x / 2) ``farfield.farfield_source`` sums.  At
   k = 0 every block is float64;
-* a closer pair splits the kernel as (1/r - k^2 r/2)/(4 pi) plus a bounded
+* a target within half a spacing of a cell centre takes the equal-volume
+  ball's value (``volume.ball_self_term``) and a zero gradient;
+* a pair closer to a panel splits the kernel as (1/r - k^2 r/2)/(4 pi) plus a bounded
   remainder: the first part and its gradient are integrated in closed form
   over the flat triangle from any target, on the panel, coplanar or off
   the plane (Wilton-Rao-Glisson 1984, Graglia 1993), the remainder
@@ -53,7 +58,7 @@ import numpy as np
 from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, matmul, row_chunks  # noqa: F401 (re-export)
 from .geometry import _SUB_BARY, SurfaceMesh, _equal, _freeze
 from .kernels import IncidentField, _cis, _remainder_parts, eval_incident
-from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, cell_block
+from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, ball_self_term
 
 __all__ = [
     "DeltaSpec",
@@ -238,17 +243,14 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
     return out
 
 
-def _centroid_offsets(x: np.ndarray, mesh: SurfaceMesh):
-    """d = x - c over the panel centroids c, one (n, m) array per axis, |d|^2, and the (target, panel)
-    index pairs closer than _NEAR_RATIO panel diameters: the one distance pass of a panel block."""
-    d = [np.subtract.outer(x[:, i], mesh.panel_centroid[:, i]) for i in range(3)]
-    r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-    return d, r2, np.nonzero(r2 < (_NEAR_RATIO * mesh.panel_diameter) ** 2)
-
-
 def _near_pairs(x: np.ndarray, mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
-    """(target, panel) index pairs closer than _NEAR_RATIO panel diameters (centroid distance)."""
-    return _centroid_offsets(x, mesh)[2]
+    """(target, panel) index pairs closer than _NEAR_RATIO panel diameters (centroid distance);
+    |x - c|^2 is summed one axis at a time, so only one offset array is live."""
+    r2 = np.zeros((len(x), mesh.n_panels))
+    for i in range(3):
+        d = np.subtract.outer(x[:, i], mesh.panel_centroid[:, i])
+        r2 += d * d
+    return np.nonzero(r2 < (_NEAR_RATIO * mesh.panel_diameter) ** 2)
 
 
 def _surface_gap(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
@@ -271,27 +273,41 @@ def on_surface(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
     return _surface_gap(x, mesh) <= _SELF_TOL
 
 
-def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Panel integrals of the kernel from targets x: M[i, q] ~ int_{panel q} G_k(x_i, y) dsigma(y).
+_NO_CELLS = np.zeros((0, 3))
+
+
+def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """K(x, .) over a source set (grid, centers, mesh): the cells at ``centers``, then the panels of ``mesh``.
 
     Returns (n, m) values, or with ``grad`` the (n, m, 4) jets (the value, then the x-gradient), in
-    ``out`` if given; float64 at k = 0.  The near pairs are integrated first, so a gradient on the
-    surface raises before any other work; their distance is then the placeholder 1.0, as in
-    ``volume.cell_block``.  Every other pair takes the far rule, with d = x - c, u = 1/r, q = d.M d, T = tr M:
+    ``out`` if given; float64 at k = 0.  One distance pass over the cell centres and the panel
+    centroids c finds the near pairs, whose entries are made first, so a gradient on the surface
+    raises before any other work: within half a spacing of a cell centre the equal-volume ball
+    (``volume.ball_self_term``) with a zero gradient, within _NEAR_RATIO diameters of a panel
+    ``_near_pair_integrals``.  Their distance is then the placeholder 1.0.  Every other pair takes one
+    far rule, A G_k(x, c) + M : grad grad G_k(x, c) / 2 with A the cell volume or the panel area and
+    M the panel's second moment, 0 for a cell; with d = x - c, u = 1/r, q = d.M d, T = tr M:
 
         e^{ikr}/(4 pi) (P + iQ),  P = A u - T u^3/2 + q (3u^5 - k^2 u^3)/2,  Q = k T u^2/2 - 3k q u^4/2,
 
     whose gradient e^{ikr}/(4 pi) (ik u (P + iQ) d + grad P + i grad Q) is a multiple of d plus one of M d.
     """
-    d, r, (ii, qq) = _centroid_offsets(x, mesh)
-    near = _near_pair_integrals(x, mesh, ii, qq, k, grad)
-    r[ii, qq] = 1.0
-    area, m = mesh.panel_area / (4.0 * np.pi), mesh.panel_moment / (4.0 * np.pi)
+    grid, centers, mesh = sources
+    nc = len(centers)
+    vol, half = (grid.cell_volume, 0.5 * float(np.min(grid.spacing))) if nc else (0.0, 0.0)
+    c = np.concatenate([centers, mesh.panel_centroid])
+    d = [np.subtract.outer(x[:, i], c[:, i]) for i in range(3)]
+    r = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    ii, jj = np.nonzero(r < np.concatenate([np.full(nc, half), _NEAR_RATIO * mesh.panel_diameter]) ** 2)
+    on_panel = jj >= nc
+    near = _near_pair_integrals(x, mesh, ii[on_panel], jj[on_panel] - nc, k, grad)
+    r[ii, jj] = 1.0
+    area = np.concatenate([np.full(nc, vol), mesh.panel_area]) / (4.0 * np.pi)
+    m = np.concatenate([np.zeros((nc, 3, 3)), mesh.panel_moment]) / (4.0 * np.pi)
     u2 = np.reciprocal(r)
     q = sum((2.0 - (i == j)) * m[:, i, j] * d[i] * d[j] for i in range(3) for j in range(i, 3)) * u2   # q u^2
     if not grad:
-        del d                                                      # a chunk's peak is its live (rows x panels) arrays
+        del d                                                      # a chunk's peak is its live (rows x sources) arrays
     u = np.sqrt(u2)
     r *= u                                                         # |d|, which held |d|^2 so far
     w = 0.5 * np.trace(m, axis1=1, axis2=2) - 1.5 * q              # T/2 - 3 q u^2/2
@@ -310,8 +326,8 @@ def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False,
     channels = [(ch.real, ch.imag) if k else (ch,) for ch in (np.moveaxis(out, -1, 0) if grad else [out])]
     if k:
         # times e^{ikr}: the value straight into its channel, the gradient's factors into new arrays
-        c, s = _cis(np.multiply(r, k, out=r))
-        parts = [(np.subtract(c * re, s * im, out=o[0]), np.add(s * re, c * im, out=o[1]))
+        cs, sn = _cis(np.multiply(r, k, out=r))
+        parts = [(np.subtract(cs * re, sn * im, out=o[0]), np.add(sn * re, cs * im, out=o[1]))
                  for (re, im), o in zip(parts, channels[:1] + [(None, None)] * 2)]
     else:
         channels[0][0][...] = parts[0][0]
@@ -319,38 +335,18 @@ def _panel_block(x: np.ndarray, mesh: SurfaceMesh, k: float, grad: bool = False,
         md = m[:, i, 0] * d[0] + m[:, i, 1] * d[1] + m[:, i, 2] * d[2]   # (M d)_i
         for along_d, along_md, o in zip(parts[1], parts[2], channel):
             np.add(along_d * d[i], along_md * md, out=o)
-    out[ii, qq] = near
-    return out
-
-
-_NO_CELLS = np.zeros((0, 3))
-
-
-def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """K(x, .) over a source set (grid, centers, mesh): the cells at ``centers`` through
-    ``volume.cell_block``, then the panels of ``mesh`` through ``_panel_block``.
-
-    Returns (n, m) values, or with ``grad`` the (n, m, 4) jets (the value, then the
-    x-gradient), in ``out`` if given (float64 at k = 0); an empty ``centers`` or
-    ``mesh`` adds no columns.
-    """
-    grid, centers, mesh = sources
-    nc = len(centers)
-    if out is None:
-        out = np.empty((len(x), nc + mesh.n_panels) + ((4,) if grad else ()), dtype=_kernel_dtype(k))
-    if nc:
-        out[:, :nc] = cell_block(x, centers, grid, k, grad)
-    if mesh.n_panels:
-        _panel_block(x, mesh, k, grad, out[:, nc:])
+    out[ii[on_panel], jj[on_panel]] = near
+    ball = ball_self_term(k, vol)
+    out[ii[~on_panel], jj[~on_panel]] = [ball, 0.0, 0.0, 0.0] if grad else ball
     return out
 
 
 def _source_chunks(n: int, sources, grad: bool = False) -> list[slice]:
-    """Row chunks for n targets: a row costs 1 entry per cell and 2 per panel, five times that with ``grad``:
-    a panel row's temporaries and block peak at about 9.5 floats per panel, a jet row's at 29, so a chunk
-    holds 4.75 or 2.9 floats per charged entry, below the 3-point rule's 5.05 and 3.1."""
+    """Row chunks for n targets: a row costs 2 entries per source, cell or panel, ten with ``grad``:
+    at k = 2 a row's temporaries and block peak at 9.6 floats per source, a jet row's at 29.6
+    (tracemalloc, 24 rows), so a chunk holds 4.8 or 3.0 floats per charged entry."""
     _, centers, mesh = sources
-    return row_chunks(n, (len(centers) + 2 * mesh.n_panels) * (5 if grad else 1))
+    return row_chunks(n, 2 * (len(centers) + mesh.n_panels) * (5 if grad else 1))
 
 
 def _fill(points: np.ndarray, sources, k: float) -> np.ndarray:

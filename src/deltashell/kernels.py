@@ -10,8 +10,8 @@ Conventions (fixed here and used everywhere):
 * radiation residual     |x| (x_hat.grad - ik) u_sc -> 0 selects outgoing fields
 * real arithmetic        the static kernel (k = 0) is float64; at k > 0 its
                          parts cos(kr)/(4 pi r) and sin(kr)/(4 pi r) are
-                         computed apart, and a block writes them (or, for a
-                         far panel, cos P - sin Q and sin P + cos Q) separately
+                         computed apart, and a block writes a far source's
+                         cos P - sin Q and sin P + cos Q separately
                          into its real and imaginary part, so no complex
                          exponential is taken and no complex product is summed
 * phases                 every e^{i theta} is ``_cis``: cos and sin from one SIMD
@@ -74,23 +74,6 @@ def _cis(x) -> tuple:
     return c, t
 
 
-def _radial_parts(r, k: float, grad: bool = False) -> tuple[list, list]:
-    """(value parts, gradient parts): ``radial_kernel`` and, with ``grad``,
-    ``radial_gradient_factor`` in float64 parts, [the value] at k = 0 and [the real part,
-    the imaginary part] at k > 0, from one ``_cis``; no gradient parts without ``grad``."""
-    inv = 1.0 / (4.0 * np.pi * r)
-    inv3 = 1.0 / (4.0 * np.pi * r**3) if grad else None
-    if k == 0:
-        return [inv], ([-inv3] if grad else [])
-    kr = k * r
-    c, s = _cis(kr)
-    # e^{ikr}(ikr - 1) = -(c + s kr) + i (c kr - s)
-    gradient = [(-kr * s - c) * inv3, (kr * c - s) * inv3] if grad else []
-    c *= inv
-    s *= inv
-    return [c, s], gradient
-
-
 def _joined(parts: list):
     """One array from float64 parts: a single part as it is, [re, im] as re + i im in one complex array."""
     if len(parts) == 1:
@@ -102,12 +85,19 @@ def _joined(parts: list):
 
 def radial_kernel(r, k: float):
     """Outgoing kernel exp(ik r)/(4 pi r) as a function of the distance r; float64 at k = 0."""
-    return _joined(_radial_parts(r, k)[0])
+    inv = 1.0 / (4.0 * np.pi * r)
+    return inv if k == 0 else _joined([part * inv for part in _cis(k * r)])
 
 
 def radial_gradient_factor(r, k: float):
     """Factor e^{ikr}(ikr - 1)/(4 pi r^3): grad_x G_k(x, y) = (x - y) times it; float64 at k = 0."""
-    return _joined(_radial_parts(r, k, grad=True)[1])
+    inv3 = 1.0 / (4.0 * np.pi * r**3)
+    if k == 0:
+        return -inv3
+    kr = k * r
+    c, s = _cis(kr)
+    # e^{ikr}(ikr - 1) = -(c + s kr) + i (c kr - s)
+    return _joined([(-kr * s - c) * inv3, (kr * c - s) * inv3])
 
 
 def _remainder_parts(r, k: float, grad: bool = False) -> tuple[list, list]:

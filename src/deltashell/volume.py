@@ -1,4 +1,4 @@
-"""Volume operator blocks for compactly supported potentials.
+"""Cell-grid samples and the cells-only volume operator for compactly supported potentials.
 
 The total field psi for a regular potential V solves the Lippmann-Schwinger
 equation
@@ -6,13 +6,14 @@ equation
     (I + G diag(V)) psi = psi0      on the cell grid,
 
 whose dense solve is the cells-only case of ``boundary.DeltaSystem``
-(``DeltaSystem(V, None, k)``).  This module holds its blocks: the grid
-samples, the cell kernel block, the assembled operator and the volume
-potential.  G is the outgoing free resolvent discretized cellwise: G[i, j]
-approximates the kernel integral over cell j seen from center i.  The
-off-diagonal entries use the midpoint rule (kernel at centers times cell
-volume); the diagonal replaces the cubic cell by the ball of equal volume,
-whose self-integral has the closed form
+(``DeltaSystem(V, None, k)``).  This module holds the grid samples, the
+ball self-term, and the assembled operator and the volume potential, which
+are ``boundary``'s kernel rows over the cells alone.  G is the outgoing free
+resolvent discretized cellwise: G[i, j] approximates the kernel integral
+over cell j seen from center i.  Each cell is the monopole of its volume
+at its center (the midpoint rule: kernel at centers times cell volume);
+in a cell's self region the cubic cell is replaced by the ball of equal
+volume, whose self-integral has the closed form
 
     int_{|y|<a} e^{ik|y|}/(4 pi |y|) dy = (e^{ika}(1 - ika) - 1)/k^2
                                         = a^2 sum_n (ika)^n / (n! (n + 2))
@@ -36,15 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import map_chunks, row_chunks
 from .geometry import VolumeGrid, _equal
-from .kernels import _joined, _radial_parts
 
 __all__ = [
     "PotentialSample",
     "VolumeField",
     "ball_self_term",
-    "cell_block",
     "assemble_volume_operator",
     "volume_potential",
 ]
@@ -119,63 +117,31 @@ def ball_self_term(k: float, volume: float) -> complex:
     return (np.exp(ika) * (1.0 - ika) - 1.0) / k**2
 
 
-def cell_block(points: np.ndarray, centers: np.ndarray, grid: VolumeGrid, k: float,
-               grad: bool = False):
-    """Kernel-times-volume block from the cells at ``centers`` to ``points``.
-
-    Midpoint entries vol * G_k(x_i, c_j), replaced by the equal-volume-ball
-    value where x_i lies within half the spacing of c_j (the cell's self
-    region).  With ``grad`` returns the (n, m, 4) jets: the value, then the
-    x-gradient, zero in the self region.
-    """
-    d = points[:, None, :] - centers[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-    near = r < 0.5 * float(np.min(grid.spacing))
-    r = np.where(near, 1.0, r)
-    value, gradient = _radial_parts(r, k, grad=grad)
-    block = _joined(value) * grid.cell_volume
-    block[near] = ball_self_term(k, grid.cell_volume)
-    if not grad:
-        return block
-    factor = _joined(gradient) * grid.cell_volume
-    factor[near] = 0.0
-    return np.concatenate([block[..., None], d * factor[..., None]], axis=-1)
-
-
 def assemble_volume_operator(grid: VolumeGrid, k: float, cells: np.ndarray | None = None) -> np.ndarray:
-    """Dense operator G for the selected cells (all cells by default).
+    """Dense operator G for the selected cells (all cells by default), float64 at k = 0.
 
-    G[i, j] ~ int_{cell j} e^{ik|c_i - y|}/(4 pi |c_i - y|) dy.  Complex
-    symmetric by construction.
+    G[i, j] ~ int_{cell j} e^{ik|c_i - y|}/(4 pi |c_i - y|) dy: the kernel rows
+    of ``boundary`` over the cells alone.  Complex symmetric by construction.
     """
+    from .boundary import _NO_SURFACE, _fill   # boundary imports this module's types
     if grid.n_cells > MAX_GRID_CELLS:
         raise ValueError(f"grid has {grid.n_cells} cells, cap is {MAX_GRID_CELLS}")
     centers = grid.cell_center if cells is None else grid.cell_center[cells]
-    G = np.empty((len(centers), len(centers)), dtype=complex)
-
-    def fill(rows):
-        G[rows] = cell_block(centers[rows], centers, grid, k)
-
-    map_chunks(fill, row_chunks(len(centers), len(centers)))
-    return G
+    return _fill(centers, (grid, centers, _NO_SURFACE.mesh), k)
 
 
 def volume_potential(points, grid: VolumeGrid, density: np.ndarray, k: float, cells: np.ndarray | None = None) -> np.ndarray:
     """Field of the cellwise-constant source ``density``: sum_j density_j G(x, c_j).
 
-    Uses the same quadrature as the assembled operator (``cell_block``):
-    midpoint entries and the equal-volume-ball value whenever x falls inside
-    a cell's self region (distance to the center below half the spacing).
-    Evaluation at a cell center therefore reproduces the assembled matrix
-    row exactly.
+    Uses the kernel rows of the assembled operator: midpoint entries and the
+    equal-volume-ball value whenever x falls inside a cell's self region
+    (distance to the center below half the spacing).  Evaluation at a cell
+    center therefore reproduces the assembled matrix row exactly.
     """
+    from .boundary import _NO_SURFACE, _apply   # boundary imports this module's types
     points = np.atleast_2d(np.asarray(points, dtype=float))
     centers = grid.cell_center if cells is None else grid.cell_center[cells]
     density = np.asarray(density, dtype=complex)
     if density.shape != (len(centers),):
         raise ValueError("density length does not match the selected cells")
-
-    out = np.zeros(len(points), dtype=complex)
-    map_chunks(lambda rows: np.einsum("im,m->i", cell_block(points[rows], centers, grid, k), density, out=out[rows]),
-               row_chunks(len(points), len(centers)))
-    return out
+    return _apply(points, (grid, centers, _NO_SURFACE.mesh), density, k)

@@ -98,7 +98,7 @@ def test_no_matmul_in_row_chunk_bodies():
     # threads on top of them; products go through _dense.matmul, outside the bodies
     bodies = {f"{path.name}:{getattr(body, 'lineno', body)}": body for path in sorted(SRC.glob("*.py"))
               for body in _chunk_bodies(path)}
-    assert len(bodies) >= 6
+    assert len(bodies) >= 4
     unresolved = [name for name, body in bodies.items() if isinstance(body, str)]
     assert not unresolved, f"map_chunks bodies not defined where they are passed: {unresolved}"
     with_matmul = [name for name, body in bodies.items()

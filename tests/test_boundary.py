@@ -20,7 +20,6 @@ from deltashell.boundary import (
     DeltaSpec,
     DeltaSystem,
     _flat_triangle_moments,
-    _panel_block,
     assemble_single_layer,
     check_jump_relation,
     eval_scattered_field,
@@ -45,7 +44,7 @@ from deltashell.kernels import (
     radial_remainder_gradient_factor,
     sigma_pair_for_xi,
 )
-from deltashell.volume import PotentialSample, assemble_volume_operator, cell_block, volume_potential
+from deltashell.volume import PotentialSample, assemble_volume_operator, volume_potential
 
 from conftest import bump_potential, mixed_incidents, reference_lippmann_schwinger
 
@@ -168,7 +167,7 @@ class TestSingleLayer:
         monkeypatch.setattr(_dense, "CHUNK", mesh.n_panels * 3)  # one row per chunk
         assert len(_dense.row_chunks(len(points), mesh.n_panels * 3)) == len(points)
         assert np.array_equal(boundary._fill(points, sources, 1.7), default)
-        assert np.array_equal(_panel_block(points, mesh, 1.7), default)
+        assert np.array_equal(panel_rows(points, mesh, 1.7), default)
 
     def test_panel_cap(self, sphere_meshes, monkeypatch):
         monkeypatch.setattr(boundary, "MAX_PANELS", 100)
@@ -305,6 +304,16 @@ class TestGradients:
             assert np.linalg.norm(g - f) <= 1e-7 * max(np.linalg.norm(g), 1e-300)
 
 
+def panel_rows(x, mesh, k, grad=False):
+    """The kernel rows over the panels of ``mesh`` alone."""
+    return boundary._kernel_rows(x, (None, boundary._NO_CELLS, mesh), k, grad)
+
+
+def cell_rows(x, centers, grid, k, grad=False):
+    """The kernel rows over the cells of ``grid`` at ``centers`` alone."""
+    return boundary._kernel_rows(x, (grid, centers, boundary._NO_SURFACE.mesh), k, grad)
+
+
 def kernel(x, y, k):
     """G_k(x, y) = exp(ik|x - y|)/(4 pi |x - y|) from the radial kernel."""
     return radial_kernel(np.linalg.norm(x - y, axis=-1), k)
@@ -369,7 +378,7 @@ class TestKernelEntries:
         ref *= mesh.panel_area[qq]
         qpts, w = mesh.quadrature_points()
         three_point = kernel(x[ii][:, None], qpts[qq], k) @ w * mesh.panel_area[qq]
-        far = _panel_block(x, mesh, k)[ii, qq]
+        far = panel_rows(x, mesh, k)[ii, qq]
         assert len(ii) > 6000
         assert _entry_gap(far, ref) <= 4.5 * _entry_gap(three_point, ref)
 
@@ -456,7 +465,7 @@ class TestRealArithmetic:
     def test_static_block_is_real_part_of_the_exp_form(self, targets, grad):
         mesh, c, off = targets
         x = off if grad else np.concatenate([c, off])
-        block = _panel_block(x, mesh, 0.0, grad)
+        block = panel_rows(x, mesh, 0.0, grad)
         ref = _exp_form_block(x, mesh, 0.0, grad)
         assert block.dtype == np.float64
         assert len(boundary._near_pairs(x, mesh)[0]) > len(x)
@@ -466,7 +475,7 @@ class TestRealArithmetic:
     def test_helmholtz_block_is_the_exp_form(self, targets, grad):
         mesh, c, off = targets
         x = off if grad else np.concatenate([c, off])
-        block = _panel_block(x, mesh, 2.0, grad)
+        block = panel_rows(x, mesh, 2.0, grad)
         assert block.dtype == np.complex128
         assert _entry_gap(block, _exp_form_block(x, mesh, 2.0, grad)) <= 1e-14
 
@@ -502,7 +511,7 @@ class TestPanelGeometry:
         off = np.concatenate([0.5 * c[::17], 1.05 * c[::9]])
         for k in (0.0, 2.0):
             for x, grad in ((np.concatenate([c[::5], off]), False), (off, True)):
-                assert np.array_equal(_panel_block(x, mesh, k, grad), _panel_block(x, rebuilt, k, grad))
+                assert np.array_equal(panel_rows(x, mesh, k, grad), panel_rows(x, rebuilt, k, grad))
 
 
 class TestSharedKernel:
@@ -591,8 +600,8 @@ class TestSystemMatrix:
         assert s.kernel.shape == (ns + mesh.n_panels, ns + len(sigma))
         if ns:
             assert np.array_equal(s.kernel[:ns, :ns], assemble_volume_operator(V.grid, s.k, cells=s.support))
-            assert np.array_equal(s.kernel[ns:, :ns], cell_block(mesh.panel_centroid, centers, V.grid, s.k)[order])
-        assert np.array_equal(s.kernel[:ns, ns:], _panel_block(centers, mesh, s.k)[:, sigma])
+            assert np.array_equal(s.kernel[ns:, :ns], cell_rows(mesh.panel_centroid, centers, V.grid, s.k)[order])
+        assert np.array_equal(s.kernel[:ns, ns:], panel_rows(centers, mesh, s.k)[:, sigma])
         assert np.array_equal(s.kernel[ns:, ns:], assemble_single_layer(mesh, s.k)[np.ix_(order, sigma)])
         Vs = V.values[s.support] if ns else np.zeros(0)
         assert np.array_equal(s.weights, np.concatenate([Vs, s.delta.alpha[sigma]]))
@@ -608,8 +617,8 @@ class TestSystemMatrix:
             grid = sol.potential.grid
             field += volume_potential(pts, grid, sol.source_density, sol.k, cells=sol.support)
             centers = grid.cell_center[sol.support]
-            cells = cell_block(pts, centers, grid, sol.k, grad=True)
-            assert np.array_equal(cells[..., 0], cell_block(pts, centers, grid, sol.k))
+            cells = cell_rows(pts, centers, grid, sol.k, grad=True)
+            assert np.array_equal(cells[..., 0], cell_rows(pts, centers, grid, sol.k))
             grad += np.einsum("imk,m->ik", cells[..., 1:], sol.source_density)
         if sol.delta.support().size != 0:
             field += layer_potential(pts, sol.mesh, sol.eta, sol.k)
@@ -894,8 +903,8 @@ def solve_delta_system_composition(V, delta, inc, k):
     centers = grid.cell_center[support]
 
     S = assemble_single_layer(mesh, k)
-    SLvol = _panel_block(centers, mesh, k)
-    Tr = cell_block(mesh.panel_centroid, centers, grid, k)
+    SLvol = panel_rows(centers, mesh, k)
+    Tr = cell_rows(mesh.panel_centroid, centers, grid, k)
     G = assemble_volume_operator(grid, k, cells=support)
 
     lhs = G * Vs[None, :]
@@ -953,8 +962,8 @@ class TestSigma:
 
         centers = small_grid.cell_center[cells]
         S = assemble_single_layer(mesh, k)
-        K = (np.block([[assemble_volume_operator(small_grid, k, cells=cells), _panel_block(centers, mesh, k)],
-                       [cell_block(mesh.panel_centroid, centers, small_grid, k), S]]) if with_cells else S)
+        K = (np.block([[assemble_volume_operator(small_grid, k, cells=cells), panel_rows(centers, mesh, k)],
+                       [cell_rows(mesh.panel_centroid, centers, small_grid, k), S]]) if with_cells else S)
         w = np.concatenate([V.values[cells] if with_cells else np.zeros(0), alpha])
         incidents = mixed_incidents()
         points = np.concatenate([centers, mesh.panel_centroid])

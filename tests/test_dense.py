@@ -28,7 +28,7 @@ def slice_counts(monkeypatch):
         counts.append(len(slices))
         map_chunks(body, slices)
 
-    for module in (boundary, volume, farfield):
+    for module in (boundary, farfield):
         monkeypatch.setattr(module, "map_chunks", spy)
     return counts
 
@@ -117,23 +117,23 @@ class TestMapChunks:
         # Gamma; the caller finishes its slice after that has failed and takes no other
         mesh = sphere_meshes[2]
         monkeypatch.setattr(_dense, "WORKERS", 2)
-        panel_block = boundary._panel_block
+        kernel_rows = boundary._kernel_rows
         caller_in, failed = threading.Event(), threading.Event()
         callers = []
 
-        def block(x, mesh, k, grad=False, out=None):
+        def block(x, sources, k, grad=False, out=None):
             callers.append(threading.current_thread())
             if threading.current_thread() is threading.main_thread():
                 caller_in.set()
                 assert failed.wait(timeout=60)
-                return panel_block(x, mesh, k, grad, out)
+                return kernel_rows(x, sources, k, grad, out)
             assert caller_in.wait(timeout=60)
             try:
-                return panel_block(mesh.panel_centroid[:len(x)], mesh, k, grad, out)
+                return kernel_rows(mesh.panel_centroid[:len(x)], sources, k, grad, out)
             finally:
                 failed.set()
 
-        monkeypatch.setattr(boundary, "_panel_block", block)
+        monkeypatch.setattr(boundary, "_kernel_rows", block)
         with pytest.raises(ValueError, match="layer gradient requested on the surface"):
             boundary.layer_potential_gradient(2.0 * mesh.panel_centroid, mesh, np.ones(mesh.n_panels), 1.0)
         assert slice_counts[-1] > 2

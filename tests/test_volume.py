@@ -26,6 +26,7 @@ class TestOperator:
     def test_offdiagonal_static_entry(self):
         grid = make_volume_grid((-1.0, 1.0), 4)
         G = assemble_volume_operator(grid, 0.0)
+        assert G.dtype == np.float64
         i, j = 0, 37
         d = np.linalg.norm(grid.cell_center[i] - grid.cell_center[j])
         assert_allclose(G[i, j], grid.cell_volume / (4 * np.pi * d), rtol=1e-14)
