@@ -58,7 +58,7 @@ import numpy as np
 from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, matmul, row_chunks  # noqa: F401 (re-export)
 from .geometry import _SUB_BARY, SurfaceMesh, _equal, _freeze
 from .kernels import IncidentField, _cis, _remainder_parts, eval_incident
-from .volume import MAX_GRID_CELLS, PotentialSample, VolumeField, ball_self_term
+from .volume import PotentialSample, VolumeField, ball_self_term
 
 __all__ = [
     "DeltaSpec",
@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 MAX_PANELS = 8192
+MAX_GRID_CELLS = 32**3
 
 # a (target, panel) pair is near when the centroid distance is below this
 # many panel diameters

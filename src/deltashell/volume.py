@@ -47,7 +47,6 @@ __all__ = [
     "volume_potential",
 ]
 
-MAX_GRID_CELLS = 32**3
 # ball_self_term sums its series below this ka, where the closed form has lost
 # digits to cancellation (relative error about 1e-16 / (ka)^2)
 _BALL_SERIES_KA, _BALL_SERIES_TERMS = 0.05, 10
@@ -124,8 +123,6 @@ def assemble_volume_operator(grid: VolumeGrid, k: float, cells: np.ndarray | Non
     of ``boundary`` over the cells alone.  Complex symmetric by construction.
     """
     from .boundary import _NO_SURFACE, _fill   # boundary imports this module's types
-    if grid.n_cells > MAX_GRID_CELLS:
-        raise ValueError(f"grid has {grid.n_cells} cells, cap is {MAX_GRID_CELLS}")
     centers = grid.cell_center if cells is None else grid.cell_center[cells]
     return _fill(centers, (grid, centers, _NO_SURFACE.mesh), k)
 

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legvander
+from scipy.special import spherical_jn, spherical_yn
 
 from deltashell._dense import GuardedLU
 from deltashell.acoustic import GaussianBump, RadialCutoff
 from deltashell.boundary import DeltaSpec, DeltaSystem
 from deltashell.geometry import SurfaceMesh, make_sphere_mesh, make_volume_grid
 from deltashell.kernels import Herglotz, eval_incident, plane_wave
-from deltashell.mie import PartialWaveSolution, legendre_all, spherical_jn_all, spherical_yn_all
+from deltashell.mie import PartialWaveSolution
 from deltashell.volume import PotentialSample, assemble_volume_operator, volume_potential
 
 
@@ -109,7 +111,7 @@ def radial_field(sol: PartialWaveSolution, xi_hat, points: np.ndarray,
     if np.any(r == 0):
         raise ValueError("radial_field is singular at the origin")
     mu = np.clip((pts @ xi_hat) / r, -1.0, 1.0)
-    P = legendre_all(sol.L, mu)
+    P = legvander(mu, sol.L).T
 
     bps = sol.medium.breakpoints()
     out = np.zeros(len(pts), dtype=complex)
@@ -122,8 +124,8 @@ def radial_field(sol: PartialWaveSolution, xi_hat, points: np.ndarray,
     if np.any(exterior):
         for i in np.nonzero(exterior)[0]:
             z = sol.k * r[i]
-            j = spherical_jn_all(sol.L, z)
-            h = j + 1j * spherical_yn_all(sol.L, z)
+            j = spherical_jn(ell, z)
+            h = j + 1j * spherical_yn(ell, z)
             radial = sol.t * h if scattered_only else j + sol.t * h
             out[i] = np.sum(pref * radial * P[:, i])
     if np.any(~exterior):
@@ -133,20 +135,11 @@ def radial_field(sol: PartialWaveSolution, xi_hat, points: np.ndarray,
             kappas.append(np.sqrt(complex(sol.k**2 - sol.medium.potential_in_region(lo, rr))))
             lo = rr
         for i in np.nonzero(~exterior)[0]:
+            # interior columns: the core's j, then each shell's (j, y)
             region = int(np.searchsorted(bps, r[i], side="right"))
-            kap = kappas[region]
-            z = kap * r[i]
-            j = spherical_jn_all(sol.L, z)
-            if region == 0:
-                radial = np.array([sol.interior[l][0] * j[l] for l in ell])
-            else:
-                y = spherical_yn_all(sol.L, z)
-                radial = np.array(
-                    [
-                        sol.interior[l][1 + 2 * (region - 1)] * j[l]
-                        + sol.interior[l][2 + 2 * (region - 1)] * y[l]
-                        for l in ell
-                    ]
-                )
+            z = kappas[region] * r[i]
+            radial = sol.interior[:, max(2 * region - 1, 0)] * spherical_jn(ell, z)
+            if region > 0:
+                radial = radial + sol.interior[:, 2 * region] * spherical_yn(ell, z)
             out[i] = np.sum(pref * radial * P[:, i])
     return out

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from deltashell import _dense, volume
+from deltashell import _dense, boundary
 from deltashell.boundary import DeltaSystem, eval_total_field
 from deltashell.harness import sommerfeld_check
 from deltashell.kernels import plane_wave
@@ -66,7 +66,8 @@ class TestOperator:
         assert np.array_equal(G, G.T)
 
     def test_size_cap(self, monkeypatch):
-        monkeypatch.setattr(volume, "MAX_GRID_CELLS", 100)
+        # the cap is boundary's: every kernel fill, volume or surface, checks it there
+        monkeypatch.setattr(boundary, "MAX_GRID_CELLS", 100)
         grid = make_volume_grid((-1.0, 1.0), 8)
         with pytest.raises(ValueError, match="cap is 100"):
             assemble_volume_operator(grid, 1.0)
