@@ -13,35 +13,32 @@ the support of V~: the cells where V != 0 and Sigma, the panels where alpha != 0
 the other panels' rows give the rest of the trace psi|_Gamma.  eta = alpha psi|_Gamma
 is the surface density (the jump of the normal derivative of psi across Gamma).
 
-One row function gives K(x, .) over cells and panels, or its jet (the value,
-then the x-gradient, from one pass); a fill writes the rows of K (S is the fill
-at the centroids with no cells), and an apply forms sum_j K(x, j) q_j: the layer
-potential (q = eta) and the scattered field -K (w psi), the outgoing resolvent
-applied to the source V~ psi.
+One source table (``_Sources``) lists the sources of a pass, the cells then the panels,
+each with its point c, its measure A (the cell volume or the panel area), its second
+moment M about c (0 for a cell) and its near radius.  One row function reads it to give
+K(x, .), or its jet (the value, then the x-gradient, from one pass); a fill writes the
+rows of K (S is the fill at the centroids with no cells), and an apply forms
+sum_j K(x, j) q_j: the layer potential (q = eta) and the scattered field -K (w psi), the
+outgoing resolvent applied to the source V~ psi.  The far field reads the same table.
 
-Quadrature (one distance pass over the cell centres and the panel centroids; every
-phase from ``kernels._cis``, real and imaginary parts summed apart):
+Quadrature (one distance pass over the table's points; every phase from ``kernels._cis``,
+real and imaginary parts summed apart):
 
-* every far source is a monopole of its measure A plus a quadrupole of its
-  second moment M at its point c, the Taylor rule
-  A G_k(x, c) + M : grad grad G_k(x, c) / 2.  A cell is the monopole of its
-  volume at its centre (M = 0: the midpoint rule).  A panel at least 2.8
-  panel diameters from the target (centroid distance) has its area and
-  M = int_T (y - c)(y - c)^T dsigma at its centroid: exact for integrands
-  quadratic on the panel, as the 3-point Gauss rule is, with one kernel
-  evaluation per pair, and itself an exact radiating field, whose far field
-  e^{-ik x.c} (A - k^2 x.M x / 2) ``farfield.farfield_source`` sums.  At
-  k = 0 every block is float64;
+* a source beyond its near radius is a monopole of A plus a quadrupole of M at c, the
+  Taylor rule A G_k(x, c) + M : grad grad G_k(x, c) / 2: for a cell the midpoint rule,
+  for a panel, with M = int_T (y - c)(y - c)^T dsigma, exact for integrands quadratic on
+  the panel, as the 3-point Gauss rule is, with one kernel evaluation per pair.  The rule
+  is itself an exact radiating field, whose far field e^{-ik x.c} (A - k^2 x.M x / 2)
+  ``farfield.farfield_source`` sums for every source.  At k = 0 every block is float64;
 * a target within half a spacing of a cell centre takes the equal-volume
   ball's value (``volume.ball_self_term``) and a zero gradient;
-* a pair closer to a panel splits the kernel as (1/r - k^2 r/2)/(4 pi) plus a bounded
-  remainder: the first part and its gradient are integrated in closed form
-  over the flat triangle from any target, on the panel, coplanar or off
-  the plane (Wilton-Rao-Glisson 1984, Graglia 1993), the remainder
-  (``kernels.radial_remainder``) by the 3-point rule on the panel's four
-  midpoint subtriangles, in real parts; at k = 0 the remainder is 0 and
-  is skipped.  The collocation self-entry is the near pair whose target
-  is the centroid.
+* a target within 2.8 diameters of a panel centroid splits the kernel as
+  (1/r - k^2 r/2)/(4 pi) plus a bounded remainder: the first part and its gradient are
+  integrated in closed form over the flat triangle from any target, on the panel,
+  coplanar or off the plane (Wilton-Rao-Glisson 1984, Graglia 1993), the remainder
+  (``kernels.radial_remainder``) by the 3-point rule on the panel's four midpoint
+  subtriangles, in real parts; at k = 0 the remainder is 0 and is skipped.  The
+  collocation self-entry is the near pair whose target is the centroid.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, matmul, row_chunks  # noqa: F401 (re-export)
-from .geometry import _SUB_BARY, SurfaceMesh, _equal, _freeze
+from .geometry import _SUB_BARY, SurfaceMesh, VolumeGrid, _equal, _freeze
 from .kernels import IncidentField, _cis, _remainder_parts, eval_incident
 from .volume import PotentialSample, VolumeField, ball_self_term
 
@@ -131,6 +128,39 @@ class DeltaSpec:
 # no surface: a 0-panel mesh, so the system is cells-only
 _NO_SURFACE = DeltaSpec(SurfaceMesh.from_arrays(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)),
                         np.zeros(0))
+
+_NO_CELLS = np.zeros((0, 3))
+
+
+@dataclass(frozen=True, eq=False)
+class _Sources:
+    """The sources of a kernel pass, one row each, the cells then the panels: the point c (cell centre
+    or panel centroid), the measure A (cell volume or panel area), the second moment M about c (0 for
+    a cell) and the radius within which a target takes the near rule (half a spacing, or _NEAR_RATIO
+    panel diameters).  ``grid`` holds the cells (None when there are none), ``mesh`` the panels."""
+
+    point: np.ndarray     # (m, 3)
+    measure: np.ndarray   # (m,)
+    moment: np.ndarray    # (m, 3, 3)
+    near: np.ndarray      # (m,)
+    grid: VolumeGrid | None
+    mesh: SurfaceMesh
+
+
+def _sources(grid: VolumeGrid | None, centers: np.ndarray, mesh: SurfaceMesh) -> _Sources:
+    """The source table of the cells of ``grid`` at ``centers``, then the panels of ``mesh``."""
+    nc = len(centers)
+    vol, half = (grid.cell_volume, 0.5 * float(np.min(grid.spacing))) if nc else (0.0, 0.0)
+    return _Sources(point=_freeze(np.concatenate([centers, mesh.panel_centroid])),
+                    measure=_freeze(np.concatenate([np.full(nc, vol), mesh.panel_area])),
+                    moment=_freeze(np.concatenate([np.zeros((nc, 3, 3)), mesh.panel_moment])),
+                    near=_freeze(np.concatenate([np.full(nc, half), _NEAR_RATIO * mesh.panel_diameter])),
+                    grid=grid if nc else None, mesh=mesh)
+
+
+def _support_sources(V: PotentialSample | None, support: np.ndarray, delta: DeltaSpec) -> _Sources:
+    """The source table of V~ = V + alpha delta_Gamma, its support: the cells where V != 0, then Sigma."""
+    return _sources(None if V is None else V.grid, _NO_CELLS if V is None else V.grid.cell_center[support], delta.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +274,22 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
     return out
 
 
-def _near_pairs(x: np.ndarray, mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
-    """(target, panel) index pairs closer than _NEAR_RATIO panel diameters (centroid distance);
-    |x - c|^2 is summed one axis at a time, so only one offset array is live."""
-    r2 = np.zeros((len(x), mesh.n_panels))
+def _near_pairs(x: np.ndarray, src: _Sources) -> tuple[np.ndarray, np.ndarray]:
+    """(target, source) index pairs closer than the source's ``near`` radius (centre or centroid
+    distance); |x - c|^2 is summed one axis at a time, so only one offset array is live."""
+    r2 = np.zeros((len(x), len(src.point)))
     for i in range(3):
-        d = np.subtract.outer(x[:, i], mesh.panel_centroid[:, i])
+        d = np.subtract.outer(x[:, i], src.point[:, i])
         r2 += d * d
-    return np.nonzero(r2 < (_NEAR_RATIO * mesh.panel_diameter) ** 2)
+    return np.nonzero(r2 < src.near ** 2)
 
 
 def _surface_gap(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
     """Per point of x, the least ``_panel_gap`` over its near pairs (inf if none); a point
     within a quarter diameter of a panel lies within 0.92 diameters of its centroid."""
-    out = np.full(len(x), np.inf)
+    out, src = np.full(len(x), np.inf), _sources(None, _NO_CELLS, mesh)
     for rows in row_chunks(len(x), mesh.n_panels):
-        ii, qq = _near_pairs(x[rows], mesh)
+        ii, qq = _near_pairs(x[rows], src)
         np.minimum.at(out[rows], ii, _panel_gap(x[rows][ii], mesh.panel_corners[qq]))
     return out
 
@@ -274,37 +304,30 @@ def on_surface(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
     return _surface_gap(x, mesh) <= _SELF_TOL
 
 
-_NO_CELLS = np.zeros((0, 3))
-
-
-def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """K(x, .) over a source set (grid, centers, mesh): the cells at ``centers``, then the panels of ``mesh``.
+def _kernel_rows(x: np.ndarray, src: _Sources, k: float, grad: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """K(x, .) over the sources of ``src``: its cells, then its panels.
 
     Returns (n, m) values, or with ``grad`` the (n, m, 4) jets (the value, then the x-gradient), in
     ``out`` if given; float64 at k = 0.  One distance pass over the cell centres and the panel
-    centroids c finds the near pairs, whose entries are made first, so a gradient on the surface
-    raises before any other work: within half a spacing of a cell centre the equal-volume ball
-    (``volume.ball_self_term``) with a zero gradient, within _NEAR_RATIO diameters of a panel
-    ``_near_pair_integrals``.  Their distance is then the placeholder 1.0.  Every other pair takes one
-    far rule, A G_k(x, c) + M : grad grad G_k(x, c) / 2 with A the cell volume or the panel area and
-    M the panel's second moment, 0 for a cell; with d = x - c, u = 1/r, q = d.M d, T = tr M:
+    centroids c finds the pairs within a source's ``near`` radius, whose entries are made first, so a
+    gradient on the surface raises before any other work: at a cell the equal-volume ball
+    (``volume.ball_self_term``) with a zero gradient, at a panel ``_near_pair_integrals``.  Their
+    distance is then the placeholder 1.0.  Every other pair takes one far rule,
+    A G_k(x, c) + M : grad grad G_k(x, c) / 2 with the source's ``measure`` A and ``moment`` M;
+    with d = x - c, u = 1/r, q = d.M d, T = tr M:
 
         e^{ikr}/(4 pi) (P + iQ),  P = A u - T u^3/2 + q (3u^5 - k^2 u^3)/2,  Q = k T u^2/2 - 3k q u^4/2,
 
     whose gradient e^{ikr}/(4 pi) (ik u (P + iQ) d + grad P + i grad Q) is a multiple of d plus one of M d.
     """
-    grid, centers, mesh = sources
-    nc = len(centers)
-    vol, half = (grid.cell_volume, 0.5 * float(np.min(grid.spacing))) if nc else (0.0, 0.0)
-    c = np.concatenate([centers, mesh.panel_centroid])
-    d = [np.subtract.outer(x[:, i], c[:, i]) for i in range(3)]
+    nc = len(src.point) - src.mesh.n_panels
+    d = [np.subtract.outer(x[:, i], src.point[:, i]) for i in range(3)]
     r = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-    ii, jj = np.nonzero(r < np.concatenate([np.full(nc, half), _NEAR_RATIO * mesh.panel_diameter]) ** 2)
+    ii, jj = np.nonzero(r < src.near ** 2)
     on_panel = jj >= nc
-    near = _near_pair_integrals(x, mesh, ii[on_panel], jj[on_panel] - nc, k, grad)
+    near = _near_pair_integrals(x, src.mesh, ii[on_panel], jj[on_panel] - nc, k, grad)
     r[ii, jj] = 1.0
-    area = np.concatenate([np.full(nc, vol), mesh.panel_area]) / (4.0 * np.pi)
-    m = np.concatenate([np.zeros((nc, 3, 3)), mesh.panel_moment]) / (4.0 * np.pi)
+    area, m = src.measure / (4.0 * np.pi), src.moment / (4.0 * np.pi)
     u2 = np.reciprocal(r)
     q = sum((2.0 - (i == j)) * m[:, i, j] * d[i] * d[j] for i in range(3) for j in range(i, 3)) * u2   # q u^2
     if not grad:
@@ -337,34 +360,31 @@ def _kernel_rows(x: np.ndarray, sources, k: float, grad: bool = False, out: np.n
         for along_d, along_md, o in zip(parts[1], parts[2], channel):
             np.add(along_d * d[i], along_md * md, out=o)
     out[ii[on_panel], jj[on_panel]] = near
-    ball = ball_self_term(k, vol)
+    ball = ball_self_term(k, 0.0 if src.grid is None else src.grid.cell_volume)
     out[ii[~on_panel], jj[~on_panel]] = [ball, 0.0, 0.0, 0.0] if grad else ball
     return out
 
 
-def _source_chunks(n: int, sources, grad: bool = False) -> list[slice]:
+def _source_chunks(n: int, src: _Sources, grad: bool = False) -> list[slice]:
     """Row chunks for n targets: a row costs 2 entries per source, cell or panel, ten with ``grad``:
     at k = 2 a row's temporaries and block peak at 9.6 floats per source, a jet row's at 29.6
     (tracemalloc, 24 rows), so a chunk holds 4.8 or 3.0 floats per charged entry."""
-    _, centers, mesh = sources
-    return row_chunks(n, 2 * (len(centers) + mesh.n_panels) * (5 if grad else 1))
+    return row_chunks(n, 2 * len(src.point) * (5 if grad else 1))
 
 
-def _fill(points: np.ndarray, sources, k: float) -> np.ndarray:
+def _fill(points: np.ndarray, src: _Sources, k: float) -> np.ndarray:
     """The rows K(x, .) for every x in ``points``, filled in row chunks."""
-    grid, centers, mesh = sources
-    if len(centers) and grid.n_cells > MAX_GRID_CELLS:
-        raise ValueError(f"grid has {grid.n_cells} cells, cap is {MAX_GRID_CELLS}")
-    if mesh.n_panels > MAX_PANELS:
-        raise ValueError(f"mesh has {mesh.n_panels} panels, cap is {MAX_PANELS}")
-    out = np.empty((len(points), len(centers) + mesh.n_panels), dtype=_kernel_dtype(k))
-    map_chunks(lambda rows: _kernel_rows(points[rows], sources, k, out=out[rows]),
-               _source_chunks(len(points), sources))
+    if src.grid is not None and src.grid.n_cells > MAX_GRID_CELLS:
+        raise ValueError(f"grid has {src.grid.n_cells} cells, cap is {MAX_GRID_CELLS}")
+    if src.mesh.n_panels > MAX_PANELS:
+        raise ValueError(f"mesh has {src.mesh.n_panels} panels, cap is {MAX_PANELS}")
+    out = np.empty((len(points), len(src.point)), dtype=_kernel_dtype(k))
+    map_chunks(lambda rows: _kernel_rows(points[rows], src, k, out=out[rows]), _source_chunks(len(points), src))
     return out
 
 
-def _apply(x: np.ndarray, sources, q: np.ndarray, k: float, grad: bool = False) -> np.ndarray:
-    """sum_j K(x, j) q_j over a source set, or with ``grad`` its (n, 4) jet (the value, then
+def _apply(x: np.ndarray, src: _Sources, q: np.ndarray, k: float, grad: bool = False) -> np.ndarray:
+    """sum_j K(x, j) q_j over the sources of ``src``, or with ``grad`` its (n, 4) jet (the value, then
     the x-gradient); real when k = 0 and q is real.
 
     A 2-D q (m, c) gives (n, c), or (n, 4, c): each kernel row chunk is made once and
@@ -374,24 +394,17 @@ def _apply(x: np.ndarray, sources, q: np.ndarray, k: float, grad: bool = False) 
     out = np.empty((len(x),) + ((4,) if grad else ()) + cols.shape[:1], dtype=np.result_type(_kernel_dtype(k), q))
 
     def fill(rows):
-        block = _kernel_rows(x[rows], sources, k, grad)
+        block = _kernel_rows(x[rows], src, k, grad)
         for j, c in enumerate(cols):
             out[rows, ..., j] = np.einsum("im...,m->i...", block, c)
 
-    map_chunks(fill, _source_chunks(len(x), sources, grad))
+    map_chunks(fill, _source_chunks(len(x), src, grad))
     return out if q.ndim == 2 else out[..., 0]
-
-
-def _sources(V: PotentialSample | None, support: np.ndarray, delta: DeltaSpec):
-    """The source set of V~ = V + alpha delta_Gamma, its support: the cells where V != 0, then Sigma."""
-    grid = None if V is None else V.grid
-    centers = _NO_CELLS if V is None else grid.cell_center[support]
-    return grid, centers, delta.sigma
 
 
 def assemble_single_layer(mesh: SurfaceMesh, k: float) -> np.ndarray:
     """Collocation single-layer matrix S[q, p] = int_{panel p} G_k(c_q, y) dsigma."""
-    return _fill(mesh.panel_centroid, (None, _NO_CELLS, mesh), k)
+    return _fill(mesh.panel_centroid, _sources(None, _NO_CELLS, mesh), k)
 
 
 def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
@@ -400,7 +413,7 @@ def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.
     Complex, except for a real eta at k = 0 (the static layer), where the
     field is float64 and summed in real arithmetic.
     """
-    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), (None, _NO_CELLS, mesh), np.asarray(eta), k)
+    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), _sources(None, _NO_CELLS, mesh), np.asarray(eta), k)
 
 
 def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
@@ -409,7 +422,7 @@ def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: floa
     Raises ValueError for a point on a closed panel, within _SELF_TOL panel
     diameters.
     """
-    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), (None, _NO_CELLS, mesh), np.asarray(eta),
+    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), _sources(None, _NO_CELLS, mesh), np.asarray(eta),
                   k, grad=True)[:, 1:]
 
 
@@ -502,11 +515,11 @@ class DeltaSystem:
         self.k = float(k)
         delta = _NO_SURFACE if delta is None else delta
         self.support = V.support() if V is not None else np.zeros(0, dtype=int)
-        sources = _sources(V, self.support, delta)
+        src = _support_sources(V, self.support, delta)
         self._panels = np.concatenate([delta.support(), np.flatnonzero(delta.alpha == 0)])   # Sigma, then the rest
-        self.points = np.concatenate([sources[1], delta.mesh.panel_centroid[self._panels]])
+        self.points = np.concatenate([src.point[:len(self.support)], delta.mesh.panel_centroid[self._panels]])
         start = time.perf_counter()
-        self.kernel = _fill(self.points, sources, k)
+        self.kernel = _fill(self.points, src, k)
         _log.debug(_KERNEL_LOG, "filled", *self.kernel.shape, k, time.perf_counter() - start)
         self._weigh(V, delta)
 
@@ -618,10 +631,14 @@ class DeltaSystem:
 # Field evaluation
 # ---------------------------------------------------------------------------
 
+def _strength(sol: DeltaSolution) -> np.ndarray:
+    """w psi over the sources of V~: V psi on the support cells, then eta on Sigma."""
+    return np.concatenate([sol.source_density, sol.eta[sol.delta.support()]])
+
+
 def _scattered(sol: DeltaSolution, pts: np.ndarray, grad: bool = False) -> np.ndarray:
     """-K(x, .) (w psi): the outgoing field of the source V~ psi at pts, or with ``grad`` its (n, 4) jet."""
-    q = np.concatenate([sol.source_density, sol.eta[sol.delta.support()]])
-    return -_apply(pts, _sources(sol.potential, sol.support, sol.delta), q, sol.k, grad)
+    return -_apply(pts, _support_sources(sol.potential, sol.support, sol.delta), _strength(sol), sol.k, grad)
 
 
 def _radial(jet: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -663,6 +680,8 @@ def check_jump_relation(mesh: SurfaceMesh, k: float, xi: np.ndarray) -> float:
     (jump + xi).
     """
     xi = mesh.per_panel(xi, "xi")
+    if not np.any(xi):
+        raise ValueError("xi is 0 on every panel, where the relative jump error is undefined")
     c, nrm = mesh.panel_centroid, mesh.panel_normal
     off = (_JUMP_OFFSET * mesh.panel_diameter)[:, None] * nrm
     grad = layer_potential_gradient(np.concatenate([c + off, c - off]), mesh, xi, k)

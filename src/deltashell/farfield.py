@@ -12,10 +12,11 @@ this module extracts psi_inf
   which is R0-independent in the continuum, and
 * directly from the discrete sources,
 
-      psi_inf(x_hat) = -1/(4 pi) [ sum_cells e^{-ik x_hat.c} (V psi) vol
-                                 + sum_panels (int e^{-ik x_hat.y} dsigma) eta ],
+      psi_inf(x_hat) = -1/(4 pi) sum_j e^{-ik x_hat.c_j} (A_j - k^2 x_hat.M_j x_hat / 2) q_j,
 
-  the far-field limit of the outgoing-kernel representation.
+  the far field of the kernel's far rule, summed over the sources of V~
+  (``boundary``'s source table: point c, measure A and second moment M)
+  with strengths q = w psi.
 
 Both routes describe the same discrete solution; their agreement is a
 consistency check, not a convergence statement.
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._dense import map_chunks, matmul, row_chunks
-from .boundary import DeltaSolution, _radial, _scattered, _sources
+from .boundary import DeltaSolution, _radial, _scattered, _strength, _support_sources
 from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
 from .kernels import _check_k, _cis, _joined
 from .volume import PotentialSample
@@ -123,37 +124,35 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
     """Far field at unit directions obs, from the sources.
 
     ``sol`` is one ``DeltaSolution`` (result (n_obs,)) or a list of solutions
-    of one system (result (n_sol, n_obs)).  A cell radiates from its center, a panel
-    of Sigma as the kernel's far rule, a monopole plus a quadrupole at its centroid c,
-    with far field e^{-ik x.c} (A - k^2 x.M x / 2); the centers and the centroids share
-    one phase matrix, built in blocks of about two observation chunks, each applied
-    to all solutions in one product.
+    of one system (result (n_sol, n_obs)).  Every source of V~ radiates as the kernel's far
+    rule, a monopole of its measure A plus a quadrupole of its moment M at its point c, with
+    far field e^{-ik x.c} (A - k^2 x.M x / 2) times its strength w psi; one phase matrix over
+    the sources is built in blocks of about two observation chunks, each applied to all
+    solutions in one product.
     """
     single = isinstance(sol, DeltaSolution)
     sols = [sol] if single else list(sol)
+    if not sols:
+        raise ValueError("farfield_source: the batch of solutions is empty")
     first = sols[0]
     if any(s.k != first.k or s.delta != first.delta or s.potential != first.potential for s in sols):
         raise ValueError("batched solutions must come from one system")
-    # source points and (n_points, n_sol) weights over the support of V~: the cells, then Sigma's centroids
-    grid, centers, sigma = _sources(first.potential, first.support, first.delta)
-    cells = np.stack([s.source_density for s in sols], axis=1) * (1.0 if grid is None else grid.cell_volume)
-    eta = np.stack([s.eta for s in sols], axis=1)[first.delta.support()]
-    pts = np.concatenate([centers, sigma.panel_centroid])
-    coef = np.concatenate([cells, eta])
-    k, nc, quadrupole = first.k, len(centers), -0.5 * first.k**2 * sigma.panel_moment
+    src = _support_sources(first.potential, first.support, first.delta)
+    q = np.stack([_strength(s) for s in sols], axis=1)                  # (n_sources, n_sol)
+    k, quadrupole = first.k, -0.5 * first.k**2 * src.moment
 
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     out = np.empty((len(sols), len(obs)), dtype=complex, order="F")
-    for block in row_chunks(len(obs), len(pts) // 2):
-        phases = np.empty((len(obs[block]), len(pts)), dtype=complex)
+    for block in row_chunks(len(obs), len(src.point) // 2):
+        phases = np.empty((len(obs[block]), len(src.point)), dtype=complex)
 
         def fill(rows):
             x = obs[block][rows]
-            phases[rows].real, phases[rows].imag = _cis(-k * np.einsum("ik,jk->ij", x, pts))
-            phases[rows, nc:] *= sigma.panel_area + np.einsum("ia,ib,jab->ij", x, x, quadrupole)
+            phases[rows].real, phases[rows].imag = _cis(-k * np.einsum("ik,jk->ij", x, src.point))
+            phases[rows] *= src.measure + np.einsum("ia,ib,jab->ij", x, x, quadrupole)
 
-        map_chunks(fill, row_chunks(len(phases), len(pts)))
-        matmul(coef.T, phases.T, out=out[:, block])
+        map_chunks(fill, row_chunks(len(phases), len(src.point)))
+        matmul(q.T, phases.T, out=out[:, block])
     return (out[0] if single else out) / (-4.0 * np.pi)
 
 

@@ -134,12 +134,9 @@ def radial_remainder_gradient_factor(r, k: float):
 
 @dataclass(frozen=True)
 class ComplexDirection:
-    """Element of Sigma_k in the (w, zeta, xi) parametrization."""
+    """Element rho of Sigma_k: rho.rho = -k^2 (unconjugated dot product)."""
 
     rho: np.ndarray       # (3,) complex
-    w: float
-    zeta_hat: np.ndarray  # (3,) real unit
-    xi_hat: np.ndarray    # (3,) real unit, orthogonal to zeta_hat
     k: float
 
     def __post_init__(self):
@@ -147,9 +144,12 @@ class ComplexDirection:
         dot = rho @ rho
         if abs(dot + self.k**2) > 1e-10 * max(self.k**2, 1.0):
             raise ValueError(f"rho.rho = {dot} differs from -k^2 = {-self.k**2}")
-        rebuilt = self.w * self.zeta_hat + 1j * np.sqrt(self.w**2 + self.k**2) * self.xi_hat
-        if np.max(np.abs(rebuilt - rho)) > 1e-12 * max(1.0, self.k + self.w):
-            raise ValueError("(w, zeta, xi) parametrization does not reproduce rho")
+        object.__setattr__(self, "rho", rho)
+
+    @property
+    def w(self) -> float:
+        """|Re rho|, the growth rate of exp(rho.x)."""
+        return float(np.linalg.norm(self.rho.real))
 
 
 def make_sigma_k(w: float, zeta_hat, xi_hat, k: float) -> ComplexDirection:
@@ -165,8 +165,7 @@ def make_sigma_k(w: float, zeta_hat, xi_hat, k: float) -> ComplexDirection:
             raise ValueError(f"{name} is not a unit vector")
     if abs(zeta_hat @ xi_hat) > 1e-10:
         raise ValueError("zeta_hat and xi_hat must be orthogonal")
-    rho = w * zeta_hat + 1j * np.sqrt(w**2 + k**2) * xi_hat
-    return ComplexDirection(rho=rho, w=float(w), zeta_hat=zeta_hat, xi_hat=xi_hat, k=float(k))
+    return ComplexDirection(rho=w * zeta_hat + 1j * np.sqrt(w**2 + k**2) * xi_hat, k=float(k))
 
 
 def _orthonormal_complement(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,29 +200,9 @@ def sigma_pair_for_xi(xi, k: float, w: float) -> tuple[ComplexDirection, Complex
             f"({w**2 + k**2:.6g} < {xi_norm**2 / 4.0:.6g})"
         )
     s = np.sqrt(s_sq)
-    if xi_norm > 0:
-        mu, nu = _orthonormal_complement(xi)
-    else:
-        mu = np.array([1.0, 0.0, 0.0])
-        nu = np.array([0.0, 1.0, 0.0])
-
-    def _pack(re_part: np.ndarray, im_part: np.ndarray) -> ComplexDirection:
-        w_eff = np.linalg.norm(re_part)
-        if w_eff > 0:
-            zeta = re_part / w_eff
-        else:
-            zeta, _ = _orthonormal_complement(im_part)
-        return ComplexDirection(
-            rho=re_part + 1j * im_part,
-            w=float(w_eff),
-            zeta_hat=zeta,
-            xi_hat=im_part / np.linalg.norm(im_part),
-            k=float(k),
-        )
-
-    rho1 = _pack(w * mu, xi / 2.0 + s * nu)
-    rho2 = _pack(-w * mu, -xi / 2.0 + s * nu)
-    return rho1, rho2
+    mu, nu = _orthonormal_complement(xi) if xi_norm > 0 else (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    return (ComplexDirection(rho=w * mu + 1j * (xi / 2.0 + s * nu), k=float(k)),
+            ComplexDirection(rho=-w * mu + 1j * (-xi / 2.0 + s * nu), k=float(k)))
 
 
 # ---------------------------------------------------------------------------

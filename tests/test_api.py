@@ -104,3 +104,15 @@ def test_no_matmul_in_row_chunk_bodies():
     with_matmul = [name for name, body in bodies.items()
                    if any(isinstance(node, ast.MatMult) for node in ast.walk(body))]
     assert not with_matmul, f"map_chunks bodies with an @ product: {with_matmul}"
+
+
+def test_one_source_table():
+    # the far rule's measure and moment per source are built once, by boundary._sources: the far
+    # field reads no cell or panel rule, and the kernel rows join no per-source arrays
+    rules = {"panel_area", "panel_moment", "cell_volume"} & {
+        node.attr for node in ast.walk(ast.parse((SRC / "farfield.py").read_text())) if isinstance(node, ast.Attribute)}
+    assert not rules, f"farfield.py reads {sorted(rules)}"
+    rows = next(node for node in ast.walk(ast.parse((SRC / "boundary.py").read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "_kernel_rows")
+    joins = [node.lineno for node in ast.walk(rows) if isinstance(node, ast.Attribute) and node.attr == "concatenate"]
+    assert not joins, f"boundary._kernel_rows calls np.concatenate at lines {joins}"

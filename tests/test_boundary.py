@@ -162,7 +162,7 @@ class TestSingleLayer:
         # a filled block does not depend on where the rows split
         mesh = sphere_meshes[2]
         points = np.concatenate([mesh.panel_centroid, 1.1 * mesh.panel_centroid[:40]])
-        sources = (None, np.zeros((0, 3)), mesh)
+        sources = panel_sources(mesh)
         default = boundary._fill(points, sources, 1.7)
         monkeypatch.setattr(_dense, "CHUNK", mesh.n_panels * 3)  # one row per chunk
         assert len(_dense.row_chunks(len(points), mesh.n_panels * 3)) == len(points)
@@ -304,14 +304,19 @@ class TestGradients:
             assert np.linalg.norm(g - f) <= 1e-7 * max(np.linalg.norm(g), 1e-300)
 
 
+def panel_sources(mesh):
+    """The source table of the panels of ``mesh`` alone."""
+    return boundary._sources(None, boundary._NO_CELLS, mesh)
+
+
 def panel_rows(x, mesh, k, grad=False):
     """The kernel rows over the panels of ``mesh`` alone."""
-    return boundary._kernel_rows(x, (None, boundary._NO_CELLS, mesh), k, grad)
+    return boundary._kernel_rows(x, panel_sources(mesh), k, grad)
 
 
 def cell_rows(x, centers, grid, k, grad=False):
     """The kernel rows over the cells of ``grid`` at ``centers`` alone."""
-    return boundary._kernel_rows(x, (grid, centers, boundary._NO_SURFACE.mesh), k, grad)
+    return boundary._kernel_rows(x, boundary._sources(grid, centers, boundary._NO_SURFACE.mesh), k, grad)
 
 
 def kernel(x, y, k):
@@ -340,7 +345,7 @@ class TestKernelEntries:
 
         # the cell columns' jets outside the self region: vol [G, (x - c) radial_gradient_factor]
         x = np.concatenate([centers, 0.8 * c, 1.3 * c[::3]])
-        jets = boundary._kernel_rows(x, (small_grid, centers, mesh), k, grad=True)[:, :ns]
+        jets = boundary._kernel_rows(x, boundary._sources(small_grid, centers, mesh), k, grad=True)[:, :ns]
         d = x[:, None] - centers[None]
         ii, jj = np.nonzero(np.linalg.norm(d, axis=-1) >= 0.5 * np.min(small_grid.spacing))
         factor = radial_gradient_factor(np.linalg.norm(d[ii, jj], axis=-1), k)
@@ -420,7 +425,7 @@ def _taylor_rule(x, mesh, panels, k, grad):
 def _exp_form_block(x, mesh, k, grad):
     """The complex128 panel block written with exp(ikr): ``_taylor_rule`` on far pairs, and on near
     pairs the closed-form (1/r - k^2 r/2)/(4 pi) plus ``kernels.radial_remainder`` on the 12-point subrule."""
-    ii, qq = boundary._near_pairs(x, mesh)
+    ii, qq = boundary._near_pairs(x, panel_sources(mesh))
     far = np.ones((len(x), mesh.n_panels), dtype=bool)
     far[ii, qq] = False
     block = np.empty((len(x), mesh.n_panels) + ((4,) if grad else ()), dtype=complex)
@@ -468,7 +473,7 @@ class TestRealArithmetic:
         block = panel_rows(x, mesh, 0.0, grad)
         ref = _exp_form_block(x, mesh, 0.0, grad)
         assert block.dtype == np.float64
-        assert len(boundary._near_pairs(x, mesh)[0]) > len(x)
+        assert len(boundary._near_pairs(x, panel_sources(mesh))[0]) > len(x)
         assert _entry_gap(block, ref.real) <= 1e-14
 
     @pytest.mark.parametrize("grad", [False, True])
@@ -577,7 +582,7 @@ class TestSharedKernel:
         mesh = sphere_meshes[3]
         x = 1.5 * np.random.default_rng(11).normal(size=(120, 3))
         q = np.random.default_rng(12).uniform(0.5, 1.5, (mesh.n_panels, 3))
-        sources = (None, boundary._NO_CELLS, mesh)
+        sources = panel_sources(mesh)
         for k in (0.0, 2.0):
             for grad in (False, True):
                 got = boundary._apply(x, sources, q, k, grad)
@@ -869,6 +874,13 @@ class TestJumpRelation:
         mesh = sphere_meshes[2]
         err = check_jump_relation(mesh, 1.5, np.ones(mesh.n_panels))
         assert err < 0.1
+
+    def test_zero_density_is_rejected(self, sphere_meshes):
+        # the relative error is 0/0 for xi = 0
+        mesh = sphere_meshes[1]
+        for xi in (0.0, np.zeros(mesh.n_panels)):
+            with pytest.raises(ValueError, match="xi is 0"):
+                check_jump_relation(mesh, 1.5, xi)
 
 
 def solve_delta_system_composition(V, delta, inc, k):

@@ -71,6 +71,26 @@ class TestRoutes:
         with pytest.raises(ValueError, match="one system"):
             farfield_source([sphere_solution, combined_solution], lattice_directions())
 
+    def test_empty_batch_is_rejected(self):
+        # an empty batch has no system to take the sources from
+        with pytest.raises(ValueError, match="batch of solutions is empty"):
+            farfield_source([], lattice_directions())
+
+    def test_source_route_is_the_direct_sum_over_the_sources(self, small_system):
+        # psi_inf = -(1/4 pi) sum_j e^{-ik x.c_j} (A_j - k^2 x.M_j x / 2) q_j over the cells of V's
+        # support (A the cell volume, M = 0) and the panels of Sigma (area and second moment)
+        sol, k = small_system.solve(plane_wave(EZ)), small_system.k
+        mesh, V, sigma = sol.mesh, sol.potential, sol.delta.support()
+        nc = len(sol.support)
+        c = np.concatenate([V.grid.cell_center[sol.support] if nc else np.zeros((0, 3)), mesh.panel_centroid[sigma]])
+        A = np.concatenate([np.full(nc, V.grid.cell_volume if nc else 0.0), mesh.panel_area[sigma]])
+        M = np.concatenate([np.zeros((nc, 3, 3)), mesh.panel_moment[sigma]])
+        q = np.concatenate([sol.source_density, sol.eta[sigma]])
+        obs = direction_grid(6, 12).normals
+        weight = A - 0.5 * k**2 * np.einsum("oa,jab,ob->oj", obs, M, obs)
+        direct = -(np.exp(-1j * k * obs @ c.T) * weight) @ q / (4.0 * np.pi)
+        assert np.max(np.abs(farfield_source(sol, obs) - direct)) <= 1e-14 * np.max(np.abs(direct))
+
     @pytest.mark.parametrize("R", [2.0, 3.0])
     def test_routes_are_exact_for_the_shell(self, sphere_solution, R):
         # every panel is far from the sphere |y| = R and radiates as a monopole plus a quadrupole,
