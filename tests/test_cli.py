@@ -382,18 +382,30 @@ class TestFarfieldCommand:
         assert ff.values.shape == (1, 72)
         assert ff.meta["kirchhoff_vs_source_rel_l2"] < 1e-3
 
-    def test_blas_thread_count_moves_only_the_last_bits(self, tmp_path):
-        # the determinism claim: the same config and BLAS thread count give the same bytes; 1 and
-        # 2 threads factor in another order (getrf), which moved the table by 2.9e-16 relative
+    @pytest.fixture(scope="class")
+    def thread_runs(self, tmp_path_factory):
+        """``farfield`` twice at 1 BLAS thread and twice at 2, each in a fresh process: the bytes."""
+        tmp_path = tmp_path_factory.mktemp("blas_threads")
         path = write_config(tmp_path, "ff.json", self.CFG)
-        tables = []
+        runs = {}
         for threads in ("1", "2"):
             outs = [tmp_path / f"{threads}a", tmp_path / f"{threads}b"]
             for out in outs:
                 run_cli(["--config", path, "--out", str(out), "--quiet", "farfield"], threads)
-            assert (outs[0] / "ff.csv").read_bytes() == (outs[1] / "ff.csv").read_bytes()
-            tables.append(load_farfield_csv(outs[0] / "ff.csv"))
-        assert tables[0].max_rel_distance(tables[1]) <= 1e-14
+            runs[threads] = [(out / "ff.csv").read_bytes() for out in outs]
+        return tmp_path, runs
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_byte_identical_at_fixed_blas_threads(self, thread_runs, threads):
+        # the determinism claim: same config and same BLAS thread count give the same bytes
+        first, second = thread_runs[1][threads]
+        assert first == second
+
+    def test_blas_thread_count_moves_only_the_last_bits(self, thread_runs):
+        # 1 and 2 threads factor in another order (getrf), which moved the table by 2.9e-16 relative
+        tmp_path, _ = thread_runs
+        one, two = (load_farfield_csv(tmp_path / f"{threads}a" / "ff.csv") for threads in ("1", "2"))
+        assert one.max_rel_distance(two) <= 1e-14
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
     def test_compare_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
