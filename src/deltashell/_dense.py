@@ -89,19 +89,20 @@ class GuardedLU:
 
     A complex64 A is factored by the complex64 LAPACK routines, any other A
     by the complex128 ones; the factors keep that dtype (``self.dtype``).
-    Factors in place: a Fortran-ordered A of that dtype is overwritten by its LU
-    factors, any other A is copied first.  ``anorm`` is A's 1-norm if the caller has
-    it, else LAPACK's ``lange`` takes it.  Raises ``ExceptionalFrequencyError`` when the
-    factorization is exactly singular or the reciprocal condition estimate drops below
-    ``RCOND_FLOOR`` (condition number above 1e12).
+    Factors in place: a Fortran-ordered A of that dtype is overwritten by its LU factors, a C-ordered
+    one as A^T, its Fortran-ordered view, which ``solve`` reads transposed; any other A is copied first.
+    ``anorm`` is A's 1-norm if the caller has it, else LAPACK's ``lange`` takes it (A^T's infinity norm).
+    Raises ``ExceptionalFrequencyError`` when the factorization is exactly singular or the
+    reciprocal condition estimate drops below ``RCOND_FLOOR`` (condition number above 1e12).
     """
 
     def __init__(self, A: np.ndarray, anorm: float | None = None, context: str = "linear system"):
         A = np.asarray(A)
-        A = np.asfortranarray(A, dtype=np.complex64 if A.dtype == np.complex64 else complex)
+        self._trans, norm = (1, "I") if A.flags.c_contiguous else (0, "1")   # A's 1-norm is A^T's infinity norm
+        A = np.asfortranarray(A.T if self._trans else A, dtype=np.complex64 if A.dtype == np.complex64 else complex)
         getrf, gecon, self._getrs, lange = get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), (A,))
         if anorm is None:
-            anorm = lange("1", A)
+            anorm = lange(norm, A)
         lu, piv, info = getrf(A, overwrite_a=1)
         if info > 0:
             raise ExceptionalFrequencyError(
@@ -109,7 +110,7 @@ class GuardedLU:
             )
         if info < 0:
             raise ValueError(f"{getrf.typecode}getrf failed with info={info}")
-        rcond, info = gecon(lu, anorm)
+        rcond, info = gecon(lu, anorm, norm=norm)
         if info != 0:
             raise ValueError(f"{getrf.typecode}gecon failed with info={info}")
         if rcond < RCOND_FLOOR:
@@ -133,7 +134,7 @@ class GuardedLU:
         b = np.asarray(b, dtype=complex)
         peak = np.max(np.abs(b), axis=0)
         scale = np.ldexp(1.0, np.frexp(np.where(peak > 0, peak, 1.0))[1])
-        x, info = self._getrs(self._lu, self._piv, (b / scale).astype(self.dtype, copy=False))
+        x, info = self._getrs(self._lu, self._piv, (b / scale).astype(self.dtype, copy=False), trans=self._trans)
         if info != 0:
             raise ValueError(f"{self._getrs.typecode}getrs failed with info={info}")
         return x.astype(complex, copy=False) * scale

@@ -27,8 +27,9 @@ real and imaginary parts summed apart):
 * a source beyond its near radius is a monopole of A plus a quadrupole of M at c, the
   Taylor rule A G_k(x, c) + M : grad grad G_k(x, c) / 2: for a cell the midpoint rule,
   for a panel, with M = int_T (y - c)(y - c)^T dsigma, exact for integrands quadratic on
-  the panel, as the 3-point Gauss rule is, with one kernel evaluation per pair.  The rule
-  is itself an exact radiating field, whose far field e^{-ik x.c} (A - k^2 x.M x / 2)
+  the panel, as the 3-point Gauss rule is, with one kernel evaluation per pair, which reads M = P^T P
+  by the panel's rank-2 factor P: d.M d = |P d|^2, M d = P^T (P d), and P d = P x - P c from one
+  contraction.  The rule is itself an exact radiating field, whose far field e^{-ik x.c} (A - k^2 x.M x / 2)
   ``farfield.farfield_source`` sums for every source.  At k = 0 every block is float64;
 * a target within half a spacing of a cell centre takes the equal-volume
   ball's value (``volume.ball_self_term``) and a zero gradient;
@@ -137,12 +138,15 @@ class _Sources:
     """The sources of a kernel pass, one row each, the cells then the panels: the point c (cell centre
     or panel centroid), the measure A (cell volume or panel area), the second moment M about c (0 for
     a cell) and the radius within which a target takes the near rule (half a spacing, or _NEAR_RATIO
-    panel diameters).  ``grid`` holds the cells (None when there are none), ``mesh`` the panels."""
+    panel diameters); for the far rule, M's rank-2 factor P/sqrt(4 pi) as the maps (p_a, -p_a.c) of (x, 1)
+    to p_a.(x - c), A/(4 pi) and tr M/(8 pi).  ``grid`` holds the cells (None if none), ``mesh`` the panels."""
 
     point: np.ndarray     # (m, 3)
     measure: np.ndarray   # (m,)
     moment: np.ndarray    # (m, 3, 3)
     near: np.ndarray      # (m,)
+    factor: np.ndarray    # (2, 4, m)
+    weight: np.ndarray    # (2, m): A/(4 pi), tr M/(8 pi)
     grid: VolumeGrid | None
     mesh: SurfaceMesh
 
@@ -151,10 +155,13 @@ def _sources(grid: VolumeGrid | None, centers: np.ndarray, mesh: SurfaceMesh) ->
     """The source table of the cells of ``grid`` at ``centers``, then the panels of ``mesh``."""
     nc = len(centers)
     vol, half = (grid.cell_volume, 0.5 * float(np.min(grid.spacing))) if nc else (0.0, 0.0)
-    return _Sources(point=_freeze(np.concatenate([centers, mesh.panel_centroid])),
-                    measure=_freeze(np.concatenate([np.full(nc, vol), mesh.panel_area])),
+    point, measure = np.concatenate([centers, mesh.panel_centroid]), np.concatenate([np.full(nc, vol), mesh.panel_area])
+    p = np.concatenate([np.zeros((nc, 2, 3)), mesh.panel_factor]).transpose(1, 2, 0) / np.sqrt(4.0 * np.pi)   # (2, 3, m)
+    return _Sources(point=_freeze(point), measure=_freeze(measure),
                     moment=_freeze(np.concatenate([np.zeros((nc, 3, 3)), mesh.panel_moment])),
                     near=_freeze(np.concatenate([np.full(nc, half), _NEAR_RATIO * mesh.panel_diameter])),
+                    factor=_freeze(np.concatenate([p, -np.einsum("akm,mk->am", p, point)[:, None]], axis=1)),
+                    weight=_freeze(np.stack([measure / (4.0 * np.pi), 0.5 * np.einsum("akm,akm->m", p, p)])),
                     grid=grid if nc else None, mesh=mesh)
 
 
@@ -167,10 +174,10 @@ def _support_sources(V: PotentialSample | None, support: np.ndarray, delta: Delt
 # Flat-triangle quadrature helpers
 # ---------------------------------------------------------------------------
 
-def _flat_triangle_moments(x: np.ndarray, corners: np.ndarray, grad: bool) -> np.ndarray:
+def _flat_triangle_moments(x: np.ndarray, mesh: SurfaceMesh, qq: np.ndarray, grad: bool) -> np.ndarray:
     """Closed-form int_T r^-1 and int_T r dsigma / (4 pi), r = |x - y|, over flat triangles.
 
-    x (p, 3) pairs one-to-one with corners (p, 3, 3); the target may lie on
+    x (p, 3) pairs one-to-one with the panels qq (p,) of ``mesh``; the target may lie on
     T, in its plane or off it.  Returns (p, 2), or with ``grad`` the (p, 2, 4) jets: each, then its x-gradient.
     With h the height of x over T, Omega the solid angle of T seen from x
     (Van Oosterom-Strackee) and, for edge i, its outward in-plane normal
@@ -181,24 +188,14 @@ def _flat_triangle_moments(x: np.ndarray, corners: np.ndarray, grad: bool) -> np
         int r^-1 = sum_i t_i f_i - |h| Omega,   grad = -sum_i f_i m_i - sign(h) Omega n,
         int r = (h^2 int r^-1 + sum_i t_i E_i)/3, grad = -sum_i E_i m_i + h (int r^-1) n.
 
-    With ``grad`` it raises ValueError, before any work, for a target on the closed
-    panel (``_panel_gap`` within _SELF_TOL).
+    The edge frames are the panel's own (``SurfaceMesh``).  With ``grad`` it raises ValueError, before
+    the edge integrals, for a target on the closed panel (``_gap`` within _SELF_TOL).
     """
-    if grad and np.any(_panel_gap(x, corners) <= _SELF_TOL):
+    a, t, h, l_lo, l_hi = _edge_frame(x, mesh, qq)
+    if grad and np.any(_gap(t, h, l_lo, l_hi, mesh.panel_diameter[qq]) <= _SELF_TOL):
         raise ValueError("layer gradient requested on the surface")
-    a = corners - x[:, None, :]                              # v_i - x
     R = np.linalg.norm(a, axis=2)
-    e = np.roll(corners, -1, axis=1) - corners               # edge i: v_i -> v_{i+1}
-    length = np.linalg.norm(e, axis=2)
-    u = e / length[..., None]
-    n = np.cross(e[:, 0], e[:, 1])
-    n /= np.linalg.norm(n, axis=1)[:, None]
-    m = np.cross(u, n[:, None, :])
-    t = np.einsum("pij,pij->pi", a, m)                       # > 0 inside
-    h = -np.einsum("pj,pj->p", a[:, 0], n)
     r0sq = t**2 + h[:, None] ** 2                            # squared distance to the edge line
-    l_lo = np.einsum("pij,pij->pi", a, u)                    # edge coordinates of v_i, v_{i+1}
-    l_hi = l_lo + length
     R_lo, R_hi = R, np.roll(R, -1, axis=1)
 
     # f = log((R_hi + l_hi)/(R_lo + l_lo)) = log((R_lo - l_lo)/(R_hi - l_hi)); take the
@@ -214,31 +211,34 @@ def _flat_triangle_moments(x: np.ndarray, corners: np.ndarray, grad: bool) -> np
     f = np.log(num / np.where(den > 0, den, num))
     E = 0.5 * (r0sq * f + l_hi * R_hi - l_lo * R_lo)
 
-    triple = np.einsum("pj,pj->p", a[:, 0], np.cross(a[:, 1], a[:, 2]))
     dots = np.einsum("pij,pij->pi", a, np.roll(a, -1, axis=1))        # a_i . a_{i+1}
+    triple = -2.0 * mesh.panel_area[qq] * h                           # a_0 . (a_1 x a_2); omega = -sign(h) * solid angle
     omega = 2.0 * np.arctan2(triple, np.prod(R, axis=1) + np.einsum("pi,pi->p", dots, np.roll(R, 1, axis=1)))
-    # omega = -sign(h) * solid angle
     inv = np.einsum("pi,pi->p", t, f) + h * omega
     lin = (h**2 * inv + np.einsum("pi,pi->p", t, E)) / 3.0
     if not grad:
         return np.stack([inv, lin], axis=1) / (4.0 * np.pi)
+    m, n = mesh.panel_edge_normal[qq], mesh.panel_normal[qq]
     grad_inv = omega[:, None] * n - np.einsum("pi,pij->pj", f, m)
     grad_lin = (h * inv)[:, None] * n - np.einsum("pi,pij->pj", E, m)
     return np.stack([np.column_stack([inv, grad_inv]), np.column_stack([lin, grad_lin])], axis=1) / (4.0 * np.pi)
 
 
-def _panel_gap(x: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Distance from x[p] to the closed flat triangle corners[p] (height or nearest edge), in its diameters."""
-    e = np.roll(corners, -1, axis=1) - corners               # edge i: v_i -> v_{i+1}
-    a = x[:, None, :] - corners                              # x - v_i
-    e2 = np.einsum("pij,pij->pi", e, e)
-    s = np.clip(np.einsum("pij,pij->pi", a, e) / e2, 0.0, 1.0)
-    to_edge = np.linalg.norm(a - s[..., None] * e, axis=2).min(axis=1)
-    n = np.cross(e[:, 0], e[:, 1])
-    n /= np.linalg.norm(n, axis=1)[:, None]
-    inside = np.all(np.einsum("pij,pj->pi", np.cross(e, a), n) >= 0, axis=1)
-    dist = np.where(inside, np.abs(np.einsum("pj,pj->p", a[:, 0], n)), to_edge)
-    return dist / np.sqrt(e2.max(axis=1))
+def _edge_frame(x: np.ndarray, mesh: SurfaceMesh, qq: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per target x[p] and panel qq[p]: a_i = v_i - x, the signed distance t_i of x's foot point from edge i's
+    line (> 0 inside), x's height h over the panel, and the coordinates l_lo, l_hi of v_i, v_{i+1} on that line."""
+    a = mesh.panel_corners[qq] - x[:, None, :]
+    l_lo = np.einsum("pij,pij->pi", a, mesh.panel_edge[qq])
+    return (a, np.einsum("pij,pij->pi", a, mesh.panel_edge_normal[qq]),
+            -np.einsum("pj,pj->p", a[:, 0], mesh.panel_normal[qq]), l_lo, l_lo + mesh.panel_edge_length[qq])
+
+
+def _gap(t: np.ndarray, h: np.ndarray, l_lo: np.ndarray, l_hi: np.ndarray, diameter: np.ndarray) -> np.ndarray:
+    """Distance from x to the closed flat triangle (``_edge_frame``), in its diameters: |h| over the
+    triangle (every t_i >= 0), else the distance to the nearest edge."""
+    beyond = np.maximum(l_lo, 0.0) + np.maximum(-l_hi, 0.0)   # along the edge line, past an end
+    to_edge = np.sqrt(t**2 + h[:, None] ** 2 + beyond**2).min(axis=1)
+    return np.where(np.all(t >= 0, axis=1), np.abs(h), to_edge) / diameter
 
 
 def _kernel_dtype(k: float):
@@ -258,7 +258,7 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
     out = np.empty((len(ii), 4) if grad else len(ii), dtype=_kernel_dtype(k))
     for sl in row_chunks(len(ii), len(_SUB_BARY) * 3):
         xs, qs, areas = x[ii[sl]], qq[sl], mesh.panel_area[qq[sl]]
-        moments = _flat_triangle_moments(xs, mesh.panel_corners[qs], grad)
+        moments = _flat_triangle_moments(xs, mesh, qs, grad)
         if k == 0:
             out[sl] = moments[:, 0]
             continue
@@ -285,12 +285,12 @@ def _near_pairs(x: np.ndarray, src: _Sources) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _surface_gap(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
-    """Per point of x, the least ``_panel_gap`` over its near pairs (inf if none); a point
+    """Per point of x, the least ``_gap`` over its near pairs (inf if none); a point
     within a quarter diameter of a panel lies within 0.92 diameters of its centroid."""
     out, src = np.full(len(x), np.inf), _sources(None, _NO_CELLS, mesh)
     for rows in row_chunks(len(x), mesh.n_panels):
         ii, qq = _near_pairs(x[rows], src)
-        np.minimum.at(out[rows], ii, _panel_gap(x[rows][ii], mesh.panel_corners[qq]))
+        np.minimum.at(out[rows], ii, _gap(*_edge_frame(x[rows][ii], mesh, qq)[1:], mesh.panel_diameter[qq]))
     return out
 
 
@@ -314,27 +314,26 @@ def _kernel_rows(x: np.ndarray, src: _Sources, k: float, grad: bool = False, out
     (``volume.ball_self_term``) with a zero gradient, at a panel ``_near_pair_integrals``.  Their
     distance is then the placeholder 1.0.  Every other pair takes one far rule,
     A G_k(x, c) + M : grad grad G_k(x, c) / 2 with the source's ``measure`` A and ``moment`` M;
-    with d = x - c, u = 1/r, q = d.M d, T = tr M:
+    with d = x - c, u = 1/r, q = d.M d = |P d|^2 (``factor``), T = tr M:
 
         e^{ikr}/(4 pi) (P + iQ),  P = A u - T u^3/2 + q (3u^5 - k^2 u^3)/2,  Q = k T u^2/2 - 3k q u^4/2,
 
-    whose gradient e^{ikr}/(4 pi) (ik u (P + iQ) d + grad P + i grad Q) is a multiple of d plus one of M d.
+    whose gradient e^{ikr}/(4 pi) (ik u (P + iQ) d + grad P + i grad Q) is a multiple of d plus one of M d = P^T P d.
     """
     nc = len(src.point) - src.mesh.n_panels
-    d = [np.subtract.outer(x[:, i], src.point[:, i]) for i in range(3)]
-    r = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    r = sum(np.square(np.subtract.outer(x[:, i], src.point[:, i])) for i in range(3))
     ii, jj = np.nonzero(r < src.near ** 2)
     on_panel = jj >= nc
     near = _near_pair_integrals(x, src.mesh, ii[on_panel], jj[on_panel] - nc, k, grad)
     r[ii, jj] = 1.0
-    area, m = src.measure / (4.0 * np.pi), src.moment / (4.0 * np.pi)
-    u2 = np.reciprocal(r)
-    q = sum((2.0 - (i == j)) * m[:, i, j] * d[i] * d[j] for i in range(3) for j in range(i, 3)) * u2   # q u^2
-    if not grad:
-        del d                                                      # a chunk's peak is its live (rows x sources) arrays
-    u = np.sqrt(u2)
-    r *= u                                                         # |d|, which held |d|^2 so far
-    w = 0.5 * np.trace(m, axis1=1, axis2=2) - 1.5 * q              # T/2 - 3 q u^2/2
+    s = np.einsum("ik,akj->aij", np.column_stack([x, np.ones(len(x))]), src.factor)   # p_a.d / sqrt(4 pi)
+    q = np.add(*np.square(s, out=None if grad else s))            # q / (4 pi)
+    s = s if grad else None                                        # a value row keeps no offset arrays
+    u = np.reciprocal(np.sqrt(r, out=r))                           # r is |d| from here
+    u2 = np.square(u)
+    q *= u2                                                        # q u^2
+    area, trace = src.weight
+    w = trace - 1.5 * q                                            # T/2 - 3 q u^2/2
     # [re, im] of P + iQ and, with grad, of the factors of d and of M d in the gradient; [re] at k = 0
     parts = [[u * (area - u2 * w - 0.5 * k**2 * q)] + ([k * u2 * w] if k else [])]
     if grad:
@@ -351,14 +350,17 @@ def _kernel_rows(x: np.ndarray, src: _Sources, k: float, grad: bool = False, out
     if k:
         # times e^{ikr}: the value straight into its channel, the gradient's factors into new arrays
         cs, sn = _cis(np.multiply(r, k, out=r))
-        parts = [(np.subtract(cs * re, sn * im, out=o[0]), np.add(sn * re, cs * im, out=o[1]))
-                 for (re, im), o in zip(parts, channels[:1] + [(None, None)] * 2)]
+        for j, ((re, im), (o_re, o_im)) in enumerate(zip(parts, channels[:1] + [(None, None)] * 2)):
+            sn_im, sn_re = np.multiply(sn, im, out=o_re), np.multiply(sn, re, out=o_im)
+            parts[j] = (np.subtract(np.multiply(cs, re, out=re), sn_im, out=sn_im),
+                        np.add(sn_re, np.multiply(cs, im, out=im), out=sn_re))
     else:
         channels[0][0][...] = parts[0][0]
     for i, channel in enumerate(channels[1:]):
-        md = m[:, i, 0] * d[0] + m[:, i, 1] * d[1] + m[:, i, 2] * d[2]   # (M d)_i
+        md = s[0] * src.factor[0, i] + s[1] * src.factor[1, i]    # (M d)_i / (4 pi)
+        d = np.subtract.outer(x[:, i], src.point[:, i])
         for along_d, along_md, o in zip(parts[1], parts[2], channel):
-            np.add(along_d * d[i], along_md * md, out=o)
+            np.add(along_d * d, along_md * md, out=o)
     out[ii[on_panel], jj[on_panel]] = near
     ball = ball_self_term(k, 0.0 if src.grid is None else src.grid.cell_volume)
     out[ii[~on_panel], jj[~on_panel]] = [ball, 0.0, 0.0, 0.0] if grad else ball
@@ -367,8 +369,8 @@ def _kernel_rows(x: np.ndarray, src: _Sources, k: float, grad: bool = False, out
 
 def _source_chunks(n: int, src: _Sources, grad: bool = False) -> list[slice]:
     """Row chunks for n targets: a row costs 2 entries per source, cell or panel, ten with ``grad``:
-    at k = 2 a row's temporaries and block peak at 9.6 floats per source, a jet row's at 29.6
-    (tracemalloc, 24 rows), so a chunk holds 4.8 or 3.0 floats per charged entry."""
+    at k = 2 a row's temporaries and block peak at 8.0 floats per source, a jet row's at 27.0
+    (tracemalloc, 24 rows), so a chunk holds 4.0 or 2.7 floats per charged entry."""
     return row_chunks(n, 2 * len(src.point) * (5 if grad else 1))
 
 
@@ -467,24 +469,26 @@ class DeltaSolution:
 
 
 def _system_matrix(kernel: np.ndarray, weights: np.ndarray, dtype) -> tuple[np.ndarray, float]:
-    """I + K diag(w) in ``dtype`` and Fortran order, which GuardedLU factors in place, and its 1-norm.
+    """I + K diag(w) in ``dtype`` and in K's row (C) order, which GuardedLU factors in place as its
+    transpose, and its 1-norm.
 
-    Written column chunk by column chunk from ``kernel``, each product cast
-    to ``dtype`` as it is stored, so no other n x n array is made; each chunk
-    sums its columns' moduli in float64, so the 1-norm takes no second pass over A.
+    Written row chunk by row chunk from ``kernel``, each product cast to ``dtype`` as it is stored,
+    so no other n x n array is made; each chunk sums its columns' moduli in float64, and those partial
+    sums are added in chunk order, so the 1-norm takes no second pass over A.
     """
     n = len(weights)
-    A = np.empty((n, n), dtype=dtype, order="F")
-    column_sums = np.empty(n)
+    A, K = np.empty((n, n), dtype=dtype), kernel[:n, :n]
+    chunks = row_chunks(n, n)
+    column_sums = np.empty((len(chunks), n))
 
-    def fill(cols):
-        np.multiply(kernel[:n, cols], weights[cols], out=A[:, cols], casting="same_kind")
-        j = np.arange(n)[cols]
-        A[j, j] += 1.0
-        np.sum(np.abs(A[:, cols]), axis=0, dtype=float, out=column_sums[cols])
+    def fill(rows):
+        np.multiply(K[rows], weights, out=A[rows], casting="same_kind")
+        i = np.arange(n)[rows]
+        A[i, i] += 1.0
+        np.sum(np.abs(A[rows]), axis=0, dtype=float, out=column_sums[rows.start // chunks[0].stop])
 
-    map_chunks(fill, row_chunks(n, n))
-    return A, float(column_sums.max(initial=0.0))
+    map_chunks(fill, chunks)
+    return A, float(column_sums.sum(axis=0).max(initial=0.0))
 
 
 class DeltaSystem:

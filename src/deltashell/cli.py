@@ -436,8 +436,7 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     ff = FarFieldPattern(k=k, values=farfield_source(waves, g.normals), observations=g.normals,
                          obs_weights=g.weights, incidence=g.normals)
     reports = [
-        hn.green_pairing_check(psi1, psi2, R),
-        hn.green_pairing_check(psi1, psi1_rho2, R),
+        *hn.green_pairing_check(psi1, [psi2, psi1_rho2], R),
         hn.fourier_identity_check(psi1, psi2, xi),
         hn.sommerfeld_check(radiating, k),
         hn.reciprocity_check(ff, rel_tol=0.01),

@@ -93,6 +93,8 @@ class SurfaceMesh:
     panel_diameter : (nt,), longest edge per panel
     panel_corners : (nt, 3, 3), the vertex coordinates of each panel
     panel_moment : (nt, 3, 3), the second moment int_T (y - c)(y - c)^T dsigma about the centroid c
+    panel_factor : (nt, 2, 3), its rank-2 factor P, panel_moment = P^T P
+    panel_edge, panel_edge_normal, panel_edge_length : edge i's (v_i -> v_{i+1}) unit vector, outward in-plane normal, length
     panel_subrule_points : (nt, 12, 3), the points of the rule on the four midpoint subtriangles
     """
 
@@ -104,6 +106,10 @@ class SurfaceMesh:
     panel_diameter: np.ndarray = field(repr=False, default=None, compare=False)
     panel_corners: np.ndarray = field(repr=False, default=None, compare=False)
     panel_moment: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_factor: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_edge: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_edge_normal: np.ndarray = field(repr=False, default=None, compare=False)
+    panel_edge_length: np.ndarray = field(repr=False, default=None, compare=False)
     panel_subrule_points: np.ndarray = field(repr=False, default=None, compare=False)
     __eq__ = _equal                                       # equal vertices and triangles; the panel arrays follow
 
@@ -126,19 +132,27 @@ class SurfaceMesh:
         if np.any(two_area <= 0):
             raise ValueError("degenerate panel with zero area")
         normals = cross / two_area[:, None]
-        edges = np.linalg.norm(np.stack([v1 - v0, v2 - v1, v0 - v2]), axis=2)
+        edges = np.stack([v1 - v0, v2 - v1, v0 - v2], axis=1)
+        lengths = np.linalg.norm(edges, axis=2)
+        units = edges / lengths[..., None]
         corners = np.stack([v0, v1, v2], axis=1)
         centroid = (v0 + v1 + v2) / 3.0
         rel = corners - centroid[:, None]                    # int_T (y - c)(y - c)^T = A/12 sum_i (v_i - c)(v_i - c)^T
+        # with rel_2 = -rel_0 - rel_1 that is P^T P, P = sqrt(A/24) (2 rel_0 + rel_1, sqrt(3) rel_1)
+        factor = np.sqrt(two_area / 48.0)[:, None, None] * (np.array([[2.0, 1.0, 0.0], [0.0, np.sqrt(3.0), 0.0]]) @ rel)
         return cls(
             vertices=_freeze(vertices),
             triangles=_freeze(triangles),
             panel_centroid=_freeze(centroid),
             panel_area=_freeze(two_area / 2.0),
             panel_normal=_freeze(normals),
-            panel_diameter=_freeze(edges.max(axis=0)),
+            panel_diameter=_freeze(lengths.max(axis=1)),
             panel_corners=_freeze(corners),
             panel_moment=_freeze(np.einsum("p,pij,pik->pjk", two_area / 24.0, rel, rel)),
+            panel_factor=_freeze(factor),
+            panel_edge=_freeze(units),
+            panel_edge_normal=_freeze(np.cross(units, normals[:, None, :])),
+            panel_edge_length=_freeze(lengths),
             panel_subrule_points=_freeze(np.einsum("sj,pjk->psk", _SUB_BARY, corners)),
         )
 

@@ -126,12 +126,13 @@ def _pairing(nodes) -> tuple[complex, float]:
     return complex(sum(np.sum(t) for t in terms)), float(sum(np.sum(np.abs(t)) for t in terms))
 
 
-def green_pairing_check(sol1: DeltaSolution, sol2: DeltaSolution, R: float) -> ExperimentReport:
+def green_pairing_check(sol1: DeltaSolution, sol2: DeltaSolution | list[DeltaSolution], R: float):
     """Volume+surface pairing against the boundary Wronskian on |y| = R.
 
     ``solN`` is the CGO solution psi_N of medium N for the incident field
     ``Exponential(rhoN)``; k, V, alpha and Gamma come from the solutions,
-    which share k.
+    which share k.  ``sol2`` is one partner solution, giving one report, or a
+    list of them, giving one report each from one evaluation of psi1 on the sphere.
 
     LHS = int conj(psi1)(V1 - V2) psi2 + int_G1 conj(eta1) tr psi2
                                        - int_G2 conj(tr psi1) eta2,
@@ -142,47 +143,42 @@ def green_pairing_check(sol1: DeltaSolution, sol2: DeltaSolution, R: float) -> E
     vanishes algebraically (asserted at ALGEBRAIC_TOL); the Green-identity
     match is asserted at PAIRING_REL_TOL.
     """
-    t0 = time.time()
-    k = _check_media(sol1, sol2)
-    rho1, rho2 = sol1.incident.rho_dir, sol2.incident.rho_dir
-    for sol in (sol1, sol2):
+    t0, partners = time.time(), sol2 if isinstance(sol2, list) else [sol2]
+    inputs = [{"k": _check_media(sol1, sol), "w1": sol1.incident.rho_dir.w, "w2": sol.incident.rho_dir.w, "R": R}
+              for sol in partners]
+    for sol in (sol1, *partners):
         check_enclosing_radius(R, sol.mesh, sol.potential)
-
-    lhs, mass = _pairing(_pairing_nodes(sol1, sol2))
-
     sphere = make_sphere_grid(R, *WRONSKIAN_NODES)
     psi1, dr1 = _total_field_and_radial(sol1, sphere.nodes, sphere.normals)
-    psi2, dr2 = _total_field_and_radial(sol2, sphere.nodes, sphere.normals)
-    rhs = complex(np.sum(sphere.weights * (np.conj(dr1) * psi2 - np.conj(psi1) * dr2)))
-    wron_mass = float(np.sum(sphere.weights * (np.abs(dr1 * psi2) + np.abs(psi1 * dr2))))
-
-    identical = sol1.potential == sol2.potential and sol1.delta == sol2.delta
-    rel_gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
-    metrics = {
-        "lhs_re": lhs.real, "lhs_im": lhs.imag,
-        "rhs_re": rhs.real, "rhs_im": rhs.imag,
-        "rel_gap": rel_gap,
-        "pairing_mass": mass,
-        "wronskian_mass": wron_mass,
-        "identical_media": identical,
-    }
-    if identical:
-        # LHS is an algebraic zero; the Wronskian vanishes only at the
-        # Green-identity level (discrete flux conservation).
-        passed = (abs(lhs) <= ALGEBRAIC_TOL * max(mass, 1.0)
-                  and abs(rhs) <= PAIRING_REL_TOL * max(wron_mass, 1e-300))
-        thresholds = {"lhs_zero": ALGEBRAIC_TOL, "rhs_over_mass": PAIRING_REL_TOL}
-    else:
-        passed = rel_gap <= PAIRING_REL_TOL
-        thresholds = {"rel_gap": PAIRING_REL_TOL}
-    return ExperimentReport(
-        name="green_pairing",
-        inputs={"k": k, "w1": rho1.w, "w2": rho2.w, "R": R},
-        metrics=metrics,
-        thresholds=thresholds,
-        passed=bool(passed),
-        seconds=time.time() - t0,
-    )
+    reports = []
+    for partner, given in zip(partners, inputs):
+        lhs, mass = _pairing(_pairing_nodes(sol1, partner))
+        psi2, dr2 = _total_field_and_radial(partner, sphere.nodes, sphere.normals)
+        rhs = complex(np.sum(sphere.weights * (np.conj(dr1) * psi2 - np.conj(psi1) * dr2)))
+        wron_mass = float(np.sum(sphere.weights * (np.abs(dr1 * psi2) + np.abs(psi1 * dr2))))
+        identical = sol1.potential == partner.potential and sol1.delta == partner.delta
+        rel_gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
+        metrics = {
+            "lhs_re": lhs.real, "lhs_im": lhs.imag,
+            "rhs_re": rhs.real, "rhs_im": rhs.imag,
+            "rel_gap": rel_gap,
+            "pairing_mass": mass,
+            "wronskian_mass": wron_mass,
+            "identical_media": identical,
+        }
+        if identical:
+            # LHS is an algebraic zero; the Wronskian vanishes only at the
+            # Green-identity level (discrete flux conservation).
+            passed = (abs(lhs) <= ALGEBRAIC_TOL * max(mass, 1.0)
+                      and abs(rhs) <= PAIRING_REL_TOL * max(wron_mass, 1e-300))
+            thresholds = {"lhs_zero": ALGEBRAIC_TOL, "rhs_over_mass": PAIRING_REL_TOL}
+        else:
+            passed = rel_gap <= PAIRING_REL_TOL
+            thresholds = {"rel_gap": PAIRING_REL_TOL}
+        reports.append(ExperimentReport(name="green_pairing", inputs=given, metrics=metrics,
+                                        thresholds=thresholds, passed=bool(passed), seconds=time.time() - t0))
+        t0 = time.time()
+    return reports if isinstance(sol2, list) else reports[0]
 
 
 def fourier_identity_check(sol1: DeltaSolution, sol2: DeltaSolution, xi: np.ndarray) -> ExperimentReport:

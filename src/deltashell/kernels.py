@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _equal
+
 __all__ = [
     "radial_kernel",
     "radial_gradient_factor",
@@ -132,12 +134,13 @@ def radial_remainder_gradient_factor(r, k: float):
 # Sigma_k = {rho in C^3 : rho.rho = -k^2}
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexDirection:
     """Element rho of Sigma_k: rho.rho = -k^2 (unconjugated dot product)."""
 
     rho: np.ndarray       # (3,) complex
     k: float
+    __eq__, __hash__ = _equal, None
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
@@ -209,11 +212,12 @@ def sigma_pair_for_xi(xi, k: float, w: float) -> tuple[ComplexDirection, Complex
 # Incident fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneWave:
     """exp(+ik d.x) with a real unit direction d."""
 
     direction: np.ndarray
+    __eq__, __hash__ = _equal, None
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
@@ -229,11 +233,12 @@ class PlaneWave:
         return np.column_stack([vals, 1j * k * self.direction[None, :] * vals[:, None]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exponential:
     """Generalized eigenfunction exp(rho.x), rho in Sigma_k."""
 
     rho_dir: ComplexDirection
+    __eq__, __hash__ = _equal, None
 
     def values(self, k: float, points: np.ndarray) -> np.ndarray:
         _check_k(k, self.rho_dir.k, f"incident field built for k={self.rho_dir.k}, asked for k={k}")
@@ -252,13 +257,14 @@ class Exponential:
         return np.column_stack([vals, self.rho_dir.rho[None, :] * vals[:, None]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Herglotz:
     """Superposition int_{S^2} f(d) exp(ik d.x) dsigma(d) over a direction rule."""
 
     directions: np.ndarray   # (m, 3) unit vectors
     weights: np.ndarray      # (m,) quadrature weights on S^2
     density: np.ndarray      # (m,) complex samples of f
+    __eq__, __hash__ = _equal, None
 
     def __post_init__(self):
         d = np.asarray(self.directions, dtype=float)

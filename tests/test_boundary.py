@@ -64,7 +64,7 @@ class TestSingleLayer:
 
         jac = 2.0 * mesh.panel_area[0]
         val, _ = integrate.dblquad(integrand, 0, 1, 0, lambda u: 1 - u, epsabs=1e-12)
-        closed = _flat_triangle_moments(mesh.panel_centroid, mesh.panel_corners, grad=False)[:, 0]
+        closed = _flat_triangle_moments(mesh.panel_centroid, mesh, np.arange(mesh.n_panels), grad=False)[:, 0]
         assert_allclose(closed[0], val * jac / (4 * np.pi), rtol=1e-10)
 
     def test_flat_square_assembles_coplanar_pairs(self):
@@ -110,7 +110,7 @@ class TestSingleLayer:
         qpts, w = triangle_rule(sub[:, 0], sub[:, 1], sub[:, 2])        # rows: pair fastest
         r = np.linalg.norm(np.tile(x, (n_sub, 1))[:, None, :] - qpts, axis=-1)
         rem = (np.exp(1j * k * r) - 1.0) / (4 * np.pi * r) @ w * mesh.panel_area[np.tile(qq, n_sub)] / n_sub
-        ref = _flat_triangle_moments(x, corners, grad=False)[:, 0] + rem.reshape(n_sub, -1).sum(axis=0)
+        ref = _flat_triangle_moments(x, mesh, qq, grad=False)[:, 0] + rem.reshape(n_sub, -1).sum(axis=0)
         S = assemble_single_layer(mesh, k)
         assert np.max(np.abs(S[rows[ii], qq] - ref) / np.abs(ref)) <= 5e-6
 
@@ -169,6 +169,23 @@ class TestSingleLayer:
         assert np.array_equal(boundary._fill(points, sources, 1.7), default)
         assert np.array_equal(panel_rows(points, mesh, 1.7), default)
 
+    def test_blocks_do_not_lose_digits_under_translation(self, sphere_meshes):
+        # the far rule reads q = d.M d as |P d|^2 with P d = P x - P c from per-source coefficients: far from
+        # the origin that loses digits linearly in |c|/|d|, as d = x - c itself does, where an expanded
+        # x.M x - 2 x.M c + c.M c would lose them quadratically (S read 3.1e-13 before this form)
+        mesh = sphere_meshes[3]
+        shift = np.array([60.0, -48.0, 64.0])                                  # |shift| = 100 radii
+        moved = SurfaceMesh.from_arrays(mesh.vertices + shift, mesh.triangles)
+        c = mesh.panel_centroid
+        x = np.concatenate([0.5 * c[::7], 1.03 * c[::5], 2.0 * c[::11]])     # inside, near and far targets
+        for k in (0.0, 2.0):
+            S = assemble_single_layer(mesh, k)
+            assert np.max(np.abs(assemble_single_layer(moved, k) - S)) <= 1e-12 * np.max(np.abs(S))
+            jet = panel_rows(x, mesh, k, grad=True)
+            gap = np.abs(panel_rows(x + shift, moved, k, grad=True) - jet)
+            for part in (np.s_[..., 0], np.s_[..., 1:]):
+                assert np.max(gap[part]) <= 1e-12 * np.max(np.abs(jet[part]))
+
     def test_panel_cap(self, sphere_meshes, monkeypatch):
         monkeypatch.setattr(boundary, "MAX_PANELS", 100)
         with pytest.raises(ValueError, match="cap is 100"):
@@ -177,6 +194,7 @@ class TestSingleLayer:
 
 TRI = np.array([[0.1, -0.2, 0.0], [1.3, 0.1, 0.05], [0.4, 0.9, -0.1]])
 TRI_N = np.cross(TRI[1] - TRI[0], TRI[2] - TRI[0]) / np.linalg.norm(np.cross(TRI[1] - TRI[0], TRI[2] - TRI[0]))
+TRI_MESH = SurfaceMesh.from_arrays(TRI, [[0, 1, 2]])
 CLOSED_FORM_TARGETS = {
     "above the interior": TRI.mean(axis=0) + 0.3 * TRI_N,
     "coplanar outside": TRI[0] + 1.2 * (TRI[2] - TRI[0]) - 0.5 * (TRI[1] - TRI[0]),
@@ -199,8 +217,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("target", list(CLOSED_FORM_TARGETS))
     def test_against_dblquad_and_central_differences(self, target):
         x = CLOSED_FORM_TARGETS[target]
-        value = _flat_triangle_moments(x[None], TRI[None], grad=False)[0]
-        jet = _flat_triangle_moments(x[None], TRI[None], grad=True)[0]
+        value = _flat_triangle_moments(x[None], TRI_MESH, np.zeros(1, dtype=int), grad=False)[0]
+        jet = _flat_triangle_moments(x[None], TRI_MESH, np.zeros(1, dtype=int), grad=True)[0]
         assert np.array_equal(jet[:, 0], value)
         grad = jet[:, 1:]
         ref = [self._quad(lambda y: 1 / np.linalg.norm(x - y)), self._quad(lambda y: np.linalg.norm(x - y))]
@@ -210,7 +228,8 @@ class TestClosedForm:
         for g, r in zip(grad, ref_grad):
             assert np.linalg.norm(g - r) <= 1e-10 * np.linalg.norm(r)
         for j in (0, 1):
-            fd = _central_gradient(lambda p: _flat_triangle_moments(p, TRI[None], grad=False)[:, j], x[None])
+            fd = _central_gradient(lambda p: _flat_triangle_moments(p, TRI_MESH, np.zeros(len(p), dtype=int), grad=False)[:, j],
+                                   x[None])
             assert np.linalg.norm(grad[j] - fd[0]) <= 1e-8 * np.linalg.norm(grad[j])
 
 
@@ -431,7 +450,7 @@ def _exp_form_block(x, mesh, k, grad):
     block = np.empty((len(x), mesh.n_panels) + ((4,) if grad else ()), dtype=complex)
     block[far] = _taylor_rule(x[np.nonzero(far)[0]], mesh, np.nonzero(far)[1], k, grad)
     corners, area = mesh.panel_corners, mesh.panel_area
-    moments = _flat_triangle_moments(x[ii], corners[qq], grad)
+    moments = _flat_triangle_moments(x[ii], mesh, qq, grad)
     ds = x[ii][:, None, :] - np.einsum("sj,pjk->psk", boundary._SUB_BARY, corners[qq])
     rs = np.linalg.norm(ds, axis=-1)
     rem = radial_remainder(rs, k).mean(axis=1) * area[qq]
@@ -664,7 +683,7 @@ class TestSystemMatrix:
         s = small_system
         n = len(s.weights)
         A = np.eye(n) + s.kernel[:n] * s.weights
-        lu = GuardedLU(A)
+        lu = GuardedLU(A.copy())                                      # factored in place; A is read below
         shift = 1e-6 * np.exp(1j * np.arange(n))[:, None]
         solve = lu.solve
         monkeypatch.setattr(lu, "solve", lambda b: solve(b) + shift)
@@ -898,7 +917,7 @@ def solve_delta_system_composition(V, delta, inc, k):
         psi0_panels = np.asarray(eval_incident(inc, k, mesh.panel_centroid), dtype=complex)
         A = alpha[:, None] * S
         A[np.arange(np_), np.arange(np_)] += 1.0
-        lu = GuardedLU(A, context="surface system (composition route)")
+        lu = GuardedLU(A.copy(), context="surface system (composition route)")   # A is read below
         eta = lu.solve(alpha * psi0_panels)
         trace = psi0_panels - S @ eta
         residual = float(np.linalg.norm(A @ eta - alpha * psi0_panels) / max(np.linalg.norm(alpha * psi0_panels), 1e-300))
@@ -929,7 +948,7 @@ def solve_delta_system_composition(V, delta, inc, k):
     trace_psi_v = np.asarray(eval_incident(inc, k, mesh.panel_centroid), dtype=complex) - Tr @ (Vs * psi_v)
     A = alpha[:, None] * g0_slv
     A[np.arange(np_), np.arange(np_)] += 1.0
-    lu_s = GuardedLU(A, context="trace system (composition route)")
+    lu_s = GuardedLU(A.copy(), context="trace system (composition route)")   # A is read below
     eta = lu_s.solve(alpha * trace_psi_v)
 
     psi_total = psi_v - U @ eta

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import deltashell
-from deltashell import acoustic, boundary, cli
+from deltashell import acoustic, boundary, cli, harness
 from deltashell.boundary import DeltaSolution, DeltaSystem
 from deltashell.cli import main
 from deltashell.farfield import load_farfield_csv
@@ -574,9 +574,14 @@ class TestVerifyCommand:
             assert np.max(np.abs(one - two) / np.abs(one)) <= 1e-14, key
 
     def test_one_system_per_medium_serves_every_report(self, tmp_path, monkeypatch):
-        # the default run: two systems, one solve_many each, no (system, incident field) twice
-        builds, batches = [], []
-        init, solve_many = DeltaSystem.__init__, DeltaSystem.solve_many
+        # the default run: two systems, one solve_many each, no (system, incident field) twice, and
+        # psi1 on the Wronskian sphere once for both Green checks (psi1, psi2, psi1_rho2: 3 evaluations)
+        builds, batches, spheres = [], [], []
+        init, solve_many, sphere = DeltaSystem.__init__, DeltaSystem.solve_many, harness._total_field_and_radial
+
+        def counted_sphere(sol, *args):
+            spheres.append(sol)
+            return sphere(sol, *args)
 
         def counted_init(self, *args):
             builds.append(self)
@@ -593,6 +598,7 @@ class TestVerifyCommand:
         def key(inc):
             return (type(inc).__name__, (inc.rho_dir.rho if hasattr(inc, "rho_dir") else inc.direction).tobytes())
 
+        monkeypatch.setattr(harness, "_total_field_and_radial", counted_sphere)
         monkeypatch.setattr(DeltaSystem, "__init__", counted_init)
         monkeypatch.setattr(DeltaSystem, "solve_many", counted_solve_many)
         monkeypatch.setattr(DeltaSolution, "volume_field", property(whole_grid))
@@ -603,3 +609,4 @@ class TestVerifyCommand:
         n_rhs = {id(system): len({key(inc) for inc in incidents}) for system, incidents in batches}
         assert sorted(n_rhs.values()) == [1, 75]  # sys2: Exp(rho2); sys1: Exp(rho1), Exp(rho2), 73 plane waves
         assert sum(len(incidents) for _, incidents in batches) == 76
+        assert len(spheres) == 3

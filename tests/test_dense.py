@@ -217,12 +217,15 @@ class TestGuardedLU:
         ref = np.linalg.solve(A, b)
         assert np.all(np.max(np.abs(x - ref), axis=0) <= 1e-5 * np.max(np.abs(ref), axis=0))
 
-    def test_copies_a_c_ordered_matrix(self, rng):
-        A = rng.standard_normal((30, 30)) + 10.0 * np.eye(30) + 0j
+    def test_factors_a_c_ordered_matrix_in_place_as_its_transpose(self, rng):
+        A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30)) + 10.0 * np.eye(30)
         ref = A.copy()
+        b = rng.standard_normal(30) + 0j
         lu = GuardedLU(A)
-        assert not np.shares_memory(lu._lu, A)
-        assert np.array_equal(A, ref)
+        assert np.shares_memory(lu._lu, A) and lu._lu.flags.f_contiguous
+        assert_allclose(ref @ lu.solve(b), b, rtol=0, atol=1e-12)
+        own = 1.0 / (np.linalg.norm(ref, 1) * np.linalg.norm(np.linalg.inv(ref), 1))
+        assert own * (1 - 1e-12) <= lu.rcond <= 3 * own                # gecon bounds A's 1-norm condition from below
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_system_matrix_carries_its_one_norm(self, small_system, dtype):
@@ -237,7 +240,7 @@ class TestGuardedLU:
         assert abs(given.rcond - own.rcond) <= rcond_tol * own.rcond
 
     def test_system_matrix_is_factored_in_place(self, sphere_meshes, monkeypatch):
-        # DeltaSystem writes the complex64 A in Fortran order and the LU overwrites it,
+        # DeltaSystem writes the complex64 A in C order and the LU overwrites it as A^T,
         # so a build makes no n x n array besides the kernel and A
         given = []
 
@@ -250,4 +253,4 @@ class TestGuardedLU:
         system = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0)), 2.0)
         assert np.shares_memory(system._lu._lu, given[0])
         assert not np.shares_memory(system._lu._lu, system.kernel)
-        assert given[0].dtype == np.complex64 and given[0].flags.f_contiguous
+        assert given[0].dtype == np.complex64 and given[0].flags.c_contiguous

@@ -1,5 +1,6 @@
 """Verification harness: pairing identities, radiation, uniqueness."""
 
+import dataclasses
 import json
 import logging
 
@@ -89,6 +90,13 @@ class TestGreenPairing:
             assert r_cross.passed and r_cross.metrics["identical_media"]
             rhs = abs(complex(r_cross.metrics["rhs_re"], r_cross.metrics["rhs_im"]))
             assert rhs <= 1e-2 * r_cross.metrics["wronskian_mass"]
+
+    def test_a_list_of_partners_gives_each_partner_its_own_report(self, cgo):
+        psi1, psi2, psi1_rho2 = cgo
+        both = green_pairing_check(psi1, [psi2, psi1_rho2], R=1.8)
+        for report, partner in zip(both, (psi2, psi1_rho2), strict=True):
+            alone = green_pairing_check(psi1, partner, R=1.8)
+            assert dataclasses.replace(report, seconds=0.0) == dataclasses.replace(alone, seconds=0.0)
 
     def test_containment_validated(self, cgo):
         psi1, psi2, _ = cgo

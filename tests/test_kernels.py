@@ -186,6 +186,20 @@ class TestSigmaPair:
 
 
 class TestIncidentFields:
+    def test_compare_by_value_and_stay_unhashable(self):
+        # equal arrays make equal directions and fields, as for the package's other frozen types
+        g = make_sphere_grid(1.0, 4, 8)
+        for make in (lambda: make_sigma_k(1.0, EX, EZ, 2.0), lambda: plane_wave(EZ),
+                     lambda: Exponential(make_sigma_k(1.0, EX, EZ, 2.0)),
+                     lambda: Herglotz(directions=g.normals, weights=g.weights, density=np.ones(g.n_nodes))):
+            assert make() == make()
+            with pytest.raises(TypeError):
+                hash(make())
+        assert make_sigma_k(1.0, EX, EZ, 2.0) != make_sigma_k(1.0, EX, EY, 2.0)
+        assert make_sigma_k(1.0, EX, EZ, 2.0) != make_sigma_k(1.0, EX, EZ, 3.0)
+        assert plane_wave(EZ) != plane_wave(EX)
+        assert plane_wave(EZ) != Exponential(make_sigma_k(0.0, EX, EZ, 1.0))
+
     def test_plane_wave_at_origin(self):
         assert_allclose(eval_incident(plane_wave(EZ), 2.0, np.zeros(3)), 1.0)
 
