@@ -139,7 +139,7 @@ class SurfaceMesh:
         centroid = (v0 + v1 + v2) / 3.0
         rel = corners - centroid[:, None]                    # int_T (y - c)(y - c)^T = A/12 sum_i (v_i - c)(v_i - c)^T
         # with rel_2 = -rel_0 - rel_1 that is P^T P, P = sqrt(A/24) (2 rel_0 + rel_1, sqrt(3) rel_1)
-        factor = np.sqrt(two_area / 48.0)[:, None, None] * (np.array([[2.0, 1.0, 0.0], [0.0, np.sqrt(3.0), 0.0]]) @ rel)
+        factor = np.sqrt(two_area / 48.0)[:, None, None] * np.einsum("ai,pij->paj", [[2, 1, 0], [0, 3**0.5, 0]], rel)
         return cls(
             vertices=_freeze(vertices),
             triangles=_freeze(triangles),

@@ -126,7 +126,7 @@ def _pairing(nodes) -> tuple[complex, float]:
     return complex(sum(np.sum(t) for t in terms)), float(sum(np.sum(np.abs(t)) for t in terms))
 
 
-def green_pairing_check(sol1: DeltaSolution, sol2: DeltaSolution | list[DeltaSolution], R: float):
+def green_pairing_check(sol1: DeltaSolution, sol2: DeltaSolution | list, R: float) -> ExperimentReport | list:
     """Volume+surface pairing against the boundary Wronskian on |y| = R.
 
     ``solN`` is the CGO solution psi_N of medium N for the incident field
