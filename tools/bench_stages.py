@@ -60,11 +60,14 @@ class StageClock(logging.Handler):
 
 
 def git_rev() -> str:
+    """The short commit of the tree measured, with "-dirty" when ``src/`` differs from it."""
+    git = ["git", "-C", str(ROOT)]
     try:
-        return subprocess.run(["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
-                              capture_output=True, text=True, check=True).stdout.strip()
+        rev = subprocess.run(git + ["rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=True)
+        clean = subprocess.run(git + ["diff", "--quiet", "HEAD", "--", "src"]).returncode == 0
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return rev.stdout.strip() + ("" if clean else "-dirty")
 
 
 def measure(name: str, iterations: int, seed: int, clock: StageClock) -> list[dict]:
