@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -10,13 +12,11 @@ import numpy as np
 
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-__all__ = ["ExceptionalFrequencyError", "GuardedLU", "map_chunks", "matmul", "row_chunks"]
+__all__ = ["ExceptionalFrequencyError", "GuardedLU", "empty_mapped", "map_chunks", "matmul", "row_chunks"]
 
 RCOND_FLOOR = 1e-12
-# entries per row chunk of a dense kernel block.  glibc keeps a chunk's freed
-# temporaries in the arena of the thread that filled it, and whether it returns
-# them depends on thread timing, so they set how far one run's peak memory can
-# drift from the next: about 10 MB at 2**18, 34-60 MB at 2**20 (1280 panels).
+# entries per row chunk of a dense kernel block.  glibc keeps a chunk's freed temporaries in the
+# arena of the thread that filled it: about 10 MB at 2**18, 34-60 MB at 2**20 (1280 panels).
 CHUNK = 2**18
 WORKERS = len(os.sched_getaffinity(0))  # threads that fill row chunks, the caller included
 
@@ -28,15 +28,23 @@ def row_chunks(n: int, row_entries: int) -> list[slice]:
     return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
+@functools.cache
+def _helpers(n: int) -> ThreadPoolExecutor:
+    """n helper threads, kept from the first map that needs them: a thread started per map could start before the
+    last one had handed glibc its malloc arena back, and each new arena kept about 10 MB of freed chunk temporaries."""
+    return ThreadPoolExecutor(n)
+
+
 def map_chunks(body, slices: list[slice]) -> None:
     """Call ``body(s)`` once for every slice s, on up to WORKERS threads.
 
-    The caller and WORKERS - 1 helper threads take whole slices from one
+    The caller and up to WORKERS - 1 kept helper threads take whole slices from one
     shared queue, so the split does not depend on the worker count; each
     body writes its own rows of its output.  numpy's ufuncs and ``einsum``
     release the interpreter lock, so the bodies run side by side; they make no
     BLAS call (``matmul``).  An exception in any body stops every thread from taking
     another slice and is raised here; with one worker or one slice the bodies run inline.
+    A helper not yet started when the queue is empty is cancelled, so a body may itself map.
     """
     helpers = min(WORKERS, len(slices)) - 1
     if helpers <= 0:
@@ -57,11 +65,23 @@ def map_chunks(body, slices: list[slice]) -> None:
                 failed.set()
                 raise
 
-    with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(take) for _ in range(helpers)]
-        take()
+    futures = [_helpers(WORKERS - 1).submit(take) for _ in range(helpers)]
+    take()
     for f in futures:
-        f.result()
+        if not f.cancel():
+            f.result()
+
+
+def empty_mapped(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised C-ordered array in an anonymous mapping of its own, whose pages go back to the system when it
+    is freed.  It bypasses malloc: glibc raises its mmap threshold to each freed mapped block (up to 32 MB) and takes
+    smaller blocks from its heap, where a matrix found a hole or not by the order of earlier frees, so criterion 8's
+    21.5 MB level-3 system matrix added 0 or 19 MB to a run's peak memory."""
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    if hasattr(mmap, "MADV_HUGEPAGE"):   # as numpy asks for its own large blocks
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._dense import ExceptionalFrequencyError, GuardedLU, map_chunks, matmul, row_chunks  # noqa: F401 (re-export)
+from ._dense import ExceptionalFrequencyError, GuardedLU, empty_mapped, map_chunks, matmul, row_chunks  # noqa: F401 (re-export)
 from .geometry import _SUB_BARY, SurfaceMesh, VolumeGrid, _equal, _freeze
 from .kernels import IncidentField, _cis, _remainder_parts, eval_incident
 from .volume import PotentialSample, VolumeField, ball_self_term
@@ -469,15 +469,15 @@ class DeltaSolution:
 
 
 def _system_matrix(kernel: np.ndarray, weights: np.ndarray, dtype) -> tuple[np.ndarray, float]:
-    """I + K diag(w) in ``dtype`` and in K's row (C) order, which GuardedLU factors in place as its
-    transpose, and its 1-norm.
+    """I + K diag(w) in ``dtype``, in K's row (C) order and in pages of its own (``empty_mapped``), which
+    GuardedLU factors in place as its transpose, and its 1-norm.
 
     Written row chunk by row chunk from ``kernel``, each product cast to ``dtype`` as it is stored,
     so no other n x n array is made; each chunk sums its columns' moduli in float64, and those partial
     sums are added in chunk order, so the 1-norm takes no second pass over A.
     """
     n = len(weights)
-    A, K = np.empty((n, n), dtype=dtype), kernel[:n, :n]
+    A, K = empty_mapped((n, n), dtype), kernel[:n, :n]
     chunks = row_chunks(n, n)
     column_sums = np.empty((len(chunks), n))
 

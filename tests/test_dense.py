@@ -1,5 +1,6 @@
 """Row-chunk threads, the products and the in-place guarded LU of ``_dense``."""
 
+import mmap
 import sys
 import threading
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deltashell import _dense, boundary, farfield, volume
-from deltashell._dense import GuardedLU, map_chunks, matmul
+from deltashell._dense import GuardedLU, empty_mapped, map_chunks, matmul
 from deltashell.boundary import DeltaSpec, DeltaSystem
 from deltashell.kernels import plane_wave
 
@@ -104,7 +105,29 @@ class TestMapChunks:
         assert slice_counts[-1] > 1 and started == []
         monkeypatch.setattr(_dense, "WORKERS", 2)
         boundary.assemble_single_layer(mesh, 1.0)
-        assert len(started) == 1
+        assert len(started) <= 1                    # the helper, unless an earlier map started it
+        first = list(started)
+        boundary.assemble_single_layer(mesh, 1.0)
+        assert started == first                     # kept: a later map starts no thread
+
+    def test_a_body_may_map(self, monkeypatch):
+        # both outer slices are held at once, so one runs on the only helper; each inner map
+        # runs on its own caller, and its helper task, never started, is cancelled, not waited for
+        monkeypatch.setattr(_dense, "WORKERS", 2)
+        hits, both = np.zeros((4, 6), dtype=int), threading.Barrier(2, timeout=60)
+
+        def outer(rows):
+            both.wait()
+
+            def inner(cols):
+                hits[rows, cols] += 1
+
+            map_chunks(inner, [slice(lo, lo + 2) for lo in range(0, 6, 2)])
+
+        caller = threading.Thread(target=map_chunks, args=(outer, [slice(0, 2), slice(2, 4)]), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and np.all(hits == 1)
 
     def test_one_slice_starts_no_thread(self, monkeypatch, started):
         monkeypatch.setattr(_dense, "WORKERS", 2)
@@ -192,6 +215,31 @@ class TestMatmul:
         out = np.full((4, cols), np.nan + 0j, order="F")
         assert np.array_equal(matmul(np.zeros((4, 0), dtype=complex), np.zeros((0, cols), dtype=complex), out=out),
                               np.zeros((4, cols)))
+
+
+def _mapping(a):
+    """The object that owns a's memory."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.obj if isinstance(a, memoryview) else a.base
+    return a
+
+
+class TestEmptyMapped:
+    @pytest.mark.parametrize("dtype", [float, np.complex64])
+    def test_writable_c_array_in_a_mapping_of_its_own(self, dtype):
+        a = empty_mapped((3, 5), dtype)
+        assert a.shape == (3, 5) and a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable
+        assert isinstance(_mapping(a), mmap.mmap)
+        a[...] = np.arange(15).reshape(3, 5)
+        assert np.array_equal(a, np.arange(15).reshape(3, 5))
+
+    def test_empty_shape(self):
+        assert empty_mapped((0, 4), float).shape == (0, 4)
+
+    def test_system_matrix_is_mapped(self, sphere_meshes):
+        system = DeltaSystem(None, DeltaSpec(mesh=sphere_meshes[1], alpha=np.full(sphere_meshes[1].n_panels, 2.0)), 2.0)
+        A, _ = boundary._system_matrix(system.kernel, system.weights, np.complex64)
+        assert isinstance(_mapping(A), mmap.mmap) and isinstance(_mapping(system._lu._lu), mmap.mmap)
 
 
 class TestGuardedLU:
