@@ -73,13 +73,13 @@ def map_chunks(body, slices: list[slice]) -> None:
 
 
 def empty_mapped(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised C-ordered array in an anonymous mapping of its own, whose pages go back to the system when it
-    is freed.  It bypasses malloc: glibc raises its mmap threshold to each freed mapped block (up to 32 MB) and takes
-    smaller blocks from its heap, where a matrix found a hole or not by the order of earlier frees, so criterion 8's
-    21.5 MB level-3 system matrix added 0 or 19 MB to a run's peak memory."""
+    """An uninitialised C-ordered array in a private anonymous mapping of its own (a shared one is shmem, whose huge
+    pages ``shmem_enabled`` rules, not the advice), whose pages go back to the system when it is freed.  It bypasses
+    malloc: glibc raises its mmap threshold to each freed mapped block (up to 32 MB) and takes smaller blocks from its
+    heap, where criterion 8's 21.5 MB level-3 system matrix found a hole or not by the order of earlier frees."""
     count = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
-    if hasattr(mmap, "MADV_HUGEPAGE"):   # as numpy asks for its own large blocks
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 

@@ -24,7 +24,9 @@ on Gamma.  alpha does not depend on omega; the two-frequency difference of V
 is exactly (omega2^2 - omega1^2)(1 - 1/v^2).
 
 Fields and far fields map back by u = sqrt(rho) psi; since rho = v = 1
-outside the cutoff, acoustic and Schrodinger far fields coincide.
+outside the cutoff, acoustic and Schrodinger far fields coincide, the
+density is summed only inside the widest cutoff ball (V = 0 outside it),
+and a grid whose boundary cells reach into that ball is rejected.
 
 A medium enters the solve only through the weights (V, alpha), so media
 that share the grid, the support of V and Gamma share one kernel per omega
@@ -210,11 +212,18 @@ def surface_density_trace(m: MediumSpec) -> np.ndarray:
 
 
 def check_medium_grid(m: MediumSpec, grid: VolumeGrid) -> None:
-    """Raise MediumGridError unless the grid covers the support ball and no cell centre lies on Gamma."""
-    R = m.r_support
+    """Raise MediumGridError unless the grid covers the support ball, its boundary cell centres lie outside
+    that ball (where V = 0) and no cell centre lies on Gamma."""
+    R, x = m.r_support, grid.cell_center
     if np.any(grid.lo > -R) or np.any(grid.hi < R):
         raise MediumGridError(f"grid {grid.lo}..{grid.hi} does not cover the support ball radius {R}")
-    n_on = int(np.count_nonzero(on_surface(grid.cell_center, m.gamma)))
+    r = np.linalg.norm(x, axis=1)
+    n_in = int(np.count_nonzero(r[grid.boundary_mask()] < R))
+    if n_in:
+        raise MediumGridError(f"{n_in} boundary cell centres lie inside the support ball radius {R}, which "
+                              "would cut the potential off there; widen the grid")
+    near = r <= m.gamma.bounding_radius + np.max(m.gamma.panel_diameter)   # a point on a panel lies in Gamma's ball
+    n_on = int(np.count_nonzero(on_surface(x[near], m.gamma)))
     if n_on:
         raise MediumGridError(f"{n_on} grid cell centres lie on Gamma, where the density gradient "
                               "is undefined; shift or refine the grid")
@@ -230,12 +239,13 @@ def _schrodinger_data(media, omegas, grid: VolumeGrid) -> list[list[SchrodingerD
     omegas = [float(omega) for omega in omegas]
     if not all(omega > 0 for omega in omegas):
         raise ValueError("omega must be positive")
-    # the cover check of the widest support serves every medium; the Gamma scan is shared
+    # the grid checks of the widest support serve every medium; the Gamma scan is shared
     check_medium_grid(max(media, key=lambda m: m.r_support), grid)
 
     x = grid.cell_center
-    # no centre is on Gamma; cells near it take one-sided values, unwarned
-    cells = _density(media, x, derivatives=True)
+    # V = 0 outside the widest cutoff ball; inside, no centre is on Gamma and cells near it are one-sided, unwarned
+    inside = np.linalg.norm(x, axis=1) < max(m.r_support for m in media)
+    cells = _density(media, x[inside], derivatives=True)
     traces = _density(media, media[0].gamma.panel_centroid, derivatives=False)
     out = []
     for m, (rho, grad, lap), (rho_gamma, _, _) in zip(media, cells, traces):
@@ -247,8 +257,8 @@ def _schrodinger_data(media, omegas, grid: VolumeGrid) -> list[list[SchrodingerD
         if np.any(rho_gamma <= 0):
             raise MediumValidityError("density trace on Gamma is not positive")
 
-        grad2 = np.einsum("ij,ij->i", grad, grad)
-        V_phi = -0.5 * lap / rho + 0.75 * grad2 / rho**2
+        V_phi = np.zeros(grid.n_cells)
+        V_phi[inside] = -0.5 * lap / rho + 0.75 * np.einsum("ij,ij->i", grad, grad) / rho**2
         contrast = 1.0 - 1.0 / v**2
         delta = DeltaSpec(mesh=m.gamma, alpha=0.5 * m.shell_density / rho_gamma)
         out.append([SchrodingerData(V=PotentialSample(grid=grid, values=V_phi + omega**2 * contrast),

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deltashell import acoustic, boundary
+from deltashell import acoustic, boundary, cli
 from deltashell.acoustic import (
     GaussianBump,
+    MediumGridError,
     MediumSpec,
     MediumValidityError,
     RadialCutoff,
@@ -108,7 +109,7 @@ class TestDensity:
 class TestTransform:
     def test_trivial_medium_gives_zero_data(self, sphere_meshes):
         m = shell_medium(sphere_meshes[1], xi=0.0)
-        grid = make_volume_grid((-4.2, 4.2), 8)
+        grid = make_volume_grid((-4.6, 4.6), 8)
         data = acoustic_to_schrodinger(m, 1.0, grid)
         assert np.max(np.abs(data.V.values)) < 1e-13
         assert np.max(np.abs(data.delta.alpha)) == 0.0
@@ -119,7 +120,7 @@ class TestTransform:
             sphere_meshes[1], xi=0.0,
             v_bumps=(GaussianBump(amplitude=1.0, center=(0.0, 0.0, 0.0), width=1e6),),
         )
-        grid = make_volume_grid((-4.2, 4.2), 10)
+        grid = make_volume_grid((-4.5, 4.5), 10)
         data = acoustic_to_schrodinger(m, 1.0, grid)
         inside = np.linalg.norm(grid.cell_center, axis=1) < 2.5
         assert_allclose(data.V.values[inside], 0.75, rtol=1e-9)
@@ -130,7 +131,7 @@ class TestTransform:
         mesh = sphere_meshes[2]
         g = 1e-6
         m = shell_medium(mesh, xi=g)
-        grid = make_volume_grid((-4.2, 4.2), 8)
+        grid = make_volume_grid((-4.6, 4.6), 8)
         data = acoustic_to_schrodinger(m, 1.0, grid)
         assert np.max(np.abs(data.delta.alpha - g / 2)) < 1e-2 * g / 2
 
@@ -138,7 +139,7 @@ class TestTransform:
         # gamma0(rho) = 1 + SL(1)|_Gamma ~ 2 on the unit sphere: alpha ~ 1/4
         mesh = sphere_meshes[2]
         m = shell_medium(mesh, xi=1.0)
-        grid = make_volume_grid((-4.2, 4.2), 8)
+        grid = make_volume_grid((-4.6, 4.6), 8)
         data = acoustic_to_schrodinger(m, 1.0, grid)
         assert np.max(np.abs(data.delta.alpha - 0.25)) < 0.01 * 0.25
 
@@ -147,7 +148,7 @@ class TestTransform:
             sphere_meshes[1], xi=0.7,
             v_bumps=(GaussianBump(amplitude=0.4, center=(0.1, 0.0, 0.0), width=0.8),),
         )
-        grid = make_volume_grid((-4.2, 4.2), 10)
+        grid = make_volume_grid((-4.5, 4.5), 10)
         w1, w2 = 1.0, 2.0
         d1 = acoustic_to_schrodinger(m, w1, grid)
         d2 = acoustic_to_schrodinger(m, w2, grid)
@@ -156,12 +157,13 @@ class TestTransform:
         diff = d2.V.values - d1.V.values
         assert np.max(np.abs(diff - expected)) < 1e-12 * max(1.0, np.max(np.abs(expected)))
 
-    def test_boundary_cell_warning_points_at_the_caller(self, sphere_meshes):
-        # the cutoff (3, 4) reaches the boundary cells of the 8^3 grid on (-4.2, 4.2), so V is
-        # nonzero there; the warning names the line that asked for V, in this file
-        m = shell_medium(sphere_meshes[1], xi=0.7)
+    def test_boundary_cell_warning_points_at_the_caller(self):
+        # V is nonzero on the boundary cells; the warning names the line that asked for V, in
+        # this file, also through the package's own frames (the CLI's bump potential)
         grid = make_volume_grid((-4.2, 4.2), 8)
-        for make in (lambda: acoustic_to_schrodinger(m, 1.0, grid),
+        bumps = {"potential_bumps": [{"amplitude": 1.0, "center": [0.0, 0.0, 0.0], "width": 1e3}],
+                 "cutoff": {"r_inner": 3.0, "r_outer": 4.0}}
+        for make in (lambda: cli._build_potential(bumps, grid),
                      lambda: PotentialSample(grid=grid, values=np.ones(grid.n_cells))):
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
@@ -169,9 +171,17 @@ class TestTransform:
             [w] = [w for w in record if "nonzero on boundary cells" in str(w.message)]
             assert w.filename == __file__
 
+    def test_boundary_cells_inside_the_cutoff_ball_rejected(self, sphere_meshes):
+        # the cutoff (3, 4) reaches the 24 boundary cell centres of the 8^3 grid on (-4.2, 4.2)
+        # nearest the axes (at 3.675 along one); V would be cut off on them
+        m = shell_medium(sphere_meshes[1], xi=0.7)
+        with pytest.raises(MediumGridError, match="^24 boundary cell centres lie inside the support ball radius 4.0"):
+            acoustic_to_schrodinger(m, 1.0, make_volume_grid((-4.2, 4.2), 8))
+        acoustic_to_schrodinger(m, 1.0, make_volume_grid((-4.6, 4.6), 8))
+
     def test_alpha_is_omega_independent_bitwise(self, sphere_meshes):
         m = shell_medium(sphere_meshes[1], xi=0.9)
-        grid = make_volume_grid((-4.2, 4.2), 8)
+        grid = make_volume_grid((-4.6, 4.6), 8)
         d1 = acoustic_to_schrodinger(m, 1.0, grid)
         d2 = acoustic_to_schrodinger(m, 2.0, grid)
         assert np.array_equal(d1.delta.alpha, d2.delta.alpha)
@@ -210,7 +220,8 @@ class TestTransform:
         assert not any("density derivatives requested" in msg for msg in messages)
 
     def test_one_surface_scan_per_sampling(self, sphere_meshes, monkeypatch):
-        # check_medium_grid scans the cell centres against Gamma; the sampling does not
+        # check_medium_grid scans the cell centres within Gamma's bounding ball plus one panel
+        # diameter against Gamma (no point of a panel lies farther out); the sampling does not
         calls = []
         real = boundary._surface_gap
 
@@ -220,8 +231,32 @@ class TestTransform:
 
         monkeypatch.setattr(boundary, "_surface_gap", counted)
         m = shell_medium(sphere_meshes[1], xi=0.9, cutoff=(1.4, 2.0))
-        acoustic_to_schrodinger(m, 1.0, make_volume_grid((-2.6, 2.6), 7))
-        assert calls == [7**3]
+        grid = make_volume_grid((-2.6, 2.6), 7)
+        acoustic_to_schrodinger(m, 1.0, grid)
+        r = np.linalg.norm(grid.cell_center, axis=1)
+        assert calls == [np.count_nonzero(r <= m.gamma.bounding_radius + np.max(m.gamma.panel_diameter))] == [33]
+
+    def test_sampling_inside_the_cutoff_ball_is_bitwise_the_whole_grid(self, sphere_meshes):
+        # two media on one Gamma with cutoffs (1.4, 2.0) and (1.6, 2.4): the density is evaluated
+        # inside the wider ball only; V and alpha are bitwise those from the density on every cell
+        mesh = sphere_meshes[1]
+        rho_bumps = (GaussianBump(amplitude=0.3, center=(0.2, 0.0, 0.1), width=0.5),)
+        v_bumps = (GaussianBump(amplitude=0.4, center=(0.1, 0.0, 0.0), width=0.8),)
+        media = [shell_medium(mesh, xi=xi, cutoff=cut, rho_bumps=rho_bumps, v_bumps=v_bumps)
+                 for xi, cut in ((0.8, (1.4, 2.0)), (1.2, (1.6, 2.4)))]
+        grid, omegas = make_volume_grid((-2.8, 2.8), 10), (1.0, 2.0)
+        x = grid.cell_center
+        assert 0 < np.count_nonzero(np.linalg.norm(x, axis=1) < 2.4) < grid.n_cells
+        got = acoustic._schrodinger_data(media, omegas, grid)
+        cells = acoustic._density(media, x, derivatives=True)
+        traces = acoustic._density(media, mesh.panel_centroid, derivatives=False)
+        for m, (rho, grad, lap), (rho_gamma, _, _), data in zip(media, cells, traces, got, strict=True):
+            V_phi = -0.5 * lap / rho + 0.75 * np.einsum("ij,ij->i", grad, grad) / rho**2
+            contrast = 1.0 - 1.0 / eval_sound_speed(m, x) ** 2
+            for omega, d in zip(omegas, data, strict=True):
+                assert np.array_equal(d.V.values, V_phi + omega**2 * contrast)
+                assert np.array_equal(d.delta.alpha, 0.5 * m.shell_density / rho_gamma)
+            assert np.any(data[0].V.values != 0)
 
     def test_grid_must_cover_support(self, sphere_meshes):
         m = shell_medium(sphere_meshes[1], xi=1.0)
@@ -245,7 +280,7 @@ class TestTransform:
             sphere_meshes[1], xi=0.0,
             rho_bumps=(GaussianBump(amplitude=-2.0, center=(0.0, 0.0, 0.0), width=0.8),),
         )
-        grid = make_volume_grid((-4.2, 4.2), 10)
+        grid = make_volume_grid((-4.5, 4.5), 10)
         with pytest.raises(MediumValidityError, match="density"):
             acoustic_to_schrodinger(m, 1.0, grid)
 
@@ -327,7 +362,6 @@ class TestLiouvilleAlgebra:
         lhs = omega**2 * u_fn(pts) + v**2 * (lap_u - np.einsum("ij,ij->i", grad_rho / rho[:, None], grad_u))
 
         # RHS: sqrt(rho) v^2 (lap psi - V psi + w^2 psi), V from the medium transform
-        grid = make_volume_grid((-4.2, 4.2), 8)
         rho_pts, grad_pts, lap_pts = eval_density(m, pts)
         grad2 = np.einsum("ij,ij->i", grad_pts, grad_pts)
         V = -0.5 * lap_pts / rho_pts + 0.75 * grad2 / rho_pts**2 + omega**2 * (1 - 1 / v**2)
@@ -345,7 +379,7 @@ class TestLiouvilleAlgebra:
     def test_solver_field_is_helmholtz_outside_support(self, sphere_meshes):
         # where rho = v = 1 the representation solves (lap + w^2) exactly
         m = shell_medium(sphere_meshes[1], xi=0.6, cutoff=(1.5, 2.2))
-        grid = make_volume_grid((-2.4, 2.4), 10)
+        grid = make_volume_grid((-2.6, 2.6), 10)
         omega, h = 1.2, 1e-3
         data = acoustic_to_schrodinger(m, omega, grid)
         from deltashell.boundary import eval_total_field
@@ -469,8 +503,9 @@ class TestPipeline:
         m = shell_medium(mesh, xi=0.9, cutoff=(1.4, 2.0))
         grid = make_volume_grid((-2.6, 2.6), 6)
         acoustic_farfield(m, (1.0, 2.0), EZ[None, :], direction_grid(3, 6), grid)
-        # one sampling of the grid cells with derivatives, one trace on Gamma without
-        assert calls == [(1, grid.n_cells, True), (1, mesh.n_panels, False)]
+        # one sampling of the cells inside the cutoff ball with derivatives (56 of the 216; rho = 1
+        # and V = 0 on the others), one trace on Gamma without
+        assert calls == [(1, 56, True), (1, mesh.n_panels, False)]
 
     def test_media_on_one_gamma_share_samplings_and_kernels(self, monkeypatch, caplog):
         # [A, B, A coarse] in one loop: A and B lie on equal meshes (two objects) and share

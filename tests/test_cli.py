@@ -55,7 +55,7 @@ ACOUSTIC = {
     "frequencies": [1.0, 2.0],
     "mesh": {"kind": "sphere", "subdivisions": 1},
     "medium": {"shell_density": 1.0, "cutoff": {"r_inner": 1.4, "r_outer": 2.0}},
-    "grid": {"bbox": [-2.2, 2.2], "n": 8},
+    "grid": {"bbox": [-2.4, 2.4], "n": 8},   # boundary cell centres at 2.14 or more, outside the cutoff
     "incidences": {"directions": [[0.0, 0.0, 1.0]]},
     "observations": {"n_theta": 4, "n_phi": 8},
     "output": {"prefix": "ac"},
@@ -525,8 +525,9 @@ class TestAcousticCommand:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_one_grid_scan_per_run(self, tmp_path, capsys, monkeypatch):
-        # the sampling's grid check is the only scan of the cell centres against Gamma;
-        # its error still exits 2 naming the grid
+        # the sampling's grid check is the only scan of the cell centres against Gamma, and it
+        # scans the 33 of the 7^3 within Gamma's bounding ball plus one panel diameter; its errors
+        # still exit 2 naming the grid
         calls = []
         real = boundary._surface_gap
 
@@ -538,12 +539,14 @@ class TestAcousticCommand:
         # boundary cell centres at 2.23, outside the cutoff, so V vanishes on them
         path = write_config(tmp_path, "ac.json", dict(ACOUSTIC, grid={"bbox": [-2.6, 2.6], "n": 7}))
         assert main(["--config", path, "--out", str(tmp_path), "--quiet", "acoustic"]) == 0
-        assert calls == [7**3]
+        assert calls == [33]
         monkeypatch.setattr(acoustic, "DeltaSystem", no_solve)
-        path = write_config(tmp_path, "small.json", dict(ACOUSTIC, grid={"bbox": [-1.5, 1.5], "n": 8}))
-        assert main(["--config", path, "--out", str(tmp_path), "acoustic"]) == 2
-        err = capsys.readouterr().err
-        assert "'grid'" in err and "does not cover the support ball" in err
+        for bbox, n, message in (([-1.5, 1.5], 8, "does not cover the support ball"),
+                                 ([-2.2, 2.2], 8, "24 boundary cell centres lie inside the support ball")):
+            path = write_config(tmp_path, "small.json", dict(ACOUSTIC, grid={"bbox": bbox, "n": n}))
+            assert main(["--config", path, "--out", str(tmp_path), "acoustic"]) == 2
+            err = capsys.readouterr().err
+            assert "'grid'" in err and message in err
 
 
 class TestVerifyCommand:

@@ -236,6 +236,27 @@ class TestEmptyMapped:
     def test_empty_shape(self):
         assert empty_mapped((0, 4), float).shape == (0, 4)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/smaps")
+    def test_mapping_is_private(self):
+        # a shared anonymous mapping is shmem, whose huge pages follow shmem_enabled, not the
+        # madvise; smaps marks a private mapping "p" (Private_Dirty alone does not tell: a shmem
+        # page mapped by one process counts as private too)
+        a = empty_mapped((256, 1024), float)
+        a[...] = 1.0
+        mapping = None
+        with open("/proc/self/smaps") as f:
+            for line in f:
+                key, *rest = line.split()
+                if key.endswith(":"):
+                    fields[key[:-1]] = rest[0]
+                else:                          # a mapping's header: its address range, then its permissions
+                    lo, hi = (int(v, 16) for v in key.split("-"))
+                    fields = {"perms": rest[0]}
+                    if lo <= a.ctypes.data < hi:
+                        mapping = fields
+        assert mapping["perms"] == "rw-p"
+        assert int(mapping["Private_Dirty"]) >= a.nbytes // 1024 and int(mapping["Shared_Dirty"]) == 0
+
     def test_system_matrix_is_mapped(self, sphere_meshes):
         system = DeltaSystem(None, DeltaSpec(mesh=sphere_meshes[1], alpha=np.full(sphere_meshes[1].n_panels, 2.0)), 2.0)
         A, _ = boundary._system_matrix(system.kernel, system.weights, np.complex64)

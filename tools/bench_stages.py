@@ -13,7 +13,9 @@ with ``seconds`` the median over the iterations of the stage's seconds in one it
 * ``fill``, ``LU`` and ``solve`` from the ``deltashell`` logger's kernel, factorization and solve
   records (each record's last arg is its seconds); ``LU`` leaves out ``system_matrix``;
 * ``system_matrix``: the writes of I + K diag(w) (``boundary._system_matrix``), timed here;
-* ``rest``: the iteration's wall time less the stages above (far fields, sampling, harness).
+* ``sampling``: the media's (V, alpha) from their density and sound speed
+  (``acoustic._schrodinger_data``), timed here; 0 on ``sphere_bem``, which samples no medium;
+* ``rest``: the iteration's wall time less the stages above (far fields, harness).
 
 ``accuracy`` is the workload's own figure and ``bound`` the gate it must meet: the far-field
 error against the partial-wave oracle (at most 0.02), or the desk's smallest distance over
@@ -38,10 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", str(len(os.sched_getaffinity(0))))
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from deltashell import boundary  # noqa: E402  (after the thread count and the path)
+from deltashell import acoustic, boundary  # noqa: E402  (after the thread count and the path)
 from workloads import WORKLOADS  # noqa: E402
 
-STAGES = ("fill", "system_matrix", "LU", "solve", "rest")
+STAGES = ("fill", "system_matrix", "LU", "solve", "sampling", "rest")
 RECORDS = {"delta-shell kernel": "fill", "delta-shell LU": "LU", "delta-shell solve": "solve"}
 GATES = {"sphere_bem": ("oracle_err", 0.02), "uniqueness_desk": ("separation", 10.0)}
 
@@ -103,24 +105,30 @@ def main() -> int:
     args = parser.parse_args()
 
     clock = StageClock()
-    system_matrix = boundary._system_matrix
 
-    def timed_system_matrix(*a, **kw):
-        start = time.perf_counter()
-        try:
-            return system_matrix(*a, **kw)
-        finally:
-            clock.seconds["system_matrix"] += time.perf_counter() - start
+    def timed(stage, function):
+        def wrapper(*a, **kw):
+            start = time.perf_counter()
+            try:
+                return function(*a, **kw)
+            finally:
+                clock.seconds[stage] += time.perf_counter() - start
+        return wrapper
 
+    # the stages that log nothing, timed by wrapping the private function that does their work
+    wrapped = [(boundary, "_system_matrix", "system_matrix"), (acoustic, "_schrodinger_data", "sampling")]
+    originals = [getattr(module, name) for module, name, _ in wrapped]
     logger = logging.getLogger("deltashell")
     level = logger.level
     logger.setLevel(logging.DEBUG)
     logger.addHandler(clock)
-    boundary._system_matrix = timed_system_matrix
+    for (module, name, stage), function in zip(wrapped, originals):
+        setattr(module, name, timed(stage, function))
     try:
         rows = [row for name in GATES for row in measure(name, args.iterations, args.seed, clock)]
     finally:
-        boundary._system_matrix = system_matrix
+        for (module, name, _), function in zip(wrapped, originals):
+            setattr(module, name, function)
         logger.removeHandler(clock)
         logger.setLevel(level)
     path = ROOT / f"BENCH_{args.label}.json"
