@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _NO_CELLS, DeltaSpec, DeltaSystem, _apply, _sources, near_surface, on_surface
+from .boundary import DeltaSpec, DeltaSystem, _apply, _sources, near_surface, on_surface
 from .farfield import FarFieldPattern, farfield_source
 from .geometry import SurfaceMesh, VolumeGrid, _equal
 from .kernels import plane_wave
@@ -167,7 +167,7 @@ def _density(media, x: np.ndarray, derivatives: bool) -> list:
     (value and gradient), serves every medium's shell density (one column each)."""
     gamma = media[0].gamma
     xi = np.stack([m.shell_density for m in media], axis=1)
-    sl = _apply(x, _sources(None, _NO_CELLS, gamma), xi, 0.0, derivatives)
+    sl = _apply(x, _sources(gamma), xi, 0.0, derivatives)
     sl, sl_grad = (sl[:, 0], sl[:, 1:]) if derivatives else (sl, None)
     out = []
     for j, m in enumerate(media):

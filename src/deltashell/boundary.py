@@ -13,9 +13,10 @@ the support of V~: the cells where V != 0 and Sigma, the panels where alpha != 0
 the other panels' rows give the rest of the trace psi|_Gamma.  eta = alpha psi|_Gamma
 is the surface density (the jump of the normal derivative of psi across Gamma).
 
-One source table (``_Sources``) lists the sources of a pass, the cells then the panels,
-each with its point c, its measure A (the cell volume or the panel area), its second
-moment M about c (0 for a cell) and its near radius.  One row function reads it to give
+One source table (``_Sources``), made by one constructor, lists the sources of a pass, the cells
+then the panels, each with its point c, its near radius and its far rule's coefficients: its
+measure A (the cell volume or the panel area) and the rank-2 factor P of its second moment
+M = P^T P about c (0 for a cell).  One row function reads it to give
 K(x, .), or its jet (the value, then the x-gradient, from one pass); a fill writes the
 rows of K (S is the fill at the centroids with no cells), and an apply forms
 sum_j K(x, j) q_j: the layer potential (q = eta) and the scattered field -K (w psi), the
@@ -29,8 +30,8 @@ real and imaginary parts summed apart):
   for a panel, with M = int_T (y - c)(y - c)^T dsigma, exact for integrands quadratic on
   the panel, as the 3-point Gauss rule is, with one kernel evaluation per pair, which reads M = P^T P
   by the panel's rank-2 factor P: d.M d = |P d|^2, M d = P^T (P d), and P d = P x - P c from one
-  contraction.  The rule is itself an exact radiating field, whose far field e^{-ik x.c} (A - k^2 x.M x / 2)
-  ``farfield.farfield_source`` sums for every source.  At k = 0 every block is float64;
+  contraction.  The rule is itself an exact radiating field, whose far field e^{-ik x.c} (A - k^2 |P x|^2 / 2)
+  ``farfield.farfield_source`` sums for every source from the same coefficients.  At k = 0 every block is float64;
 * a target within half a spacing of a cell centre takes the equal-volume
   ball's value (``volume.ball_self_term``) and a zero gradient;
 * a target within 2.8 diameters of a panel centroid splits the kernel as
@@ -130,20 +131,17 @@ class DeltaSpec:
 _NO_SURFACE = DeltaSpec(SurfaceMesh.from_arrays(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)),
                         np.zeros(0))
 
-_NO_CELLS = np.zeros((0, 3))
-
 
 @dataclass(frozen=True, eq=False)
 class _Sources:
-    """The sources of a kernel pass, one row each, the cells then the panels: the point c (cell centre
-    or panel centroid), the measure A (cell volume or panel area), the second moment M about c (0 for
-    a cell) and the radius within which a target takes the near rule (half a spacing, or _NEAR_RATIO
-    panel diameters); for the far rule, M's rank-2 factor P/sqrt(4 pi) as the maps (p_a, -p_a.c) of (x, 1)
-    to p_a.(x - c), A/(4 pi) and tr M/(8 pi).  ``grid`` holds the cells (None if none), ``mesh`` the panels."""
+    """The sources of a kernel pass, one row each, the cells then the panels: the point c (cell centre or
+    panel centroid), the radius within which a target takes the near rule (half a spacing, or _NEAR_RATIO
+    panel diameters), and the far rule's coefficients, read by the kernel rows and the far field alike.
+    With A the measure (cell volume or panel area) and M = P^T P the second moment about c (0 for a cell),
+    they are P/sqrt(4 pi) as the maps (p_a, -p_a.c) of (x, 1) to p_a.(x - c), A/(4 pi) and tr M/(8 pi).
+    ``grid`` holds the cells (None if none), ``mesh`` the panels."""
 
     point: np.ndarray     # (m, 3)
-    measure: np.ndarray   # (m,)
-    moment: np.ndarray    # (m, 3, 3)
     near: np.ndarray      # (m,)
     factor: np.ndarray    # (2, 4, m)
     weight: np.ndarray    # (2, m): A/(4 pi), tr M/(8 pi)
@@ -151,15 +149,15 @@ class _Sources:
     mesh: SurfaceMesh
 
 
-def _sources(grid: VolumeGrid | None, centers: np.ndarray, mesh: SurfaceMesh) -> _Sources:
-    """The source table of the cells of ``grid`` at ``centers``, then the panels of ``mesh``."""
+def _sources(mesh: SurfaceMesh = _NO_SURFACE.mesh, grid: VolumeGrid | None = None,
+             cells: np.ndarray | None = None) -> _Sources:
+    """The source table of the cells of ``grid`` numbered ``cells`` (all by default), then the panels of ``mesh``."""
+    centers = np.zeros((0, 3)) if grid is None else grid.cell_center[slice(None) if cells is None else cells]
     nc = len(centers)
     vol, half = (grid.cell_volume, 0.5 * float(np.min(grid.spacing))) if nc else (0.0, 0.0)
     point, measure = np.concatenate([centers, mesh.panel_centroid]), np.concatenate([np.full(nc, vol), mesh.panel_area])
     p = np.concatenate([np.zeros((nc, 2, 3)), mesh.panel_factor]).transpose(1, 2, 0) / np.sqrt(4.0 * np.pi)   # (2, 3, m)
-    return _Sources(point=_freeze(point), measure=_freeze(measure),
-                    moment=_freeze(np.concatenate([np.zeros((nc, 3, 3)), mesh.panel_moment])),
-                    near=_freeze(np.concatenate([np.full(nc, half), _NEAR_RATIO * mesh.panel_diameter])),
+    return _Sources(point=_freeze(point), near=_freeze(np.concatenate([np.full(nc, half), _NEAR_RATIO * mesh.panel_diameter])),
                     factor=_freeze(np.concatenate([p, -np.einsum("akm,mk->am", p, point)[:, None]], axis=1)),
                     weight=_freeze(np.stack([measure / (4.0 * np.pi), 0.5 * np.einsum("akm,akm->m", p, p)])),
                     grid=grid if nc else None, mesh=mesh)
@@ -167,7 +165,7 @@ def _sources(grid: VolumeGrid | None, centers: np.ndarray, mesh: SurfaceMesh) ->
 
 def _support_sources(V: PotentialSample | None, support: np.ndarray, delta: DeltaSpec) -> _Sources:
     """The source table of V~ = V + alpha delta_Gamma, its support: the cells where V != 0, then Sigma."""
-    return _sources(None if V is None else V.grid, _NO_CELLS if V is None else V.grid.cell_center[support], delta.sigma)
+    return _sources(delta.sigma, None if V is None else V.grid, support)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +272,22 @@ def _near_pair_integrals(x: np.ndarray, mesh: SurfaceMesh, ii: np.ndarray, qq: n
     return out
 
 
-def _near_pairs(x: np.ndarray, src: _Sources) -> tuple[np.ndarray, np.ndarray]:
-    """(target, source) index pairs closer than the source's ``near`` radius (centre or centroid
-    distance); |x - c|^2 is summed one axis at a time, so only one offset array is live."""
-    r2 = np.zeros((len(x), len(src.point)))
-    for i in range(3):
+def _near_pairs(x: np.ndarray, src: _Sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (target, source) index pairs closer than the source's ``near`` radius (centre or centroid
+    distance), and every |x - c|^2 (n, m), summed one axis at a time, each offset squared in place."""
+    r2 = np.square(np.subtract.outer(x[:, 0], src.point[:, 0]))
+    for i in (1, 2):
         d = np.subtract.outer(x[:, i], src.point[:, i])
-        r2 += d * d
-    return np.nonzero(r2 < src.near ** 2)
+        r2 += np.multiply(d, d, out=d)
+    return *np.nonzero(r2 < src.near ** 2), r2
 
 
 def _surface_gap(x: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
     """Per point of x, the least ``_gap`` over its near pairs (inf if none); a point
     within a quarter diameter of a panel lies within 0.92 diameters of its centroid."""
-    out, src = np.full(len(x), np.inf), _sources(None, _NO_CELLS, mesh)
+    out, src = np.full(len(x), np.inf), _sources(mesh)
     for rows in row_chunks(len(x), mesh.n_panels):
-        ii, qq = _near_pairs(x[rows], src)
+        ii, qq, _ = _near_pairs(x[rows], src)
         np.minimum.at(out[rows], ii, _gap(*_edge_frame(x[rows][ii], mesh, qq)[1:], mesh.panel_diameter[qq]))
     return out
 
@@ -308,21 +306,20 @@ def _kernel_rows(x: np.ndarray, src: _Sources, k: float, grad: bool = False, out
     """K(x, .) over the sources of ``src``: its cells, then its panels.
 
     Returns (n, m) values, or with ``grad`` the (n, m, 4) jets (the value, then the x-gradient), in
-    ``out`` if given; float64 at k = 0.  One distance pass over the cell centres and the panel
-    centroids c finds the pairs within a source's ``near`` radius, whose entries are made first, so a
+    ``out`` if given; float64 at k = 0.  One distance pass (``_near_pairs``) over the cell centres and
+    the panel centroids c finds the pairs within a source's ``near`` radius, whose entries are made first, so a
     gradient on the surface raises before any other work: at a cell the equal-volume ball
     (``volume.ball_self_term``) with a zero gradient, at a panel ``_near_pair_integrals``.  Their
     distance is then the placeholder 1.0.  Every other pair takes one far rule,
-    A G_k(x, c) + M : grad grad G_k(x, c) / 2 with the source's ``measure`` A and ``moment`` M;
-    with d = x - c, u = 1/r, q = d.M d = |P d|^2 (``factor``), T = tr M:
+    A G_k(x, c) + M : grad grad G_k(x, c) / 2 with the source's measure A and moment M = P^T P
+    (``weight``, ``factor``); with d = x - c, u = 1/r, q = d.M d = |P d|^2, T = tr M:
 
         e^{ikr}/(4 pi) (P + iQ),  P = A u - T u^3/2 + q (3u^5 - k^2 u^3)/2,  Q = k T u^2/2 - 3k q u^4/2,
 
     whose gradient e^{ikr}/(4 pi) (ik u (P + iQ) d + grad P + i grad Q) is a multiple of d plus one of M d = P^T P d.
     """
     nc = len(src.point) - src.mesh.n_panels
-    r = sum(np.square(np.subtract.outer(x[:, i], src.point[:, i])) for i in range(3))
-    ii, jj = np.nonzero(r < src.near ** 2)
+    ii, jj, r = _near_pairs(x, src)
     on_panel = jj >= nc
     near = _near_pair_integrals(x, src.mesh, ii[on_panel], jj[on_panel] - nc, k, grad)
     r[ii, jj] = 1.0
@@ -406,7 +403,7 @@ def _apply(x: np.ndarray, src: _Sources, q: np.ndarray, k: float, grad: bool = F
 
 def assemble_single_layer(mesh: SurfaceMesh, k: float) -> np.ndarray:
     """Collocation single-layer matrix S[q, p] = int_{panel p} G_k(c_q, y) dsigma."""
-    return _fill(mesh.panel_centroid, _sources(None, _NO_CELLS, mesh), k)
+    return _fill(mesh.panel_centroid, _sources(mesh), k)
 
 
 def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
@@ -415,7 +412,7 @@ def layer_potential(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.
     Complex, except for a real eta at k = 0 (the static layer), where the
     field is float64 and summed in real arithmetic.
     """
-    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), _sources(None, _NO_CELLS, mesh), np.asarray(eta), k)
+    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), _sources(mesh), np.asarray(eta), k)
 
 
 def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: float) -> np.ndarray:
@@ -424,8 +421,7 @@ def layer_potential_gradient(points, mesh: SurfaceMesh, eta: np.ndarray, k: floa
     Raises ValueError for a point on a closed panel, within _SELF_TOL panel
     diameters.
     """
-    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), _sources(None, _NO_CELLS, mesh), np.asarray(eta),
-                  k, grad=True)[:, 1:]
+    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), _sources(mesh), np.asarray(eta), k, grad=True)[:, 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,9 @@ def _build_grid(cfg: dict):
     if spec is None:
         return None
     bbox = spec.get("bbox")
-    if isinstance(bbox, (int, float)):
+    for bound in bbox if isinstance(bbox, list) else [bbox]:
+        _finite(bound, "grid.bbox", 3 if isinstance(bound, list) else None)
+    if not isinstance(bbox, list):
         bbox = (-abs(bbox), abs(bbox))
     n = _count(spec, "n", "grid.n", minimum=2)
     try:
@@ -442,12 +444,7 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
         hn.reciprocity_check(ff, rel_tol=0.01),
     ]
 
-    bundle = {
-        "config_digest": config_digest(cfg),
-        "conventions": CONVENTIONS,
-        "reports": [r.to_dict() for r in reports],
-        "all_pass": all(r.passed for r in reports),
-    }
+    bundle = _metadata(cfg, {"reports": [r.to_dict() for r in reports], "all_pass": all(r.passed for r in reports)})
     prefix = (cfg.get("output") or {}).get("prefix", "verify")
     _write_json(out / f"{prefix}_reports.json", bundle)
     if not quiet:

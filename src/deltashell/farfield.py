@@ -12,11 +12,12 @@ this module extracts psi_inf
   which is R0-independent in the continuum, and
 * directly from the discrete sources,
 
-      psi_inf(x_hat) = -1/(4 pi) sum_j e^{-ik x_hat.c_j} (A_j - k^2 x_hat.M_j x_hat / 2) q_j,
+      psi_inf(x_hat) = -1/(4 pi) sum_j e^{-ik x_hat.c_j} (A_j - k^2 |P_j x_hat|^2 / 2) q_j,
 
   the far field of the kernel's far rule, summed over the sources of V~
-  (``boundary``'s source table: point c, measure A and second moment M)
-  with strengths q = w psi.
+  with strengths q = w psi from the kernel's own coefficients (``boundary``'s
+  source table: point c, measure A and the rank-2 factor P of the second
+  moment M = P^T P).
 
 Both routes describe the same discrete solution; their agreement is a
 consistency check, not a convergence statement.
@@ -29,12 +30,13 @@ amplitude s = (2 pi)^{3/2} psi_inf; the acoustic far field equals
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._dense import map_chunks, matmul, row_chunks
-from .boundary import DeltaSolution, _radial, _scattered, _strength, _support_sources
+from .boundary import DeltaSolution, _log, _radial, _scattered, _strength, _support_sources
 from .geometry import SphereGrid, SurfaceMesh, make_sphere_grid
 from .kernels import _check_k, _cis, _joined
 from .volume import PotentialSample
@@ -125,11 +127,13 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
 
     ``sol`` is one ``DeltaSolution`` (result (n_obs,)) or a list of solutions
     of one system (result (n_sol, n_obs)).  Every source of V~ radiates as the kernel's far
-    rule, a monopole of its measure A plus a quadrupole of its moment M at its point c, with
-    far field e^{-ik x.c} (A - k^2 x.M x / 2) times its strength w psi; one phase matrix over
+    rule, a monopole of its measure A plus a quadrupole of its moment M = P^T P at its point c,
+    with far field -e^{-ik x.c} (A - k^2 |P x|^2 / 2)/(4 pi) times its strength w psi, read from
+    the source table's ``weight`` A/(4 pi) and ``factor`` P/sqrt(4 pi); one phase matrix over
     the sources is built in blocks of about two observation chunks, each applied to all
-    solutions in one product.
+    solutions in one product.  Logs one DEBUG record: solutions, directions, sources, seconds.
     """
+    start = time.perf_counter()
     single = isinstance(sol, DeltaSolution)
     sols = [sol] if single else list(sol)
     if not sols:
@@ -139,7 +143,7 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
         raise ValueError("batched solutions must come from one system")
     src = _support_sources(first.potential, first.support, first.delta)
     q = np.stack([_strength(s) for s in sols], axis=1)                  # (n_sources, n_sol)
-    k, quadrupole = first.k, -0.5 * first.k**2 * src.moment
+    k, p = first.k, src.factor[:, :3]
 
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     out = np.empty((len(sols), len(obs)), dtype=complex, order="F")
@@ -149,11 +153,15 @@ def farfield_source(sol, obs: np.ndarray) -> np.ndarray:
         def fill(rows):
             x = obs[block][rows]
             phases[rows].real, phases[rows].imag = _cis(-k * np.einsum("ik,jk->ij", x, src.point))
-            phases[rows] *= src.measure + np.einsum("ia,ib,jab->ij", x, x, quadrupole)
+            px = np.einsum("ik,akj->aij", x, p)                              # P x / sqrt(4 pi)
+            w = np.add(*np.square(px, out=px), out=px[0])                   # |P x|^2 / (4 pi)
+            phases[rows] *= np.add(np.multiply(w, -0.5 * k**2, out=w), src.weight[0], out=w)
 
         map_chunks(fill, row_chunks(len(phases), len(src.point)))
         matmul(q.T, phases.T, out=out[:, block])
-    return (out[0] if single else out) / (-4.0 * np.pi)
+    _log.debug("delta-shell far field: %d solutions, %d directions, %d sources, %.3f s",
+               len(sols), len(obs), len(src.point), time.perf_counter() - start)
+    return -(out[0] if single else out)
 
 
 def check_enclosing_radius(R: float, mesh: SurfaceMesh, V: PotentialSample | None) -> None:

@@ -3,7 +3,7 @@
 Provides the three grids everything else is built on:
 
 * ``SurfaceMesh``   -- closed triangulated surface (flat panels) with
-  per-panel centroids, areas, outward normals and second moments.
+  per-panel centroids, areas, outward normals and second-moment factors.
 * ``SphereGrid``    -- tensor Gauss-Legendre x uniform-phi quadrature on a
   sphere of radius R, used for flux/Wronskian integrals.
 * ``VolumeGrid``    -- uniform Cartesian cell grid over an axis-aligned box,
@@ -92,8 +92,8 @@ class SurfaceMesh:
     panel_normal : (nt, 3), unit outward normals
     panel_diameter : (nt,), longest edge per panel
     panel_corners : (nt, 3, 3), the vertex coordinates of each panel
-    panel_moment : (nt, 3, 3), the second moment int_T (y - c)(y - c)^T dsigma about the centroid c
-    panel_factor : (nt, 2, 3), its rank-2 factor P, panel_moment = P^T P
+    panel_factor : (nt, 2, 3), the rank-2 factor P of the second moment about the centroid c,
+        int_T (y - c)(y - c)^T dsigma = P^T P
     panel_edge, panel_edge_normal, panel_edge_length : edge i's (v_i -> v_{i+1}) unit vector, outward in-plane normal, length
     panel_subrule_points : (nt, 12, 3), the points of the rule on the four midpoint subtriangles
     """
@@ -105,7 +105,6 @@ class SurfaceMesh:
     panel_normal: np.ndarray = field(repr=False, default=None, compare=False)
     panel_diameter: np.ndarray = field(repr=False, default=None, compare=False)
     panel_corners: np.ndarray = field(repr=False, default=None, compare=False)
-    panel_moment: np.ndarray = field(repr=False, default=None, compare=False)
     panel_factor: np.ndarray = field(repr=False, default=None, compare=False)
     panel_edge: np.ndarray = field(repr=False, default=None, compare=False)
     panel_edge_normal: np.ndarray = field(repr=False, default=None, compare=False)
@@ -148,7 +147,6 @@ class SurfaceMesh:
             panel_normal=_freeze(normals),
             panel_diameter=_freeze(lengths.max(axis=1)),
             panel_corners=_freeze(corners),
-            panel_moment=_freeze(np.einsum("p,pij,pik->pjk", two_area / 24.0, rel, rel)),
             panel_factor=_freeze(factor),
             panel_edge=_freeze(units),
             panel_edge_normal=_freeze(np.cross(units, normals[:, None, :])),
@@ -169,7 +167,7 @@ class SurfaceMesh:
         """Points (nt, 3, 3) and weights (3,) of the 3-point rule (``triangle_rule``) on each panel.
 
         Weights sum to 1; multiply by panel_area for surface integration.  No kernel
-        pass uses it: a far panel is its centroid and ``panel_moment``.
+        pass uses it: a far panel is its centroid and ``panel_factor``.
         """
         return triangle_rule(*self.panel_corners.transpose(1, 0, 2))
 
@@ -433,8 +431,8 @@ def make_volume_grid(bbox, n: int) -> VolumeGrid:
     lo, hi = bbox
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (3,)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (3,)).copy()
-    if np.any(hi <= lo):
-        raise ValueError("degenerate bounding box")
+    if not np.all((hi > lo) & np.isfinite(hi - lo)):            # a NaN or an infinite bound fails too
+        raise ValueError(f"bounding box must be finite with lo < hi, got {lo}..{hi}")
     spacing = (hi - lo) / n
     axes = [lo[d] + spacing[d] * (np.arange(n) + 0.5) for d in range(3)]
     X, Y, Z = np.meshgrid(*axes, indexing="ij")

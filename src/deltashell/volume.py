@@ -122,9 +122,9 @@ def assemble_volume_operator(grid: VolumeGrid, k: float, cells: np.ndarray | Non
     G[i, j] ~ int_{cell j} e^{ik|c_i - y|}/(4 pi |c_i - y|) dy: the kernel rows
     of ``boundary`` over the cells alone.  Complex symmetric by construction.
     """
-    from .boundary import _NO_SURFACE, _fill, _sources   # boundary imports this module's types
-    centers = grid.cell_center if cells is None else grid.cell_center[cells]
-    return _fill(centers, _sources(grid, centers, _NO_SURFACE.mesh), k)
+    from .boundary import _fill, _sources   # boundary imports this module's types
+    src = _sources(grid=grid, cells=cells)
+    return _fill(src.point, src, k)
 
 
 def volume_potential(points, grid: VolumeGrid, density: np.ndarray, k: float, cells: np.ndarray | None = None) -> np.ndarray:
@@ -135,10 +135,9 @@ def volume_potential(points, grid: VolumeGrid, density: np.ndarray, k: float, ce
     (distance to the center below half the spacing).  Evaluation at a cell
     center therefore reproduces the assembled matrix row exactly.
     """
-    from .boundary import _NO_SURFACE, _apply, _sources   # boundary imports this module's types
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    centers = grid.cell_center if cells is None else grid.cell_center[cells]
+    from .boundary import _apply, _sources   # boundary imports this module's types
+    src = _sources(grid=grid, cells=cells)
     density = np.asarray(density, dtype=complex)
-    if density.shape != (len(centers),):
+    if density.shape != (len(src.point),):
         raise ValueError("density length does not match the selected cells")
-    return _apply(points, _sources(grid, centers, _NO_SURFACE.mesh), density, k)
+    return _apply(np.atleast_2d(np.asarray(points, dtype=float)), src, density, k)

@@ -107,9 +107,9 @@ def test_no_matmul_in_row_chunk_bodies():
 
 
 def test_one_source_table():
-    # the far rule's measure and moment per source are built once, by boundary._sources: the far
+    # the far rule's coefficients per source are built once, by boundary._sources: the far
     # field reads no cell or panel rule, and the kernel rows join no per-source arrays
-    rules = {"panel_area", "panel_moment", "cell_volume"} & {
+    rules = {"panel_area", "panel_factor", "cell_volume"} & {
         node.attr for node in ast.walk(ast.parse((SRC / "farfield.py").read_text())) if isinstance(node, ast.Attribute)}
     assert not rules, f"farfield.py reads {sorted(rules)}"
     rows = next(node for node in ast.walk(ast.parse((SRC / "boundary.py").read_text()))

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from deltashell import _dense, acoustic, boundary, harness
+from deltashell import _dense, acoustic, boundary, farfield, harness
 from deltashell._dense import ExceptionalFrequencyError, GuardedLU
 from deltashell.boundary import (
     _NEAR_RATIO,
@@ -186,6 +186,42 @@ class TestSingleLayer:
             for part in (np.s_[..., 0], np.s_[..., 1:]):
                 assert np.max(gap[part]) <= 1e-12 * np.max(np.abs(jet[part]))
 
+    @pytest.mark.parametrize("offset", [1e2, 1e4])
+    def test_quadratic_form_does_not_lose_digits_under_translation(self, sphere_meshes, monkeypatch, offset):
+        # the far rule's q = |P d|^2, d = x - c, is squared from P x - P c, so a rigid shift by L
+        # radii loses digits linearly in L (measured 1.34e-14 L of the largest quadrupole entry;
+        # the expanded x.M x - 2 x.M c + c.M c loses them as L^2: 2.6e-10 at 100 radii, 2.7e-6 at
+        # 1e4).  The quadrupole part alone is the block of the table with A = tr M = 0, here with
+        # no near pair.  The far field's |P x_hat|^2 reads no point: one panel's far-field
+        # modulus moves with the rounding of its shifted corners (measured 3.7e-16 L).
+        def quadrupole(src):
+            return dataclasses.replace(src, weight=np.zeros_like(src.weight))
+
+        mesh = sphere_meshes[3]
+        shift = offset * np.array([0.6, -0.48, 0.64])
+        moved = SurfaceMesh.from_arrays(mesh.vertices + shift, mesh.triangles)
+        x = np.concatenate([0.5 * mesh.panel_centroid[::3], 2.0 * mesh.panel_centroid[::3]])
+        assert len(boundary._near_pairs(x, panel_sources(mesh))[0]) == 0
+        q = boundary._kernel_rows(x, quadrupole(panel_sources(mesh)), 0.0)                # 3 q u^5 / (8 pi)
+        gap = np.abs(boundary._kernel_rows(x + shift, quadrupole(panel_sources(moved)), 0.0) - q)
+        assert np.max(gap) <= 1e-13 * offset * np.max(np.abs(q))
+
+        sources = farfield._support_sources
+        monkeypatch.setattr(farfield, "_support_sources", lambda *args: quadrupole(sources(*args)))
+        obs = direction_grid(6, 12).normals
+
+        def weight(corners):
+            # |e^{-ik x.c} k^2 |P x|^2 / 2| of a one-panel solution with eta = 1 at k = 3
+            sol = DeltaSolution(eta=np.ones(1, dtype=complex), incident=plane_wave(EZ), k=3.0, residual=0.0,
+                                trace=np.ones(1, dtype=complex), potential=None,
+                                delta=DeltaSpec(mesh=SurfaceMesh.from_arrays(corners, [[0, 1, 2]]), alpha=1.0),
+                                support=np.zeros(0, dtype=int), source_density=np.zeros(0, dtype=complex),
+                                psi_support=np.zeros(0, dtype=complex))
+            return np.abs(farfield_source(sol, obs))
+
+        w = weight(TRI)
+        assert np.max(np.abs(weight(TRI + shift) - w)) <= 1e-14 * offset * np.max(w)
+
     def test_panel_cap(self, sphere_meshes, monkeypatch):
         monkeypatch.setattr(boundary, "MAX_PANELS", 100)
         with pytest.raises(ValueError, match="cap is 100"):
@@ -325,7 +361,7 @@ class TestGradients:
 
 def panel_sources(mesh):
     """The source table of the panels of ``mesh`` alone."""
-    return boundary._sources(None, boundary._NO_CELLS, mesh)
+    return boundary._sources(mesh)
 
 
 def panel_rows(x, mesh, k, grad=False):
@@ -333,9 +369,9 @@ def panel_rows(x, mesh, k, grad=False):
     return boundary._kernel_rows(x, panel_sources(mesh), k, grad)
 
 
-def cell_rows(x, centers, grid, k, grad=False):
-    """The kernel rows over the cells of ``grid`` at ``centers`` alone."""
-    return boundary._kernel_rows(x, boundary._sources(grid, centers, boundary._NO_SURFACE.mesh), k, grad)
+def cell_rows(x, cells, grid, k, grad=False):
+    """The kernel rows over the cells of ``grid`` numbered ``cells`` alone."""
+    return boundary._kernel_rows(x, boundary._sources(grid=grid, cells=cells), k, grad)
 
 
 def kernel(x, y, k):
@@ -364,7 +400,7 @@ class TestKernelEntries:
 
         # the cell columns' jets outside the self region: vol [G, (x - c) radial_gradient_factor]
         x = np.concatenate([centers, 0.8 * c, 1.3 * c[::3]])
-        jets = boundary._kernel_rows(x, boundary._sources(small_grid, centers, mesh), k, grad=True)[:, :ns]
+        jets = boundary._kernel_rows(x, boundary._sources(mesh, small_grid, V.support()), k, grad=True)[:, :ns]
         d = x[:, None] - centers[None]
         ii, jj = np.nonzero(np.linalg.norm(d, axis=-1) >= 0.5 * np.min(small_grid.spacing))
         factor = radial_gradient_factor(np.linalg.norm(d[ii, jj], axis=-1), k)
@@ -444,7 +480,7 @@ def _taylor_rule(x, mesh, panels, k, grad):
 def _exp_form_block(x, mesh, k, grad):
     """The complex128 panel block written with exp(ikr): ``_taylor_rule`` on far pairs, and on near
     pairs the closed-form (1/r - k^2 r/2)/(4 pi) plus ``kernels.radial_remainder`` on the 12-point subrule."""
-    ii, qq = boundary._near_pairs(x, panel_sources(mesh))
+    ii, qq, _ = boundary._near_pairs(x, panel_sources(mesh))
     far = np.ones((len(x), mesh.n_panels), dtype=bool)
     far[ii, qq] = False
     block = np.empty((len(x), mesh.n_panels) + ((4,) if grad else ()), dtype=complex)
@@ -519,18 +555,19 @@ class TestRealArithmetic:
 
 class TestPanelGeometry:
     def test_panel_block_reads_the_frozen_panel_arrays(self, sphere_meshes):
-        # the second moments and the stacked corners are built once per mesh; the block equals
-        # the block from arrays rebuilt from the vertices, as each row chunk once did
+        # the second moments' factors and the stacked corners are built once per mesh; the block
+        # equals the block from arrays rebuilt from the vertices, as each row chunk once did
         mesh = sphere_meshes[3]
         v0, v1, v2 = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
         corners = np.stack([v0, v1, v2], axis=1)
         rel = corners - ((v0 + v1 + v2) / 3.0)[:, None, :]
         two_area = np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
-        moment = np.einsum("p,pij,pik->pjk", two_area / 24.0, rel, rel)
-        assert np.array_equal(mesh.panel_moment, moment) and np.array_equal(mesh.panel_corners, corners)
-        assert_allclose(mesh.panel_moment, _second_moments(mesh), rtol=1e-12, atol=1e-18)
-        assert not (mesh.panel_moment.flags.writeable or mesh.panel_corners.flags.writeable)
-        rebuilt = dataclasses.replace(mesh, panel_moment=moment, panel_corners=corners)
+        # P = sqrt(A/24) (2 rel_0 + rel_1, sqrt(3) rel_1), with P^T P the second moment
+        factor = np.sqrt(two_area / 48.0)[:, None, None] * np.einsum("ai,pij->paj", [[2, 1, 0], [0, 3**0.5, 0]], rel)
+        assert np.array_equal(mesh.panel_factor, factor) and np.array_equal(mesh.panel_corners, corners)
+        assert_allclose(np.einsum("pai,paj->pij", factor, factor), _second_moments(mesh), rtol=1e-12, atol=1e-18)
+        assert not (mesh.panel_factor.flags.writeable or mesh.panel_corners.flags.writeable)
+        rebuilt = dataclasses.replace(mesh, panel_factor=factor, panel_corners=corners)
         c = mesh.panel_centroid
         off = np.concatenate([0.5 * c[::17], 1.05 * c[::9]])
         for k in (0.0, 2.0):
@@ -624,7 +661,7 @@ class TestSystemMatrix:
         assert s.kernel.shape == (ns + mesh.n_panels, ns + len(sigma))
         if ns:
             assert np.array_equal(s.kernel[:ns, :ns], assemble_volume_operator(V.grid, s.k, cells=s.support))
-            assert np.array_equal(s.kernel[ns:, :ns], cell_rows(mesh.panel_centroid, centers, V.grid, s.k)[order])
+            assert np.array_equal(s.kernel[ns:, :ns], cell_rows(mesh.panel_centroid, s.support, V.grid, s.k)[order])
         assert np.array_equal(s.kernel[:ns, ns:], panel_rows(centers, mesh, s.k)[:, sigma])
         assert np.array_equal(s.kernel[ns:, ns:], assemble_single_layer(mesh, s.k)[np.ix_(order, sigma)])
         Vs = V.values[s.support] if ns else np.zeros(0)
@@ -640,9 +677,8 @@ class TestSystemMatrix:
         if len(sol.support):
             grid = sol.potential.grid
             field += volume_potential(pts, grid, sol.source_density, sol.k, cells=sol.support)
-            centers = grid.cell_center[sol.support]
-            cells = cell_rows(pts, centers, grid, sol.k, grad=True)
-            assert np.array_equal(cells[..., 0], cell_rows(pts, centers, grid, sol.k))
+            cells = cell_rows(pts, sol.support, grid, sol.k, grad=True)
+            assert np.array_equal(cells[..., 0], cell_rows(pts, sol.support, grid, sol.k))
             grad += np.einsum("imk,m->ik", cells[..., 1:], sol.source_density)
         if sol.delta.support().size != 0:
             field += layer_potential(pts, sol.mesh, sol.eta, sol.k)
@@ -938,7 +974,7 @@ def solve_delta_system_composition(V, delta, inc, k):
 
     S = assemble_single_layer(mesh, k)
     SLvol = panel_rows(centers, mesh, k)
-    Tr = cell_rows(mesh.panel_centroid, centers, grid, k)
+    Tr = cell_rows(mesh.panel_centroid, support, grid, k)
     G = assemble_volume_operator(grid, k, cells=support)
 
     lhs = G * Vs[None, :]
@@ -997,7 +1033,7 @@ class TestSigma:
         centers = small_grid.cell_center[cells]
         S = assemble_single_layer(mesh, k)
         K = (np.block([[assemble_volume_operator(small_grid, k, cells=cells), panel_rows(centers, mesh, k)],
-                       [cell_rows(mesh.panel_centroid, centers, small_grid, k), S]]) if with_cells else S)
+                       [cell_rows(mesh.panel_centroid, cells, small_grid, k), S]]) if with_cells else S)
         w = np.concatenate([V.values[cells] if with_cells else np.zeros(0), alpha])
         incidents = mixed_incidents()
         points = np.concatenate([centers, mesh.panel_centroid])

@@ -134,7 +134,11 @@ class TestConfigValidation:
         "frequencies[0]": ("acoustic", {"frequencies": [-1.0]}),
         "verify.subdivision": ("verify", {"verify": {"subdivision": -1}}),
         "verify.grid_n": ("verify", {"verify": {"grid_n": 0}}),
-        "grid.bbox": ("forward", {"grid": {"bbox": [1.5, -1.5], "n": 4}}),
+        # every bound is a finite JSON number: true is no bound, and a NaN or an infinite
+        # bound made a grid of non-finite centres or spacing
+        "grid.bbox": ("forward", *({"grid": {"bbox": bbox, "n": 4}} for bbox in (
+            [1.5, -1.5], True, [float("nan"), 1.6], [-1.6, float("inf")], float("nan"), [True, 1.6],
+            [[-1.6, -1.6, -1.6], [1.6, float("inf"), 1.6]], None))),
         # 0.9 clears the centroids of the 20-panel sphere (0.79) but not its vertices
         "kirchhoff.radius": ("farfield", {"kirchhoff": {"radius": 0}},
                              {"mesh": {"kind": "sphere", "subdivisions": 0},

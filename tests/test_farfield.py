@@ -1,6 +1,8 @@
 """Far-field extraction routes, amplitude scaling, CSV persistence."""
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -78,18 +80,32 @@ class TestRoutes:
 
     def test_source_route_is_the_direct_sum_over_the_sources(self, small_system):
         # psi_inf = -(1/4 pi) sum_j e^{-ik x.c_j} (A_j - k^2 x.M_j x / 2) q_j over the cells of V's
-        # support (A the cell volume, M = 0) and the panels of Sigma (area and second moment)
+        # support (A the cell volume, M = 0) and the panels of Sigma (area, and the second moment
+        # A/12 sum_i (v_i - c)(v_i - c)^T from the corners)
         sol, k = small_system.solve(plane_wave(EZ)), small_system.k
         mesh, V, sigma = sol.mesh, sol.potential, sol.delta.support()
         nc = len(sol.support)
         c = np.concatenate([V.grid.cell_center[sol.support] if nc else np.zeros((0, 3)), mesh.panel_centroid[sigma]])
         A = np.concatenate([np.full(nc, V.grid.cell_volume if nc else 0.0), mesh.panel_area[sigma]])
-        M = np.concatenate([np.zeros((nc, 3, 3)), mesh.panel_moment[sigma]])
+        rel = mesh.panel_corners[sigma] - mesh.panel_centroid[sigma, None]
+        M = np.concatenate([np.zeros((nc, 3, 3)), np.einsum("p,pij,pik->pjk", mesh.panel_area[sigma] / 12.0, rel, rel)])
         q = np.concatenate([sol.source_density, sol.eta[sigma]])
         obs = direction_grid(6, 12).normals
         weight = A - 0.5 * k**2 * np.einsum("oa,jab,ob->oj", obs, M, obs)
         direct = -(np.exp(-1j * k * obs @ c.T) * weight) @ q / (4.0 * np.pi)
         assert np.max(np.abs(farfield_source(sol, obs) - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+    def test_source_route_logs_one_stage_record(self, small_system, caplog):
+        # one DEBUG record per call, in the shape of the solve record: solutions, directions,
+        # sources (the support cells, then Sigma), then the seconds as the record's last arg
+        sols = small_system.solve_many(mixed_incidents())
+        obs = direction_grid(6, 12).normals
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        farfield_source(sols, obs)
+        (record,) = [r for r in caplog.records if r.name == "deltashell"]
+        assert record.levelno == logging.DEBUG and isinstance(record.args[-1], float)
+        assert re.fullmatch(rf"delta-shell far field: {len(sols)} solutions, {len(obs)} directions, "
+                            rf"{len(small_system.weights)} sources, \d+\.\d{{3}} s", record.getMessage())
 
     @pytest.mark.parametrize("R", [2.0, 3.0])
     def test_routes_are_exact_for_the_shell(self, sphere_solution, R):

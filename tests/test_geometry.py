@@ -337,3 +337,6 @@ class TestVolumeGrid:
             make_volume_grid((-1.0, 1.0), 1)
         with pytest.raises(ValueError):
             make_volume_grid((1.0, -1.0), 4)
+        for bbox in ((np.nan, 1.6), (-1.6, np.inf), ((-1.0, -1.0, -np.inf), (1.0, 1.0, 1.0))):
+            with pytest.raises(ValueError, match="finite"):
+                make_volume_grid(bbox, 4)

@@ -10,12 +10,13 @@ repository root: one row per workload and stage,
 
 with ``seconds`` the median over the iterations of the stage's seconds in one iteration:
 
-* ``fill``, ``LU`` and ``solve`` from the ``deltashell`` logger's kernel, factorization and solve
-  records (each record's last arg is its seconds); ``LU`` leaves out ``system_matrix``;
+* ``fill``, ``LU``, ``solve`` and ``farfield`` from the ``deltashell`` logger's kernel,
+  factorization, solve and far-field (``farfield_source``) records (each record's last arg is
+  its seconds); ``LU`` leaves out ``system_matrix``;
 * ``system_matrix``: the writes of I + K diag(w) (``boundary._system_matrix``), timed here;
 * ``sampling``: the media's (V, alpha) from their density and sound speed
   (``acoustic._schrodinger_data``), timed here; 0 on ``sphere_bem``, which samples no medium;
-* ``rest``: the iteration's wall time less the stages above (far fields, harness).
+* ``rest``: the iteration's wall time less the stages above (incident fields, harness).
 
 ``accuracy`` is the workload's own figure and ``bound`` the gate it must meet: the far-field
 error against the partial-wave oracle (at most 0.02), or the desk's smallest distance over
@@ -43,8 +44,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from deltashell import acoustic, boundary  # noqa: E402  (after the thread count and the path)
 from workloads import WORKLOADS  # noqa: E402
 
-STAGES = ("fill", "system_matrix", "LU", "solve", "sampling", "rest")
-RECORDS = {"delta-shell kernel": "fill", "delta-shell LU": "LU", "delta-shell solve": "solve"}
+STAGES = ("fill", "system_matrix", "LU", "solve", "farfield", "sampling", "rest")
+RECORDS = {"delta-shell kernel": "fill", "delta-shell LU": "LU", "delta-shell solve": "solve",
+           "delta-shell far field": "farfield"}
 GATES = {"sphere_bem": ("oracle_err", 0.02), "uniqueness_desk": ("separation", 10.0)}
 
 
