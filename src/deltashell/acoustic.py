@@ -36,12 +36,13 @@ inside; ``acoustic_farfield`` is its one-medium case.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import DeltaSpec, DeltaSystem, _apply, _sources, near_surface, on_surface
+from .boundary import DeltaSpec, DeltaSystem, _apply, _log, _sources, near_surface, on_surface
 from .farfield import FarFieldPattern, farfield_source
 from .geometry import SurfaceMesh, VolumeGrid, _equal
 from .kernels import plane_wave
@@ -234,9 +235,9 @@ def _schrodinger_data(media, omegas, grid: VolumeGrid) -> list[list[SchrodingerD
 
     The media share Gamma and the grid; the static layer blocks at the cells
     and at Gamma are made once for all of them.  Only the omega^2 (1 - 1/v^2)
-    term varies; each medium's entries share one DeltaSpec.
+    term varies; each medium's entries share one DeltaSpec.  Logs its seconds.
     """
-    omegas = [float(omega) for omega in omegas]
+    start, omegas = time.perf_counter(), [float(omega) for omega in omegas]
     if not all(omega > 0 for omega in omegas):
         raise ValueError("omega must be positive")
     # the grid checks of the widest support serve every medium; the Gamma scan is shared
@@ -264,6 +265,8 @@ def _schrodinger_data(media, omegas, grid: VolumeGrid) -> list[list[SchrodingerD
         out.append([SchrodingerData(V=PotentialSample(grid=grid, values=V_phi + omega**2 * contrast),
                                     delta=delta, omega=omega)
                     for omega in omegas])
+    _log.debug("delta-shell sampling: %d media, %d frequencies, %d cells, %.3f s",
+               len(media), len(omegas), grid.n_cells, time.perf_counter() - start)
     return out
 
 

@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._dense import ExceptionalFrequencyError, GuardedLU, empty_mapped, map_chunks, matmul, row_chunks  # noqa: F401 (re-export)
+from ._dense import ExceptionalFrequencyError, GuardedLU, empty_mapped, map_chunks, matmul, row_chunks
 from .geometry import _SUB_BARY, SurfaceMesh, VolumeGrid, _equal, _freeze
 from .kernels import IncidentField, _cis, _remainder_parts, eval_incident
 from .volume import PotentialSample, VolumeField, ball_self_term
@@ -470,9 +470,9 @@ def _system_matrix(kernel: np.ndarray, weights: np.ndarray, dtype) -> tuple[np.n
 
     Written row chunk by row chunk from ``kernel``, each product cast to ``dtype`` as it is stored,
     so no other n x n array is made; each chunk sums its columns' moduli in float64, and those partial
-    sums are added in chunk order, so the 1-norm takes no second pass over A.
+    sums are added in chunk order, so the 1-norm takes no second pass over A.  Logs its seconds.
     """
-    n = len(weights)
+    n, start = len(weights), time.perf_counter()
     A, K = empty_mapped((n, n), dtype), kernel[:n, :n]
     chunks = row_chunks(n, n)
     column_sums = np.empty((len(chunks), n))
@@ -484,6 +484,7 @@ def _system_matrix(kernel: np.ndarray, weights: np.ndarray, dtype) -> tuple[np.n
         np.sum(np.abs(A[rows]), axis=0, dtype=float, out=column_sums[rows.start // chunks[0].stop])
 
     map_chunks(fill, chunks)
+    _log.debug("delta-shell system matrix: %s, n = %d, %.3f s", A.dtype, n, time.perf_counter() - start)
     return A, float(column_sums.sum(axis=0).max(initial=0.0))
 
 

@@ -16,7 +16,9 @@ and the convention block; the same config run with the same BLAS thread
 count, on any number of cores, produces byte-identical files (BLAS
 reductions may change with the thread count).  ``--log-level`` (default
 WARNING) writes the ``deltashell`` log to stderr, such as the DEBUG line of
-each factorization and solve; it changes no output file.
+each factorization and solve; it changes no output file.  It filters only
+that stderr handler: a caller's own handler on the ``deltashell`` logger
+gets the records it asked for, whatever the level given.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from . import acoustic as ac
 from . import harness as hn
 from . import mie
-from .boundary import DeltaSpec, DeltaSystem, eval_total_field
+from .boundary import MAX_GRID_CELLS, MAX_PANELS, DeltaSpec, DeltaSystem, eval_total_field
 from .farfield import (
     CONVENTIONS,
     FarFieldPattern,
@@ -61,6 +63,9 @@ class ConfigError(ValueError):
 # Strict config validation
 # ---------------------------------------------------------------------------
 
+# the largest sphere subdivision (20 * 4**s panels) and sampled grid side (n**3 cells) the solver takes
+_MAX_SUBDIVISIONS = int(np.log(MAX_PANELS / 20) / np.log(4))
+_MAX_GRID_N = int(np.cbrt(MAX_GRID_CELLS))
 _BUMP_KEYS = {"amplitude", "center", "width"}
 _SCHEMAS = {
     "mesh": {"kind", "radius", "subdivisions", "path"},
@@ -159,14 +164,17 @@ def _build_mesh(cfg: dict):
     kind = spec.get("kind")
     if kind == "sphere":
         return make_sphere_mesh(_positive(spec.get("radius", 1.0), "mesh.radius"),
-                                _count(spec, "subdivisions", "mesh.subdivisions", 2, minimum=0))
+                                _count(spec, "subdivisions", "mesh.subdivisions", 2, minimum=0,
+                                       maximum=_MAX_SUBDIVISIONS))
     if kind == "off":
         with _names("mesh.path"):
             return load_mesh(spec["path"])
     raise ConfigError(f"mesh.kind must be 'sphere' or 'off', got {kind!r}")
 
 
-def _build_grid(cfg: dict):
+def _build_grid(cfg: dict, sampled: bool = False):
+    """The config's grid, or None.  A grid that carries a potential (``potential_bumps`` given) or, with
+    ``sampled``, a medium enters the solve, so its side is capped at ``_MAX_GRID_N``; an evaluation grid is not."""
     spec = cfg.get("grid")
     if spec is None:
         return None
@@ -175,7 +183,8 @@ def _build_grid(cfg: dict):
         _finite(bound, "grid.bbox", 3 if isinstance(bound, list) else None)
     if not isinstance(bbox, list):
         bbox = (-abs(bbox), abs(bbox))
-    n = _count(spec, "n", "grid.n", minimum=2)
+    n = _count(spec, "n", "grid.n", minimum=2,
+               maximum=_MAX_GRID_N if sampled or cfg.get("potential_bumps") else np.inf)
     try:
         return make_volume_grid(tuple(bbox), n)
     except (TypeError, ValueError) as exc:
@@ -358,7 +367,7 @@ def cmd_acoustic(cfg: dict, out: Path, quiet: bool) -> int:
             raise ConfigError(f"config key 'frequencies[{i}]' would overwrite {name}, the table of "
                               f"frequencies[{names.index(name)}]: frequencies must differ in 6 significant digits")
     mesh = _build_mesh(cfg)
-    grid = _build_grid(cfg)
+    grid = _build_grid(cfg, sampled=True)
     if grid is None:
         raise ConfigError("acoustic runs need a 'grid' section")
     med_cfg = cfg.get("medium", {})
@@ -409,8 +418,8 @@ def cmd_oracle(cfg: dict, out: Path, quiet: bool) -> int:
 
 def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     spec = cfg.get("verify", {})
-    subdivision = _count(spec, "subdivision", "verify.subdivision", 2, minimum=0)
-    grid_n = _count(spec, "grid_n", "verify.grid_n", 10, minimum=2)
+    subdivision = _count(spec, "subdivision", "verify.subdivision", 2, minimum=0, maximum=_MAX_SUBDIVISIONS)
+    grid_n = _count(spec, "grid_n", "verify.grid_n", 10, minimum=2, maximum=_MAX_GRID_N)
     k = _positive(spec.get("k", 1.0), "verify.k")
     w = _finite(spec.get("w", 0.5), "verify.w")
     if w < 0:
@@ -499,12 +508,14 @@ _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 @contextmanager
 def _log_to_stderr(level: str):
-    """The ``deltashell`` logger at ``level``, with a stderr handler, while the block runs."""
+    """A stderr handler at ``level`` on the ``deltashell`` logger while the block runs; the logger is
+    lowered to ``level`` if above it, never raised, and restored, so a caller's handler keeps its records."""
     logger = logging.getLogger("deltashell")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    handler.setLevel(level)
     previous = logger.level
-    logger.setLevel(level)
+    logger.setLevel(min(logger.getEffectiveLevel(), handler.level))
     logger.addHandler(handler)
     try:
         yield

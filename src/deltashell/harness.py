@@ -143,7 +143,7 @@ def green_pairing_check(sol1: DeltaSolution, sol2: DeltaSolution | list, R: floa
     vanishes algebraically (asserted at ALGEBRAIC_TOL); the Green-identity
     match is asserted at PAIRING_REL_TOL.
     """
-    t0, partners = time.time(), sol2 if isinstance(sol2, list) else [sol2]
+    t0, partners = time.perf_counter(), sol2 if isinstance(sol2, list) else [sol2]
     inputs = [{"k": _check_media(sol1, sol), "w1": sol1.incident.rho_dir.w, "w2": sol.incident.rho_dir.w, "R": R}
               for sol in partners]
     for sol in (sol1, *partners):
@@ -176,8 +176,8 @@ def green_pairing_check(sol1: DeltaSolution, sol2: DeltaSolution | list, R: floa
             passed = rel_gap <= PAIRING_REL_TOL
             thresholds = {"rel_gap": PAIRING_REL_TOL}
         reports.append(ExperimentReport(name="green_pairing", inputs=given, metrics=metrics,
-                                        thresholds=thresholds, passed=bool(passed), seconds=time.time() - t0))
-        t0 = time.time()
+                                        thresholds=thresholds, passed=bool(passed), seconds=time.perf_counter() - t0))
+        t0 = time.perf_counter()
     return reports if isinstance(sol2, list) else reports[0]
 
 
@@ -200,7 +200,7 @@ def fourier_identity_check(sol1: DeltaSolution, sol2: DeltaSolution, xi: np.ndar
     is the finite-w remainder, reported only (it tends to 0 along the CGO
     sequence w -> oo).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     k = _check_media(sol1, sol2)
     xi = np.asarray(xi, dtype=float)
     rho1, rho2 = sol1.incident.rho_dir, sol2.incident.rho_dir
@@ -234,7 +234,7 @@ def fourier_identity_check(sol1: DeltaSolution, sol2: DeltaSolution, xi: np.ndar
         metrics=metrics,
         thresholds={"split_err": ALGEBRAIC_TOL},
         passed=bool(split_err <= ALGEBRAIC_TOL),
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
     )
 
 
@@ -247,7 +247,7 @@ def sommerfeld_check(scattered_eval, k: float, name: str = "sommerfeld") -> Expe
     must be ``k`` (ValueError otherwise).  Asserts the residual drops by at
     least SOMMERFELD_MIN_DECAY per radius doubling.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     radii = np.asarray(SOMMERFELD_RADII)[:, None]
     pts = (radii[:, :, None] * lattice_directions()).reshape(-1, 3)
     if isinstance(scattered_eval, DeltaSolution):
@@ -264,7 +264,7 @@ def sommerfeld_check(scattered_eval, k: float, name: str = "sommerfeld") -> Expe
         metrics={"residuals": residuals.tolist(), "decay_ratios": ratios.tolist()},
         thresholds={"decay_per_doubling": SOMMERFELD_MIN_DECAY},
         passed=bool(passed),
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
     )
 
 
@@ -287,7 +287,7 @@ def uniqueness_experiment(
     levels; distinct media must separate by ``separation`` x N at both
     frequencies, identical media must sit within the floor.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if omega == omega_tilde or omega <= 0 or omega_tilde <= 0:
         raise ValueError("need two distinct positive frequencies")
     coarse, fine = levels
@@ -325,13 +325,13 @@ def uniqueness_experiment(
         metrics=metrics,
         thresholds=thresholds,
         passed=bool(passed),
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
     )
 
 
 def reciprocity_check(ff: FarFieldPattern, rel_tol: float = 0.01) -> ExperimentReport:
     """max |s(xi, x) - s(-x, -xi)| / max |s| on an antipode-closed grid."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     inc = ff.incidence
     obs = ff.observations
     if inc.shape != obs.shape or np.max(np.abs(inc - obs)) > 1e-9:
@@ -351,5 +351,5 @@ def reciprocity_check(ff: FarFieldPattern, rel_tol: float = 0.01) -> ExperimentR
         metrics={"max_rel_asymmetry": rel},
         thresholds={"max_rel_asymmetry": rel_tol},
         passed=bool(rel <= rel_tol),
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
     )

@@ -1,6 +1,7 @@
 """Acoustic media, the Liouville-transform data, and the pipeline."""
 
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -528,6 +529,10 @@ class TestPipeline:
         kernels = [r.getMessage().split(",")[0] for r in caplog.records if "delta-shell kernel" in r.getMessage()]
         assert kernels == ["delta-shell kernel: filled", "delta-shell kernel: reused", "delta-shell kernel: filled"] * 2
         assert calls == [2, 2, 1, 1]               # cells and trace: A and B together, then A coarse
+        # one sampling record per Gamma, each with its seconds
+        samplings = [r.getMessage() for r in caplog.records if r.getMessage().startswith("delta-shell sampling")]
+        assert [re.sub(r"\d+\.\d{3} s$", "s", line) for line in samplings] == [
+            f"delta-shell sampling: {n} media, 2 frequencies, 343 cells, s" for n in (2, 1)]
         for m, patterns in zip(media, shared):
             for a, b in zip(patterns, acoustic_farfield(m, *args), strict=True):
                 assert a.k == b.k and np.array_equal(a.values, b.values)

@@ -116,3 +116,18 @@ def test_one_source_table():
                 if isinstance(node, ast.FunctionDef) and node.name == "_kernel_rows")
     joins = [node.lineno for node in ast.walk(rows) if isinstance(node, ast.Attribute) and node.attr == "concatenate"]
     assert not joins, f"boundary._kernel_rows calls np.concatenate at lines {joins}"
+
+
+def test_stage_tool_patches_nothing():
+    # the stage tool reads every stage from the solver's DEBUG records: it calls no setattr and
+    # assigns no attribute of a name it imports from deltashell
+    tool = SPANS.parents[1] / "tools" / "bench_stages.py"
+    tree = ast.parse(tool.read_text(), filename=str(tool))
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+                if (getattr(node, "module", None) or alias.name).split(".")[0] == "deltashell"}
+    setattrs = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"]
+    stores = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) in imported]
+    assert not setattrs + stores, f"{tool.name} patches deltashell at lines {setattrs + stores}"

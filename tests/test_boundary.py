@@ -810,14 +810,16 @@ class TestMixedPrecision:
         sol = system.solve(plane_wave(EZ))
         lines = [r.getMessage() for r in caplog.records if r.name == "deltashell"]
         assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "deltashell")
-        assert len(lines) == 3
+        assert len(lines) == 4
         n = mesh.n_panels
         assert re.fullmatch(rf"delta-shell kernel: filled, {n} x {n}, k = 2, \d+\.\d{{3}} s", lines[0])
+        # the matrix is written inside the factorization, so its record comes first
+        assert re.fullmatch(rf"delta-shell system matrix: complex64, n = {n}, \d+\.\d{{3}} s", lines[1])
         assert re.fullmatch(re.escape(f"delta-shell LU: complex64, n = {n}, rcond {system._lu.rcond:.6e}, "
-                                      "fallback: None, ") + r"\d+\.\d{3} s", lines[1])
-        assert lines[2].startswith("delta-shell solve: 1 right-hand sides, ")
+                                      "fallback: None, ") + r"\d+\.\d{3} s", lines[2])
+        assert lines[3].startswith("delta-shell solve: 1 right-hand sides, ")
         assert re.search(re.escape(f"refinement steps, largest residual {sol.residual:.2e}, ") + r"\d+\.\d{3} s$",
-                         lines[2])
+                         lines[3])
 
     def test_stage_seconds_are_the_last_record_arg(self, sphere_meshes):
         # a handler on the "deltashell" logger reads each stage's seconds from its record's args
@@ -840,9 +842,26 @@ class TestMixedPrecision:
         finally:
             log.removeHandler(handler)
             log.setLevel(level)
-        assert set(handler.seconds) == {"delta-shell kernel", "delta-shell LU", "delta-shell solve"}
-        assert all(isinstance(t, float) and t > 0 for t in handler.seconds.values())
-        assert sum(handler.seconds.values()) <= total
+        seconds = handler.seconds
+        assert set(seconds) == {"delta-shell kernel", "delta-shell system matrix", "delta-shell LU",
+                                "delta-shell solve"}
+        assert all(isinstance(t, float) and t > 0 for t in seconds.values())
+        # the LU record covers the matrix writes: the disjoint stages sum to at most the total
+        assert seconds["delta-shell kernel"] + seconds["delta-shell LU"] + seconds["delta-shell solve"] <= total
+        assert seconds["delta-shell system matrix"] <= seconds["delta-shell LU"]
+
+    def test_one_system_matrix_record_per_write(self, system, monkeypatch, caplog):
+        # a forced fallback writes I + K diag(w) twice, complex64 then complex128: one record each
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        monkeypatch.setattr(boundary, "_SINGLE_RCOND_FLOOR", 1.0)
+        writes, write = [], boundary._system_matrix
+        monkeypatch.setattr(boundary, "_system_matrix", lambda *args: writes.append(args[2]) or write(*args))
+        DeltaSystem(system.potential, system.delta, system.k)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("delta-shell system matrix")]
+        assert writes == [np.complex64, complex] and len(lines) == 2
+        n = len(system.weights)
+        for line, dtype in zip(lines, ("complex64", "complex128")):
+            assert re.fullmatch(rf"delta-shell system matrix: {dtype}, n = {n}, \d+\.\d{{3}} s", line)
 
     def test_low_single_precision_rcond_falls_back(self, system, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="deltashell")

@@ -1,6 +1,7 @@
 """Command-line front door: configs, outputs, exit codes, determinism."""
 
 import json
+import logging
 import os
 import re
 import subprocess
@@ -120,9 +121,13 @@ class TestConfigValidation:
         assert "alpha.csv" in err and "79" in err
 
     BAD_FIELDS = {
-        "grid.n": ("forward", {"grid": {"bbox": [-1.5, 1.5], "n": 0}}),
-        "mesh.subdivisions": ("forward", {"mesh": {"kind": "sphere", "radius": 1.0,
-                                                   "subdivisions": -1}}),
+        # a grid that carries a potential is capped at 32 (32^3 = MAX_GRID_CELLS), a sphere at 4
+        # subdivisions (20 * 4^4 panels <= MAX_PANELS < 20 * 4^5)
+        "grid.n": ("forward", {"grid": {"bbox": [-1.5, 1.5], "n": 0}},
+                   {"grid": {"bbox": [-1.5, 1.5], "n": 33},
+                    "potential_bumps": [{"amplitude": 0.3, "center": [0.0, 0.0, 0.0], "width": 0.45}]}),
+        "mesh.subdivisions": ("forward", *({"mesh": {"kind": "sphere", "radius": 1.0, "subdivisions": s}}
+                                           for s in (-1, 5))),
         "potential_bumps[0].width": ("forward", {"potential_bumps": [
             {"amplitude": 0.3, "center": [0.0, 0.0, 0.0], "width": 0}]}),
         "kirchhoff.n_theta": ("farfield", {"kirchhoff": {"radius": 2.0, "n_theta": 0}}),
@@ -132,8 +137,8 @@ class TestConfigValidation:
         "medium.cutoff": ("acoustic", {"medium": {"shell_density": 1.0,
                                                   "cutoff": {"r_inner": 2.0, "r_outer": 1.4}}}),
         "frequencies[0]": ("acoustic", {"frequencies": [-1.0]}),
-        "verify.subdivision": ("verify", {"verify": {"subdivision": -1}}),
-        "verify.grid_n": ("verify", {"verify": {"grid_n": 0}}),
+        "verify.subdivision": ("verify", {"verify": {"subdivision": -1}}, {"verify": {"subdivision": 5}}),
+        "verify.grid_n": ("verify", {"verify": {"grid_n": 0}}, {"verify": {"grid_n": 33}}),
         # every bound is a finite JSON number: true is no bound, and a NaN or an infinite
         # bound made a grid of non-finite centres or spacing
         "grid.bbox": ("forward", *({"grid": {"bbox": bbox, "n": 4}} for bbox in (
@@ -201,6 +206,23 @@ class TestConfigValidation:
             path = write_config(tmp_path, "bad.json", cfg)
             assert main(["--config", path, "--out", str(tmp_path), command]) == 2, section
             assert f"'{field}'" in capsys.readouterr().err
+
+    def test_sizes_past_the_dense_caps_refused_before_the_build(self, tmp_path, capsys, monkeypatch):
+        # the mesh or grid the solve could not take is never made; a grid that only evaluates
+        # the field is not capped
+        bump = {"amplitude": 0.3, "center": [0.0, 0.0, 0.0], "width": 0.45}
+        cases = [("forward", {"mesh": {"kind": "sphere", "subdivisions": 5}}, "mesh.subdivisions", "make_sphere_mesh"),
+                 ("forward", {"grid": {"bbox": 1.6, "n": 33}, "potential_bumps": [bump]}, "grid.n", "make_volume_grid"),
+                 ("acoustic", {"grid": {"bbox": 2.4, "n": 33}}, "grid.n", "make_volume_grid"),
+                 ("verify", {"verify": {"subdivision": 5}}, "verify.subdivision", "make_sphere_mesh"),
+                 ("verify", {"verify": {"grid_n": 33}}, "verify.grid_n", "make_volume_grid")]
+        for command, section, field, build in cases:
+            cfg = dict({"forward": FORWARD_TRIVIAL, "acoustic": ACOUSTIC, "verify": {}}[command], **section)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, build, no_solve)
+                assert main(["--config", write_config(tmp_path, "big.json", cfg), "--out", str(tmp_path), command]) == 2
+            assert f"'{field}'" in capsys.readouterr().err
+        assert cli._build_grid({"grid": {"bbox": 1.6, "n": 33}}).n_cells == 33**3 > boundary.MAX_GRID_CELLS
 
     def test_verify_xi_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DeltaSystem", no_solve)
@@ -358,6 +380,16 @@ class TestLogLevel:
         assert len(kernels) == 2
         for line, k in zip(kernels, ("1", "2")):
             assert re.search(rf"delta-shell kernel: filled, (\d+) x \1, k = {k}, \d+\.\d{{3}} s$", line)
+
+    def test_a_callers_handler_gets_the_solver_records(self, tmp_path, capsys, caplog):
+        # --log-level filters only the CLI's stderr handler: the logger stays at the caller's DEBUG
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        path = write_config(tmp_path, "ff.json", TestFarfieldCommand.CFG)
+        assert main(["--config", path, "--out", str(tmp_path), "--quiet", "farfield"]) == 0
+        stages = {r.getMessage().split(":")[0] for r in caplog.records if r.name == "deltashell"}
+        assert {"delta-shell kernel", "delta-shell LU", "delta-shell solve", "delta-shell far field"} <= stages
+        assert capsys.readouterr().err == ""
+        assert logging.getLogger("deltashell").level == logging.DEBUG
 
     def test_unknown_level_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "cfg.json", FORWARD_TRIVIAL)

@@ -328,6 +328,10 @@ class TestUniqueness:
         assert [line.split(", ")[0].removeprefix("delta-shell kernel: ") for line in kernels] == (
             ["filled", "reused", "filled"] * 2)
         assert [line.split(", ")[2] for line in kernels] == ["k = 1"] * 3 + ["k = 2"] * 3
+        # the media are sampled once per Gamma: A and B together, then A coarse
+        samplings = [r.getMessage() for r in caplog.records if r.getMessage().startswith("delta-shell sampling")]
+        assert [line.split(", ")[0].removeprefix("delta-shell sampling: ") for line in samplings] == [
+            "2 media", "1 media"]
 
     def test_identical_media_within_floor(self, setup):
         grid, obs, inc = setup

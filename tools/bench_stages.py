@@ -2,26 +2,27 @@
 
     python3 tools/bench_stages.py --label NAME [--iterations 4] [--seed 1702]
 
-Runs the ``sphere_bem`` and ``uniqueness_desk`` workloads of ``perfbench/workloads.py`` in
-this process, on the ``src/`` next to this directory, and writes ``BENCH_<NAME>.json`` in the
-repository root: one row per workload and stage,
+Runs the ``sphere_bem``, ``farfield_table`` and ``uniqueness_desk`` workloads of
+``perfbench/workloads.py`` in this process, on the ``src/`` next to this directory, and writes
+``BENCH_<NAME>.json`` in the repository root: one row per workload and stage,
 
     {workload, stage, seconds, accuracy, bound, git_rev, threads}
 
 with ``seconds`` the median over the iterations of the stage's seconds in one iteration:
 
-* ``fill``, ``LU``, ``solve`` and ``farfield`` from the ``deltashell`` logger's kernel,
-  factorization, solve and far-field (``farfield_source``) records (each record's last arg is
-  its seconds); ``LU`` leaves out ``system_matrix``;
-* ``system_matrix``: the writes of I + K diag(w) (``boundary._system_matrix``), timed here;
-* ``sampling``: the media's (V, alpha) from their density and sound speed
-  (``acoustic._schrodinger_data``), timed here; 0 on ``sphere_bem``, which samples no medium;
-* ``rest``: the iteration's wall time less the stages above (incident fields, harness).
+* every stage but ``rest`` from one record of the ``deltashell`` logger, whose last arg is
+  its seconds: ``fill`` the kernel, ``system_matrix`` the writes of I + K diag(w), ``LU`` the
+  factorization (its record covers the writes, which are taken out here), ``solve`` the
+  back-solves, ``farfield`` the far-field sums (``farfield_source``) and ``sampling`` the
+  media's (V, alpha) from their density and sound speed (0 where no medium is sampled);
+* ``rest``: the iteration's wall time less the stages above (incident fields, Kirchhoff
+  route, CSV write, harness).
 
 ``accuracy`` is the workload's own figure and ``bound`` the gate it must meet: the far-field
-error against the partial-wave oracle (at most 0.02), or the desk's smallest distance over
-noise floor (at least 10).  Like the benchmark, the BLAS thread count is the number of usable
-cores unless ``OPENBLAS_NUM_THREADS`` is set.
+error against the partial-wave oracle (at most 0.02), the table's gap between its two far-field
+routes (at most 1e-3), or the desk's smallest distance over noise floor (at least 10).  Like the
+benchmark, the BLAS thread count is the number of usable cores unless ``OPENBLAS_NUM_THREADS``
+is set.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ ROOT = Path(__file__).resolve().parent.parent
 THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", str(len(os.sched_getaffinity(0))))
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from deltashell import acoustic, boundary  # noqa: E402  (after the thread count and the path)
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402  (after the thread count and the path)
 
 STAGES = ("fill", "system_matrix", "LU", "solve", "farfield", "sampling", "rest")
-RECORDS = {"delta-shell kernel": "fill", "delta-shell LU": "LU", "delta-shell solve": "solve",
-           "delta-shell far field": "farfield"}
-GATES = {"sphere_bem": ("oracle_err", 0.02), "uniqueness_desk": ("separation", 10.0)}
+RECORDS = {"delta-shell kernel": "fill", "delta-shell system matrix": "system_matrix", "delta-shell LU": "LU",
+           "delta-shell solve": "solve", "delta-shell far field": "farfield", "delta-shell sampling": "sampling"}
+GATES = {"sphere_bem": ("oracle_err", 0.02), "farfield_table": ("two_route_gap", 1e-3),
+         "uniqueness_desk": ("separation", 10.0)}
 
 
 class StageClock(logging.Handler):
@@ -106,31 +107,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1702)
     args = parser.parse_args()
 
-    clock = StageClock()
-
-    def timed(stage, function):
-        def wrapper(*a, **kw):
-            start = time.perf_counter()
-            try:
-                return function(*a, **kw)
-            finally:
-                clock.seconds[stage] += time.perf_counter() - start
-        return wrapper
-
-    # the stages that log nothing, timed by wrapping the private function that does their work
-    wrapped = [(boundary, "_system_matrix", "system_matrix"), (acoustic, "_schrodinger_data", "sampling")]
-    originals = [getattr(module, name) for module, name, _ in wrapped]
-    logger = logging.getLogger("deltashell")
+    clock, logger = StageClock(), logging.getLogger("deltashell")
     level = logger.level
     logger.setLevel(logging.DEBUG)
     logger.addHandler(clock)
-    for (module, name, stage), function in zip(wrapped, originals):
-        setattr(module, name, timed(stage, function))
     try:
         rows = [row for name in GATES for row in measure(name, args.iterations, args.seed, clock)]
     finally:
-        for (module, name, _), function in zip(wrapped, originals):
-            setattr(module, name, function)
         logger.removeHandler(clock)
         logger.setLevel(level)
     path = ROOT / f"BENCH_{args.label}.json"
