@@ -15,8 +15,8 @@ with ``seconds`` the median over the iterations of the stage's seconds in one it
   factorization (its record covers the writes, which are taken out here), ``solve`` the
   back-solves, ``farfield`` the far-field sums (``farfield_source``) and ``sampling`` the
   media's (V, alpha) from their density and sound speed (0 where no medium is sampled);
-* ``rest``: the iteration's wall time less the stages above (incident fields, Kirchhoff
-  route, CSV write, harness).
+* ``rest``: the iteration's wall time less the stages above (a CLI run's config, mesh and
+  grid, incident fields, Kirchhoff route, CSV write, harness).
 
 ``accuracy`` is the workload's own figure and ``bound`` the gate it must meet: the far-field
 error against the partial-wave oracle (at most 0.02), the table's gap between its two far-field
