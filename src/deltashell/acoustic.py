@@ -286,7 +286,7 @@ def _farfields(media, omegas, incidence: np.ndarray, obs_grid, grid: VolumeGrid)
     Media on one Gamma (equal meshes: ``SurfaceMesh`` compares and hashes by
     value) are sampled together.  At each frequency a medium with the previous
     system's sources takes its kernel, any other gets a fresh fill; one kernel
-    is held at a time, and each LU is dropped after its solves.
+    is held at a time, and an LU, where the solves made one, is dropped after them.
     """
     incidence = np.atleast_2d(np.asarray(incidence, dtype=float))
     incidents = [plane_wave(d) for d in incidence]
@@ -308,7 +308,7 @@ def _farfields(media, omegas, incidence: np.ndarray, obs_grid, grid: VolumeGrid)
                 system = None                     # free the previous kernel before the fill
                 system = DeltaSystem(d.V, d.delta, d.omega)
             sols = system.solve_many(incidents)
-            system._lu = None                     # the far field needs the solutions; the next medium the kernel
+            system._lu = None         # any LU a solve made: the far field needs the solutions, the next the kernel
             patterns[i].append(FarFieldPattern(k=d.omega, values=farfield_source(sols, obs_grid.normals),
                                                observations=obs_grid.normals, obs_weights=obs_grid.weights,
                                                incidence=incidence, meta={"pipeline": "acoustic", "omega": d.omega}))

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from ._dense import ExceptionalFrequencyError, GuardedLU, empty_mapped, map_chunks, matmul, row_chunks
 from .geometry import _SUB_BARY, SurfaceMesh, VolumeGrid, _equal, _freeze
@@ -84,13 +85,15 @@ _NEAR_RATIO = 2.8
 _SELF_TOL = 1e-12
 # check_jump_relation: offset from Gamma in panel diameters
 _JUMP_OFFSET = 0.1
-# mixed-precision solve (as LAPACK's zcgesv): I + K diag(w) is factored in complex64
-# unless its rcond is below _SINGLE_RCOND_FLOOR, where kappa * u_32 (u_32 = 6e-8) is no
-# longer << 1 and refinement need not converge; refinement stops at a largest residual of
-# _REFINE_TOL, when the residual stops halving, or after _REFINE_STEPS steps, and a
-# result above _REFINE_ACCEPT is solved again with a complex128 LU
+# mixed-precision solve (as LAPACK's zcgesv): I + K diag(w) is factored in complex64 unless its rcond is below
+# _SINGLE_RCOND_FLOOR, where kappa * u_32 (u_32 = 6e-8) is no longer << 1 and refinement need not converge;
+# refinement stops at a largest residual of _REFINE_TOL, when the residual stops halving, or after _REFINE_STEPS
+# steps, and a result above _REFINE_ACCEPT is solved again with a complex128 LU.  One complex64 LU of order n costs
+# about n / _LU_STEPS one-column GMRES steps, so m right-hand sides get at most n // (_LU_STEPS m) GMRES steps, a
+# miss costing less than the LU, and take the LU where that is below _KRYLOV_STEPS
 _SINGLE_RCOND_FLOOR = 1e-4
 _REFINE_TOL, _REFINE_ACCEPT, _REFINE_STEPS = 1e-15, 1e-13, 10
+_LU_STEPS, _KRYLOV_STEPS = 50, 20
 
 _log = logging.getLogger("deltashell")
 _KERNEL_LOG = "delta-shell kernel: %s, %d x %d, k = %g, %.3f s"   # filled or reused, rows x columns, k, seconds
@@ -488,8 +491,13 @@ def _system_matrix(kernel: np.ndarray, weights: np.ndarray, dtype) -> tuple[np.n
     return A, float(column_sums.sum(axis=0).max(initial=0.0))
 
 
+def _krylov_cap(n: int, m: int) -> int:
+    """GMRES's step cap for m right-hand sides of order n, or 0 where they take the LU."""
+    return n // (_LU_STEPS * m) if n >= _KRYLOV_STEPS * _LU_STEPS * m else 0
+
+
 class DeltaSystem:
-    """The factorized system (I + K diag(w)) x = psi0, reusable across incident fields.
+    """The system (I + K diag(w)) x = psi0, reusable across incident fields.
 
     ``kernel`` is K, one column per source (the support of V, then Sigma, the
     support of alpha) and one row per point of ``points``: the sources, then
@@ -497,17 +505,18 @@ class DeltaSystem:
     ``V = None`` drops the cells and ``delta = None`` the surface (an empty
     mesh), so ``DeltaSystem(V, None, k)`` is the plain Lippmann-Schwinger solve.
 
-    A system holds ``kernel`` in complex128 and the LU factors of
-    I + K diag(w) in complex64; ``solve_many`` refines each solution in
-    complex128 with the residual.  When the complex64 factors are singular or
-    their rcond is below ``_SINGLE_RCOND_FLOOR``, or refinement stalls above
-    ``_REFINE_ACCEPT``, the complex64 LU is dropped and the system factors
-    I + K diag(w) in complex128 instead, where a condition number above 1e12
-    raises ``ExceptionalFrequencyError``.
+    A system holds ``kernel`` in complex128.  ``solve_many`` refines each
+    solution in complex128 with the residual, corrected by GMRES when the
+    right-hand sides are few for n (``_krylov_cap``), else by the LU of
+    I + K diag(w) in complex64, made on the first such solve and kept for every
+    later one.  When the complex64 factors are singular or their rcond is below
+    ``_SINGLE_RCOND_FLOOR``, or GMRES or the refinement stalls above
+    ``_REFINE_ACCEPT``, the system factors I + K diag(w) in complex128, where a
+    condition number above 1e12 raises ``ExceptionalFrequencyError``.
 
     K depends on the points and the source set, not on the values of V or
     alpha: media with the same grid, Gamma and supports of V and alpha share
-    it, and ``reweighted`` factors another medium's weights over it.
+    it, and ``reweighted`` weighs another medium over it.
     """
 
     def __init__(self, V: PotentialSample | None, delta: DeltaSpec | None, k: float):
@@ -525,8 +534,8 @@ class DeltaSystem:
         self._weigh(V, delta)
 
     def reweighted(self, V: PotentialSample | None, delta: DeltaSpec | None) -> DeltaSystem:
-        """The system of V and delta at this k over this ``kernel``: factors I + K diag(w') for
-        the new weights and computes no kernel entry.  Raises ValueError when the grid, the
+        """The system of V and delta at this k over this ``kernel``, with the new weights w' and no LU
+        yet; it computes no kernel entry.  Raises ValueError when the grid, the
         support of V, Gamma's arrays or the support of alpha differ, which changes the sources.
         """
         delta = _NO_SURFACE if delta is None else delta
@@ -545,11 +554,16 @@ class DeltaSystem:
                 and np.array_equal(delta.support(), self.delta.support()))
 
     def _weigh(self, V: PotentialSample | None, delta: DeltaSpec) -> None:
-        """Take w = (V on its support, alpha on Sigma) and factor I + K diag(w)."""
+        """Take w = (V on its support, alpha on Sigma), with no LU yet."""
         self.potential, self.delta, self.mesh = V, delta, delta.mesh
         Vs = np.zeros(0) if V is None else V.values[self.support]
         self.weights = np.concatenate([Vs, delta.alpha[delta.support()]])
-        self._lu = self._factor() if len(self.weights) else None
+        self._lu = None
+
+    def _factored(self) -> GuardedLU:
+        """The LU of I + K diag(w), made on the first call and kept."""
+        self._lu = self._lu or self._factor()
+        return self._lu
 
     def _factor(self, fallback: str | None = None) -> GuardedLU:
         """The LU of I + K diag(w): complex64 unless ``fallback`` names why not, or the
@@ -575,17 +589,20 @@ class DeltaSystem:
         """Solutions for several incident fields, refined together.
 
         The incident fields form the columns of one right-hand-side matrix.
-        Starting from x = 0 and r = psi0, each refinement step adds LU^-1 r to
-        x and forms K (w x) in complex128, which gives every column's
+        Starting from x = 0 and r = psi0, each refinement step adds GMRES's
+        correction or LU^-1 r to x and forms K (w x) in complex128, which gives every column's
         residual r = psi0 - x - K (w x) on the unknowns' rows and, after the
         last step, its trace psi0 - K (w x) at the panels, in panel order; eta is
         w x on Sigma and 0 elsewhere.
         """
         incidents = list(incidents)
-        ns = len(self.support)
+        n, ns = len(self.weights), len(self.support)
         psi0 = np.stack([np.asarray(eval_incident(inc, self.k, self.points), dtype=complex)
                          for inc in incidents], axis=1)                # (ns + np, n_rhs)
-        x, wx, kwx, residual = self._refine(psi0, time.perf_counter())
+        budget = _krylov_cap(n, len(incidents)) if self._lu is None else 0   # GMRES steps, 0 on the LU route
+        if n and not budget:
+            self._factored()
+        x, wx, kwx, residual = self._refine(psi0, time.perf_counter(), budget)
         # one contiguous row per solution
         trace, eta = (np.zeros((len(incidents), self.mesh.n_panels), dtype=complex) for _ in range(2))
         trace[:, self._panels] = (psi0[ns:] - kwx[ns:]).T
@@ -601,9 +618,9 @@ class DeltaSystem:
             for j, inc in enumerate(incidents)
         ]
 
-    def _refine(self, psi0: np.ndarray, start: float):
-        """x, w x, K (w x) and each column's relative residual for the unknowns' rows of psi0;
-        logs the seconds since ``start``."""
+    def _refine(self, psi0: np.ndarray, start: float, budget: int):
+        """x, w x, K (w x) and each column's relative residual for the unknowns' rows of psi0, corrected by
+        the LU if the system has one, else by GMRES within ``budget`` steps in all; logs the seconds since ``start``."""
         n = len(self.weights)
         b = psi0[:n]
         b_norm = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
@@ -611,7 +628,12 @@ class DeltaSystem:
         wx, kwx = np.zeros_like(b, order="F"), np.zeros_like(psi0, order="F")
         for steps in range(1, _REFINE_STEPS + 1):
             if n:
-                x += self._lu.solve(r)
+                dx, estimate, budget = self._gmres(r, b_norm, budget) if self._lu is None else (self._lu.solve(r), 0, 0)
+                if estimate > _REFINE_ACCEPT:
+                    worst = estimate
+                    break
+                x += dx
+                del dx                                     # freed before the product, as LU^-1 r was
                 np.multiply(self.weights[:, None], x, out=wx)
                 matmul(self.kernel, wx, out=kwx)
             r = b - (x + kwx[:n])
@@ -619,13 +641,52 @@ class DeltaSystem:
             worst, previous = residual.max(initial=0.0), worst
             if worst <= _REFINE_TOL or worst >= previous / 2:
                 break
-        if worst > _REFINE_ACCEPT and self._lu.dtype == np.complex64:
+        if worst > _REFINE_ACCEPT and (self._lu is None or self._lu.dtype != complex):
             self._lu = None  # drop the complex64 factors before the complex128 matrix is built
             self._lu = self._factor(f"refinement stalled at residual {worst:.2e}")
-            return self._refine(psi0, start)
+            return self._refine(psi0, start, 0)
         _log.debug("delta-shell solve: %d right-hand sides, %d refinement steps, largest residual %.2e, %.3f s",
                    b.shape[1], steps, worst, time.perf_counter() - start)
         return x, wx, kwx, residual
+
+    def _gmres(self, r: np.ndarray, b_norm: np.ndarray, cap: int) -> tuple[np.ndarray, float, int]:
+        """GMRES from 0 on (I + K diag(w)) dx = r, each column in its own Krylov space, without restart: dx, the
+        largest residual estimate over b_norm and the steps left of ``cap``.
+
+        Each step forms K (w v) for every column in one ``matmul``, orthonormalises v + K (w v) against the
+        basis by classical Gram-Schmidt applied twice and rotates the Hessenberg column and the right-hand side
+        to triangular form (Givens), whose next entry is the residual estimate.  The steps stop when every column
+        is within _REFINE_TOL b_norm, after ``cap``, or at a breakdown (a singular triangle in a column not within
+        it).  Logs n, the columns, the steps, the largest estimate and the seconds.
+        """
+        start, (n, m), j, tol = time.perf_counter(), r.shape, 0, _REFINE_TOL * b_norm
+        basis, R = np.zeros((cap + 1, n, m), dtype=complex), np.zeros((cap, cap, m), dtype=complex)
+        g, cs, sn = np.zeros((cap + 1, m), dtype=complex), np.zeros((cap, m), dtype=complex), np.zeros((cap, m))
+        g[0] = resid = np.linalg.norm(r, axis=0)
+        np.divide(r, resid, out=basis[0], where=resid > 0)
+        while j < cap and np.any(resid > tol):
+            w, h = basis[j] + matmul(self.kernel[:n], self.weights[:, None] * basis[j]), 0.0
+            for _ in range(2):
+                c = np.einsum("inc,nc->ic", basis[:j + 1], w.conj()).conj()
+                w -= np.einsum("inc,ic->nc", basis[:j + 1], c)
+                h = h + c
+            h_next = np.linalg.norm(w, axis=0)
+            np.divide(w, h_next, out=basis[j + 1], where=h_next > 0)
+            for i in range(j):
+                h[i], h[i + 1] = cs[i].conj() * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+            nu = np.hypot(np.abs(h[j]), h_next)
+            if np.any((nu == 0) & (resid > tol)):
+                break
+            R[:j, j], R[j, j] = h[:j], np.where(nu > 0, nu, 1.0)              # 1 where nu = 0: a column within tol
+            cs[j], sn[j] = np.where(nu > 0, h[j] / R[j, j], 1.0), h_next / R[j, j].real
+            g[j + 1], g[j] = -sn[j] * g[j], cs[j].conj() * g[j]
+            j += 1
+            resid = np.abs(g[j])
+        estimate = float(np.max(resid / b_norm, initial=0.0))
+        _log.debug("delta-shell GMRES: n = %d, %d right-hand sides, %d steps, largest residual %.2e, %.3f s",
+                   n, m, j, estimate, time.perf_counter() - start)
+        ys = [solve_triangular(R[:j, :j, c], g[:j, c], check_finite=False) for c in range(m)]
+        return np.stack([np.einsum("in,i->n", basis[:j, :, c], y) for c, y in enumerate(ys)], axis=1), estimate, cap - j
 
 
 # ---------------------------------------------------------------------------

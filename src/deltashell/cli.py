@@ -16,9 +16,9 @@ and the convention block; the same config run with the same BLAS thread
 count, on any number of cores, produces byte-identical files (BLAS
 reductions may change with the thread count).  ``--log-level`` (default
 WARNING) writes the ``deltashell`` log to stderr, such as the DEBUG line of
-each factorization and solve; it changes no output file.  It filters only
-that stderr handler: a caller's own handler on the ``deltashell`` logger
-gets the records it asked for, whatever the level given.
+each factorization, GMRES run and solve; it changes no output file.  It
+filters only that stderr handler: a caller's own handler on the
+``deltashell`` logger gets the records it asked for, whatever the level given.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _build_mesh(cfg: dict):
                                        maximum=_MAX_SUBDIVISIONS))
     if kind == "off":
         with _names("mesh.path"):
-            return load_mesh(spec["path"])
+            return load_mesh(spec["path"], max_faces=MAX_PANELS)
     raise ConfigError(f"mesh.kind must be 'sphere' or 'off', got {kind!r}")
 
 

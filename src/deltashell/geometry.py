@@ -25,7 +25,6 @@ __all__ = [
     "SphereGrid",
     "VolumeGrid",
     "MeshFormatError",
-    "triangle_rule",
     "make_sphere_mesh",
     "load_mesh",
     "save_mesh",
@@ -40,7 +39,7 @@ class MeshFormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Panel quadrature rule: the degree-2 symmetric 3-point Gauss rule
-# (barycentric points, weights summing to 1)
+# (barycentric points, equal weights)
 # ---------------------------------------------------------------------------
 
 _GAUSS3_BARY = np.array(
@@ -50,15 +49,9 @@ _GAUSS3_BARY = np.array(
         [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
     ]
 )
-_GAUSS3_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 # the rule on the four midpoint subtriangles (12 points, equal weights): a corner one is the
 # panel halved towards its vertex, the middle one the panel halved and reflected in the centroid
 _SUB_BARY = np.concatenate([(np.eye(3)[:, None] + _GAUSS3_BARY) / 2, (1 - _GAUSS3_BARY[None]) / 2]).reshape(-1, 3)
-
-
-def triangle_rule(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Panel-rule points (m, 3, 3) and weights (3,) of the triangles with corners v0, v1, v2."""
-    return np.einsum("gj,jpk->pgk", _GAUSS3_BARY, np.stack([v0, v1, v2])), _GAUSS3_WEIGHTS
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -163,14 +156,6 @@ class SurfaceMesh:
         """Largest vertex distance from the origin."""
         return float(np.max(np.linalg.norm(self.vertices, axis=1), initial=0.0))
 
-    def quadrature_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Points (nt, 3, 3) and weights (3,) of the 3-point rule (``triangle_rule``) on each panel.
-
-        Weights sum to 1; multiply by panel_area for surface integration.  No kernel
-        pass uses it: a far panel is its centroid and ``panel_factor``.
-        """
-        return triangle_rule(*self.panel_corners.transpose(1, 0, 2))
-
     def per_panel(self, values, name: str) -> np.ndarray:
         """``values`` as one finite float per panel, a number standing for every panel;
         ValueError naming ``name`` otherwise."""
@@ -266,11 +251,12 @@ def make_sphere_mesh(radius: float, subdivisions: int) -> SurfaceMesh:
     return SurfaceMesh.from_arrays(verts * radius, faces)
 
 
-def load_mesh(path) -> SurfaceMesh:
+def load_mesh(path, max_faces: int | None = None) -> SurfaceMesh:
     """Read a triangle mesh from an OFF file.
 
     Orientation is taken from the file winding (CCW seen from outside).
-    Raises ``MeshFormatError`` with a line number on parse errors and on
+    Raises ``MeshFormatError`` with a line number on parse errors, on a counts
+    line with more than ``max_faces`` faces (read before any face), and on
     non-triangular faces, on inconsistent or inward winding, and with the
     open-edge count on a mesh that is not closed (the formulation needs a
     closed Gamma).
@@ -293,6 +279,8 @@ def load_mesh(path) -> SurfaceMesh:
         nv, nf = [int(tok) for tok in counts.split()[:2]]
     except (IndexError, ValueError):
         raise MeshFormatError(f"{path}: malformed counts at line {lines[1][0] if len(lines) > 1 else 2}")
+    if max_faces is not None and nf > max_faces:
+        raise MeshFormatError(f"{path}: {nf} faces at line {counts_line}, cap is {max_faces}")
 
     if len(lines) < 2 + nv + nf:
         raise MeshFormatError(f"{path}: expected {nv} vertices and {nf} faces, file truncated")

@@ -8,7 +8,7 @@ from scipy.special import spherical_jn, spherical_yn
 from deltashell._dense import GuardedLU
 from deltashell.acoustic import GaussianBump, RadialCutoff
 from deltashell.boundary import DeltaSpec, DeltaSystem
-from deltashell.geometry import SurfaceMesh, make_sphere_mesh, make_volume_grid
+from deltashell.geometry import _GAUSS3_BARY, SurfaceMesh, make_sphere_mesh, make_volume_grid
 from deltashell.kernels import Herglotz, eval_incident, plane_wave
 from deltashell.mie import PartialWaveSolution
 from deltashell.volume import PotentialSample, assemble_volume_operator, volume_potential
@@ -43,6 +43,17 @@ def cube_mesh(side=2.0):
     return SurfaceMesh.from_arrays(verts, faces)
 
 
+def triangle_rule(v0, v1, v2):
+    """Points (m, 3, 3) and weights (3,) of the degree-2 symmetric 3-point Gauss rule on the
+    triangles with corners v0, v1, v2; the weights sum to 1."""
+    return np.einsum("gj,jpk->pgk", _GAUSS3_BARY, np.stack([v0, v1, v2])), np.full(3, 1.0 / 3.0)
+
+
+def quadrature_points(mesh):
+    """The 3-point rule (``triangle_rule``) on each panel of ``mesh``: points (nt, 3, 3) and weights (3,)."""
+    return triangle_rule(*mesh.panel_corners.transpose(1, 0, 2))
+
+
 def bump_potential(grid, amplitude, width=0.45, r_in=1.05, r_out=1.40, center=(0.0, 0.0, 0.0)):
     """Compactly supported smooth potential sample (bump times C^2 cutoff)."""
     x = grid.cell_center
@@ -59,7 +70,7 @@ def rng():
 @pytest.fixture(scope="session",
                 params=["volume+surface", "cells only", "surface only", "no surface", "volume+Sigma"])
 def small_system(request, sphere_meshes, small_grid):
-    """One factorized system per solve path: coupled, alpha = 0, no volume, no surface, and
+    """One system per solve path: coupled, alpha = 0, no volume, no surface, and
     coupled with alpha = 1.5 on Sigma, the panels with z > 0, and 0 elsewhere."""
     mesh = sphere_meshes[1]
     V = None if request.param == "surface only" else bump_potential(small_grid, 0.6)

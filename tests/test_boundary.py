@@ -32,7 +32,7 @@ from deltashell.boundary import (
 )
 from deltashell.acoustic import MediumSpec, RadialCutoff
 from deltashell.farfield import direction_grid, farfield_kirchhoff, farfield_source
-from deltashell.geometry import SurfaceMesh, make_sphere_grid, make_sphere_mesh, make_volume_grid, triangle_rule
+from deltashell.geometry import SurfaceMesh, make_sphere_grid, make_sphere_mesh, make_volume_grid
 from deltashell.kernels import (
     Exponential,
     Herglotz,
@@ -46,7 +46,7 @@ from deltashell.kernels import (
 )
 from deltashell.volume import PotentialSample, assemble_volume_operator, volume_potential
 
-from conftest import bump_potential, mixed_incidents, reference_lippmann_schwinger
+from conftest import bump_potential, mixed_incidents, quadrature_points, reference_lippmann_schwinger, triangle_rule
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -148,7 +148,7 @@ class TestSingleLayer:
         # r = 0 in the base rule; the pair is near, so the base rule sees the placeholder
         # distance and the value is the limit of the continuous single layer
         mesh = sphere_meshes[1]
-        qpts, _ = mesh.quadrature_points()
+        qpts, _ = quadrature_points(mesh)
         eta = np.ones(mesh.n_panels)
         x = qpts[3]
         with warnings.catch_warnings():
@@ -313,7 +313,7 @@ class TestGradients:
 
     def test_layer_gradient_rejects_points_on_the_surface(self, sphere_meshes):
         mesh = sphere_meshes[1]
-        qpts, _ = mesh.quadrature_points()
+        qpts, _ = quadrature_points(mesh)
         v0, v1, v2 = mesh.panel_corners[3]
         for x in (mesh.panel_centroid[3], qpts[3, 1], 0.2 * v0 + 0.3 * v1 + 0.5 * v2,
                   0.5 * (v0 + v1), v2):
@@ -436,7 +436,7 @@ class TestKernelEntries:
             y = np.einsum("sb,pbk->psk", bary, mesh.panel_corners[qq[lo:lo + 200]])
             ref[lo:lo + 200] = kernel(x[ii[lo:lo + 200], None], y, k).mean(axis=1)
         ref *= mesh.panel_area[qq]
-        qpts, w = mesh.quadrature_points()
+        qpts, w = quadrature_points(mesh)
         three_point = kernel(x[ii][:, None], qpts[qq], k) @ w * mesh.panel_area[qq]
         far = panel_rows(x, mesh, k)[ii, qq]
         assert len(ii) > 6000
@@ -445,7 +445,7 @@ class TestKernelEntries:
 
 def _second_moments(mesh):
     """int_T (y - c)(y - c)^T dsigma per panel, from the 3-point rule, which integrates quadratics exactly."""
-    qpts, w = mesh.quadrature_points()
+    qpts, w = quadrature_points(mesh)
     rel = qpts - mesh.panel_centroid[:, None, :]
     return np.einsum("p,g,pgi,pgj->pij", mesh.panel_area, w, rel, rel)
 
@@ -732,21 +732,24 @@ class TestSystemMatrix:
         assert abs(sol.residual - dense) <= 1e-8 * dense
 
     def test_built_system_holds_two_matrices(self, sphere_meshes, monkeypatch):
-        # held: the complex128 kernel (1 n^2 * 16 B) and the complex64 LU (0.5); no n x n
-        # temporary on the way.  A small CHUNK keeps the fill's fixed-size row-chunk
-        # temporaries, which do not grow with n, from hiding the n x n arrays in the peak.
-        # The LU is A's own mapping (``empty_mapped``), which tracemalloc does not see, so it
-        # is added to both, as if it had been held from the start.
+        # held once built: the complex128 kernel (1 n^2 * 16 B) alone; once the LU route is asked
+        # for, the complex64 LU too (0.5); no n x n temporary on the way.  A small CHUNK keeps the
+        # fill's fixed-size row-chunk temporaries, which do not grow with n, from hiding the n x n
+        # arrays in the peak.  The LU is A's own mapping (``empty_mapped``), which tracemalloc does
+        # not see, so it is added to both, as if it had been held from the start.
         monkeypatch.setattr(_dense, "CHUNK", 2**15)
         mesh = sphere_meshes[3]
         delta = DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0))
         tracemalloc.start()
         try:
             system = DeltaSystem(None, delta, 2.0)
+            built = tracemalloc.get_traced_memory()[0]
+            system._factored()
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert system.kernel.shape == (1280, 1280)
+        assert built <= 1.02 * mesh.n_panels**2 * 16
         mapped = system._lu._lu.nbytes
         assert held + mapped <= 1.52 * mesh.n_panels**2 * 16
         assert peak + mapped <= 1.6 * mesh.n_panels**2 * 16
@@ -773,6 +776,31 @@ class TestSystemMatrix:
         assert peaks[1] <= peaks[0]
 
 
+def stage_seconds(run):
+    """Each "deltashell" record's seconds (its last arg) by stage, read by a handler on the logger while
+    ``run()`` runs, and the wall seconds of the run."""
+    class Seconds(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.DEBUG)
+            self.seconds = {}
+
+        def emit(self, record):
+            self.seconds[record.msg.split(":")[0]] = record.args[-1]
+
+    handler, log = Seconds(), logging.getLogger("deltashell")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        start = time.perf_counter()
+        run()
+        total = time.perf_counter() - start
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    return handler.seconds, total
+
+
 class TestMixedPrecision:
     """complex64 factors refined in complex128, and the complex128 fallback."""
 
@@ -795,8 +823,8 @@ class TestMixedPrecision:
         return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
     def test_refined_single_precision_solution(self, system, caplog):
+        assert system._factored().dtype == np.complex64
         caplog.set_level(logging.DEBUG, logger="deltashell")
-        assert system._lu.dtype == np.complex64
         sols = system.solve_many(mixed_incidents())
         assert max(sol.residual for sol in sols) <= 1e-15
         assert self.gap_to_double_lu(system, sols) <= 1e-14
@@ -815,34 +843,15 @@ class TestMixedPrecision:
         assert re.fullmatch(rf"delta-shell kernel: filled, {n} x {n}, k = 2, \d+\.\d{{3}} s", lines[0])
         # the matrix is written inside the factorization, so its record comes first
         assert re.fullmatch(rf"delta-shell system matrix: complex64, n = {n}, \d+\.\d{{3}} s", lines[1])
-        assert re.fullmatch(re.escape(f"delta-shell LU: complex64, n = {n}, rcond {system._lu.rcond:.6e}, "
+        assert re.fullmatch(re.escape(f"delta-shell LU: complex64, n = {n}, rcond {system._factored().rcond:.6e}, "
                                       "fallback: None, ") + r"\d+\.\d{3} s", lines[2])
         assert lines[3].startswith("delta-shell solve: 1 right-hand sides, ")
         assert re.search(re.escape(f"refinement steps, largest residual {sol.residual:.2e}, ") + r"\d+\.\d{3} s$",
                          lines[3])
 
     def test_stage_seconds_are_the_last_record_arg(self, sphere_meshes):
-        # a handler on the "deltashell" logger reads each stage's seconds from its record's args
-        class Seconds(logging.Handler):
-            def __init__(self):
-                super().__init__(logging.DEBUG)
-                self.seconds = {}
-
-            def emit(self, record):
-                self.seconds[record.msg.split(":")[0]] = record.args[-1]
-
-        handler, log = Seconds(), logging.getLogger("deltashell")
-        level = log.level
-        log.addHandler(handler)
-        log.setLevel(logging.DEBUG)
-        try:
-            start = time.perf_counter()
-            DeltaSystem(None, DeltaSpec(mesh=sphere_meshes[1], alpha=2.0), 2.0).solve(plane_wave(EZ))
-            total = time.perf_counter() - start
-        finally:
-            log.removeHandler(handler)
-            log.setLevel(level)
-        seconds = handler.seconds
+        seconds, total = stage_seconds(
+            lambda: DeltaSystem(None, DeltaSpec(mesh=sphere_meshes[1], alpha=2.0), 2.0).solve(plane_wave(EZ)))
         assert set(seconds) == {"delta-shell kernel", "delta-shell system matrix", "delta-shell LU",
                                 "delta-shell solve"}
         assert all(isinstance(t, float) and t > 0 for t in seconds.values())
@@ -856,7 +865,7 @@ class TestMixedPrecision:
         monkeypatch.setattr(boundary, "_SINGLE_RCOND_FLOOR", 1.0)
         writes, write = [], boundary._system_matrix
         monkeypatch.setattr(boundary, "_system_matrix", lambda *args: writes.append(args[2]) or write(*args))
-        DeltaSystem(system.potential, system.delta, system.k)
+        DeltaSystem(system.potential, system.delta, system.k)._factored()
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("delta-shell system matrix")]
         assert writes == [np.complex64, complex] and len(lines) == 2
         n = len(system.weights)
@@ -867,7 +876,7 @@ class TestMixedPrecision:
         caplog.set_level(logging.DEBUG, logger="deltashell")
         monkeypatch.setattr(boundary, "_SINGLE_RCOND_FLOOR", 1.0)
         forced = DeltaSystem(system.potential, system.delta, system.k)
-        assert forced._lu.dtype == np.complex128
+        assert forced._factored().dtype == np.complex128
         (lu_line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("delta-shell LU")]
         assert "fallback: complex64 rcond" in lu_line
         sols = forced.solve_many(mixed_incidents())
@@ -878,7 +887,7 @@ class TestMixedPrecision:
         # a back-substitution shifted by 1e-3 stalls refinement; the system factors in
         # complex128 once and keeps that LU for later solves
         caplog.set_level(logging.DEBUG, logger="deltashell")
-        solve = system._lu.solve
+        solve = system._factored().solve
         monkeypatch.setattr(system._lu, "solve", lambda b: solve(b) + 1e-3)
         sols = system.solve_many(mixed_incidents())
         assert system._lu.dtype == np.complex128
@@ -902,15 +911,120 @@ class TestMixedPrecision:
         assert system._lu.dtype == np.complex64
         assert max(sol.residual for sol in sols) <= 1e-15
 
-    def test_singular_system_raises_from_the_constructor(self, sphere_meshes, monkeypatch):
-        # K = -J / (alpha n) with J all ones: I + K diag(w) = I - J / n is singular, so the
-        # complex64 factors are refused and the complex128 guard raises
-        mesh = sphere_meshes[1]
+    @pytest.mark.parametrize("gap", [0.0, 1e-14])
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_singular_system_raises_from_the_first_solve(self, sphere_meshes, monkeypatch, level, gap):
+        # K = -(1 - gap) J / (alpha n) with J all ones: I + K diag(w) = I - (1 - gap) J / n is
+        # singular, or has condition number 1/gap.  At 320 panels the one-RHS solve takes the LU:
+        # the complex64 factors are refused and the complex128 guard raises.  At 1280 it takes
+        # GMRES, whose solution fails the residual check, so the stall makes the complex128 LU
+        mesh = sphere_meshes[level]
         n, alpha = mesh.n_panels, 2.0
-        monkeypatch.setattr(boundary, "_fill", lambda points, sources, k: np.full((len(points), n), -1.0 / (alpha * n),
-                                                                                  dtype=complex))
+        monkeypatch.setattr(boundary, "_fill", lambda points, sources, k: np.full(
+            (len(points), n), -(1.0 - gap) / (alpha * n), dtype=complex))
+        system = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(n, alpha)), 2.0)
+        assert (boundary._krylov_cap(n, 1) > 0) == (level == 3)
         with pytest.raises(ExceptionalFrequencyError, match="perturbing k"):
-            DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(n, alpha)), 2.0)
+            system.solve(plane_wave(EZ))
+
+
+class TestKrylovRoute:
+    """GMRES corrections for few right-hand sides, the LU for many, and the LU behind a GMRES miss."""
+
+    @pytest.fixture(scope="class")
+    def sphere(self, sphere_meshes):
+        # 1280 unknowns: one right-hand side takes GMRES, two or more the LU
+        return DeltaSystem(None, DeltaSpec(mesh=sphere_meshes[3], alpha=2.0), 2.0)
+
+    @staticmethod
+    def routes(system, incidents):
+        # the solutions by GMRES and by the LU, each from a fresh copy of the system over its kernel
+        krylov, lu = (system.reweighted(system.potential, system.delta) for _ in range(2))
+        lu._factored()
+        sols = krylov.solve_many(incidents), lu.solve_many(incidents)
+        assert krylov._lu is None
+        assert max(sol.residual for pair in sols for sol in pair) <= 1e-13
+        return sols
+
+    @staticmethod
+    def gap(sols, refs):
+        # largest relative gap over the solutions' unknowns (psi on the cells, eta) and traces
+        def parts(sol):
+            return np.concatenate([sol.psi_support, sol.eta, sol.trace])
+        return max(np.linalg.norm(parts(a) - parts(b)) / np.linalg.norm(parts(b)) for a, b in zip(sols, refs))
+
+    def test_routes_agree_on_the_sphere(self, sphere):
+        assert self.gap(*self.routes(sphere, [plane_wave(EZ)])) <= 1e-13
+
+    def test_routes_agree_on_sigma(self, sphere_meshes, monkeypatch):
+        # alpha on z > 0 only: 640 unknowns, where GMRES is asked for
+        monkeypatch.setattr(boundary, "_krylov_cap", lambda n, m: 100)
+        mesh = sphere_meshes[3]
+        system = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.where(mesh.panel_centroid[:, 2] > 0, 2.0, 0.0)), 2.0)
+        assert self.gap(*self.routes(system, [plane_wave(EZ), plane_wave([1.0, 0.0, 0.0])])) <= 1e-13
+
+    def test_routes_agree_on_every_solve_path(self, small_system, monkeypatch):
+        # cells and panels, cells alone, panels alone, and cells with Sigma; six right-hand sides
+        monkeypatch.setattr(boundary, "_krylov_cap", lambda n, m: 100)
+        assert self.gap(*self.routes(small_system, mixed_incidents())) <= 1e-13
+
+    def test_gmres_miss_falls_back_to_the_lu(self, sphere, monkeypatch, caplog):
+        # one step cannot reach _REFINE_ACCEPT: the stall makes the complex128 LU, solves again and keeps it
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        monkeypatch.setattr(boundary, "_krylov_cap", lambda n, m: 1)
+        lu_route, forced = (sphere.reweighted(None, sphere.delta) for _ in range(2))
+        lu_route._factored()
+        ref = lu_route.solve(plane_wave(EZ))
+        caplog.clear()
+        sol = forced.solve(plane_wave(EZ))
+        lines = [r.getMessage() for r in caplog.records if r.name == "deltashell"]
+        assert lines[0].startswith(f"delta-shell GMRES: n = {sphere.kernel.shape[1]}, 1 right-hand sides, 1 steps, ")
+        assert lines[1].startswith("delta-shell system matrix: complex128")
+        assert "fallback: refinement stalled at residual" in lines[2] and len(lines) == 4
+        assert forced._lu.dtype == np.complex128
+        assert sol.residual <= 1e-15 and self.gap([sol], [ref]) <= 1e-13
+        lu = forced._lu
+        forced.solve(plane_wave(EZ))
+        assert forced._lu is lu
+
+    def test_one_right_hand_side_takes_gmres_and_many_the_lu(self, sphere, caplog):
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        system = sphere.reweighted(None, sphere.delta)
+
+        def stages(incidents):
+            caplog.clear()
+            system.solve_many(incidents)
+            return [r.msg.split(":")[0] for r in caplog.records if r.name == "deltashell"]
+
+        assert stages([plane_wave(EZ)]) == ["delta-shell GMRES", "delta-shell solve"] and system._lu is None
+        assert stages(mixed_incidents()) == ["delta-shell system matrix", "delta-shell LU", "delta-shell solve"]
+        assert stages([plane_wave(EZ)]) == ["delta-shell solve"]           # the LU, once made, serves every solve
+        # the rule reads n and the count: the benchmark's sphere (one wave, 5120) takes GMRES, its desk
+        # (12 incidences, n <= 1640) and its table (200, n = 1904) the LU
+        assert boundary._krylov_cap(5120, 1) > 0 and boundary._krylov_cap(1640, 12) == 0
+        assert boundary._krylov_cap(1904, 200) == boundary._krylov_cap(999, 1) == 0
+
+    def test_gmres_and_solve_are_logged(self, sphere, caplog):
+        caplog.set_level(logging.DEBUG, logger="deltashell")
+        sol = sphere.reweighted(None, sphere.delta).solve(plane_wave(EZ))
+        lines = [r.getMessage() for r in caplog.records if r.name == "deltashell"]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "deltashell")
+        assert len(lines) == 3
+        n = sphere.kernel.shape[1]
+        assert re.fullmatch(rf"delta-shell kernel: reused, {n} x {n}, k = 2, 0\.000 s", lines[0])
+        assert re.fullmatch(rf"delta-shell GMRES: n = {n}, 1 right-hand sides, \d+ steps, largest residual "
+                            r"\d\.\d\de-\d\d, \d+\.\d{3} s", lines[1])
+        assert re.fullmatch(r"delta-shell solve: 1 right-hand sides, 1 refinement steps, largest residual "
+                            + re.escape(f"{sol.residual:.2e}, ") + r"\d+\.\d{3} s", lines[2])
+
+    def test_gmres_stage_seconds_are_the_last_record_arg(self, sphere_meshes):
+        seconds, total = stage_seconds(
+            lambda: DeltaSystem(None, DeltaSpec(mesh=sphere_meshes[3], alpha=2.0), 2.0).solve(plane_wave(EZ)))
+        assert set(seconds) == {"delta-shell kernel", "delta-shell GMRES", "delta-shell solve"}
+        assert all(isinstance(t, float) and t > 0 for t in seconds.values())
+        # the solve record covers its GMRES runs
+        assert seconds["delta-shell kernel"] + seconds["delta-shell solve"] <= total
+        assert seconds["delta-shell GMRES"] <= seconds["delta-shell solve"]
 
 
 class TestSolveMany:

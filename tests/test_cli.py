@@ -224,6 +224,17 @@ class TestConfigValidation:
             assert f"'{field}'" in capsys.readouterr().err
         assert cli._build_grid({"grid": {"bbox": 1.6, "n": 33}}).n_cells == 33**3 > boundary.MAX_GRID_CELLS
 
+    def test_off_mesh_past_the_panel_cap_refused_from_its_counts(self, tmp_path, capsys):
+        # the counts line claims MAX_PANELS + 1 faces and no face follows: the cap is read from
+        # the counts, before the file is found truncated or any face is parsed
+        path = tmp_path / "big.off"
+        path.write_text(f"OFF\n3 {boundary.MAX_PANELS + 1} 0\n0 0 0\n1 0 0\n0 1 0\n")
+        cfg = dict(FORWARD_TRIVIAL, mesh={"kind": "off", "path": str(path)})
+        assert main(["--config", write_config(tmp_path, "big.json", cfg), "--out", str(tmp_path), "forward"]) == 2
+        err = capsys.readouterr().err
+        assert "'mesh.path'" in err and f"{boundary.MAX_PANELS + 1} faces" in err
+        assert f"cap is {boundary.MAX_PANELS}" in err
+
     def test_verify_xi_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DeltaSystem", no_solve)
         for xi in BAD_XI:

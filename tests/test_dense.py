@@ -260,7 +260,7 @@ class TestEmptyMapped:
     def test_system_matrix_is_mapped(self, sphere_meshes):
         system = DeltaSystem(None, DeltaSpec(mesh=sphere_meshes[1], alpha=np.full(sphere_meshes[1].n_panels, 2.0)), 2.0)
         A, _ = boundary._system_matrix(system.kernel, system.weights, np.complex64)
-        assert isinstance(_mapping(A), mmap.mmap) and isinstance(_mapping(system._lu._lu), mmap.mmap)
+        assert isinstance(_mapping(A), mmap.mmap) and isinstance(_mapping(system._factored()._lu), mmap.mmap)
 
 
 class TestGuardedLU:
@@ -320,6 +320,7 @@ class TestGuardedLU:
         monkeypatch.setattr(boundary, "GuardedLU", guarded)
         mesh = sphere_meshes[2]
         system = DeltaSystem(None, DeltaSpec(mesh=mesh, alpha=np.full(mesh.n_panels, 2.0)), 2.0)
+        system._factored()
         assert np.shares_memory(system._lu._lu, given[0])
         assert not np.shares_memory(system._lu._lu, system.kernel)
         assert given[0].dtype == np.complex64 and given[0].flags.c_contiguous

@@ -23,7 +23,7 @@ from deltashell.harness import lattice_directions
 from deltashell.kernels import Herglotz, plane_wave
 from deltashell.mie import RadialMedium, mie_farfield_values, solve_partial_waves
 
-from conftest import bump_potential, mixed_incidents
+from conftest import bump_potential, mixed_incidents, quadrature_points
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -145,7 +145,7 @@ class TestRoutes:
         sol = DeltaSystem(None, delta, k).solve(plane_wave(EZ))
         obs = lattice_directions()
         ff = farfield_source(sol, obs) / eps
-        qpts, w = mesh.quadrature_points()
+        qpts, w = quadrature_points(mesh)
         c = mesh.panel_centroid
         psi0 = np.exp(1j * k * c @ EZ)
         # each panel's second moment; the 3-point rule integrates quadratics exactly

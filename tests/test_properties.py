@@ -59,7 +59,7 @@ def linear_solve(small_system):
     ns, n = len(s.support), len(s.weights)
     A = s.kernel[:n] * s.weights
     A[np.diag_indices_from(A)] += 1.0
-    inv_norm = np.sqrt(n) / (s._lu.rcond * np.linalg.norm(A, 1))
+    inv_norm = np.sqrt(n) / (s._factored().rcond * np.linalg.norm(A, 1))
     Tr, S_alpha = s.kernel[ns:, :ns], s.kernel[ns:, ns:] * s.weights[ns:]
     tr_norm = np.linalg.norm(Tr, 2) if Tr.size else 0.0
     s_norm = np.linalg.norm(S_alpha, 2) if S_alpha.size else 0.0
@@ -163,7 +163,7 @@ def surface_only(request, sphere_meshes):
 def _far_field(system, d, x):
     """psi_inf(x, d), the solution's residual and the system's reciprocal condition estimate."""
     sol = system.solve(plane_wave(d))
-    return farfield_source(sol, x[None])[0], sol.residual, system._lu.rcond
+    return farfield_source(sol, x[None])[0], sol.residual, system._factored().rcond
 
 
 def _moved(system, vertices):

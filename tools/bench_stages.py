@@ -12,9 +12,11 @@ with ``seconds`` the median over the iterations of the stage's seconds in one it
 
 * every stage but ``rest`` from one record of the ``deltashell`` logger, whose last arg is
   its seconds: ``fill`` the kernel, ``system_matrix`` the writes of I + K diag(w), ``LU`` the
-  factorization (its record covers the writes, which are taken out here), ``solve`` the
-  back-solves, ``farfield`` the far-field sums (``farfield_source``) and ``sampling`` the
-  media's (V, alpha) from their density and sound speed (0 where no medium is sampled);
+  factorization (its record covers the writes, which are taken out here), ``krylov`` the GMRES
+  runs of the solves that take GMRES for their corrections, ``solve`` the rest of the solves
+  (the back-solves and residuals; its record covers the GMRES runs, which are taken out here),
+  ``farfield`` the far-field sums (``farfield_source``) and ``sampling`` the media's (V, alpha)
+  from their density and sound speed (each 0 where no such record is written);
 * ``rest``: the iteration's wall time less the stages above (a CLI run's config, mesh and
   grid, incident fields, Kirchhoff route, CSV write, harness).
 
@@ -44,9 +46,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import WORKLOADS  # noqa: E402  (after the thread count and the path)
 
-STAGES = ("fill", "system_matrix", "LU", "solve", "farfield", "sampling", "rest")
+STAGES = ("fill", "system_matrix", "LU", "krylov", "solve", "farfield", "sampling", "rest")
 RECORDS = {"delta-shell kernel": "fill", "delta-shell system matrix": "system_matrix", "delta-shell LU": "LU",
-           "delta-shell solve": "solve", "delta-shell far field": "farfield", "delta-shell sampling": "sampling"}
+           "delta-shell GMRES": "krylov", "delta-shell solve": "solve", "delta-shell far field": "farfield",
+           "delta-shell sampling": "sampling"}
 GATES = {"sphere_bem": ("oracle_err", 0.02), "farfield_table": ("two_route_gap", 1e-3),
          "uniqueness_desk": ("separation", 10.0)}
 
@@ -90,6 +93,7 @@ def measure(name: str, iterations: int, seed: int, clock: StageClock) -> list[di
             if not passed:
                 raise RuntimeError(f"{name}: the correctness gate failed: {diagnostics}")
             clock.seconds["LU"] -= clock.seconds["system_matrix"]
+            clock.seconds["solve"] -= clock.seconds["krylov"]
             clock.seconds["rest"] = wall - sum(clock.seconds.values())
             for stage in STAGES:
                 samples[stage].append(clock.seconds[stage])
